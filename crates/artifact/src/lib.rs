@@ -10,8 +10,8 @@
 //!   watcher never observes a half-written artifact);
 //! - [`inspect`]: a human-readable summary of an artifact's contents;
 //! - [`ArtifactWatcher`]: the SIGHUP stand-in for the standalone
-//!   forwarder — polls the file's length + mtime and reports when a new
-//!   artifact has landed.
+//!   forwarder — polls the file's identity + length + mtime and reports
+//!   when a new artifact has landed.
 //!
 //! See DESIGN.md §15 for the format layout and compatibility rules.
 
@@ -114,13 +114,27 @@ pub enum WatchEvent {
 }
 
 /// Polls an artifact file for replacement — the offline build's stand-in
-/// for SIGHUP-triggered reloads. Change detection uses length + mtime,
-/// which [`write_artifact`]'s rename-into-place publishing updates
-/// atomically.
+/// for SIGHUP-triggered reloads. Change detection uses the file identity
+/// plus length + mtime, all of which [`write_artifact`]'s
+/// rename-into-place publishing updates atomically.
 #[derive(Debug)]
 pub struct ArtifactWatcher {
     path: PathBuf,
-    seen: Option<(u64, SystemTime)>,
+    seen: Option<(u64, u64, SystemTime)>,
+}
+
+/// The identity of the file behind a path. [`write_artifact`] renames a
+/// fresh temp file into place, so on unix every publish carries a new
+/// inode even when its length and mtime tick match the previous one;
+/// elsewhere length + mtime alone decide.
+#[cfg(unix)]
+fn file_id(meta: &fs::Metadata) -> u64 {
+    std::os::unix::fs::MetadataExt::ino(meta)
+}
+
+#[cfg(not(unix))]
+fn file_id(_meta: &fs::Metadata) -> u64 {
+    0
 }
 
 impl ArtifactWatcher {
@@ -141,7 +155,8 @@ impl ArtifactWatcher {
         &self.path
     }
 
-    /// Checks the file's length + mtime against the last observation.
+    /// Checks the file's identity, length and mtime against the last
+    /// observation.
     pub fn poll(&mut self) -> WatchEvent {
         let Ok(meta) = fs::metadata(&self.path) else {
             return WatchEvent::Missing;
@@ -149,7 +164,7 @@ impl ArtifactWatcher {
         let Ok(mtime) = meta.modified() else {
             return WatchEvent::Missing;
         };
-        let stamp = (meta.len(), mtime);
+        let stamp = (file_id(&meta), meta.len(), mtime);
         if self.seen.as_ref() == Some(&stamp) {
             WatchEvent::Unchanged
         } else {
@@ -221,6 +236,37 @@ mod tests {
         let summary = inspect(&art, n);
         assert!(summary.contains("site 1 epoch 1 kind full"), "{summary}");
         assert!(summary.contains("forwarder 42 mode affinity"), "{summary}");
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Two different artifacts of equal encoded length published inside
+    /// one mtime tick (pinned here so the collision is certain): the second
+    /// publish must still be seen.
+    #[cfg(unix)]
+    #[test]
+    fn watcher_sees_same_length_publish_within_one_mtime_tick() {
+        let dir = std::env::temp_dir().join(format!("sba-tick-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("site1.sba");
+        let tick = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000_000);
+        let publish = |art: &SiteArtifact| -> usize {
+            let n = write_artifact(&path, art).unwrap();
+            let file = std::fs::File::options().write(true).open(&path).unwrap();
+            file.set_modified(tick).unwrap();
+            n
+        };
+
+        let mut watcher = ArtifactWatcher::new(&path);
+        let first = sample();
+        let mut second = first.clone();
+        second.epoch = 2;
+        let n = publish(&first);
+        assert_eq!(watcher.poll(), WatchEvent::Changed);
+        assert_eq!(publish(&second), n, "the two artifacts must encode to one length");
+        assert_eq!(watcher.poll(), WatchEvent::Changed, "same-length publish missed");
+        assert_eq!(watcher.poll(), WatchEvent::Unchanged);
+        assert_eq!(read_artifact(&path).unwrap().epoch, 2);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -25,18 +25,9 @@
 //! four cores (generator + 2 shards + sink) the check is skipped with a
 //! note and exits zero: a starved host measures scheduler noise, not
 //! scaling.
-//!
-//! `--check-mixed` skips the matrix and measures the bidirectional Zipf
-//! mixed-label Overlay cell (64 chains, forward and reverse label pairs,
-//! steering on every packet's path) on the compiled-FIB batch pipeline
-//! versus the interpreted reference loop, exiting non-zero if the compiled
-//! path does not reach at least 1.2x the interpreted rate — the CI gate
-//! that keeps the FIB compiler actually paying for itself. Skipped (exit
-//! zero) on single-core hosts.
 
 use sb_bench::dataplane_baseline::{
-    check_mixed, check_overhead, check_scaleout, run, to_json, BaselineConfig, MIXED_MIN_CORES,
-    SCALEOUT_MIN_CORES,
+    check_overhead, check_scaleout, run, to_json, BaselineConfig, SCALEOUT_MIN_CORES,
 };
 
 /// Maximum tolerated throughput loss with default telemetry sampling.
@@ -45,24 +36,18 @@ const OVERHEAD_TOLERANCE: f64 = 0.05;
 /// Minimum contended 2-shard speedup over 1 shard.
 const SCALEOUT_MIN_RATIO: f64 = 1.5;
 
-/// Minimum compiled-FIB speedup over the interpreted path on the
-/// mixed-label cell.
-const MIXED_MIN_RATIO: f64 = 1.2;
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = BaselineConfig::full();
     let mut out_path: Option<String> = None;
     let mut overhead_only = false;
     let mut scaleout_only = false;
-    let mut mixed_only = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => cfg = BaselineConfig::quick(),
             "--check-overhead" => overhead_only = true,
             "--check-scaleout" => scaleout_only = true,
-            "--check-mixed" => mixed_only = true,
             "--out" | "-o" => {
                 out_path = it.next().cloned();
                 if out_path.is_none() {
@@ -73,48 +58,18 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: bench-dataplane [--quick] [--check-overhead] [--check-scaleout] \
-                     [--check-mixed] [--out <path>]"
+                     [--out <path>]"
                 );
                 return;
             }
             other => {
                 eprintln!(
                     "unknown argument '{other}'; usage: bench-dataplane [--quick] \
-                     [--check-overhead] [--check-scaleout] [--check-mixed] [--out <path>]"
+                     [--check-overhead] [--check-scaleout] [--out <path>]"
                 );
                 std::process::exit(2);
             }
         }
-    }
-
-    if mixed_only {
-        let report = check_mixed(&cfg);
-        if report.skipped {
-            eprintln!(
-                "[bench-dataplane: SKIP: mixed-label gate needs >= {MIXED_MIN_CORES} cores, \
-                 host has {}]",
-                report.available_cores
-            );
-            return;
-        }
-        eprintln!(
-            "[bench-dataplane: mixed-label ({} chains, {} flows, bidirectional overlay): \
-             {:.3} Mpps compiled vs {:.3} Mpps interpreted (ratio {:.2})]",
-            report.chains,
-            report.flows,
-            report.compiled_mpps,
-            report.interpreted_mpps,
-            report.ratio
-        );
-        if report.ratio < MIXED_MIN_RATIO {
-            eprintln!(
-                "[bench-dataplane: FAIL: the compiled FIB must reach {MIXED_MIN_RATIO}x the \
-                 interpreted path on mixed-label traffic]"
-            );
-            std::process::exit(1);
-        }
-        eprintln!("[bench-dataplane: mixed-label gate passed]");
-        return;
     }
 
     if scaleout_only {

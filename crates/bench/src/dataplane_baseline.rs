@@ -17,10 +17,7 @@
 //! CI runs the same binary with `--quick` as a smoke check that the
 //! harness works and the JSON stays well-formed.
 
-use sb_dataplane::runner::{
-    measure_isolated, measure_isolated_with_hub, measure_sharded, measure_sharded_with_hub,
-    ScaleoutConfig, ShardedConfig,
-};
+use sb_dataplane::runner::{measure_isolated, measure_sharded, ScaleoutConfig, ShardedConfig};
 use sb_dataplane::ForwarderMode;
 use sb_telemetry::{Telemetry, WindowConfig, WindowRoller};
 use serde::Serialize;
@@ -93,24 +90,18 @@ pub struct BatchCell {
 /// the forwarder runs Overlay mode so *every* packet resolves its label
 /// pair against the rule state — Affinity steady state pins flows and
 /// bypasses steering by design, which would measure the flow table, not
-/// the FIB. The interpreted loop pays a SipHash map probe per packet plus
-/// an O(chains) scan for every reverse pair; the compiled FIB answers both
-/// from its interning table and chain-fallback index.
+/// the FIB. Forward pairs resolve through the compiled FIB's interning
+/// table, reverse pairs through its chain-fallback index.
 #[derive(Debug, Clone, Serialize)]
 pub struct MixedCell {
-    /// Forwarder batch path (`interpreted` / `compiled`).
-    pub path: &'static str,
     /// Distinct chains whose label pairs appear in the traffic mix (each
     /// contributes forward and reverse pairs).
     pub chains: usize,
     /// Concurrent flows, split into Zipf-sized per-chain blocks.
     pub flows: usize,
-    /// Measured steady-state throughput, best of
-    /// [`MIXED_BEST_OF`] interleaved runs (peak rate damps the
-    /// frequency/steal noise of shared hosts; both paths get the same
-    /// treatment, so the ratio stays honest).
+    /// Measured steady-state throughput.
     pub mpps: f64,
-    /// Median per-packet forwarding latency of the best run.
+    /// Median per-packet forwarding latency.
     pub latency_p50_ns: u64,
 }
 
@@ -149,8 +140,8 @@ pub struct Baseline {
     /// Throughput vs batch size (Affinity, smallest flow count).
     pub batch_sweep: Vec<BatchCell>,
     /// Bidirectional Zipf mixed-label traffic over [`MIXED_CHAINS`] chains
-    /// at the smallest sweep flow count: interpreted versus compiled-FIB
-    /// batch path (Overlay mode, so steering is on the per-packet path).
+    /// at the smallest sweep flow count (Overlay mode, so steering is on
+    /// the per-packet path).
     pub mixed_label: Vec<MixedCell>,
     /// Artifact lifecycle timings (encode / decode / full hot-swap apply)
     /// for the demo deployment's compiled forwarding state.
@@ -260,7 +251,7 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
         ForwarderMode::Affinity,
     ] {
         for &flows in &cfg.flow_counts {
-            let r = measure_isolated_with_hub(&scaleout_config(cfg, mode, flows), Some(&hub));
+            let r = measure_isolated(&scaleout_config(cfg, mode, flows), Some(&hub));
             single.push(SingleCell {
                 mode: mode_name(mode),
                 flows,
@@ -275,7 +266,7 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
     let scale_flows = cfg.flow_counts.get(1).copied().unwrap_or(65_536);
     let mut scaleout = Vec::new();
     for &instances in &cfg.instance_counts {
-        let r = measure_isolated_with_hub(
+        let r = measure_isolated(
             &ScaleoutConfig {
                 instances,
                 ..scaleout_config(cfg, ForwarderMode::Affinity, scale_flows)
@@ -291,7 +282,7 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
 
     let mut contended = Vec::new();
     for &shards in &cfg.shard_counts {
-        let r = measure_sharded_with_hub(&sharded_config(cfg, shards), Some(&hub));
+        let r = measure_sharded(&sharded_config(cfg, shards), Some(&hub));
         contended.push(ContendedCell {
             shards,
             flows_total: r.flows_total,
@@ -305,7 +296,7 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
     let sweep_flows = cfg.flow_counts.first().copied().unwrap_or(2_048);
     let mut batch_sweep = Vec::new();
     for &batch_size in &cfg.batch_sizes {
-        let r = measure_isolated_with_hub(
+        let r = measure_isolated(
             &ScaleoutConfig {
                 batch_size,
                 ..scaleout_config(cfg, ForwarderMode::Affinity, sweep_flows)
@@ -319,30 +310,13 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
         });
     }
 
-    // The two mixed rows form a checked ratio, so they are measured
-    // interleaved (I, C, I, C, ...) and each keeps its best run — a host
-    // whose clock drifts mid-matrix then penalizes both paths alike.
-    let mut mixed_best = [(0.0_f64, 0_u64); 2];
-    for _ in 0..MIXED_BEST_OF {
-        for (slot, compiled) in [false, true].into_iter().enumerate() {
-            let r = measure_isolated_with_hub(&mixed_config(cfg, sweep_flows, compiled), Some(&hub));
-            if r.throughput.value() > mixed_best[slot].0 {
-                mixed_best[slot] = (r.throughput.value(), r.latency.p50_ns);
-            }
-        }
-    }
-    let mut mixed_label = Vec::new();
-    for (path, &(mpps, latency_p50_ns)) in
-        ["interpreted", "compiled"].into_iter().zip(&mixed_best)
-    {
-        mixed_label.push(MixedCell {
-            path,
-            chains: MIXED_CHAINS,
-            flows: sweep_flows,
-            mpps,
-            latency_p50_ns,
-        });
-    }
+    let r = measure_isolated(&mixed_config(cfg, sweep_flows), Some(&hub));
+    let mixed_label = vec![MixedCell {
+        chains: MIXED_CHAINS,
+        flows: sweep_flows,
+        mpps: r.throughput.value(),
+        latency_p50_ns: r.latency.p50_ns,
+    }];
 
     let sb = exercise_control_plane(&hub);
     let artifact_cycle = measure_artifact_cycle(&sb);
@@ -433,14 +407,10 @@ fn ns_per_op(since: std::time::Instant, iters: u64) -> u64 {
     (since.elapsed().as_nanos() / u128::from(iters)) as u64
 }
 
-/// Chains in the mixed-label cells: enough that the interpreted path's
-/// single-cached-label batch optimization never helps and every packet
-/// pays the full per-label lookup, which is exactly what fleet traffic
-/// looks like (300+ chains, Zipf-mixed).
+/// Chains in the mixed-label cell: enough that consecutive packets of a
+/// batch rarely share a label pair and every packet pays a full lookup,
+/// which is what fleet traffic looks like (300+ chains, Zipf-mixed).
 pub const MIXED_CHAINS: usize = 64;
-
-/// Interleaved runs per mixed-label row; each row keeps its best.
-pub const MIXED_BEST_OF: usize = 3;
 
 /// The mixed-label measurement configuration: Overlay mode, so label
 /// steering is on the path of *every* packet (Affinity steady state pins
@@ -448,10 +418,9 @@ pub const MIXED_BEST_OF: usize = 3;
 /// would measure probe latency, not rule resolution), with bidirectional
 /// traffic so half of each chain's flows carry the reverse, never-installed
 /// label pair and exercise the chain-fallback lookup.
-fn mixed_config(cfg: &BaselineConfig, flows: usize, compiled: bool) -> ScaleoutConfig {
+fn mixed_config(cfg: &BaselineConfig, flows: usize) -> ScaleoutConfig {
     ScaleoutConfig {
         chains: MIXED_CHAINS,
-        compiled_fib: compiled,
         bidirectional: true,
         ..scaleout_config(cfg, ForwarderMode::Overlay, flows)
     }
@@ -577,11 +546,7 @@ pub fn check_overhead(cfg: &BaselineConfig) -> OverheadReport {
                     sample_every,
                     ..base.clone()
                 };
-                let r = if sample_every == 0 {
-                    measure_isolated(&c)
-                } else {
-                    measure_isolated_with_hub(&c, Some(&hub))
-                };
+                let r = measure_isolated(&c, (sample_every != 0).then_some(&hub));
                 if let Some(roller) = sync_roller.as_mut() {
                     hub.clock.advance_ns(1_000_000);
                     closed_sync += roller.tick();
@@ -650,7 +615,7 @@ pub fn check_scaleout(cfg: &BaselineConfig) -> ScaleoutReport {
     }
     let best = |shards: usize| -> f64 {
         (0..3)
-            .map(|_| measure_sharded(&sharded_config(cfg, shards)).throughput.value())
+            .map(|_| measure_sharded(&sharded_config(cfg, shards), None).throughput.value())
             .fold(0.0_f64, f64::max)
     };
     let single_shard_mpps = best(1);
@@ -661,77 +626,6 @@ pub fn check_scaleout(cfg: &BaselineConfig) -> ScaleoutReport {
         single_shard_mpps,
         two_shard_mpps,
         ratio: two_shard_mpps / single_shard_mpps,
-    }
-}
-
-/// The mixed-label gate needs a core for the measured loop and one to
-/// spare: on a single-core host every runnable thread steals timeslices
-/// from the measurement and the ratio prices scheduler noise, not the
-/// compiled FIB.
-pub const MIXED_MIN_CORES: usize = 2;
-
-/// Result of the mixed-label gate (`bench-dataplane --check-mixed`):
-/// compiled-FIB versus interpreted throughput on the bidirectional Zipf
-/// [`MIXED_CHAINS`]-chain Overlay cell at the smallest flow count.
-#[derive(Debug, Clone, Serialize)]
-pub struct MixedReport {
-    /// Cores the host reports (`std::thread::available_parallelism`).
-    pub available_cores: usize,
-    /// `true` when the host has fewer than [`MIXED_MIN_CORES`] cores and
-    /// the measurement was skipped (the gate passes vacuously).
-    pub skipped: bool,
-    /// Chains in the traffic mix (each contributes forward and reverse
-    /// label pairs).
-    pub chains: usize,
-    /// Concurrent flows, split into Zipf-sized per-chain blocks.
-    pub flows: usize,
-    /// Interpreted-path Mpps, best of [`MIXED_BEST_OF`] interleaved runs.
-    pub interpreted_mpps: f64,
-    /// Compiled-FIB Mpps, best of [`MIXED_BEST_OF`] interleaved runs.
-    pub compiled_mpps: f64,
-    /// `compiled / interpreted`; the gate fails below its threshold.
-    pub ratio: f64,
-}
-
-/// Measures the compiled-over-interpreted speedup on the mixed-label
-/// Overlay cell ([`mixed_config`]). The paths run interleaved and each
-/// keeps its best of [`MIXED_BEST_OF`] runs, so scheduler/frequency noise
-/// hits both alike. On hosts with fewer than [`MIXED_MIN_CORES`] cores the
-/// measurement is skipped — see [`MixedReport::skipped`].
-#[must_use]
-pub fn check_mixed(cfg: &BaselineConfig) -> MixedReport {
-    let available_cores =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let flows = cfg.flow_counts.first().copied().unwrap_or(2_048);
-    if available_cores < MIXED_MIN_CORES {
-        return MixedReport {
-            available_cores,
-            skipped: true,
-            chains: MIXED_CHAINS,
-            flows,
-            interpreted_mpps: 0.0,
-            compiled_mpps: 0.0,
-            ratio: 0.0,
-        };
-    }
-    let mut best = [0.0_f64; 2];
-    for _ in 0..MIXED_BEST_OF {
-        for (slot, compiled) in [false, true].into_iter().enumerate() {
-            let mpps = measure_isolated(&mixed_config(cfg, flows, compiled))
-                .throughput
-                .value();
-            best[slot] = best[slot].max(mpps);
-        }
-    }
-    let [interpreted_mpps, compiled_mpps] = best;
-    MixedReport {
-        available_cores,
-        skipped: false,
-        chains: MIXED_CHAINS,
-        flows,
-        interpreted_mpps,
-        compiled_mpps,
-        ratio: compiled_mpps / interpreted_mpps,
     }
 }
 
@@ -828,14 +722,11 @@ mod tests {
             assert!(cell.flow_entries >= cell.flows_total);
             assert!(cell.latency_p99_ns >= cell.latency_p50_ns);
         }
-        assert_eq!(b.mixed_label.len(), 2);
-        assert_eq!(b.mixed_label[0].path, "interpreted");
-        assert_eq!(b.mixed_label[1].path, "compiled");
-        for cell in &b.mixed_label {
-            assert_eq!(cell.chains, MIXED_CHAINS);
-            assert_eq!(cell.flows, 128, "mixed rows use the sweep's base flows");
-            assert!(cell.mpps > 0.0, "{} path produced nothing", cell.path);
-        }
+        assert_eq!(b.mixed_label.len(), 1);
+        let cell = &b.mixed_label[0];
+        assert_eq!(cell.chains, MIXED_CHAINS);
+        assert_eq!(cell.flows, 128, "the mixed row uses the sweep's base flows");
+        assert!(cell.mpps > 0.0, "the mixed row produced nothing");
         let json = to_json(&b);
         let parsed = serde_json::from_str_value(&json).unwrap();
         assert!(parsed.get("single_instance").is_some());
@@ -911,29 +802,6 @@ mod tests {
             assert!(!r.skipped);
             assert!(r.single_shard_mpps > 0.0);
             assert!(r.two_shard_mpps > 0.0);
-            assert!(r.ratio > 0.0);
-        }
-    }
-
-    #[test]
-    fn mixed_gate_skips_or_measures_by_core_count() {
-        let cfg = BaselineConfig {
-            duration: Duration::from_millis(15),
-            warmup: Duration::from_millis(4),
-            flow_counts: vec![256],
-            instance_counts: vec![1],
-            batch_sizes: vec![32],
-            shard_counts: vec![1],
-            flows_per_shard: 256,
-        };
-        let r = check_mixed(&cfg);
-        assert_eq!(r.chains, MIXED_CHAINS);
-        if r.available_cores < MIXED_MIN_CORES {
-            assert!(r.skipped, "starved host must skip, not fail noisily");
-        } else {
-            assert!(!r.skipped);
-            assert!(r.interpreted_mpps > 0.0);
-            assert!(r.compiled_mpps > 0.0);
             assert!(r.ratio > 0.0);
         }
     }

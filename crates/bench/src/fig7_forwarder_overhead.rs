@@ -44,15 +44,18 @@ impl Row {
 /// Runs one mode/flow-count cell.
 #[must_use]
 pub fn measure_mode(mode: ForwarderMode, flows: usize, millis: u64) -> f64 {
-    let r = measure_isolated(&ScaleoutConfig {
-        instances: 1,
-        flows_per_instance: flows,
-        packet_size: 64,
-        mode,
-        duration: Duration::from_millis(millis),
-        warmup: Duration::from_millis(millis / 4),
-        ..ScaleoutConfig::default()
-    });
+    let r = measure_isolated(
+        &ScaleoutConfig {
+            instances: 1,
+            flows_per_instance: flows,
+            packet_size: 64,
+            mode,
+            duration: Duration::from_millis(millis),
+            warmup: Duration::from_millis(millis / 4),
+            ..ScaleoutConfig::default()
+        },
+        None,
+    );
     r.throughput.value()
 }
 

@@ -39,15 +39,18 @@ pub fn run(scale: Scale) -> Vec<Cell> {
     let mut cells = Vec::new();
     for &flows in &flow_counts {
         for &instances in &instance_counts {
-            let r = measure_isolated(&ScaleoutConfig {
-                instances,
-                flows_per_instance: flows,
-                packet_size: 64,
-                mode: ForwarderMode::Affinity,
-                duration,
-                warmup: duration / 3,
-                ..ScaleoutConfig::default()
-            });
+            let r = measure_isolated(
+                &ScaleoutConfig {
+                    instances,
+                    flows_per_instance: flows,
+                    packet_size: 64,
+                    mode: ForwarderMode::Affinity,
+                    duration,
+                    warmup: duration / 3,
+                    ..ScaleoutConfig::default()
+                },
+                None,
+            );
             cells.push(Cell {
                 instances,
                 flows_per_instance: flows,

@@ -336,7 +336,7 @@ impl FleetReconciler {
                 for p in &self.installed[i] {
                     let coefs = dp::path_coefficients(&self.model, &self.specs[i], &p.sites);
                     self.tracker.apply(&coefs, -p.fraction);
-                    self.cache.note_apply(&self.tracker, &coefs);
+                    self.cache.note_apply(&coefs);
                 }
             }
         }

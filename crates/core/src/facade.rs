@@ -115,23 +115,6 @@ impl Switchboard {
         self.cp.artifact_sites()
     }
 
-    /// Selects the compiled-FIB batch pipeline (default) or the
-    /// interpreted reference loop on **every** forwarder of the
-    /// deployment — see [`sb_dataplane::Forwarder::set_compiled_fib`].
-    /// Chaos replay signatures run both settings and assert identical
-    /// traces.
-    pub fn set_compiled_fib(&mut self, enabled: bool) {
-        for site in self.cp.sites() {
-            if let Some(local) = self.cp.local_mut(site) {
-                for fid in local.forwarder_ids() {
-                    if let Some(fwd) = local.forwarder_mut(fid) {
-                        fwd.set_compiled_fib(enabled);
-                    }
-                }
-            }
-        }
-    }
-
     /// The traffic-engineering model this deployment was built from.
     #[must_use]
     pub fn model(&self) -> &NetworkModel {

@@ -21,8 +21,8 @@
 //!   one generation until the old one is retired;
 //! - a **chain-fallback table**: reverse-direction packets carry the
 //!   opposite egress label, so a miss on the exact pair falls back to the
-//!   chain's canonical (smallest) label pair, mirroring the interpreted
-//!   lookup deterministically.
+//!   chain's canonical (smallest) label pair, mirroring the per-packet
+//!   rule-map lookup of `Forwarder::process` deterministically.
 //!
 //! # Generation lifecycle
 //!
@@ -216,7 +216,8 @@ impl CompiledFib {
     /// Resolves a label pair to its row index: exact match through the
     /// interning table, else the chain's canonical row (reverse-direction
     /// packets carry the opposite egress label but belong to the same
-    /// chain), else `None`. Mirrors the interpreted lookup exactly.
+    /// chain), else `None`. Mirrors the `Forwarder::process` rule-map lookup
+    /// exactly.
     #[inline]
     #[must_use]
     pub fn lookup_index(&self, labels: LabelPair) -> Option<u32> {

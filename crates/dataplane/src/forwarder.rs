@@ -230,8 +230,8 @@ impl FwdTelemetry {
 }
 
 /// The forwarder's compiled-FIB state: the RCU publish cell (writer side),
-/// the forwarder's own cached reader for the batch path, the path toggle,
-/// and recompilation counters.
+/// the forwarder's own cached reader for the batch path, and recompilation
+/// counters.
 ///
 /// `Clone` detaches: a cloned forwarder gets a fresh cell seeded with the
 /// current generation, so its subsequent rebuilds never clobber (or race
@@ -240,9 +240,6 @@ impl FwdTelemetry {
 struct FibState {
     cell: FibCell,
     reader: FibReader,
-    /// Whether `process_batch` uses the compiled pipelined path (default)
-    /// or the interpreted reference loop.
-    enabled: bool,
     /// Full recompilations published so far.
     rebuilds: u64,
     /// Single-row patches published so far.
@@ -256,7 +253,6 @@ impl FibState {
         Self {
             cell,
             reader,
-            enabled: true,
             rebuilds: 0,
             patches: 0,
         }
@@ -278,7 +274,6 @@ impl Clone for FibState {
         Self {
             cell,
             reader,
-            enabled: self.enabled,
             rebuilds: self.rebuilds,
             patches: self.patches,
         }
@@ -532,21 +527,6 @@ impl Forwarder {
         // Every label pair may have changed: full recompilation.
         self.fib_rebuild();
         self.flow_table.remove_where(|_, next| next == dead)
-    }
-
-    /// Selects the batch-processing path: `true` (the default) runs the
-    /// compiled-FIB two-stage pipeline, `false` the interpreted reference
-    /// loop. [`Self::process`] always interprets — it is the equivalence
-    /// oracle either way. The compiled FIB itself is maintained regardless
-    /// of the toggle, so flipping it mid-stream is safe.
-    pub fn set_compiled_fib(&mut self, enabled: bool) {
-        self.fib.enabled = enabled;
-    }
-
-    /// Whether `process_batch` uses the compiled-FIB path.
-    #[must_use]
-    pub fn compiled_fib(&self) -> bool {
-        self.fib.enabled
     }
 
     /// The published compiled-FIB generation (bumped by every rule
@@ -911,19 +891,9 @@ impl Forwarder {
         }
     }
 
-    /// Batch path for the label-switched modes: the compiled-FIB two-stage
-    /// pipeline by default, or the interpreted reference loop when
-    /// [`Self::set_compiled_fib`] disabled it. Both are packet-for-packet
-    /// equivalent to [`Self::process`].
-    fn labeled_chunk(&mut self, chunk: &mut [Packet], from: Addr, out: &mut Vec<Result<Addr>>) {
-        if self.fib.enabled {
-            self.labeled_chunk_compiled(chunk, from, out);
-        } else {
-            self.labeled_chunk_interpreted(chunk, from, out);
-        }
-    }
-
-    /// The compiled-FIB batch path, a two-stage software pipeline:
+    /// Batch path for the label-switched modes, packet-for-packet equivalent
+    /// to [`Self::process`]: a two-stage software pipeline over the compiled
+    /// FIB.
     ///
     /// - **Stage 1** decapsulates, re-affixes labels, computes every
     ///   packet's flow hash and FIB row index (one interning probe, no
@@ -936,12 +906,7 @@ impl Forwarder {
     ///   the first packet of a flow installs the entries later packets of
     ///   the same batch hit — a stage-1 prefetch of a pre-insert bucket is
     ///   merely a stale hint).
-    fn labeled_chunk_compiled(
-        &mut self,
-        chunk: &mut [Packet],
-        from: Addr,
-        out: &mut Vec<Result<Addr>>,
-    ) {
+    fn labeled_chunk(&mut self, chunk: &mut [Packet], from: Addr, out: &mut Vec<Result<Addr>>) {
         let rx_before = self.stats.rx;
         self.stats.rx += chunk.len() as u64;
         let fib = Arc::clone(self.fib.reader.snapshot());
@@ -1052,121 +1017,6 @@ impl Forwarder {
         }
     }
 
-    /// The interpreted batch path (the pre-FIB reference loop): parse +
-    /// hash every packet once, run interleaved header work for the labeled
-    /// ones, then resolve next hops in arrival order against the rule map,
-    /// with a one-entry rule cache that pays off only when a whole batch
-    /// shares one label pair. Kept as the measured baseline and the
-    /// reference implementation the compiled path is tested against.
-    fn labeled_chunk_interpreted(
-        &mut self,
-        chunk: &mut [Packet],
-        from: Addr,
-        out: &mut Vec<Result<Addr>>,
-    ) {
-        let rx_before = self.stats.rx;
-        self.stats.rx += chunk.len() as u64;
-        let mut hashes = [0u64; BATCH_CHUNK];
-        let mut seeds = [0u64; BATCH_CHUNK];
-        let mut n_seeds = 0usize;
-        for (i, pkt) in chunk.iter_mut().enumerate() {
-            if pkt.tunnel.is_some() {
-                *pkt = pkt.decapsulated();
-            }
-            if pkt.labels.is_none() {
-                if let Addr::Vnf(inst) = from {
-                    if let Some(&l) = self.vnf_labels.get(&inst) {
-                        *pkt = pkt.with_labels(l);
-                    }
-                }
-            }
-            let h = pkt.key.stable_hash();
-            hashes[i] = h;
-            // Label-less packets are dropped before header work (matching
-            // `process`), so they contribute no seed.
-            if pkt.labels.is_some() {
-                seeds[n_seeds] = h ^ u64::from(pkt.size);
-                n_seeds += 1;
-            }
-        }
-        self.io_work_batch(&seeds[..n_seeds], Self::work_rounds(self.mode));
-
-        let context = match from {
-            Addr::Vnf(_) => FlowContext::FromVnf,
-            Addr::Forwarder(_) | Addr::Edge(_) => FlowContext::FromWire,
-        };
-        let id = self.id;
-        let mode = self.mode;
-        let overlay = mode == ForwarderMode::Overlay;
-        let Self {
-            ref rules,
-            ref mut flow_table,
-            ref mut stats,
-            ref label_unaware,
-            ref mut telemetry,
-            site,
-            ..
-        } = *self;
-        // One-entry rule cache: packets of a batch overwhelmingly share one
-        // label pair, so the HashMap lookup happens once per batch, not once
-        // per packet.
-        let mut cached: Option<(LabelPair, &RuleSet)> = None;
-        for (i, pkt) in chunk.iter_mut().enumerate() {
-            let res: Result<Addr> = match pkt.labels {
-                None => {
-                    stats.drops += 1;
-                    Err(Error::forwarding("packet has no labels"))
-                }
-                Some(labels) => {
-                    let hash = hashes[i];
-                    let res = if overlay {
-                        stats.flow_misses += 1;
-                        let rule = match cached {
-                            Some((l, r)) if l == labels => Ok(r),
-                            _ => match rules_for_in(rules, labels) {
-                                Ok(r) => {
-                                    cached = Some((labels, r));
-                                    Ok(r)
-                                }
-                                Err(e) => Err(e),
-                            },
-                        };
-                        rule.map(|r| match context {
-                            FlowContext::FromWire => r.to_vnf.select(hash),
-                            FlowContext::FromVnf => r.to_next.select(hash),
-                        })
-                    } else {
-                        affinity_next_in(
-                            flow_table, stats, rules, pkt.key, hash, labels, context, from,
-                        )
-                    };
-                    match res {
-                        Ok(next) => {
-                            finish_output(label_unaware, site, pkt, labels, next);
-                            stats.tx += 1;
-                            Ok(next)
-                        }
-                        Err(e) => {
-                            stats.drops += 1;
-                            Err(e)
-                        }
-                    }
-                }
-            };
-            if let Some(t) = telemetry.as_mut() {
-                let ordinal = rx_before + i as u64;
-                if ordinal == t.next_sample {
-                    let next = match &res {
-                        Ok(addr) => Ok(*addr),
-                        Err(e) => Err(e),
-                    };
-                    t.record_hop(id, mode, ordinal, next);
-                }
-            }
-            out.push(res);
-        }
-    }
-
     fn process_inner(&mut self, mut pkt: Packet, from: Addr) -> Result<(Packet, Addr)> {
         // Decapsulate wide-area tunnel, if any (all modes parse headers).
         if pkt.tunnel.is_some() {
@@ -1237,7 +1087,7 @@ impl Forwarder {
     /// chain label (reverse-direction packets carry the opposite egress
     /// label but belong to the same chain).
     fn rules_for(&self, labels: LabelPair) -> Result<&RuleSet> {
-        rules_for_in(&self.rules, labels)
+        lookup_rules_in(&self.rules, labels).ok_or_else(|| no_rule_error(labels))
     }
 }
 
@@ -1285,18 +1135,12 @@ impl EpochRules {
 }
 
 /// The drop-site error for an unmatched label pair. One constructor shared
-/// by the interpreted and compiled paths so the strings cannot drift; the
-/// hot side passes `Option`s around and only formats here, on the miss.
+/// by [`Forwarder::process`] and the batch path so the strings cannot
+/// drift; the hot side passes `Option`s around and only formats here, on
+/// the miss.
 #[cold]
 fn no_rule_error(labels: LabelPair) -> Error {
     Error::forwarding(format!("no rule for labels {labels}"))
-}
-
-/// [`Forwarder::rules_for`] over a borrowed rule map, so batch loops can
-/// hold the rule cache while mutating the flow table and counters. Always
-/// resolves to the label pair's *active* epoch.
-fn rules_for_in(rules: &HashMap<LabelPair, EpochRules>, labels: LabelPair) -> Result<&RuleSet> {
-    lookup_rules_in(rules, labels).ok_or_else(|| no_rule_error(labels))
 }
 
 /// Borrowed-form rule lookup: exact label pair first, then the chain's
@@ -1371,9 +1215,9 @@ fn affinity_next_in(
 }
 
 /// [`affinity_next_in`] with the rule lookup already resolved against a
-/// compiled FIB row (`None` = no row, the lookup-miss drop). The compiled
-/// batch path resolves rows in stage 1; the flow-table probe, selection,
-/// and pinning here are byte-identical to the interpreted path.
+/// compiled FIB row (`None` = no row, the lookup-miss drop). The batch
+/// path resolves rows in stage 1; the flow-table probe, selection, and
+/// pinning here are byte-identical to [`affinity_next_in`].
 #[allow(clippy::too_many_arguments)]
 fn affinity_next_compiled(
     flow_table: &mut FlowTable,
@@ -1399,8 +1243,8 @@ fn affinity_next_compiled(
     affinity_pin(flow_table, rules, ftk, key, hash, context, from)
 }
 
-/// The affinity miss path's selection + pinning, shared by the interpreted
-/// and compiled lookups: weighted selection on the flow hash, then the
+/// The affinity miss path's selection + pinning, shared by the rule-map and
+/// compiled-row lookups: weighted selection on the flow hash, then the
 /// forward and reverse flow-table entries.
 fn affinity_pin(
     flow_table: &mut FlowTable,
@@ -1854,13 +1698,11 @@ mod tests {
     }
 
     /// Drives the same packet sequence through `process` one-by-one and
-    /// through `process_batch` — once on the compiled-FIB pipeline and
-    /// once on the interpreted reference loop — asserting identical next
-    /// hops, errors, counters, flow-table population, `work_sink`, and
-    /// output packets on both. All forwarders run with telemetry attached
-    /// (aggressive 1-in-3 sampling): registry snapshots and recorded trace
-    /// events must also be identical, so instrumentation cannot diverge
-    /// the paths.
+    /// through `process_batch`, asserting identical next hops, errors,
+    /// counters, flow-table population, `work_sink`, and output packets.
+    /// Both forwarders run with telemetry attached (aggressive 1-in-3
+    /// sampling): registry snapshots and recorded trace events must also
+    /// be identical, so instrumentation cannot diverge the paths.
     fn assert_batch_equivalent(
         make: impl Fn() -> Forwarder,
         pkts: &[Packet],
@@ -1872,55 +1714,44 @@ mod tests {
         let seq: Vec<Result<(Packet, Addr)>> =
             pkts.iter().map(|&p| seq_fwd.process(p, from)).collect();
 
-        for compiled in [true, false] {
-            let path = if compiled { "compiled" } else { "interpreted" };
-            let batch_hub = sb_telemetry::Telemetry::new();
-            let mut batch_fwd = make();
-            batch_fwd.set_compiled_fib(compiled);
-            batch_fwd.attach_telemetry(&batch_hub, 3);
-            let mut batch_pkts = pkts.to_vec();
-            let batch = batch_fwd.process_batch(&mut batch_pkts, from);
+        let batch_hub = sb_telemetry::Telemetry::new();
+        let mut batch_fwd = make();
+        batch_fwd.attach_telemetry(&batch_hub, 3);
+        let mut batch_pkts = pkts.to_vec();
+        let batch = batch_fwd.process_batch(&mut batch_pkts, from);
 
-            assert_eq!(seq.len(), batch.len());
-            for (i, (s, b)) in seq.iter().zip(&batch).enumerate() {
-                match (s, b) {
-                    (Ok((sp, sn)), Ok(bn)) => {
-                        assert_eq!(sn, bn, "packet {i} ({path}): next hop");
-                        assert_eq!(
-                            *sp, batch_pkts[i],
-                            "packet {i} ({path}): rewritten packet"
-                        );
-                    }
-                    (Err(se), Err(be)) => {
-                        assert_eq!(
-                            se.to_string(),
-                            be.to_string(),
-                            "packet {i} ({path}): error"
-                        );
-                    }
-                    _ => panic!("packet {i} ({path}): {s:?} vs {b:?}"),
+        assert_eq!(seq.len(), batch.len());
+        for (i, (s, b)) in seq.iter().zip(&batch).enumerate() {
+            match (s, b) {
+                (Ok((sp, sn)), Ok(bn)) => {
+                    assert_eq!(sn, bn, "packet {i}: next hop");
+                    assert_eq!(*sp, batch_pkts[i], "packet {i}: rewritten packet");
                 }
+                (Err(se), Err(be)) => {
+                    assert_eq!(se.to_string(), be.to_string(), "packet {i}: error");
+                }
+                _ => panic!("packet {i}: {s:?} vs {b:?}"),
             }
-            assert_eq!(seq_fwd.stats(), batch_fwd.stats(), "{path}: stats");
-            assert_eq!(
-                seq_fwd.flow_entries(),
-                batch_fwd.flow_entries(),
-                "{path}: flow entries"
-            );
-            assert_eq!(seq_fwd.work_sink, batch_fwd.work_sink, "{path}: work sink");
-            // Identical registry state (counters, mode drops, occupancy
-            // gauge, FIB gauges) and an identical sampled event stream.
-            assert_eq!(
-                seq_hub.registry.snapshot(),
-                batch_hub.registry.snapshot(),
-                "registry snapshots diverge between sequential and {path} batch"
-            );
-            assert_eq!(
-                seq_hub.tracer.snapshot(),
-                batch_hub.tracer.snapshot(),
-                "sampled trace events diverge between sequential and {path} batch"
-            );
         }
+        assert_eq!(seq_fwd.stats(), batch_fwd.stats(), "stats");
+        assert_eq!(
+            seq_fwd.flow_entries(),
+            batch_fwd.flow_entries(),
+            "flow entries"
+        );
+        assert_eq!(seq_fwd.work_sink, batch_fwd.work_sink, "work sink");
+        // Identical registry state (counters, mode drops, occupancy
+        // gauge, FIB gauges) and an identical sampled event stream.
+        assert_eq!(
+            seq_hub.registry.snapshot(),
+            batch_hub.registry.snapshot(),
+            "registry snapshots diverge between sequential and batch"
+        );
+        assert_eq!(
+            seq_hub.tracer.snapshot(),
+            batch_hub.tracer.snapshot(),
+            "sampled trace events diverge between sequential and batch"
+        );
     }
 
     #[test]
@@ -2066,20 +1897,6 @@ mod tests {
             .map(|p| Packet::labeled(labels(), key(p), 64))
             .collect();
         assert_batch_equivalent(make, &pkts, edge());
-    }
-
-    /// The compiled-FIB batch pipeline is the default on every
-    /// construction path — `new` and artifact boot alike; the interpreted
-    /// loop is strictly an opt-in reference.
-    #[test]
-    fn compiled_fib_is_the_default_path() {
-        let f = affinity_forwarder();
-        assert!(f.compiled_fib(), "Forwarder::new must default to compiled");
-        let booted = Forwarder::from_artifact(f.site, &f.export_artifact());
-        assert!(booted.compiled_fib(), "from_artifact must default to compiled");
-        let mut off = affinity_forwarder();
-        off.set_compiled_fib(false);
-        assert!(!off.compiled_fib(), "opt-out must stick");
     }
 
     #[test]

@@ -29,10 +29,7 @@
 //!   forwarder shards (DESIGN.md §11);
 //! - [`runner`]: the multi-core scale-out harness behind Figure 8, both
 //!   isolated ([`runner::measure_isolated`]) and contended
-//!   ([`runner::measure_sharded`]);
-//! - [`dht`]: the replicated DHT flow table the paper defers to future
-//!   work (Section 5.3), giving a forwarder group affinity that survives
-//!   forwarder churn.
+//!   ([`runner::measure_sharded`]).
 //!
 //! # Examples
 //!
@@ -66,7 +63,6 @@
 #![warn(missing_docs)]
 
 pub mod artifact;
-pub mod dht;
 pub mod fib;
 mod flow_table;
 mod forwarder;

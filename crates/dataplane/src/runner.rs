@@ -62,11 +62,6 @@ pub struct ScaleoutConfig {
     /// ([`PacketGenerator::mixed`]) so every batch carries a realistic
     /// fleet mix of label pairs.
     pub chains: usize,
-    /// Whether the forwarders run the compiled-FIB batch pipeline
-    /// (default) or the interpreted reference loop
-    /// ([`Forwarder::set_compiled_fib`]). The interpreted setting is the
-    /// baseline for the mixed-label bench comparison.
-    pub compiled_fib: bool,
     /// Whether mixed-label traffic is bidirectional
     /// ([`PacketGenerator::mixed_bidirectional`]): every second flow of a
     /// chain's block carries the chain's reverse label pair, which is never
@@ -85,11 +80,11 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = sb_telemetry::trace::DEFAULT_SAMPLE_EVERY;
 /// been visited and the measured phase sees flow-table *hits*, not
 /// first-packet inserts — the paper's "steady-state throughput".
 ///
-/// This is the single criterion shared by [`measure`], [`measure_isolated`]
-/// and [`measure_sharded`]; `flows` is the worker's expected flow
-/// population (per instance for the isolated/concurrent harnesses, per
-/// shard for the sharded one). The wall-clock warmup duration gates the
-/// window as well — both conditions must hold.
+/// This is the single criterion shared by [`measure_isolated`] and
+/// [`measure_sharded`]; `flows` is the worker's expected flow population
+/// (per instance for the isolated harness, per shard for the sharded one).
+/// The wall-clock warmup duration gates the window as well — both
+/// conditions must hold.
 #[must_use]
 pub const fn steady_state_floor(flows: usize) -> u64 {
     4 * flows as u64
@@ -107,7 +102,6 @@ impl Default for ScaleoutConfig {
             batch_size: 256,
             sample_every: DEFAULT_SAMPLE_EVERY,
             chains: 1,
-            compiled_fib: true,
             bidirectional: false,
         }
     }
@@ -174,7 +168,6 @@ fn build_forwarder(thread: usize, cfg: &ScaleoutConfig) -> (Forwarder, Vec<Label
         cfg.mode,
         4 * cfg.flows_per_instance + 64,
     );
-    f.set_compiled_fib(cfg.compiled_fib);
     let vnf = Addr::Vnf(InstanceId::new(thread as u64));
     let mut labels = Vec::with_capacity(chains);
     for c in 0..chains {
@@ -233,122 +226,6 @@ fn drive(
     pkts.len() as u64
 }
 
-/// Runs one scale-out measurement with all instances concurrent and returns
-/// the aggregate throughput.
-///
-/// Each worker warms up until the coordinator opens the measurement window
-/// *and* the worker has driven enough packets to visit (essentially) every
-/// flow — the same steady-state criterion as [`measure_isolated`] — then
-/// times its own measured window. The aggregate is the sum of per-worker
-/// steady-state rates, so concurrent and isolated runs measure the same
-/// phase of execution.
-///
-/// # Panics
-///
-/// Panics if `config.instances` is zero or a worker thread panics.
-#[must_use]
-pub fn measure(config: &ScaleoutConfig) -> ScaleoutResult {
-    measure_with_hub(config, None)
-}
-
-/// [`measure`] with an optional telemetry hub. When a hub is given and
-/// `sample_every` is non-zero, every forwarder instance is instrumented
-/// (sampled `pkt.hop` events plus `fwd-*` counters) and the merged latency
-/// histogram is additionally published as
-/// `dataplane.latency.<mode>` in the hub's registry.
-///
-/// # Panics
-///
-/// Panics if `config.instances` is zero or a worker thread panics.
-#[must_use]
-pub fn measure_with_hub(config: &ScaleoutConfig, hub: Option<&Telemetry>) -> ScaleoutResult {
-    assert!(config.instances > 0, "need at least one instance");
-    let stop = Arc::new(AtomicBool::new(false));
-    let measuring = Arc::new(AtomicBool::new(false));
-
-    let mut handles = Vec::with_capacity(config.instances);
-    for t in 0..config.instances {
-        let stop = Arc::clone(&stop);
-        let measuring = Arc::clone(&measuring);
-        let cfg = config.clone();
-        let hub = hub.cloned();
-        handles.push(std::thread::spawn(move || {
-            let (mut fwd, labels) = build_forwarder(t, &cfg);
-            if let (Some(h), true) = (&hub, cfg.sample_every > 0) {
-                fwd.attach_telemetry(h, cfg.sample_every);
-            }
-            let mut gen = build_generator(&labels, &cfg, t as u64 + 1);
-            let edge = Addr::Edge(EdgeInstanceId::new(0));
-            let batch = cfg.batch_size.max(1);
-            let mut pkts = vec![gen.next_packet(); batch];
-            let mut out = Vec::with_capacity(batch);
-            let latency = Histogram::new();
-            // Warmup: run until the coordinator opens the window AND the
-            // flow table has reached steady state (every flow visited).
-            let min_packets = steady_state_floor(cfg.flows_per_instance);
-            let mut warm_sent = 0u64;
-            while !(measuring.load(Ordering::Relaxed) && warm_sent >= min_packets) {
-                warm_sent += drive(&mut fwd, &mut gen, edge, &mut pkts, &mut out);
-                if stop.load(Ordering::Relaxed) {
-                    // Window closed before this worker reached steady state
-                    // (misconfigured durations): report nothing rather than
-                    // a partially-warm rate.
-                    return (0u64, 0.0f64, fwd.flow_entries(), latency);
-                }
-            }
-            // Measured phase, timed per worker so batch boundaries never
-            // straddle the window edges.
-            let lat_every = lat_sample_every(cfg.sample_every, batch);
-            let mut drives = 0u64;
-            let mut next_timed = 0u64;
-            let t0 = Instant::now();
-            let mut measured = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if lat_every != 0 && drives == next_timed {
-                    next_timed += lat_every;
-                    let s = Instant::now();
-                    measured += drive(&mut fwd, &mut gen, edge, &mut pkts, &mut out);
-                    record_drive_latency(&latency, s, batch);
-                } else {
-                    measured += drive(&mut fwd, &mut gen, edge, &mut pkts, &mut out);
-                }
-                drives += 1;
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            #[allow(clippy::cast_precision_loss)]
-            let pps = if elapsed > 0.0 {
-                measured as f64 / elapsed
-            } else {
-                0.0
-            };
-            (measured, pps, fwd.flow_entries(), latency)
-        }));
-    }
-
-    std::thread::sleep(config.warmup);
-    measuring.store(true, Ordering::SeqCst);
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::SeqCst);
-
-    let mut packets = 0u64;
-    let mut flow_entries = 0usize;
-    let mut pps = 0.0f64;
-    let merged = Histogram::new();
-    for h in handles {
-        let (p, rate, fe, lat) = h.join().expect("worker thread panicked");
-        packets += p;
-        pps += rate;
-        flow_entries += fe;
-        merged.merge_from(&lat);
-    }
-    ScaleoutResult {
-        throughput: Mpps::from_pps(pps),
-        packets,
-        flow_entries,
-        latency: finish_latency(config, hub, &merged),
-    }
-}
-
 /// How many `drive` calls separate two timed ones: the per-packet sampling
 /// period divided by the batch size, so roughly one packet in
 /// `sample_every` is timed regardless of batch size (and the `Instant`
@@ -396,25 +273,16 @@ fn finish_latency(
 /// and misreport the scale-out shape; isolated measurement reproduces the
 /// paper's per-core semantics on any host.
 ///
-/// # Panics
-///
-/// Panics if `config.instances` is zero.
-#[must_use]
-pub fn measure_isolated(config: &ScaleoutConfig) -> ScaleoutResult {
-    measure_isolated_with_hub(config, None)
-}
-
-/// [`measure_isolated`] with an optional telemetry hub; see
-/// [`measure_with_hub`] for what instrumentation a hub enables.
+/// When a hub is given and `sample_every` is non-zero, every forwarder
+/// instance is instrumented (sampled `pkt.hop` events plus `fwd-*`
+/// counters) and the merged latency histogram is additionally published as
+/// `dataplane.latency.<mode>` in the hub's registry.
 ///
 /// # Panics
 ///
 /// Panics if `config.instances` is zero.
 #[must_use]
-pub fn measure_isolated_with_hub(
-    config: &ScaleoutConfig,
-    hub: Option<&Telemetry>,
-) -> ScaleoutResult {
+pub fn measure_isolated(config: &ScaleoutConfig, hub: Option<&Telemetry>) -> ScaleoutResult {
     assert!(config.instances > 0, "need at least one instance");
     let mut packets = 0u64;
     let mut flow_entries = 0usize;
@@ -632,18 +500,8 @@ fn build_shard(shard: usize, cfg: &ShardedConfig) -> (Forwarder, LabelPair) {
 /// stall — this is the honest contended counterpart of
 /// [`measure_isolated`].
 ///
-/// # Panics
-///
-/// Panics if `config.shards` is zero, `config.flows_total < config.shards`,
-/// or a stage thread panics.
-#[must_use]
-pub fn measure_sharded(config: &ShardedConfig) -> ShardedResult {
-    measure_sharded_with_hub(config, None)
-}
-
-/// [`measure_sharded`] with an optional telemetry hub. When a hub is given
-/// and `sample_every` is non-zero, each shard's latency histogram is
-/// published under the per-shard label dimension
+/// When a hub is given and `sample_every` is non-zero, each shard's latency
+/// histogram is published under the per-shard label dimension
 /// `dataplane.sharded.latency.<mode>{shard=N}` and the cross-shard merge
 /// under the bare `dataplane.sharded.latency.<mode>` name (one histogram
 /// family, see [`sb_telemetry::labeled`]).
@@ -653,10 +511,7 @@ pub fn measure_sharded(config: &ShardedConfig) -> ShardedResult {
 /// Panics if `config.shards` is zero, `config.flows_total < config.shards`,
 /// or a stage thread panics.
 #[must_use]
-pub fn measure_sharded_with_hub(
-    config: &ShardedConfig,
-    hub: Option<&Telemetry>,
-) -> ShardedResult {
+pub fn measure_sharded(config: &ShardedConfig, hub: Option<&Telemetry>) -> ShardedResult {
     assert!(config.shards > 0, "need at least one shard");
     assert!(
         config.flows_total >= config.shards,
@@ -948,14 +803,17 @@ mod tests {
     use super::*;
 
     fn quick(instances: usize, flows: usize, mode: ForwarderMode) -> ScaleoutResult {
-        measure_isolated(&ScaleoutConfig {
-            instances,
-            flows_per_instance: flows,
-            mode,
-            duration: Duration::from_millis(120),
-            warmup: Duration::from_millis(30),
-            ..ScaleoutConfig::default()
-        })
+        measure_isolated(
+            &ScaleoutConfig {
+                instances,
+                flows_per_instance: flows,
+                mode,
+                duration: Duration::from_millis(120),
+                warmup: Duration::from_millis(30),
+                ..ScaleoutConfig::default()
+            },
+            None,
+        )
     }
 
     #[test]
@@ -986,18 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_smoke() {
-        let r = measure(&ScaleoutConfig {
-            instances: 2,
-            flows_per_instance: 256,
-            duration: Duration::from_millis(80),
-            warmup: Duration::from_millis(20),
-            ..ScaleoutConfig::default()
-        });
-        assert!(r.packets > 0);
-    }
-
-    #[test]
     fn bridge_mode_is_fastest() {
         let bridge = quick(1, 1024, ForwarderMode::Bridge);
         let affinity = quick(1, 1024, ForwarderMode::Affinity);
@@ -1011,13 +857,16 @@ mod tests {
 
     #[test]
     fn batch_size_one_still_measures() {
-        let r = measure_isolated(&ScaleoutConfig {
-            flows_per_instance: 512,
-            duration: Duration::from_millis(60),
-            warmup: Duration::from_millis(15),
-            batch_size: 1,
-            ..ScaleoutConfig::default()
-        });
+        let r = measure_isolated(
+            &ScaleoutConfig {
+                flows_per_instance: 512,
+                duration: Duration::from_millis(60),
+                warmup: Duration::from_millis(15),
+                batch_size: 1,
+                ..ScaleoutConfig::default()
+            },
+            None,
+        );
         assert!(r.packets > 0);
         assert!(r.throughput.value() > 0.1, "{}", r.throughput);
     }
@@ -1035,42 +884,45 @@ mod tests {
 
     #[test]
     fn sampling_disabled_yields_empty_latency_summary() {
-        let r = measure_isolated(&ScaleoutConfig {
-            flows_per_instance: 256,
-            duration: Duration::from_millis(60),
-            warmup: Duration::from_millis(15),
-            sample_every: 0,
-            ..ScaleoutConfig::default()
-        });
+        let r = measure_isolated(
+            &ScaleoutConfig {
+                flows_per_instance: 256,
+                duration: Duration::from_millis(60),
+                warmup: Duration::from_millis(15),
+                sample_every: 0,
+                ..ScaleoutConfig::default()
+            },
+            None,
+        );
         assert!(r.packets > 0);
         assert_eq!(r.latency, LatencySummary::default());
     }
 
     #[test]
-    fn mixed_chain_measurement_forwards_on_both_paths() {
-        for compiled in [true, false] {
-            let r = measure_isolated(&ScaleoutConfig {
+    fn mixed_chain_measurement_forwards() {
+        let r = measure_isolated(
+            &ScaleoutConfig {
                 flows_per_instance: 512,
                 chains: 8,
-                compiled_fib: compiled,
                 duration: Duration::from_millis(80),
                 warmup: Duration::from_millis(20),
                 ..ScaleoutConfig::default()
-            });
-            assert!(r.packets > 0, "compiled={compiled}");
-            assert!(r.throughput.value() > 0.1, "compiled={compiled}: {}", r.throughput);
-            // All flows of all chains install entries (≤ 3 each).
-            assert!(r.flow_entries >= 512, "compiled={compiled}: {}", r.flow_entries);
-        }
+            },
+            None,
+        );
+        assert!(r.packets > 0);
+        assert!(r.throughput.value() > 0.1, "{}", r.throughput);
+        // All flows of all chains install entries (≤ 3 each).
+        assert!(r.flow_entries >= 512, "{}", r.flow_entries);
     }
 
     #[test]
     fn warmup_floor_is_pinned() {
         // The shared steady-state criterion: 4 packets per expected flow.
-        // All three harnesses (`measure`, `measure_isolated`,
-        // `measure_sharded`) gate their measured windows on this exact
-        // floor; changing it changes what "steady state" means in every
-        // published benchmark, so the value is pinned here.
+        // Both harnesses (`measure_isolated`, `measure_sharded`) gate their
+        // measured windows on this exact floor; changing it changes what
+        // "steady state" means in every published benchmark, so the value
+        // is pinned here.
         assert_eq!(steady_state_floor(0), 0);
         assert_eq!(steady_state_floor(1), 4);
         assert_eq!(steady_state_floor(512), 2048);
@@ -1078,14 +930,17 @@ mod tests {
     }
 
     fn quick_sharded(shards: usize, flows_total: usize) -> ShardedResult {
-        measure_sharded(&ShardedConfig {
-            shards,
-            flows_total,
-            duration: Duration::from_millis(120),
-            warmup: Duration::from_millis(30),
-            batch_size: 32,
-            ..ShardedConfig::default()
-        })
+        measure_sharded(
+            &ShardedConfig {
+                shards,
+                flows_total,
+                duration: Duration::from_millis(120),
+                warmup: Duration::from_millis(30),
+                batch_size: 32,
+                ..ShardedConfig::default()
+            },
+            None,
+        )
     }
 
     #[test]
@@ -1129,7 +984,7 @@ mod tests {
     #[test]
     fn sharded_hub_gets_per_shard_histogram_family_and_sink_counter() {
         let hub = Telemetry::new();
-        let r = measure_sharded_with_hub(
+        let r = measure_sharded(
             &ShardedConfig {
                 shards: 2,
                 flows_total: 512,
@@ -1162,17 +1017,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one flow per shard")]
     fn sharded_rejects_fewer_flows_than_shards() {
-        let _ = measure_sharded(&ShardedConfig {
-            shards: 4,
-            flows_total: 2,
-            ..ShardedConfig::default()
-        });
+        let _ = measure_sharded(
+            &ShardedConfig {
+                shards: 4,
+                flows_total: 2,
+                ..ShardedConfig::default()
+            },
+            None,
+        );
     }
 
     #[test]
     fn hub_receives_per_mode_latency_histogram_and_forwarder_counters() {
         let hub = Telemetry::new();
-        let r = measure_isolated_with_hub(
+        let r = measure_isolated(
             &ScaleoutConfig {
                 flows_per_instance: 256,
                 duration: Duration::from_millis(60),

@@ -135,15 +135,6 @@ impl ShardSet {
         }
     }
 
-    /// Selects the compiled-FIB or interpreted batch path on every shard
-    /// (see [`Forwarder::set_compiled_fib`]). Shard equivalence holds on
-    /// both: the chaos replay signatures assert it.
-    pub fn set_compiled_fib(&mut self, enabled: bool) {
-        for shard in &mut self.shards {
-            shard.set_compiled_fib(enabled);
-        }
-    }
-
     /// Number of shards.
     #[must_use]
     pub fn num_shards(&self) -> usize {

@@ -1,16 +1,17 @@
-//! Compiled-FIB ≡ interpreted equivalence (DESIGN.md §14).
+//! Batch pipeline ≡ per-packet `process` reference (DESIGN.md §14).
 //!
-//! The compiled batch pipeline must be *bit-identical* to the interpreted
-//! reference: same next hops, same rewritten packets, same error strings,
-//! same per-flow pins, same LB choices, same drop/hit/miss counters, same
-//! synthetic header work, and the same sampled telemetry — under arbitrary
-//! interleavings of `install_rules_epoch` / `retire_epoch` /
-//! `fail_vnf_instance` and packet batches in both directions.
+//! The compiled-FIB batch pipeline must be *bit-identical* to the
+//! per-packet rule-map reference: same next hops, same rewritten packets,
+//! same error strings, same per-flow pins, same LB choices, same
+//! drop/hit/miss counters, same synthetic header work, and the same
+//! sampled telemetry — under arbitrary interleavings of
+//! `install_rules_epoch` / `retire_epoch` / `fail_vnf_instance` and packet
+//! batches in both directions.
 //!
-//! Three forwarders replay the identical script: a per-packet `process`
-//! oracle, the compiled batch path, and the interpreted batch path. Any
-//! divergence anywhere is a bug in the compiler, the RCU publish, or the
-//! two-stage pipeline. CI runs this as the named step
+//! Two forwarders replay the identical script: a per-packet `process`
+//! oracle and the batch path. Any divergence anywhere is a bug in the
+//! compiler, the RCU publish, or the two-stage pipeline. CI runs this as
+//! the named step
 //! `cargo test --release -p sb-dataplane --test fib_equivalence`.
 
 use proptest::prelude::*;
@@ -34,7 +35,7 @@ fn edge() -> Addr {
     Addr::Edge(EdgeInstanceId::new(0))
 }
 
-/// One scripted operation, applied identically to all three forwarders.
+/// One scripted operation, applied identically to both forwarders.
 #[derive(Debug, Clone)]
 enum Op {
     /// `install_rules_epoch(pair, rules(weights), epoch)`.
@@ -106,16 +107,13 @@ fn comparable(mut snap: MetricsSnapshot) -> MetricsSnapshot {
     snap
 }
 
-/// Replays `ops` on one forwarder. `path` selects per-packet oracle
-/// (`None`), compiled batch (`Some(true)`), or interpreted batch
-/// (`Some(false)`). Returns per-packet outcomes as `(hop-or-error,
-/// rewritten packet)` strings so the three paths compare structurally.
-fn replay(ops: &[Op], mode: ForwarderMode, path: Option<bool>) -> (Forwarder, Telemetry, Vec<String>) {
+/// Replays `ops` on one forwarder, through `process_batch` when `batch`
+/// is set and through the per-packet `process` oracle otherwise. Returns
+/// per-packet outcomes as `(hop-or-error, rewritten packet)` strings so
+/// the two paths compare structurally.
+fn replay(ops: &[Op], mode: ForwarderMode, batch: bool) -> (Forwarder, Telemetry, Vec<String>) {
     let hub = Telemetry::new();
     let mut fwd = make_forwarder(mode);
-    if let Some(compiled) = path {
-        fwd.set_compiled_fib(compiled);
-    }
     fwd.attach_telemetry(&hub, 3);
     let mut outcomes = Vec::new();
     for op in ops {
@@ -144,24 +142,21 @@ fn replay(ops: &[Op], mode: ForwarderMode, path: Option<bool>) -> (Forwarder, Te
                     _ => edge(),
                 };
                 let mut pkts = packets(script);
-                match path {
-                    None => {
-                        for pkt in &mut pkts {
-                            match fwd.process(*pkt, from) {
-                                Ok((rewritten, hop)) => {
-                                    outcomes.push(format!("{hop} {rewritten:?}"));
-                                }
-                                Err(e) => outcomes.push(format!("err {e}")),
-                            }
+                if batch {
+                    let res = fwd.process_batch(&mut pkts, from);
+                    for (r, pkt) in res.iter().zip(&pkts) {
+                        match r {
+                            Ok(hop) => outcomes.push(format!("{hop} {pkt:?}")),
+                            Err(e) => outcomes.push(format!("err {e}")),
                         }
                     }
-                    Some(_) => {
-                        let res = fwd.process_batch(&mut pkts, from);
-                        for (r, pkt) in res.iter().zip(&pkts) {
-                            match r {
-                                Ok(hop) => outcomes.push(format!("{hop} {pkt:?}")),
-                                Err(e) => outcomes.push(format!("err {e}")),
+                } else {
+                    for pkt in &mut pkts {
+                        match fwd.process(*pkt, from) {
+                            Ok((rewritten, hop)) => {
+                                outcomes.push(format!("{hop} {rewritten:?}"));
                             }
+                            Err(e) => outcomes.push(format!("err {e}")),
                         }
                     }
                 }
@@ -171,47 +166,44 @@ fn replay(ops: &[Op], mode: ForwarderMode, path: Option<bool>) -> (Forwarder, Te
     (fwd, hub, outcomes)
 }
 
-fn assert_three_way(ops: &[Op], mode: ForwarderMode) {
-    let (oracle_fwd, oracle_hub, oracle_out) = replay(ops, mode, None);
-    for compiled in [true, false] {
-        let path = if compiled { "compiled" } else { "interpreted" };
-        let (fwd, hub, out) = replay(ops, mode, Some(compiled));
-        assert_eq!(oracle_out, out, "{mode:?}/{path}: per-packet outcomes");
-        assert_eq!(oracle_fwd.stats(), fwd.stats(), "{mode:?}/{path}: stats");
-        assert_eq!(
-            oracle_fwd.flow_entries(),
-            fwd.flow_entries(),
-            "{mode:?}/{path}: flow entries"
-        );
-        assert_eq!(
-            oracle_fwd.work_done(),
-            fwd.work_done(),
-            "{mode:?}/{path}: synthetic header work"
-        );
-        assert_eq!(
-            comparable(oracle_hub.registry.snapshot()),
-            comparable(hub.registry.snapshot()),
-            "{mode:?}/{path}: registry snapshot"
-        );
-        assert_eq!(
-            oracle_hub.tracer.snapshot(),
-            hub.tracer.snapshot(),
-            "{mode:?}/{path}: sampled trace events"
-        );
-    }
+fn assert_two_way(ops: &[Op], mode: ForwarderMode) {
+    let (oracle_fwd, oracle_hub, oracle_out) = replay(ops, mode, false);
+    let (fwd, hub, out) = replay(ops, mode, true);
+    assert_eq!(oracle_out, out, "{mode:?}: per-packet outcomes");
+    assert_eq!(oracle_fwd.stats(), fwd.stats(), "{mode:?}: stats");
+    assert_eq!(
+        oracle_fwd.flow_entries(),
+        fwd.flow_entries(),
+        "{mode:?}: flow entries"
+    );
+    assert_eq!(
+        oracle_fwd.work_done(),
+        fwd.work_done(),
+        "{mode:?}: synthetic header work"
+    );
+    assert_eq!(
+        comparable(oracle_hub.registry.snapshot()),
+        comparable(hub.registry.snapshot()),
+        "{mode:?}: registry snapshot"
+    );
+    assert_eq!(
+        oracle_hub.tracer.snapshot(),
+        hub.tracer.snapshot(),
+        "{mode:?}: sampled trace events"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Affinity mode: pins, LB choices, drops, flow-table state, and
-    /// telemetry are identical on all three paths under arbitrary
+    /// telemetry are identical on both paths under arbitrary
     /// rule-churn/batch interleavings.
     #[test]
     fn compiled_path_is_bit_identical_in_affinity_mode(
         ops in prop::collection::vec(arb_op(), 1..24),
     ) {
-        assert_three_way(&ops, ForwarderMode::Affinity);
+        assert_two_way(&ops, ForwarderMode::Affinity);
     }
 
     /// Overlay mode (stateless selection, no flow table) must agree too.
@@ -219,7 +211,7 @@ proptest! {
     fn compiled_path_is_bit_identical_in_overlay_mode(
         ops in prop::collection::vec(arb_op(), 1..24),
     ) {
-        assert_three_way(&ops, ForwarderMode::Overlay);
+        assert_two_way(&ops, ForwarderMode::Overlay);
     }
 }
 
@@ -236,8 +228,8 @@ fn fib_generation_is_deterministic_and_exported() {
         Op::Retire { chain: 1, egress: 1, epoch: 0 },
         Op::Fail(0),
     ];
-    let (a, hub, _) = replay(&ops, ForwarderMode::Affinity, Some(true));
-    let (b, _, _) = replay(&ops, ForwarderMode::Affinity, Some(true));
+    let (a, hub, _) = replay(&ops, ForwarderMode::Affinity, true);
+    let (b, _, _) = replay(&ops, ForwarderMode::Affinity, true);
     assert_eq!(a.fib_generation(), b.fib_generation());
     assert_eq!(a.fib_recompilations(), b.fib_recompilations());
     let snap = hub.registry.snapshot();

@@ -22,12 +22,7 @@
 //!   whenever [`crate::dp::LoadTracker::apply`] dirties a link or pool —
 //!   so a hit always returns the value a fresh evaluation would compute,
 //!   and the batched solver is *result-identical* to the sequential one
-//!   (property-tested under arbitrary eviction schedules);
-//! - an optional load quantum trades exactness for hit rate: with a
-//!   nonzero quantum, entries survive an apply as long as every touched
-//!   load stays inside its quantized bucket (the "(segment, quantized
-//!   tracker load)" keying of DESIGN.md §12). The default quantum of
-//!   zero keeps the cache exact.
+//!   (property-tested under arbitrary eviction schedules).
 //!
 //! [`route_chains_batched`] is the fleet entry point: one shared
 //! [`crate::dp::DpScratch`] (O(1) allocations per chain) plus one shared
@@ -38,9 +33,6 @@ use crate::model::{NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutingSolution};
 use sb_netsim::queueing::fortz_thorup_cost;
 use sb_types::{LinkId, SiteId, VnfId};
-
-/// Bucket sentinel for "no entry was cached against this load yet".
-const UNKNOWN_BUCKET: i64 = i64::MIN;
 
 /// Hit/miss/invalidation counters of a [`SubproblemCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -107,15 +99,9 @@ pub struct SubproblemCache {
     link_bg: Vec<f64>,
     /// Per link, its bandwidth (static model state).
     link_bw: Vec<f64>,
-    /// Quantized-load bucket the live transit cells of each link were
-    /// cached in (only consulted when `quantum > 0`).
-    link_bucket: Vec<i64>,
-    /// Same, per (VNF, site) pool cell.
-    vnf_bucket: Vec<i64>,
     /// Live (non-NaN) cells across both tables.
     filled: usize,
     capacity: usize,
-    quantum: f64,
     stats: CacheStats,
 }
 
@@ -125,21 +111,9 @@ impl Default for SubproblemCache {
     }
 }
 
-/// The quantized bucket a load value falls into (`quantum <= 0` pins
-/// everything to one bucket; callers then invalidate unconditionally).
-fn bucket(quantum: f64, load: f64) -> i64 {
-    if quantum <= 0.0 {
-        return 0;
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        (load / quantum).floor() as i64
-    }
-}
-
 impl SubproblemCache {
-    /// An unbounded, exact cache (quantum 0): hits are always identical
-    /// to a fresh evaluation.
+    /// An unbounded, exact cache: hits are always identical to a fresh
+    /// evaluation.
     #[must_use]
     pub fn new() -> Self {
         Self::with_capacity(usize::MAX)
@@ -161,21 +135,10 @@ impl SubproblemCache {
             path_span: Vec::new(),
             link_bg: Vec::new(),
             link_bw: Vec::new(),
-            link_bucket: Vec::new(),
-            vnf_bucket: Vec::new(),
             filled: 0,
             capacity,
-            quantum: 0.0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Sets the load quantum. Zero (the default) invalidates on every
-    /// touched load — exact. A positive quantum keeps entries alive while
-    /// every dependency load stays inside its bucket of `quantum` load
-    /// units — higher hit rate, approximate costs within one bucket.
-    pub fn set_quantum(&mut self, quantum: f64) {
-        self.quantum = quantum.max(0.0);
     }
 
     /// Live memoized cells across both tables.
@@ -206,8 +169,6 @@ impl SubproblemCache {
         for cells in &mut self.by_link {
             cells.clear();
         }
-        self.link_bucket.fill(UNKNOWN_BUCKET);
-        self.vnf_bucket.fill(UNKNOWN_BUCKET);
         self.filled = 0;
     }
 
@@ -228,8 +189,6 @@ impl SubproblemCache {
         self.transit = vec![f64::NAN; n * n];
         self.vnf_ft = vec![f64::NAN; v * s];
         self.by_link = vec![Vec::new(); l];
-        self.link_bucket = vec![UNKNOWN_BUCKET; l];
-        self.vnf_bucket = vec![UNKNOWN_BUCKET; v * s];
         self.filled = 0;
         self.path_links.clear();
         self.path_span.clear();
@@ -342,9 +301,6 @@ impl SubproblemCache {
                 for i in start as usize..end as usize {
                     let li = self.path_links[i].0 as usize;
                     self.by_link[li].push(cell);
-                    if self.quantum > 0.0 && self.link_bucket[li] == UNKNOWN_BUCKET {
-                        self.link_bucket[li] = bucket(self.quantum, tracker.link_load[li]);
-                    }
                 }
             }
             return cost;
@@ -383,10 +339,6 @@ impl SubproblemCache {
         if self.admit() {
             self.vnf_ft[vi] = ft;
             self.filled += 1;
-            if self.quantum > 0.0 && self.vnf_bucket[vi] == UNKNOWN_BUCKET {
-                let load = tracker.vnf_site_load.get(&(vnf, site)).copied().unwrap_or(0.0);
-                self.vnf_bucket[vi] = bucket(self.quantum, load);
-            }
         }
         ft
     }
@@ -408,31 +360,24 @@ impl SubproblemCache {
         true
     }
 
-    /// Reports that `tracker` just absorbed (or released) load along
+    /// Reports that the tracker just absorbed (or released) load along
     /// `coefs` — the hook paired with every [`LoadTracker::apply`] in the
     /// batched/reconciled paths. Cells depending on a touched link or
-    /// (VNF, site) pool are invalidated; with a positive quantum they
-    /// survive while the load stays inside its bucket.
-    pub fn note_apply(&mut self, tracker: &LoadTracker, coefs: &PathCoefs) {
+    /// (VNF, site) pool are invalidated.
+    pub fn note_apply(&mut self, coefs: &PathCoefs) {
         if self.n_nodes == 0 {
             return;
         }
         for &link in coefs.links.keys() {
-            self.touch_link(link, tracker.link_load[link.index()]);
+            self.touch_link(link);
         }
         for &(vnf, site) in coefs.vnf_sites.keys() {
-            let load = tracker.vnf_site_load.get(&(vnf, site)).copied().unwrap_or(0.0);
-            self.touch_vnf_site(vnf, site, load);
+            self.touch_vnf_site(vnf, site);
         }
     }
 
-    fn touch_link(&mut self, link: LinkId, load: f64) {
+    fn touch_link(&mut self, link: LinkId) {
         let li = link.index();
-        let b = bucket(self.quantum, load);
-        if self.quantum > 0.0 && self.link_bucket[li] == b {
-            return;
-        }
-        self.link_bucket[li] = b;
         for cell in self.by_link[li].drain(..) {
             let slot = &mut self.transit[cell as usize];
             if !slot.is_nan() {
@@ -443,16 +388,11 @@ impl SubproblemCache {
         }
     }
 
-    fn touch_vnf_site(&mut self, vnf: VnfId, site: SiteId, load: f64) {
+    fn touch_vnf_site(&mut self, vnf: VnfId, site: SiteId) {
         let vi = vnf.index() * self.num_sites + site.index();
         if vi >= self.vnf_ft.len() {
             return;
         }
-        let b = bucket(self.quantum, load);
-        if self.quantum > 0.0 && self.vnf_bucket[vi] == b {
-            return;
-        }
-        self.vnf_bucket[vi] = b;
         if !self.vnf_ft[vi].is_nan() {
             self.vnf_ft[vi] = f64::NAN;
             self.filled -= 1;
@@ -464,9 +404,8 @@ impl SubproblemCache {
 /// Routes all chains sequentially like [`dp::route_chains`], but through
 /// one shared [`DpScratch`] and `cache` — the fleet-scale fast path. The
 /// cache is cleared on entry (its entries may shadow a different load
-/// state) and left coherent with the final load state on return. With the
-/// default exact quantum the result is identical to
-/// [`dp::route_chains`].
+/// state) and left coherent with the final load state on return. The
+/// result is identical to [`dp::route_chains`].
 #[must_use]
 pub fn route_chains_batched(
     model: &NetworkModel,
@@ -568,31 +507,11 @@ mod tests {
         let mut tracker = tracker;
         let coefs = dp::path_coefficients(&m, chain, &[site]);
         tracker.apply(&coefs, 0.5);
-        cache.note_apply(&tracker, &coefs);
+        cache.note_apply(&coefs);
         let c3 = cache.edge_cost(&m, &tracker, &cfg, from, to, Some(chain.vnfs[0]));
         assert_eq!(cache.stats().misses, 2, "stale entry survived an apply");
         assert!(c3 > c1, "cost must rise with destination load");
         assert!(cache.stats().invalidations > 0);
-    }
-
-    #[test]
-    fn quantized_cache_keeps_entries_within_a_bucket() {
-        let m = line_model();
-        let cfg = DpConfig::default();
-        let mut tracker = LoadTracker::new(&m);
-        let mut cache = SubproblemCache::new();
-        cache.set_quantum(1e6); // huge buckets: nothing ever crosses
-        let chain = &m.chains()[0];
-        let from = Place::node(chain.ingress);
-        let site = m.vnfs()[0].sites()[0];
-        let to = Place::site(m.site_node(site), site);
-        let _ = cache.edge_cost(&m, &tracker, &cfg, from, to, Some(chain.vnfs[0]));
-        let coefs = dp::path_coefficients(&m, chain, &[site]);
-        tracker.apply(&coefs, 0.5);
-        cache.note_apply(&tracker, &coefs);
-        let _ = cache.edge_cost(&m, &tracker, &cfg, from, to, Some(chain.vnfs[0]));
-        assert_eq!(cache.stats().hits, 1, "in-bucket apply must not invalidate");
-        assert_eq!(cache.stats().invalidations, 0);
     }
 
     #[test]

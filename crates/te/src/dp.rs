@@ -406,7 +406,7 @@ pub fn route_chain_with(
         }
         tracker.apply(&coefs, fraction);
         if let Some(c) = cache.as_deref_mut() {
-            c.note_apply(tracker, &coefs);
+            c.note_apply(&coefs);
         }
         remaining -= fraction;
         // Merge with an existing identical path if the DP re-picks it.
