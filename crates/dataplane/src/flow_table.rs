@@ -4,8 +4,8 @@
 //! stored in a flow-table entry keyed by the connection's labels and its
 //! header 5-tuple; a second entry stores the previous-hop element so that
 //! reverse-direction packets retrace the path. At one forwarder a
-//! connection thus owns up to four entries, distinguished by the packet's
-//! arrival context:
+//! connection thus pins up to four hops, distinguished by the packet's
+//! direction and arrival context:
 //!
 //! | key                     | context    | next hop            |
 //! |-------------------------|------------|---------------------|
@@ -16,24 +16,47 @@
 //!
 //! # Layout
 //!
-//! The table is a flat open-addressing hash table with power-of-two
-//! buckets, linear probing, and backward-shift deletion (no tombstones):
-//! a lookup walks a contiguous array of 8-byte hash tags, touching the
-//! fixed-size entry array only on a tag match. Compared to the previous
-//! `HashMap`-based table this removes per-probe pointer chasing from the
-//! forwarding hot path while keeping the Figure 8 cache-decay shape: as
-//! the live table outgrows the CPU caches, probes miss all the same.
+//! One connection, one cache line. The table is a flat open-addressing
+//! array of 64-byte, 64-byte-aligned *connection records* with a
+//! power-of-two record count, linear probing and backward-shift deletion
+//! (no tombstones). A record is keyed by the chain label and the 5-tuple
+//! in *canonical orientation* — the endpoint with the smaller
+//! `(address, port)` first — so a key and its reversed key find the same
+//! record, and it holds the four hops of the table above in four sub-slots:
 //!
-//! The table grows geometrically from a small initial allocation up to the
-//! configured capacity limit, so idle forwarders stay cheap. Hashing is a
-//! deterministic mix of [`FlowKey::stable_hash`] with the chain label and
-//! arrival context, so lookups are identical across runs and the hash can
-//! be computed once per packet and shared with weighted load-balancer
-//! selection (see [`crate::Forwarder`]).
+//! | sub-slot | orientation of the key | context    |
+//! |----------|------------------------|------------|
+//! | 0        | canonical              | `FromWire` |
+//! | 1        | canonical              | `FromVnf`  |
+//! | 2        | swapped                | `FromWire` |
+//! | 3        | swapped                | `FromVnf`  |
+//!
+//! (A self-symmetric tuple `a:p → a:p` is its own reverse; both name
+//! sub-slots 0 and 1.) A [`FlowTableKey`] therefore resolves to a record
+//! and a sub-slot: a lookup reads one line, the first packet of a
+//! connection writes all its hops into one line with one probe
+//! ([`FlowTable::pin`]), and flow completion clears one record.
+//!
+//! [`FlowTable::len`], [`FlowTable::capacity`] and
+//! [`Error::ResourceExhausted`] count *pinned hops* (occupied sub-slots),
+//! as they always have; growth is driven by the *record* count. The table
+//! grows geometrically from a small initial allocation, keeping records at
+//! or below 3/4 of the array, up to the size that holds `capacity`
+//! single-hop records — idle forwarders stay cheap. As the live table
+//! outgrows the CPU caches every probe is one DRAM line: the Figure 8
+//! cache-decay shape, at a third of the lines.
+//!
+//! The record hash is pure arithmetic on the canonical 5-tuple and the
+//! chain label (one widening multiply), deterministic across runs. It is
+//! independent of [`FlowKey::stable_hash`], which forwarders still compute
+//! once per packet for weighted selection; the batch path locates each
+//! packet's record once, prefetches the line, and carries the located
+//! probe to the lookup (see [`crate::Forwarder`]).
 
 use crate::packet::Addr;
-use sb_types::{ChainLabel, Error, FlowKey, Result};
-use std::hash::Hasher;
+use sb_types::{
+    ChainLabel, EdgeInstanceId, Error, FlowKey, ForwarderId, InstanceId, IpProtocol, Result,
+};
 
 /// Whether the packet arrived from the wire/tunnel side (needs delivery to
 /// the adjacent VNF) or came back from the attached VNF (needs forwarding to
@@ -51,7 +74,7 @@ pub enum FlowContext {
 /// The egress label is deliberately not part of the key: reverse-direction
 /// packets of the same connection carry the opposite egress label, but must
 /// match the entries installed by the forward direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowTableKey {
     /// The service-chain label.
     pub chain: ChainLabel,
@@ -61,303 +84,477 @@ pub struct FlowTableKey {
     pub context: FlowContext,
 }
 
-impl FlowTableKey {
-    /// The table slot hash for this key, given the precomputed
-    /// [`FlowKey::stable_hash`] of `self.key`. Forwarders compute the flow
-    /// hash once at parse time and thread it through both flow-table
-    /// lookups and load-balancer selection; passing a hash of a *different*
-    /// flow key produces garbage lookups, never unsoundness.
-    ///
-    /// Never returns zero (zero is the table's empty-slot sentinel).
+/// Sub-slot bit: the key is the swapped orientation of its record's.
+const SWAPPED: u8 = 2;
+
+const KIND_VNF: u8 = 1;
+const KIND_FORWARDER: u8 = 2;
+const KIND_EDGE: u8 = 3;
+
+/// A connection's identity: chain label plus 5-tuple in canonical
+/// orientation (lower `(address, port)` endpoint first), packed so that a
+/// probe step compares, and the record hash mixes, two words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct ConnKey {
+    /// Lower endpoint's address in the high half, higher's in the low.
+    ips: u64,
+    /// Lower endpoint's port in the high half, higher's in the low.
+    ports: u32,
+    chain: ChainLabel,
+    protocol: IpProtocol,
+}
+
+impl ConnKey {
+    /// The identity of `key`'s connection, and whether `key` is the
+    /// swapped orientation of it.
     #[inline]
-    #[must_use]
-    pub fn slot_hash(&self, flow_hash: u64) -> u64 {
-        let ctx = match self.context {
-            FlowContext::FromWire => 0u64,
-            FlowContext::FromVnf => 1u64,
+    fn of(chain: ChainLabel, key: FlowKey) -> (Self, bool) {
+        let src = (u32::from(key.src_ip()), key.src_port());
+        let dst = (u32::from(key.dst_ip()), key.dst_port());
+        let swapped = src > dst;
+        let (lo, hi) = if swapped { (dst, src) } else { (src, dst) };
+        let conn = Self {
+            ips: u64::from(lo.0) << 32 | u64::from(hi.0),
+            ports: u32::from(lo.1) << 16 | u32::from(hi.1),
+            chain,
+            protocol: key.protocol(),
         };
-        let mixed = flow_hash
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ (u64::from(self.chain.value()) << 1)
-            ^ ctx;
-        let h = mixed.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        if h == 0 {
-            0x9e37_79b9_7f4a_7c15
+        (conn, swapped)
+    }
+
+    /// The record hash: one folded 64×64→128 multiply, so the high and the
+    /// low bits both mix.
+    #[inline]
+    fn hash(&self) -> u64 {
+        let x = self.ips ^ 0x9e37_79b9_7f4a_7c15;
+        let y = (u64::from(self.ports) << 32
+            | u64::from(self.protocol.number()) << 24
+            | u64::from(self.chain.value()))
+            ^ 0xff51_afd7_ed55_8ccd;
+        let m = u128::from(x) * u128::from(y);
+        (m as u64) ^ ((m >> 64) as u64)
+    }
+
+    /// A self-symmetric tuple `a:p → a:p` is its own reverse.
+    fn is_symmetric(&self) -> bool {
+        self.ips >> 32 == self.ips & 0xffff_ffff && self.ports >> 16 == self.ports & 0xffff
+    }
+
+    /// The 5-tuple in canonical (`swapped = false`) or swapped orientation.
+    fn flow_key(&self, swapped: bool) -> FlowKey {
+        let key = FlowKey::new(
+            (self.ips >> 32) as u32,
+            (self.ports >> 16) as u16,
+            self.ips as u32,
+            self.ports as u16,
+            self.protocol,
+        );
+        if swapped {
+            key.reversed()
         } else {
-            h
+            key
         }
     }
 }
 
-impl std::hash::Hash for FlowTableKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Kept for model-based tests that mirror the table with a std
-        // `HashMap`; the table itself uses `slot_hash` directly.
-        state.write_u64(self.slot_hash(self.key.stable_hash()));
+/// One connection: its identity and up to four pinned hops. Exactly one
+/// cache line, so a probe step, a pin and an expiry each touch one.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Record {
+    /// Raw identifier of each sub-slot's hop (meaningful where the
+    /// sub-slot's kind is non-zero).
+    ids: [u64; 4],
+    conn: ConnKey,
+    /// Two bits per sub-slot: 0 = vacant, else the hop's [`Addr`] variant.
+    /// All zero marks an empty record — a record never outlives its last
+    /// hop.
+    kinds: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 64 && std::mem::align_of::<Record>() == 64);
+
+impl Record {
+    fn new(conn: ConnKey) -> Self {
+        Self {
+            ids: [0; 4],
+            conn,
+            kinds: 0,
+        }
+    }
+
+    fn empty() -> Self {
+        Self::new(ConnKey {
+            ips: 0,
+            ports: 0,
+            chain: ChainLabel::new(0),
+            protocol: IpProtocol::Udp,
+        })
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.kinds == 0
+    }
+
+    #[inline]
+    fn hop(&self, sub: u8) -> Option<Addr> {
+        let id = self.ids[usize::from(sub)];
+        match (self.kinds >> (2 * sub)) & 3 {
+            KIND_VNF => Some(Addr::Vnf(InstanceId::new(id))),
+            KIND_FORWARDER => Some(Addr::Forwarder(ForwarderId::new(id))),
+            KIND_EDGE => Some(Addr::Edge(EdgeInstanceId::new(id))),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, sub: u8, hop: Addr) {
+        let (kind, id) = match hop {
+            Addr::Vnf(i) => (KIND_VNF, i.value()),
+            Addr::Forwarder(i) => (KIND_FORWARDER, i.value()),
+            Addr::Edge(i) => (KIND_EDGE, i.value()),
+        };
+        self.ids[usize::from(sub)] = id;
+        self.kinds = (self.kinds & !(3 << (2 * sub))) | (kind << (2 * sub));
+    }
+
+    #[inline]
+    fn clear(&mut self, sub: u8) {
+        self.kinds &= !(3 << (2 * sub));
+    }
+
+    /// Number of pinned hops.
+    #[inline]
+    fn hops(&self) -> usize {
+        ((self.kinds | (self.kinds >> 1)) & 0b0101_0101).count_ones() as usize
+    }
+
+    /// The [`FlowTableKey`] that names sub-slot `sub`.
+    fn key_of(&self, sub: u8) -> FlowTableKey {
+        FlowTableKey {
+            chain: self.conn.chain,
+            key: self.conn.flow_key(sub & SWAPPED != 0),
+            context: if sub & 1 == 0 {
+                FlowContext::FromWire
+            } else {
+                FlowContext::FromVnf
+            },
+        }
     }
 }
 
-/// One occupied table entry; fixed-size so the entry array is flat.
+/// A [`FlowTableKey`] resolved to its connection's identity and record
+/// hash plus its sub-slot: everything a probe needs, none of it dependent
+/// on the table's current size (so it survives growth between locating and
+/// probing).
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    key: FlowTableKey,
-    next: Addr,
+pub(crate) struct FlowProbe {
+    conn: ConnKey,
+    hash: u64,
+    sub: u8,
 }
 
 /// The connection table of one forwarder.
 ///
-/// Entries map a [`FlowTableKey`] to the pinned next-hop [`Addr`]. The
-/// table enforces a capacity limit (a real forwarder has bounded memory);
-/// inserting past the limit fails with [`Error::ResourceExhausted`].
+/// Maps a [`FlowTableKey`] to the pinned next-hop [`Addr`]. The table
+/// enforces a capacity limit on pinned hops (a real forwarder has bounded
+/// memory); pinning past the limit fails with [`Error::ResourceExhausted`].
 #[derive(Debug, Clone)]
 pub struct FlowTable {
-    /// Per-bucket hash tags; `0` marks an empty bucket. Probing touches
-    /// only this dense array until a tag matches.
-    hashes: Vec<u64>,
-    /// Entry payloads, parallel to `hashes` (valid where the tag is
-    /// non-zero).
-    slots: Vec<Slot>,
+    records: Vec<Record>,
     mask: usize,
+    /// Pinned hops (what `len` and `capacity` count).
     len: usize,
+    /// Occupied records (what growth counts).
+    used: usize,
     capacity: usize,
 }
 
-/// Initial bucket count (kept small: idle forwarders shouldn't pay for the
+/// Initial record count (kept small: idle forwarders shouldn't pay for the
 /// capacity limit up front).
 const MIN_BUCKETS: usize = 64;
-/// Grow when occupancy would exceed 7/8 of the buckets.
-const LOAD_NUM: usize = 7;
-const LOAD_DEN: usize = 8;
-
-fn empty_slot() -> Slot {
-    Slot {
-        key: FlowTableKey {
-            chain: ChainLabel::new(0),
-            key: FlowKey::udp([0, 0, 0, 0], 0, [0, 0, 0, 0], 0),
-            context: FlowContext::FromWire,
-        },
-        next: Addr::Edge(sb_types::EdgeInstanceId::new(0)),
-    }
-}
+/// Grow when occupied records would exceed 3/4 of the array.
+const LOAD_NUM: usize = 3;
+const LOAD_DEN: usize = 4;
 
 impl FlowTable {
-    /// Creates a table bounded at `capacity` entries.
+    /// Creates a table bounded at `capacity` pinned hops.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
-        let buckets = MIN_BUCKETS.min(Self::max_buckets(capacity));
         Self {
-            hashes: vec![0; buckets],
-            slots: vec![empty_slot(); buckets],
-            mask: buckets - 1,
+            records: vec![Record::empty(); MIN_BUCKETS],
+            mask: MIN_BUCKETS - 1,
             len: 0,
+            used: 0,
             capacity,
         }
     }
 
-    /// The bucket count that holds `capacity` entries below the load
-    /// threshold; growth stops here.
+    /// The record count that holds `capacity` single-hop connections below
+    /// the load threshold; growth stops here.
     fn max_buckets(capacity: usize) -> usize {
         (capacity.saturating_mul(LOAD_DEN) / LOAD_NUM + 1)
             .next_power_of_two()
             .max(MIN_BUCKETS)
     }
 
-    /// Looks up the pinned next hop for a key.
-    #[must_use]
-    pub fn get(&self, key: &FlowTableKey) -> Option<Addr> {
-        self.get_hashed(key, key.key.stable_hash())
+    /// Resolves `key` to its connection record and sub-slot: canonical
+    /// orientation plus the record hash, pure arithmetic on the 5-tuple.
+    #[inline]
+    pub(crate) fn locate(key: &FlowTableKey) -> FlowProbe {
+        let (conn, swapped) = ConnKey::of(key.chain, key.key);
+        FlowProbe {
+            conn,
+            hash: conn.hash(),
+            sub: u8::from(swapped) << 1 | u8::from(key.context == FlowContext::FromVnf),
+        }
     }
 
-    /// [`get`](Self::get) with the flow hash precomputed by the caller
-    /// (the forwarder computes it once per packet at parse time).
+    /// Prefetches the line a probe for `at` reads first. A pure
+    /// performance hint used by the forwarder's pipelined batch path;
+    /// growth or pins between the prefetch and the probe make the hint
+    /// stale, never wrong.
     #[inline]
-    #[must_use]
-    pub fn get_hashed(&self, key: &FlowTableKey, flow_hash: u64) -> Option<Addr> {
-        let h = key.slot_hash(flow_hash);
-        let mut i = (h as usize) & self.mask;
+    pub(crate) fn prefetch(&self, at: &FlowProbe) {
+        crate::fib::prefetch_read(std::ptr::from_ref(
+            &self.records[at.hash as usize & self.mask],
+        ));
+    }
+
+    /// Index of the record for `conn` (whose record hash is `hash`), or of
+    /// the empty record that ends its probe chain (the load limit
+    /// guarantees there is one).
+    #[inline]
+    fn find(&self, conn: &ConnKey, hash: u64) -> usize {
+        let mut i = hash as usize & self.mask;
         loop {
-            let tag = self.hashes[i];
-            if tag == 0 {
-                return None;
-            }
-            if tag == h && self.slots[i].key == *key {
-                return Some(self.slots[i].next);
+            let r = &self.records[i];
+            if r.is_empty() || r.conn == *conn {
+                return i;
             }
             i = (i + 1) & self.mask;
         }
     }
 
-    /// Prefetches the probe chain's first bucket for `key`, ahead of a
-    /// [`get_hashed`](Self::get_hashed) with the same precomputed flow
-    /// hash. A pure performance hint used by the forwarder's pipelined
-    /// batch path (stage 1 prefetches the buckets stage 2 will probe);
-    /// entries inserted between the prefetch and the probe simply make the
-    /// hint stale, never wrong.
-    #[inline]
-    pub fn prefetch(&self, key: &FlowTableKey, flow_hash: u64) {
-        let h = key.slot_hash(flow_hash);
-        let i = (h as usize) & self.mask;
-        // The probe reads the tag array and, on a tag match, the slot
-        // entry — warm both lines, or the slot load still misses DRAM.
-        crate::fib::prefetch_read(std::ptr::from_ref(&self.hashes[i]));
-        crate::fib::prefetch_read(std::ptr::from_ref(&self.slots[i]));
+    /// Looks up the pinned next hop for a key.
+    #[must_use]
+    pub fn get(&self, key: &FlowTableKey) -> Option<Addr> {
+        self.get_at(&Self::locate(key))
     }
 
-    /// Pins `next` for `key`. Overwrites an existing entry (rule churn never
+    /// [`get`](Self::get). The flow hash is unused — the record hash is
+    /// independent of it — and kept for source compatibility.
+    #[inline]
+    #[must_use]
+    pub fn get_hashed(&self, key: &FlowTableKey, _flow_hash: u64) -> Option<Addr> {
+        self.get(key)
+    }
+
+    /// [`get`](Self::get) for an already located key.
+    #[inline]
+    pub(crate) fn get_at(&self, at: &FlowProbe) -> Option<Addr> {
+        self.records[self.find(&at.conn, at.hash)].hop(at.sub)
+    }
+
+    /// Pins `next` for `key`. Overwrites an existing hop (rule churn never
     /// re-pins existing flows because the forwarder checks `get` first).
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ResourceExhausted`] when inserting a new key would
+    /// Returns [`Error::ResourceExhausted`] when pinning a new hop would
     /// exceed the capacity limit.
     pub fn insert(&mut self, key: FlowTableKey, next: Addr) -> Result<()> {
-        self.insert_hashed(key, key.key.stable_hash(), next)
+        let mut same = [None; 2];
+        same[usize::from(key.context == FlowContext::FromVnf)] = Some(next);
+        self.pin(&key, same, [None; 2])
     }
 
-    /// [`insert`](Self::insert) with the flow hash precomputed by the
-    /// caller. A single probe sequence finds either the existing entry (to
-    /// overwrite) or the insertion point (where the capacity limit is
-    /// checked).
+    /// [`insert`](Self::insert). The flow hash is unused and kept for
+    /// source compatibility.
+    ///
+    /// # Errors
+    ///
+    /// As [`insert`](Self::insert).
     #[inline]
-    pub fn insert_hashed(&mut self, key: FlowTableKey, flow_hash: u64, next: Addr) -> Result<()> {
-        let buckets = self.hashes.len();
-        if (self.len + 1) * LOAD_DEN > buckets * LOAD_NUM && buckets < Self::max_buckets(self.capacity)
+    pub fn insert_hashed(&mut self, key: FlowTableKey, _flow_hash: u64, next: Addr) -> Result<()> {
+        self.insert(key, next)
+    }
+
+    /// Pins several hops of one connection with one probe and one line
+    /// written: `same[c]` for `key`'s 5-tuple arriving in context `c`
+    /// (`FromWire` = 0, `FromVnf` = 1), `reversed[c]` for the reversed
+    /// 5-tuple; `key.context` is ignored. Existing hops are overwritten.
+    /// All or nothing: the capacity limit is checked once, before any hop
+    /// is written.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ResourceExhausted`], with the table unchanged, when
+    /// the hops that are new would exceed the capacity limit.
+    pub fn pin(
+        &mut self,
+        key: &FlowTableKey,
+        same: [Option<Addr>; 2],
+        reversed: [Option<Addr>; 2],
+    ) -> Result<()> {
+        self.pin_at(&Self::locate(key), same, reversed)
+    }
+
+    /// [`pin`](Self::pin) for an already located key.
+    pub(crate) fn pin_at(
+        &mut self,
+        at: &FlowProbe,
+        same: [Option<Addr>; 2],
+        reversed: [Option<Addr>; 2],
+    ) -> Result<()> {
+        if (self.used + 1) * LOAD_DEN > self.records.len() * LOAD_NUM
+            && self.records.len() < Self::max_buckets(self.capacity)
         {
             self.grow();
         }
-        let h = key.slot_hash(flow_hash);
-        let mut i = (h as usize) & self.mask;
-        loop {
-            let tag = self.hashes[i];
-            if tag == 0 {
-                if self.len >= self.capacity {
-                    return Err(Error::ResourceExhausted {
-                        resource: "flow table",
-                    });
+        let i = self.find(&at.conn, at.hash);
+        let old = self.records[i];
+        let mut new = if old.is_empty() {
+            Record::new(at.conn)
+        } else {
+            old
+        };
+        let orientation = at.sub & SWAPPED;
+        let reverse = if at.conn.is_symmetric() {
+            orientation
+        } else {
+            orientation ^ SWAPPED
+        };
+        for (orientation, hops) in [(orientation, same), (reverse, reversed)] {
+            for (context, hop) in (0u8..).zip(hops) {
+                if let Some(hop) = hop {
+                    new.set(orientation | context, hop);
                 }
-                self.hashes[i] = h;
-                self.slots[i] = Slot { key, next };
-                self.len += 1;
-                return Ok(());
             }
-            if tag == h && self.slots[i].key == key {
-                self.slots[i].next = next;
-                return Ok(());
-            }
-            i = (i + 1) & self.mask;
         }
+        let added = new.hops() - old.hops();
+        if self.len + added > self.capacity {
+            return Err(Error::ResourceExhausted {
+                resource: "flow table",
+            });
+        }
+        if !new.is_empty() {
+            self.used += usize::from(old.is_empty());
+            self.len += added;
+            self.records[i] = new;
+        }
+        Ok(())
     }
 
-    /// Doubles the bucket arrays and reinserts every live entry.
+    /// Doubles the record array and reinserts every live record.
     fn grow(&mut self) {
-        let new_buckets = self.hashes.len() * 2;
-        let old_hashes = std::mem::replace(&mut self.hashes, vec![0; new_buckets]);
-        let old_slots = std::mem::replace(&mut self.slots, vec![empty_slot(); new_buckets]);
+        let new_buckets = self.records.len() * 2;
+        let old = std::mem::replace(&mut self.records, vec![Record::empty(); new_buckets]);
         self.mask = new_buckets - 1;
-        for (tag, slot) in old_hashes.into_iter().zip(old_slots) {
-            if tag == 0 {
-                continue;
-            }
-            let mut i = (tag as usize) & self.mask;
-            while self.hashes[i] != 0 {
+        for record in old.into_iter().filter(|r| !r.is_empty()) {
+            let mut i = record.conn.hash() as usize & self.mask;
+            while !self.records[i].is_empty() {
                 i = (i + 1) & self.mask;
             }
-            self.hashes[i] = tag;
-            self.slots[i] = slot;
+            self.records[i] = record;
         }
     }
 
-    /// Removes one entry, returning its next hop. Uses backward-shift
-    /// deletion: subsequent probe-chain entries slide back over the hole so
-    /// the table never accumulates tombstones.
+    /// Removes one hop, returning it. A record is freed with its last hop.
     pub fn remove(&mut self, key: &FlowTableKey) -> Option<Addr> {
-        let h = key.slot_hash(key.key.stable_hash());
-        let mut i = (h as usize) & self.mask;
-        loop {
-            let tag = self.hashes[i];
-            if tag == 0 {
-                return None;
-            }
-            if tag == h && self.slots[i].key == *key {
-                let removed = self.slots[i].next;
-                self.backward_shift(i);
-                self.len -= 1;
-                return Some(removed);
-            }
-            i = (i + 1) & self.mask;
+        let at = Self::locate(key);
+        let i = self.find(&at.conn, at.hash);
+        let removed = self.records[i].hop(at.sub)?;
+        self.records[i].clear(at.sub);
+        self.len -= 1;
+        if self.records[i].is_empty() {
+            self.free(i);
         }
+        Some(removed)
     }
 
-    /// Empties bucket `hole`, then slides displaced successors back so every
-    /// remaining entry stays reachable from its ideal bucket.
-    fn backward_shift(&mut self, mut hole: usize) {
-        self.hashes[hole] = 0;
+    /// Frees the record at `hole` by backward-shift deletion: displaced
+    /// successors slide back so every remaining record stays reachable
+    /// from its ideal index and the table never accumulates tombstones.
+    /// The caller has already taken the record's hops out of `len`.
+    fn free(&mut self, mut hole: usize) {
+        self.used -= 1;
+        self.records[hole].kinds = 0;
         let mut cur = (hole + 1) & self.mask;
-        while self.hashes[cur] != 0 {
-            let ideal = (self.hashes[cur] as usize) & self.mask;
-            // `cur` may fill the hole iff its ideal bucket lies at or before
+        while !self.records[cur].is_empty() {
+            let ideal = self.records[cur].conn.hash() as usize & self.mask;
+            // `cur` may fill the hole iff its ideal index lies at or before
             // the hole along the cyclic probe path ending at `cur`.
             let dist_ideal = cur.wrapping_sub(ideal) & self.mask;
             let dist_hole = cur.wrapping_sub(hole) & self.mask;
             if dist_ideal >= dist_hole {
-                self.hashes[hole] = self.hashes[cur];
-                self.slots[hole] = self.slots[cur];
-                self.hashes[cur] = 0;
+                self.records[hole] = self.records[cur];
+                self.records[cur].kinds = 0;
                 hole = cur;
             }
             cur = (cur + 1) & self.mask;
         }
     }
 
-    /// Removes all four entries of a connection (both directions, both
-    /// contexts); returns how many entries were removed. Called on flow
-    /// completion (Section 5.3: entries "remain until the completion of a
-    /// flow").
+    /// Removes every hop of a connection (both directions, both contexts)
+    /// by freeing its one record; returns how many hops were removed.
+    /// Called on flow completion (Section 5.3: entries "remain until the
+    /// completion of a flow").
     pub fn remove_connection(&mut self, chain: ChainLabel, key: FlowKey) -> usize {
-        let mut removed = 0;
-        for k in [key, key.reversed()] {
-            for context in [FlowContext::FromWire, FlowContext::FromVnf] {
-                if self
-                    .remove(&FlowTableKey {
-                        chain,
-                        key: k,
-                        context,
-                    })
-                    .is_some()
-                {
-                    removed += 1;
-                }
-            }
+        self.free_connection(&ConnKey::of(chain, key).0)
+    }
+
+    fn free_connection(&mut self, conn: &ConnKey) -> usize {
+        let i = self.find(conn, conn.hash());
+        let removed = self.records[i].hops();
+        if removed > 0 {
+            self.len -= removed;
+            self.free(i);
         }
         removed
     }
 
-    /// Removes every entry whose pinned next hop satisfies `pred`; returns
-    /// how many were removed. This is the failover primitive: when a VNF
-    /// instance crashes, the forwarder evicts the entries pinned to it so
-    /// affected flows re-run weighted selection over the survivors, while
-    /// entries pinned elsewhere are untouched (affinity of surviving flows
-    /// is preserved — see DESIGN.md §8).
+    /// Removes every hop that satisfies `pred`; returns how many were
+    /// removed. This is the failover primitive: when a VNF instance
+    /// crashes, the forwarder evicts the hops pinned to it so affected
+    /// flows re-run weighted selection over the survivors, while hops
+    /// pinned elsewhere are untouched (affinity of surviving flows is
+    /// preserved — see DESIGN.md §8).
     ///
-    /// Cost is one full scan plus a backward-shift removal per match; fine
-    /// off the fast path (crashes are control-plane-rare events).
+    /// Cost is one full scan plus a backward-shift removal per emptied
+    /// record; fine off the fast path (crashes are control-plane-rare
+    /// events).
     pub fn remove_where(&mut self, mut pred: impl FnMut(&FlowTableKey, Addr) -> bool) -> usize {
-        // Collect first: backward-shift deletion moves entries between
-        // buckets, so removing during the scan could skip or revisit slots.
-        let doomed: Vec<FlowTableKey> = self
-            .hashes
-            .iter()
-            .zip(&self.slots)
-            .filter(|(&tag, slot)| tag != 0 && pred(&slot.key, slot.next))
-            .map(|(_, slot)| slot.key)
-            .collect();
-        for key in &doomed {
-            self.remove(key);
+        let mut removed = 0;
+        // Collect first: backward-shift deletion moves records, so freeing
+        // during the scan could skip or revisit some.
+        let mut emptied = Vec::new();
+        for record in self.records.iter_mut().filter(|r| !r.is_empty()) {
+            let mut kept = *record;
+            for sub in 0..4 {
+                if record
+                    .hop(sub)
+                    .is_some_and(|next| pred(&record.key_of(sub), next))
+                {
+                    kept.clear(sub);
+                }
+            }
+            if kept.is_empty() {
+                emptied.push(record.conn);
+            } else {
+                removed += record.hops() - kept.hops();
+                *record = kept;
+            }
         }
-        doomed.len()
+        self.len -= removed;
+        for conn in &emptied {
+            removed += self.free_connection(conn);
+        }
+        removed
     }
 
-    /// Number of entries.
+    /// Number of pinned hops.
     #[must_use]
     pub fn len(&self) -> usize {
         self.len
@@ -369,34 +566,30 @@ impl FlowTable {
         self.len == 0
     }
 
-    /// The capacity limit.
+    /// The capacity limit, in pinned hops.
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Current bucket count (grows geometrically toward the capacity
+    /// Current record count (grows geometrically toward the capacity
     /// limit); exposed for tests and capacity planning.
     #[must_use]
     pub fn buckets(&self) -> usize {
-        self.hashes.len()
+        self.records.len()
     }
 
-    /// Drops every entry and releases the grown bucket arrays (a restarted
+    /// Drops every hop and releases the grown record array (a restarted
     /// forwarder starts from a cold, small table).
     pub fn clear(&mut self) {
-        let buckets = MIN_BUCKETS.min(Self::max_buckets(self.capacity));
-        self.hashes = vec![0; buckets];
-        self.slots = vec![empty_slot(); buckets];
-        self.mask = buckets - 1;
-        self.len = 0;
+        *self = Self::with_capacity(self.capacity);
     }
 }
 
 impl Default for FlowTable {
     fn default() -> Self {
         // Matches the per-instance flow population of Figure 8's largest
-        // configuration (512K flows x 4 entries).
+        // configuration (512K connections x up to 4 pinned hops).
         Self::with_capacity(4 << 19)
     }
 }
@@ -404,7 +597,6 @@ impl Default for FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_types::InstanceId;
 
     fn key(port: u16) -> FlowKey {
         FlowKey::tcp([10, 0, 0, 1], port, [10, 0, 0, 2], 80)
@@ -520,6 +712,22 @@ mod tests {
         assert!(t.capacity() >= 4 * 512 * 1024);
     }
 
+    /// Pins the three hops a wire-side first packet installs (Figure 6).
+    fn pin_wire_connection(t: &mut FlowTable, port: u16, vnf: Addr, prev: Addr) -> Result<()> {
+        t.pin(
+            &ftk(port, FlowContext::FromWire),
+            [Some(vnf), None],
+            [Some(vnf), Some(prev)],
+        )
+    }
+
+    fn reverse_ftk(port: u16, context: FlowContext) -> FlowTableKey {
+        FlowTableKey {
+            key: key(port).reversed(),
+            ..ftk(port, context)
+        }
+    }
+
     #[test]
     fn table_grows_past_initial_buckets() {
         let mut t = FlowTable::with_capacity(100_000);
@@ -529,30 +737,132 @@ mod tests {
             t.insert(ftk(p, FlowContext::FromWire), a).unwrap();
         }
         assert!(t.buckets() > initial, "table must grow beyond {initial}");
+        // Growth keeps records at or below 3/4 of the array, and no looser
+        // than one doubling.
+        assert_eq!(t.buckets(), 8_192);
         assert_eq!(t.len(), 5_000);
+        // More hops of the same connections land in the same records: the
+        // hop count triples, the record array does not move.
+        let prev = Addr::Forwarder(ForwarderId::new(3));
+        for p in 0..5_000u16 {
+            pin_wire_connection(&mut t, p, a, prev).unwrap();
+        }
+        assert_eq!(t.len(), 15_000);
+        assert_eq!(t.used, 5_000);
+        assert_eq!(t.buckets(), 8_192);
         for p in 0..5_000u16 {
             assert_eq!(t.get(&ftk(p, FlowContext::FromWire)), Some(a), "port {p}");
+            assert_eq!(
+                t.get(&reverse_ftk(p, FlowContext::FromVnf)),
+                Some(prev),
+                "port {p}"
+            );
         }
     }
 
     #[test]
     fn backward_shift_keeps_probe_chains_reachable() {
-        // Fill enough of a small, growth-capped table to force clustering,
-        // then delete in an interleaved order and check every survivor.
-        let mut t = FlowTable::with_capacity(48);
+        // Fill a small table to its load limit with whole connections to
+        // force clustering, then expire them hop by hop in an interleaved
+        // order and check every survivor.
+        let mut t = FlowTable::with_capacity(144);
         let a = Addr::Vnf(InstanceId::new(1));
+        let prev = Addr::Forwarder(ForwarderId::new(2));
         for p in 0..48u16 {
+            pin_wire_connection(&mut t, p, a, prev).unwrap();
+        }
+        assert_eq!(t.len(), 144);
+        assert_eq!(
+            t.buckets(),
+            64,
+            "48 records sit at 3/4 of the initial array, whatever their hop count"
+        );
+        for p in (0..48u16).step_by(3) {
+            assert_eq!(t.remove(&ftk(p, FlowContext::FromWire)), Some(a));
+            assert_eq!(t.remove(&reverse_ftk(p, FlowContext::FromVnf)), Some(prev));
+            assert_eq!(t.remove(&reverse_ftk(p, FlowContext::FromWire)), Some(a));
+        }
+        for p in 0..48u16 {
+            let gone = p % 3 == 0;
+            let want = |hop| if gone { None } else { Some(hop) };
+            assert_eq!(t.get(&ftk(p, FlowContext::FromWire)), want(a), "port {p}");
+            assert_eq!(t.get(&reverse_ftk(p, FlowContext::FromWire)), want(a));
+            assert_eq!(t.get(&reverse_ftk(p, FlowContext::FromVnf)), want(prev));
+            assert_eq!(t.get(&ftk(p, FlowContext::FromVnf)), None);
+        }
+        assert_eq!(t.len(), 96);
+        assert_eq!(t.used, 32);
+        // The 49th connection is the one that doubles the array.
+        pin_wire_connection(&mut t, 1, a, prev).unwrap();
+        for p in 100..116u16 {
             t.insert(ftk(p, FlowContext::FromWire), a).unwrap();
         }
-        assert_eq!(t.buckets(), 64, "stays at one growth step");
-        for p in (0..48u16).step_by(3) {
-            assert!(t.remove(&ftk(p, FlowContext::FromWire)).is_some());
-        }
-        for p in 0..48u16 {
-            let want = if p % 3 == 0 { None } else { Some(a) };
-            assert_eq!(t.get(&ftk(p, FlowContext::FromWire)), want, "port {p}");
-        }
-        assert_eq!(t.len(), 32);
+        assert_eq!((t.used, t.buckets()), (48, 64));
+        t.insert(ftk(200, FlowContext::FromWire), a).unwrap();
+        assert_eq!((t.used, t.buckets()), (49, 128));
+    }
+
+    #[test]
+    fn pin_is_all_or_nothing_at_capacity() {
+        let mut t = FlowTable::with_capacity(4);
+        let a = Addr::Vnf(InstanceId::new(1));
+        let prev = Addr::Edge(sb_types::EdgeInstanceId::new(0));
+        pin_wire_connection(&mut t, 1, a, prev).unwrap();
+        assert_eq!(t.len(), 3);
+        // One hop of room, three wanted: nothing is written.
+        let err = pin_wire_connection(&mut t, 2, a, prev).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted { .. }));
+        assert_eq!((t.len(), t.used), (3, 1));
+        assert_eq!(t.get(&ftk(2, FlowContext::FromWire)), None);
+        // Re-pinning what is already there adds nothing, so it fits.
+        let b = Addr::Vnf(InstanceId::new(2));
+        pin_wire_connection(&mut t, 1, b, prev).unwrap();
+        assert_eq!(t.get(&ftk(1, FlowContext::FromWire)), Some(b));
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn self_symmetric_tuple_is_its_own_reverse() {
+        let mut t = FlowTable::with_capacity(16);
+        let k = FlowTableKey {
+            chain: ChainLabel::new(1),
+            key: FlowKey::udp([10, 0, 0, 1], 7, [10, 0, 0, 1], 7),
+            context: FlowContext::FromWire,
+        };
+        let a = Addr::Vnf(InstanceId::new(1));
+        let b = Addr::Vnf(InstanceId::new(2));
+        // The reversed hops name the same keys as the forward ones; the
+        // later write wins, as two inserts of one key would.
+        t.pin(&k, [Some(a), None], [Some(b), Some(a)]).unwrap();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.get(&k), Some(b));
+        let from_vnf = FlowTableKey {
+            context: FlowContext::FromVnf,
+            ..k
+        };
+        assert_eq!(t.get(&from_vnf), Some(a));
+        assert_eq!(t.remove_connection(k.chain, k.key), 2);
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn every_addr_variant_round_trips_through_a_record() {
+        let mut t = FlowTable::with_capacity(16);
+        let hops = [
+            Addr::Vnf(InstanceId::new(u64::MAX)),
+            Addr::Forwarder(ForwarderId::new(0)),
+            Addr::Edge(sb_types::EdgeInstanceId::new(1 << 40)),
+        ];
+        t.pin(
+            &ftk(1, FlowContext::FromWire),
+            [Some(hops[0]), Some(hops[1])],
+            [Some(hops[2]), None],
+        )
+        .unwrap();
+        assert_eq!(t.get(&ftk(1, FlowContext::FromWire)), Some(hops[0]));
+        assert_eq!(t.get(&ftk(1, FlowContext::FromVnf)), Some(hops[1]));
+        assert_eq!(t.get(&reverse_ftk(1, FlowContext::FromWire)), Some(hops[2]));
+        assert_eq!(t.get(&reverse_ftk(1, FlowContext::FromVnf)), None);
     }
 
     #[test]
@@ -583,6 +893,33 @@ mod tests {
             assert_eq!(t.get(&ftk(p, FlowContext::FromWire)), want, "port {p}");
         }
         assert_eq!(t.remove_where(|_, next| next == dead), 0, "idempotent");
+    }
+
+    #[test]
+    fn remove_where_leaves_a_connections_other_hops() {
+        let mut t = FlowTable::with_capacity(64);
+        let dead = Addr::Vnf(InstanceId::new(7));
+        let prev = Addr::Forwarder(ForwarderId::new(2));
+        for p in 0..8u16 {
+            pin_wire_connection(&mut t, p, dead, prev).unwrap();
+        }
+        // The predicate sees each hop under the key that looks it up.
+        let before = t.clone();
+        let mut seen = 0;
+        let evicted = t.remove_where(|k, next| {
+            assert_eq!(before.get(k), Some(next), "{k:?}");
+            seen += 1;
+            next == dead
+        });
+        assert_eq!((seen, evicted), (24, 16));
+        // Each record survives on its symmetric-return hop.
+        assert_eq!((t.len(), t.used), (8, 8));
+        for p in 0..8u16 {
+            assert_eq!(t.get(&ftk(p, FlowContext::FromWire)), None);
+            assert_eq!(t.get(&reverse_ftk(p, FlowContext::FromVnf)), Some(prev));
+        }
+        assert_eq!(t.remove_where(|_, next| next == prev), 8);
+        assert_eq!((t.len(), t.used), (0, 0));
     }
 
     #[test]

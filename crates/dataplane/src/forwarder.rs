@@ -24,9 +24,10 @@
 //! The hot path follows the software-dataplane playbook (VPP, DPDK l3fwd):
 //!
 //! - [`FlowKey::stable_hash`] is computed **once** per packet at parse time
-//!   and threaded through synthetic header work, flow-table lookup
-//!   ([`crate::FlowTable::get_hashed`]), and weighted selection
-//!   ([`WeightedChoice::select`]).
+//!   and threaded through synthetic header work and weighted selection
+//!   ([`WeightedChoice::select`]); the packet's flow-table record is
+//!   likewise located once (canonical orientation + record hash) and the
+//!   located probe serves the prefetch, the lookup and, on a miss, the pin.
 //! - [`Forwarder::process_batch`] amortizes mode dispatch and rule lookup
 //!   across a batch and interleaves the per-packet header-work loops of up
 //!   to [`IO_WORK_LANES`] packets, breaking the serial dependency chain
@@ -36,7 +37,7 @@
 
 use crate::artifact::{ArtifactKind, ForwarderArtifact};
 use crate::fib::{CompiledFib, FibCell, FibReader, FibRow, FIB_MISS};
-use crate::flow_table::{FlowContext, FlowTable, FlowTableKey};
+use crate::flow_table::{FlowContext, FlowProbe, FlowTable, FlowTableKey};
 use crate::loadbalancer::WeightedChoice;
 use crate::packet::{Addr, Packet, TunnelHeader};
 use sb_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceRecorder};
@@ -897,15 +898,14 @@ impl Forwarder {
     ///
     /// - **Stage 1** decapsulates, re-affixes labels, computes every
     ///   packet's flow hash and FIB row index (one interning probe, no
-    ///   SipHash), and issues prefetches for the FIB rows and flow-table
-    ///   buckets stage 2 will touch — so mixed-label batches resolve rules
-    ///   at full rate instead of thrashing a one-entry cache. The batched
-    ///   header work runs between the stages, giving the prefetches time
-    ///   to land.
+    ///   SipHash), locates its flow-table record, and issues prefetches
+    ///   for the FIB row and the one record line stage 2 will touch. The
+    ///   batched header work runs between the stages, giving the
+    ///   prefetches time to land.
     /// - **Stage 2** probes and forwards in arrival order (order matters:
-    ///   the first packet of a flow installs the entries later packets of
-    ///   the same batch hit — a stage-1 prefetch of a pre-insert bucket is
-    ///   merely a stale hint).
+    ///   the first packet of a connection pins the hops later packets of
+    ///   the same batch hit — a stage-1 prefetch of a pre-pin or pre-growth
+    ///   line is merely a stale hint).
     fn labeled_chunk(&mut self, chunk: &mut [Packet], from: Addr, out: &mut Vec<Result<Addr>>) {
         let rx_before = self.stats.rx;
         self.stats.rx += chunk.len() as u64;
@@ -920,6 +920,9 @@ impl Forwarder {
         let mut hashes = [0u64; BATCH_CHUNK];
         let mut seeds = [0u64; BATCH_CHUNK];
         let mut rows = [FIB_MISS; BATCH_CHUNK];
+        // Each labeled packet's flow-table record, located once (Affinity
+        // mode only) and carried to stage 2.
+        let mut probes = [None::<FlowProbe>; BATCH_CHUNK];
         let mut n_seeds = 0usize;
         for (i, pkt) in chunk.iter_mut().enumerate() {
             if pkt.tunnel.is_some() {
@@ -944,12 +947,13 @@ impl Forwarder {
                     fib.prefetch_row(idx);
                 }
                 if affinity {
-                    let ftk = FlowTableKey {
+                    let at = FlowTable::locate(&FlowTableKey {
                         chain: labels.chain(),
                         key: pkt.key,
                         context,
-                    };
-                    self.flow_table.prefetch(&ftk, h);
+                    });
+                    self.flow_table.prefetch(&at);
+                    probes[i] = Some(at);
                 }
             }
         }
@@ -958,7 +962,6 @@ impl Forwarder {
         // Stage 2.
         let id = self.id;
         let mode = self.mode;
-        let overlay = mode == ForwarderMode::Overlay;
         let Self {
             ref mut flow_table,
             ref mut stats,
@@ -976,19 +979,21 @@ impl Forwarder {
                 Some(labels) => {
                     let hash = hashes[i];
                     let rules = fib.rows().get(rows[i] as usize).map(|r| &r.rules);
-                    let res = if overlay {
-                        stats.flow_misses += 1;
-                        match rules {
-                            Some(r) => Ok(match context {
-                                FlowContext::FromWire => r.to_vnf.select(hash),
-                                FlowContext::FromVnf => r.to_next.select(hash),
-                            }),
-                            None => Err(no_rule_error(labels)),
+                    let res = match &probes[i] {
+                        // Overlay: stateless weighted selection per packet.
+                        None => {
+                            stats.flow_misses += 1;
+                            match rules {
+                                Some(r) => Ok(match context {
+                                    FlowContext::FromWire => r.to_vnf.select(hash),
+                                    FlowContext::FromVnf => r.to_next.select(hash),
+                                }),
+                                None => Err(no_rule_error(labels)),
+                            }
                         }
-                    } else {
-                        affinity_next_compiled(
-                            flow_table, stats, rules, pkt.key, hash, labels, context, from,
-                        )
+                        Some(at) => affinity_next(
+                            flow_table, stats, || rules, at, hash, labels, context, from,
+                        ),
                     };
                     match res {
                         Ok(next) => {
@@ -1075,7 +1080,13 @@ impl Forwarder {
                     ref mut stats,
                     ..
                 } = *self;
-                affinity_next_in(flow_table, stats, rules, pkt.key, hash, labels, context, from)?
+                let at = FlowTable::locate(&FlowTableKey {
+                    chain: labels.chain(),
+                    key: pkt.key,
+                    context,
+                });
+                let rules = || lookup_rules_in(rules, labels);
+                affinity_next(flow_table, stats, rules, &at, hash, labels, context, from)?
             }
         };
 
@@ -1186,128 +1197,64 @@ fn finish_output(
 }
 
 /// The affinity-mode next hop: flow-table hit, or weighted selection plus
-/// entry installation on the first packet (Figure 6). Takes the forwarder's
-/// fields split apart so batch loops can keep disjoint borrows; `hash` is
-/// the packet's precomputed [`FlowKey::stable_hash`].
+/// pinning on the first packet (Figure 6). Takes the forwarder's fields
+/// split apart so batch loops can keep disjoint borrows. `at` is the
+/// packet's located flow-table record, `hash` its precomputed
+/// [`FlowKey::stable_hash`]; `rules` resolves the label pair's rule set
+/// (`None` = the no-rule drop) and runs only on a miss — `process` looks
+/// the rule map up there, the batch path hands over the compiled FIB row it
+/// resolved in stage 1.
 #[allow(clippy::too_many_arguments)]
-fn affinity_next_in(
+fn affinity_next<'r>(
     flow_table: &mut FlowTable,
     stats: &mut ForwarderStats,
-    rules: &HashMap<LabelPair, EpochRules>,
-    key: FlowKey,
+    rules: impl FnOnce() -> Option<&'r RuleSet>,
+    at: &FlowProbe,
     hash: u64,
     labels: LabelPair,
     context: FlowContext,
     from: Addr,
 ) -> Result<Addr> {
-    let ftk = FlowTableKey {
-        chain: labels.chain(),
-        key,
-        context,
-    };
-    if let Some(next) = flow_table.get_hashed(&ftk, hash) {
+    if let Some(next) = flow_table.get_at(at) {
         stats.flow_hits += 1;
         return Ok(next);
     }
     stats.flow_misses += 1;
-    let rules = lookup_rules_in(rules, labels).ok_or_else(|| no_rule_error(labels))?;
-    affinity_pin(flow_table, rules, ftk, key, hash, context, from)
-}
-
-/// [`affinity_next_in`] with the rule lookup already resolved against a
-/// compiled FIB row (`None` = no row, the lookup-miss drop). The batch
-/// path resolves rows in stage 1; the flow-table probe, selection, and
-/// pinning here are byte-identical to [`affinity_next_in`].
-#[allow(clippy::too_many_arguments)]
-fn affinity_next_compiled(
-    flow_table: &mut FlowTable,
-    stats: &mut ForwarderStats,
-    rules: Option<&RuleSet>,
-    key: FlowKey,
-    hash: u64,
-    labels: LabelPair,
-    context: FlowContext,
-    from: Addr,
-) -> Result<Addr> {
-    let ftk = FlowTableKey {
-        chain: labels.chain(),
-        key,
-        context,
-    };
-    if let Some(next) = flow_table.get_hashed(&ftk, hash) {
-        stats.flow_hits += 1;
-        return Ok(next);
-    }
-    stats.flow_misses += 1;
-    let rules = rules.ok_or_else(|| no_rule_error(labels))?;
-    affinity_pin(flow_table, rules, ftk, key, hash, context, from)
+    let rules = rules().ok_or_else(|| no_rule_error(labels))?;
+    affinity_pin(flow_table, rules, at, hash, context, from)
 }
 
 /// The affinity miss path's selection + pinning, shared by the rule-map and
-/// compiled-row lookups: weighted selection on the flow hash, then the
-/// forward and reverse flow-table entries.
+/// compiled-row lookups: weighted selection on the flow hash, then one pin
+/// of the connection's forward and reverse hops — all of them or, when the
+/// table is full, none (the packet drops and the next one retries).
 fn affinity_pin(
     flow_table: &mut FlowTable,
     rules: &RuleSet,
-    ftk: FlowTableKey,
-    key: FlowKey,
+    at: &FlowProbe,
     hash: u64,
     context: FlowContext,
     from: Addr,
 ) -> Result<Addr> {
-    let chain = ftk.chain;
-    let (next, reverse_prev) = match context {
-        FlowContext::FromWire => (rules.to_vnf.select(hash), Some(from)),
-        FlowContext::FromVnf => (rules.to_next.select(hash), None),
-    };
-    flow_table.insert_hashed(ftk, hash, next)?;
-    // The miss path installs reverse-direction entries; their hash is also
-    // computed exactly once.
-    let rev_key = key.reversed();
-    let rev_hash = rev_key.stable_hash();
-    match context {
+    let (next, same, reversed) = match context {
         FlowContext::FromWire => {
-            // Reverse-direction packets must hit the same VNF instance...
-            flow_table.insert_hashed(
-                FlowTableKey {
-                    chain,
-                    key: rev_key,
-                    context: FlowContext::FromWire,
-                },
-                rev_hash,
-                next,
-            )?;
-            // ...and, after it, return to the element this packet came
-            // from (symmetric return).
-            if let Some(prev) = reverse_prev {
-                flow_table.insert_hashed(
-                    FlowTableKey {
-                        chain,
-                        key: rev_key,
-                        context: FlowContext::FromVnf,
-                    },
-                    rev_hash,
-                    prev,
-                )?;
-            }
+            let next = rules.to_vnf.select(hash);
+            // Reverse-direction packets must hit the same VNF instance
+            // and, after it, return to the element this packet came from
+            // (symmetric return).
+            (next, [Some(next), None], [Some(next), Some(from)])
         }
         FlowContext::FromVnf => {
+            let next = rules.to_next.select(hash);
             // A header-modifying VNF (e.g. a NAT) may emit a tuple the
             // wire side never saw. Reverse-direction packets carrying
             // the reversed *output* tuple must return to this exact
             // instance, so pin it now (Section 5.3: affinity must hold
             // "even if that VNF modifies packet headers").
-            flow_table.insert_hashed(
-                FlowTableKey {
-                    chain,
-                    key: rev_key,
-                    context: FlowContext::FromWire,
-                },
-                rev_hash,
-                from,
-            )?;
+            (next, [None, Some(next)], [Some(from), None])
         }
-    }
+    };
+    flow_table.pin_at(at, same, reversed)?;
     Ok(next)
 }
 
@@ -1669,6 +1616,45 @@ mod tests {
         assert!(f.process(pkt2, edge()).is_err());
         // Established flow still forwards.
         assert!(f.process(pkt1, edge()).is_ok());
+    }
+
+    #[test]
+    fn dropped_first_packet_leaves_no_half_pinned_connection() {
+        let make = || {
+            let mut f = Forwarder::with_flow_capacity(
+                ForwarderId::new(1),
+                SiteId::new(0),
+                ForwarderMode::Affinity,
+                4, // one connection's three hops, and one hop to spare
+            );
+            f.install_rules(
+                labels(),
+                RuleSet {
+                    to_vnf: WeightedChoice::single(vnf(1)),
+                    to_next: WeightedChoice::single(fwd_addr(9)),
+                    to_prev: WeightedChoice::single(edge()),
+                },
+            );
+            f
+        };
+        let mut f = make();
+        let pkt1 = Packet::labeled(labels(), key(1), 64);
+        let pkt2 = Packet::labeled(labels(), key(2), 64);
+        f.process(pkt1, edge()).unwrap();
+        assert_eq!(f.flow_entries(), 3);
+        // The second connection's forward hop would fit, its reverse hops
+        // would not: none is pinned, so its next packet is dropped again
+        // rather than forwarded with no symmetric return.
+        assert!(f.process(pkt2, edge()).is_err());
+        assert_eq!(f.flow_entries(), 3);
+        assert!(f.process(pkt2, edge()).is_err());
+        assert_eq!(f.stats().drops, 2);
+        // It gets in, whole, once the first connection completes.
+        assert_eq!(f.expire_connection(labels(), key(1)), 3);
+        f.process(pkt2, edge()).unwrap();
+        assert_eq!(f.flow_entries(), 3);
+        // And the batch path drops and admits the same packets.
+        assert_batch_equivalent(make, &[pkt1, pkt2, pkt2, pkt1], edge());
     }
 
     #[test]

@@ -826,7 +826,8 @@ mod tests {
     #[test]
     fn flow_tables_reach_steady_state() {
         let r = quick(1, 512, ForwarderMode::Affinity);
-        // Forward-direction wire packets install up to 3 entries per flow.
+        // A wire-side first packet pins 3 hops (forward, reverse, symmetric
+        // return) in its connection's record; `flow_entries` counts hops.
         assert!(r.flow_entries >= 512, "{}", r.flow_entries);
         assert!(r.flow_entries <= 3 * 512 + 8, "{}", r.flow_entries);
     }

@@ -1,47 +1,120 @@
-//! Property tests: the open-addressing [`FlowTable`] behaves exactly like a
-//! `HashMap` model under arbitrary interleavings of inserts, removals,
-//! connection expiries and clears, including the capacity limit.
+//! Property tests: the one-record-per-connection [`FlowTable`] behaves
+//! exactly like a `HashMap` model under arbitrary interleavings of inserts,
+//! multi-hop pins, removals, predicate evictions, connection expiries and
+//! clears, including the capacity limit. Keys come in both orientations of
+//! two endpoint pairs plus a self-symmetric tuple, so forward and reverse
+//! keys meet in one record.
 
 use proptest::prelude::*;
 use sb_dataplane::{Addr, FlowContext, FlowTable, FlowTableKey};
 use sb_types::{ChainLabel, FlowKey, InstanceId};
 use std::collections::HashMap;
 
+/// Which 5-tuple a key carries: an endpoint pair (0 or 1) in either
+/// orientation, or (pair 2) the self-symmetric tuple `a:p → a:p`.
+#[derive(Debug, Clone, Copy)]
+struct Tuple {
+    pair: u8,
+    port: u16,
+    reversed: bool,
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     /// Insert (or overwrite) `key -> vnf(value)`.
-    Insert(u8, u16, bool, u64),
+    Insert(u8, Tuple, bool, u64),
+    /// Pin up to four hops of one connection, all or nothing: hop `i` goes
+    /// to `vnf(value + i)` where bit `i` of the mask is set (bits 0–1 the
+    /// tuple itself from wire / from VNF, bits 2–3 its reverse).
+    Pin(u8, Tuple, u8, u64),
     /// Remove one entry.
-    Remove(u8, u16, bool),
+    Remove(u8, Tuple, bool),
+    /// Remove every entry pinned to `vnf(value)`.
+    RemoveWhere(u64),
     /// Remove all four entries of a connection.
-    RemoveConnection(u8, u16),
+    RemoveConnection(u8, Tuple),
     /// Drop everything (forwarder restart).
     Clear,
+}
+
+fn arb_tuple() -> impl Strategy<Value = Tuple> {
+    (0u8..3, 0u16..32, any::<bool>()).prop_map(|(pair, port, reversed)| Tuple {
+        pair,
+        port,
+        reversed,
+    })
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            8 => (0u8..3, 0u16..96, any::<bool>(), 0u64..8)
-                .prop_map(|(c, p, ctx, v)| Op::Insert(c, p, ctx, v)),
-            3 => (0u8..3, 0u16..96, any::<bool>()).prop_map(|(c, p, ctx)| Op::Remove(c, p, ctx)),
-            2 => (0u8..3, 0u16..96).prop_map(|(c, p)| Op::RemoveConnection(c, p)),
+            8 => (0u8..3, arb_tuple(), any::<bool>(), 0u64..8)
+                .prop_map(|(c, t, ctx, v)| Op::Insert(c, t, ctx, v)),
+            4 => (0u8..3, arb_tuple(), 1u8..16, 0u64..8)
+                .prop_map(|(c, t, mask, v)| Op::Pin(c, t, mask, v)),
+            3 => (0u8..3, arb_tuple(), any::<bool>()).prop_map(|(c, t, ctx)| Op::Remove(c, t, ctx)),
+            1 => (0u64..11).prop_map(Op::RemoveWhere),
+            2 => (0u8..3, arb_tuple()).prop_map(|(c, t)| Op::RemoveConnection(c, t)),
             1 => Just(Op::Clear),
         ],
         1..160,
     )
 }
 
-fn ftk(chain: u8, port: u16, from_vnf: bool) -> FlowTableKey {
-    FlowTableKey {
-        chain: ChainLabel::new(u32::from(chain) + 1),
-        key: FlowKey::tcp([10, 0, 0, 1], port, [10, 0, 0, 2], 80),
-        context: if from_vnf {
-            FlowContext::FromVnf
-        } else {
-            FlowContext::FromWire
-        },
+fn chain(c: u8) -> ChainLabel {
+    ChainLabel::new(u32::from(c) + 1)
+}
+
+fn flow_key(t: Tuple) -> FlowKey {
+    let key = match t.pair {
+        0 => FlowKey::tcp([10, 0, 0, 1], t.port, [10, 0, 0, 2], 80),
+        // The lower address is the destination here, so the pairs differ in
+        // which orientation is canonical.
+        1 => FlowKey::tcp([172, 16, 0, 9], t.port, [10, 0, 0, 2], 80),
+        _ => FlowKey::tcp([10, 0, 0, 3], t.port, [10, 0, 0, 3], t.port),
+    };
+    if t.reversed {
+        key.reversed()
+    } else {
+        key
     }
+}
+
+fn context(from_vnf: bool) -> FlowContext {
+    if from_vnf {
+        FlowContext::FromVnf
+    } else {
+        FlowContext::FromWire
+    }
+}
+
+fn ftk(c: u8, t: Tuple, from_vnf: bool) -> FlowTableKey {
+    FlowTableKey {
+        chain: chain(c),
+        key: flow_key(t),
+        context: context(from_vnf),
+    }
+}
+
+/// Every key the generator can name (the self-symmetric tuple twice, which
+/// is harmless).
+fn all_keys() -> Vec<FlowTableKey> {
+    let mut keys = Vec::new();
+    for c in 0..3u8 {
+        for pair in 0..3u8 {
+            for port in 0..32u16 {
+                for reversed in [false, true] {
+                    let t = Tuple {
+                        pair,
+                        port,
+                        reversed,
+                    };
+                    keys.extend([ftk(c, t, false), ftk(c, t, true)]);
+                }
+            }
+        }
+    }
+    keys
 }
 
 /// The `HashMap` reference model, with the same capacity rule: an insert of
@@ -58,6 +131,23 @@ fn model_insert(
     } else {
         false
     }
+}
+
+/// The model of [`FlowTable::pin`]: the hops as `(key, next)` in write
+/// order, applied as one all-or-nothing multi-insert — if the keys that are
+/// new do not all fit, nothing changes.
+fn model_pin(
+    model: &mut HashMap<FlowTableKey, Addr>,
+    capacity: usize,
+    hops: &[(FlowTableKey, Addr)],
+) -> bool {
+    let mut after = model.clone();
+    after.extend(hops.iter().copied());
+    if after.len() > capacity {
+        return false;
+    }
+    *model = after;
+    true
 }
 
 fn model_remove_connection(
@@ -93,8 +183,8 @@ proptest! {
 
         for op in ops {
             match op {
-                Op::Insert(c, p, ctx, v) => {
-                    let key = ftk(c, p, ctx);
+                Op::Insert(c, t, ctx, v) => {
+                    let key = ftk(c, t, ctx);
                     let next = Addr::Vnf(InstanceId::new(v));
                     let model_ok = model_insert(&mut model, capacity, key, next);
                     let table_ok = table.insert(key, next).is_ok();
@@ -103,15 +193,49 @@ proptest! {
                         "insert outcome diverged at {:?}", key
                     );
                 }
-                Op::Remove(c, p, ctx) => {
-                    let key = ftk(c, p, ctx);
+                Op::Pin(c, t, mask, v) => {
+                    let key = ftk(c, t, false);
+                    let hop = |i: u8| {
+                        ((mask >> i) & 1 == 1).then(|| Addr::Vnf(InstanceId::new(v + u64::from(i))))
+                    };
+                    let same = [hop(0), hop(1)];
+                    let reversed = [hop(2), hop(3)];
+                    let mut hops = Vec::new();
+                    for (k, pair) in [(key.key, same), (key.key.reversed(), reversed)] {
+                        for (from_vnf, next) in [false, true].into_iter().zip(pair) {
+                            if let Some(next) = next {
+                                let key = FlowTableKey { chain: key.chain, key: k, context: context(from_vnf) };
+                                hops.push((key, next));
+                            }
+                        }
+                    }
+                    let model_ok = model_pin(&mut model, capacity, &hops);
+                    let table_ok = table.pin(&key, same, reversed).is_ok();
+                    prop_assert_eq!(
+                        table_ok, model_ok,
+                        "pin outcome diverged at {:?} mask {:#06b}", key, mask
+                    );
+                }
+                Op::Remove(c, t, ctx) => {
+                    let key = ftk(c, t, ctx);
                     prop_assert_eq!(table.remove(&key), model.remove(&key));
                 }
-                Op::RemoveConnection(c, p) => {
-                    let chain = ChainLabel::new(u32::from(c) + 1);
-                    let key = FlowKey::tcp([10, 0, 0, 1], p, [10, 0, 0, 2], 80);
-                    let got = table.remove_connection(chain, key);
-                    let want = model_remove_connection(&mut model, chain, key);
+                Op::RemoveWhere(v) => {
+                    let dead = Addr::Vnf(InstanceId::new(v));
+                    let before = model.len();
+                    model.retain(|_, next| *next != dead);
+                    let mut seen = 0;
+                    let got = table.remove_where(|_, next| {
+                        seen += 1;
+                        next == dead
+                    });
+                    prop_assert_eq!(got, before - model.len());
+                    prop_assert_eq!(seen, before, "predicate runs once per entry");
+                }
+                Op::RemoveConnection(c, t) => {
+                    let key = flow_key(t);
+                    let got = table.remove_connection(chain(c), key);
+                    let want = model_remove_connection(&mut model, chain(c), key);
                     prop_assert_eq!(got, want);
                 }
                 Op::Clear => {
@@ -125,18 +249,20 @@ proptest! {
         }
 
         // Final sweep: every model entry is in the table, every probed key
-        // agrees (including absent ones).
+        // agrees (including absent ones), and a predicate scan names
+        // exactly the model's entries.
         for (key, next) in &model {
             prop_assert_eq!(table.get(key), Some(*next));
         }
-        for c in 0..3u8 {
-            for p in 0..96u16 {
-                for ctx in [false, true] {
-                    let key = ftk(c, p, ctx);
-                    prop_assert_eq!(table.get(&key), model.get(&key).copied());
-                }
-            }
+        for key in all_keys() {
+            prop_assert_eq!(table.get(&key), model.get(&key).copied());
         }
+        let mut scanned = HashMap::new();
+        table.remove_where(|key, next| {
+            scanned.insert(*key, next);
+            false
+        });
+        prop_assert_eq!(scanned, model);
     }
 
     #[test]
@@ -146,8 +272,8 @@ proptest! {
         let mut plain = FlowTable::with_capacity(32);
         let mut hashed = FlowTable::with_capacity(32);
         for op in ops {
-            if let Op::Insert(c, p, ctx, v) = op {
-                let key = ftk(c, p, ctx);
+            if let Op::Insert(c, t, ctx, v) = op {
+                let key = ftk(c, t, ctx);
                 let next = Addr::Vnf(InstanceId::new(v));
                 let a = plain.insert(key, next).is_ok();
                 let b = hashed.insert_hashed(key, key.key.stable_hash(), next).is_ok();
@@ -155,15 +281,10 @@ proptest! {
             }
         }
         prop_assert_eq!(plain.len(), hashed.len());
-        for c in 0..3u8 {
-            for p in 0..96u16 {
-                for ctx in [false, true] {
-                    let key = ftk(c, p, ctx);
-                    let h = key.key.stable_hash();
-                    prop_assert_eq!(plain.get(&key), hashed.get_hashed(&key, h));
-                    prop_assert_eq!(plain.get(&key), plain.get_hashed(&key, h));
-                }
-            }
+        for key in all_keys() {
+            let h = key.key.stable_hash();
+            prop_assert_eq!(plain.get(&key), hashed.get_hashed(&key, h));
+            prop_assert_eq!(plain.get(&key), plain.get_hashed(&key, h));
         }
     }
 }
