@@ -50,8 +50,10 @@
 //! chain label (one widening multiply), deterministic across runs. It is
 //! independent of [`FlowKey::stable_hash`], which forwarders still compute
 //! once per packet for weighted selection; the batch path locates each
-//! packet's record once, prefetches the line, and carries the located
-//! probe to the lookup (see [`crate::Forwarder`]).
+//! packet's record once, prefetches the line at its ideal index, and
+//! carries the located probe to the lookup (see [`crate::Forwarder`]). The
+//! successor line, which the probe of a displaced record also reads, is
+//! not prefetched: measured, and short of the bar (ROADMAP item 4).
 
 use crate::packet::Addr;
 use sb_types::{
@@ -800,6 +802,48 @@ mod tests {
         assert_eq!((t.used, t.buckets()), (48, 64));
         t.insert(ftk(200, FlowContext::FromWire), a).unwrap();
         assert_eq!((t.used, t.buckets()), (49, 128));
+    }
+
+    #[test]
+    fn displaced_and_wrapped_records_are_found_after_prefetch() {
+        // Keys by ideal index in the initial 64-record array.
+        let mut by_ideal = vec![Vec::new(); MIN_BUCKETS];
+        for p in 0..2_000u16 {
+            let at = FlowTable::locate(&ftk(p, FlowContext::FromWire));
+            by_ideal[at.hash as usize & (MIN_BUCKETS - 1)].push(p);
+        }
+        let last = MIN_BUCKETS - 1;
+        // Three connections ideal at slot 20 (the third sits two slots
+        // out), two ideal at the last slot (the second wraps to slot 0),
+        // then others up to the 3/4 load limit.
+        let mut ports: Vec<u16> = by_ideal[20][..3].to_vec();
+        ports.extend(&by_ideal[last][..2]);
+        let fill = (0..2_000u16).filter(|p| !ports.contains(p));
+        let ports: Vec<u16> = ports.iter().copied().chain(fill).take(48).collect();
+
+        let mut t = FlowTable::with_capacity(64);
+        for &p in &ports {
+            let hop = Addr::Vnf(InstanceId::new(u64::from(p)));
+            t.insert(ftk(p, FlowContext::FromWire), hop).unwrap();
+        }
+        assert_eq!((t.used, t.buckets()), (48, MIN_BUCKETS));
+        let slot_of = |t: &FlowTable, p: u16| {
+            let at = FlowTable::locate(&ftk(p, FlowContext::FromWire));
+            (at.hash as usize & t.mask, t.find(&at.conn, at.hash))
+        };
+        assert_eq!(slot_of(&t, ports[2]), (20, 22), "displaced two slots");
+        assert_eq!(slot_of(&t, ports[3]), (last, last));
+        assert_eq!(slot_of(&t, ports[4]), (last, 0), "probe chain wraps");
+        // The hint names the ideal line only; a probe still finds every
+        // record, however far displaced, and no absent one.
+        for p in 0..2_000u16 {
+            let at = FlowTable::locate(&ftk(p, FlowContext::FromWire));
+            t.prefetch(&at);
+            let want = ports
+                .contains(&p)
+                .then(|| Addr::Vnf(InstanceId::new(u64::from(p))));
+            assert_eq!(t.get_at(&at), want, "port {p}");
+        }
     }
 
     #[test]

@@ -28,12 +28,15 @@
 //!   ([`WeightedChoice::select`]); the packet's flow-table record is
 //!   likewise located once (canonical orientation + record hash) and the
 //!   located probe serves the prefetch, the lookup and, on a miss, the pin.
-//! - [`Forwarder::process_batch`] amortizes mode dispatch and rule lookup
-//!   across a batch and interleaves the per-packet header-work loops of up
-//!   to [`IO_WORK_LANES`] packets, breaking the serial dependency chain
-//!   that dominates single-packet processing. Batched processing is
-//!   packet-for-packet equivalent to calling [`Forwarder::process`] in a
-//!   loop — same next hops, same errors, same counters, same `work_sink`.
+//! - [`Forwarder::process_batch`] amortizes mode dispatch and the FIB
+//!   snapshot across a batch, prefetches what each packet will read (its
+//!   flow-table record in Affinity mode, where a hit never touches the
+//!   FIB; its rule row in Overlay mode) and interleaves the per-packet
+//!   header-work loops of up to [`IO_WORK_LANES`] packets, breaking the
+//!   serial dependency chain that dominates single-packet processing.
+//!   Batched processing is packet-for-packet equivalent to calling
+//!   [`Forwarder::process`] in a loop — same next hops, same errors, same
+//!   counters, same `work_sink`.
 
 use crate::artifact::{ArtifactKind, ForwarderArtifact};
 use crate::fib::{CompiledFib, FibCell, FibReader, FibRow, FIB_MISS};
@@ -597,6 +600,9 @@ impl Forwarder {
     ///   retired, listed epochs installed), and registrations merge —
     ///   every change flows through the single-row `patch_row` path.
     ///
+    /// A row that lists no epochs says its pair has no rules, in both
+    /// kinds: `Full` skips it, `Patch` drops the pair.
+    ///
     /// Either way the swap rides the existing RCU generation publish:
     /// in-flight batches finish on the snapshot they hold, the next batch
     /// sees the new generation, and the flow table is never touched —
@@ -608,7 +614,9 @@ impl Forwarder {
                 self.rules.clear();
                 self.label_unaware.clear();
                 self.vnf_labels.clear();
-                for row in &art.rows {
+                // A row with no epochs (the decoder rejects one; an
+                // artifact built in memory can carry it) has no rules.
+                for row in art.rows.iter().filter(|r| !r.epochs.is_empty()) {
                     let entry = self.rules.entry(row.labels).or_default();
                     for &ep in &row.epochs {
                         entry.install(ep, row.rules.clone());
@@ -624,6 +632,10 @@ impl Forwarder {
                     self.remove_rules(labels);
                 }
                 for row in &art.rows {
+                    if row.epochs.is_empty() {
+                        self.remove_rules(row.labels);
+                        continue;
+                    }
                     let stale: Vec<u64> = self
                         .installed_epochs(row.labels)
                         .filter(|ep| !row.epochs.contains(ep))
@@ -650,16 +662,10 @@ impl Forwarder {
     /// Publishes a single-row patch for `labels` — or a full rebuild when
     /// the pair no longer exists (its row must disappear).
     fn fib_patch(&mut self, labels: LabelPair) {
-        let Some(entry) = self.rules.get(&labels) else {
+        let started = Instant::now();
+        let Some(row) = self.rules.get(&labels).and_then(|e| e.fib_row(labels)) else {
             self.fib_rebuild();
             return;
-        };
-        let started = Instant::now();
-        let row = FibRow {
-            labels,
-            active_epoch: entry.active_epoch().unwrap_or(0),
-            epochs: entry.sets.iter().map(|(ep, _)| *ep).collect(),
-            rules: entry.active().expect("non-empty epoch set").clone(),
         };
         let generation = self.fib.cell.generation() + 1;
         let next = self.fib.cell.current().patch_row(generation, row);
@@ -675,15 +681,7 @@ impl Forwarder {
         let rows = self
             .rules
             .iter()
-            .filter_map(|(labels, entry)| {
-                let rules = entry.active()?.clone();
-                Some(FibRow {
-                    labels: *labels,
-                    active_epoch: entry.active_epoch().unwrap_or(0),
-                    epochs: entry.sets.iter().map(|(ep, _)| *ep).collect(),
-                    rules,
-                })
-            })
+            .filter_map(|(labels, entry)| entry.fib_row(*labels))
             .collect();
         self.fib.cell.publish(CompiledFib::build(generation, rows));
         self.fib.rebuilds += 1;
@@ -817,8 +815,8 @@ impl Forwarder {
     ///
     /// Equivalent to calling [`Self::process`] per packet — same next hops,
     /// errors, counters, flow-table state, and `work_sink` — but amortizes
-    /// mode dispatch and rule lookup across the batch and interleaves the
-    /// per-packet header-work chains (see [`Self::io_work_batch`]). One
+    /// mode dispatch and the FIB snapshot across the batch and interleaves
+    /// the per-packet header-work chains (see [`Self::io_work_batch`]). One
     /// difference: packets whose result is `Err` may still have been
     /// rewritten in place (they are drops either way).
     pub fn process_batch(&mut self, pkts: &mut [Packet], from: Addr) -> Vec<Result<Addr>> {
@@ -837,11 +835,16 @@ impl Forwarder {
     ) {
         out.clear();
         out.reserve(pkts.len());
-        for chunk in pkts.chunks_mut(BATCH_CHUNK) {
-            if self.mode == ForwarderMode::Bridge {
+        if self.mode == ForwarderMode::Bridge {
+            for chunk in pkts.chunks_mut(BATCH_CHUNK) {
                 self.bridge_chunk(chunk, out);
-            } else {
-                self.labeled_chunk(chunk, from, out);
+            }
+        } else {
+            // One FIB snapshot per batch: nothing can publish while this
+            // call holds `&mut self`, so every chunk sees one generation.
+            let fib = Arc::clone(self.fib.reader.snapshot());
+            for chunk in pkts.chunks_mut(BATCH_CHUNK) {
+                self.labeled_chunk(&fib, chunk, from, out);
             }
         }
         if let Some(t) = &mut self.telemetry {
@@ -893,23 +896,33 @@ impl Forwarder {
     }
 
     /// Batch path for the label-switched modes, packet-for-packet equivalent
-    /// to [`Self::process`]: a two-stage software pipeline over the compiled
-    /// FIB.
+    /// to [`Self::process`]: a two-stage software pipeline over `fib`, the
+    /// compiled-FIB snapshot the whole batch runs on.
     ///
-    /// - **Stage 1** decapsulates, re-affixes labels, computes every
-    ///   packet's flow hash and FIB row index (one interning probe, no
-    ///   SipHash), locates its flow-table record, and issues prefetches
-    ///   for the FIB row and the one record line stage 2 will touch. The
-    ///   batched header work runs between the stages, giving the
-    ///   prefetches time to land.
+    /// - **Stage 1** decapsulates, re-affixes labels and computes every
+    ///   packet's flow hash, then fetches what stage 2 will read. In
+    ///   Affinity mode that is the packet's flow-table record — located
+    ///   here once, its line prefetched — and nothing else: a hit never
+    ///   touches the FIB. In Overlay mode, where every packet needs
+    ///   its rule row, it is the row (one interning probe, no SipHash, and
+    ///   a prefetch). The batched header work runs between the stages,
+    ///   giving the prefetches time to land.
     /// - **Stage 2** probes and forwards in arrival order (order matters:
     ///   the first packet of a connection pins the hops later packets of
     ///   the same batch hit — a stage-1 prefetch of a pre-pin or pre-growth
-    ///   line is merely a stale hint).
-    fn labeled_chunk(&mut self, chunk: &mut [Packet], from: Addr, out: &mut Vec<Result<Addr>>) {
+    ///   line is merely a stale hint). Affinity resolves the label pair's
+    ///   row only on a flow-table miss, as `process` does: the first packet
+    ///   of a connection pays for rule resolution, its record serves every
+    ///   later one (Section 5.3, Figure 6).
+    fn labeled_chunk(
+        &mut self,
+        fib: &CompiledFib,
+        chunk: &mut [Packet],
+        from: Addr,
+        out: &mut Vec<Result<Addr>>,
+    ) {
         let rx_before = self.stats.rx;
         self.stats.rx += chunk.len() as u64;
-        let fib = Arc::clone(self.fib.reader.snapshot());
         let context = match from {
             Addr::Vnf(_) => FlowContext::FromVnf,
             Addr::Forwarder(_) | Addr::Edge(_) => FlowContext::FromWire,
@@ -919,9 +932,9 @@ impl Forwarder {
         // Stage 1.
         let mut hashes = [0u64; BATCH_CHUNK];
         let mut seeds = [0u64; BATCH_CHUNK];
+        // Each labeled packet's FIB row (Overlay) or located flow-table
+        // record (Affinity), carried to stage 2.
         let mut rows = [FIB_MISS; BATCH_CHUNK];
-        // Each labeled packet's flow-table record, located once (Affinity
-        // mode only) and carried to stage 2.
         let mut probes = [None::<FlowProbe>; BATCH_CHUNK];
         let mut n_seeds = 0usize;
         for (i, pkt) in chunk.iter_mut().enumerate() {
@@ -942,10 +955,6 @@ impl Forwarder {
             if let Some(labels) = pkt.labels {
                 seeds[n_seeds] = h ^ u64::from(pkt.size);
                 n_seeds += 1;
-                if let Some(idx) = fib.lookup_index(labels) {
-                    rows[i] = idx;
-                    fib.prefetch_row(idx);
-                }
                 if affinity {
                     let at = FlowTable::locate(&FlowTableKey {
                         chain: labels.chain(),
@@ -954,6 +963,9 @@ impl Forwarder {
                     });
                     self.flow_table.prefetch(&at);
                     probes[i] = Some(at);
+                } else if let Some(idx) = fib.lookup_index(labels) {
+                    rows[i] = idx;
+                    fib.prefetch_row(idx);
                 }
             }
         }
@@ -978,22 +990,22 @@ impl Forwarder {
                 }
                 Some(labels) => {
                     let hash = hashes[i];
-                    let rules = fib.rows().get(rows[i] as usize).map(|r| &r.rules);
                     let res = match &probes[i] {
                         // Overlay: stateless weighted selection per packet.
                         None => {
                             stats.flow_misses += 1;
-                            match rules {
+                            match fib.rows().get(rows[i] as usize) {
                                 Some(r) => Ok(match context {
-                                    FlowContext::FromWire => r.to_vnf.select(hash),
-                                    FlowContext::FromVnf => r.to_next.select(hash),
+                                    FlowContext::FromWire => r.rules.to_vnf.select(hash),
+                                    FlowContext::FromVnf => r.rules.to_next.select(hash),
                                 }),
                                 None => Err(no_rule_error(labels)),
                             }
                         }
-                        Some(at) => affinity_next(
-                            flow_table, stats, || rules, at, hash, labels, context, from,
-                        ),
+                        Some(at) => {
+                            let rules = || fib.lookup_index(labels).map(|idx| &fib.row(idx).rules);
+                            affinity_next(flow_table, stats, rules, at, hash, labels, context, from)
+                        }
                     };
                     match res {
                         Ok(next) => {
@@ -1123,6 +1135,18 @@ impl EpochRules {
         self.sets.last().map(|(ep, _)| *ep)
     }
 
+    /// The compiled row for this epoch set under `labels`; `None` when no
+    /// epoch is installed.
+    fn fib_row(&self, labels: LabelPair) -> Option<FibRow> {
+        let (active_epoch, rules) = self.sets.last()?;
+        Some(FibRow {
+            labels,
+            active_epoch: *active_epoch,
+            epochs: self.sets.iter().map(|(ep, _)| *ep).collect(),
+            rules: rules.clone(),
+        })
+    }
+
     fn install(&mut self, epoch: u64, rules: RuleSet) {
         match self.sets.binary_search_by_key(&epoch, |(ep, _)| *ep) {
             Ok(i) => self.sets[i].1 = rules,
@@ -1202,8 +1226,7 @@ fn finish_output(
 /// packet's located flow-table record, `hash` its precomputed
 /// [`FlowKey::stable_hash`]; `rules` resolves the label pair's rule set
 /// (`None` = the no-rule drop) and runs only on a miss — `process` looks
-/// the rule map up there, the batch path hands over the compiled FIB row it
-/// resolved in stage 1.
+/// the rule map up there, the batch path the compiled FIB snapshot.
 #[allow(clippy::too_many_arguments)]
 fn affinity_next<'r>(
     flow_table: &mut FlowTable,
@@ -1883,6 +1906,113 @@ mod tests {
             .map(|p| Packet::labeled(labels(), key(p), 64))
             .collect();
         assert_batch_equivalent(make, &pkts, edge());
+    }
+
+    #[test]
+    fn pinned_flow_outlives_its_rule_on_both_paths() {
+        // A hit is served by the connection record alone, so a flow pinned
+        // before its rule went away keeps forwarding; only a first packet
+        // resolves rules, and finds none.
+        let pinned = Packet::labeled(labels(), key(1000), 500);
+        let fresh = Packet::labeled(labels(), key(2000), 500);
+        let make = || {
+            let mut f = affinity_forwarder();
+            f.process(pinned, edge()).unwrap();
+            assert!(f.remove_rules(labels()).is_some());
+            f
+        };
+        let mut f = make();
+        let (_, pin) = f.process(pinned, edge()).unwrap();
+        assert!(pin == vnf(1) || pin == vnf(2), "{pin:?}");
+        let err = f.process(fresh, edge()).unwrap_err();
+        assert_eq!(err.to_string(), no_rule_error(labels()).to_string());
+
+        let mut b = make();
+        let out = b.process_batch(&mut [pinned, fresh], edge());
+        assert_eq!(out[0].as_ref().unwrap(), &pin);
+        assert_eq!(out[1].as_ref().unwrap_err().to_string(), err.to_string());
+        assert_eq!(f.stats(), b.stats());
+        assert_eq!(f.stats().flow_hits, 1);
+        assert_eq!(f.stats().drops, 1);
+        assert_batch_equivalent(make, &[pinned, fresh, pinned, fresh], edge());
+    }
+
+    /// A one-forwarder artifact share over `rows`.
+    fn artifact(rows: Vec<FibRow>) -> ForwarderArtifact {
+        ForwarderArtifact {
+            forwarder: ForwarderId::new(1),
+            mode: ForwarderMode::Affinity,
+            generation: 1,
+            rows,
+            label_unaware: Vec::new(),
+            removed: Vec::new(),
+        }
+    }
+
+    fn single_vnf_rules(inst: u64) -> RuleSet {
+        RuleSet {
+            to_vnf: WeightedChoice::single(vnf(inst)),
+            to_next: WeightedChoice::single(fwd_addr(9)),
+            to_prev: WeightedChoice::single(edge()),
+        }
+    }
+
+    #[test]
+    fn patch_row_without_epochs_drops_the_pair() {
+        let art = artifact(vec![FibRow {
+            labels: labels(),
+            active_epoch: 0,
+            epochs: Vec::new(),
+            rules: single_vnf_rules(1),
+        }]);
+        let make = || {
+            let mut f = affinity_forwarder();
+            f.apply_artifact(&art, ArtifactKind::Patch);
+            f
+        };
+        let f = make();
+        assert_eq!(f.active_epoch(labels()), None);
+        assert!(f.rules.is_empty(), "no ghost key");
+        assert!(f.fib.cell.current().is_empty());
+        // install (patch) + removal (rebuild); naming an absent pair again
+        // publishes nothing.
+        assert_eq!(f.fib_recompilations(), (1, 1));
+        let mut again = make();
+        again.apply_artifact(&art, ArtifactKind::Patch);
+        assert_eq!(again.fib_recompilations(), (1, 1));
+        let pkts = [Packet::labeled(labels(), key(1), 64)];
+        assert_batch_equivalent(make, &pkts, edge());
+    }
+
+    #[test]
+    fn full_row_without_epochs_leaves_no_ghost_key() {
+        // The epoch-less row is the chain's smallest label pair: left in
+        // the rule map it would shadow the real row in `process`'s chain
+        // fallback while the compiled FIB (which never had it) forwards.
+        let ghost = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
+        let art = artifact(vec![
+            FibRow {
+                labels: ghost,
+                active_epoch: 0,
+                epochs: Vec::new(),
+                rules: single_vnf_rules(1),
+            },
+            FibRow {
+                labels: labels(),
+                active_epoch: 3,
+                epochs: vec![3],
+                rules: single_vnf_rules(2),
+            },
+        ]);
+        let make = || Forwarder::from_artifact(SiteId::new(0), &art);
+        let mut f = make();
+        assert!(!f.rules.contains_key(&ghost));
+        assert_eq!(f.active_epoch(labels()), Some(3));
+        assert_eq!(f.fib_recompilations(), (1, 0));
+        let reverse = LabelPair::new(ChainLabel::new(1), EgressLabel::new(7));
+        let pkt = Packet::labeled(reverse, key(1), 64);
+        assert_eq!(f.process(pkt, edge()).unwrap().1, vnf(2));
+        assert_batch_equivalent(make, &[pkt, Packet::labeled(ghost, key(2), 64)], edge());
     }
 
     #[test]

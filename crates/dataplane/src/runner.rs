@@ -833,15 +833,38 @@ mod tests {
     }
 
     #[test]
-    fn isolated_instances_aggregate_roughly_linearly() {
-        let one = quick(1, 1024, ForwarderMode::Affinity);
-        let two = quick(2, 1024, ForwarderMode::Affinity);
-        assert!(
-            two.throughput.value() > one.throughput.value() * 1.5,
-            "1 inst: {}, 2 inst: {}",
-            one.throughput,
-            two.throughput
+    fn isolated_instances_aggregate() {
+        // What is deterministic about a two-instance run. The throughput
+        // ratio is wall-clock and belongs to `bench-dataplane
+        // --check-scaleout`, not to a unit test sharing two cores with the
+        // rest of the sweep.
+        let hub = Telemetry::new();
+        let two = measure_isolated(
+            &ScaleoutConfig {
+                instances: 2,
+                flows_per_instance: 1024,
+                duration: Duration::from_millis(120),
+                warmup: Duration::from_millis(30),
+                ..ScaleoutConfig::default()
+            },
+            Some(&hub),
         );
+        // Both instances forward, dropping nothing; the aggregate is their
+        // sum (each forwarder's own `rx` also counts its warm-up).
+        let snap = hub.registry.snapshot();
+        let rx: Vec<u64> = (0..2)
+            .map(|t| snap.counter(&format!("fwd-{t}.rx")))
+            .collect();
+        let floor = steady_state_floor(1024);
+        assert!(rx.iter().all(|&n| n > floor), "{rx:?}");
+        for (t, &n) in rx.iter().enumerate() {
+            assert_eq!(snap.counter(&format!("fwd-{t}.tx")), n, "instance {t}");
+        }
+        assert!(two.packets > 0 && two.packets + 2 * floor <= rx[0] + rx[1]);
+        // Both flow tables reach steady state: more hops than one
+        // instance's 1024 connections × 3 can hold, at most twice that.
+        assert!(two.flow_entries > 3 * 1024, "{}", two.flow_entries);
+        assert!(two.flow_entries <= 2 * 3 * 1024, "{}", two.flow_entries);
     }
 
     #[test]
