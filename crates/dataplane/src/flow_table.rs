@@ -42,9 +42,23 @@
 //! as they always have; growth is driven by the *record* count. The table
 //! grows geometrically from a small initial allocation, keeping records at
 //! or below 3/4 of the array, up to the size that holds `capacity`
-//! single-hop records — idle forwarders stay cheap. As the live table
-//! outgrows the CPU caches every probe is one DRAM line: the Figure 8
-//! cache-decay shape, at a third of the lines.
+//! single-hop records — idle forwarders stay cheap. A pin probes first and
+//! doubles the array only if it is accepted and adds a record, so a pin
+//! turned away at the capacity limit, or one that adds hops to a connection
+//! already in the table, leaves the array as it was.
+//!
+//! The array doubles *in place*: the `Vec` is resized and every record is
+//! re-seated inside it, so a growing table's peak memory is its final
+//! array, not that plus the array it grew out of — a forwarder can double
+//! its table under a flash crowd inside the memory it will end up using.
+//! Re-seating is one upward pass over the lower half. Only a record that
+//! had wrapped around the old end could be stranded by it, and those all
+//! lie in the occupied run at the front of the array, so that run is
+//! lifted out first and seated last (the argument is on `grow`). The
+//! rehash is still one stop-the-world pass.
+//!
+//! As the live table outgrows the CPU caches every probe is one DRAM line:
+//! the Figure 8 cache-decay shape, at a third of the lines.
 //!
 //! The record hash is pure arithmetic on the canonical 5-tuple and the
 //! chain label (one widening multiply), deterministic across runs. It is
@@ -410,12 +424,7 @@ impl FlowTable {
         same: [Option<Addr>; 2],
         reversed: [Option<Addr>; 2],
     ) -> Result<()> {
-        if (self.used + 1) * LOAD_DEN > self.records.len() * LOAD_NUM
-            && self.records.len() < Self::max_buckets(self.capacity)
-        {
-            self.grow();
-        }
-        let i = self.find(&at.conn, at.hash);
+        let mut i = self.find(&at.conn, at.hash);
         let old = self.records[i];
         let mut new = if old.is_empty() {
             Record::new(at.conn)
@@ -441,26 +450,73 @@ impl FlowTable {
                 resource: "flow table",
             });
         }
-        if !new.is_empty() {
-            self.used += usize::from(old.is_empty());
-            self.len += added;
-            self.records[i] = new;
+        if new.is_empty() {
+            return Ok(());
         }
+        if old.is_empty() {
+            // Probe, then grow: only a pin that is accepted and adds a
+            // record may double the array, and it probes again in the
+            // grown one.
+            if (self.used + 1) * LOAD_DEN > self.records.len() * LOAD_NUM
+                && self.records.len() < Self::max_buckets(self.capacity)
+            {
+                self.grow();
+                i = self.find(&at.conn, at.hash);
+            }
+            self.used += 1;
+        }
+        self.len += added;
+        self.records[i] = new;
         Ok(())
     }
 
-    /// Doubles the record array and reinserts every live record.
+    /// Doubles the record array in place and re-seats every record inside
+    /// it. No second array exists at any point: the `Vec` is resized (the
+    /// allocator's realloc frees the old block before the upper half is
+    /// first written), so the peak is the final array.
+    ///
+    /// Under the new mask a record's ideal index is its old one or that
+    /// plus the old length, so re-seating is one upward pass over the lower
+    /// half: each record is taken out and put at the first empty record of
+    /// its new probe path. One that stays lands at or before the slot it
+    /// left; one that moves up lands among records seated before it. Both
+    /// hold only for records that had not wrapped around the old end, and
+    /// those that had all sit in the occupied run at the front of the
+    /// array. That run is therefore lifted out first — leaving the slots a
+    /// probe path can reach across the new end empty — and seated last,
+    /// when nothing is taken out any more and seating is plain insertion.
     fn grow(&mut self) {
-        let new_buckets = self.records.len() * 2;
-        let old = std::mem::replace(&mut self.records, vec![Record::empty(); new_buckets]);
-        self.mask = new_buckets - 1;
-        for record in old.into_iter().filter(|r| !r.is_empty()) {
-            let mut i = record.conn.hash() as usize & self.mask;
-            while !self.records[i].is_empty() {
-                i = (i + 1) & self.mask;
-            }
-            self.records[i] = record;
+        let old_buckets = self.records.len();
+        self.records.resize(2 * old_buckets, Record::empty());
+        self.mask = 2 * old_buckets - 1;
+        let head: Vec<Record> = self
+            .records
+            .iter()
+            .take_while(|r| !r.is_empty())
+            .copied()
+            .collect();
+        for record in &mut self.records[..head.len()] {
+            record.kinds = 0;
         }
+        for i in head.len()..old_buckets {
+            if !self.records[i].is_empty() {
+                let record = self.records[i];
+                self.records[i].kinds = 0;
+                self.seat(record);
+            }
+        }
+        for record in head {
+            self.seat(record);
+        }
+    }
+
+    /// Puts `record` at the first empty record of its probe path.
+    fn seat(&mut self, record: Record) {
+        let mut i = record.conn.hash() as usize & self.mask;
+        while !self.records[i].is_empty() {
+            i = (i + 1) & self.mask;
+        }
+        self.records[i] = record;
     }
 
     /// Removes one hop, returning it. A record is freed with its last hop.
@@ -802,6 +858,99 @@ mod tests {
         assert_eq!((t.used, t.buckets()), (48, 64));
         t.insert(ftk(200, FlowContext::FromWire), a).unwrap();
         assert_eq!((t.used, t.buckets()), (49, 128));
+    }
+
+    #[test]
+    fn rejected_pin_leaves_the_array_alone() {
+        let mut t = FlowTable::with_capacity(48);
+        let a = Addr::Vnf(InstanceId::new(1));
+        for p in 0..48u16 {
+            t.insert(ftk(p, FlowContext::FromWire), a).unwrap();
+        }
+        assert_eq!((t.len(), t.used, t.buckets()), (48, 48, 64));
+        // The 49th record would double the array, but the capacity limit
+        // turns it away first: "with the table unchanged".
+        let err = t.insert(ftk(48, FlowContext::FromWire), a).unwrap_err();
+        assert!(matches!(err, Error::ResourceExhausted { .. }));
+        assert_eq!((t.len(), t.used, t.buckets()), (48, 48, 64));
+    }
+
+    #[test]
+    fn pin_into_an_existing_record_never_grows() {
+        let mut t = FlowTable::with_capacity(4096);
+        let a = Addr::Vnf(InstanceId::new(1));
+        for p in 0..48u16 {
+            t.insert(ftk(p, FlowContext::FromWire), a).unwrap();
+        }
+        assert_eq!((t.used, t.buckets()), (48, 64));
+        // More hops of a connection that has its record: the record count,
+        // which is what growth counts, does not move.
+        t.insert(ftk(7, FlowContext::FromVnf), a).unwrap();
+        assert_eq!((t.len(), t.used, t.buckets()), (49, 48, 64));
+        // The next new connection is the one that doubles it.
+        t.insert(ftk(48, FlowContext::FromWire), a).unwrap();
+        assert_eq!((t.used, t.buckets()), (49, 128));
+    }
+
+    #[test]
+    fn in_place_growth_keeps_every_record_reachable_across_the_wrap() {
+        let (mut growths, mut wrapped_heads) = (0, 0);
+        for seed in 0..64u32 {
+            let mut t = FlowTable::with_capacity(4096);
+            let mut live: Vec<(FlowTableKey, Addr)> = Vec::new();
+            // Four doublings; every fourth step expires a connection.
+            let mut n = 0u32;
+            while t.buckets() < 1024 {
+                n += 1;
+                if n & 3 == 0 {
+                    let (k, _) = live.swap_remove(n as usize * 7 % live.len());
+                    assert_eq!(t.remove_connection(k.chain, k.key), 1);
+                    continue;
+                }
+                // The record hash scatters consecutive addresses.
+                let k = FlowTableKey {
+                    chain: ChainLabel::new(1),
+                    key: FlowKey::new(seed << 16 | n, 1024, 0xc0a8_0001, 80, IpProtocol::Tcp),
+                    context: FlowContext::FromWire,
+                };
+                let before = t.buckets();
+                // A record at index 0 whose ideal index is in the upper
+                // half got there around the end of the array.
+                let head_wrapped = !t.records[0].is_empty()
+                    && t.records[0].conn.hash() as usize & t.mask >= before / 2;
+                let hop = Addr::Vnf(InstanceId::new(u64::from(n)));
+                t.insert(k, hop).unwrap();
+                live.push((k, hop));
+                if t.buckets() == before {
+                    continue;
+                }
+                assert_eq!(t.buckets(), 2 * before);
+                growths += 1;
+                wrapped_heads += usize::from(head_wrapped);
+                assert_eq!(t.used, live.len());
+                for (k, hop) in &live {
+                    assert_eq!(t.get(k), Some(*hop), "seed {seed}, {before} records: {k:?}");
+                }
+                // No empty record between any record's ideal index and
+                // its slot.
+                let occupied = t.records.iter().enumerate().filter(|(_, r)| !r.is_empty());
+                for (slot, record) in occupied {
+                    let mut i = record.conn.hash() as usize & t.mask;
+                    while i != slot {
+                        assert!(
+                            !t.records[i].is_empty(),
+                            "seed {seed}, {before} records: hole at {i} before slot {slot}"
+                        );
+                        i = (i + 1) & t.mask;
+                    }
+                }
+            }
+        }
+        assert_eq!(growths, 64 * 4);
+        assert!(
+            wrapped_heads > 0,
+            "none of {growths} growths started with a wrapped run at the head"
+        );
     }
 
     #[test]

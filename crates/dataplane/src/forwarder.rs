@@ -135,6 +135,9 @@ struct FwdTelemetry {
     mode_drops: Counter,
     /// `<id>.flow_entries` occupancy gauge.
     occupancy: Gauge,
+    /// `<id>.flow_buckets`: the flow table's record-array size, which
+    /// doubles as the table grows.
+    buckets: Gauge,
     /// `fib.generation`: the published compiled-FIB generation.
     fib_generation: Gauge,
     /// `fib.rebuilds`: full FIB recompilations (absolute, like `rx`).
@@ -174,6 +177,7 @@ impl FwdTelemetry {
             flow_misses: reg.counter(&format!("{id}.flow_misses")),
             mode_drops: reg.counter(&format!("dataplane.drops.{}", mode.as_str())),
             occupancy: reg.gauge(&format!("{id}.flow_entries")),
+            buckets: reg.gauge(&format!("{id}.flow_buckets")),
             fib_generation: reg.gauge("fib.generation"),
             fib_rebuilds: reg.counter("fib.rebuilds"),
             fib_patches: reg.counter("fib.patches"),
@@ -217,7 +221,7 @@ impl FwdTelemetry {
     }
 
     /// Publishes the current stats into the registry.
-    fn sync(&mut self, stats: &ForwarderStats, flow_entries: usize, fib: FibSyncStats) {
+    fn sync(&mut self, stats: &ForwarderStats, flows: &FlowTable, fib: FibSyncStats) {
         self.rx.set(stats.rx);
         self.tx.set(stats.tx);
         self.drops.set(stats.drops);
@@ -225,7 +229,8 @@ impl FwdTelemetry {
         self.flow_misses.set(stats.flow_misses);
         self.mode_drops.add(stats.drops - self.synced_drops);
         self.synced_drops = stats.drops;
-        self.occupancy.set(flow_entries as i64);
+        self.occupancy.set(flows.len() as i64);
+        self.buckets.set(flows.buckets() as i64);
         #[allow(clippy::cast_possible_wrap)]
         self.fib_generation.set(fib.generation as i64);
         self.fib_rebuilds.set(fib.rebuilds);
@@ -350,9 +355,11 @@ impl Forwarder {
     /// Attaches a telemetry hub: counters named `<id>.rx` / `.tx` /
     /// `.drops` / `.flow_hits` / `.flow_misses` mirror [`ForwarderStats`]
     /// after every call, a `<id>.flow_entries` gauge tracks flow-table
-    /// occupancy, drops also feed the shared `dataplane.drops.<mode>`
-    /// counter, and one packet in `sample_every` records a `pkt.hop` /
-    /// `pkt.drop` trace event (its rx ordinal is the timestamp).
+    /// occupancy and a `<id>.flow_buckets` gauge its record-array size (a
+    /// step up is a table doubling), drops also feed the shared
+    /// `dataplane.drops.<mode>` counter, and one packet in `sample_every`
+    /// records a `pkt.hop` / `pkt.drop` trace event (its rx ordinal is the
+    /// timestamp).
     /// `sample_every` is clamped to at least 1; to disable telemetry,
     /// simply never attach it.
     pub fn attach_telemetry(&mut self, hub: &Telemetry, sample_every: u64) {
@@ -360,7 +367,7 @@ impl Forwarder {
         // Resume sampling relative to packets already processed.
         t.next_sample = self.stats.rx.next_multiple_of(t.sample_every);
         t.synced_drops = self.stats.drops;
-        t.sync(&self.stats, self.flow_table.len(), self.fib.sync_stats());
+        t.sync(&self.stats, &self.flow_table, self.fib.sync_stats());
         self.telemetry = Some(t);
     }
 
@@ -803,7 +810,7 @@ impl Forwarder {
                 };
                 t.record_hop(self.id, self.mode, ordinal, next);
             }
-            t.sync(&self.stats, self.flow_table.len(), self.fib.sync_stats());
+            t.sync(&self.stats, &self.flow_table, self.fib.sync_stats());
         }
         result
     }
@@ -848,7 +855,7 @@ impl Forwarder {
             }
         }
         if let Some(t) = &mut self.telemetry {
-            t.sync(&self.stats, self.flow_table.len(), self.fib.sync_stats());
+            t.sync(&self.stats, &self.flow_table, self.fib.sync_stats());
         }
     }
 
@@ -1785,7 +1792,19 @@ mod tests {
             snap.gauge(&format!("{id}.flow_entries")),
             f.flow_entries() as i64
         );
+        assert_eq!(snap.gauge(&format!("{id}.flow_buckets")), 64);
         assert_eq!(snap.counter("dataplane.drops.affinity"), s.drops);
+        // The 49th connection doubles the record array; the gauge follows.
+        for port in 0..45u16 {
+            let pkt = Packet::labeled(labels(), key(2000 + port), 500);
+            let _ = f.process(pkt, edge());
+        }
+        let snap = hub.registry.snapshot();
+        assert_eq!(
+            snap.gauge(&format!("{id}.flow_entries")),
+            f.flow_entries() as i64
+        );
+        assert_eq!(snap.gauge(&format!("{id}.flow_buckets")), 128);
     }
 
     #[test]

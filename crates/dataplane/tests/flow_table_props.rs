@@ -3,7 +3,9 @@
 //! multi-hop pins, removals, predicate evictions, connection expiries and
 //! clears, including the capacity limit. Keys come in both orientations of
 //! two endpoint pairs plus a self-symmetric tuple, so forward and reverse
-//! keys meet in one record.
+//! keys meet in one record. A second property runs the same operations
+//! over a larger key population, so the record array doubles at least
+//! twice under them.
 
 use proptest::prelude::*;
 use sb_dataplane::{Addr, FlowContext, FlowTable, FlowTableKey};
@@ -37,28 +39,42 @@ enum Op {
     Clear,
 }
 
-fn arb_tuple() -> impl Strategy<Value = Tuple> {
-    (0u8..3, 0u16..32, any::<bool>()).prop_map(|(pair, port, reversed)| Tuple {
+/// Ports per endpoint pair in the small key population.
+const PORTS: u16 = 32;
+
+fn arb_tuple(ports: u16) -> impl Strategy<Value = Tuple> {
+    (0u8..3, 0..ports, any::<bool>()).prop_map(|(pair, port, reversed)| Tuple {
         pair,
         port,
         reversed,
     })
 }
 
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+/// `len` operations over `ports` ports per endpoint pair, pinning to
+/// `vnf(0..values)` (plus up to 3 for the later hops of a pin).
+fn arb_ops_over(
+    ports: u16,
+    values: u64,
+    len: std::ops::Range<usize>,
+) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            8 => (0u8..3, arb_tuple(), any::<bool>(), 0u64..8)
+            8 => (0u8..3, arb_tuple(ports), any::<bool>(), 0..values)
                 .prop_map(|(c, t, ctx, v)| Op::Insert(c, t, ctx, v)),
-            4 => (0u8..3, arb_tuple(), 1u8..16, 0u64..8)
+            4 => (0u8..3, arb_tuple(ports), 1u8..16, 0..values)
                 .prop_map(|(c, t, mask, v)| Op::Pin(c, t, mask, v)),
-            3 => (0u8..3, arb_tuple(), any::<bool>()).prop_map(|(c, t, ctx)| Op::Remove(c, t, ctx)),
-            1 => (0u64..11).prop_map(Op::RemoveWhere),
-            2 => (0u8..3, arb_tuple()).prop_map(|(c, t)| Op::RemoveConnection(c, t)),
+            3 => (0u8..3, arb_tuple(ports), any::<bool>())
+                .prop_map(|(c, t, ctx)| Op::Remove(c, t, ctx)),
+            1 => (0..values + 3).prop_map(Op::RemoveWhere),
+            2 => (0u8..3, arb_tuple(ports)).prop_map(|(c, t)| Op::RemoveConnection(c, t)),
             1 => Just(Op::Clear),
         ],
-        1..160,
+        len,
     )
+}
+
+fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+    arb_ops_over(PORTS, 8, 1..160)
 }
 
 fn chain(c: u8) -> ChainLabel {
@@ -96,13 +112,13 @@ fn ftk(c: u8, t: Tuple, from_vnf: bool) -> FlowTableKey {
     }
 }
 
-/// Every key the generator can name (the self-symmetric tuple twice, which
-/// is harmless).
-fn all_keys() -> Vec<FlowTableKey> {
+/// Every key the generator can name over `ports` ports (the self-symmetric
+/// tuple twice, which is harmless).
+fn all_keys(ports: u16) -> Vec<FlowTableKey> {
     let mut keys = Vec::new();
     for c in 0..3u8 {
         for pair in 0..3u8 {
-            for port in 0..32u16 {
+            for port in 0..ports {
                 for reversed in [false, true] {
                     let t = Tuple {
                         pair,
@@ -173,96 +189,130 @@ fn model_remove_connection(
     removed
 }
 
+/// Runs `ops`, drawn over `ports` ports per endpoint pair, against a table
+/// of `capacity` and the `HashMap` model, comparing after every operation
+/// and key by key at the end. Returns the largest record array the table
+/// reached.
+fn check_against_model(
+    capacity: usize,
+    ports: u16,
+    ops: Vec<Op>,
+) -> Result<usize, proptest::test_runner::TestCaseError> {
+    let mut table = FlowTable::with_capacity(capacity);
+    let mut model: HashMap<FlowTableKey, Addr> = HashMap::new();
+    let mut buckets = table.buckets();
+
+    for op in ops {
+        match op {
+            Op::Insert(c, t, ctx, v) => {
+                let key = ftk(c, t, ctx);
+                let next = Addr::Vnf(InstanceId::new(v));
+                let model_ok = model_insert(&mut model, capacity, key, next);
+                let table_ok = table.insert(key, next).is_ok();
+                prop_assert_eq!(table_ok, model_ok, "insert outcome diverged at {:?}", key);
+            }
+            Op::Pin(c, t, mask, v) => {
+                let key = ftk(c, t, false);
+                let hop = |i: u8| {
+                    ((mask >> i) & 1 == 1).then(|| Addr::Vnf(InstanceId::new(v + u64::from(i))))
+                };
+                let same = [hop(0), hop(1)];
+                let reversed = [hop(2), hop(3)];
+                let mut hops = Vec::new();
+                for (k, pair) in [(key.key, same), (key.key.reversed(), reversed)] {
+                    for (from_vnf, next) in [false, true].into_iter().zip(pair) {
+                        if let Some(next) = next {
+                            let key = FlowTableKey {
+                                chain: key.chain,
+                                key: k,
+                                context: context(from_vnf),
+                            };
+                            hops.push((key, next));
+                        }
+                    }
+                }
+                let model_ok = model_pin(&mut model, capacity, &hops);
+                let table_ok = table.pin(&key, same, reversed).is_ok();
+                prop_assert_eq!(
+                    table_ok,
+                    model_ok,
+                    "pin outcome diverged at {:?} mask {:#06b}",
+                    key,
+                    mask
+                );
+            }
+            Op::Remove(c, t, ctx) => {
+                let key = ftk(c, t, ctx);
+                prop_assert_eq!(table.remove(&key), model.remove(&key));
+            }
+            Op::RemoveWhere(v) => {
+                let dead = Addr::Vnf(InstanceId::new(v));
+                let before = model.len();
+                model.retain(|_, next| *next != dead);
+                let mut seen = 0;
+                let got = table.remove_where(|_, next| {
+                    seen += 1;
+                    next == dead
+                });
+                prop_assert_eq!(got, before - model.len());
+                prop_assert_eq!(seen, before, "predicate runs once per entry");
+            }
+            Op::RemoveConnection(c, t) => {
+                let key = flow_key(t);
+                let got = table.remove_connection(chain(c), key);
+                let want = model_remove_connection(&mut model, chain(c), key);
+                prop_assert_eq!(got, want);
+            }
+            Op::Clear => {
+                table.clear();
+                model.clear();
+            }
+        }
+        prop_assert_eq!(table.len(), model.len());
+        prop_assert_eq!(table.is_empty(), model.is_empty());
+        prop_assert_eq!(table.capacity(), capacity);
+        buckets = buckets.max(table.buckets());
+    }
+
+    // Final sweep: every model entry is in the table, every probed key
+    // agrees (including absent ones), and a predicate scan names
+    // exactly the model's entries.
+    for (key, next) in &model {
+        prop_assert_eq!(table.get(key), Some(*next));
+    }
+    for key in all_keys(ports) {
+        prop_assert_eq!(table.get(&key), model.get(&key).copied());
+    }
+    let mut scanned = HashMap::new();
+    table.remove_where(|key, next| {
+        scanned.insert(*key, next);
+        false
+    });
+    prop_assert_eq!(scanned, model);
+    Ok(buckets)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn matches_hashmap_model(capacity in 1usize..64, ops in arb_ops()) {
-        let mut table = FlowTable::with_capacity(capacity);
-        let mut model: HashMap<FlowTableKey, Addr> = HashMap::new();
+        check_against_model(capacity, PORTS, ops)?;
+    }
 
-        for op in ops {
-            match op {
-                Op::Insert(c, t, ctx, v) => {
-                    let key = ftk(c, t, ctx);
-                    let next = Addr::Vnf(InstanceId::new(v));
-                    let model_ok = model_insert(&mut model, capacity, key, next);
-                    let table_ok = table.insert(key, next).is_ok();
-                    prop_assert_eq!(
-                        table_ok, model_ok,
-                        "insert outcome diverged at {:?}", key
-                    );
-                }
-                Op::Pin(c, t, mask, v) => {
-                    let key = ftk(c, t, false);
-                    let hop = |i: u8| {
-                        ((mask >> i) & 1 == 1).then(|| Addr::Vnf(InstanceId::new(v + u64::from(i))))
-                    };
-                    let same = [hop(0), hop(1)];
-                    let reversed = [hop(2), hop(3)];
-                    let mut hops = Vec::new();
-                    for (k, pair) in [(key.key, same), (key.key.reversed(), reversed)] {
-                        for (from_vnf, next) in [false, true].into_iter().zip(pair) {
-                            if let Some(next) = next {
-                                let key = FlowTableKey { chain: key.chain, key: k, context: context(from_vnf) };
-                                hops.push((key, next));
-                            }
-                        }
-                    }
-                    let model_ok = model_pin(&mut model, capacity, &hops);
-                    let table_ok = table.pin(&key, same, reversed).is_ok();
-                    prop_assert_eq!(
-                        table_ok, model_ok,
-                        "pin outcome diverged at {:?} mask {:#06b}", key, mask
-                    );
-                }
-                Op::Remove(c, t, ctx) => {
-                    let key = ftk(c, t, ctx);
-                    prop_assert_eq!(table.remove(&key), model.remove(&key));
-                }
-                Op::RemoveWhere(v) => {
-                    let dead = Addr::Vnf(InstanceId::new(v));
-                    let before = model.len();
-                    model.retain(|_, next| *next != dead);
-                    let mut seen = 0;
-                    let got = table.remove_where(|_, next| {
-                        seen += 1;
-                        next == dead
-                    });
-                    prop_assert_eq!(got, before - model.len());
-                    prop_assert_eq!(seen, before, "predicate runs once per entry");
-                }
-                Op::RemoveConnection(c, t) => {
-                    let key = flow_key(t);
-                    let got = table.remove_connection(chain(c), key);
-                    let want = model_remove_connection(&mut model, chain(c), key);
-                    prop_assert_eq!(got, want);
-                }
-                Op::Clear => {
-                    table.clear();
-                    model.clear();
-                }
-            }
-            prop_assert_eq!(table.len(), model.len());
-            prop_assert_eq!(table.is_empty(), model.is_empty());
-            prop_assert_eq!(table.capacity(), capacity);
-        }
-
-        // Final sweep: every model entry is in the table, every probed key
-        // agrees (including absent ones), and a predicate scan names
-        // exactly the model's entries.
-        for (key, next) in &model {
-            prop_assert_eq!(table.get(key), Some(*next));
-        }
-        for key in all_keys() {
-            prop_assert_eq!(table.get(&key), model.get(&key).copied());
-        }
-        let mut scanned = HashMap::new();
-        table.remove_where(|key, next| {
-            scanned.insert(*key, next);
-            false
-        });
-        prop_assert_eq!(scanned, model);
+    /// The same operations and model over 2 304 connections and a
+    /// capacity far above the initial array, so records are pinned, moved
+    /// by backward-shift deletion and evicted while the array doubles
+    /// under them. `Clear` would start the growth over and is left to the
+    /// property above.
+    #[test]
+    fn matches_hashmap_model_across_doublings(
+        capacity in 512usize..2048,
+        ops in arb_ops_over(256, 64, 500..800),
+    ) {
+        let ops = ops.into_iter().filter(|op| !matches!(op, Op::Clear)).collect();
+        let buckets = check_against_model(capacity, 256, ops)?;
+        prop_assert!(buckets >= 256, "the array only reached {} records", buckets);
     }
 
     #[test]
@@ -281,7 +331,7 @@ proptest! {
             }
         }
         prop_assert_eq!(plain.len(), hashed.len());
-        for key in all_keys() {
+        for key in all_keys(PORTS) {
             let h = key.key.stable_hash();
             prop_assert_eq!(plain.get(&key), hashed.get_hashed(&key, h));
             prop_assert_eq!(plain.get(&key), plain.get_hashed(&key, h));
