@@ -96,6 +96,7 @@ fn main() {
                         &rows
                     )
                 );
+                print!("{}", fig12_te::render_runtimes(&fig12_te::scheme_runtimes()));
             }
             "fig12b" => {
                 let rows = fig12_te::cpu_sweep(scale);

@@ -8,7 +8,9 @@
 //!
 //! We deploy a NAT chain with one route via site A, trigger a second route
 //! via site B, and report the control-plane step latencies (virtual time)
-//! plus the chain's sustainable throughput before and after.
+//! plus the chain's sustainable throughput before and after. The route
+//! addition is an update to the even split, so its steps are the delta
+//! pipeline's (diff, delta 2PC, propagate, install, shift, retire).
 
 use sb_controller::{ChainRequest, DeploymentReport};
 use sb_msgbus::DelayModel;

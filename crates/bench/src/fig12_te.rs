@@ -13,6 +13,7 @@
 //! count (the `Scale` parameter), which preserves the comparative shape.
 
 use crate::Scale;
+use std::hint::black_box;
 use sb_te::baselines;
 use sb_te::dp::{route_chains, DpConfig};
 use sb_te::eval::Evaluation;
@@ -242,6 +243,51 @@ pub fn render_throughput(title: &str, xlabel: &str, rows: &[(f64, Vec<SchemePoin
                 p.name, p.throughput, p.latency_ms
             ));
         }
+    }
+    out
+}
+
+/// Wall-clock runtime of each scheme on one 8-chain tier-1 instance — the
+/// paper's "SB-LP runs for hours, SB-DP stays interactive" claim, as
+/// `(scheme, median seconds of five solves)`. Printed with `fig12a`.
+#[must_use]
+pub fn scheme_runtimes() -> Vec<(&'static str, f64)> {
+    let model = tier1(&Tier1Config {
+        num_chains: 8,
+        num_vnfs: 6,
+        coverage: 0.3,
+        ..Tier1Config::default()
+    });
+    let dp = DpConfig::default();
+    let median = |solve: &dyn Fn()| {
+        solve();
+        let mut secs: Vec<f64> = (0..5)
+            .map(|_| {
+                let t = std::time::Instant::now();
+                solve();
+                t.elapsed().as_secs_f64()
+            })
+            .collect();
+        secs.sort_by(f64::total_cmp);
+        secs[secs.len() / 2]
+    };
+    vec![
+        (
+            "SB-LP (max-throughput)",
+            median(&|| drop(black_box(lp::max_throughput(&model)))),
+        ),
+        ("SB-DP", median(&|| drop(black_box(route_chains(&model, &dp))))),
+        ("ONEHOP", median(&|| drop(black_box(baselines::one_hop(&model, &dp))))),
+        ("ANYCAST", median(&|| drop(black_box(baselines::anycast(&model))))),
+    ]
+}
+
+/// Formats the scheme runtimes.
+#[must_use]
+pub fn render_runtimes(rows: &[(&'static str, f64)]) -> String {
+    let mut out = String::from("scheme runtimes, 8-chain tier-1 model (paper: SB-LP up to 3 h)\n");
+    for (name, secs) in rows {
+        out.push_str(&format!("  {name:24} {:12.1} us\n", secs * 1e6));
     }
     out
 }

@@ -40,10 +40,7 @@ pub fn dp_variants(scale: Scale) -> Vec<(f64, Vec<VariantPoint>)> {
             let model = tier1(&cfg);
             let total_demand: f64 =
                 model.chains().iter().map(sb_te::ChainSpec::demand).sum();
-            let latency_only = DpConfig {
-                util_weight: 0.0,
-                ..DpConfig::default()
-            };
+            let latency_only = DpConfig { util_weight: 0.0 };
             // All variants re-route as load grows (the paper's throughput
             // measure for the DP family), via the shared search.
             let points = vec![
@@ -159,10 +156,7 @@ pub fn vnf_placement(scale: Scale) -> Vec<PlacementPoint> {
     let per_site_cap = cfg.site_capacity;
     // Latency is scored with the pure-latency DP (capacity is ample by
     // construction, so utilization costs would only perturb routes).
-    let dp_cfg = DpConfig {
-        util_weight: 0.0,
-        ..DpConfig::default()
-    };
+    let dp_cfg = DpConfig { util_weight: 0.0 };
     let num_vnfs = model.vnfs().len();
 
     let latency_of = |m: &sb_te::NetworkModel| -> f64 {

@@ -2,11 +2,10 @@
 //!
 //! Every experiment of the paper's evaluation section (Sections 5.4, 6, 7)
 //! is implemented as a function returning structured results, so the same
-//! code backs three consumers:
+//! code backs two consumers:
 //!
 //! - the `repro` binary (`cargo run --release -p sb-bench --bin repro`),
 //!   which prints paper-style rows for every experiment;
-//! - the Criterion benches in `benches/` (one per figure/table);
 //! - shape assertions in the workspace integration tests.
 //!
 //! See `DESIGN.md` §3 for the experiment ↔ module index and

@@ -19,7 +19,6 @@
 //!   from the file, drives synthetic labeled traffic through the
 //!   compiled FIB, and hot-swaps (make-before-break, flow table kept)
 //!   whenever the file changes. `--packets N` bounds the run for CI.
-//! - `sb bench` — times encode / decode / apply of the demo artifact.
 //!
 //! Argument parsing is plain `std::env::args` — the workspace is
 //! offline and vendors no argument-parsing crate.
@@ -41,7 +40,6 @@ fn main() -> ExitCode {
         "inspect" => cmd_inspect(rest),
         "deploy" => cmd_deploy(rest),
         "run-forwarder" => cmd_run_forwarder(rest),
-        "bench" => cmd_bench(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -66,8 +64,7 @@ USAGE:
   sb deploy FILE --to DEST        atomically publish FILE to DEST (watched path)
   sb run-forwarder --artifact F   boot forwarders from F and forward traffic
        [--packets N]              stop after N packets (default 1024; 0 = forever)
-       [--poll-ms M]              file-watch poll interval (default 200)
-  sb bench [--iters N]            time encode/decode/apply of the demo artifact";
+       [--poll-ms M]              file-watch poll interval (default 200)";
 
 /// `--flag value` extraction over a raw arg slice; rejects repeats.
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -335,38 +332,4 @@ fn hot_swap(fleet: &mut Fleet, art: &SiteArtifact) {
             fleet.push((Forwarder::from_artifact(art.site, fa), labels));
         }
     }
-}
-
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let iters = match flag_value(args, "--iters")? {
-        Some(v) => parse_u64(&v, "--iters")?.max(1),
-        None => 200,
-    };
-    let compiled = compile_demo()?;
-    let (site, art, bytes) = &compiled[0];
-    let t0 = std::time::Instant::now();
-    let mut encoded_len = 0;
-    for _ in 0..iters {
-        encoded_len = sb_dataplane::artifact::encode(art).len();
-    }
-    let encode_ns = t0.elapsed().as_nanos() / u128::from(iters);
-    let t1 = std::time::Instant::now();
-    for _ in 0..iters {
-        let _ = sb_dataplane::artifact::decode(bytes).map_err(|e| format!("{e}"))?;
-    }
-    let decode_ns = t1.elapsed().as_nanos() / u128::from(iters);
-    let fa = &art.forwarders[0];
-    let mut fwd = Forwarder::from_artifact(*site, fa);
-    let t2 = std::time::Instant::now();
-    for _ in 0..iters {
-        fwd.apply_artifact(fa, ArtifactKind::Full);
-    }
-    let apply_ns = t2.elapsed().as_nanos() / u128::from(iters);
-    println!(
-        "artifact bench (site {}, {} bytes, {} iters): encode {encode_ns} ns, decode {decode_ns} ns, full-apply {apply_ns} ns",
-        site.value(),
-        encoded_len,
-        iters
-    );
-    Ok(())
 }

@@ -23,7 +23,7 @@ use crate::edge::EdgeController;
 use crate::local::LocalSwitchboard;
 use crate::messages::{ForwarderRecord, InstanceRecord, RouteAnnouncement};
 use crate::vnfctl::VnfController;
-use sb_dataplane::{artifact as sba, Addr, SiteArtifact, WeightedChoice};
+use sb_dataplane::{artifact as sba, Addr, ArtifactKind, SiteArtifact, WeightedChoice};
 use sb_faults::{RpcPhase, SharedFaultPlan};
 use sb_msgbus::{
     BusTopology, DelayModel, Message, ProxyBus, PublishOutcome, SubscriberId, Topic,
@@ -32,7 +32,7 @@ use sb_netsim::SimTime;
 use sb_te::delta::RouteDelta;
 use sb_te::dp::{self, DpConfig, LoadTracker};
 use sb_telemetry::{Counter, Histogram, SpanId, Telemetry, TraceRecorder};
-use sb_te::{site_projection, ChainSpec, NetworkModel, RoutePath};
+use sb_te::{ChainSpec, NetworkModel, RoutePath};
 use sb_types::{
     ChainId, ChainLabel, EdgeInstanceId, EgressLabel, Error, ForwarderId, InstanceId, LabelPair,
     Millis, Rate, Result, RouteId, SiteId, VnfId,
@@ -42,31 +42,30 @@ use std::collections::HashMap;
 /// The `(next hops, previous hops)` of one route stage, as installed.
 type StageHops = (Vec<(Addr, f64)>, Vec<(Addr, f64)>);
 
+/// The site hosting Global Switchboard (and the edge controller).
+const GSB_SITE: SiteId = SiteId::new(0);
+/// VNF instances served by one forwarder before the pool grows.
+const INSTANCES_PER_FORWARDER: usize = 2;
+/// Route recomputation attempts after two-phase-commit rejections.
+const MAX_2PC_RETRIES: usize = 3;
+/// Modeled route-computation time.
+const COMPUTE_TIME: Millis = Millis::new(5.0);
+/// Modeled data-plane configuration time per element.
+const CONFIG_DELAY: Millis = Millis::new(30.0);
+/// Control-plane RPC retries (beyond the first attempt) before a peer is
+/// declared failed. Only exercised under a fault plan.
+const MAX_RPC_RETRIES: usize = 2;
+/// Virtual time charged per timed-out control-plane RPC attempt.
+const RPC_TIMEOUT: Millis = Millis::new(200.0);
+/// Base of the exponential backoff between RPC retries (doubles with
+/// each attempt).
+const RETRY_BACKOFF_BASE: Millis = Millis::new(25.0);
+
 /// Tuning knobs of the control plane.
 #[derive(Debug, Clone)]
 pub struct ControlPlaneConfig {
-    /// The site hosting Global Switchboard (and the edge controller).
-    pub gsb_site: SiteId,
-    /// VNF instances served by one forwarder before the pool grows.
-    pub instances_per_forwarder: usize,
     /// Instances auto-created per VNF deployment site.
     pub instances_per_site: usize,
-    /// SB-DP configuration for online route computation.
-    pub dp: DpConfig,
-    /// Route recomputation attempts after two-phase-commit rejections.
-    pub max_2pc_retries: usize,
-    /// Modeled route-computation time.
-    pub compute_time: Millis,
-    /// Modeled data-plane configuration time per element.
-    pub config_delay: Millis,
-    /// Control-plane RPC retries (beyond the first attempt) before a
-    /// peer is declared failed. Only exercised under a fault plan.
-    pub max_rpc_retries: usize,
-    /// Virtual time charged per timed-out control-plane RPC attempt.
-    pub rpc_timeout: Millis,
-    /// Base of the exponential backoff between RPC retries (doubles with
-    /// each attempt).
-    pub retry_backoff_base: Millis,
     /// Packet sampling period for forwarder trace spans: 1-in-`N` packets
     /// record a `pkt.hop` event. `0` leaves forwarders uninstrumented.
     pub sample_every: u64,
@@ -75,16 +74,7 @@ pub struct ControlPlaneConfig {
 impl Default for ControlPlaneConfig {
     fn default() -> Self {
         Self {
-            gsb_site: SiteId::new(0),
-            instances_per_forwarder: 2,
             instances_per_site: 2,
-            dp: DpConfig::default(),
-            max_2pc_retries: 3,
-            compute_time: Millis::new(5.0),
-            config_delay: Millis::new(30.0),
-            max_rpc_retries: 2,
-            rpc_timeout: Millis::new(200.0),
-            retry_backoff_base: Millis::new(25.0),
             sample_every: sb_telemetry::trace::DEFAULT_SAMPLE_EVERY,
         }
     }
@@ -273,9 +263,10 @@ pub struct ControlPlane {
     next_instance: u64,
     tele: CpTelemetry,
     /// The latest compiled route artifact per site, with its encoded
-    /// bytes: refreshed at every install (full artifacts on deploys,
-    /// patch artifacts on delta updates). This is what `sb compile`
-    /// writes to disk and what a standalone forwarder boots from.
+    /// bytes: refreshed by every verb that changes forwarder rules (full
+    /// artifacts on deploys, patch artifacts on every change to an
+    /// installed chain). This is what `sb compile` writes to disk and
+    /// what a standalone forwarder boots from.
     artifacts: HashMap<SiteId, (SiteArtifact, Vec<u8>)>,
 }
 
@@ -306,7 +297,7 @@ impl ControlPlane {
         let mut locals = HashMap::new();
         for &s in &sites {
             site_subs.insert(s, bus.register_subscriber(s));
-            let mut local = LocalSwitchboard::new(s, config.instances_per_forwarder);
+            let mut local = LocalSwitchboard::new(s, INSTANCES_PER_FORWARDER);
             local.attach_telemetry(&hub, config.sample_every);
             locals.insert(s, local);
         }
@@ -315,7 +306,7 @@ impl ControlPlane {
         let mut vnf_ctls = HashMap::new();
         for vnf in base_model.vnfs() {
             let vnf_sites = vnf.sites();
-            let home = vnf_sites.first().copied().unwrap_or(config.gsb_site);
+            let home = vnf_sites.first().copied().unwrap_or(GSB_SITE);
             let mut ctl = VnfController::new(vnf.id, home);
             for s in vnf_sites {
                 let cap = vnf.site_capacity[&s];
@@ -438,24 +429,6 @@ impl ControlPlane {
         })
     }
 
-    /// Exponential backoff before retry `attempt` (0-based).
-    fn backoff(&self, attempt: usize) -> Millis {
-        let mut b = self.config.retry_backoff_base;
-        for _ in 0..attempt.min(16) {
-            b = b * 2.0;
-        }
-        b
-    }
-
-    /// The virtual-time cost of a fully exhausted RPC retry budget.
-    fn full_retry_penalty(&self) -> Millis {
-        let mut extra = Millis::ZERO;
-        for attempt in 0..=self.config.max_rpc_retries {
-            extra += self.config.rpc_timeout + self.backoff(attempt);
-        }
-        extra
-    }
-
     /// Drives one logical RPC's reply under the fault plan: draws
     /// per-attempt timeouts, charging `rpc_timeout` plus exponential
     /// backoff for each failed attempt. Returns the total extra virtual
@@ -463,11 +436,11 @@ impl ControlPlane {
     /// budget is exhausted.
     fn retry_rpc(&self, phase: RpcPhase, site: SiteId) -> Option<Millis> {
         let mut extra = Millis::ZERO;
-        for attempt in 0..=self.config.max_rpc_retries {
+        for attempt in 0..=MAX_RPC_RETRIES {
             if !self.rpc_times_out(phase, site) {
                 return Some(extra);
             }
-            extra += self.config.rpc_timeout + self.backoff(attempt);
+            extra += RPC_TIMEOUT + backoff(attempt);
         }
         None
     }
@@ -731,7 +704,7 @@ impl ControlPlane {
                 let model = self.without_dead_sites(model);
                 let mut trial_tracker = self.tracker.clone();
                 let paths =
-                    dp::route_chain(&model, &mut trial_tracker, &self.config.dp, &spec);
+                    dp::route_chain(&model, &mut trial_tracker, &DpConfig::default(), &spec);
                 let routed: f64 = paths.iter().map(|p| p.fraction).sum();
                 if routed < 1.0 - 1e-6 {
                     // Admission control: a chain is deployed only when its
@@ -746,8 +719,8 @@ impl ControlPlane {
             }
         };
         let t_step = self.now;
-        self.now += self.config.compute_time;
-        report.push("compute wide-area routes", self.config.compute_time);
+        self.now += COMPUTE_TIME;
+        report.push("compute wide-area routes", COMPUTE_TIME);
         self.trace_step(Some(span), "cp.route_compute", t_step);
 
         // (3) Two-phase commit, with recomputation on veto.
@@ -755,12 +728,13 @@ impl ControlPlane {
         let mut excluded: Vec<(VnfId, SiteId)> = Vec::new();
         let announcements = loop {
             let announcements = self.announce(&request, ingress_site, egress_site, &paths, 1);
-            match self.two_phase_commit(&spec, &announcements, &mut report, Some(span)) {
+            let items = self.prepare_items(&spec, &announcements);
+            match self.two_phase_commit(&items, &mut report, Some(span)) {
                 Ok(()) => break announcements,
                 Err(Error::CommitRejected {
                     participant,
                     reason,
-                }) if forced_routes.is_none() && attempt < self.config.max_2pc_retries => {
+                }) if forced_routes.is_none() && attempt < MAX_2PC_RETRIES => {
                     attempt += 1;
                     self.tele.retries_2pc.inc();
                     // Recompute excluding the rejecting deployment.
@@ -782,7 +756,8 @@ impl ControlPlane {
                     // crashed since the last attempt.
                     model = self.without_dead_sites(model);
                     let mut trial_tracker = self.tracker.clone();
-                    paths = dp::route_chain(&model, &mut trial_tracker, &self.config.dp, &spec);
+                    paths =
+                        dp::route_chain(&model, &mut trial_tracker, &DpConfig::default(), &spec);
                     if paths.is_empty() {
                         return Err(Error::infeasible(format!(
                             "no feasible route for {} after 2pc rejections",
@@ -790,8 +765,8 @@ impl ControlPlane {
                         )));
                     }
                     let t_step = self.now;
-                    self.now += self.config.compute_time;
-                    report.push("recompute after 2pc rejection", self.config.compute_time);
+                    self.now += COMPUTE_TIME;
+                    report.push("recompute after 2pc rejection", COMPUTE_TIME);
                     self.trace_step(Some(span), "cp.route_recompute", t_step);
                 }
                 Err(e) => return Err(e),
@@ -916,20 +891,10 @@ impl ControlPlane {
     ///   vetoed outright by the controller's failure detector; every other
     ///   prepare is aborted and the coordinator recomputes around the
     ///   dead site.
+    ///
+    /// One round serves deploy (full scope: every stage of every route)
+    /// and update (delta scope): only the given reservations vote.
     fn two_phase_commit(
-        &mut self,
-        spec: &ChainSpec,
-        announcements: &[RouteAnnouncement],
-        report: &mut DeploymentReport,
-        parent: Option<SpanId>,
-    ) -> Result<()> {
-        let items = self.prepare_items(spec, announcements);
-        self.two_phase_commit_items(&items, report, parent)
-    }
-
-    /// The item-scoped 2PC round shared by deploy (full scope) and update
-    /// (delta scope): only the given reservations vote.
-    fn two_phase_commit_items(
         &mut self,
         items: &[PrepareItem],
         report: &mut DeploymentReport,
@@ -955,7 +920,7 @@ impl ControlPlane {
                     break;
                 }
             };
-            let rtt = self.delays.between(self.config.gsb_site, home) * 2.0;
+            let rtt = self.delays.between(GSB_SITE, home) * 2.0;
             if rtt > max_rtt {
                 max_rtt = rtt;
             }
@@ -1002,14 +967,13 @@ impl ControlPlane {
                             penalty += extra;
                         }
                         None => {
-                            let full = self.full_retry_penalty();
+                            let full = full_retry_penalty();
                             failed_span = Some(prep_span(rtt + full, "timeout"));
                             penalty += full;
                             failure = Some(Error::CommitRejected {
                                 participant: format!("{vnf}@{site}"),
                                 reason: format!(
-                                    "prepare timed out after {} retries",
-                                    self.config.max_rpc_retries
+                                    "prepare timed out after {MAX_RPC_RETRIES} retries"
                                 ),
                             });
                             break;
@@ -1059,7 +1023,7 @@ impl ControlPlane {
             // The commit round starts once the slowest prepare ack is in
             // (the phase's virtual-time cost is one RTT per round).
             let t_commit = self.now + max_rtt;
-            for attempt in 0..=self.config.max_rpc_retries {
+            for attempt in 0..=MAX_RPC_RETRIES {
                 // Re-sent commits are idempotent no-ops at the
                 // participant, so retrying after a lost ack is safe.
                 self.vnf_ctls
@@ -1070,7 +1034,7 @@ impl ControlPlane {
                     acked = true;
                     break;
                 }
-                penalty += self.config.rpc_timeout + self.backoff(attempt);
+                penalty += RPC_TIMEOUT + backoff(attempt);
             }
             let commit_span = tracer.span(
                 "2pc.commit",
@@ -1088,9 +1052,8 @@ impl ControlPlane {
                     report.note(note);
                 }
                 report.note(format!(
-                    "commit ack from {vnf}@{site} lost after {} retries; \
-                     the reservation is durable at the participant",
-                    self.config.max_rpc_retries
+                    "commit ack from {vnf}@{site} lost after {MAX_RPC_RETRIES} retries; \
+                     the reservation is durable at the participant"
                 ));
             }
         }
@@ -1123,8 +1086,8 @@ impl ControlPlane {
             return out;
         }
         let mut extra = Millis::ZERO;
-        for attempt in 0..self.config.max_rpc_retries {
-            extra += self.config.rpc_timeout + self.backoff(attempt);
+        for attempt in 0..MAX_RPC_RETRIES {
+            extra += RPC_TIMEOUT + backoff(attempt);
             self.tele.publish_retries.inc();
             self.tele.hub.tracer.event(
                 "cp.publish.retry",
@@ -1151,8 +1114,7 @@ impl ControlPlane {
             }
         }
         report.note(format!(
-            "{what}: delivery incomplete after {} republish attempts",
-            self.config.max_rpc_retries
+            "{what}: delivery incomplete after {MAX_RPC_RETRIES} republish attempts"
         ));
         report.wan_messages += out.wan_copies;
         out
@@ -1171,10 +1133,8 @@ impl ControlPlane {
         // topic; every Local Switchboard is a subscriber (routes are
         // replicated at every site, Section 6).
         let t_start = self.now;
-        let route_topic = Topic::with_owner(
-            format!("/routes/site_{}_gsb", self.config.gsb_site.value()),
-            self.config.gsb_site,
-        );
+        let route_topic =
+            Topic::with_owner(format!("/routes/site_{}_gsb", GSB_SITE.value()), GSB_SITE);
         for (&site, &sub) in &self.site_subs {
             let _ = site;
             self.bus.subscribe(sub, route_topic.clone());
@@ -1182,13 +1142,8 @@ impl ControlPlane {
         let mut t_done = self.now;
         for ann in announcements {
             let msg = Message::json(route_topic.clone(), ann);
-            let out = self.publish_with_retry(
-                self.now,
-                self.config.gsb_site,
-                &msg,
-                "route announcement",
-                report,
-            );
+            let out =
+                self.publish_with_retry(self.now, GSB_SITE, &msg, "route announcement", report);
             if let Some(t) = out.last_delivery {
                 t_done = t_done.max(t);
             }
@@ -1207,10 +1162,10 @@ impl ControlPlane {
         self.bind_ingress(announcements, ingress_site, &stage_forwarders)?;
         // The install is now authoritative: compile one full route
         // artifact per participant site — the serialized form of what was
-        // just installed, ready for standalone forwarders.
-        let epoch = announcements.iter().map(|a| a.epoch.max(1)).max().unwrap_or(1);
-        self.compile_artifacts(announcements, &[], epoch, None);
-        self.now += self.config.config_delay;
+        // just installed, ready for standalone forwarders. A deploy is
+        // the chain's epoch 1.
+        self.compile_artifacts(1, ArtifactKind::Full);
+        self.now += CONFIG_DELAY;
         report.push("install load-balancing rules", self.now.since(t_start));
         self.trace_step(parent, "cp.install_rules", t_start);
         Ok(())
@@ -1394,39 +1349,32 @@ impl ControlPlane {
         Ok(())
     }
 
-    /// Compiles and stores route artifacts for the participant sites of
-    /// `announcements` (plus `extra_sites`, e.g. sites that only lost
-    /// routes). The participant set comes from the TE layer's canonical
-    /// per-site projection of the announced paths. With `patch_labels`
-    /// set, each site gets a [`sb_dataplane::ArtifactKind::Patch`]
-    /// artifact scoped to those label pairs; otherwise a full snapshot.
-    /// Records `artifact.bytes` and `artifact.compile_ns` per artifact.
-    fn compile_artifacts(
-        &mut self,
-        announcements: &[RouteAnnouncement],
-        extra_sites: &[SiteId],
-        epoch: u64,
-        patch_labels: Option<&[LabelPair]>,
-    ) {
-        let paths: Vec<RoutePath> = announcements
-            .iter()
-            .map(|a| RoutePath {
-                sites: a.sites.clone(),
-                fraction: a.fraction,
-            })
-            .collect();
-        let mut sites: Vec<SiteId> = site_projection(&paths).iter().map(|p| p.site).collect();
-        sites.extend(extra_sites.iter().copied());
-        sites.sort_unstable();
-        sites.dedup();
+    /// Compiles and stores one route artifact per site whose forwarder
+    /// rules changed since the last compile. The scope is what the
+    /// [`LocalSwitchboard`] rule mutators recorded, so after every verb a
+    /// site's stored artifact is what its forwarders run. `Full` is a
+    /// snapshot of the site; `Patch` is scoped to the label pairs the
+    /// operation touched at any site (a site that never had one of them
+    /// lists it as a removal). Records `artifact.bytes` and
+    /// `artifact.compile_ns` per artifact.
+    fn compile_artifacts(&mut self, epoch: u64, kind: ArtifactKind) {
+        let mut sites: Vec<SiteId> = Vec::new();
+        let mut labels: Vec<LabelPair> = Vec::new();
+        for (&site, local) in &mut self.locals {
+            let touched = local.take_touched();
+            if !touched.is_empty() {
+                sites.push(site);
+                labels.extend(touched);
+            }
+        }
+        labels.sort_unstable();
+        labels.dedup();
         for site in sites {
-            let Some(local) = self.locals.get(&site) else {
-                continue;
-            };
+            let local = &self.locals[&site];
             let started = std::time::Instant::now();
-            let artifact = match patch_labels {
-                Some(labels) => local.export_patch_artifact(labels, epoch),
-                None => local.export_site_artifact(epoch),
+            let artifact = match kind {
+                ArtifactKind::Full => local.export_site_artifact(epoch),
+                ArtifactKind::Patch => local.export_patch_artifact(&labels, epoch),
             };
             let bytes = sba::encode(&artifact);
             self.tele.artifact_bytes.add(bytes.len() as u64);
@@ -1438,10 +1386,11 @@ impl ControlPlane {
         }
     }
 
-    /// The latest compiled route artifact for `site`, if any install has
-    /// touched it. Full artifacts replace the slot; a delta update leaves
-    /// the site's slot holding the patch (compose it onto the previous
-    /// full state via `Forwarder::apply_artifact`).
+    /// The latest compiled route artifact for `site`, if any verb has
+    /// changed its forwarder rules. A deploy leaves a full artifact; a
+    /// route addition, update, reroute, edge-site addition or removal
+    /// leaves a patch (compose it onto the previous state via
+    /// `Forwarder::apply_artifact`).
     #[must_use]
     pub fn site_artifact(&self, site: SiteId) -> Option<&SiteArtifact> {
         self.artifacts.get(&site).map(|(a, _)| a)
@@ -1467,13 +1416,21 @@ impl ControlPlane {
     /// VNF sites, rebalancing traffic evenly across all routes — the
     /// Figure 10 experiment ("requesting Global Switchboard to create a
     /// new route via VNF instances in site B ... load is balanced evenly
-    /// on the two routes").
+    /// on the two routes"). A route addition *is* an update: the target is
+    /// the installed routes and the new one at `1/(n+1)` each, run through
+    /// the delta pipeline of [`update_chain`](Self::update_chain) — only
+    /// the new route votes in 2PC, the shrunk routes release what they
+    /// gave up, and established flows drain on the old epoch.
     ///
     /// # Errors
     ///
     /// - [`Error::UnknownEntity`] for unknown chains.
+    /// - [`Error::InvalidArgument`] when the site count mismatches the
+    ///   chain's VNF count, or the chain already has a route through
+    ///   exactly these sites (routes are keyed by site sequence; shifting
+    ///   weight between installed routes is `update_chain`'s job).
     /// - [`Error::CommitRejected`] when the new route's reservations are
-    ///   vetoed.
+    ///   vetoed; the installed routes keep serving untouched.
     pub fn add_route_via(
         &mut self,
         chain: ChainId,
@@ -1482,77 +1439,35 @@ impl ControlPlane {
         let state = self
             .chains
             .get(&chain)
-            .ok_or_else(|| Error::unknown("chain", chain))?
-            .clone();
+            .ok_or_else(|| Error::unknown("chain", chain))?;
         if sites.len() != state.request.vnfs.len() {
             return Err(Error::invalid_argument(
                 "route site count must match chain VNF count",
             ));
         }
-        let mut report = DeploymentReport::new();
-        #[allow(clippy::cast_precision_loss)]
-        let new_fraction = 1.0 / (state.routes.len() as f64 + 1.0);
-
-        let root = self
-            .tele
-            .hub
-            .tracer
-            .begin("cp.add_route", None, self.now.as_nanos());
-        self.tele
-            .hub
-            .tracer
-            .attr(root, "chain", &chain.to_string());
-        let t_step = self.now;
-        self.now += self.config.compute_time;
-        report.push("compute new route", self.config.compute_time);
-        self.trace_step(Some(root), "cp.route_compute", t_step);
-
-        let spec = self.chain_spec(&state.request, state.ingress_site, state.egress_site);
-        let paths = [RoutePath {
-            sites: sites.clone(),
-            fraction: new_fraction,
-        }];
-        let mut anns = self.announce(
-            &state.request,
-            state.ingress_site,
-            state.egress_site,
-            &paths,
-            state.epoch.max(1),
-        );
-        self.two_phase_commit(&spec, &anns, &mut report, Some(root))?;
-        let model = self.base_model.with_chains(vec![spec.clone()]);
-        let coefs = dp::path_coefficients(&model, &spec, &sites);
-        self.tracker.apply(&coefs, new_fraction);
-
-        self.propagate_and_install(
-            &anns,
-            state.ingress_site,
-            state.egress_site,
-            &mut report,
-            Some(root),
-        )?;
-        self.tele.hub.tracer.end(root, self.now.as_nanos());
-        let ann = anns.pop().expect("one announcement built");
-
-        // Rebalance the existing routes' fractions at the ingress edge.
-        let n_routes = state.routes.len() + 1;
-        #[allow(clippy::cast_precision_loss)]
-        let even = 1.0 / n_routes as f64;
-        let mut updated_routes = Vec::with_capacity(n_routes);
-        for old in &state.routes {
-            let mut r = old.clone();
-            r.fraction = even;
-            updated_routes.push(r);
+        if state.routes.iter().any(|r| r.sites == sites) {
+            return Err(Error::invalid_argument(
+                "the chain already has a route through these sites; \
+                 rebalance it with update_chain",
+            ));
         }
-        let mut new_ann = ann.clone();
-        new_ann.fraction = even;
-        updated_routes.push(new_ann.clone());
-        self.bind_ingress(&updated_routes, state.ingress_site, &HashMap::new())?;
-        self.chains
-            .get_mut(&chain)
-            .expect("chain exists")
-            .routes = updated_routes;
-        Ok((new_ann, report))
+        let mut target = installed_paths(&state.routes);
+        #[allow(clippy::cast_precision_loss)]
+        let even = 1.0 / (target.len() as f64 + 1.0);
+        for path in &mut target {
+            path.fraction = even;
+        }
+        target.push(RoutePath {
+            sites: sites.clone(),
+            fraction: even,
+        });
+        let handle = self.update_chain_inner(chain, target)?;
+        let added = handle
+            .routes
+            .into_iter()
+            .find(|r| r.sites == sites)
+            .expect("the delta adds a route through `sites`");
+        Ok((added, handle.report))
     }
 
     fn edge_addr(&self, site: SiteId) -> Addr {
@@ -1678,11 +1593,8 @@ impl ControlPlane {
             .instance_mut(edge_id)
             .expect("just registered")
             .install_route(chain, nearest.route, nearest.labels, first_hop, 1.0);
-        self.now += self.config.config_delay;
-        report.push(
-            "edge instance's fwrdr dataplane configured",
-            self.config.config_delay,
-        );
+        self.now += CONFIG_DELAY;
+        report.push("edge instance's fwrdr dataplane configured", CONFIG_DELAY);
 
         // Step 4: the first VNF's forwarders receive the edge's info
         // (one-way publish from the new edge site).
@@ -1705,11 +1617,8 @@ impl ControlPlane {
 
         // Step 5: the first VNF's forwarders schedule reconfiguration
         // (queueing behind in-flight rule updates).
-        self.now += self.config.config_delay;
-        report.push(
-            "1st VNF's fwrdr starts dataplane configuration",
-            self.config.config_delay,
-        );
+        self.now += CONFIG_DELAY;
+        report.push("1st VNF's fwrdr starts dataplane configuration", CONFIG_DELAY);
 
         // Step 6: reinstall stage-0 rules with the new edge as an extra
         // previous hop, completing the reverse path.
@@ -1727,11 +1636,9 @@ impl ControlPlane {
             .get_mut(&first_site)
             .expect("route site exists")
             .install_stage_rules(&nearest, 0, next, prev)?;
-        self.now += self.config.config_delay;
-        report.push(
-            "1st VNF's fwrdr finishes configuration",
-            self.config.config_delay,
-        );
+        self.compile_artifacts(state.epoch, ArtifactKind::Patch);
+        self.now += CONFIG_DELAY;
+        report.push("1st VNF's fwrdr finishes configuration", CONFIG_DELAY);
         self.tele.hub.tracer.end(root, self.now.as_nanos());
         Ok(report)
     }
@@ -1793,20 +1700,13 @@ impl ControlPlane {
             .get(&chain)
             .ok_or_else(|| Error::unknown("chain", chain))?;
         let spec = self.chain_spec(&state.request, state.ingress_site, state.egress_site);
-        let installed: Vec<RoutePath> = state
-            .routes
-            .iter()
-            .map(|r| RoutePath {
-                sites: r.sites.clone(),
-                fraction: r.fraction,
-            })
-            .collect();
+        let installed = installed_paths(&state.routes);
         let model = self.without_dead_sites(self.base_model.with_chains(vec![spec.clone()]));
         let mut trial_tracker = self.tracker.clone();
         let (paths, _) = sb_te::delta::reroute_chain_warm(
             &model,
             &mut trial_tracker,
-            &self.config.dp,
+            &DpConfig::default(),
             &spec,
             &installed,
         );
@@ -1859,17 +1759,10 @@ impl ControlPlane {
         // (1) Diff the installed routes against the target — pure local
         // computation at Global Switchboard.
         let t_step = self.now;
-        let installed: Vec<RoutePath> = state
-            .routes
-            .iter()
-            .map(|r| RoutePath {
-                sites: r.sites.clone(),
-                fraction: r.fraction,
-            })
-            .collect();
+        let installed = installed_paths(&state.routes);
         let delta = RouteDelta::diff(&installed, target);
-        self.now += self.config.compute_time;
-        report.push("diff routes against target", self.config.compute_time);
+        self.now += COMPUTE_TIME;
+        report.push("diff routes against target", COMPUTE_TIME);
         self.trace_step(Some(span), "cp.diff", t_step);
         if delta.is_empty() {
             return Ok(ChainHandle {
@@ -1945,7 +1838,7 @@ impl ControlPlane {
         if items.is_empty() {
             report.push("two-phase commit (no load increases)", Millis::ZERO);
         } else {
-            self.two_phase_commit_items(&items, &mut report, Some(span))?;
+            self.two_phase_commit(&items, &mut report, Some(span))?;
         }
 
         // Account the committed load changes against the live tracker
@@ -2016,7 +1909,7 @@ impl ControlPlane {
                     .install_stage_rules(nu, z, next, prev)?;
             }
         }
-        self.now += self.config.config_delay;
+        self.now += CONFIG_DELAY;
         report.push("install new-epoch rules", self.now.since(t_inst));
         self.trace_step(Some(span), "cp.install_rules", t_inst);
 
@@ -2025,7 +1918,7 @@ impl ControlPlane {
         // epoch; pinned flows keep draining on the old one.
         let t_shift = self.now;
         self.bind_ingress(&changed, state.ingress_site, &stage_forwarders)?;
-        self.now += self.config.config_delay;
+        self.now += CONFIG_DELAY;
         report.push("shift load-balancing weights", self.now.since(t_shift));
         self.trace_step(Some(span), "cp.weight_shift", t_shift);
 
@@ -2055,26 +1948,14 @@ impl ControlPlane {
             }
         }
         self.tele.epochs_retired.add(epochs_retired);
-        self.now += self.config.config_delay;
+        self.now += CONFIG_DELAY;
         report.push("retire old epoch", self.now.since(t_retire));
         self.trace_step(Some(span), "cp.retire", t_retire);
 
-        // Delta install → patch artifact: scoped to the labels this
-        // update touched (changed and removed routes), for the affected
-        // sites only. Composing it onto the previous epoch's full
-        // artifact reproduces the post-update state.
-        let mut patch_labels: Vec<LabelPair> = changed
-            .iter()
-            .chain(removed.iter())
-            .map(|a| a.labels)
-            .collect();
-        patch_labels.sort_unstable();
-        patch_labels.dedup();
-        let removed_sites: Vec<SiteId> = removed
-            .iter()
-            .flat_map(|a| a.sites.iter().copied())
-            .collect();
-        self.compile_artifacts(&changed, &removed_sites, new_epoch, Some(&patch_labels));
+        // Delta install → patch artifacts at the sites of every added,
+        // modified or removed route. Composing one onto the site's
+        // previous artifact reproduces the post-update state.
+        self.compile_artifacts(new_epoch, ArtifactKind::Patch);
 
         let mut new_routes = kept;
         new_routes.extend(modified.into_iter().map(|(nu, _)| nu));
@@ -2114,7 +1995,7 @@ impl ControlPlane {
             let topic = Topic::route_delta(chain.value() as u32, site);
             self.bus.subscribe(sub, topic.clone());
             let msg = Message::json(topic, &payload);
-            let out = self.publish_with_retry(t_start, self.config.gsb_site, &msg, what, report);
+            let out = self.publish_with_retry(t_start, GSB_SITE, &msg, what, report);
             if let Some(t) = out.last_delivery {
                 t_done = t_done.max(t);
             }
@@ -2216,12 +2097,44 @@ impl ControlPlane {
 
         let t_retire = self.now;
         self.retire_routes(&spec, &state.routes, state.ingress_site);
-        self.now += self.config.config_delay;
+        // The patch lists the chain's label pairs as removals.
+        self.compile_artifacts(state.epoch, ArtifactKind::Patch);
+        self.now += CONFIG_DELAY;
         report.push("retire routes and release capacity", self.now.since(t_retire));
         self.trace_step(Some(span), "cp.retire", t_retire);
         self.tele.hub.tracer.end(span, self.now.as_nanos());
         Ok(report)
     }
+}
+
+/// The installed routes as the TE layer's `(site sequence, fraction)`
+/// paths — what a target is diffed against.
+fn installed_paths(routes: &[RouteAnnouncement]) -> Vec<RoutePath> {
+    routes
+        .iter()
+        .map(|r| RoutePath {
+            sites: r.sites.clone(),
+            fraction: r.fraction,
+        })
+        .collect()
+}
+
+/// Exponential backoff before retry `attempt` (0-based).
+fn backoff(attempt: usize) -> Millis {
+    let mut b = RETRY_BACKOFF_BASE;
+    for _ in 0..attempt.min(16) {
+        b = b * 2.0;
+    }
+    b
+}
+
+/// The virtual-time cost of a fully exhausted RPC retry budget.
+fn full_retry_penalty() -> Millis {
+    let mut extra = Millis::ZERO;
+    for attempt in 0..=MAX_RPC_RETRIES {
+        extra += RPC_TIMEOUT + backoff(attempt);
+    }
+    extra
 }
 
 /// Builds a report note naming the 2PC phase that failed, sourced from
@@ -2406,6 +2319,23 @@ mod tests {
         // Figure 10a: the update completes in well under a second.
         assert!(report.total().value() < 1000.0);
         assert!(report.total().value() > 10.0);
+    }
+
+    #[test]
+    fn add_route_via_rejects_an_installed_site_sequence() {
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+        let handle = cp.deploy_chain(request(1)).unwrap();
+        // Routes are keyed by site sequence: "adding" an installed one
+        // would merge into it and announce a route the chain never gets.
+        let err = cp
+            .add_route_via(ChainId::new(1), handle.routes[0].sites.clone())
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidArgument { .. }), "{err}");
+        assert_eq!(cp.routes_of(ChainId::new(1)), handle.routes);
+        let ctl = cp.vnf_controller(VnfId::new(0)).unwrap();
+        assert!((ctl.available_at(handle.routes[0].sites[0]) - 76.0).abs() < 1e-9);
     }
 
     #[test]

@@ -41,6 +41,10 @@ pub struct LocalSwitchboard {
     /// Replicated wide-area routes for all chains (Section 6: replicated
     /// "in Local Switchboard at every site" to support edge-site addition).
     routes: HashMap<RouteId, RouteAnnouncement>,
+    /// Label pairs whose forwarder rules changed since the last artifact
+    /// compile — written by the three rule mutators and nothing else, so
+    /// the compile's scope is what was touched, not what a caller recalls.
+    touched: Vec<LabelPair>,
     /// Telemetry hub + packet sampling period applied to every forwarder
     /// (current and future); `None` leaves the data plane uninstrumented.
     telemetry: Option<(Telemetry, u64)>,
@@ -62,6 +66,7 @@ impl LocalSwitchboard {
             assigned: HashMap::new(),
             instance_fwd: HashMap::new(),
             routes: HashMap::new(),
+            touched: Vec::new(),
             telemetry: None,
         }
     }
@@ -203,13 +208,14 @@ impl LocalSwitchboard {
     /// Returns [`Error::UnknownEntity`] when the stage VNF has no
     /// instances attached at this site, or [`Error::InvalidArgument`] when
     /// a hop set is empty.
-    pub fn install_stage_rules(
+    pub(crate) fn install_stage_rules(
         &mut self,
         route: &RouteAnnouncement,
         stage: usize,
         next_hops: Vec<(Addr, f64)>,
         prev_hops: Vec<(Addr, f64)>,
     ) -> Result<()> {
+        self.touched.push(route.labels);
         let vnf = route.vnfs[stage];
         let pool = self
             .pools
@@ -254,7 +260,8 @@ impl LocalSwitchboard {
     /// forwarder at this site, returning the number of forwarders that had
     /// one. Pinned flows in forwarder flow tables are untouched — removal
     /// only stops new flows from matching (teardown, DESIGN.md §10).
-    pub fn remove_route_rules(&mut self, labels: LabelPair) -> usize {
+    pub(crate) fn remove_route_rules(&mut self, labels: LabelPair) -> usize {
+        self.touched.push(labels);
         let mut removed = 0;
         for fwd in self.forwarders.values_mut() {
             if fwd.remove_rules(labels).is_some() {
@@ -268,7 +275,8 @@ impl LocalSwitchboard {
     /// forwarder here — the final make-before-break step once the
     /// load-balancing weights point at the new epoch. Returns the number
     /// of epochs retired across the site.
-    pub fn retire_epochs_below(&mut self, labels: LabelPair, epoch: u64) -> usize {
+    pub(crate) fn retire_epochs_below(&mut self, labels: LabelPair, epoch: u64) -> usize {
+        self.touched.push(labels);
         let mut retired = 0;
         for fwd in self.forwarders.values_mut() {
             let installed: Vec<u64> = fwd.installed_epochs(labels).collect();
@@ -279,6 +287,12 @@ impl LocalSwitchboard {
             }
         }
         retired
+    }
+
+    /// Hands over, and forgets, the label pairs the rule mutators touched
+    /// since the previous call.
+    pub(crate) fn take_touched(&mut self) -> Vec<LabelPair> {
+        std::mem::take(&mut self.touched)
     }
 
     /// Exports this site's complete compiled forwarding state as a

@@ -14,14 +14,15 @@ use sb_types::{ChainId, Error, InstanceId, Millis, Result, SiteId};
 use sb_vnfs::VnfBehavior;
 use std::collections::{HashMap, HashSet};
 
+/// Safety bound on data-plane hops per packet (loops indicate broken
+/// rules and are reported as forwarding errors).
+const MAX_HOPS: usize = 64;
+
 /// Configuration of a [`Switchboard`] deployment.
 #[derive(Debug, Clone, Default)]
 pub struct SwitchboardConfig {
     /// Control-plane configuration (routing heuristic, timing model…).
     pub control: ControlPlaneConfig,
-    /// Safety bound on data-plane hops per packet (loops indicate broken
-    /// rules and are reported as forwarding errors).
-    pub max_hops: usize,
     /// Seeded fault injection for the control plane and message bus;
     /// `None` (the default) runs fault-free.
     pub faults: Option<FaultSpec>,
@@ -34,7 +35,6 @@ pub struct Switchboard {
     model: NetworkModel,
     behaviors: HashMap<InstanceId, Box<dyn VnfBehavior>>,
     passthrough_default: bool,
-    max_hops: usize,
     /// Instances killed by the fault plan's scheduled VNF crashes. Packets
     /// already routed toward one of these when the crash fired (or pinned
     /// to a sole-instance rule) are dropped at the dead instance.
@@ -55,11 +55,6 @@ impl Switchboard {
     /// catalog) and a control-plane WAN delay model.
     #[must_use]
     pub fn new(model: NetworkModel, delays: DelayModel, config: SwitchboardConfig) -> Self {
-        let max_hops = if config.max_hops == 0 {
-            64
-        } else {
-            config.max_hops
-        };
         let mut cp = ControlPlane::new(model.clone(), delays, config.control);
         if let Some(spec) = config.faults {
             cp.set_fault_plan(sb_faults::shared(FaultPlan::new(spec)));
@@ -69,7 +64,6 @@ impl Switchboard {
             model,
             behaviors: HashMap::new(),
             passthrough_default: false,
-            max_hops,
             crashed_vnfs: HashSet::new(),
         }
     }
@@ -95,8 +89,10 @@ impl Switchboard {
         &mut self.cp
     }
 
-    /// The latest compiled forwarding artifact for `site`, if the site
-    /// participated in a deploy or update. See [`sb_dataplane::SiteArtifact`].
+    /// The latest compiled forwarding artifact for `site`, if any verb has
+    /// changed its forwarder rules: what the site's forwarders run, as a
+    /// full snapshot (deploy) or a patch onto the previous one (every
+    /// change to an installed chain). See [`sb_dataplane::SiteArtifact`].
     #[must_use]
     pub fn site_artifact(&self, site: SiteId) -> Option<&sb_dataplane::SiteArtifact> {
         self.cp.site_artifact(site)
@@ -175,12 +171,14 @@ impl Switchboard {
         self.cp.deploy_chain_via(request, routes)
     }
 
-    /// Adds a route to a deployed chain. See
+    /// Adds a route to a deployed chain and splits traffic evenly — an
+    /// [`update_chain`](Self::update_chain) to that target. See
     /// [`ControlPlane::add_route_via`].
     ///
     /// # Errors
     ///
-    /// Propagates control-plane errors.
+    /// Propagates control-plane errors; a site sequence the chain already
+    /// routes through is an invalid argument.
     pub fn add_route_via(
         &mut self,
         chain: ChainId,
@@ -388,7 +386,7 @@ impl Switchboard {
             }
         }
 
-        for _ in 0..self.max_hops {
+        for _ in 0..MAX_HOPS {
             if live.is_empty() {
                 break;
             }
@@ -396,8 +394,7 @@ impl Switchboard {
         }
         for flight in live {
             results[flight.idx] = Some(Err(Error::forwarding(format!(
-                "hop bound ({}) exceeded — forwarding loop?",
-                self.max_hops
+                "hop bound ({MAX_HOPS}) exceeded — forwarding loop?"
             ))));
         }
         results

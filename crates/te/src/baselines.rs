@@ -14,7 +14,7 @@
 //! All three run against the same [`LoadTracker`] accounting as SB-DP and
 //! are scored by the same evaluator.
 
-use crate::dp::{edge_cost, path_coefficients, DpConfig, LoadTracker};
+use crate::dp::{edge_cost, path_coefficients, DpConfig, LoadTracker, MAX_PATHS_PER_CHAIN};
 use crate::model::{ChainSpec, NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
 use sb_types::SiteId;
@@ -168,7 +168,7 @@ pub fn one_hop(model: &NetworkModel, config: &DpConfig) -> RoutingSolution {
         .map(|chain| {
             let mut remaining = 1.0;
             let mut paths: Vec<RoutePath> = Vec::new();
-            for _ in 0..config.max_paths_per_chain {
+            for _ in 0..MAX_PATHS_PER_CHAIN {
                 if remaining <= EPS {
                     break;
                 }

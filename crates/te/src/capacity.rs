@@ -280,10 +280,7 @@ pub fn plan_vnf_placement_greedy(
     let mut chosen = Vec::with_capacity(new_sites);
     // Pure-latency DP: the placement objective is aggregate latency
     // (Section 4.2), so utilization costs would only add noise here.
-    let config = DpConfig {
-        util_weight: 0.0,
-        ..DpConfig::default()
-    };
+    let config = DpConfig { util_weight: 0.0 };
     for _ in 0..new_sites {
         let mut best: Option<(f64, SiteId)> = None;
         for &s in &candidates {

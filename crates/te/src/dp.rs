@@ -43,16 +43,16 @@ pub struct DpConfig {
     /// and compute utilization terms relative to propagation latency. Zero
     /// turns SB-DP into the DP-Latency variant of Figure 13a.
     pub util_weight: f64,
-    /// Cap on extracted paths per chain (defensive; the headroom loop
-    /// terminates on its own in practice).
-    pub max_paths_per_chain: usize,
 }
+
+/// Cap on extracted paths per chain (defensive; the headroom loop
+/// terminates on its own in practice).
+pub(crate) const MAX_PATHS_PER_CHAIN: usize = 64;
 
 impl Default for DpConfig {
     fn default() -> Self {
         Self {
             util_weight: 30.0,
-            max_paths_per_chain: 64,
         }
     }
 }
@@ -390,7 +390,7 @@ pub fn route_chain_with(
 ) -> Vec<RoutePath> {
     let mut remaining = 1.0;
     let mut paths: Vec<RoutePath> = Vec::new();
-    for _ in 0..config.max_paths_per_chain {
+    for _ in 0..MAX_PATHS_PER_CHAIN {
         if remaining <= EPS {
             break;
         }
@@ -512,13 +512,7 @@ mod tests {
         }
         let m = b.build().unwrap();
 
-        let latency_only = route_chains(
-            &m,
-            &DpConfig {
-                util_weight: 0.0,
-                ..DpConfig::default()
-            },
-        );
+        let latency_only = route_chains(&m, &DpConfig { util_weight: 0.0 });
         let full = route_chains(&m, &DpConfig::default());
 
         let near_load =

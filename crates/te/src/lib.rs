@@ -38,4 +38,4 @@ mod route;
 
 pub use batch::{route_chains_batched, CacheStats, SubproblemCache};
 pub use model::{ChainSpec, NetworkModel, NetworkModelBuilder, Place, VnfSpec};
-pub use route::{site_projection, ChainRoutes, RoutePath, RoutingSolution, SiteParticipation, StageFlow};
+pub use route::{ChainRoutes, RoutePath, RoutingSolution, StageFlow};

@@ -175,50 +175,6 @@ impl ChainRoutes {
     }
 }
 
-/// One site's participation in a chain's routing: which stages it hosts
-/// and the summed demand fraction per stage.
-///
-/// This is the canonical unit the controller compiles route artifacts
-/// from: the participant set of a route solution is exactly the sites
-/// with a non-empty projection, and the stage list tells each site which
-/// rule rows it must carry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SiteParticipation {
-    /// The participating site.
-    pub site: SiteId,
-    /// `(stage, fraction)` pairs, ascending by stage; `fraction` is the
-    /// share of the chain's demand whose stage-`z` VNF runs at this site,
-    /// summed over all paths that place stage `z` here.
-    pub stages: Vec<(usize, f64)>,
-}
-
-/// The canonical per-site projection of a set of site-sequence paths:
-/// one [`SiteParticipation`] per distinct site, ascending by site id,
-/// stages ascending within each. The *shape* (which sites, which stages)
-/// is a pure function of the path set regardless of path order; fractions
-/// are accumulated in path order, so callers that need bit-stable sums
-/// should pass paths in a fixed order (the solvers already emit them
-/// deterministically).
-#[must_use]
-pub fn site_projection(paths: &[RoutePath]) -> Vec<SiteParticipation> {
-    let mut acc: std::collections::BTreeMap<SiteId, std::collections::BTreeMap<usize, f64>> =
-        std::collections::BTreeMap::new();
-    for p in paths {
-        if p.fraction <= EPS {
-            continue;
-        }
-        for (z, &site) in p.sites.iter().enumerate() {
-            *acc.entry(site).or_default().entry(z).or_insert(0.0) += p.fraction;
-        }
-    }
-    acc.into_iter()
-        .map(|(site, stages)| SiteParticipation {
-            site,
-            stages: stages.into_iter().collect(),
-        })
-        .collect()
-}
-
 fn merge_flow(stage: &mut Vec<StageFlow>, from: Place, to: Place, fraction: f64) {
     for f in stage.iter_mut() {
         if f.from == from && f.to == to {
@@ -360,46 +316,6 @@ mod tests {
         let sol = RoutingSolution::empty(&m);
         assert_eq!(sol.routed_share(&m), 0.0);
         assert!(sol.chains[0].is_conserved(1e-9));
-    }
-
-    #[test]
-    fn site_projection_is_canonical() {
-        let paths = vec![
-            RoutePath {
-                sites: vec![SiteId::new(2), SiteId::new(1)],
-                fraction: 0.25,
-            },
-            RoutePath {
-                sites: vec![SiteId::new(1), SiteId::new(1)],
-                fraction: 0.75,
-            },
-        ];
-        let proj = site_projection(&paths);
-        assert_eq!(proj.len(), 2);
-        // Ascending by site, stages ascending within.
-        assert_eq!(proj[0].site, SiteId::new(1));
-        assert_eq!(
-            proj[0].stages.iter().map(|&(z, _)| z).collect::<Vec<_>>(),
-            vec![0, 1]
-        );
-        assert!((proj[0].stages[0].1 - 0.75).abs() < 1e-9);
-        assert!((proj[0].stages[1].1 - 1.0).abs() < 1e-9);
-        assert_eq!(proj[1].site, SiteId::new(2));
-        assert_eq!(proj[1].stages, vec![(0, 0.25)]);
-        // The shape is order-independent.
-        let mut rev = paths.clone();
-        rev.reverse();
-        let proj_rev = site_projection(&rev);
-        assert_eq!(
-            proj.iter().map(|p| p.site).collect::<Vec<_>>(),
-            proj_rev.iter().map(|p| p.site).collect::<Vec<_>>()
-        );
-        // Zero-fraction paths contribute nothing.
-        assert!(site_projection(&[RoutePath {
-            sites: vec![SiteId::new(9)],
-            fraction: 0.0,
-        }])
-        .is_empty());
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! Integration: the full chain lifecycle across control plane, message
 //! bus, traffic engineering and data plane.
 
+use std::collections::HashMap;
+use switchboard::dataplane::artifact::decode;
+use switchboard::dataplane::{Forwarder, ForwarderArtifact};
 use switchboard::prelude::*;
 use switchboard::scenarios;
 
-fn deploy() -> (Switchboard, ChainId, Vec<SiteId>) {
+/// The line testbed with both attachments registered and nothing deployed.
+fn testbed() -> (Switchboard, Vec<SiteId>) {
     let (model, sites) = scenarios::line_testbed();
     let mut sb = Switchboard::new(
         model,
@@ -14,16 +18,24 @@ fn deploy() -> (Switchboard, ChainId, Vec<SiteId>) {
     sb.use_passthrough_behaviors();
     sb.register_attachment("in", sites[0]);
     sb.register_attachment("out", sites[3]);
-    let chain = ChainId::new(1);
-    sb.deploy_chain(ChainRequest {
+    (sb, sites)
+}
+
+fn request(chain: ChainId) -> ChainRequest {
+    ChainRequest {
         id: chain,
         ingress_attachment: "in".into(),
         egress_attachment: "out".into(),
         vnfs: vec![VnfId::new(0), VnfId::new(1)],
         forward: 5.0,
         reverse: 1.0,
-    })
-    .expect("deploys");
+    }
+}
+
+fn deploy() -> (Switchboard, ChainId, Vec<SiteId>) {
+    let (mut sb, sites) = testbed();
+    let chain = ChainId::new(1);
+    sb.deploy_chain(request(chain)).expect("deploys");
     (sb, chain, sites)
 }
 
@@ -115,6 +127,119 @@ fn removal_releases_vnf_capacity() {
         .unwrap()
         .available_at(site);
     assert!(after > before, "capacity must come back: {before} -> {after}");
+}
+
+/// Every unit a chain ever reserved comes back when it is removed, however
+/// its routes were changed in between: after deploy → `add_route_via` →
+/// `remove_chain` each VNF pool reads as on a control plane that never saw
+/// the chain, and the same request is routed the same way again.
+#[test]
+fn removal_after_route_addition_leaks_no_capacity() {
+    let (mut sb, chain, sites) = deploy();
+    let first_site = sb.routes_of(chain)[0].sites[0];
+    let other = if first_site == sites[1] { sites[2] } else { sites[1] };
+    sb.add_route_via(chain, vec![other, other]).expect("route added");
+    sb.remove_chain(chain).expect("removed");
+
+    let (mut fresh, _) = testbed();
+    for vnf in [VnfId::new(0), VnfId::new(1)] {
+        for &site in &sites[1..3] {
+            let available =
+                |sb: &Switchboard| sb.control_plane().vnf_controller(vnf).unwrap().available_at(site);
+            assert!(
+                (available(&sb) - available(&fresh)).abs() < 1e-9,
+                "{vnf}@{site}: {} available after removal, {} on a new control plane",
+                available(&sb),
+                available(&fresh)
+            );
+        }
+    }
+    let paths = |h: switchboard::controller::ChainHandle| -> Vec<(Vec<SiteId>, f64)> {
+        h.routes.into_iter().map(|r| (r.sites, r.fraction)).collect()
+    };
+    assert_eq!(
+        paths(sb.deploy_chain(request(chain)).expect("deploys again")),
+        paths(fresh.deploy_chain(request(chain)).expect("deploys")),
+        "a phantom load changed the route choice"
+    );
+}
+
+/// The standalone forwarders of one site: fed nothing but the artifacts
+/// the control plane stored for it, in order.
+#[derive(Default)]
+struct Replica {
+    fed: Vec<u8>,
+    forwarders: Vec<Forwarder>,
+}
+
+/// The install invariant: at every site with a stored artifact, standalone
+/// forwarders that applied the stored artifacts in order hold the same
+/// rows, epochs and label-unaware set as the in-process forwarders.
+fn assert_replicas_match(sb: &Switchboard, replicas: &mut HashMap<SiteId, Replica>, verb: &str) {
+    // The FIB generation counts rebuilds, which differ by construction.
+    let logical = |f: &Forwarder| ForwarderArtifact {
+        generation: 0,
+        ..f.export_artifact()
+    };
+    for site in sb.artifact_sites() {
+        let bytes = sb.site_artifact_bytes(site).expect("listed site");
+        let replica = replicas.entry(site).or_default();
+        if replica.fed != bytes {
+            let art = decode(bytes).expect("stored bytes decode");
+            for fa in &art.forwarders {
+                match replica.forwarders.iter_mut().find(|f| f.id() == fa.forwarder) {
+                    Some(f) => f.apply_artifact(fa, art.kind),
+                    None => replica.forwarders.push(Forwarder::from_artifact(site, fa)),
+                }
+            }
+            replica.fed = bytes.to_vec();
+        }
+        let local = sb.control_plane().local(site).expect("artifact site");
+        let in_process: Vec<ForwarderArtifact> = local
+            .forwarder_ids()
+            .into_iter()
+            .map(|id| logical(local.forwarder(id).expect("listed forwarder")))
+            .collect();
+        let mut standalone: Vec<ForwarderArtifact> = replica.forwarders.iter().map(logical).collect();
+        standalone.sort_by_key(|fa| fa.forwarder);
+        assert_eq!(in_process, standalone, "after {verb}: {site} runs what no artifact says");
+    }
+}
+
+#[test]
+fn stored_artifacts_replay_to_the_running_state_after_every_verb() {
+    let (mut sb, one, sites) = deploy();
+    let two = ChainId::new(2);
+    let (a, b) = (sites[1], sites[2]);
+    let mut replicas = HashMap::new();
+    assert_replicas_match(&sb, &mut replicas, "deploy_chain");
+
+    sb.deploy_chain_via(request(two), vec![(vec![a, b], 1.0)]).unwrap();
+    assert_replicas_match(&sb, &mut replicas, "deploy_chain_via");
+
+    let first_site = sb.routes_of(one)[0].sites[0];
+    let other = if first_site == a { b } else { a };
+    sb.add_route_via(one, vec![other, other]).unwrap();
+    assert_replicas_match(&sb, &mut replicas, "add_route_via");
+
+    sb.add_edge_site(one, "mobile", sites[3]).unwrap();
+    assert_replicas_match(&sb, &mut replicas, "add_edge_site");
+
+    sb.update_chain(two, vec![(vec![a, b], 0.25), (vec![b, a], 0.75)]).unwrap();
+    assert_replicas_match(&sb, &mut replicas, "update_chain");
+
+    sb.reroute_chain(two).unwrap();
+    assert_replicas_match(&sb, &mut replicas, "reroute_chain");
+
+    sb.remove_chain(one).unwrap();
+    assert_replicas_match(&sb, &mut replicas, "remove_chain");
+    sb.remove_chain(two).unwrap();
+    assert_replicas_match(&sb, &mut replicas, "remove_chain (last)");
+    for (site, replica) in &replicas {
+        for f in &replica.forwarders {
+            assert!(f.export_artifact().rows.is_empty(), "{site}: rules outlived their chains");
+        }
+    }
 }
 
 #[test]

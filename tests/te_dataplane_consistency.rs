@@ -96,13 +96,7 @@ fn lp_min_latency_lower_bounds_heuristics() {
     for (name, sol) in [
         (
             "dp",
-            route_chains(
-                &model,
-                &DpConfig {
-                    util_weight: 0.0,
-                    ..DpConfig::default()
-                },
-            ),
+            route_chains(&model, &DpConfig { util_weight: 0.0 }),
         ),
         ("anycast", baselines::anycast(&model)),
     ] {
