@@ -18,6 +18,13 @@
 //!
 //! Every step's virtual-time cost is recorded in a [`DeploymentReport`] —
 //! the data behind Figure 10a and Table 2.
+//!
+//! The Local Switchboards' receive side runs inline: the code after each
+//! publish is the receivers acting on it. Every publish therefore consumes
+//! the site mailboxes it delivered into, and retiring a route drops the
+//! topics and reservation keys named after its label pair — the control
+//! plane's memory follows the installed state, not the number of messages
+//! ever sent (DESIGN.md §4.4, §10).
 
 use crate::edge::EdgeController;
 use crate::local::LocalSwitchboard;
@@ -38,6 +45,7 @@ use sb_types::{
     Millis, Rate, Result, RouteId, SiteId, VnfId,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The `(next hops, previous hops)` of one route stage, as installed.
 type StageHops = (Vec<(Addr, f64)>, Vec<(Addr, f64)>);
@@ -218,6 +226,10 @@ struct ChainState {
     /// [`ControlPlane::reroute_chain`] bumps it by one and retires the
     /// previous epoch's forwarder rules after the weight shift.
     epoch: u64,
+    /// The `/c<chain>/edge/...` topics of edge sites added after the
+    /// deploy ([`ControlPlane::add_edge_site`]); they live as long as the
+    /// chain does.
+    edge_topics: Vec<Topic>,
 }
 
 /// One (VNF, site) reservation of a two-phase commit round. Deploy
@@ -295,8 +307,13 @@ impl ControlPlane {
         bus.attach_telemetry(&hub);
         let mut site_subs = HashMap::new();
         let mut locals = HashMap::new();
+        let route_topic = gsb_route_topic();
         for &s in &sites {
-            site_subs.insert(s, bus.register_subscriber(s));
+            // Routes are replicated at every site (Section 6): each Local
+            // Switchboard listens on the GSB's route topic from the start.
+            let sub = bus.register_subscriber(s);
+            bus.subscribe(sub, route_topic.clone());
+            site_subs.insert(s, sub);
             let mut local = LocalSwitchboard::new(s, INSTANCES_PER_FORWARDER);
             local.attach_telemetry(&hub, config.sample_every);
             locals.insert(s, local);
@@ -797,6 +814,7 @@ impl ControlPlane {
                 egress_site,
                 routes: announcements.clone(),
                 epoch: 1,
+                edge_topics: Vec::new(),
             },
         );
         Ok(ChainHandle {
@@ -1076,15 +1094,17 @@ impl ControlPlane {
         &mut self,
         at: SimTime,
         from: SiteId,
-        msg: &Message,
+        msg: Message,
         what: &str,
         report: &mut DeploymentReport,
     ) -> PublishOutcome {
-        let mut out = self.bus.publish(at, from, msg.clone());
-        if self.faults.is_none() || (out.dropped == 0 && out.delivered > 0) {
+        // Without a fault plan nothing can be lost: no copy is kept back.
+        let kept = self.faults.is_some().then(|| msg.clone());
+        let mut out = self.publish(at, from, msg);
+        let Some(msg) = kept.filter(|_| out.dropped > 0 || out.delivered == 0) else {
             report.wan_messages += out.wan_copies;
             return out;
-        }
+        };
         let mut extra = Millis::ZERO;
         for attempt in 0..MAX_RPC_RETRIES {
             extra += RPC_TIMEOUT + backoff(attempt);
@@ -1095,7 +1115,7 @@ impl ControlPlane {
                 (at + extra).as_nanos(),
                 &[("what", what), ("attempt", &(attempt + 1).to_string())],
             );
-            let retry = self.bus.publish(at + extra, from, msg.clone());
+            let retry = self.publish(at + extra, from, msg.clone());
             let clean = retry.dropped == 0 && retry.delivered > 0;
             out.delivered += retry.delivered;
             out.wan_copies += retry.wan_copies;
@@ -1120,6 +1140,32 @@ impl ControlPlane {
         out
     }
 
+    /// Stores `ann` in every site's replicated route store — one shared
+    /// allocation, a handle per site.
+    fn replicate_route(&mut self, ann: &RouteAnnouncement) {
+        let shared = Arc::new(ann.clone());
+        for local in self.locals.values_mut() {
+            local.store_route(Arc::clone(&shared));
+        }
+    }
+
+    /// Publishes on the bus and consumes what was delivered — the
+    /// in-process stand-in for every Local Switchboard reading its inbox.
+    /// The receivers run inline (the code after each publish stores the
+    /// route, attaches the instances, installs the rules), so a delivery
+    /// has been acted on as soon as it is made. Cleared in place: the
+    /// mailboxes keep their buffers, so steady-state delivery allocates
+    /// nothing, and the message is freed where the publisher's own copy
+    /// used to be — consuming only when the verb ends costs
+    /// `fleet_deploy` throughput (CHANGES.md, PR 24).
+    fn publish(&mut self, at: SimTime, from: SiteId, msg: Message) -> PublishOutcome {
+        let out = self.bus.publish(at, from, msg);
+        for &sub in self.site_subs.values() {
+            self.bus.discard(sub);
+        }
+        out
+    }
+
     /// Arrows 3-5 of Figure 4 for a set of routes.
     fn propagate_and_install(
         &mut self,
@@ -1133,23 +1179,16 @@ impl ControlPlane {
         // topic; every Local Switchboard is a subscriber (routes are
         // replicated at every site, Section 6).
         let t_start = self.now;
-        let route_topic =
-            Topic::with_owner(format!("/routes/site_{}_gsb", GSB_SITE.value()), GSB_SITE);
-        for (&site, &sub) in &self.site_subs {
-            let _ = site;
-            self.bus.subscribe(sub, route_topic.clone());
-        }
+        let route_topic = gsb_route_topic();
         let mut t_done = self.now;
         for ann in announcements {
             let msg = Message::json(route_topic.clone(), ann);
             let out =
-                self.publish_with_retry(self.now, GSB_SITE, &msg, "route announcement", report);
+                self.publish_with_retry(self.now, GSB_SITE, msg, "route announcement", report);
             if let Some(t) = out.last_delivery {
                 t_done = t_done.max(t);
             }
-            for local in self.locals.values_mut() {
-                local.store_route(ann.clone());
-            }
+            self.replicate_route(ann);
         }
         self.now = self.now.max(t_done);
         report.push("propagate routes", self.now.since(t_start));
@@ -1203,8 +1242,7 @@ impl ControlPlane {
                 let sub = self.site_subs[&site];
                 self.bus.subscribe(sub, inst_topic.clone());
                 let msg = Message::json(inst_topic, &records);
-                let out =
-                    self.publish_with_retry(t_start, home, &msg, "instance records", report);
+                let out = self.publish_with_retry(t_start, home, msg, "instance records", report);
                 if let Some(t) = out.last_delivery {
                     t_done = t_done.max(t);
                 }
@@ -1233,8 +1271,7 @@ impl ControlPlane {
                     self.bus.subscribe(sub, fwd_topic.clone());
                 }
                 let msg = Message::json(fwd_topic, &fwd_records);
-                let out =
-                    self.publish_with_retry(t_start, site, &msg, "forwarder records", report);
+                let out = self.publish_with_retry(t_start, site, msg, "forwarder records", report);
                 if let Some(t) = out.last_delivery {
                     t_done = t_done.max(t);
                 }
@@ -1570,7 +1607,7 @@ impl ControlPlane {
         let out = self.publish_with_retry(
             t_start,
             first_site,
-            &msg,
+            msg,
             "first VNF forwarder info",
             &mut report,
         );
@@ -1604,10 +1641,17 @@ impl ControlPlane {
         );
         let vnf_sub = self.site_subs[&first_site];
         self.bus.subscribe(vnf_sub, edge_topic.clone());
+        let edge_topics = &mut self
+            .chains
+            .get_mut(&chain)
+            .expect("looked up above")
+            .edge_topics;
+        if !edge_topics.contains(&edge_topic) {
+            edge_topics.push(edge_topic.clone());
+        }
         let t_start = self.now;
         let msg = Message::json(edge_topic, &vec![edge_id.value()]);
-        let out =
-            self.publish_with_retry(t_start, site, &msg, "edge forwarder info", &mut report);
+        let out = self.publish_with_retry(t_start, site, msg, "edge forwarder info", &mut report);
         let t_recv = out.last_delivery.unwrap_or(t_start);
         self.now = self.now.max(t_recv);
         report.push(
@@ -1870,9 +1914,7 @@ impl ControlPlane {
         // via background anti-entropy, off the update's critical path —
         // refreshed here without WAN charge.
         for ann in &changed {
-            for local in self.locals.values_mut() {
-                local.store_route(ann.clone());
-            }
+            self.replicate_route(ann);
         }
         self.now = self.now.max(t_done);
         report.push("propagate route deltas", self.now.since(t_pub));
@@ -1926,7 +1968,12 @@ impl ControlPlane {
         // routes' pre-update epochs, and release the shrunk fractions'
         // capacity.
         let t_retire = self.now;
-        self.retire_routes(&spec, &removed, state.ingress_site);
+        self.retire_routes(&spec, &removed, state.ingress_site, |site| {
+            kept.iter()
+                .chain(modified.iter().map(|(nu, _)| nu))
+                .chain(&added)
+                .any(|r| r.sites.contains(&site))
+        });
         let mut epochs_retired = 0u64;
         for (nu, old_fraction) in &modified {
             let shrink = old_fraction - nu.fraction;
@@ -1987,7 +2034,6 @@ impl ControlPlane {
     ) -> SimTime {
         let t_start = self.now;
         let mut t_done = t_start;
-        let payload: Vec<RouteAnnouncement> = payload.to_vec();
         for &site in affected {
             let Some(&sub) = self.site_subs.get(&site) else {
                 continue;
@@ -1995,7 +2041,7 @@ impl ControlPlane {
             let topic = Topic::route_delta(chain.value() as u32, site);
             self.bus.subscribe(sub, topic.clone());
             let msg = Message::json(topic, &payload);
-            let out = self.publish_with_retry(t_start, GSB_SITE, &msg, what, report);
+            let out = self.publish_with_retry(t_start, GSB_SITE, msg, what, report);
             if let Some(t) = out.last_delivery {
                 t_done = t_done.max(t);
             }
@@ -2010,11 +2056,18 @@ impl ControlPlane {
     /// tracker. Pinned flows keep their forwarder flow-table entries and
     /// edge pins, so established connections drain rather than break
     /// (Section 5.3).
+    ///
+    /// A retired route takes its bus and 2PC state with it: the
+    /// `vnf_instances` / `vnf_forwarders` topics of its label pair are
+    /// dropped, its stage sites stop listening for the chain's route
+    /// deltas unless `still_routed` says a surviving route of the chain
+    /// crosses them, and the VNF controllers forget its reservation key.
     fn retire_routes(
         &mut self,
         spec: &ChainSpec,
         anns: &[RouteAnnouncement],
         ingress_site: SiteId,
+        still_routed: impl Fn(SiteId) -> bool,
     ) {
         if anns.is_empty() {
             return;
@@ -2024,12 +2077,17 @@ impl ControlPlane {
             if let Some(edge) = self.edge.instance_at_mut(ingress_site) {
                 edge.remove_route(ann.chain, ann.route);
             }
+            let (label, egress) = (ann.labels.chain().value(), ann.labels.egress().value());
             for (z, (&vnf, &site)) in ann.vnfs.iter().zip(&ann.sites).enumerate() {
                 let load = self.stage_load(spec, vnf, z, ann.fraction);
                 if let Some(ctl) = self.vnf_ctls.get_mut(&vnf) {
-                    ctl.release(site, load);
+                    ctl.retire(ann.chain, ann.route, site, load);
                 }
                 self.stage_hops.remove(&(ann.route, z));
+                self.bus
+                    .remove_topic(&Topic::vnf_instances(label, egress, vnf.value(), site));
+                self.bus
+                    .remove_topic(&Topic::vnf_forwarders(label, egress, vnf.value(), site));
             }
             let mut sites = ann.sites.clone();
             sites.sort_unstable();
@@ -2037,6 +2095,11 @@ impl ControlPlane {
             for site in sites {
                 if let Some(local) = self.locals.get_mut(&site) {
                     local.remove_route_rules(ann.labels);
+                }
+                if !still_routed(site) {
+                    #[allow(clippy::cast_possible_truncation)]
+                    self.bus
+                        .remove_topic(&Topic::route_delta(ann.chain.value() as u32, site));
                 }
             }
             self.first_hops.remove(&ann.route);
@@ -2096,7 +2159,10 @@ impl ControlPlane {
         self.trace_step(Some(span), "cp.propagate_routes", t_pub);
 
         let t_retire = self.now;
-        self.retire_routes(&spec, &state.routes, state.ingress_site);
+        self.retire_routes(&spec, &state.routes, state.ingress_site, |_| false);
+        for topic in &state.edge_topics {
+            self.bus.remove_topic(topic);
+        }
         // The patch lists the chain's label pairs as removals.
         self.compile_artifacts(state.epoch, ArtifactKind::Patch);
         self.now += CONFIG_DELAY;
@@ -2105,6 +2171,13 @@ impl ControlPlane {
         self.tele.hub.tracer.end(span, self.now.as_nanos());
         Ok(report)
     }
+}
+
+/// The chain-wide replication topic: owned by the Global Switchboard's
+/// site, subscribed by every Local Switchboard for the control plane's
+/// whole life.
+fn gsb_route_topic() -> Topic {
+    Topic::with_owner(format!("/routes/site_{}_gsb", GSB_SITE.value()), GSB_SITE)
 }
 
 /// The installed routes as the TE layer's `(site sequence, fraction)`
@@ -2706,5 +2779,116 @@ mod tests {
         assert_eq!(h.routes.len(), 1);
         assert_eq!(h.routes[0].sites, vec![SiteId::new(2)]);
         assert!((h.routes[0].fraction - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_stray_commit_for_a_retired_route_is_not_acknowledged() {
+        let (chain, vnf) = (ChainId::new(1), VnfId::new(0));
+        let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+        let deploy = cp
+            .deploy_chain_via(request(1), vec![(vec![s1], 1.0)])
+            .unwrap();
+        let old = deploy.routes[0].route;
+        // Live route: a commit re-sent after a lost ack is a no-op success.
+        cp.vnf_ctls
+            .get_mut(&vnf)
+            .unwrap()
+            .commit(chain, old, s1)
+            .unwrap();
+
+        // The update retires the site-1 route and releases its reservation;
+        // acknowledging a commit for it now would vouch for capacity the
+        // participant no longer holds.
+        let h = cp.update_chain(chain, vec![(vec![s2], 1.0)]).unwrap();
+        let err = cp
+            .vnf_ctls
+            .get_mut(&vnf)
+            .unwrap()
+            .commit(chain, old, s1)
+            .unwrap_err();
+        assert!(matches!(err, Error::UnknownEntity { .. }), "{err}");
+        assert!((cp.vnf_ctls[&vnf].available_at(s1) - 100.0).abs() < 1e-9);
+
+        // Teardown forgets the live route's key too, and the same chain id
+        // deploys — and commits — again.
+        let live = h.routes[0].route;
+        cp.remove_chain(chain).unwrap();
+        assert!(cp
+            .vnf_ctls
+            .get_mut(&vnf)
+            .unwrap()
+            .commit(chain, live, s2)
+            .is_err());
+        let again = cp
+            .deploy_chain_via(request(1), vec![(vec![s1], 1.0)])
+            .unwrap();
+        assert_eq!(again.report.participants_2pc, 1);
+        assert!((cp.vnf_ctls[&vnf].available_at(s1) - 76.0).abs() < 1e-9);
+        assert_eq!(cp.telemetry().registry.snapshot().counter("cp.2pc.commits"), 3);
+    }
+
+    #[test]
+    fn verbs_consume_their_deliveries_and_retired_routes_take_their_topics() {
+        fn assert_consumed(cp: &ControlPlane, verb: &str) {
+            for (site, &sub) in &cp.site_subs {
+                assert_eq!(cp.bus.pending(sub), 0, "{site} mailbox after {verb}");
+            }
+        }
+        let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+        let at_rest = cp.bus.topic_count();
+        assert_eq!(at_rest, 1, "every site listens on the GSB route topic");
+
+        let chains = [ChainId::new(1), ChainId::new(2)];
+        for &chain in &chains {
+            cp.deploy_chain_via(request(chain.value()), vec![(vec![s1], 1.0)])
+                .unwrap();
+            assert_consumed(&cp, "deploy");
+        }
+        // Per chain: the route's instance and forwarder topics.
+        assert_eq!(cp.bus.topic_count(), at_rest + 4);
+
+        for &chain in &chains {
+            cp.update_chain(chain, vec![(vec![s1], 0.5), (vec![s2], 0.5)])
+                .unwrap();
+            assert_consumed(&cp, "update (split)");
+        }
+        // Per chain: two routes' topic pairs and a delta topic at each site.
+        assert_eq!(cp.bus.topic_count(), at_rest + 12);
+
+        // A flap retires one label pair per update and takes its topics
+        // along: the topic count is that of the installed state, however
+        // many updates went by.
+        for round in 0..6 {
+            let to = if round % 2 == 0 { s2 } else { s1 };
+            for &chain in &chains {
+                cp.update_chain(chain, vec![(vec![to], 1.0)]).unwrap();
+                assert_consumed(&cp, "update (move)");
+            }
+            // Per chain: one route's topic pair, one delta topic at its site.
+            assert_eq!(cp.bus.topic_count(), at_rest + 6, "round {round}");
+        }
+
+        cp.add_edge_site(chains[0], "roamer", SiteId::new(2))
+            .unwrap();
+        assert_consumed(&cp, "add-edge-site");
+        cp.add_route_via(chains[1], vec![s2]).unwrap();
+        assert_consumed(&cp, "add-route");
+        for &chain in &chains {
+            cp.reroute_chain(chain).unwrap();
+            assert_consumed(&cp, "reroute");
+        }
+        for &chain in &chains {
+            cp.remove_chain(chain).unwrap();
+            assert_consumed(&cp, "remove");
+        }
+        assert_eq!(cp.bus.topic_count(), at_rest, "no chain, no chain topics");
+        let stats = cp.bus.stats();
+        assert!(stats.delivered > stats.published, "{stats:?}");
     }
 }

@@ -7,6 +7,11 @@
 //! combines the wide-area route with the published weights into the three
 //! rule sets installed at each forwarder.
 //!
+//! Routes are replicated at every site (Section 6). In process the replicas
+//! of one route are one allocation: [`LocalSwitchboard::store_route`] keeps
+//! an [`Arc`] of the announcement, so a control plane that hands every site
+//! a clone of the same handle stores the route once, not once per site.
+//!
 //! One deliberate simplification relative to Figure 5: forwarder pools are
 //! per-VNF (a forwarder serves instances of a single VNF), so a packet's
 //! (label, arrival-context) pair uniquely identifies its chain stage at a
@@ -21,6 +26,7 @@ use sb_dataplane::{
 use sb_telemetry::Telemetry;
 use sb_types::{Error, ForwarderId, InstanceId, LabelPair, Result, RouteId, SiteId, VnfId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The Local Switchboard of one site.
 #[derive(Debug)]
@@ -40,7 +46,8 @@ pub struct LocalSwitchboard {
     instance_fwd: HashMap<InstanceId, ForwarderId>,
     /// Replicated wide-area routes for all chains (Section 6: replicated
     /// "in Local Switchboard at every site" to support edge-site addition).
-    routes: HashMap<RouteId, RouteAnnouncement>,
+    /// A replica is a handle on the announcement all sites share.
+    routes: HashMap<RouteId, Arc<RouteAnnouncement>>,
     /// Label pairs whose forwarder rules changed since the last artifact
     /// compile — written by the three rule mutators and nothing else, so
     /// the compile's scope is what was touched, not what a caller recalls.
@@ -180,21 +187,28 @@ impl LocalSwitchboard {
     }
 
     /// Stores a replicated route announcement (every site receives all
-    /// routes; Section 6).
-    pub fn store_route(&mut self, route: RouteAnnouncement) {
+    /// routes; Section 6). Pass clones of one `Arc` to share the
+    /// announcement between sites; an owned announcement gets its own.
+    pub fn store_route(&mut self, route: impl Into<Arc<RouteAnnouncement>>) {
+        let route = route.into();
         self.routes.insert(route.route, route);
     }
 
     /// Forgets a stored route (teardown / update retirement). Returns the
     /// removed announcement, if any.
-    pub fn remove_route(&mut self, route: RouteId) -> Option<RouteAnnouncement> {
+    pub fn remove_route(&mut self, route: RouteId) -> Option<Arc<RouteAnnouncement>> {
         self.routes.remove(&route)
     }
 
     /// The replicated routes for `chain`, in route-id order.
     #[must_use]
     pub fn routes_for_chain(&self, chain: sb_types::ChainId) -> Vec<&RouteAnnouncement> {
-        let mut v: Vec<_> = self.routes.values().filter(|r| r.chain == chain).collect();
+        let mut v: Vec<_> = self
+            .routes
+            .values()
+            .map(Arc::as_ref)
+            .filter(|r| r.chain == chain)
+            .collect();
         v.sort_by_key(|r| r.route);
         v
     }
@@ -372,6 +386,7 @@ impl LocalSwitchboard {
     ) -> Option<&RouteAnnouncement> {
         self.routes
             .values()
+            .map(Arc::as_ref)
             .filter(|r| r.chain == chain)
             .min_by(|a, b| {
                 let la = a

@@ -10,8 +10,9 @@ struct SitePool {
     capacity: LoadUnits,
     committed: LoadUnits,
     prepared: HashMap<(ChainId, RouteId), LoadUnits>,
-    /// Keys whose reservation has already been committed, so a retried
-    /// commit (after a lost acknowledgment) is an idempotent no-op.
+    /// Keys of live routes whose reservation has been committed, so a
+    /// retried commit (after a lost acknowledgment) is an idempotent
+    /// no-op. [`VnfController::retire`] removes a route's key.
     committed_keys: HashSet<(ChainId, RouteId)>,
     instances: Vec<InstanceRecord>,
 }
@@ -138,8 +139,9 @@ impl VnfController {
 
     /// Two-phase commit, phase 2: make the reservation durable.
     ///
-    /// Commit is **idempotent**: once a `(chain, route)` reservation has
-    /// been committed at `site`, committing it again is a no-op success.
+    /// Commit is **idempotent** for a live route: once a `(chain, route)`
+    /// reservation has been committed at `site`, committing it again is a
+    /// no-op success until the route is [retired](Self::retire).
     /// The coordinator relies on this to retry commits whose
     /// acknowledgment was lost (the commit decision is final, so the only
     /// safe recovery is re-sending it).
@@ -195,10 +197,23 @@ impl VnfController {
         out
     }
 
-    /// Releases committed capacity (chain teardown).
+    /// Releases committed capacity of a reservation that stays (a route
+    /// whose fraction shrank).
     pub fn release(&mut self, site: SiteId, load: LoadUnits) {
         if let Some(pool) = self.pools.get_mut(&site) {
             pool.committed = (pool.committed - load).max(0.0);
+        }
+    }
+
+    /// Retires a route's reservation at `site`: releases its remaining
+    /// `load` and forgets the `(chain, route)` key, so the key set holds
+    /// live routes only. A commit re-sent for the retired key afterwards is
+    /// [`Error::UnknownEntity`], not an acknowledgment of capacity that is
+    /// no longer held.
+    pub fn retire(&mut self, chain: ChainId, route: RouteId, site: SiteId, load: LoadUnits) {
+        self.release(site, load);
+        if let Some(pool) = self.pools.get_mut(&site) {
+            pool.committed_keys.remove(&(chain, route));
         }
     }
 }
@@ -310,6 +325,26 @@ mod tests {
             .unwrap();
         c.abort(ChainId::new(2), RouteId::new(2), SiteId::new(0));
         assert!(c.pending_reservations().is_empty());
+    }
+
+    #[test]
+    fn retire_releases_and_forgets_the_key() {
+        let mut c = ctl();
+        let (chain, route, site) = (ChainId::new(1), RouteId::new(1), SiteId::new(0));
+        c.prepare(chain, route, site, 8.0).unwrap();
+        c.commit(chain, route, site).unwrap();
+        // Shrinking keeps the key: the route is live, a re-sent commit is
+        // still a no-op success.
+        c.release(site, 2.0);
+        c.commit(chain, route, site).unwrap();
+        c.retire(chain, route, site, 6.0);
+        assert_eq!(c.available_at(site), 10.0);
+        let err = c.commit(chain, route, site).unwrap_err();
+        assert!(matches!(err, Error::UnknownEntity { .. }), "{err}");
+        // The same key can be reserved and committed afresh.
+        c.prepare(chain, route, site, 3.0).unwrap();
+        c.commit(chain, route, site).unwrap();
+        assert!((c.available_at(site) - 7.0).abs() < 1e-12);
     }
 
     #[test]

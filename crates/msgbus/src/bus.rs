@@ -11,6 +11,23 @@
 //!   through its own uplink, so high fan-out queues and eventually drops
 //!   messages — the mechanism behind full-mesh's order-of-magnitude worse
 //!   latency in Figure 9.
+//!
+//! # Delivery is a shared handle
+//!
+//! The copies the two topologies differ in are *wire* copies, counted in
+//! [`BusStats`]. In memory a published [`Message`] is stored once: `publish`
+//! wraps it in one [`Arc`] and every mailbox entry, at every site, holds that
+//! handle. [`drain`](ProxyBus::drain) hands a subscriber its messages in
+//! delivery-time order (the last holder takes the allocation itself);
+//! [`discard`](ProxyBus::discard) consumes a mailbox in place, keeping its
+//! buffer, for a subscriber that acts on deliveries as they happen and has
+//! nothing left to read. A mailbox nobody consumes grows with every message
+//! ever sent.
+//!
+//! Subscription filters live exactly as long as they have a subscriber: the
+//! `unsubscribe` that empties a topic's set removes the topic, and
+//! [`remove_topic`](ProxyBus::remove_topic) drops a topic whose publisher is
+//! gone together with all its filters.
 
 use crate::delay::DelayModel;
 use crate::message::Message;
@@ -21,6 +38,7 @@ use sb_telemetry::{Counter, Telemetry};
 use sb_types::{Millis, SiteId};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A handle to a registered subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -172,7 +190,9 @@ struct BusCore {
     topo: BusTopology,
     sub_sites: Vec<SiteId>,
     subscriptions: HashMap<Topic, BTreeSet<SubscriberId>>,
-    mailboxes: Vec<Vec<(Message, SimTime)>>,
+    /// Per subscriber, in delivery order: the shared message and its
+    /// delivery time.
+    mailboxes: Vec<Vec<(Arc<Message>, SimTime)>>,
     /// Uplink busy-until per site.
     uplink_busy: HashMap<SiteId, SimTime>,
     stats: BusStats,
@@ -280,6 +300,9 @@ impl BusCore {
     fn unsubscribe(&mut self, sub: SubscriberId, topic: &Topic) {
         if let Some(set) = self.subscriptions.get_mut(topic) {
             set.remove(&sub);
+            if set.is_empty() {
+                self.subscriptions.remove(topic);
+            }
         }
     }
 
@@ -309,8 +332,8 @@ impl BusCore {
         Some(departure)
     }
 
-    fn deliver(&mut self, sub: SubscriberId, msg: Message, at: SimTime) {
-        self.mailboxes[sub.0 as usize].push((msg, at));
+    fn deliver(&mut self, sub: SubscriberId, msg: &Arc<Message>, at: SimTime) {
+        self.mailboxes[sub.0 as usize].push((Arc::clone(msg), at));
         self.stats.delivered += 1;
     }
 
@@ -318,6 +341,9 @@ impl BusCore {
         let mut inbox = std::mem::take(&mut self.mailboxes[sub.0 as usize]);
         inbox.sort_by_key(|&(_, t)| t);
         inbox
+            .into_iter()
+            .map(|(msg, t)| (Arc::unwrap_or_clone(msg), t))
+            .collect()
     }
 }
 
@@ -333,16 +359,42 @@ macro_rules! shared_bus_api {
             self.core.subscribe(sub, topic);
         }
 
-        /// Removes a subscription filter.
+        /// Removes a subscription filter; the topic goes with its last
+        /// subscriber.
         pub fn unsubscribe(&mut self, sub: SubscriberId, topic: &Topic) {
             self.core.unsubscribe(sub, topic);
         }
 
+        /// Drops `topic` and every subscription filter on it — for a topic
+        /// whose publisher has retired. Returns whether it existed.
+        pub fn remove_topic(&mut self, topic: &Topic) -> bool {
+            self.core.subscriptions.remove(topic).is_some()
+        }
+
+        /// Number of topics with at least one subscriber.
+        #[must_use]
+        pub fn topic_count(&self) -> usize {
+            self.core.subscriptions.len()
+        }
+
         /// Takes all messages delivered to `sub` so far, ordered by
-        /// delivery time.
+        /// delivery time. A message still held by another mailbox is
+        /// copied out; its last holder takes the shared allocation.
         #[must_use]
         pub fn drain(&mut self, sub: SubscriberId) -> Vec<(Message, SimTime)> {
             self.core.drain(sub)
+        }
+
+        /// Consumes `sub`'s mailbox without reading it, keeping the
+        /// mailbox's buffer for the next deliveries.
+        pub fn discard(&mut self, sub: SubscriberId) {
+            self.core.mailboxes[sub.0 as usize].clear();
+        }
+
+        /// Messages delivered to `sub` and not yet consumed.
+        #[must_use]
+        pub fn pending(&self, sub: SubscriberId) -> usize {
+            self.core.mailboxes[sub.0 as usize].len()
         }
 
         /// Aggregate counters.
@@ -428,6 +480,7 @@ impl ProxyBus {
         };
 
         let subs = self.core.subscribers_of(msg.topic());
+        let msg = Arc::new(msg);
         // Group subscribers by site: one WAN copy per remote site.
         let mut by_site: HashMap<SiteId, Vec<SubscriberId>> = HashMap::new();
         for s in subs {
@@ -463,7 +516,7 @@ impl ProxyBus {
                     }
                     for &sub in subs {
                         let deliver_at = arrival + local;
-                        self.core.deliver(sub, msg.clone(), deliver_at);
+                        self.core.deliver(sub, &msg, deliver_at);
                         outcome.delivered += 1;
                         outcome.last_delivery = Some(
                             outcome
@@ -518,6 +571,7 @@ impl FullMeshBus {
             return outcome;
         }
 
+        let msg = Arc::new(msg);
         for sub in subs {
             let site = self.core.sub_sites[sub.0 as usize];
             let t = at + local;
@@ -536,7 +590,7 @@ impl FullMeshBus {
                     self.core.note_crash_suppressed(1);
                     continue;
                 }
-                self.core.deliver(sub, msg.clone(), arrival);
+                self.core.deliver(sub, &msg, arrival);
                 outcome.delivered += 1;
                 outcome.last_delivery = Some(
                     outcome
@@ -660,6 +714,123 @@ mod tests {
         let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
         assert_eq!(out.delivered, 0);
         assert!(bus.drain(s).is_empty());
+    }
+
+    #[test]
+    fn unsubscribing_the_last_subscriber_removes_the_topic() {
+        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(2), delays()));
+        let a = bus.register_subscriber(SiteId::new(0));
+        let b = bus.register_subscriber(SiteId::new(1));
+        let topic = Topic::with_owner("/t", SiteId::new(0));
+        bus.subscribe(a, topic.clone());
+        bus.subscribe(b, topic.clone());
+        assert_eq!(bus.topic_count(), 1);
+        bus.unsubscribe(a, &topic);
+        assert_eq!(bus.topic_count(), 1, "b still listens");
+        bus.unsubscribe(a, &topic);
+        assert_eq!(bus.topic_count(), 1, "a repeated unsubscribe is a no-op");
+        bus.unsubscribe(b, &topic);
+        assert_eq!(bus.topic_count(), 0);
+        // A retired topic goes with all its filters at once.
+        bus.subscribe(a, topic.clone());
+        bus.subscribe(b, topic.clone());
+        assert!(bus.remove_topic(&topic));
+        assert!(!bus.remove_topic(&topic));
+        assert_eq!(bus.topic_count(), 0);
+        assert_eq!(
+            bus.publish(SimTime::ZERO, SiteId::new(0), msg(0)).delivered,
+            0
+        );
+    }
+
+    /// Six subscribers at three sites, as `proxy_delivers_single_wan_copy_per_site`.
+    fn six_subscribers(mut register: impl FnMut(SiteId) -> SubscriberId) -> Vec<SubscriberId> {
+        [1u32, 1, 1, 2, 2, 0]
+            .into_iter()
+            .map(|site| register(SiteId::new(site)))
+            .collect()
+    }
+
+    /// Every mailbox holds one entry, and all of them are the same allocation.
+    fn assert_stored_once(core: &BusCore, subs: &[SubscriberId]) {
+        let first = &core.mailboxes[subs[0].0 as usize][0].0;
+        assert_eq!(Arc::strong_count(first), subs.len());
+        for s in subs {
+            let inbox = &core.mailboxes[s.0 as usize];
+            assert_eq!(inbox.len(), 1);
+            assert!(Arc::ptr_eq(&inbox[0].0, first), "{s} holds its own copy");
+        }
+    }
+
+    #[test]
+    fn a_publish_is_stored_once_however_many_mailboxes_hold_it() {
+        let topic = Topic::with_owner("/t", SiteId::new(0));
+        let mut proxy = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
+        let subs = six_subscribers(|site| proxy.register_subscriber(site));
+        for &s in &subs {
+            proxy.subscribe(s, topic.clone());
+        }
+        let out = proxy.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        assert_eq!((out.delivered, out.wan_copies), (6, 2));
+        assert_stored_once(&proxy.core, &subs);
+
+        let mut mesh = FullMeshBus::new(BusTopology::unbounded(sites(3), delays()));
+        let subs = six_subscribers(|site| mesh.register_subscriber(site));
+        for &s in &subs {
+            mesh.subscribe(s, topic.clone());
+        }
+        let out = mesh.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        assert_eq!((out.delivered, out.wan_copies), (6, 5));
+        assert_stored_once(&mesh.core, &subs);
+    }
+
+    #[test]
+    fn sharing_changes_neither_what_drain_returns_nor_the_stats() {
+        let topic = Topic::with_owner("/t", SiteId::new(0));
+        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
+        let subs = six_subscribers(|site| bus.register_subscriber(site));
+        for &s in &subs {
+            bus.subscribe(s, topic.clone());
+        }
+        let late = Message::new(topic.clone(), "\"late\"");
+        let early = Message::new(topic, "\"early\"");
+        bus.publish(SimTime::from_millis(100.0), SiteId::new(0), late.clone());
+        bus.publish(SimTime::ZERO, SiteId::new(0), early.clone());
+        assert_eq!(
+            bus.stats(),
+            BusStats {
+                published: 2,
+                delivered: 12,
+                wan_messages: 4,
+                // Per publish: publisher -> own proxy, and the owner-site fan-out.
+                local_messages: 4,
+                ..BusStats::default()
+            }
+        );
+        for &s in &subs {
+            assert_eq!(bus.pending(s), 2);
+            let inbox = bus.drain(s);
+            let order: Vec<&Message> = inbox.iter().map(|(m, _)| m).collect();
+            assert_eq!(order, [&early, &late], "{s}: ordered by delivery time");
+            assert_eq!(bus.pending(s), 0);
+        }
+    }
+
+    #[test]
+    fn discard_consumes_in_place() {
+        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(2), delays()));
+        let s = bus.register_subscriber(SiteId::new(1));
+        bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+        for _ in 0..3 {
+            bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        }
+        let held = bus.core.mailboxes[s.0 as usize].capacity();
+        assert_eq!(bus.pending(s), 3);
+        bus.discard(s);
+        assert_eq!(bus.pending(s), 0);
+        assert_eq!(bus.core.mailboxes[s.0 as usize].capacity(), held);
+        assert!(bus.drain(s).is_empty());
+        assert_eq!(bus.stats().delivered, 3, "consuming is not un-delivering");
     }
 
     #[test]
