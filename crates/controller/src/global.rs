@@ -44,6 +44,7 @@ use sb_types::{
     ChainId, ChainLabel, EdgeInstanceId, EgressLabel, Error, ForwarderId, InstanceId, LabelPair,
     Millis, Rate, Result, RouteId, SiteId, VnfId,
 };
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -464,12 +465,14 @@ impl ControlPlane {
 
     /// Removes crashed sites' VNF capacity from a routing model, so
     /// route (re)computation degrades gracefully around failed sites
-    /// instead of proposing routes through them.
-    fn without_dead_sites(&self, mut model: NetworkModel) -> NetworkModel {
+    /// instead of proposing routes through them. A borrowed model stays
+    /// borrowed while every site is up: a healthy reroute copies nothing.
+    fn dead_sites_removed<'m>(&self, model: Cow<'m, NetworkModel>) -> Cow<'m, NetworkModel> {
         let dead = self.dead_sites();
         if dead.is_empty() {
             return model;
         }
+        let mut model = model.into_owned();
         let vnf_ids: Vec<VnfId> = model.vnfs().iter().map(|v| v.id).collect();
         for &site in &dead {
             for &vnf in &vnf_ids {
@@ -479,7 +482,13 @@ impl ControlPlane {
                 }
             }
         }
-        model
+        Cow::Owned(model)
+    }
+
+    /// [`dead_sites_removed`](Self::dead_sites_removed) on an owned model
+    /// (deploy's route computation builds its own copy).
+    fn without_dead_sites(&self, model: NetworkModel) -> NetworkModel {
+        self.dead_sites_removed(Cow::Owned(model)).into_owned()
     }
 
     /// The edge controller.
@@ -596,20 +605,15 @@ impl ControlPlane {
     ///
     /// # Errors
     ///
-    /// As [`deploy_chain`](Self::deploy_chain); additionally rejects routes
-    /// whose site count mismatches the VNF count.
+    /// As [`deploy_chain`](Self::deploy_chain); additionally
+    /// [`Error::InvalidArgument`] for a route set that is not a split of
+    /// the whole demand (see [`update_chain`](Self::update_chain)).
     pub fn deploy_chain_via(
         &mut self,
         request: ChainRequest,
         routes: Vec<(Vec<SiteId>, f64)>,
     ) -> Result<ChainHandle> {
-        for (sites, _) in &routes {
-            if sites.len() != request.vnfs.len() {
-                return Err(Error::invalid_argument(
-                    "route site count must match chain VNF count",
-                ));
-            }
-        }
+        check_route_set(&routes, request.vnfs.len())?;
         self.deploy_chain_inner(request, Some(routes))
     }
 
@@ -1698,8 +1702,10 @@ impl ControlPlane {
     /// # Errors
     ///
     /// - [`Error::UnknownEntity`] for unknown chains.
-    /// - [`Error::InvalidArgument`] when a route's site count mismatches
-    ///   the chain's VNF count.
+    /// - [`Error::InvalidArgument`], before any state changes, when the
+    ///   route set is not a split of the whole demand: it is empty, a
+    ///   route's site count mismatches the chain's VNF count, a fraction
+    ///   is not finite and positive, or the fractions do not sum to 1.
     /// - [`Error::CommitRejected`] when a grown reservation is vetoed;
     ///   the old epoch remains fully installed and serving.
     pub fn update_chain(
@@ -1711,13 +1717,7 @@ impl ControlPlane {
             .chains
             .get(&chain)
             .ok_or_else(|| Error::unknown("chain", chain))?;
-        for (sites, _) in &routes {
-            if sites.len() != state.request.vnfs.len() {
-                return Err(Error::invalid_argument(
-                    "route site count must match chain VNF count",
-                ));
-            }
-        }
+        check_route_set(&routes, state.request.vnfs.len())?;
         let target: Vec<RoutePath> = routes
             .into_iter()
             .map(|(sites, fraction)| RoutePath { sites, fraction })
@@ -1745,7 +1745,7 @@ impl ControlPlane {
             .ok_or_else(|| Error::unknown("chain", chain))?;
         let spec = self.chain_spec(&state.request, state.ingress_site, state.egress_site);
         let installed = installed_paths(&state.routes);
-        let model = self.without_dead_sites(self.base_model.with_chains(vec![spec.clone()]));
+        let model = self.dead_sites_removed(Cow::Borrowed(&self.base_model));
         let mut trial_tracker = self.tracker.clone();
         let (paths, _) = sb_te::delta::reroute_chain_warm(
             &model,
@@ -1887,13 +1887,12 @@ impl ControlPlane {
 
         // Account the committed load changes against the live tracker
         // (removed routes are unwound in retire_routes below).
-        let model = self.base_model.with_chains(vec![spec.clone()]);
         for ann in &added {
-            let coefs = dp::path_coefficients(&model, &spec, &ann.sites);
+            let coefs = dp::path_coefficients(&self.base_model, &spec, &ann.sites);
             self.tracker.apply(&coefs, ann.fraction);
         }
         for (nu, old_fraction) in &modified {
-            let coefs = dp::path_coefficients(&model, &spec, &nu.sites);
+            let coefs = dp::path_coefficients(&self.base_model, &spec, &nu.sites);
             self.tracker.apply(&coefs, nu.fraction - old_fraction);
         }
 
@@ -2069,10 +2068,6 @@ impl ControlPlane {
         ingress_site: SiteId,
         still_routed: impl Fn(SiteId) -> bool,
     ) {
-        if anns.is_empty() {
-            return;
-        }
-        let model = self.base_model.with_chains(vec![spec.clone()]);
         for ann in anns {
             if let Some(edge) = self.edge.instance_at_mut(ingress_site) {
                 edge.remove_route(ann.chain, ann.route);
@@ -2106,7 +2101,7 @@ impl ControlPlane {
             for local in self.locals.values_mut() {
                 local.remove_route(ann.route);
             }
-            let coefs = dp::path_coefficients(&model, spec, &ann.sites);
+            let coefs = dp::path_coefficients(&self.base_model, spec, &ann.sites);
             self.tracker.apply(&coefs, -ann.fraction);
         }
     }
@@ -2178,6 +2173,35 @@ impl ControlPlane {
 /// whole life.
 fn gsb_route_topic() -> Topic {
     Topic::with_owner(format!("/routes/site_{}_gsb", GSB_SITE.value()), GSB_SITE)
+}
+
+/// Rejects a caller-specified route set that is not a split of the whole
+/// demand: empty, a route whose site count mismatches the chain's VNFs,
+/// a fraction that is not finite and positive, or fractions not summing
+/// to 1 within deploy's admission tolerance.
+fn check_route_set(routes: &[(Vec<SiteId>, f64)], num_vnfs: usize) -> Result<()> {
+    if routes.is_empty() {
+        return Err(Error::invalid_argument("a chain needs at least one route"));
+    }
+    for (sites, fraction) in routes {
+        if sites.len() != num_vnfs {
+            return Err(Error::invalid_argument(
+                "route site count must match chain VNF count",
+            ));
+        }
+        if !fraction.is_finite() || *fraction <= 0.0 {
+            return Err(Error::invalid_argument(format!(
+                "route fraction {fraction} is not finite and positive"
+            )));
+        }
+    }
+    let total: f64 = routes.iter().map(|(_, fraction)| fraction).sum();
+    if (total - 1.0).abs() > 1e-6 {
+        return Err(Error::invalid_argument(format!(
+            "route fractions sum to {total}, not 1"
+        )));
+    }
+    Ok(())
 }
 
 /// The installed routes as the TE layer's `(site sequence, fraction)`
@@ -2890,5 +2914,122 @@ mod tests {
         assert_eq!(cp.bus.topic_count(), at_rest, "no chain, no chain topics");
         let stats = cp.bus.stats();
         assert!(stats.delivered > stats.published, "{stats:?}");
+    }
+
+    #[test]
+    fn route_sets_that_split_no_demand_are_rejected_before_any_state_changes() {
+        let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+        let bad: Vec<Vec<(Vec<SiteId>, f64)>> = vec![
+            vec![],
+            vec![(vec![s1], f64::NAN)],
+            vec![(vec![s1], f64::INFINITY)],
+            vec![(vec![s1], 0.0)],
+            vec![(vec![s1], 2.0)],
+            vec![(vec![s1], 0.5)],
+            vec![(vec![s1], 1.5), (vec![s2], -0.5)],
+            vec![(vec![s1, s2], 1.0)],
+        ];
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+        let loads = |cp: &ControlPlane| {
+            let ctl = cp.vnf_controller(VnfId::new(0)).unwrap();
+            (
+                ctl.available_at(s1),
+                ctl.available_at(s2),
+                cp.tracker.site_load.clone(),
+            )
+        };
+        let pristine = loads(&cp);
+        for routes in &bad {
+            let err = cp.deploy_chain_via(request(1), routes.clone()).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidArgument { .. }),
+                "{routes:?}: {err}"
+            );
+            assert!(cp.routes_of(ChainId::new(1)).is_empty(), "{routes:?}");
+            assert_eq!(loads(&cp), pristine, "{routes:?}");
+        }
+
+        let deploy = cp
+            .deploy_chain_via(request(1), vec![(vec![s1], 1.0)])
+            .unwrap();
+        let deployed = loads(&cp);
+        let commits = cp.telemetry().registry.snapshot().counter("cp.2pc.commits");
+        for routes in &bad {
+            let err = cp
+                .update_chain(ChainId::new(1), routes.clone())
+                .unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidArgument { .. }),
+                "{routes:?}: {err}"
+            );
+            assert_eq!(cp.routes_of(ChainId::new(1)), deploy.routes, "{routes:?}");
+            assert_eq!(loads(&cp), deployed, "{routes:?}");
+        }
+        let snap = cp.telemetry().registry.snapshot();
+        assert_eq!(snap.counter("cp.2pc.commits"), commits);
+        assert_eq!(snap.counter("cp.update.total"), 0);
+    }
+
+    #[test]
+    fn live_tracker_is_the_load_of_the_installed_routes_after_every_verb() {
+        /// The tracker rebuilt from scratch over every installed route.
+        fn rebuilt(cp: &ControlPlane) -> LoadTracker {
+            let mut tracker = LoadTracker::new(&cp.base_model);
+            for st in cp.chains.values() {
+                let spec = cp.chain_spec(&st.request, st.ingress_site, st.egress_site);
+                for r in &st.routes {
+                    let coefs = dp::path_coefficients(&cp.base_model, &spec, &r.sites);
+                    tracker.apply(&coefs, r.fraction);
+                }
+            }
+            tracker
+        }
+        fn assert_close(live: &LoadTracker, want: &LoadTracker, verb: &str) {
+            let pairs = live
+                .link_load
+                .iter()
+                .zip(&want.link_load)
+                .chain(live.site_load.iter().zip(&want.site_load));
+            for (a, b) in pairs {
+                assert!((a - b).abs() < 1e-9, "after {verb}: {a} vs {b}");
+            }
+            for key in live.vnf_site_load.keys().chain(want.vnf_site_load.keys()) {
+                let (a, b) = (
+                    live.vnf_site_load.get(key).copied().unwrap_or(0.0),
+                    want.vnf_site_load.get(key).copied().unwrap_or(0.0),
+                );
+                assert!((a - b).abs() < 1e-9, "after {verb}: {key:?} {a} vs {b}");
+            }
+        }
+        let (one, two) = (ChainId::new(1), ChainId::new(2));
+        let (s1, s2) = (SiteId::new(1), SiteId::new(2));
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+
+        let home = cp.deploy_chain(request(1)).unwrap().routes[0].sites.clone();
+        assert_close(&cp.tracker, &rebuilt(&cp), "deploy");
+        cp.deploy_chain_via(request(2), vec![(vec![s1], 1.0)])
+            .unwrap();
+        assert_close(&cp.tracker, &rebuilt(&cp), "deploy via");
+        let away = if home == vec![s1] { s2 } else { s1 };
+        cp.update_chain(one, vec![(vec![away], 1.0)]).unwrap();
+        assert_close(&cp.tracker, &rebuilt(&cp), "update");
+        cp.update_chain(one, vec![(home, 1.0)]).unwrap();
+        assert_close(&cp.tracker, &rebuilt(&cp), "update back");
+        cp.add_route_via(two, vec![s2]).unwrap();
+        assert_close(&cp.tracker, &rebuilt(&cp), "add-route");
+        cp.reroute_chain(one).unwrap();
+        assert_close(&cp.tracker, &rebuilt(&cp), "reroute");
+        cp.remove_chain(one).unwrap();
+        assert_close(&cp.tracker, &rebuilt(&cp), "remove");
+        cp.remove_chain(two).unwrap();
+        assert_close(
+            &cp.tracker,
+            &LoadTracker::new(&cp.base_model),
+            "last remove",
+        );
     }
 }
