@@ -14,6 +14,9 @@
 //!    hot-swap ([`Forwarder::apply_artifact`], Full and Patch kinds) with
 //!    the flow table carried across the swap (zero-drop make-before-break).
 //!
+//! Alongside them, corrupted bytes and hostile bodies that carry a valid
+//! checksum must decode to an error, never to state a forwarder installs.
+//!
 //! CI runs this as the named step
 //! `cargo test --release -p sb-artifact --test artifact_roundtrip`.
 
@@ -354,6 +357,82 @@ fn corruption_is_always_detected() {
             decode(&bad).is_err(),
             "flipping byte {i} of {} went undetected",
             bytes.len()
+        );
+    }
+}
+
+/// `bytes` with the unique occurrence of `from` replaced by `to` and the
+/// trailer re-computed: a hostile body that passes the checksum.
+fn reseal_rewritten(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+    let at: Vec<usize> = (0..=bytes.len() - from.len())
+        .filter(|&i| &bytes[i..i + from.len()] == from)
+        .collect();
+    assert_eq!(at.len(), 1, "the pattern to rewrite must occur once");
+    let mut out = bytes.to_vec();
+    out[at[0]..at[0] + to.len()].copy_from_slice(to);
+    let body = out.len() - 8;
+    let checksum = sb_artifact::fnv1a64(&out[..body]);
+    out[body..].copy_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// A receiver installs rows as carried, so the decoder — not the
+/// checksum, which hostile bytes can carry — rejects bodies out of the
+/// canonical order: a repeated row label pair, rows in descending order,
+/// and a repeated forwarder id each decode to `Err`, while the honest
+/// encoding still round-trips.
+#[test]
+fn hostile_bodies_with_valid_checksums_are_rejected() {
+    let row = |chain: u32, egress: u32| FibRow {
+        labels: LabelPair::new(ChainLabel::new(chain), EgressLabel::new(egress)),
+        active_epoch: 3,
+        epochs: vec![3],
+        rules: rules_from_weights(&[1, 2]),
+    };
+    let share = |id: u64, rows: Vec<FibRow>| ForwarderArtifact {
+        forwarder: ForwarderId::new(id),
+        mode: ForwarderMode::Affinity,
+        generation: 1,
+        rows,
+        label_unaware: Vec::new(),
+        removed: Vec::new(),
+    };
+    let art = SiteArtifact {
+        site: SiteId::new(7),
+        epoch: 3,
+        kind: ArtifactKind::Full,
+        forwarders: vec![
+            share(4_000_001, vec![row(1001, 66), row(1001, 77)]),
+            share(4_000_002, vec![row(1002, 1)]),
+        ],
+    };
+    let honest = encode(&art);
+    assert_eq!(decode(&honest).expect("honest encoding"), art);
+
+    let labels = |chain: u32, egress: u32| [chain.to_le_bytes(), egress.to_le_bytes()].concat();
+    let cases = [
+        (
+            "repeated row",
+            reseal_rewritten(&honest, &labels(1001, 77), &labels(1001, 66)),
+        ),
+        (
+            "descending rows",
+            reseal_rewritten(&honest, &labels(1001, 77), &labels(1001, 55)),
+        ),
+        (
+            "repeated forwarder",
+            reseal_rewritten(
+                &honest,
+                &4_000_002u64.to_le_bytes(),
+                &4_000_001u64.to_le_bytes(),
+            ),
+        ),
+    ];
+    for (what, bytes) in cases {
+        let err = decode(&bytes).expect_err(what);
+        assert!(
+            err.to_string().contains("strictly ascending"),
+            "{what}: {err}"
         );
     }
 }

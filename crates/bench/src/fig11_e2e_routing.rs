@@ -27,7 +27,6 @@
 //! link capacities; RTT adds M/M/1 queueing at utilized instances.
 
 use sb_netsim::{queueing::mm1_delay, FluidNetwork};
-use sb_te::eval::Evaluation;
 use sb_te::{baselines, lp, ChainSpec, NetworkModel, RoutingSolution};
 use sb_types::{ChainId, Millis, SiteId, VnfId};
 use switchboard::scenarios;
@@ -210,21 +209,6 @@ pub fn run(one_way: Millis) -> Vec<SchemeResult> {
         });
     }
     results
-}
-
-/// Reference SB-LP throughput ceiling (max-α) for the same model.
-#[must_use]
-pub fn lp_reference(one_way: Millis) -> f64 {
-    let (model, _, _) = build_model(one_way);
-    let total_demand: f64 = model.chains().iter().map(ChainSpec::demand).sum();
-    match lp::max_throughput(&model) {
-        Ok((sol, alpha)) => {
-            let e = Evaluation::of(&model, &sol);
-            let _ = e;
-            alpha.min(1.0) * total_demand + (alpha - 1.0).max(0.0) * 0.0
-        }
-        Err(_) => 0.0,
-    }
 }
 
 /// Formats the comparison as paper-style rows.

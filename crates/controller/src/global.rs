@@ -1378,9 +1378,10 @@ impl ControlPlane {
                 )?
             } else {
                 let addrs = self
-                    .stage_forwarder_addrs(ann.route, 0)
-                    .ok_or_else(|| Error::unknown("stage hops", ann.route))?;
-                WeightedChoice::new(addrs)?
+                    .first_hops
+                    .get(&ann.route)
+                    .ok_or_else(|| Error::unknown("first hops", ann.route))?;
+                WeightedChoice::new(addrs.clone())?
             };
             self.edge
                 .instance_at_mut(ingress_site)
@@ -1515,25 +1516,6 @@ impl ControlPlane {
         self.edge
             .instance_at(site)
             .map_or(Addr::Edge(EdgeInstanceId::new(u64::MAX)), |e| e.addr())
-    }
-
-    /// The forwarders of one route stage as `(addr, weight)` pairs, from
-    /// the data recorded at install time. `None` when the stage is
-    /// unknown. Stage 0's *previous* hop is the ingress edge, so this is
-    /// the forwarder set that serves the stage's VNF.
-    fn stage_forwarder_addrs(&self, route: RouteId, stage: usize) -> Option<Vec<(Addr, f64)>> {
-        // Stage 0 is the edge's first hop, recorded verbatim at install
-        // time (covers single-stage routes, which have no stage 1).
-        if stage == 0 {
-            if let Some(hops) = self.first_hops.get(&route) {
-                return Some(hops.clone());
-            }
-        }
-        // Otherwise: recorded as the "prev" hops of stage+1.
-        if let Some((_, prev)) = self.stage_hops.get(&(route, stage + 1)) {
-            return Some(prev.clone());
-        }
-        None
     }
 
     /// Extends a chain to a new edge site (the user-mobility flow of

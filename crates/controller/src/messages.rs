@@ -38,18 +38,6 @@ pub struct RouteAnnouncement {
     pub epoch: u64,
 }
 
-impl RouteAnnouncement {
-    /// The site of the `z`-th VNF.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z` is out of range.
-    #[must_use]
-    pub fn site_of_stage(&self, z: usize) -> SiteId {
-        self.sites[z]
-    }
-}
-
 /// One VNF instance as published by its controller (Figure 4, arrow 4).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct InstanceRecord {
@@ -93,7 +81,6 @@ mod tests {
         let json = serde_json::to_string(&ra).unwrap();
         let back: RouteAnnouncement = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ra);
-        assert_eq!(back.site_of_stage(0), SiteId::new(2));
     }
 
     #[test]

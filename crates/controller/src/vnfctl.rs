@@ -113,7 +113,10 @@ impl VnfController {
     /// # Errors
     ///
     /// - [`Error::UnknownEntity`] when the VNF is not deployed at `site`.
-    /// - [`Error::CommitRejected`] when remaining capacity is insufficient.
+    /// - [`Error::CommitRejected`] when remaining capacity is insufficient,
+    ///   or when `site` has a label-unaware instance and already holds a
+    ///   reservation for another route: its forwarder re-affixes one label
+    ///   pair per such instance, so the pool carries one route.
     pub fn prepare(
         &mut self,
         chain: ChainId,
@@ -127,11 +130,25 @@ impl VnfController {
             .pools
             .get_mut(&site)
             .ok_or_else(|| Error::unknown("vnf deployment site", site))?;
+        let reject = |reason: String| Error::CommitRejected {
+            participant: format!("{vnf}@{site}"),
+            reason,
+        };
         if load > available + 1e-9 {
-            return Err(Error::CommitRejected {
-                participant: format!("{vnf}@{site}"),
-                reason: format!("need {load:.3} load units, only {available:.3} available"),
-            });
+            return Err(reject(format!(
+                "need {load:.3} load units, only {available:.3} available"
+            )));
+        }
+        if pool.instances.iter().any(|i| !i.supports_labels)
+            && pool
+                .prepared
+                .keys()
+                .chain(&pool.committed_keys)
+                .any(|&key| key != (chain, route))
+        {
+            return Err(reject(
+                "a label-unaware instance already serves another route".into(),
+            ));
         }
         *pool.prepared.entry((chain, route)).or_insert(0.0) += load;
         Ok(())

@@ -162,7 +162,8 @@ impl Switchboard {
     ///
     /// # Errors
     ///
-    /// As [`deploy_chain`](Self::deploy_chain), plus arity mismatches.
+    /// As [`deploy_chain`](Self::deploy_chain), plus a route set that is
+    /// not a split of the whole demand.
     pub fn deploy_chain_via(
         &mut self,
         request: ChainRequest,

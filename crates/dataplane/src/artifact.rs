@@ -36,9 +36,11 @@
 //! ```
 //!
 //! Encoding sorts every list it emits, so two encodes of the same logical
-//! state — regardless of rule-map iteration order — produce identical
-//! bytes. Decoding validates magic, version, checksum, label ranges, epoch
-//! ordering, and alias-table shape before constructing anything.
+//! state — whatever order its lists are held in — produce identical
+//! bytes. Decoding validates magic, version, checksum, that canonical
+//! order (forwarders and each forwarder's rows strictly ascending — a
+//! receiver installs rows as carried), label ranges, epoch ordering, and
+//! alias-table shape before constructing anything.
 //!
 //! # What is (deliberately) not serialized
 //!
@@ -398,14 +400,17 @@ fn mode_from_u8(v: u8) -> Result<ForwarderMode> {
 }
 
 /// Deserializes a version-1 artifact, validating the magic, version,
-/// trailer checksum, label ranges, epoch ordering, and alias-table shape.
+/// trailer checksum, canonical order, label ranges, epoch ordering, and
+/// alias-table shape.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidArgument`] on any structural defect: wrong
 /// magic, unsupported version, checksum mismatch, truncation, trailing
-/// garbage, out-of-range labels or alias indices, or epoch lists that are
-/// not ascending with the active epoch last.
+/// garbage, forwarders not strictly ascending by id, a forwarder's rows
+/// not strictly ascending by label pair, out-of-range labels or alias
+/// indices, or epoch lists that are not ascending with the active epoch
+/// last.
 pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
     if bytes.len() < MAGIC.len() + 2 + 8 {
         return Err(Error::invalid_argument("artifact: too short"));
@@ -449,9 +454,25 @@ pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
         let n_unaware = d.u32()? as usize;
         let n_removed = d.u32()? as usize;
 
-        let mut rows = Vec::with_capacity(n_rows.min(4096));
+        if forwarders
+            .last()
+            .is_some_and(|prev: &ForwarderArtifact| prev.forwarder >= forwarder)
+        {
+            return Err(Error::invalid_argument(
+                "artifact: forwarders must be strictly ascending by id",
+            ));
+        }
+
+        let mut rows: Vec<FibRow> = Vec::with_capacity(n_rows.min(4096));
         for _ in 0..n_rows {
             let labels = d.labels()?;
+            // Rows are installed as carried: a repeated pair would enter
+            // the FIB twice, so the canonical order is checked here.
+            if rows.last().is_some_and(|prev| prev.labels >= labels) {
+                return Err(Error::invalid_argument(
+                    "artifact: rows must be strictly ascending by label pair",
+                ));
+            }
             let active_epoch = d.u64()?;
             let n_epochs = d.u32()? as usize;
             if n_epochs == 0 {

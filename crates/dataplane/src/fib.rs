@@ -1,36 +1,32 @@
 //! The compiled FIB: dense label-interned rule tables with RCU-style
 //! generation publish (DESIGN.md §14).
 //!
-//! The forwarder's authoritative rule state is a
-//! `HashMap<LabelPair, EpochRules>` — ideal for the control plane's
-//! incremental installs and retires, but wrong for the per-packet hot path:
-//! every probe pays SipHash over the label pair plus a pointer chase into
-//! the epoch vector, and mixed-label fleet traffic defeats the batch loop's
-//! one-entry rule cache entirely. Following Active Switching's insight that
-//! chain steering should be resolved into flat per-hop state rather than
-//! re-looked-up per packet, this module compiles the rule map into a
-//! [`CompiledFib`]:
+//! A forwarder's rules are the rows of the [`CompiledFib`] it last
+//! published — nothing else holds them. Following Active Switching's
+//! insight that chain steering should be resolved into flat per-hop state
+//! rather than re-looked-up per packet, a [`CompiledFib`] holds:
 //!
+//! - **dense rule rows** ([`FibRow`]), sorted by label pair: per pair, the
+//!   active epoch's [`RuleSet`] with its Vose alias tables already baked,
+//!   the active epoch tag, and the full ascending epoch list — both epochs
+//!   of a make-before-break update are present in one generation until the
+//!   old one is retired. A row is also exactly what an artifact carries;
 //! - a **label-interning table**: an open-addressed, power-of-two probe
 //!   table mapping a packed `LabelPair` to a small dense row index — a
 //!   splitmix-mixed u64 compare per probe, no SipHash, no buckets;
-//! - **dense rule rows** ([`FibRow`]): per label pair, the active epoch's
-//!   [`RuleSet`] with its Vose alias tables already baked (cloned from the
-//!   install-time build), the active epoch tag, and the full ascending
-//!   epoch list — both epochs of a make-before-break update are present in
-//!   one generation until the old one is retired;
 //! - a **chain-fallback table**: reverse-direction packets carry the
 //!   opposite egress label, so a miss on the exact pair falls back to the
-//!   chain's canonical (smallest) label pair, mirroring the per-packet
-//!   rule-map lookup of `Forwarder::process` deterministically.
+//!   chain's canonical (smallest) label pair — the same row
+//!   `Forwarder::process` finds by binary search over the rows.
 //!
 //! # Generation lifecycle
 //!
 //! Compilation happens off the hot path, in the rule mutators
 //! (`install_rules_epoch` / `retire_epoch` / `fail_vnf_instance` / ...).
-//! Each mutation builds the next [`CompiledFib`] — a full rebuild from the
-//! rule map, or an in-place single-row patch ([`CompiledFib::patch_row`])
-//! when only one label pair changed — and publishes it through a
+//! Each mutation builds the next [`CompiledFib`] from the current one — a
+//! full rebuild over an edited row set, or an in-place single-row patch
+//! ([`CompiledFib::patch_row`]) when only one label pair changed — and
+//! publishes it through a
 //! [`FibCell`] with RCU semantics: readers ([`FibReader`]) keep an `Arc`
 //! to the generation they last saw and re-check a single atomic generation
 //! counter per batch; only when the generation moved do they take the
@@ -125,7 +121,7 @@ impl CompiledFib {
 
     /// Compiles `rows` into a FIB tagged `generation`. Rows are sorted by
     /// label pair, so the layout (and the chain-fallback choice) is
-    /// deterministic regardless of the rule map's iteration order.
+    /// deterministic regardless of the order they are given in.
     #[must_use]
     pub fn build(generation: u64, mut rows: Vec<FibRow>) -> Self {
         rows.sort_by_key(|r| r.labels);
@@ -163,7 +159,7 @@ impl CompiledFib {
     /// A copy of this FIB with one row replaced (or inserted), tagged
     /// `generation`. The single-row delta path for installs and retires
     /// that touch one surviving label pair: row payloads are cloned but
-    /// nothing is re-derived from the rule map. A replacement reuses the
+    /// nothing is re-derived. A replacement reuses the
     /// interning and fallback tables verbatim; an insert falls back to a
     /// fresh [`build`](Self::build) over the extended row set.
     #[must_use]
@@ -216,8 +212,8 @@ impl CompiledFib {
     /// Resolves a label pair to its row index: exact match through the
     /// interning table, else the chain's canonical row (reverse-direction
     /// packets carry the opposite egress label but belong to the same
-    /// chain), else `None`. Mirrors the `Forwarder::process` rule-map lookup
-    /// exactly.
+    /// chain), else `None`. Resolves exactly the row `Forwarder::process`
+    /// finds by binary search.
     #[inline]
     #[must_use]
     pub fn lookup_index(&self, labels: LabelPair) -> Option<u32> {
@@ -300,21 +296,23 @@ impl FibCell {
         self.shared.generation.load(Ordering::Acquire)
     }
 
-    /// The currently published snapshot (writer-side convenience, used to
-    /// derive patches).
+    /// The currently published snapshot.
     #[must_use]
     pub fn current(&self) -> Arc<CompiledFib> {
         Arc::clone(&self.shared.slot.lock().expect("fib slot poisoned"))
     }
 
-    /// Publishes `fib` as the new generation. The slot swap happens under
-    /// the lock; the generation counter is released afterwards, so readers
-    /// that observe the new number always find the new snapshot.
-    pub fn publish(&self, fib: CompiledFib) {
+    /// Publishes `fib` as the new generation and returns the published
+    /// snapshot. The slot swap happens under the lock; the generation
+    /// counter is released afterwards, so readers that observe the new
+    /// number always find the new snapshot.
+    pub fn publish(&self, fib: CompiledFib) -> Arc<CompiledFib> {
         let generation = fib.generation();
+        let fib = Arc::new(fib);
         let mut slot = self.shared.slot.lock().expect("fib slot poisoned");
-        *slot = Arc::new(fib);
+        *slot = Arc::clone(&fib);
         self.shared.generation.store(generation, Ordering::Release);
+        fib
     }
 
     /// A reader handle over this cell (cheap; clone freely across threads).
@@ -365,13 +363,6 @@ impl FibReader {
             self.cached_generation = self.cached.generation();
         }
         &self.cached
-    }
-
-    /// The generation of the snapshot this reader currently holds (without
-    /// refreshing).
-    #[must_use]
-    pub fn held_generation(&self) -> u64 {
-        self.cached_generation
     }
 }
 

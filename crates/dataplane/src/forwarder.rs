@@ -238,9 +238,9 @@ impl FwdTelemetry {
     }
 }
 
-/// The forwarder's compiled-FIB state: the RCU publish cell (writer side),
-/// the forwarder's own cached reader for the batch path, and recompilation
-/// counters.
+/// The forwarder's rule state: the RCU publish cell (writer side), the
+/// [`CompiledFib`] it last published — whose rows are the only copy of the
+/// forwarder's rules — and recompilation counters.
 ///
 /// `Clone` detaches: a cloned forwarder gets a fresh cell seeded with the
 /// current generation, so its subsequent rebuilds never clobber (or race
@@ -248,7 +248,9 @@ impl FwdTelemetry {
 #[derive(Debug)]
 struct FibState {
     cell: FibCell,
-    reader: FibReader,
+    /// The generation last published; mutators derive the next one from
+    /// it and `&self` readers use it without taking the cell's lock.
+    current: Arc<CompiledFib>,
     /// Full recompilations published so far.
     rebuilds: u64,
     /// Single-row patches published so far.
@@ -258,18 +260,34 @@ struct FibState {
 impl FibState {
     fn new() -> Self {
         let cell = FibCell::new(CompiledFib::empty());
-        let reader = cell.reader();
+        let current = cell.current();
         Self {
             cell,
-            reader,
+            current,
             rebuilds: 0,
             patches: 0,
         }
     }
 
+    /// The row for exactly `labels`, if installed.
+    fn row(&self, labels: LabelPair) -> Option<&FibRow> {
+        let rows = self.current.rows();
+        let i = rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
+        Some(&rows[i])
+    }
+
+    /// The generation number the next publish carries.
+    fn next_generation(&self) -> u64 {
+        self.current.generation() + 1
+    }
+
+    fn publish(&mut self, fib: CompiledFib) {
+        self.current = self.cell.publish(fib);
+    }
+
     fn sync_stats(&self) -> FibSyncStats {
         FibSyncStats {
-            generation: self.cell.generation(),
+            generation: self.current.generation(),
             rebuilds: self.rebuilds,
             patches: self.patches,
         }
@@ -278,11 +296,9 @@ impl FibState {
 
 impl Clone for FibState {
     fn clone(&self) -> Self {
-        let cell = self.cell.detach();
-        let reader = cell.reader();
         Self {
-            cell,
-            reader,
+            cell: self.cell.detach(),
+            current: Arc::clone(&self.current),
             rebuilds: self.rebuilds,
             patches: self.patches,
         }
@@ -297,20 +313,16 @@ pub struct Forwarder {
     id: ForwarderId,
     site: SiteId,
     mode: ForwarderMode,
-    rules: HashMap<LabelPair, EpochRules>,
     /// Static next hop used in [`ForwarderMode::Bridge`].
     bridge_next: Option<Addr>,
-    /// Labels to re-affix per label-unaware VNF instance (Section 5.3,
-    /// Conformity: "forwarders must be able to uniquely associate the exit
-    /// interface on the VNF with a set of labels").
-    vnf_labels: HashMap<InstanceId, LabelPair>,
-    /// VNF instances that do NOT support Switchboard labels; packets to
-    /// them are stripped.
-    label_unaware: HashMap<InstanceId, ()>,
+    /// VNF instances that do NOT support Switchboard labels: packets to
+    /// them are stripped, and packets from them get these labels re-affixed
+    /// (Section 5.3, Conformity: "forwarders must be able to uniquely
+    /// associate the exit interface on the VNF with a set of labels").
+    label_unaware: HashMap<InstanceId, LabelPair>,
     flow_table: FlowTable,
-    /// The compiled FIB mirroring `rules`/epoch state, republished by every
-    /// rule mutator and consumed by the pipelined batch path (DESIGN.md
-    /// §14).
+    /// The compiled FIB: its rows are the rules, one per label pair with
+    /// its epoch tags, republished by every rule mutator (DESIGN.md §14).
     fib: FibState,
     stats: ForwarderStats,
     /// Sink for synthetic per-packet header work (see `io_work`), kept so
@@ -340,9 +352,7 @@ impl Forwarder {
             id,
             site,
             mode,
-            rules: HashMap::new(),
             bridge_next: None,
-            vnf_labels: HashMap::new(),
             label_unaware: HashMap::new(),
             flow_table: FlowTable::with_capacity(capacity),
             fib: FibState::new(),
@@ -416,69 +426,86 @@ impl Forwarder {
     /// entries ... remain until the completion of a flow and only new flows
     /// route on the new routes").
     pub fn install_rules(&mut self, labels: LabelPair, rules: RuleSet) {
-        let entry = self.rules.entry(labels).or_default();
-        let epoch = entry.active_epoch().unwrap_or(0);
-        entry.install(epoch, rules);
-        self.fib_patch(labels);
+        let epoch = self.active_epoch(labels).unwrap_or(0);
+        self.install_rules_epoch(labels, rules, epoch);
     }
 
     /// Installs the rule sets for a label pair tagged with `epoch`
     /// (DESIGN.md §10). The highest installed epoch is the active one: new
-    /// flows hash onto it, while flows pinned in the flow table keep
-    /// draining on whatever epoch installed their entry — make-before-break
-    /// needs both present until the old epoch is retired.
+    /// flows hash onto its rules, while flows pinned in the flow table keep
+    /// draining on whatever rules installed their entry — make-before-break
+    /// needs both tags present until the old epoch is retired. A pair keeps
+    /// only its active rules, so installing below the active epoch adds the
+    /// tag and nothing else.
     pub fn install_rules_epoch(&mut self, labels: LabelPair, rules: RuleSet, epoch: u64) {
-        self.rules.entry(labels).or_default().install(epoch, rules);
-        self.fib_patch(labels);
+        let installed = self.fib.row(labels);
+        let mut epochs = installed.map_or_else(Vec::new, |r| r.epochs.clone());
+        if let Err(i) = epochs.binary_search(&epoch) {
+            epochs.insert(i, epoch);
+        }
+        let row = match installed {
+            Some(row) if epoch < row.active_epoch => FibRow {
+                epochs,
+                ..row.clone()
+            },
+            _ => FibRow {
+                labels,
+                active_epoch: epoch,
+                epochs,
+                rules,
+            },
+        };
+        self.publish_row(row);
     }
 
-    /// Removes the rule set tagged `epoch` for a label pair (the retire step
-    /// of an update, or the new epoch itself when rolling back). Returns
-    /// whether such an epoch was installed. Established flows continue via
-    /// their flow-table entries regardless.
+    /// Removes the epoch tag `epoch` for a label pair (the retire step of
+    /// an update). The rules stay, under the highest remaining tag;
+    /// retiring the last tag removes the pair. Returns whether such an
+    /// epoch was installed. Established flows continue via their
+    /// flow-table entries regardless.
     pub fn retire_epoch(&mut self, labels: LabelPair, epoch: u64) -> bool {
-        let Some(entry) = self.rules.get_mut(&labels) else {
+        let Some(row) = self.fib.row(labels) else {
             return false;
         };
-        let retired = entry.retire(epoch);
-        if entry.is_empty() {
-            self.rules.remove(&labels);
+        let Ok(i) = row.epochs.binary_search(&epoch) else {
+            return false;
+        };
+        if row.epochs.len() == 1 {
+            self.remove_rules(labels);
+        } else {
+            let mut row = row.clone();
+            row.epochs.remove(i);
+            row.active_epoch = row.epochs[row.epochs.len() - 1];
+            self.publish_row(row);
         }
-        if retired {
-            // Pair survives with fewer epochs → single-row patch; pair
-            // removed entirely → full rebuild (fib_patch decides).
-            self.fib_patch(labels);
-        }
-        retired
+        true
     }
 
     /// The active (highest installed) epoch for a label pair.
     #[must_use]
     pub fn active_epoch(&self, labels: LabelPair) -> Option<u64> {
-        self.rules.get(&labels).and_then(EpochRules::active_epoch)
+        self.fib.row(labels).map(|r| r.active_epoch)
     }
 
     /// All installed epochs for a label pair, ascending. Borrowed iterator
     /// form: no per-call allocation (callers that need a `Vec` collect at
     /// their own, colder boundary).
     pub fn installed_epochs(&self, labels: LabelPair) -> impl Iterator<Item = u64> + '_ {
-        self.rules
-            .get(&labels)
+        self.fib
+            .row(labels)
             .into_iter()
-            .flat_map(|e| e.sets.iter().map(|(ep, _)| *ep))
+            .flat_map(|r| r.epochs.iter().copied())
     }
 
-    /// Removes every epoch's rule sets for a label pair, returning the
-    /// active one; established flows continue via their flow-table entries.
+    /// Removes a label pair with all its epoch tags, returning its rules;
+    /// established flows continue via their flow-table entries.
     pub fn remove_rules(&mut self, labels: LabelPair) -> Option<RuleSet> {
-        let removed = self
-            .rules
-            .remove(&labels)
-            .and_then(|mut e| e.sets.pop().map(|(_, r)| r));
-        if removed.is_some() {
-            self.fib_rebuild();
-        }
-        removed
+        let rows = self.fib.current.rows();
+        let i = rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
+        let mut rows = rows.to_vec();
+        let removed = rows.remove(i);
+        self.publish_rows(rows);
+        Some(removed.rules)
     }
 
     /// Sets the static next hop used in [`ForwarderMode::Bridge`].
@@ -490,8 +517,7 @@ impl Forwarder {
     /// have labels stripped, and packets coming back are re-labeled with
     /// `labels`.
     pub fn register_label_unaware_vnf(&mut self, instance: InstanceId, labels: LabelPair) {
-        self.label_unaware.insert(instance, ());
-        self.vnf_labels.insert(instance, labels);
+        self.label_unaware.insert(instance, labels);
     }
 
     /// Removes all flow-table state for a connection (flow completion).
@@ -514,11 +540,11 @@ impl Forwarder {
     /// §8): load-balancer failover that honors the affinity of surviving
     /// flows. Two things happen, in order:
     ///
-    /// 1. every installed rule set (all label pairs, all epochs) drops the
-    ///    instance from its `to_vnf` weighted choice, so no *new* pin can
-    ///    select it — unless it is a rule set's only target, in which case
-    ///    that rule set is left unchanged (its flows blackhole rather than
-    ///    silently rerouting somewhere the chain never specified);
+    /// 1. every installed rule set (all label pairs) drops the instance
+    ///    from its `to_vnf` weighted choice, so no *new* pin can select it
+    ///    — unless it is a rule set's only target, in which case that rule
+    ///    set is left unchanged (its flows blackhole rather than silently
+    ///    rerouting somewhere the chain never specified);
     /// 2. every flow-table entry pinned to the instance is evicted, so the
     ///    flows it was serving re-run weighted selection over the survivors
     ///    on their next packet and then stay pinned there.
@@ -528,15 +554,14 @@ impl Forwarder {
     /// tests assert. Returns the number of flow-table entries evicted.
     pub fn fail_vnf_instance(&mut self, instance: InstanceId) -> usize {
         let dead = Addr::Vnf(instance);
-        for epochs in self.rules.values_mut() {
-            for (_, rules) in &mut epochs.sets {
-                if let Ok(pruned) = rules.to_vnf.without(dead) {
-                    rules.to_vnf = pruned;
-                }
+        let mut rows = self.fib.current.rows().to_vec();
+        for row in &mut rows {
+            if let Ok(pruned) = row.rules.to_vnf.without(dead) {
+                row.rules.to_vnf = pruned;
             }
         }
         // Every label pair may have changed: full recompilation.
-        self.fib_rebuild();
+        self.publish_rows(rows);
         self.flow_table.remove_where(|_, next| next == dead)
     }
 
@@ -544,7 +569,7 @@ impl Forwarder {
     /// mutation).
     #[must_use]
     pub fn fib_generation(&self) -> u64 {
-        self.fib.cell.generation()
+        self.fib.current.generation()
     }
 
     /// `(full rebuilds, single-row patches)` published so far.
@@ -569,18 +594,14 @@ impl Forwarder {
     /// by the control plane, which knows what changed.
     #[must_use]
     pub fn export_artifact(&self) -> ForwarderArtifact {
-        let fib = self.fib.cell.current();
-        let mut label_unaware: Vec<(InstanceId, LabelPair)> = self
-            .label_unaware
-            .keys()
-            .filter_map(|inst| self.vnf_labels.get(inst).map(|&l| (*inst, l)))
-            .collect();
+        let mut label_unaware: Vec<(InstanceId, LabelPair)> =
+            self.label_unaware.iter().map(|(&i, &l)| (i, l)).collect();
         label_unaware.sort_by_key(|&(i, _)| i);
         ForwarderArtifact {
             forwarder: self.id,
             mode: self.mode,
-            generation: fib.generation(),
-            rows: fib.rows().to_vec(),
+            generation: self.fib.current.generation(),
+            rows: self.fib.current.rows().to_vec(),
             label_unaware,
             removed: Vec::new(),
         }
@@ -599,16 +620,16 @@ impl Forwarder {
 
     /// Hot-swaps artifact state into this forwarder.
     ///
-    /// - [`ArtifactKind::Full`]: the rule map and label-unaware
-    ///   registrations are replaced wholesale and one full FIB rebuild is
-    ///   published.
+    /// - [`ArtifactKind::Full`]: the rows and label-unaware registrations
+    ///   are replaced wholesale and one full FIB rebuild is published.
     /// - [`ArtifactKind::Patch`]: removals drop their label pairs, each
-    ///   carried row reconciles its pair's epoch set (stale epochs
-    ///   retired, listed epochs installed), and registrations merge —
-    ///   every change flows through the single-row `patch_row` path.
+    ///   carried row replaces its pair's row through the single-row
+    ///   `patch_row` path, and registrations merge.
     ///
-    /// A row that lists no epochs says its pair has no rules, in both
-    /// kinds: `Full` skips it, `Patch` drops the pair.
+    /// Rows are installed as carried. A row that lists no epochs says its
+    /// pair has no rules, in both kinds: `Full` skips it, `Patch` drops
+    /// the pair. (The decoder rejects such a row; an artifact built in
+    /// memory can carry one.)
     ///
     /// Either way the swap rides the existing RCU generation publish:
     /// in-flight batches finish on the snapshot they hold, the next batch
@@ -616,81 +637,43 @@ impl Forwarder {
     /// pinned flows drain across the swap with zero drops
     /// (make-before-break, DESIGN.md §15).
     pub fn apply_artifact(&mut self, art: &ForwarderArtifact, kind: ArtifactKind) {
-        match kind {
-            ArtifactKind::Full => {
-                self.rules.clear();
-                self.label_unaware.clear();
-                self.vnf_labels.clear();
-                // A row with no epochs (the decoder rejects one; an
-                // artifact built in memory can carry it) has no rules.
-                for row in art.rows.iter().filter(|r| !r.epochs.is_empty()) {
-                    let entry = self.rules.entry(row.labels).or_default();
-                    for &ep in &row.epochs {
-                        entry.install(ep, row.rules.clone());
-                    }
-                }
-                for &(instance, labels) in &art.label_unaware {
-                    self.register_label_unaware_vnf(instance, labels);
-                }
-                self.fib_rebuild();
+        if kind == ArtifactKind::Full {
+            self.label_unaware.clear();
+            let rows = art.rows.iter().filter(|r| !r.epochs.is_empty());
+            self.publish_rows(rows.cloned().collect());
+        } else {
+            for &labels in &art.removed {
+                self.remove_rules(labels);
             }
-            ArtifactKind::Patch => {
-                for &labels in &art.removed {
-                    self.remove_rules(labels);
-                }
-                for row in &art.rows {
-                    if row.epochs.is_empty() {
-                        self.remove_rules(row.labels);
-                        continue;
-                    }
-                    let stale: Vec<u64> = self
-                        .installed_epochs(row.labels)
-                        .filter(|ep| !row.epochs.contains(ep))
-                        .collect();
-                    let entry = self.rules.entry(row.labels).or_default();
-                    for ep in stale {
-                        entry.retire(ep);
-                    }
-                    for &ep in &row.epochs {
-                        entry.install(ep, row.rules.clone());
-                    }
-                    self.fib_patch(row.labels);
-                }
-                for &(instance, labels) in &art.label_unaware {
-                    self.register_label_unaware_vnf(instance, labels);
+            for row in &art.rows {
+                if row.epochs.is_empty() {
+                    self.remove_rules(row.labels);
+                } else {
+                    self.publish_row(row.clone());
                 }
             }
         }
+        self.label_unaware.extend(art.label_unaware.iter().copied());
         if let Some(t) = &mut self.telemetry {
             t.artifact_swaps.add(1);
         }
     }
 
-    /// Publishes a single-row patch for `labels` — or a full rebuild when
-    /// the pair no longer exists (its row must disappear).
-    fn fib_patch(&mut self, labels: LabelPair) {
+    /// Publishes `row` as a single-row patch: it replaces its pair's row,
+    /// or is inserted.
+    fn publish_row(&mut self, row: FibRow) {
         let started = Instant::now();
-        let Some(row) = self.rules.get(&labels).and_then(|e| e.fib_row(labels)) else {
-            self.fib_rebuild();
-            return;
-        };
-        let generation = self.fib.cell.generation() + 1;
-        let next = self.fib.cell.current().patch_row(generation, row);
-        self.fib.cell.publish(next);
+        let next = self.fib.current.patch_row(self.fib.next_generation(), row);
+        self.fib.publish(next);
         self.fib.patches += 1;
         self.fib_note_published(started);
     }
 
-    /// Recompiles the whole FIB from the rule map and publishes it.
-    fn fib_rebuild(&mut self) {
+    /// Compiles `rows` into a fresh FIB and publishes it.
+    fn publish_rows(&mut self, rows: Vec<FibRow>) {
         let started = Instant::now();
-        let generation = self.fib.cell.generation() + 1;
-        let rows = self
-            .rules
-            .iter()
-            .filter_map(|(labels, entry)| entry.fib_row(*labels))
-            .collect();
-        self.fib.cell.publish(CompiledFib::build(generation, rows));
+        self.fib
+            .publish(CompiledFib::build(self.fib.next_generation(), rows));
         self.fib.rebuilds += 1;
         self.fib_note_published(started);
     }
@@ -849,7 +832,7 @@ impl Forwarder {
         } else {
             // One FIB snapshot per batch: nothing can publish while this
             // call holds `&mut self`, so every chunk sees one generation.
-            let fib = Arc::clone(self.fib.reader.snapshot());
+            let fib = Arc::clone(&self.fib.current);
             for chunk in pkts.chunks_mut(BATCH_CHUNK) {
                 self.labeled_chunk(&fib, chunk, from, out);
             }
@@ -950,7 +933,7 @@ impl Forwarder {
             }
             if pkt.labels.is_none() {
                 if let Addr::Vnf(inst) = from {
-                    if let Some(&l) = self.vnf_labels.get(&inst) {
+                    if let Some(&l) = self.label_unaware.get(&inst) {
                         *pkt = pkt.with_labels(l);
                     }
                 }
@@ -1059,7 +1042,7 @@ impl Forwarder {
         // Re-affix labels for packets returning from label-unaware VNFs.
         if pkt.labels.is_none() {
             if let Addr::Vnf(inst) = from {
-                if let Some(&labels) = self.vnf_labels.get(&inst) {
+                if let Some(&labels) = self.label_unaware.get(&inst) {
                     pkt = pkt.with_labels(labels);
                 }
             }
@@ -1094,7 +1077,7 @@ impl Forwarder {
             }
             ForwarderMode::Affinity => {
                 let Self {
-                    ref rules,
+                    ref fib,
                     ref mut flow_table,
                     ref mut stats,
                     ..
@@ -1104,7 +1087,7 @@ impl Forwarder {
                     key: pkt.key,
                     context,
                 });
-                let rules = || lookup_rules_in(rules, labels);
+                let rules = || lookup_rules_in(fib.current.rows(), labels);
                 affinity_next(flow_table, stats, rules, &at, hash, labels, context, from)?
             }
         };
@@ -1117,62 +1100,7 @@ impl Forwarder {
     /// chain label (reverse-direction packets carry the opposite egress
     /// label but belong to the same chain).
     fn rules_for(&self, labels: LabelPair) -> Result<&RuleSet> {
-        lookup_rules_in(&self.rules, labels).ok_or_else(|| no_rule_error(labels))
-    }
-}
-
-/// Epoch-versioned rule sets for one label pair (DESIGN.md §10): each
-/// installed epoch keeps its own [`RuleSet`], sorted ascending, and the
-/// highest epoch is the active one. During a make-before-break update both
-/// the old and the new epoch are present — new flows select on the active
-/// epoch while pinned flows drain via the flow table — until the control
-/// plane retires the old tag.
-#[derive(Debug, Clone, Default)]
-struct EpochRules {
-    /// `(epoch, rules)` pairs, ascending by epoch; the last is active.
-    sets: Vec<(u64, RuleSet)>,
-}
-
-impl EpochRules {
-    fn active(&self) -> Option<&RuleSet> {
-        self.sets.last().map(|(_, r)| r)
-    }
-
-    fn active_epoch(&self) -> Option<u64> {
-        self.sets.last().map(|(ep, _)| *ep)
-    }
-
-    /// The compiled row for this epoch set under `labels`; `None` when no
-    /// epoch is installed.
-    fn fib_row(&self, labels: LabelPair) -> Option<FibRow> {
-        let (active_epoch, rules) = self.sets.last()?;
-        Some(FibRow {
-            labels,
-            active_epoch: *active_epoch,
-            epochs: self.sets.iter().map(|(ep, _)| *ep).collect(),
-            rules: rules.clone(),
-        })
-    }
-
-    fn install(&mut self, epoch: u64, rules: RuleSet) {
-        match self.sets.binary_search_by_key(&epoch, |(ep, _)| *ep) {
-            Ok(i) => self.sets[i].1 = rules,
-            Err(i) => self.sets.insert(i, (epoch, rules)),
-        }
-    }
-
-    fn retire(&mut self, epoch: u64) -> bool {
-        match self.sets.binary_search_by_key(&epoch, |(ep, _)| *ep) {
-            Ok(i) => {
-                self.sets.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        lookup_rules_in(self.fib.current.rows(), labels).ok_or_else(|| no_rule_error(labels))
     }
 }
 
@@ -1185,20 +1113,19 @@ fn no_rule_error(labels: LabelPair) -> Error {
     Error::forwarding(format!("no rule for labels {labels}"))
 }
 
-/// Borrowed-form rule lookup: exact label pair first, then the chain's
+/// The reference rule lookup of [`Forwarder::process`], over the sorted
+/// rows alone: a binary search for the exact label pair, else the chain's
 /// *canonical* (smallest) label pair — reverse-direction packets carry the
-/// opposite egress label but belong to the same chain. Taking the smallest
-/// pair (not the rule map's iteration order) makes the fallback
-/// deterministic, which the compiled FIB mirrors bit-for-bit.
-fn lookup_rules_in(rules: &HashMap<LabelPair, EpochRules>, labels: LabelPair) -> Option<&RuleSet> {
-    if let Some(r) = rules.get(&labels).and_then(EpochRules::active) {
-        return Some(r);
-    }
-    rules
-        .iter()
-        .filter(|(l, _)| l.chain() == labels.chain())
-        .min_by_key(|(l, _)| **l)
-        .and_then(|(_, e)| e.active())
+/// opposite egress label but belong to the same chain. It shares nothing
+/// with the compiled FIB's interning and fallback tables, which the batch
+/// path probes, so `fib_equivalence` holds the two against each other.
+fn lookup_rules_in(rows: &[FibRow], labels: LabelPair) -> Option<&RuleSet> {
+    let i = rows
+        .binary_search_by_key(&labels, |r| r.labels)
+        .unwrap_or_else(|_| rows.partition_point(|r| r.labels.chain() < labels.chain()));
+    rows.get(i)
+        .filter(|r| r.labels.chain() == labels.chain())
+        .map(|r| &r.rules)
 }
 
 /// Output rewrite shared by the single-packet and batch paths: strip labels
@@ -1206,7 +1133,7 @@ fn lookup_rules_in(rules: &HashMap<LabelPair, EpochRules>, labels: LabelPair) ->
 /// forwarder.
 #[inline]
 fn finish_output(
-    label_unaware: &HashMap<InstanceId, ()>,
+    label_unaware: &HashMap<InstanceId, LabelPair>,
     site: SiteId,
     pkt: &mut Packet,
     labels: LabelPair,
@@ -1232,8 +1159,9 @@ fn finish_output(
 /// split apart so batch loops can keep disjoint borrows. `at` is the
 /// packet's located flow-table record, `hash` its precomputed
 /// [`FlowKey::stable_hash`]; `rules` resolves the label pair's rule set
-/// (`None` = the no-rule drop) and runs only on a miss — `process` looks
-/// the rule map up there, the batch path the compiled FIB snapshot.
+/// (`None` = the no-rule drop) and runs only on a miss — `process`
+/// binary-searches the rows there, the batch path probes the FIB's
+/// interning table.
 #[allow(clippy::too_many_arguments)]
 fn affinity_next<'r>(
     flow_table: &mut FlowTable,
@@ -1254,8 +1182,8 @@ fn affinity_next<'r>(
     affinity_pin(flow_table, rules, at, hash, context, from)
 }
 
-/// The affinity miss path's selection + pinning, shared by the rule-map and
-/// compiled-row lookups: weighted selection on the flow hash, then one pin
+/// The affinity miss path's selection + pinning, shared by both rule
+/// lookups: weighted selection on the flow hash, then one pin
 /// of the connection's forward and reverse hops — all of them or, when the
 /// table is full, none (the packet drops and the next one retries).
 fn affinity_pin(
@@ -1389,13 +1317,14 @@ mod tests {
             let (_, inst) = f.process(pkt, edge()).unwrap();
             assert_ne!(inst, vnf(1), "dead instance selected at active epoch");
         }
-        // ...and neither does the old epoch once the new one is rolled back.
+        // ...and neither do the surviving rules once the epoch-7 tag goes.
         assert!(f.retire_epoch(labels(), 7));
+        assert_eq!(f.active_epoch(labels()), Some(0));
         f.clear_flow_state();
         for port in 0..50u16 {
             let pkt = Packet::labeled(labels(), key(port), 64);
             let (_, inst) = f.process(pkt, edge()).unwrap();
-            assert_ne!(inst, vnf(1), "dead instance selected at old epoch");
+            assert_ne!(inst, vnf(1), "dead instance selected after the retire");
         }
     }
 
@@ -1503,27 +1432,27 @@ mod tests {
     }
 
     #[test]
-    fn retiring_the_new_epoch_rolls_back_to_the_old_rules() {
+    fn a_pair_keeps_only_its_active_rules() {
         let mut f = affinity_forwarder();
-        f.install_rules_epoch(
-            labels(),
-            RuleSet {
-                to_vnf: WeightedChoice::single(vnf(99)),
-                to_next: WeightedChoice::single(fwd_addr(9)),
-                to_prev: WeightedChoice::single(edge()),
-            },
-            7,
+        f.install_rules_epoch(labels(), single_vnf_rules(99), 7);
+        // Installing below the active epoch adds a tag, not rules.
+        f.install_rules_epoch(labels(), single_vnf_rules(50), 3);
+        assert_eq!(
+            f.installed_epochs(labels()).collect::<Vec<_>>(),
+            vec![0, 3, 7]
         );
-        assert_eq!(f.active_epoch(labels()), Some(7));
-        // Rollback: drop the new epoch before any weight shift happened.
+        // Retiring the active tag leaves its rules under the highest
+        // remaining tag; there are no older rules to fall back to.
         assert!(f.retire_epoch(labels(), 7));
-        assert_eq!(f.active_epoch(labels()), Some(0));
+        assert_eq!(f.active_epoch(labels()), Some(3));
         let pkt = Packet::labeled(labels(), key(3000), 500);
-        let (_, next) = f.process(pkt, edge()).unwrap();
-        assert!(next == vnf(1) || next == vnf(2), "old epoch serves: {next:?}");
-        // Retiring the last epoch removes the label pair entirely.
+        assert_eq!(f.process(pkt, edge()).unwrap().1, vnf(99));
+        // Retiring the last tag removes the label pair entirely.
         assert!(f.retire_epoch(labels(), 0));
+        assert!(f.retire_epoch(labels(), 3));
         assert_eq!(f.active_epoch(labels()), None);
+        // Two installs, two surviving retires, one removal.
+        assert_eq!(f.fib_recompilations(), (1, 5));
     }
 
     #[test]
@@ -1991,8 +1920,7 @@ mod tests {
         };
         let f = make();
         assert_eq!(f.active_epoch(labels()), None);
-        assert!(f.rules.is_empty(), "no ghost key");
-        assert!(f.fib.cell.current().is_empty());
+        assert!(f.fib.current.is_empty(), "no ghost row");
         // install (patch) + removal (rebuild); naming an absent pair again
         // publishes nothing.
         assert_eq!(f.fib_recompilations(), (1, 1));
@@ -2005,9 +1933,8 @@ mod tests {
 
     #[test]
     fn full_row_without_epochs_leaves_no_ghost_key() {
-        // The epoch-less row is the chain's smallest label pair: left in
-        // the rule map it would shadow the real row in `process`'s chain
-        // fallback while the compiled FIB (which never had it) forwards.
+        // The epoch-less row is the chain's smallest label pair: installed,
+        // it would become the chain fallback reverse traffic resolves to.
         let ghost = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
         let art = artifact(vec![
             FibRow {
@@ -2025,7 +1952,7 @@ mod tests {
         ]);
         let make = || Forwarder::from_artifact(SiteId::new(0), &art);
         let mut f = make();
-        assert!(!f.rules.contains_key(&ghost));
+        assert_eq!(f.active_epoch(ghost), None);
         assert_eq!(f.active_epoch(labels()), Some(3));
         assert_eq!(f.fib_recompilations(), (1, 0));
         let reverse = LabelPair::new(ChainLabel::new(1), EgressLabel::new(7));

@@ -53,8 +53,8 @@ fn mix(mut h: u64) -> u64 {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WeightedChoice {
     /// `(target, cumulative_weight)`, cumulative over the normalized
-    /// distribution, ending at exactly `total`. Kept for weight
-    /// introspection ([`weight_of`](Self::weight_of)).
+    /// distribution, ending at exactly `total`; [`without`](Self::without)
+    /// recovers the weights from it.
     targets: Vec<(Addr, f64)>,
     total: f64,
     /// Alias-method threshold per slot, scaled to the full `u64` range
@@ -156,19 +156,6 @@ impl WeightedChoice {
     #[must_use]
     pub fn targets(&self) -> Vec<Addr> {
         self.targets.iter().map(|&(a, _)| a).collect()
-    }
-
-    /// The normalized weight of `target` (0 when absent).
-    #[must_use]
-    pub fn weight_of(&self, target: Addr) -> f64 {
-        let mut prev = 0.0;
-        for &(a, cum) in &self.targets {
-            if a == target {
-                return (cum - prev) / self.total;
-            }
-            prev = cum;
-        }
-        0.0
     }
 
     /// Rebuilds the choice with `target` removed and the remaining weights
@@ -291,6 +278,19 @@ mod tests {
         Addr::Vnf(InstanceId::new(i))
     }
 
+    /// The normalized weight of `target` in `lb` (0 when absent).
+    fn weight_of(lb: &WeightedChoice, target: Addr) -> f64 {
+        let (targets, total, _, _) = lb.raw_parts();
+        let mut prev = 0.0;
+        for &(a, cum) in targets {
+            if a == target {
+                return (cum - prev) / total;
+            }
+            prev = cum;
+        }
+        0.0
+    }
+
     #[test]
     fn rejects_degenerate_weights() {
         assert!(WeightedChoice::new(vec![]).is_err());
@@ -305,8 +305,8 @@ mod tests {
         let lb = WeightedChoice::new(vec![(vnf(1), 0.0), (vnf(2), 1.0)]).unwrap();
         assert_eq!(lb.len(), 1);
         assert_eq!(lb.targets(), vec![vnf(2)]);
-        assert_eq!(lb.weight_of(vnf(1)), 0.0);
-        assert_eq!(lb.weight_of(vnf(2)), 1.0);
+        assert_eq!(weight_of(&lb, vnf(1)), 0.0);
+        assert_eq!(weight_of(&lb, vnf(2)), 1.0);
     }
 
     #[test]
@@ -346,19 +346,11 @@ mod tests {
         assert!((frac[2] - 0.7).abs() < 0.02, "{frac:?}");
     }
 
-    #[test]
-    fn normalized_weight_of_reports_shares() {
-        let lb = WeightedChoice::new(vec![(vnf(1), 2.0), (vnf(2), 6.0)]).unwrap();
-        assert!((lb.weight_of(vnf(1)) - 0.25).abs() < 1e-12);
-        assert!((lb.weight_of(vnf(2)) - 0.75).abs() < 1e-12);
-        assert_eq!(lb.weight_of(vnf(9)), 0.0);
-    }
-
     /// The pre-alias implementation: map the hash onto the cumulative
     /// weight distribution and scan. Retained as the distribution oracle.
     fn cumulative_select(lb: &WeightedChoice, hash: u64) -> Addr {
         let targets: Vec<Addr> = lb.targets();
-        let cum: Vec<f64> = targets.iter().map(|&a| lb.weight_of(a)).scan(
+        let cum: Vec<f64> = targets.iter().map(|&a| weight_of(lb, a)).scan(
             0.0,
             |acc, w| {
                 *acc += w;
@@ -423,10 +415,10 @@ mod tests {
             WeightedChoice::new(vec![(vnf(1), 2.0), (vnf(2), 3.0), (vnf(3), 5.0)]).unwrap();
         let survivors = wc.without(vnf(2)).unwrap();
         assert_eq!(survivors.len(), 2);
-        assert_eq!(survivors.weight_of(vnf(2)), 0.0);
+        assert_eq!(weight_of(&survivors, vnf(2)), 0.0);
         // 2:5 renormalized.
-        assert!((survivors.weight_of(vnf(1)) - 2.0 / 7.0).abs() < 1e-12);
-        assert!((survivors.weight_of(vnf(3)) - 5.0 / 7.0).abs() < 1e-12);
+        assert!((weight_of(&survivors, vnf(1)) - 2.0 / 7.0).abs() < 1e-12);
+        assert!((weight_of(&survivors, vnf(3)) - 5.0 / 7.0).abs() < 1e-12);
         // The dead target never wins a selection.
         for i in 0..10_000u64 {
             let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
@@ -434,7 +426,7 @@ mod tests {
         }
         // Removing an absent target keeps the distribution.
         let same = wc.without(vnf(9)).unwrap();
-        assert_eq!(same.weight_of(vnf(2)), wc.weight_of(vnf(2)));
+        assert_eq!(weight_of(&same, vnf(2)), weight_of(&wc, vnf(2)));
         // The last target cannot be removed.
         assert!(WeightedChoice::single(vnf(1)).without(vnf(1)).is_err());
     }

@@ -170,19 +170,6 @@ impl ShardSet {
     pub fn shards(&self) -> &[Forwarder] {
         &self.shards
     }
-
-    /// Mutable access to one shard (tests inject faults this way).
-    #[must_use]
-    pub fn shard_mut(&mut self, i: usize) -> &mut Forwarder {
-        &mut self.shards[i]
-    }
-
-    /// Decomposes into the per-shard forwarders (the threaded runner moves
-    /// each onto its own thread).
-    #[must_use]
-    pub fn into_shards(self) -> Vec<Forwarder> {
-        self.shards
-    }
 }
 
 #[cfg(test)]
@@ -280,6 +267,5 @@ mod tests {
         }
         assert_eq!(sharded.num_shards(), 4);
         assert!(sharded.flow_entries() > 0);
-        assert_eq!(sharded.into_shards().len(), 4);
     }
 }

@@ -1,10 +1,11 @@
 //! Batch pipeline ≡ per-packet `process` reference (DESIGN.md §14).
 //!
 //! The compiled-FIB batch pipeline must be *bit-identical* to the
-//! per-packet rule-map reference: same next hops, same rewritten packets,
-//! same error strings, same per-flow pins, same LB choices, same
-//! drop/hit/miss counters, same synthetic header work, and the same
-//! sampled telemetry — under arbitrary interleavings of
+//! per-packet reference, a binary search over the same rows that shares
+//! nothing with the FIB's interning tables: same next hops, same
+//! rewritten packets, same error strings, same per-flow pins, same LB
+//! choices, same drop/hit/miss counters, same synthetic header work, and
+//! the same sampled telemetry — under arbitrary interleavings of
 //! `install_rules_epoch` / `retire_epoch` / `fail_vnf_instance` and packet
 //! batches in both directions.
 //!

@@ -173,28 +173,6 @@ impl Model {
         self.add_constraint(expr, Relation::Ge, rhs)
     }
 
-    /// Number of variables.
-    #[must_use]
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    #[must_use]
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
-    /// The name given to `var` at creation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` does not belong to this model.
-    #[must_use]
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.vars[var.index()].name
-    }
-
     /// Returns the indices of all binary variables.
     #[must_use]
     pub fn binary_vars(&self) -> Vec<VarId> {
@@ -324,9 +302,9 @@ mod tests {
         let x = m.add_var("alpha", 0.0, 1.0, 1.0);
         let b = m.add_binary_var("flag", 2.0);
         m.add_le([(x, 1.0), (b, 1.0)], 1.5);
-        assert_eq!(m.num_vars(), 2);
-        assert_eq!(m.num_constraints(), 1);
-        assert_eq!(m.var_name(x), "alpha");
+        assert_eq!(m.vars.len(), 2);
+        assert_eq!(m.constraints.len(), 1);
+        assert_eq!(m.vars[x.index()].name, "alpha");
         assert_eq!(m.binary_vars(), vec![b]);
         assert_eq!(m.sense(), Sense::Minimize);
     }

@@ -108,12 +108,6 @@ impl<S> Simulator<S> {
         self.executed
     }
 
-    /// Number of events still pending.
-    #[must_use]
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// The deepest the pending-event queue has ever been. A scheduler
     /// profile signal: heap operations cost `O(log depth)`, so a small
     /// peak means the binary heap cannot dominate a run (see the
@@ -150,49 +144,9 @@ impl<S> Simulator<S> {
         self.schedule_at(self.now + delay, event);
     }
 
-    /// Schedules a burst of `items` as a *single* event at absolute time
-    /// `at`: the handler receives the whole batch at once. Compared to
-    /// scheduling one event per item, a burst costs one queue operation and
-    /// one closure, and hands the receiver a contiguous batch it can push
-    /// through batch APIs (e.g. a forwarder's `process_batch`) instead of
-    /// reassembling it from per-item events.
-    pub fn schedule_batch_at<T: 'static>(
-        &mut self,
-        at: SimTime,
-        items: Vec<T>,
-        handler: impl FnOnce(&mut Simulator<S>, &mut S, Vec<T>) + 'static,
-    ) {
-        self.schedule_at(at, move |sim, state| handler(sim, state, items));
-    }
-
-    /// [`schedule_batch_at`](Self::schedule_batch_at) after a relative
-    /// delay.
-    pub fn schedule_batch_in<T: 'static>(
-        &mut self,
-        delay: Millis,
-        items: Vec<T>,
-        handler: impl FnOnce(&mut Simulator<S>, &mut S, Vec<T>) + 'static,
-    ) {
-        self.schedule_batch_at(self.now + delay, items, handler);
-    }
-
     /// Runs events until the queue is empty. Returns the final clock value.
     pub fn run(&mut self, state: &mut S) -> SimTime {
         while self.step(state) {}
-        self.now
-    }
-
-    /// Runs events with timestamps `<= until` (advancing the clock to
-    /// `until` at the end even if the queue drained earlier). Returns the
-    /// clock.
-    pub fn run_until(&mut self, state: &mut S, until: SimTime) -> SimTime {
-        while let Some(head) = self.queue.peek() {
-            if head.at > until {
-                break;
-            }
-            self.step(state);
-        }
-        self.now = self.now.max(until);
         self.now
     }
 
@@ -257,26 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_arrives_as_one_event() {
-        let mut sim: Simulator<Vec<Vec<u32>>> = Simulator::new();
-        sim.schedule_batch_in(
-            Millis::new(2.0),
-            vec![1, 2, 3],
-            |_, log: &mut Vec<Vec<u32>>, batch| log.push(batch),
-        );
-        sim.schedule_batch_at(
-            SimTime::from_millis(1.0),
-            vec![9],
-            |_, log: &mut Vec<Vec<u32>>, batch| log.push(batch),
-        );
-        let mut log = Vec::new();
-        sim.run(&mut log);
-        // Time order holds across bursts, and each burst is one event.
-        assert_eq!(log, vec![vec![9], vec![1, 2, 3]]);
-        assert_eq!(sim.executed_events(), 2);
-    }
-
-    #[test]
     fn past_events_are_clamped_to_now() {
         let mut sim: Simulator<Vec<u64>> = Simulator::new();
         sim.schedule_at(SimTime::from_millis(5.0), |sim, _log: &mut Vec<u64>| {
@@ -291,20 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_horizon() {
-        let mut sim: Simulator<Vec<u32>> = Simulator::new();
-        sim.schedule_at(SimTime::from_millis(1.0), |_, log| log.push(1));
-        sim.schedule_at(SimTime::from_millis(10.0), |_, log| log.push(10));
-        let mut log = Vec::new();
-        let t = sim.run_until(&mut log, SimTime::from_millis(5.0));
-        assert_eq!(log, vec![1]);
-        assert_eq!(t, SimTime::from_millis(5.0));
-        assert_eq!(sim.pending_events(), 1);
-        sim.run(&mut log);
-        assert_eq!(log, vec![1, 10]);
-    }
-
-    #[test]
     fn peak_pending_tracks_the_deepest_queue() {
         let mut sim: Simulator<()> = Simulator::new();
         for i in 0..4 {
@@ -312,7 +232,6 @@ mod tests {
         }
         assert_eq!(sim.peak_pending_events(), 4);
         sim.run(&mut ());
-        assert_eq!(sim.pending_events(), 0);
         // The peak survives the drain.
         assert_eq!(sim.peak_pending_events(), 4);
     }

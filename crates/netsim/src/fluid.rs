@@ -148,12 +148,6 @@ impl FluidNetwork {
         self.flows.len()
     }
 
-    /// Number of resources.
-    #[must_use]
-    pub fn num_resources(&self) -> usize {
-        self.capacities.len()
-    }
-
     /// Computes weighted max-min fair rates by progressive filling: all
     /// unfrozen flows rise together in proportion to their weights until a
     /// resource saturates (freezing every flow crossing it) or a flow hits

@@ -159,12 +159,6 @@ pub struct SolutionDelta {
 }
 
 impl SolutionDelta {
-    /// Chains whose routes changed at all.
-    #[must_use]
-    pub fn num_changed_chains(&self) -> usize {
-        self.chains.iter().filter(|d| !d.is_empty()).count()
-    }
-
     /// Total per-path operations across all chains.
     #[must_use]
     pub fn num_ops(&self) -> usize {
@@ -412,7 +406,6 @@ mod tests {
         let warm = warm_route_chains(&m, &full, &DpConfig::default());
         assert_eq!(warm.kept, m.chains().len());
         assert_eq!(warm.rerouted, 0);
-        assert_eq!(warm.delta.num_changed_chains(), 0);
         assert_eq!(warm.delta.num_ops(), 0);
     }
 
@@ -444,7 +437,6 @@ mod tests {
             )],
         };
         let d = diff_solutions(&m, &old, &new);
-        assert_eq!(d.num_changed_chains(), 1);
         assert_eq!(d.chains[0].added.len(), 1);
         assert_eq!(d.chains[0].modified.len(), 1);
         assert_eq!(

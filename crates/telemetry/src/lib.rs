@@ -3,20 +3,18 @@
 //!
 //! Every other crate reports into this one, so it deliberately has **no
 //! dependencies** — not even the vendored serde stand-ins — and offers
-//! three primitives (DESIGN.md §9):
+//! two primitives (DESIGN.md §9):
 //!
 //! - [`metrics::Registry`] — named counters, gauges, and log2-bucketed
 //!   latency histograms with lock-free updates after registration;
 //! - [`trace::TraceRecorder`] — structured spans/events with
 //!   parent/child IDs in a bounded ring, timestamped by a virtual
-//!   [`trace::Clock`] (simulation) or real elapsed time (bench);
-//! - [`trace::Sampler`] — deterministic 1-in-N selection so the packet
-//!   fast path records spans without giving up its batch throughput win.
+//!   [`trace::Clock`] (simulation) or real elapsed time (bench).
 //!
-//! A [`Telemetry`] hub bundles one of each and is cloned (cheaply, by
-//! `Arc`) into the control plane, message bus, forwarders, and fault
-//! plans of a deployment, giving a single JSON-exportable view of the
-//! whole system.
+//! A [`Telemetry`] hub bundles a registry, a ring and a clock and is
+//! cloned (cheaply, by `Arc`) into the control plane, message bus,
+//! forwarders, and fault plans of a deployment, giving a single
+//! JSON-exportable view of the whole system.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +28,7 @@ pub mod trace;
 pub use metrics::{labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use slo::{evaluate, SloKind, SloOutcome, SloReport, SloTarget};
 pub use timeseries::{CounterWindow, WindowConfig, WindowRoller, WindowSnapshot};
-pub use trace::{Clock, RecordKind, Sampler, SpanId, TraceRecord, TraceRecorder};
+pub use trace::{Clock, RecordKind, SpanId, TraceRecord, TraceRecorder};
 
 /// One registry + one trace ring + one clock, shared by every component
 /// of a deployment. Cloning shares all three.

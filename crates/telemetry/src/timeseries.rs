@@ -121,15 +121,6 @@ impl WindowSnapshot {
             .map(|(_, h)| h)
     }
 
-    /// Window width in seconds of virtual time.
-    #[must_use]
-    pub fn width_secs(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            (self.end_ns - self.start_ns) as f64 / 1e9
-        }
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push('{');
         json::push_key(out, "index");

@@ -137,8 +137,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 8192;
 /// A bounded, shared recorder of spans and events.
 ///
 /// Cloning shares the ring. All methods take one short mutex; callers on
-/// throughput-critical paths are expected to sample (see [`Sampler`])
-/// rather than record every packet.
+/// throughput-critical paths are expected to sample (one in
+/// [`DEFAULT_SAMPLE_EVERY`] packets, say) rather than record every packet.
 #[derive(Clone, Debug)]
 pub struct TraceRecorder(Arc<Mutex<Ring>>);
 
@@ -322,61 +322,11 @@ impl Clock {
     pub fn advance_ns(&self, ns: u64) -> u64 {
         self.0.fetch_add(ns, Ordering::Relaxed) + ns
     }
-
-    /// Advances by `ms` milliseconds (convenience for `Millis` callers).
-    pub fn advance_ms(&self, ms: u64) -> u64 {
-        self.advance_ns(ms.saturating_mul(1_000_000))
-    }
-}
-
-/// Deterministic 1-in-N sampling keyed to an external ordinal.
-///
-/// The decision is a pure function of the ordinal (`ordinal % every == 0`),
-/// not of internal mutable state, so a batch-processing path and a
-/// packet-at-a-time path over the same stream sample *identical* packets —
-/// a property the stats-equivalence tests rely on. `every == 0` disables
-/// sampling entirely.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Sampler {
-    every: u64,
 }
 
 /// Default packet-span sampling rate: 1 in 1024 keeps trace overhead well
 /// under the 5% throughput budget (see DESIGN.md §9).
 pub const DEFAULT_SAMPLE_EVERY: u64 = 1024;
-
-impl Default for Sampler {
-    fn default() -> Self {
-        Self::every(DEFAULT_SAMPLE_EVERY)
-    }
-}
-
-impl Sampler {
-    /// A sampler selecting one in `every` ordinals (0 = never sample).
-    #[must_use]
-    pub fn every(every: u64) -> Self {
-        Self { every }
-    }
-
-    /// A sampler that never samples.
-    #[must_use]
-    pub fn disabled() -> Self {
-        Self::every(0)
-    }
-
-    /// The configured rate (0 = disabled).
-    #[must_use]
-    pub fn rate(&self) -> u64 {
-        self.every
-    }
-
-    /// Whether the item with this ordinal (0-based position in the
-    /// stream) should be sampled.
-    #[must_use]
-    pub fn should_sample(&self, ordinal: u64) -> bool {
-        self.every != 0 && ordinal.is_multiple_of(self.every)
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -437,23 +387,11 @@ mod tests {
     }
 
     #[test]
-    fn sampler_is_deterministic_and_batch_agnostic() {
-        let s = Sampler::every(4);
-        let picks: Vec<bool> = (0u64..10).map(|i| s.should_sample(i)).collect();
-        assert_eq!(
-            picks,
-            [true, false, false, false, true, false, false, false, true, false]
-        );
-        assert!(!Sampler::disabled().should_sample(0));
-        assert_eq!(Sampler::default().rate(), DEFAULT_SAMPLE_EVERY);
-    }
-
-    #[test]
     fn clock_advances_monotonically() {
         let c = Clock::new();
         assert_eq!(c.now_ns(), 0);
         assert_eq!(c.advance_ns(5), 5);
-        assert_eq!(c.advance_ms(1), 1_000_005);
+        assert_eq!(c.advance_ns(1_000_000), 1_000_005);
         assert_eq!(c.now_ns(), 1_000_005);
     }
 

@@ -1,4 +1,4 @@
-//! Connection identification: the 5-tuple flow key and flow direction.
+//! Connection identification: the 5-tuple flow key.
 //!
 //! Section 3 of the paper: a forwarder's flow-table entry is keyed by the
 //! connection's labels *and* its header 5-tuple (source IP, destination IP,
@@ -33,17 +33,6 @@ impl IpProtocol {
             IpProtocol::Other(n) => n,
         }
     }
-
-    /// Builds a protocol from its IANA number.
-    #[must_use]
-    pub const fn from_number(n: u8) -> Self {
-        match n {
-            1 => IpProtocol::Icmp,
-            6 => IpProtocol::Tcp,
-            17 => IpProtocol::Udp,
-            other => IpProtocol::Other(other),
-        }
-    }
 }
 
 impl fmt::Display for IpProtocol {
@@ -53,39 +42,6 @@ impl fmt::Display for IpProtocol {
             IpProtocol::Udp => write!(f, "udp"),
             IpProtocol::Icmp => write!(f, "icmp"),
             IpProtocol::Other(n) => write!(f, "proto{n}"),
-        }
-    }
-}
-
-/// The direction of a packet relative to its connection's first packet.
-///
-/// Forward packets travel ingress→egress through the chain; reverse packets
-/// travel egress→ingress and must traverse the same VNF instances in reverse
-/// order (the *symmetric return* property, Section 5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Direction {
-    /// Ingress-to-egress direction (traffic `w_cz` in Table 1).
-    Forward,
-    /// Egress-to-ingress direction (traffic `v_cz` in Table 1).
-    Reverse,
-}
-
-impl Direction {
-    /// Returns the opposite direction.
-    #[must_use]
-    pub const fn opposite(self) -> Self {
-        match self {
-            Direction::Forward => Direction::Reverse,
-            Direction::Reverse => Direction::Forward,
-        }
-    }
-}
-
-impl fmt::Display for Direction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Direction::Forward => write!(f, "fwd"),
-            Direction::Reverse => write!(f, "rev"),
         }
     }
 }
@@ -274,35 +230,22 @@ mod tests {
     use proptest::prelude::*;
 
     fn arb_key() -> impl Strategy<Value = FlowKey> {
+        let protocol = prop_oneof![
+            Just(IpProtocol::Tcp),
+            Just(IpProtocol::Udp),
+            Just(IpProtocol::Icmp),
+            any::<u8>().prop_map(IpProtocol::Other),
+        ];
         (
             any::<u32>(),
             any::<u16>(),
             any::<u32>(),
             any::<u16>(),
-            any::<u8>(),
+            protocol,
         )
             .prop_map(|(s, sp, d, dp, p)| {
-                FlowKey::new(
-                    Ipv4Addr::from(s),
-                    sp,
-                    Ipv4Addr::from(d),
-                    dp,
-                    IpProtocol::from_number(p),
-                )
+                FlowKey::new(Ipv4Addr::from(s), sp, Ipv4Addr::from(d), dp, p)
             })
-    }
-
-    #[test]
-    fn protocol_numbers_round_trip() {
-        for n in 0..=255u8 {
-            assert_eq!(IpProtocol::from_number(n).number(), n);
-        }
-    }
-
-    #[test]
-    fn direction_opposite_is_involution() {
-        assert_eq!(Direction::Forward.opposite(), Direction::Reverse);
-        assert_eq!(Direction::Reverse.opposite().opposite(), Direction::Reverse);
     }
 
     #[test]

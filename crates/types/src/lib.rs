@@ -30,7 +30,7 @@ mod labels;
 mod units;
 
 pub use error::{Error, Result};
-pub use flow::{Direction, FlowKey, IpProtocol};
+pub use flow::{FlowKey, IpProtocol};
 pub use ids::{
     ChainId, EdgeInstanceId, ForwarderId, InstanceId, LinkId, NodeId, RouteId, SiteId, VnfId,
 };

@@ -59,14 +59,6 @@ impl Mpps {
     pub fn as_pps(self) -> f64 {
         self.0 * 1e6
     }
-
-    /// The equivalent bit rate in gigabits per second for a given average
-    /// packet size — the conversion the paper uses ("20 Mpps, equal to
-    /// 80 Gbps for 500-byte packets").
-    #[must_use]
-    pub fn as_gbps(self, avg_packet_bytes: u32) -> f64 {
-        self.as_pps() * f64::from(avg_packet_bytes) * 8.0 / 1e9
-    }
 }
 
 impl fmt::Display for Mpps {
@@ -228,13 +220,6 @@ impl std::iter::Sum for Millis {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mpps_gbps_conversion_matches_paper_claim() {
-        // "20 Mpps (equal to 80 Gbps for 500-byte packets)"
-        let t = Mpps::new(20.0);
-        assert!((t.as_gbps(500) - 80.0).abs() < 1e-9);
-    }
 
     #[test]
     fn mpps_arithmetic() {

@@ -114,3 +114,113 @@ fn label_unaware_instances_get_stripped_and_reaffixed_end_to_end() {
         "label-unaware instances must never receive labeled packets"
     );
 }
+
+/// A forwarder re-affixes one label pair per label-unaware instance, so
+/// the instance can serve one route: a second route through it would get
+/// the first one's labels back, or the first the second's. The VNF
+/// controller vetoes the second reservation instead — a forced deploy
+/// fails before anything is installed, SB-DP routes around the site, and
+/// retiring the route frees the instance.
+#[test]
+fn a_label_unaware_instance_serves_one_route() {
+    let (model, sites) = scenarios::line_testbed();
+    let mut sb = Switchboard::new(
+        model,
+        DelayModel::uniform(Millis::new(0.1), Millis::new(10.0)),
+        SwitchboardConfig::default(),
+    );
+    sb.use_passthrough_behaviors();
+    sb.register_attachment("in", sites[0]);
+    let out = sb.register_attachment("out", sites[3]);
+    let out2 = sb.register_attachment("out2", sites[1]);
+    let id = sb.control_plane_mut().allocate_instance_id();
+    sb.control_plane_mut()
+        .set_instances(
+            VnfId::new(0),
+            sites[1],
+            vec![InstanceRecord {
+                instance: id,
+                weight: 1.0,
+                supports_labels: false,
+            }],
+        )
+        .unwrap();
+    sb.register_behavior(Box::new(LabelProbe {
+        instance: id,
+        saw_labels: Rc::new(Cell::new(false)),
+        processed: Rc::new(Cell::new(0)),
+    }));
+    let request = |chain: u64, egress: &str| ChainRequest {
+        id: ChainId::new(chain),
+        ingress_attachment: "in".into(),
+        egress_attachment: egress.into(),
+        vnfs: vec![VnfId::new(0)],
+        forward: 5.0,
+        reverse: 1.0,
+    };
+    let via_unaware = || vec![(vec![sites[1]], 1.0)];
+    // The instance a chain's packet crossed, and where it left the chain.
+    let exits_at = |sb: &mut Switchboard, chain: u64, port: u16| {
+        let key = FlowKey::tcp([10, 0, 0, 1], port, [10, 9, 9, 9], 80);
+        let t = sb
+            .send(ChainId::new(chain), sites[0], Packet::unlabeled(key, 500))
+            .unwrap();
+        assert!(t.delivered, "chain {chain} packet {port} dropped");
+        (
+            t.vnf_instances()[0],
+            *t.hops.last().expect("delivered packets have hops"),
+        )
+    };
+
+    sb.deploy_chain_via(request(1, "out"), via_unaware())
+        .unwrap();
+    let second = sb.deploy_chain_via(request(2, "out2"), via_unaware());
+    for port in 0..20 {
+        let (_, exit) = exits_at(&mut sb, 1, 1000 + port);
+        assert_eq!(
+            exit,
+            Addr::Edge(out),
+            "chain 1 packet {port} delivered at {exit}"
+        );
+    }
+    assert!(
+        matches!(
+            second,
+            Err(switchboard::types::Error::CommitRejected { .. })
+        ),
+        "{second:?}"
+    );
+
+    // SB-DP takes the veto and routes the second chain around the site.
+    let retries = |sb: &Switchboard| sb.telemetry().registry.snapshot().counter("cp.2pc.retries");
+    let before = retries(&sb);
+    let routed = sb.deploy_chain(request(2, "out2")).unwrap();
+    assert_eq!(
+        retries(&sb),
+        before + 1,
+        "SB-DP proposed the site and was vetoed once"
+    );
+    assert!(routed.routes.iter().all(|r| r.sites != vec![sites[1]]));
+    let (instance, exit) = exits_at(&mut sb, 2, 2000);
+    assert_ne!(instance, id);
+    assert_eq!(exit, Addr::Edge(out2));
+    assert_eq!(exits_at(&mut sb, 1, 1000), (id, Addr::Edge(out)));
+
+    // Adding a route through the site fails before anything is installed:
+    // the chain keeps serving on its old epoch.
+    let err = sb
+        .add_route_via(ChainId::new(2), vec![sites[1]])
+        .unwrap_err();
+    assert!(
+        matches!(err, switchboard::types::Error::CommitRejected { .. }),
+        "{err}"
+    );
+    assert_eq!(sb.routes_of(ChainId::new(2)), routed.routes);
+    assert_eq!(exits_at(&mut sb, 2, 2001), (instance, Addr::Edge(out2)));
+
+    // Removing the first chain frees the instance for another route.
+    sb.remove_chain(ChainId::new(1)).unwrap();
+    sb.deploy_chain_via(request(3, "out2"), via_unaware())
+        .unwrap();
+    assert_eq!(exits_at(&mut sb, 3, 3000), (id, Addr::Edge(out2)));
+}
