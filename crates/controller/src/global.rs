@@ -463,32 +463,26 @@ impl ControlPlane {
         None
     }
 
-    /// Removes crashed sites' VNF capacity from a routing model, so
-    /// route (re)computation degrades gracefully around failed sites
-    /// instead of proposing routes through them. A borrowed model stays
-    /// borrowed while every site is up: a healthy reroute copies nothing.
-    fn dead_sites_removed<'m>(&self, model: Cow<'m, NetworkModel>) -> Cow<'m, NetworkModel> {
+    /// The model a route solve may use: the shared model without crashed
+    /// sites' VNF capacity and without the `excluded` (VNF, site)
+    /// deployments that 2PC vetoed, so route (re)computation degrades
+    /// gracefully instead of proposing routes through them. It stays
+    /// borrowed while there is nothing to remove — a healthy solve copies
+    /// nothing — and otherwise replaces each affected VNF's deployment map
+    /// once.
+    fn solve_model(&self, excluded: &[(VnfId, SiteId)]) -> Cow<'_, NetworkModel> {
         let dead = self.dead_sites();
-        if dead.is_empty() {
-            return model;
-        }
-        let mut model = model.into_owned();
-        let vnf_ids: Vec<VnfId> = model.vnfs().iter().map(|v| v.id).collect();
-        for &site in &dead {
-            for &vnf in &vnf_ids {
-                let mut caps = model.vnfs()[vnf.index()].site_capacity.clone();
-                if caps.remove(&site).is_some() {
-                    model = model.with_vnf_sites(vnf, caps);
-                }
+        let stripped =
+            |vnf: VnfId, site: &SiteId| dead.contains(site) || excluded.contains(&(vnf, *site));
+        let mut model = Cow::Borrowed(&self.base_model);
+        for vnf in self.base_model.vnfs() {
+            if vnf.site_capacity.keys().any(|s| stripped(vnf.id, s)) {
+                let mut caps = vnf.site_capacity.clone();
+                caps.retain(|s, _| !stripped(vnf.id, s));
+                model = Cow::Owned(model.with_vnf_sites(vnf.id, caps));
             }
         }
-        Cow::Owned(model)
-    }
-
-    /// [`dead_sites_removed`](Self::dead_sites_removed) on an owned model
-    /// (deploy's route computation builds its own copy).
-    fn without_dead_sites(&self, model: NetworkModel) -> NetworkModel {
-        self.dead_sites_removed(Cow::Owned(model)).into_owned()
+        model
     }
 
     /// The edge controller.
@@ -721,21 +715,11 @@ impl ControlPlane {
                         dead.len()
                     ));
                 }
-                let model = self.base_model.with_chains(vec![spec.clone()]);
-                let model = self.without_dead_sites(model);
+                let model = self.solve_model(&[]);
                 let mut trial_tracker = self.tracker.clone();
                 let paths =
                     dp::route_chain(&model, &mut trial_tracker, &DpConfig::default(), &spec);
-                let routed: f64 = paths.iter().map(|p| p.fraction).sum();
-                if routed < 1.0 - 1e-6 {
-                    // Admission control: a chain is deployed only when its
-                    // full estimated demand can be placed.
-                    return Err(Error::infeasible(format!(
-                        "only {:.1}% of {} demand is placeable",
-                        routed * 100.0,
-                        request.id
-                    )));
-                }
+                check_placeable(&paths, request.id, "")?;
                 paths
             }
         };
@@ -767,24 +751,15 @@ impl ControlPlane {
                             reason,
                         });
                     }
-                    let mut model = self.base_model.with_chains(vec![spec.clone()]);
-                    for &(vnf, site) in &excluded {
-                        let mut caps = model.vnfs()[vnf.index()].site_capacity.clone();
-                        caps.remove(&site);
-                        model = model.with_vnf_sites(vnf, caps);
-                    }
                     // Degrade gracefully: never re-propose a site that has
                     // crashed since the last attempt.
-                    model = self.without_dead_sites(model);
+                    let model = self.solve_model(&excluded);
                     let mut trial_tracker = self.tracker.clone();
                     paths =
                         dp::route_chain(&model, &mut trial_tracker, &DpConfig::default(), &spec);
-                    if paths.is_empty() {
-                        return Err(Error::infeasible(format!(
-                            "no feasible route for {} after 2pc rejections",
-                            request.id
-                        )));
-                    }
+                    // The vetoed round has aborted, so a refusal here
+                    // leaves nothing reserved.
+                    check_placeable(&paths, request.id, " after 2pc rejections")?;
                     let t_step = self.now;
                     self.now += COMPUTE_TIME;
                     report.push("recompute after 2pc rejection", COMPUTE_TIME);
@@ -795,9 +770,8 @@ impl ControlPlane {
         };
 
         // Account the committed load against the live tracker.
-        let model = self.base_model.with_chains(vec![spec.clone()]);
         for ann in &announcements {
-            let coefs = dp::path_coefficients(&model, &spec, &ann.sites);
+            let coefs = dp::path_coefficients(&self.base_model, &spec, &ann.sites);
             self.tracker.apply(&coefs, ann.fraction);
         }
 
@@ -1727,7 +1701,7 @@ impl ControlPlane {
             .ok_or_else(|| Error::unknown("chain", chain))?;
         let spec = self.chain_spec(&state.request, state.ingress_site, state.egress_site);
         let installed = installed_paths(&state.routes);
-        let model = self.dead_sites_removed(Cow::Borrowed(&self.base_model));
+        let model = self.solve_model(&[]);
         let mut trial_tracker = self.tracker.clone();
         let (paths, _) = sb_te::delta::reroute_chain_warm(
             &model,
@@ -1736,13 +1710,7 @@ impl ControlPlane {
             &spec,
             &installed,
         );
-        let routed: f64 = paths.iter().map(|p| p.fraction).sum();
-        if routed < 1.0 - 1e-6 {
-            return Err(Error::infeasible(format!(
-                "only {:.1}% of {chain} demand is placeable after reroute",
-                routed * 100.0
-            )));
-        }
+        check_placeable(&paths, chain, " after reroute")?;
         self.update_chain_inner(chain, paths)
     }
 
@@ -2181,6 +2149,20 @@ fn check_route_set(routes: &[(Vec<SiteId>, f64)], num_vnfs: usize) -> Result<()>
     if (total - 1.0).abs() > 1e-6 {
         return Err(Error::invalid_argument(format!(
             "route fractions sum to {total}, not 1"
+        )));
+    }
+    Ok(())
+}
+
+/// Admission control on a solved route set: a chain is installed only
+/// when its full estimated demand is placed. `when` names the solve in
+/// the error (empty for a first deploy).
+fn check_placeable(paths: &[RoutePath], chain: ChainId, when: &str) -> Result<()> {
+    let routed: f64 = paths.iter().map(|p| p.fraction).sum();
+    if routed < 1.0 - 1e-6 {
+        return Err(Error::infeasible(format!(
+            "only {:.1}% of {chain} demand is placeable{when}",
+            routed * 100.0
         )));
     }
     Ok(())

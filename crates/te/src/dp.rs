@@ -215,28 +215,57 @@ pub(crate) fn edge_cost(
     to: Place,
     next_vnf: Option<VnfId>,
 ) -> f64 {
+    transit_cost(model, tracker, config, from, to)
+        + compute_cost(model, tracker, config, to, next_vnf)
+}
+
+/// The part of [`edge_cost`] that depends on both endpoints: propagation
+/// latency plus weighted network utilization cost `from → to`, infinite
+/// when `to` is unreachable.
+fn transit_cost(
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    config: &DpConfig,
+    from: Place,
+    to: Place,
+) -> f64 {
     let latency = model.latency(from.node, to.node).value();
     if !latency.is_finite() {
         return f64::INFINITY;
     }
     let mut cost = latency;
-    if config.util_weight > 0.0 {
-        if from.node != to.node {
-            let mut net = 0.0;
-            for (&link, &r) in model.routing().fractions_between(from.node, to.node) {
-                net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
-            }
-            cost += config.util_weight * net;
+    if config.util_weight > 0.0 && from.node != to.node {
+        let mut net = 0.0;
+        for (&link, &r) in model.routing().fractions_between(from.node, to.node) {
+            net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
         }
-        if let (Some(vnf), Some(site)) = (next_vnf, to.site) {
-            let u = tracker.vnf_utilization(model, vnf, site);
-            if u.is_infinite() {
-                return f64::INFINITY;
-            }
-            cost += config.util_weight * fortz_thorup_cost(u);
-        }
+        cost += config.util_weight * net;
     }
     cost
+}
+
+/// The part of [`edge_cost`] that depends on the destination alone: the
+/// weighted compute utilization cost of `next_vnf` at `to`'s site,
+/// infinite where the VNF has no capacity, zero without a VNF or a
+/// utilization weight.
+fn compute_cost(
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    config: &DpConfig,
+    to: Place,
+    next_vnf: Option<VnfId>,
+) -> f64 {
+    match (next_vnf, to.site) {
+        (Some(vnf), Some(site)) if config.util_weight > 0.0 => {
+            let u = tracker.vnf_utilization(model, vnf, site);
+            if u.is_infinite() {
+                f64::INFINITY
+            } else {
+                config.util_weight * fortz_thorup_cost(u)
+            }
+        }
+        _ => 0.0,
+    }
 }
 
 /// Reusable SB-DP workspace: the per-stage tables [`route_chain`] needs,
@@ -300,11 +329,22 @@ fn best_path(
         let mut any = false;
         for site in vnf.sites() {
             let to = Place::site(model.site_node(site), site);
+            // Uncached, the destination's compute term is priced once here,
+            // not once per source: `edge_cost` is `transit + compute`, and
+            // an infinite compute term rules the site out for every source.
+            let compute = if cache.is_some() {
+                0.0
+            } else {
+                compute_cost(model, tracker, config, to, Some(vnf_id))
+            };
+            if compute.is_infinite() {
+                continue;
+            }
             let mut best: Option<(f64, Option<SiteId>)> = None;
             for &(from, base, _) in prev.iter() {
                 let edge = match cache.as_deref_mut() {
                     Some(c) => c.edge_cost(model, tracker, config, from, to, Some(vnf_id)),
-                    None => edge_cost(model, tracker, config, from, to, Some(vnf_id)),
+                    None => transit_cost(model, tracker, config, from, to) + compute,
                 };
                 let c = base + edge;
                 if c.is_finite() && best.is_none_or(|(b, _)| c < b) {

@@ -3,6 +3,7 @@
 use sb_topology::{Routing, Topology};
 use sb_types::{ChainId, Error, LinkId, LoadUnits, Millis, NodeId, Rate, Result, SiteId, VnfId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// An endpoint of a chain stage: a network node, plus the cloud site when
 /// the endpoint is a VNF location (ingress/egress endpoints are plain
@@ -118,10 +119,15 @@ impl ChainSpec {
 
 /// The full Table 1 model: topology + routing + sites + VNF catalog +
 /// chains + background traffic + the MLU limit β.
+///
+/// The all-pairs routing table is immutable once
+/// [`NetworkModelBuilder::build`] has computed it, so every copy — a
+/// `clone` or any `with_*` variant — shares that one table instead of
+/// copying it.
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     topology: Topology,
-    routing: Routing,
+    routing: Arc<Routing>,
     /// Node hosting each site (dense by `SiteId`).
     site_node: Vec<NodeId>,
     /// Compute capacity `m_s` per site.
@@ -440,7 +446,7 @@ impl NetworkModelBuilder {
     pub fn build(self) -> Result<NetworkModel> {
         let model = NetworkModel {
             topology: self.topology,
-            routing: self.routing,
+            routing: Arc::new(self.routing),
             site_node: self.site_node,
             site_capacity: self.site_capacity,
             vnfs: self.vnfs,

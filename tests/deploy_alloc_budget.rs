@@ -1,0 +1,94 @@
+//! A deploy allocates for the chain it installs, not for the size of the
+//! network: route compute and accounting read the shared `NetworkModel` in
+//! place, and every copy of the model shares one all-pairs routing table.
+//! On the 400-chain fleet, copying the model — one 120-node routing table,
+//! 14 400 path entries — for route compute and again for accounting cost
+//! 7.1 MB in 58 695 allocations per deploy, and building the
+//! `Switchboard` copied it three times for 11.1 MB; sharing it leaves a
+//! deploy about 116 KB in 1 043 calls, and the build 0.75 MB.
+//!
+//! One test in its own binary: the counting global allocator sees every
+//! allocation of the process, so nothing else may run beside it.
+
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::counting;
+use switchboard::prelude::*;
+use switchboard::scenarios::{fleet, FleetConfig};
+
+/// The benchmark's `fleet_deploy` shape: chains per pass, and site
+/// capacity as a multiple of expected load (2PC never vetoes).
+const CHAINS: usize = 400;
+const HEADROOM: f64 = 64.0;
+/// Deploys run before counting; the rest are counted.
+const WARM_UP: usize = 300;
+const MAX_BUILD_BYTES: usize = 2 * 1024 * 1024;
+const MAX_BYTES_PER_DEPLOY: usize = 256 * 1024;
+const MAX_CALLS_PER_DEPLOY: usize = 4_000;
+
+fn attachment(site: SiteId) -> String {
+    format!("site{}", site.value())
+}
+
+#[test]
+fn a_deploy_allocates_for_its_chain_not_for_the_network() {
+    let model = fleet(&FleetConfig {
+        num_chains: CHAINS,
+        capacity_headroom: HEADROOM,
+        ..FleetConfig::default()
+    });
+    let site_of = |node| {
+        model
+            .sites()
+            .into_iter()
+            .find(|&s| model.site_node(s) == node)
+            .expect("chain endpoints are sites")
+    };
+    let requests: Vec<ChainRequest> = model
+        .chains()
+        .iter()
+        .map(|c| ChainRequest {
+            id: c.id,
+            ingress_attachment: attachment(site_of(c.ingress)),
+            egress_attachment: attachment(site_of(c.egress)),
+            vnfs: c.vnfs.clone(),
+            forward: c.forward[0],
+            reverse: c.reverse[0],
+        })
+        .collect();
+
+    let (mut sb, (build_bytes, build_calls)) = counting(|| {
+        let mut sb = Switchboard::new(
+            model.with_chains(Vec::new()),
+            DelayModel::uniform(Millis::new(0.1), Millis::new(10.0)),
+            SwitchboardConfig::default(),
+        );
+        sb.use_passthrough_behaviors();
+        for site in model.sites() {
+            sb.register_attachment(attachment(site), site);
+        }
+        sb
+    });
+    let mut deploy = |req: &ChainRequest| {
+        sb.deploy_chain(req.clone())
+            .unwrap_or_else(|e| panic!("deploy of {}: {e}", req.id));
+    };
+    requests[..WARM_UP].iter().for_each(&mut deploy);
+    let ((), (bytes, calls)) = counting(|| requests[WARM_UP..].iter().for_each(&mut deploy));
+    let measured = CHAINS - WARM_UP;
+    let (bytes, calls) = (bytes / measured, calls / measured);
+    println!(
+        "building the Switchboard: {build_bytes} B in {build_calls} allocations; \
+         per deploy over deploys {WARM_UP}..{CHAINS}: {bytes} B in {calls} allocations"
+    );
+    assert!(
+        build_bytes <= MAX_BUILD_BYTES,
+        "building the Switchboard allocates {build_bytes} B (budget {MAX_BUILD_BYTES} B)"
+    );
+    assert!(
+        bytes <= MAX_BYTES_PER_DEPLOY && calls <= MAX_CALLS_PER_DEPLOY,
+        "a deploy allocates {bytes} B in {calls} calls \
+         (budget {MAX_BYTES_PER_DEPLOY} B, {MAX_CALLS_PER_DEPLOY} calls)"
+    );
+}

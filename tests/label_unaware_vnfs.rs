@@ -224,3 +224,67 @@ fn a_label_unaware_instance_serves_one_route() {
         .unwrap();
     assert_eq!(exits_at(&mut sb, 3, 3000), (id, Addr::Edge(out2)));
 }
+
+/// The recompute after a 2PC veto is admission-controlled like the first
+/// solve: when the surviving capacity places only part of the chain's
+/// demand, the deploy fails `Infeasible` and reserves nothing, instead of
+/// installing a chain whose ingress sends all its traffic down a route
+/// sized for half of it.
+#[test]
+fn a_vetoed_deploy_that_cannot_place_its_demand_is_refused() {
+    let (model, sites) = scenarios::line_testbed();
+    let mut sb = Switchboard::new(
+        model,
+        DelayModel::uniform(Millis::new(0.1), Millis::new(10.0)),
+        SwitchboardConfig::default(),
+    );
+    sb.use_passthrough_behaviors();
+    sb.register_attachment("in", sites[0]);
+    sb.register_attachment("out", sites[3]);
+    let id = sb.control_plane_mut().allocate_instance_id();
+    sb.control_plane_mut()
+        .set_instances(
+            VnfId::new(0),
+            sites[1],
+            vec![InstanceRecord {
+                instance: id,
+                weight: 1.0,
+                supports_labels: false,
+            }],
+        )
+        .unwrap();
+    let request = |chain: u64, rate: f64| ChainRequest {
+        id: ChainId::new(chain),
+        ingress_attachment: "in".into(),
+        egress_attachment: "out".into(),
+        vnfs: vec![VnfId::new(0)],
+        forward: rate,
+        reverse: rate,
+    };
+    let available = |sb: &Switchboard, site: SiteId| {
+        sb.control_plane()
+            .vnf_controller(VnfId::new(0))
+            .unwrap()
+            .available_at(site)
+    };
+    // Chain 1 takes the label-unaware instance at sites[1]; chain 3
+    // leaves 40 of the 200 units at sites[2].
+    sb.deploy_chain_via(request(1, 5.0), vec![(vec![sites[1]], 1.0)])
+        .unwrap();
+    sb.deploy_chain_via(request(3, 40.0), vec![(vec![sites[2]], 1.0)])
+        .unwrap();
+    assert!((available(&sb, sites[2]) - 40.0).abs() < 1e-9);
+
+    // Chain 2 needs 80 units. SB-DP proposes the nearer sites[1], is
+    // vetoed there, and the recompute fits only half of it at sites[2].
+    let retries = |sb: &Switchboard| sb.telemetry().registry.snapshot().counter("cp.2pc.retries");
+    let before = retries(&sb);
+    let res = sb.deploy_chain(request(2, 20.0));
+    assert_eq!(retries(&sb), before + 1, "SB-DP was vetoed once");
+    assert!(
+        matches!(res, Err(switchboard::types::Error::Infeasible { .. })),
+        "{res:?}"
+    );
+    assert!(sb.routes_of(ChainId::new(2)).is_empty());
+    assert!((available(&sb, sites[2]) - 40.0).abs() < 1e-9);
+}
