@@ -25,6 +25,11 @@
 //! topics and reservation keys named after its label pair — the control
 //! plane's memory follows the installed state, not the number of messages
 //! ever sent (DESIGN.md §4.4, §10).
+//!
+//! Routes reach every site (Section 6) as the announcement each Local
+//! Switchboard receives on the Global Switchboard's route topic, charged in
+//! a deploy's `wan_messages`; in process they are held once, in the chain
+//! record ([`ControlPlane::routes_of`]) that edge-site addition reads.
 
 use crate::edge::EdgeController;
 use crate::local::LocalSwitchboard;
@@ -46,7 +51,6 @@ use sb_types::{
 };
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The `(next hops, previous hops)` of one route stage, as installed.
 type StageHops = (Vec<(Addr, f64)>, Vec<(Addr, f64)>);
@@ -221,6 +225,7 @@ struct ChainState {
     request: ChainRequest,
     ingress_site: SiteId,
     egress_site: SiteId,
+    /// The installed routes in route-id order: the one copy of them.
     routes: Vec<RouteAnnouncement>,
     /// The chain's current configuration epoch. Deploy installs epoch 1;
     /// every successful [`ControlPlane::update_chain`] /
@@ -485,6 +490,30 @@ impl ControlPlane {
         model
     }
 
+    /// The one route solve: SB-DP for `spec` on the
+    /// [`solve_model`](Self::solve_model) against a trial copy of the live
+    /// tracker, with the `installed` paths (a rerouted chain's own routes;
+    /// empty otherwise) lifted off it first, so only this chain's load is
+    /// re-solved. Admission-controlled by [`check_placeable`], which names
+    /// the solve by `when`. The live tracker is untouched.
+    fn solve(
+        &self,
+        spec: &ChainSpec,
+        excluded: &[(VnfId, SiteId)],
+        installed: &[RoutePath],
+        when: &str,
+    ) -> Result<Vec<RoutePath>> {
+        let model = self.solve_model(excluded);
+        let mut trial = self.tracker.clone();
+        for p in installed {
+            let coefs = dp::path_coefficients(&model, spec, &p.sites);
+            trial.apply(&coefs, -p.fraction);
+        }
+        let paths = dp::route_chain(&model, &mut trial, &DpConfig::default(), spec);
+        check_placeable(&paths, spec.id, when)?;
+        Ok(paths)
+    }
+
     /// The edge controller.
     #[must_use]
     pub fn edge(&self) -> &EdgeController {
@@ -715,12 +744,7 @@ impl ControlPlane {
                         dead.len()
                     ));
                 }
-                let model = self.solve_model(&[]);
-                let mut trial_tracker = self.tracker.clone();
-                let paths =
-                    dp::route_chain(&model, &mut trial_tracker, &DpConfig::default(), &spec);
-                check_placeable(&paths, request.id, "")?;
-                paths
+                self.solve(&spec, &[], &[], "")?
             }
         };
         let t_step = self.now;
@@ -752,14 +776,9 @@ impl ControlPlane {
                         });
                     }
                     // Degrade gracefully: never re-propose a site that has
-                    // crashed since the last attempt.
-                    let model = self.solve_model(&excluded);
-                    let mut trial_tracker = self.tracker.clone();
-                    paths =
-                        dp::route_chain(&model, &mut trial_tracker, &DpConfig::default(), &spec);
-                    // The vetoed round has aborted, so a refusal here
-                    // leaves nothing reserved.
-                    check_placeable(&paths, request.id, " after 2pc rejections")?;
+                    // crashed since the last attempt. The vetoed round has
+                    // aborted, so a refusal here leaves nothing reserved.
+                    paths = self.solve(&spec, &excluded, &[], " after 2pc rejections")?;
                     let t_step = self.now;
                     self.now += COMPUTE_TIME;
                     report.push("recompute after 2pc rejection", COMPUTE_TIME);
@@ -1118,20 +1137,11 @@ impl ControlPlane {
         out
     }
 
-    /// Stores `ann` in every site's replicated route store — one shared
-    /// allocation, a handle per site.
-    fn replicate_route(&mut self, ann: &RouteAnnouncement) {
-        let shared = Arc::new(ann.clone());
-        for local in self.locals.values_mut() {
-            local.store_route(Arc::clone(&shared));
-        }
-    }
-
     /// Publishes on the bus and consumes what was delivered — the
     /// in-process stand-in for every Local Switchboard reading its inbox.
-    /// The receivers run inline (the code after each publish stores the
-    /// route, attaches the instances, installs the rules), so a delivery
-    /// has been acted on as soon as it is made. Cleared in place: the
+    /// The receivers run inline (the code after each publish attaches the
+    /// instances, installs the rules), so a delivery has been acted on as
+    /// soon as it is made. Cleared in place: the
     /// mailboxes keep their buffers, so steady-state delivery allocates
     /// nothing, and the message is freed where the publisher's own copy
     /// used to be — consuming only when the verb ends costs
@@ -1166,7 +1176,6 @@ impl ControlPlane {
             if let Some(t) = out.last_delivery {
                 t_done = t_done.max(t);
             }
-            self.replicate_route(ann);
         }
         self.now = self.now.max(t_done);
         report.push("propagate routes", self.now.since(t_start));
@@ -1494,14 +1503,17 @@ impl ControlPlane {
 
     /// Extends a chain to a new edge site (the user-mobility flow of
     /// Section 6 and Table 2): the site's Local Switchboard picks the
-    /// least-latency existing route, learns the first VNF's forwarders
-    /// from the bus, and configures the data plane in both directions.
+    /// chain's route whose first VNF is nearest (the lowest route id on a
+    /// tie), learns the first VNF's forwarders from the bus, and configures
+    /// the data plane in both directions.
     ///
     /// # Errors
     ///
     /// - [`Error::UnknownEntity`] for unknown chains or sites.
     /// - [`Error::InvalidChain`] for chains without VNFs (nothing to
     ///   attach to).
+    /// - [`Error::DuplicateEntity`], before any state changes, when
+    ///   `attachment` is already registered at another site.
     pub fn add_edge_site(
         &mut self,
         chain: ChainId,
@@ -1511,13 +1523,37 @@ impl ControlPlane {
         let state = self
             .chains
             .get(&chain)
-            .ok_or_else(|| Error::unknown("chain", chain))?
-            .clone();
+            .ok_or_else(|| Error::unknown("chain", chain))?;
         if state.request.vnfs.is_empty() {
             return Err(Error::invalid_chain(
                 "cannot extend a chain without VNFs to a new edge site",
             ));
         }
+        if !self.locals.contains_key(&site) {
+            return Err(Error::unknown("site", site));
+        }
+        let attachment = attachment.into();
+        if self.edge.resolve(&attachment).is_ok_and(|at| at != site) {
+            return Err(Error::duplicate("attachment", attachment));
+        }
+        // Step 1: the site's Local Switchboard chooses the first VNF's site
+        // among the chain's routes, which every site received when they
+        // were announced — pure local computation (0 ms in Table 2). The
+        // routes are held in route-id order and `min_by` keeps the first
+        // of equals.
+        let model = &self.base_model;
+        let latency = |r: &RouteAnnouncement| {
+            model
+                .latency(model.site_node(site), model.site_node(r.sites[0]))
+                .value()
+        };
+        let nearest = state
+            .routes
+            .iter()
+            .min_by(|a, b| latency(a).total_cmp(&latency(b)))
+            .ok_or_else(|| Error::unknown("routes for chain", chain))?
+            .clone();
+        let epoch = state.epoch;
         let mut report = DeploymentReport::new();
         let root = self
             .tele
@@ -1528,22 +1564,6 @@ impl ControlPlane {
             .hub
             .tracer
             .attr(root, "site", &site.to_string());
-
-        // Step 1: Local Switchboard chooses the first VNF's site among the
-        // replicated routes — pure local computation (0 ms in Table 2).
-        let base_model = &self.base_model;
-        let local = self
-            .locals
-            .get(&site)
-            .ok_or_else(|| Error::unknown("site", site))?;
-        let nearest = local
-            .nearest_route(chain, |a, b| {
-                base_model
-                    .latency(base_model.site_node(a), base_model.site_node(b))
-                    .value()
-            })
-            .ok_or_else(|| Error::unknown("replicated routes for chain", chain))?
-            .clone();
         report.push("local SB chooses the 1st VNF's site", Millis::ZERO);
         let first_site = nearest.sites[0];
 
@@ -1640,7 +1660,7 @@ impl ControlPlane {
             .get_mut(&first_site)
             .expect("route site exists")
             .install_stage_rules(&nearest, 0, next, prev)?;
-        self.compile_artifacts(state.epoch, ArtifactKind::Patch);
+        self.compile_artifacts(epoch, ArtifactKind::Patch);
         self.now += CONFIG_DELAY;
         report.push("1st VNF's fwrdr finishes configuration", CONFIG_DELAY);
         self.tele.hub.tracer.end(root, self.now.as_nanos());
@@ -1701,16 +1721,7 @@ impl ControlPlane {
             .ok_or_else(|| Error::unknown("chain", chain))?;
         let spec = self.chain_spec(&state.request, state.ingress_site, state.egress_site);
         let installed = installed_paths(&state.routes);
-        let model = self.solve_model(&[]);
-        let mut trial_tracker = self.tracker.clone();
-        let (paths, _) = sb_te::delta::reroute_chain_warm(
-            &model,
-            &mut trial_tracker,
-            &DpConfig::default(),
-            &spec,
-            &installed,
-        );
-        check_placeable(&paths, chain, " after reroute")?;
+        let paths = self.solve(&spec, &[], &installed, " after reroute")?;
         self.update_chain_inner(chain, paths)
     }
 
@@ -1859,12 +1870,6 @@ impl ControlPlane {
         let affected = delta.affected_sites();
         let t_done =
             self.publish_route_deltas(chain, &changed, &affected, "route delta", &mut report);
-        // The chain-wide replicated stores at unaffected sites converge
-        // via background anti-entropy, off the update's critical path —
-        // refreshed here without WAN charge.
-        for ann in &changed {
-            self.replicate_route(ann);
-        }
         self.now = self.now.max(t_done);
         report.push("propagate route deltas", self.now.since(t_pub));
         self.trace_step(Some(span), "cp.propagate_routes", t_pub);
@@ -2000,9 +2005,8 @@ impl ControlPlane {
 
     /// Retires a set of routes: unbinds them at the ingress edge, strips
     /// their forwarder rules (every epoch) at each stage site, forgets
-    /// the replicated announcements and recorded hop sets, releases the
-    /// reserved VNF capacity, and unwinds their load from the live
-    /// tracker. Pinned flows keep their forwarder flow-table entries and
+    /// the recorded hop sets, releases the reserved VNF capacity, and
+    /// unwinds their load from the live tracker. Pinned flows keep their forwarder flow-table entries and
     /// edge pins, so established connections drain rather than break
     /// (Section 5.3).
     ///
@@ -2048,9 +2052,6 @@ impl ControlPlane {
                 }
             }
             self.first_hops.remove(&ann.route);
-            for local in self.locals.values_mut() {
-                local.remove_route(ann.route);
-            }
             let coefs = dp::path_coefficients(&self.base_model, spec, &ann.sites);
             self.tracker.apply(&coefs, -ann.fraction);
         }
@@ -2059,7 +2060,7 @@ impl ControlPlane {
     /// Tears down a chain through the same delta pipeline as an update —
     /// the to-empty degenerate delta. Releases the committed VNF capacity
     /// AND removes the forwarder rules (every epoch), the ingress edge's
-    /// route bindings, and the replicated per-site route entries.
+    /// route bindings, and the chain record with its routes.
     /// Established flows keep their flow-table pins and drain
     /// (Section 5.3). Teardown never needs a 2PC round: it only shrinks
     /// reservations.
@@ -2624,13 +2625,10 @@ mod tests {
         let ctl = cp.vnf_controller(VnfId::new(0)).unwrap();
         assert!((ctl.available_at(SiteId::new(1)) - 100.0).abs() < 1e-9);
         assert!((ctl.available_at(SiteId::new(2)) - 76.0).abs() < 1e-9);
-        // The old route's rules and stored announcement are gone at site 1
-        // (the chain-wide replicated store still carries the *new* route).
+        // The chain record carries only the new route, and the old route's
+        // rules are gone at site 1.
+        assert_eq!(cp.routes_of(ChainId::new(1)), h.routes);
         let local = cp.local(SiteId::new(1)).unwrap();
-        assert!(local
-            .routes_for_chain(ChainId::new(1))
-            .iter()
-            .all(|r| r.sites == vec![SiteId::new(2)]));
         for f in local.forwarder_ids() {
             let fwd = local.forwarder(f).unwrap();
             assert!(
@@ -2726,14 +2724,16 @@ mod tests {
         let handle = cp.deploy_chain(request(1)).unwrap();
         let site = handle.routes[0].sites[0];
         let report = cp.remove_chain(ChainId::new(1)).unwrap();
-        // Capacity is back, and the data-plane state is gone everywhere:
-        // forwarder rules, stored local-switchboard routes, edge bindings.
+        // Capacity is back, and the chain's state is gone everywhere: its
+        // routes, the forwarder rules, the edge bindings.
         let ctl = cp.vnf_controller(VnfId::new(0)).unwrap();
         assert!((ctl.available_at(site) - 100.0).abs() < 1e-9);
         assert!(cp.routes_of(ChainId::new(1)).is_empty());
-        let local = cp.local(site).unwrap();
-        assert!(local.routes_for_chain(ChainId::new(1)).is_empty());
-        assert!(local.installed_labels().is_empty());
+        let (local, labels) = (cp.local(site).unwrap(), handle.routes[0].labels);
+        for f in local.forwarder_ids() {
+            let fwd = local.forwarder(f).unwrap();
+            assert!(fwd.installed_epochs(labels).next().is_none());
+        }
         let edge = cp.edge().instance_at(SiteId::new(0)).unwrap();
         assert_eq!(edge.routes_for(ChainId::new(1)), 0);
         // Teardown only shrinks reservations — no 2PC round, but it does
@@ -2767,6 +2767,30 @@ mod tests {
         assert_eq!(h.routes.len(), 1);
         assert_eq!(h.routes[0].sites, vec![SiteId::new(2)]);
         assert!((h.routes[0].fraction - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_reroute_under_unchanged_load_is_a_noop() {
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+        let deploy = cp.deploy_chain(request(1)).unwrap();
+        // The chain's own load is lifted off before the re-solve, so with
+        // nothing else changed SB-DP re-picks what is installed.
+        let h = cp.reroute_chain(ChainId::new(1)).unwrap();
+        let bits = |routes: &[RouteAnnouncement]| -> Vec<(RouteId, u64)> {
+            routes
+                .iter()
+                .map(|r| (r.route, r.fraction.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&h.routes), bits(&deploy.routes));
+        assert_eq!(cp.routes_of(ChainId::new(1)), deploy.routes);
+        assert!(h.routes.iter().all(|r| r.epoch == 1));
+        assert_eq!(cp.chains[&ChainId::new(1)].epoch, 1);
+        assert_eq!(h.report.wan_messages, 0);
+        let names: Vec<&str> = h.report.steps.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["diff routes against target"]);
     }
 
     #[test]

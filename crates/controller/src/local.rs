@@ -7,10 +7,11 @@
 //! combines the wide-area route with the published weights into the three
 //! rule sets installed at each forwarder.
 //!
-//! Routes are replicated at every site (Section 6). In process the replicas
-//! of one route are one allocation: [`LocalSwitchboard::store_route`] keeps
-//! an [`Arc`] of the announcement, so a control plane that hands every site
-//! a clone of the same handle stores the route once, not once per site.
+//! Routes are replicated at every site (Section 6) by the announcement each
+//! site receives on the Global Switchboard's route topic, and that bus
+//! delivery is what the replication costs. In process the chain record of
+//! [`crate::ControlPlane`] is the one copy of a chain's routes: a Local
+//! Switchboard holds forwarders and their rules, not routes.
 //!
 //! One deliberate simplification relative to Figure 5: forwarder pools are
 //! per-VNF (a forwarder serves instances of a single VNF), so a packet's
@@ -24,9 +25,8 @@ use sb_dataplane::{
     WeightedChoice,
 };
 use sb_telemetry::Telemetry;
-use sb_types::{Error, ForwarderId, InstanceId, LabelPair, Result, RouteId, SiteId, VnfId};
+use sb_types::{Error, ForwarderId, InstanceId, LabelPair, Result, SiteId, VnfId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The Local Switchboard of one site.
 #[derive(Debug)]
@@ -44,10 +44,6 @@ pub struct LocalSwitchboard {
     assigned: HashMap<ForwarderId, Vec<InstanceRecord>>,
     /// Which forwarder serves each instance.
     instance_fwd: HashMap<InstanceId, ForwarderId>,
-    /// Replicated wide-area routes for all chains (Section 6: replicated
-    /// "in Local Switchboard at every site" to support edge-site addition).
-    /// A replica is a handle on the announcement all sites share.
-    routes: HashMap<RouteId, Arc<RouteAnnouncement>>,
     /// Label pairs whose forwarder rules changed since the last artifact
     /// compile — written by the three rule mutators and nothing else, so
     /// the compile's scope is what was touched, not what a caller recalls.
@@ -72,7 +68,6 @@ impl LocalSwitchboard {
             pools: HashMap::new(),
             assigned: HashMap::new(),
             instance_fwd: HashMap::new(),
-            routes: HashMap::new(),
             touched: Vec::new(),
             telemetry: None,
         }
@@ -184,33 +179,6 @@ impl LocalSwitchboard {
                     .map_or(0.0, |recs| recs.iter().map(|r| r.weight).sum()),
             })
             .collect()
-    }
-
-    /// Stores a replicated route announcement (every site receives all
-    /// routes; Section 6). Pass clones of one `Arc` to share the
-    /// announcement between sites; an owned announcement gets its own.
-    pub fn store_route(&mut self, route: impl Into<Arc<RouteAnnouncement>>) {
-        let route = route.into();
-        self.routes.insert(route.route, route);
-    }
-
-    /// Forgets a stored route (teardown / update retirement). Returns the
-    /// removed announcement, if any.
-    pub fn remove_route(&mut self, route: RouteId) -> Option<Arc<RouteAnnouncement>> {
-        self.routes.remove(&route)
-    }
-
-    /// The replicated routes for `chain`, in route-id order.
-    #[must_use]
-    pub fn routes_for_chain(&self, chain: sb_types::ChainId) -> Vec<&RouteAnnouncement> {
-        let mut v: Vec<_> = self
-            .routes
-            .values()
-            .map(Arc::as_ref)
-            .filter(|r| r.chain == chain)
-            .collect();
-        v.sort_by_key(|r| r.route);
-        v
     }
 
     /// Installs the stage-`z` rules of `route` at every forwarder serving
@@ -375,45 +343,10 @@ impl LocalSwitchboard {
         }
     }
 
-    /// For the mobility flow (Section 6): picks, among the replicated
-    /// routes of `chain`, the one whose first-VNF site has the least
-    /// latency from this site according to `latency`, and returns it.
-    #[must_use]
-    pub fn nearest_route(
-        &self,
-        chain: sb_types::ChainId,
-        latency: impl Fn(SiteId, SiteId) -> f64,
-    ) -> Option<&RouteAnnouncement> {
-        self.routes
-            .values()
-            .map(Arc::as_ref)
-            .filter(|r| r.chain == chain)
-            .min_by(|a, b| {
-                let la = a
-                    .sites
-                    .first()
-                    .map_or(0.0, |&s| latency(self.site, s));
-                let lb = b
-                    .sites
-                    .first()
-                    .map_or(0.0, |&s| latency(self.site, s));
-                la.partial_cmp(&lb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-    }
-
     /// The forwarder serving `instance`, when attached here.
     #[must_use]
     pub fn forwarder_of_instance(&self, instance: InstanceId) -> Option<ForwarderId> {
         self.instance_fwd.get(&instance).copied()
-    }
-
-    /// The labels every forwarder currently has rules for (diagnostics).
-    #[must_use]
-    pub fn installed_labels(&self) -> Vec<LabelPair> {
-        let mut labels: Vec<LabelPair> = self.routes.values().map(|r| r.labels).collect();
-        labels.sort();
-        labels.dedup();
-        labels
     }
 }
 
@@ -490,7 +423,6 @@ mod tests {
         let vnf = VnfId::new(1);
         l.attach_instances(vnf, &[rec(1, 1.0), rec(2, 1.0)]); // two forwarders
         let r = route(1, 1, 1, 0);
-        l.store_route(r.clone());
         l.install_stage_rules(
             &r,
             0,
@@ -520,35 +452,11 @@ mod tests {
     }
 
     #[test]
-    fn nearest_route_picks_least_latency_first_site() {
-        let mut l = LocalSwitchboard::new(SiteId::new(5), 1);
-        l.store_route(route(1, 1, 1, 2)); // first VNF at site 2
-        l.store_route(route(1, 2, 1, 7)); // first VNF at site 7
-        let nearest = l
-            .nearest_route(ChainId::new(1), |from, to| {
-                // site 7 is closer to site 5 than site 2 is.
-                f64::from(from.value().abs_diff(to.value()))
-            })
-            .unwrap();
-        assert_eq!(nearest.route, sb_types::RouteId::new(2));
-        assert_eq!(l.routes_for_chain(ChainId::new(1)).len(), 2);
-    }
-
-    #[test]
-    fn installed_labels_deduplicate() {
-        let mut l = LocalSwitchboard::new(SiteId::new(0), 1);
-        l.store_route(route(1, 1, 1, 0));
-        l.store_route(route(2, 2, 1, 0));
-        assert_eq!(l.installed_labels().len(), 2);
-    }
-
-    #[test]
     fn remove_route_rules_strips_every_forwarder() {
         let mut l = LocalSwitchboard::new(SiteId::new(0), 1);
         let vnf = VnfId::new(1);
         l.attach_instances(vnf, &[rec(1, 1.0), rec(2, 1.0)]); // two forwarders
         let r = route(1, 1, 1, 0);
-        l.store_route(r.clone());
         l.install_stage_rules(
             &r,
             0,
@@ -557,7 +465,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(l.remove_route_rules(r.labels), 2);
-        assert!(l.remove_route(r.route).is_some());
         // New flows for the removed labels now fail at every forwarder.
         for id in l.forwarder_ids() {
             let fwd = l.forwarder_mut(id).unwrap();

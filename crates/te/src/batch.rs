@@ -414,27 +414,13 @@ pub fn route_chains_batched(
 ) -> RoutingSolution {
     let mut tracker = LoadTracker::new(model);
     let mut scratch = DpScratch::new();
-    route_chains_batched_into(model, config, cache, &mut tracker, &mut scratch)
-}
-
-/// [`route_chains_batched`] with caller-owned tracker and scratch, for
-/// callers (the controller's reconciler) that keep the tracker and cache
-/// alive across solves. `tracker` may carry pre-existing load; the cache
-/// is cleared on entry and is coherent with `tracker` on return.
-#[must_use]
-pub fn route_chains_batched_into(
-    model: &NetworkModel,
-    config: &DpConfig,
-    cache: &mut SubproblemCache,
-    tracker: &mut LoadTracker,
-    scratch: &mut DpScratch,
-) -> RoutingSolution {
     cache.clear();
     let chains = model
         .chains()
         .iter()
         .map(|c| {
-            let paths = dp::route_chain_with(model, tracker, config, c, scratch, Some(cache));
+            let paths =
+                dp::route_chain_with(model, &mut tracker, config, c, &mut scratch, Some(cache));
             ChainRoutes::from_paths(model, c, &paths)
         })
         .collect();

@@ -11,12 +11,12 @@
 //! - [`RouteDelta::diff`] / [`RouteDelta::apply`]: the path-level diff and
 //!   its reconciliation inverse (`apply(diff(old, new), old) == new`, the
 //!   property the proptest suite pins down);
-//! - [`reroute_chain_warm`] / [`warm_route_chains`]: SB-DP seeded from a
-//!   live [`LoadTracker`] so only the affected chains re-route instead of
-//!   solving the whole network from scratch.
+//! - [`warm_route_chains`]: SB-DP across traffic epochs that keeps every
+//!   chain whose previous paths still fit and re-routes only the misfits,
+//!   instead of solving the whole network from scratch.
 
 use crate::dp::{self, DpConfig, LoadTracker};
-use crate::model::{ChainSpec, NetworkModel};
+use crate::model::NetworkModel;
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
 use sb_types::SiteId;
 
@@ -196,28 +196,6 @@ pub fn diff_solutions(
     SolutionDelta { chains }
 }
 
-/// Warm-started re-route of one chain against the **live** load state:
-/// the chain's installed paths are lifted out of `tracker` (every other
-/// chain's load stays in place), SB-DP re-solves just this chain, and the
-/// result is returned with its delta against the installed paths. On
-/// return the tracker carries the new paths' load.
-#[must_use]
-pub fn reroute_chain_warm(
-    model: &NetworkModel,
-    tracker: &mut LoadTracker,
-    config: &DpConfig,
-    chain: &ChainSpec,
-    installed: &[RoutePath],
-) -> (Vec<RoutePath>, RouteDelta) {
-    for p in installed {
-        let coefs = dp::path_coefficients(model, chain, &p.sites);
-        tracker.apply(&coefs, -p.fraction);
-    }
-    let new_paths = dp::route_chain(model, tracker, config, chain);
-    let delta = RouteDelta::diff(installed, &new_paths);
-    (new_paths, delta)
-}
-
 /// Outcome of a warm solution-level re-route.
 #[derive(Debug, Clone)]
 pub struct WarmRouteOutcome {
@@ -372,31 +350,6 @@ mod tests {
         let old = vec![p(&[0], 0.3), p(&[0], 0.2)];
         let new = vec![p(&[0], 0.5)];
         assert!(RouteDelta::diff(&old, &new).is_empty());
-    }
-
-    #[test]
-    fn warm_reroute_only_touches_the_target_chain() {
-        let m = line_model();
-        let spec = m.chains()[0].clone();
-        // Install the chain somewhere, then warm-reroute: with no external
-        // load change the DP re-picks an equal-quality placement and the
-        // tracker ends exactly as loaded as before.
-        let mut tracker = LoadTracker::new(&m);
-        let installed = dp::route_chain(&m, &mut tracker, &DpConfig::default(), &spec);
-        let before = tracker.clone();
-        let (new_paths, delta) = reroute_chain_warm(
-            &m,
-            &mut tracker,
-            &DpConfig::default(),
-            &spec,
-            &installed,
-        );
-        let routed: f64 = new_paths.iter().map(|q| q.fraction).sum();
-        assert!((routed - 1.0).abs() < 1e-9);
-        assert!(delta.is_empty(), "stable load must re-pick the same route");
-        for (a, b) in before.link_load.iter().zip(&tracker.link_load) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]

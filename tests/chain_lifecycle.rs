@@ -242,6 +242,78 @@ fn stored_artifacts_replay_to_the_running_state_after_every_verb() {
     }
 }
 
+/// Two routes whose first VNF shares a site are equally near every new
+/// edge: the choice must be a function of the chain, not of a map's
+/// per-instance hash keys. Identical control planes built in one process
+/// store the same artifact and bind the same route (the lowest route id).
+#[test]
+fn add_edge_site_breaks_a_latency_tie_the_same_way_in_every_instance() {
+    let outcome = || {
+        let (mut sb, sites) = testbed();
+        let chain = ChainId::new(1);
+        let (a, b) = (sites[1], sites[2]);
+        let h = sb
+            .deploy_chain_via(request(chain), vec![(vec![a, b], 0.5), (vec![a, a], 0.5)])
+            .unwrap();
+        sb.add_edge_site(chain, "mobile", b).unwrap();
+        let bytes = sb
+            .site_artifact_bytes(a)
+            .expect("stage-0 site artifact")
+            .to_vec();
+        let t = sb.send(chain, b, Packet::unlabeled(key(7), 700)).unwrap();
+        let cp = sb.control_plane();
+        // The sites the packet's forwarders sit at, one entry per site
+        // visited in a row, and the same for the lowest route id.
+        let mut path: Vec<SiteId> = t
+            .forwarders()
+            .iter()
+            .filter_map(|&f| cp.forwarder_site(f))
+            .collect();
+        let mut lowest = h.routes[0].sites.clone();
+        path.dedup();
+        lowest.dedup();
+        (bytes, path, lowest)
+    };
+    let (bytes, path, lowest) = outcome();
+    assert_eq!(path, lowest, "the new edge binds the lowest route id");
+    for i in 1..32 {
+        let (b, p, _) = outcome();
+        assert!(b == bytes, "instance {i} stored another artifact");
+        assert_eq!(p, path, "instance {i} bound another route");
+    }
+}
+
+/// `add_edge_site` names the attachment it creates. A name registered at
+/// another site is refused before anything changes, so the attachment is
+/// not re-pointed and the next deploy from it still starts at its own site.
+#[test]
+fn add_edge_site_refuses_an_attachment_registered_at_another_site() {
+    let (mut sb, chain, sites) = deploy();
+    let stored = |sb: &Switchboard| -> Vec<Vec<u8>> {
+        sb.artifact_sites()
+            .into_iter()
+            .map(|s| sb.site_artifact_bytes(s).unwrap().to_vec())
+            .collect()
+    };
+    let before = stored(&sb);
+    let err = sb.add_edge_site(chain, "in", sites[2]).unwrap_err();
+    assert!(
+        matches!(err, switchboard::types::Error::DuplicateEntity { .. }),
+        "{err}"
+    );
+    assert!(
+        stored(&sb) == before,
+        "a refused edge site changed an artifact"
+    );
+    assert!(sb.control_plane().edge().instance_at(sites[2]).is_none());
+
+    let two = sb.deploy_chain(request(ChainId::new(2))).unwrap();
+    assert!(two.routes.iter().all(|r| r.ingress_site == sites[0]));
+    // Re-adding an edge site under its own name stays allowed.
+    sb.add_edge_site(chain, "mobile", sites[2]).unwrap();
+    sb.add_edge_site(chain, "mobile", sites[2]).unwrap();
+}
+
 #[test]
 fn deployment_report_names_figure4_phases() {
     let (sb, chain, _) = deploy();

@@ -186,9 +186,9 @@ fn remove_chain_is_symmetric_through_every_layer() {
     // Capacity fully released.
     let ctl = sb.control_plane().vnf_controller(VnfId::new(0)).unwrap();
     assert!((ctl.available_at(sites[1]) - 200.0).abs() < 1e-9);
-    // Stored routes and rules gone at the hosting site.
+    // The chain's routes are gone, and so are the rules at the hosting site.
+    assert!(sb.routes_of(chain).is_empty());
     let local = sb.control_plane().local(sites[1]).unwrap();
-    assert!(local.routes_for_chain(chain).is_empty());
     for fid in local.forwarder_ids() {
         let fwd = local.forwarder(fid).unwrap();
         assert!(
