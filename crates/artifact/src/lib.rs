@@ -194,8 +194,7 @@ mod tests {
                 generation: 3,
                 rows: vec![sb_dataplane::FibRow {
                     labels,
-                    active_epoch: 1,
-                    epochs: vec![1],
+                    epoch: 1,
                     rules: RuleSet {
                         to_vnf: WeightedChoice::single(Addr::Vnf(InstanceId::new(7))),
                         to_next: WeightedChoice::single(Addr::Forwarder(ForwarderId::new(9))),

@@ -62,19 +62,18 @@ fn rules_from_weights(weights: &[u8]) -> RuleSet {
 #[derive(Debug, Clone)]
 enum RuleOp {
     Install { chain: u8, egress: u8, epoch: u8, weights: Vec<u8> },
-    Retire { chain: u8, egress: u8, epoch: u8 },
+    Remove { chain: u8, egress: u8 },
     Fail(u8),
 }
 
 fn arb_rule_op(with_fail: bool) -> impl Strategy<Value = RuleOp> {
     let install = (1u8..4, 1u8..3, 0u8..4, prop::collection::vec(1u8..10, 1..4))
         .prop_map(|(chain, egress, epoch, weights)| RuleOp::Install { chain, egress, epoch, weights });
-    let retire =
-        (1u8..4, 1u8..3, 0u8..4).prop_map(|(chain, egress, epoch)| RuleOp::Retire { chain, egress, epoch });
+    let remove = (1u8..4, 1u8..3).prop_map(|(chain, egress)| RuleOp::Remove { chain, egress });
     if with_fail {
-        prop_oneof![3 => install, 2 => retire, 1 => (0u8..6).prop_map(RuleOp::Fail)].boxed()
+        prop_oneof![3 => install, 2 => remove, 1 => (0u8..6).prop_map(RuleOp::Fail)].boxed()
     } else {
-        prop_oneof![3 => install, 2 => retire].boxed()
+        prop_oneof![3 => install, 2 => remove].boxed()
     }
 }
 
@@ -83,8 +82,8 @@ fn apply_rule_op(fwd: &mut Forwarder, op: &RuleOp) {
         RuleOp::Install { chain, egress, epoch, weights } => {
             fwd.install_rules_epoch(pair(*chain, *egress), rules_from_weights(weights), u64::from(*epoch));
         }
-        RuleOp::Retire { chain, egress, epoch } => {
-            let _ = fwd.retire_epoch(pair(*chain, *egress), u64::from(*epoch));
+        RuleOp::Remove { chain, egress } => {
+            let _ = fwd.remove_rules(pair(*chain, *egress));
         }
         RuleOp::Fail(inst) => {
             let _ = fwd.fail_vnf_instance(InstanceId::new(u64::from(*inst)));
@@ -97,7 +96,7 @@ fn touched_labels(ops: &[RuleOp]) -> Vec<LabelPair> {
     let mut labels: Vec<LabelPair> = ops
         .iter()
         .filter_map(|op| match op {
-            RuleOp::Install { chain, egress, .. } | RuleOp::Retire { chain, egress, .. } => {
+            RuleOp::Install { chain, egress, .. } | RuleOp::Remove { chain, egress } => {
                 Some(pair(*chain, *egress))
             }
             RuleOp::Fail(_) => None,
@@ -385,8 +384,7 @@ fn reseal_rewritten(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
 fn hostile_bodies_with_valid_checksums_are_rejected() {
     let row = |chain: u32, egress: u32| FibRow {
         labels: LabelPair::new(ChainLabel::new(chain), EgressLabel::new(egress)),
-        active_epoch: 3,
-        epochs: vec![3],
+        epoch: 3,
         rules: rules_from_weights(&[1, 2]),
     };
     let share = |id: u64, rows: Vec<FibRow>| ForwarderArtifact {

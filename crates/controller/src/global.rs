@@ -50,10 +50,13 @@ use sb_types::{
     Millis, Rate, Result, RouteId, SiteId, VnfId,
 };
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+/// Weighted next-hop addresses, as a rule set's weighted choice takes them.
+type Hops = Vec<(Addr, f64)>;
 
 /// The `(next hops, previous hops)` of one route stage, as installed.
-type StageHops = (Vec<(Addr, f64)>, Vec<(Addr, f64)>);
+type StageHops = (Hops, Hops);
 
 /// The site hosting Global Switchboard (and the edge controller).
 const GSB_SITE: SiteId = SiteId::new(0);
@@ -229,13 +232,14 @@ struct ChainState {
     routes: Vec<RouteAnnouncement>,
     /// The chain's current configuration epoch. Deploy installs epoch 1;
     /// every successful [`ControlPlane::update_chain`] /
-    /// [`ControlPlane::reroute_chain`] bumps it by one and retires the
-    /// previous epoch's forwarder rules after the weight shift.
+    /// [`ControlPlane::reroute_chain`] bumps it by one, and re-tagging a
+    /// route's rows at the new epoch retires the previous one.
     epoch: u64,
-    /// The `/c<chain>/edge/...` topics of edge sites added after the
-    /// deploy ([`ControlPlane::add_edge_site`]); they live as long as the
-    /// chain does.
-    edge_topics: Vec<Topic>,
+    /// Edge sites added after the deploy ([`ControlPlane::add_edge_site`])
+    /// and the route each one's edge instance is bound to; it is a
+    /// previous hop of that route's stage 0, and its [`edge_topic`] lives
+    /// as long as the chain does.
+    added_edges: BTreeMap<SiteId, RouteId>,
 }
 
 /// One (VNF, site) reservation of a two-phase commit round. Deploy
@@ -273,9 +277,8 @@ pub struct ControlPlane {
     /// Hop sets per (route, stage), for later rule amendments (mobility).
     stage_hops: HashMap<(RouteId, usize), StageHops>,
     /// Each route's stage-0 forwarder set as installed — the ingress
-    /// edge's first hops, kept for weight shifts on routes whose stage
-    /// records predate the current operation.
-    first_hops: HashMap<RouteId, Vec<(Addr, f64)>>,
+    /// edge's first hops, which every weight shift binds.
+    first_hops: HashMap<RouteId, Hops>,
     next_label: u32,
     next_route: u64,
     next_instance: u64,
@@ -811,7 +814,7 @@ impl ControlPlane {
                 egress_site,
                 routes: announcements.clone(),
                 epoch: 1,
-                edge_topics: Vec::new(),
+                added_edges: BTreeMap::new(),
             },
         );
         Ok(ChainHandle {
@@ -1185,7 +1188,7 @@ impl ControlPlane {
         let stage_forwarders = self.allocate_and_publish(announcements, report, parent)?;
         let t_start = self.now;
         self.install_route_rules(announcements, ingress_site, egress_site, &stage_forwarders)?;
-        self.bind_ingress(announcements, ingress_site, &stage_forwarders)?;
+        self.bind_ingress(announcements, ingress_site)?;
         // The install is now authoritative: compile one full route
         // artifact per participant site — the serialized form of what was
         // just installed, ready for standalone forwarders. A deploy is
@@ -1201,17 +1204,17 @@ impl ControlPlane {
     /// controller publishes its instances at the site (from its home site,
     /// on the site-owned topic), the Local Switchboard attaches them to
     /// forwarders and publishes forwarder records. Publishes are
-    /// concurrent; the step costs the slowest.
+    /// concurrent; the step costs the slowest. Returns each stage's
+    /// forwarders as weighted hops.
     fn allocate_and_publish(
         &mut self,
         announcements: &[RouteAnnouncement],
         report: &mut DeploymentReport,
         parent: Option<SpanId>,
-    ) -> Result<HashMap<(RouteId, usize), Vec<ForwarderRecord>>> {
+    ) -> Result<HashMap<(RouteId, usize), Hops>> {
         let t_start = self.now;
         let mut t_done = self.now;
-        let mut stage_forwarders: HashMap<(RouteId, usize), Vec<ForwarderRecord>> =
-            HashMap::new();
+        let mut stage_forwarders = HashMap::new();
         for ann in announcements {
             for (z, (&vnf, &site)) in ann.vnfs.iter().zip(&ann.sites).enumerate() {
                 let ctl = self
@@ -1262,7 +1265,7 @@ impl ControlPlane {
                 if let Some(t) = out.last_delivery {
                     t_done = t_done.max(t);
                 }
-                stage_forwarders.insert((ann.route, z), fwd_records);
+                stage_forwarders.insert((ann.route, z), forwarder_hops(&fwd_records));
             }
         }
         self.now = self.now.max(t_done);
@@ -1275,16 +1278,16 @@ impl ControlPlane {
     }
 
     /// Arrow 5, first half: compute each stage's hop sets and install the
-    /// forwarder rules, tagged with each announcement's epoch (so an
-    /// update installs a *new* epoch alongside the old rules rather than
-    /// replacing them in place). Records the hop sets for later
-    /// amendments (mobility, weight shifts).
+    /// forwarder rules, tagged with each announcement's epoch (an update's
+    /// added routes carry fresh labels, so their rows sit beside the old
+    /// routes' rows until those are retired). Records the hop sets for
+    /// later amendments (mobility, weight shifts).
     fn install_route_rules(
         &mut self,
         announcements: &[RouteAnnouncement],
         ingress_site: SiteId,
         egress_site: SiteId,
-        stage_forwarders: &HashMap<(RouteId, usize), Vec<ForwarderRecord>>,
+        stage_forwarders: &HashMap<(RouteId, usize), Hops>,
     ) -> Result<()> {
         let ingress_edge = self
             .edge
@@ -1299,21 +1302,15 @@ impl ControlPlane {
         for ann in announcements {
             let stages = ann.sites.len();
             for z in 0..stages {
-                let next: Vec<(Addr, f64)> = if z + 1 < stages {
-                    stage_forwarders[&(ann.route, z + 1)]
-                        .iter()
-                        .map(|fr| (Addr::Forwarder(fr.forwarder), fr.weight))
-                        .collect()
+                let next = if z + 1 < stages {
+                    stage_forwarders[&(ann.route, z + 1)].clone()
                 } else {
                     vec![(egress_edge, 1.0)]
                 };
-                let prev: Vec<(Addr, f64)> = if z == 0 {
+                let prev = if z == 0 {
                     vec![(ingress_edge, 1.0)]
                 } else {
-                    stage_forwarders[&(ann.route, z - 1)]
-                        .iter()
-                        .map(|fr| (Addr::Forwarder(fr.forwarder), fr.weight))
-                        .collect()
+                    stage_forwarders[&(ann.route, z - 1)].clone()
                 };
                 self.stage_hops
                     .insert((ann.route, z), (next.clone(), prev.clone()));
@@ -1324,47 +1321,34 @@ impl ControlPlane {
                     .install_stage_rules(ann, z, next, prev)?;
             }
             if stages > 0 {
-                self.first_hops.insert(
-                    ann.route,
-                    stage_forwarders[&(ann.route, 0)]
-                        .iter()
-                        .map(|fr| (Addr::Forwarder(fr.forwarder), fr.weight))
-                        .collect(),
-                );
+                self.first_hops
+                    .insert(ann.route, stage_forwarders[&(ann.route, 0)].clone());
             }
         }
         Ok(())
     }
 
     /// Arrow 5, second half: point the ingress edge's weighted route
-    /// bindings at each route's stage-0 forwarders with the route's
-    /// fraction. Run *after* the rules of the route's epoch are installed
-    /// — this is the traffic-shifting step of make-before-break. Routes
-    /// absent from `stage_forwarders` (weight shifts on already-installed
-    /// routes) fall back to the hop sets recorded at install time.
+    /// bindings at each route's stage-0 forwarders, as recorded when its
+    /// rules were installed, with the route's fraction. Run *after* the
+    /// rules of the route's epoch are installed — this is the
+    /// traffic-shifting step of make-before-break.
     fn bind_ingress(
         &mut self,
         announcements: &[RouteAnnouncement],
         ingress_site: SiteId,
-        stage_forwarders: &HashMap<(RouteId, usize), Vec<ForwarderRecord>>,
     ) -> Result<()> {
         for ann in announcements {
             // First hop: the stage-0 forwarder set, or the egress edge for
             // VNF-less chains.
             let first_hop = if ann.sites.is_empty() {
                 WeightedChoice::single(self.edge_addr(ann.egress_site))
-            } else if let Some(frs) = stage_forwarders.get(&(ann.route, 0)) {
-                WeightedChoice::new(
-                    frs.iter()
-                        .map(|fr| (Addr::Forwarder(fr.forwarder), fr.weight))
-                        .collect(),
-                )?
             } else {
-                let addrs = self
+                let hops = self
                     .first_hops
                     .get(&ann.route)
                     .ok_or_else(|| Error::unknown("first hops", ann.route))?;
-                WeightedChoice::new(addrs.clone())?
+                WeightedChoice::new(hops.clone())?
             };
             self.edge
                 .instance_at_mut(ingress_site)
@@ -1538,19 +1522,8 @@ impl ControlPlane {
         }
         // Step 1: the site's Local Switchboard chooses the first VNF's site
         // among the chain's routes, which every site received when they
-        // were announced — pure local computation (0 ms in Table 2). The
-        // routes are held in route-id order and `min_by` keeps the first
-        // of equals.
-        let model = &self.base_model;
-        let latency = |r: &RouteAnnouncement| {
-            model
-                .latency(model.site_node(site), model.site_node(r.sites[0]))
-                .value()
-        };
-        let nearest = state
-            .routes
-            .iter()
-            .min_by(|a, b| latency(a).total_cmp(&latency(b)))
+        // were announced — pure local computation (0 ms in Table 2).
+        let nearest = nearest_route(&self.base_model, &state.routes, site)
             .ok_or_else(|| Error::unknown("routes for chain", chain))?
             .clone();
         let epoch = state.epoch;
@@ -1598,39 +1571,19 @@ impl ControlPlane {
             t_recv.since(t_start),
         );
 
-        // Step 3: configure the edge data plane (route binding + tunnel).
+        // Step 3: configure the edge data plane (the tunnel; the route
+        // binding lands with the stage-0 rules in step 6).
         let edge_id = self.edge.register_attachment(attachment, site);
-        let first_hop = WeightedChoice::new(
-            records
-                .iter()
-                .map(|fr| (Addr::Forwarder(fr.forwarder), fr.weight))
-                .collect(),
-        )?;
-        self.edge
-            .instance_mut(edge_id)
-            .expect("just registered")
-            .install_route(chain, nearest.route, nearest.labels, first_hop, 1.0);
         self.now += CONFIG_DELAY;
         report.push("edge instance's fwrdr dataplane configured", CONFIG_DELAY);
 
         // Step 4: the first VNF's forwarders receive the edge's info
         // (one-way publish from the new edge site).
-        let edge_topic = Topic::with_owner(
-            format!("/c{}/edge/site_{}_forwarders", chain.value(), site.value()),
-            site,
-        );
+        let topic = edge_topic(chain, site);
         let vnf_sub = self.site_subs[&first_site];
-        self.bus.subscribe(vnf_sub, edge_topic.clone());
-        let edge_topics = &mut self
-            .chains
-            .get_mut(&chain)
-            .expect("looked up above")
-            .edge_topics;
-        if !edge_topics.contains(&edge_topic) {
-            edge_topics.push(edge_topic.clone());
-        }
+        self.bus.subscribe(vnf_sub, topic.clone());
         let t_start = self.now;
-        let msg = Message::json(edge_topic, &vec![edge_id.value()]);
+        let msg = Message::json(topic, &vec![edge_id.value()]);
         let out = self.publish_with_retry(t_start, site, msg, "edge forwarder info", &mut report);
         let t_recv = out.last_delivery.unwrap_or(t_start);
         self.now = self.now.max(t_recv);
@@ -1644,27 +1597,49 @@ impl ControlPlane {
         self.now += CONFIG_DELAY;
         report.push("1st VNF's fwrdr starts dataplane configuration", CONFIG_DELAY);
 
-        // Step 6: reinstall stage-0 rules with the new edge as an extra
-        // previous hop, completing the reverse path.
-        let (next, mut prev) = self
-            .stage_hops
-            .get(&(nearest.route, 0))
-            .cloned()
-            .ok_or_else(|| Error::unknown("stage hops", nearest.route))?;
-        if !prev.iter().any(|&(a, _)| a == Addr::Edge(edge_id)) {
-            prev.push((Addr::Edge(edge_id), 1.0));
-        }
-        self.stage_hops
-            .insert((nearest.route, 0), (next.clone(), prev.clone()));
-        self.locals
-            .get_mut(&first_site)
-            .expect("route site exists")
-            .install_stage_rules(&nearest, 0, next, prev)?;
+        // Step 6: bind the edge to the route and reinstall stage-0 rules
+        // with the new edge as an extra previous hop, completing the
+        // reverse path.
+        self.bind_added_edge(site, &nearest)?;
+        let state = self.chains.get_mut(&chain).expect("looked up above");
+        state.added_edges.insert(site, nearest.route);
         self.compile_artifacts(epoch, ArtifactKind::Patch);
         self.now += CONFIG_DELAY;
         report.push("1st VNF's fwrdr finishes configuration", CONFIG_DELAY);
         self.tele.hub.tracer.end(root, self.now.as_nanos());
         Ok(report)
+    }
+
+    /// Binds the edge instance at the added edge `site` to `route`: new
+    /// flows entering there take the route through its first VNF's
+    /// forwarders, and the route's stage-0 rules gain the edge as a
+    /// previous hop. Shared by edge-site addition and by an update that
+    /// retires the edge's route.
+    fn bind_added_edge(&mut self, site: SiteId, route: &RouteAnnouncement) -> Result<()> {
+        let first_site = route.sites[0];
+        let records = self.locals[&first_site].forwarder_records(route.vnfs[0]);
+        let first_hop = WeightedChoice::new(forwarder_hops(&records))?;
+        let edge = self
+            .edge
+            .instance_at_mut(site)
+            .ok_or_else(|| Error::unknown("edge instance at site", site))?;
+        edge.install_route(route.chain, route.route, route.labels, first_hop, 1.0);
+        let edge = edge.addr();
+        let (next, mut prev) = self
+            .stage_hops
+            .get(&(route.route, 0))
+            .cloned()
+            .ok_or_else(|| Error::unknown("stage hops", route.route))?;
+        if !prev.iter().any(|&(a, _)| a == edge) {
+            prev.push((edge, 1.0));
+        }
+        self.stage_hops
+            .insert((route.route, 0), (next.clone(), prev.clone()));
+        self.locals
+            .get_mut(&first_site)
+            .expect("route site exists")
+            .install_stage_rules(route, 0, next, prev)?;
+        Ok(())
     }
 
     /// Updates a deployed chain's wide-area routes to an explicit target
@@ -1874,9 +1849,9 @@ impl ControlPlane {
         report.push("propagate route deltas", self.now.since(t_pub));
         self.trace_step(Some(span), "cp.propagate_routes", t_pub);
 
-        // (4) Make: allocate instances for added routes and install the
-        // new epoch's rules next to the old ones. Old-epoch rules stay
-        // active for pinned flows; nothing is serving the new epoch yet.
+        // (4) Make: allocate instances for added routes and install their
+        // rules beside the old routes' rows, which stay for pinned flows;
+        // nothing is serving the added routes yet.
         let stage_forwarders = if added.is_empty() {
             HashMap::new()
         } else {
@@ -1890,7 +1865,9 @@ impl ControlPlane {
             &stage_forwarders,
         )?;
         // Re-tag the modified routes' (content-identical) rules at the
-        // new epoch from the hop sets recorded at install time.
+        // new epoch from the hop sets recorded at install time; each
+        // re-tagged row retires its old epoch.
+        let mut epochs_retired = 0;
         for (nu, _) in &modified {
             for z in 0..nu.sites.len() {
                 let (next, prev) = self
@@ -1899,36 +1876,47 @@ impl ControlPlane {
                     .cloned()
                     .ok_or_else(|| Error::unknown("stage hops", nu.route))?;
                 let site = nu.sites[z];
-                self.locals
+                epochs_retired += self
+                    .locals
                     .get_mut(&site)
                     .ok_or_else(|| Error::unknown("site", site))?
                     .install_stage_rules(nu, z, next, prev)?;
             }
         }
+        self.tele.epochs_retired.add(epochs_retired as u64);
         self.now += CONFIG_DELAY;
         report.push("install new-epoch rules", self.now.since(t_inst));
         self.trace_step(Some(span), "cp.install_rules", t_inst);
 
         // (5) Shift: repoint the ingress edge's weighted bindings. From
         // here, new flows select the target split and hash onto the new
-        // epoch; pinned flows keep draining on the old one.
+        // epoch; pinned flows keep draining on the old one. An added edge
+        // site whose route is being retired moves to the new route nearest
+        // to it, by `add_edge_site`'s own rule.
         let t_shift = self.now;
-        self.bind_ingress(&changed, state.ingress_site, &stage_forwarders)?;
+        self.bind_ingress(&changed, state.ingress_site)?;
+        let mut new_routes = kept;
+        new_routes.extend(changed);
+        new_routes.sort_by_key(|r| r.route);
+        let mut added_edges = state.added_edges.clone();
+        for (&site, bound) in &mut added_edges {
+            if removed.iter().any(|r| r.route == *bound) {
+                let nearest = nearest_route(&self.base_model, &new_routes, site)
+                    .expect("an update leaves the chain a route");
+                self.bind_added_edge(site, nearest)?;
+                *bound = nearest.route;
+            }
+        }
         self.now += CONFIG_DELAY;
         report.push("shift load-balancing weights", self.now.since(t_shift));
         self.trace_step(Some(span), "cp.weight_shift", t_shift);
 
-        // (6) Break: retire removed routes entirely and the modified
-        // routes' pre-update epochs, and release the shrunk fractions'
-        // capacity.
+        // (6) Break: retire removed routes and release the shrunk
+        // fractions' capacity.
         let t_retire = self.now;
-        self.retire_routes(&spec, &removed, state.ingress_site, |site| {
-            kept.iter()
-                .chain(modified.iter().map(|(nu, _)| nu))
-                .chain(&added)
-                .any(|r| r.sites.contains(&site))
+        self.retire_routes(&spec, &removed, &state, |site| {
+            new_routes.iter().any(|r| r.sites.contains(&site))
         });
-        let mut epochs_retired = 0u64;
         for (nu, old_fraction) in &modified {
             let shrink = old_fraction - nu.fraction;
             if shrink > 1e-12 {
@@ -1939,16 +1927,7 @@ impl ControlPlane {
                     }
                 }
             }
-            let mut sites = nu.sites.clone();
-            sites.sort_unstable();
-            sites.dedup();
-            for site in sites {
-                if let Some(local) = self.locals.get_mut(&site) {
-                    epochs_retired += local.retire_epochs_below(nu.labels, new_epoch) as u64;
-                }
-            }
         }
-        self.tele.epochs_retired.add(epochs_retired);
         self.now += CONFIG_DELAY;
         report.push("retire old epoch", self.now.since(t_retire));
         self.trace_step(Some(span), "cp.retire", t_retire);
@@ -1958,13 +1937,10 @@ impl ControlPlane {
         // previous artifact reproduces the post-update state.
         self.compile_artifacts(new_epoch, ArtifactKind::Patch);
 
-        let mut new_routes = kept;
-        new_routes.extend(modified.into_iter().map(|(nu, _)| nu));
-        new_routes.extend(added);
-        new_routes.sort_by_key(|r| r.route);
         let st = self.chains.get_mut(&chain).expect("chain exists");
         st.routes = new_routes.clone();
         st.epoch = new_epoch;
+        st.added_edges = added_edges;
         Ok(ChainHandle {
             chain,
             routes: new_routes,
@@ -2003,10 +1979,11 @@ impl ControlPlane {
         t_done
     }
 
-    /// Retires a set of routes: unbinds them at the ingress edge, strips
-    /// their forwarder rules (every epoch) at each stage site, forgets
-    /// the recorded hop sets, releases the reserved VNF capacity, and
-    /// unwinds their load from the live tracker. Pinned flows keep their forwarder flow-table entries and
+    /// Retires a set of routes of the chain `state` records: unbinds them
+    /// at its ingress and added edges, strips their forwarder rules at
+    /// each stage site, forgets the recorded hop sets, releases the
+    /// reserved VNF capacity, and unwinds their load from the live
+    /// tracker. Pinned flows keep their forwarder flow-table entries and
     /// edge pins, so established connections drain rather than break
     /// (Section 5.3).
     ///
@@ -2019,12 +1996,14 @@ impl ControlPlane {
         &mut self,
         spec: &ChainSpec,
         anns: &[RouteAnnouncement],
-        ingress_site: SiteId,
+        state: &ChainState,
         still_routed: impl Fn(SiteId) -> bool,
     ) {
         for ann in anns {
-            if let Some(edge) = self.edge.instance_at_mut(ingress_site) {
-                edge.remove_route(ann.chain, ann.route);
+            for &site in std::iter::once(&state.ingress_site).chain(state.added_edges.keys()) {
+                if let Some(edge) = self.edge.instance_at_mut(site) {
+                    edge.remove_route(ann.chain, ann.route);
+                }
             }
             let (label, egress) = (ann.labels.chain().value(), ann.labels.egress().value());
             for (z, (&vnf, &site)) in ann.vnfs.iter().zip(&ann.sites).enumerate() {
@@ -2059,8 +2038,8 @@ impl ControlPlane {
 
     /// Tears down a chain through the same delta pipeline as an update —
     /// the to-empty degenerate delta. Releases the committed VNF capacity
-    /// AND removes the forwarder rules (every epoch), the ingress edge's
-    /// route bindings, and the chain record with its routes.
+    /// AND removes the forwarder rules, the route bindings at the ingress
+    /// and every added edge, and the chain record with its routes.
     /// Established flows keep their flow-table pins and drain
     /// (Section 5.3). Teardown never needs a 2PC round: it only shrinks
     /// reservations.
@@ -2105,9 +2084,9 @@ impl ControlPlane {
         self.trace_step(Some(span), "cp.propagate_routes", t_pub);
 
         let t_retire = self.now;
-        self.retire_routes(&spec, &state.routes, state.ingress_site, |_| false);
-        for topic in &state.edge_topics {
-            self.bus.remove_topic(topic);
+        self.retire_routes(&spec, &state.routes, &state, |_| false);
+        for &site in state.added_edges.keys() {
+            self.bus.remove_topic(&edge_topic(chain, site));
         }
         // The patch lists the chain's label pairs as removals.
         self.compile_artifacts(state.epoch, ArtifactKind::Patch);
@@ -2124,6 +2103,42 @@ impl ControlPlane {
 /// whole life.
 fn gsb_route_topic() -> Topic {
     Topic::with_owner(format!("/routes/site_{}_gsb", GSB_SITE.value()), GSB_SITE)
+}
+
+/// Forwarder records as weighted hops: each forwarder weighted by the
+/// instances it serves.
+fn forwarder_hops(records: &[ForwarderRecord]) -> Hops {
+    records
+        .iter()
+        .map(|fr| (Addr::Forwarder(fr.forwarder), fr.weight))
+        .collect()
+}
+
+/// The topic an edge site added to `chain` publishes its forwarder info
+/// on; the chain's first VNF sites subscribe.
+fn edge_topic(chain: ChainId, site: SiteId) -> Topic {
+    Topic::with_owner(
+        format!("/c{}/edge/site_{}_forwarders", chain.value(), site.value()),
+        site,
+    )
+}
+
+/// The route, of `routes` held in route-id order, whose first VNF site is
+/// nearest to `site`. `min_by` keeps the first of equals, so the lowest
+/// route id wins a tie.
+fn nearest_route<'a>(
+    model: &NetworkModel,
+    routes: &'a [RouteAnnouncement],
+    site: SiteId,
+) -> Option<&'a RouteAnnouncement> {
+    let latency = |r: &RouteAnnouncement| {
+        model
+            .latency(model.site_node(site), model.site_node(r.sites[0]))
+            .value()
+    };
+    routes
+        .iter()
+        .min_by(|a, b| latency(a).total_cmp(&latency(b)))
 }
 
 /// Rejects a caller-specified route set that is not a split of the whole
@@ -2632,7 +2647,7 @@ mod tests {
         for f in local.forwarder_ids() {
             let fwd = local.forwarder(f).unwrap();
             assert!(
-                fwd.installed_epochs(old_labels).next().is_none(),
+                fwd.active_epoch(old_labels).is_none(),
                 "old rules must be gone"
             );
         }
@@ -2732,7 +2747,7 @@ mod tests {
         let (local, labels) = (cp.local(site).unwrap(), handle.routes[0].labels);
         for f in local.forwarder_ids() {
             let fwd = local.forwarder(f).unwrap();
-            assert!(fwd.installed_epochs(labels).next().is_none());
+            assert!(fwd.active_epoch(labels).is_none());
         }
         let edge = cp.edge().instance_at(SiteId::new(0)).unwrap();
         assert_eq!(edge.routes_for(ChainId::new(1)), 0);

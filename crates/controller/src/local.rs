@@ -45,7 +45,7 @@ pub struct LocalSwitchboard {
     /// Which forwarder serves each instance.
     instance_fwd: HashMap<InstanceId, ForwarderId>,
     /// Label pairs whose forwarder rules changed since the last artifact
-    /// compile — written by the three rule mutators and nothing else, so
+    /// compile — written by the two rule mutators and nothing else, so
     /// the compile's scope is what was touched, not what a caller recalls.
     touched: Vec<LabelPair>,
     /// Telemetry hub + packet sampling period applied to every forwarder
@@ -183,7 +183,9 @@ impl LocalSwitchboard {
 
     /// Installs the stage-`z` rules of `route` at every forwarder serving
     /// the stage's VNF here: load-balance among its own instances, forward
-    /// onward to `next_hops`, backward to `prev_hops` (Figure 6).
+    /// onward to `next_hops`, backward to `prev_hops` (Figure 6). Each row
+    /// carries the route's epoch. Returns how many forwarders held the
+    /// pair at an older epoch — the epochs this install retires.
     ///
     /// # Errors
     ///
@@ -196,8 +198,9 @@ impl LocalSwitchboard {
         stage: usize,
         next_hops: Vec<(Addr, f64)>,
         prev_hops: Vec<(Addr, f64)>,
-    ) -> Result<()> {
+    ) -> Result<usize> {
         self.touched.push(route.labels);
+        let mut retired = 0;
         let vnf = route.vnfs[stage];
         let pool = self
             .pools
@@ -220,6 +223,8 @@ impl LocalSwitchboard {
                 .forwarders
                 .get_mut(&fwd_id)
                 .expect("pool members exist");
+            let held = fwd.active_epoch(route.labels);
+            retired += usize::from(held.is_some_and(|e| e < route.epoch));
             fwd.install_rules_epoch(
                 route.labels,
                 RuleSet {
@@ -227,7 +232,7 @@ impl LocalSwitchboard {
                     to_next: to_next.clone(),
                     to_prev: to_prev.clone(),
                 },
-                route.epoch.max(1),
+                route.epoch,
             );
             for r in &recs {
                 if !r.supports_labels {
@@ -235,13 +240,13 @@ impl LocalSwitchboard {
                 }
             }
         }
-        Ok(())
+        Ok(retired)
     }
 
-    /// Removes every rule set (all epochs) for `labels` from every
-    /// forwarder at this site, returning the number of forwarders that had
-    /// one. Pinned flows in forwarder flow tables are untouched — removal
-    /// only stops new flows from matching (teardown, DESIGN.md §10).
+    /// Removes the rule set for `labels` from every forwarder at this
+    /// site, returning the number of forwarders that had one. Pinned flows
+    /// in forwarder flow tables are untouched — removal only stops new
+    /// flows from matching (teardown, DESIGN.md §10).
     pub(crate) fn remove_route_rules(&mut self, labels: LabelPair) -> usize {
         self.touched.push(labels);
         let mut removed = 0;
@@ -251,24 +256,6 @@ impl LocalSwitchboard {
             }
         }
         removed
-    }
-
-    /// Retires every rule epoch older than `epoch` for `labels` at every
-    /// forwarder here — the final make-before-break step once the
-    /// load-balancing weights point at the new epoch. Returns the number
-    /// of epochs retired across the site.
-    pub(crate) fn retire_epochs_below(&mut self, labels: LabelPair, epoch: u64) -> usize {
-        self.touched.push(labels);
-        let mut retired = 0;
-        for fwd in self.forwarders.values_mut() {
-            let installed: Vec<u64> = fwd.installed_epochs(labels).collect();
-            for old in installed {
-                if old < epoch && fwd.retire_epoch(labels, old) {
-                    retired += 1;
-                }
-            }
-        }
-        retired
     }
 
     /// Hands over, and forgets, the label pairs the rule mutators touched
@@ -477,21 +464,19 @@ mod tests {
     }
 
     #[test]
-    fn retire_epochs_below_keeps_only_the_new_epoch() {
-        let mut l = LocalSwitchboard::new(SiteId::new(0), 2);
-        let vnf = VnfId::new(1);
-        l.attach_instances(vnf, &[rec(1, 1.0)]);
+    fn a_new_epoch_install_counts_the_epochs_it_retires() {
+        let mut l = LocalSwitchboard::new(SiteId::new(0), 1);
+        l.attach_instances(VnfId::new(1), &[rec(1, 1.0), rec(2, 1.0)]); // two forwarders
         let mut r = route(1, 1, 1, 0);
         let hops = vec![(Addr::Edge(sb_types::EdgeInstanceId::new(9)), 1.0)];
-        l.install_stage_rules(&r, 0, hops.clone(), hops.clone()).unwrap();
+        assert_eq!(l.install_stage_rules(&r, 0, hops.clone(), hops.clone()).unwrap(), 0);
+        // The same epoch again retires nothing; a newer one retires the
+        // older row at both forwarders.
+        assert_eq!(l.install_stage_rules(&r, 0, hops.clone(), hops.clone()).unwrap(), 0);
         r.epoch = 2;
-        l.install_stage_rules(&r, 0, hops.clone(), hops).unwrap();
-        let fid = l.forwarder_ids()[0];
-        let epochs = |l: &LocalSwitchboard| {
-            l.forwarder(fid).unwrap().installed_epochs(r.labels).collect::<Vec<_>>()
-        };
-        assert_eq!(epochs(&l), vec![1, 2]);
-        assert_eq!(l.retire_epochs_below(r.labels, 2), 1);
-        assert_eq!(epochs(&l), vec![2]);
+        assert_eq!(l.install_stage_rules(&r, 0, hops.clone(), hops).unwrap(), 2);
+        for id in l.forwarder_ids() {
+            assert_eq!(l.forwarder(id).unwrap().active_epoch(r.labels), Some(2));
+        }
     }
 }

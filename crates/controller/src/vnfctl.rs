@@ -114,9 +114,10 @@ impl VnfController {
     ///
     /// - [`Error::UnknownEntity`] when the VNF is not deployed at `site`.
     /// - [`Error::CommitRejected`] when remaining capacity is insufficient,
-    ///   or when `site` has a label-unaware instance and already holds a
-    ///   reservation for another route: its forwarder re-affixes one label
-    ///   pair per such instance, so the pool carries one route.
+    ///   when `site` has no instances to serve the load, or when it has a
+    ///   label-unaware instance and already holds a reservation for another
+    ///   route: its forwarder re-affixes one label pair per such instance,
+    ///   so the pool carries one route.
     pub fn prepare(
         &mut self,
         chain: ChainId,
@@ -138,6 +139,9 @@ impl VnfController {
             return Err(reject(format!(
                 "need {load:.3} load units, only {available:.3} available"
             )));
+        }
+        if pool.instances.is_empty() {
+            return Err(reject("no instances to serve the reservation".into()));
         }
         if pool.instances.iter().any(|i| !i.supports_labels)
             && pool

@@ -4,15 +4,15 @@
 //! A [`SiteArtifact`] is the versioned, checksummed, byte-deterministic
 //! binary encoding of a site's compiled forwarding state — per forwarder,
 //! exactly what [`CompiledFib`](crate::CompiledFib) holds: the sorted
-//! [`FibRow`]s (active rule sets with their Vose alias tables bit-exact),
-//! the active/installed epoch tags, plus the label-unaware VNF
-//! registrations a forwarder needs to strip/re-affix labels. The control
+//! [`FibRow`]s (rule sets with their Vose alias tables bit-exact, each
+//! with its route's epoch), plus the label-unaware VNF registrations a
+//! forwarder needs to strip/re-affix labels. The control
 //! plane emits one per participant site at 2PC install time; a data-plane
 //! process — in-process or standalone, see the `sb` CLI — consumes it via
 //! `Forwarder::apply_artifact` and hot-swaps through the existing RCU
 //! generation publish.
 //!
-//! # Format (version 1)
+//! # Format (version 2)
 //!
 //! All integers little-endian, fixed width; `f64` as IEEE-754 bits
 //! (`to_bits`). No serde, no allocator churn beyond the output buffer.
@@ -24,8 +24,7 @@
 //!   forwarder u64 | mode u8 | generation u64
 //!   n_rows u32 | n_unaware u32 | n_removed u32
 //!   per row (ascending by label pair):
-//!     chain u32 | egress u32 | active_epoch u64
-//!     n_epochs u32 | epoch u64 × n_epochs
+//!     chain u32 | egress u32 | epoch u64
 //!     to_vnf WC | to_next WC | to_prev WC
 //!   per unaware (ascending by instance):
 //!     instance u64 | chain u32 | egress u32
@@ -39,19 +38,18 @@
 //! state — whatever order its lists are held in — produce identical
 //! bytes. Decoding validates magic, version, checksum, that canonical
 //! order (forwarders and each forwarder's rows strictly ascending — a
-//! receiver installs rows as carried), label ranges, epoch ordering, and
-//! alias-table shape before constructing anything.
+//! receiver installs rows as carried), label ranges, and alias-table shape
+//! before constructing anything. This build reads version 2 only:
+//! version-1 files (rows with an epoch-tag list) are rejected like any
+//! other version.
 //!
 //! # What is (deliberately) not serialized
 //!
-//! Only the **active** epoch's rule payload is carried per row; older
-//! epochs appear as drain-only tags in the epoch list. Packet-visible
-//! behavior depends solely on the active rule set (flows pinned on an old
-//! epoch keep their flow-table entries, which an artifact apply never
-//! touches), so a forwarder rebuilt from an artifact is
-//! behavior-identical to the original. Bridge-mode static next hops and
-//! flow-table contents are runtime state, not route state, and are not
-//! encoded.
+//! Bridge-mode static next hops and flow-table contents are runtime
+//! state, not route state, and are not encoded. Flows pinned before an
+//! update keep their flow-table entries, which an artifact apply never
+//! touches, so a forwarder rebuilt from an artifact is behavior-identical
+//! to the original.
 
 use crate::fib::FibRow;
 use crate::forwarder::ForwarderMode;
@@ -65,9 +63,8 @@ use sb_types::{
 /// The four magic bytes opening every artifact file.
 pub const MAGIC: [u8; 4] = *b"SBAF";
 
-/// The current format version. Decoders reject anything newer; older
-/// versions would be migrated here once they exist (there is only v1).
-pub const VERSION: u16 = 1;
+/// The format version. Decoders reject every other version.
+pub const VERSION: u16 = 2;
 
 /// Whether an artifact carries a site's full forwarding state or a delta
 /// against the previously installed epoch.
@@ -216,7 +213,7 @@ fn len_u32(len: usize) -> u32 {
     len as u32
 }
 
-/// Serializes `artifact` into the version-1 wire format. Every list is
+/// Serializes `artifact` into the version-2 wire format. Every list is
 /// emitted in sorted order (forwarders by id, rows by label pair,
 /// registrations by instance, removals ascending), so the bytes are a
 /// pure function of the logical state: two compiles of the same route
@@ -248,11 +245,7 @@ pub fn encode(artifact: &SiteArtifact) -> Vec<u8> {
         for ri in row_order {
             let row = &f.rows[ri];
             put_labels(&mut buf, row.labels);
-            put_u64(&mut buf, row.active_epoch);
-            put_u32(&mut buf, len_u32(row.epochs.len()));
-            for &ep in &row.epochs {
-                put_u64(&mut buf, ep);
-            }
+            put_u64(&mut buf, row.epoch);
             put_choice(&mut buf, &row.rules.to_vnf);
             put_choice(&mut buf, &row.rules.to_next);
             put_choice(&mut buf, &row.rules.to_prev);
@@ -399,18 +392,16 @@ fn mode_from_u8(v: u8) -> Result<ForwarderMode> {
     }
 }
 
-/// Deserializes a version-1 artifact, validating the magic, version,
-/// trailer checksum, canonical order, label ranges, epoch ordering, and
-/// alias-table shape.
+/// Deserializes a version-2 artifact, validating the magic, version,
+/// trailer checksum, canonical order, label ranges, and alias-table shape.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidArgument`] on any structural defect: wrong
 /// magic, unsupported version, checksum mismatch, truncation, trailing
 /// garbage, forwarders not strictly ascending by id, a forwarder's rows
-/// not strictly ascending by label pair, out-of-range labels or alias
-/// indices, or epoch lists that are not ascending with the active epoch
-/// last.
+/// not strictly ascending by label pair, or out-of-range labels or alias
+/// indices.
 pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
     if bytes.len() < MAGIC.len() + 2 + 8 {
         return Err(Error::invalid_argument("artifact: too short"));
@@ -435,7 +426,7 @@ pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
         )));
     }
     let kind = ArtifactKind::from_u8(d.u8()?)?;
-    // Version 1's one free flag byte: must be zero until a future version
+    // The format's one free flag byte: must be zero until a future version
     // assigns it meaning, so old readers fail loudly instead of silently
     // ignoring a flag they don't understand.
     if d.u8()? != 0 {
@@ -473,34 +464,13 @@ pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
                     "artifact: rows must be strictly ascending by label pair",
                 ));
             }
-            let active_epoch = d.u64()?;
-            let n_epochs = d.u32()? as usize;
-            if n_epochs == 0 {
-                return Err(Error::invalid_argument(
-                    "artifact: row with empty epoch list",
-                ));
-            }
-            let mut epochs = Vec::with_capacity(n_epochs.min(64));
-            for _ in 0..n_epochs {
-                epochs.push(d.u64()?);
-            }
-            if !epochs.windows(2).all(|w| w[0] < w[1]) {
-                return Err(Error::invalid_argument(
-                    "artifact: epoch list must be strictly ascending",
-                ));
-            }
-            if *epochs.last().expect("non-empty") != active_epoch {
-                return Err(Error::invalid_argument(
-                    "artifact: active epoch must be the highest installed epoch",
-                ));
-            }
+            let epoch = d.u64()?;
             let to_vnf = d.choice()?;
             let to_next = d.choice()?;
             let to_prev = d.choice()?;
             rows.push(FibRow {
                 labels,
-                active_epoch,
-                epochs,
+                epoch,
                 rules: crate::forwarder::RuleSet {
                     to_vnf,
                     to_next,
@@ -575,8 +545,7 @@ mod tests {
     fn row(chain: u32, egress: u32, inst: u64) -> FibRow {
         FibRow {
             labels: pair(chain, egress),
-            active_epoch: 2,
-            epochs: vec![1, 2],
+            epoch: 2,
             rules: ruleset(inst),
         }
     }
@@ -647,26 +616,27 @@ mod tests {
         assert!(decode(&[]).is_err());
     }
 
-    #[test]
-    fn rejects_future_version() {
-        let art = sample();
-        let mut bytes = encode(&art);
-        bytes[4] = 0x7f; // bump version (LE low byte)
+    /// `sample()` encoded, stamped as `version` and re-sealed, so only the
+    /// version check can reject it.
+    fn restamped(version: u16) -> Vec<u8> {
+        let mut bytes = encode(&sample());
+        bytes[4..6].copy_from_slice(&version.to_le_bytes());
         let body_len = bytes.len() - 8;
         let fixed = fnv1a64(&bytes[..body_len]);
         bytes[body_len..].copy_from_slice(&fixed.to_le_bytes());
-        let err = decode(&bytes).unwrap_err().to_string();
-        assert!(err.contains("unsupported version"), "{err}");
+        bytes
     }
 
     #[test]
-    fn rejects_epoch_disorder() {
-        let mut art = sample();
-        art.forwarders[0].rows[0].epochs = vec![2, 1];
-        art.forwarders[0].rows[0].active_epoch = 1;
-        // Encode does not validate (it trusts the exporter); decode must.
-        let bytes = encode(&art);
-        assert!(decode(&bytes).is_err());
+    fn rejects_future_version() {
+        let err = decode(&restamped(0x7f)).unwrap_err().to_string();
+        assert!(err.contains("unsupported version 127"), "{err}");
+    }
+
+    #[test]
+    fn rejects_version_1() {
+        let err = decode(&restamped(1)).unwrap_err().to_string();
+        assert!(err.contains("unsupported version 1 "), "{err}");
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! rather than re-looked-up per packet, a [`CompiledFib`] holds:
 //!
 //! - **dense rule rows** ([`FibRow`]), sorted by label pair: per pair, the
-//!   active epoch's [`RuleSet`] with its Vose alias tables already baked,
-//!   the active epoch tag, and the full ascending epoch list — both epochs
-//!   of a make-before-break update are present in one generation until the
-//!   old one is retired. A row is also exactly what an artifact carries;
+//!   [`RuleSet`] with its Vose alias tables already baked and the epoch of
+//!   the route that installed it. Make-before-break needs no second epoch
+//!   here: flows pinned before an update keep their flow-table entries.
+//!   A row is also exactly what an artifact carries;
 //! - a **label-interning table**: an open-addressed, power-of-two probe
 //!   table mapping a packed `LabelPair` to a small dense row index — a
 //!   splitmix-mixed u64 compare per probe, no SipHash, no buckets;
@@ -22,7 +22,7 @@
 //! # Generation lifecycle
 //!
 //! Compilation happens off the hot path, in the rule mutators
-//! (`install_rules_epoch` / `retire_epoch` / `fail_vnf_instance` / ...).
+//! (`install_rules_epoch` / `remove_rules` / `fail_vnf_instance` / ...).
 //! Each mutation builds the next [`CompiledFib`] from the current one — a
 //! full rebuild over an edited row set, or an in-place single-row patch
 //! ([`CompiledFib::patch_row`]) when only one label pair changed — and
@@ -69,12 +69,9 @@ pub const FIB_MISS: u32 = u32::MAX;
 pub struct FibRow {
     /// The label pair this row serves.
     pub labels: LabelPair,
-    /// The active (highest installed) epoch tag.
-    pub active_epoch: u64,
-    /// Every installed epoch, ascending — during a make-before-break
-    /// update both the old and new epoch are listed until the retire.
-    pub epochs: Vec<u64>,
-    /// The active epoch's rule sets, alias tables pre-baked.
+    /// The epoch of the route that installed `rules`.
+    pub epoch: u64,
+    /// The rule sets, alias tables pre-baked.
     pub rules: RuleSet,
 }
 
@@ -157,8 +154,8 @@ impl CompiledFib {
     }
 
     /// A copy of this FIB with one row replaced (or inserted), tagged
-    /// `generation`. The single-row delta path for installs and retires
-    /// that touch one surviving label pair: row payloads are cloned but
+    /// `generation`. The single-row delta path for an install that touches
+    /// one label pair: row payloads are cloned but
     /// nothing is re-derived. A replacement reuses the
     /// interning and fallback tables verbatim; an insert falls back to a
     /// fresh [`build`](Self::build) over the extended row set.
@@ -398,8 +395,7 @@ mod tests {
     fn row(chain: u32, egress: u32, inst: u64) -> FibRow {
         FibRow {
             labels: pair(chain, egress),
-            active_epoch: 0,
-            epochs: vec![0],
+            epoch: 0,
             rules: ruleset(inst),
         }
     }
@@ -482,7 +478,7 @@ mod tests {
     #[test]
     fn readers_see_consistent_generations_under_concurrent_publish() {
         // Writer publishes N generations where generation g carries g rows,
-        // each tagged active_epoch == g; readers must only ever observe
+        // each tagged epoch == g; readers must only ever observe
         // snapshots satisfying that invariant (never a half-published mix).
         const GENERATIONS: u64 = 200;
         let cell = FibCell::new(CompiledFib::empty());
@@ -497,7 +493,7 @@ mod tests {
                     assert!(g >= last, "generation went backwards: {g} < {last}");
                     assert_eq!(snap.len() as u64, g, "row count mismatch at gen {g}");
                     assert!(
-                        snap.rows().iter().all(|r| r.active_epoch == g),
+                        snap.rows().iter().all(|r| r.epoch == g),
                         "torn snapshot at gen {g}"
                     );
                     last = g;
@@ -513,8 +509,7 @@ mod tests {
             let rows = (0..g)
                 .map(|i| FibRow {
                     labels: pair(i as u32 + 1, 1),
-                    active_epoch: g,
-                    epochs: vec![g],
+                    epoch: g,
                     rules: ruleset(i),
                 })
                 .collect();

@@ -269,13 +269,6 @@ impl FibState {
         }
     }
 
-    /// The row for exactly `labels`, if installed.
-    fn row(&self, labels: LabelPair) -> Option<&FibRow> {
-        let rows = self.current.rows();
-        let i = rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
-        Some(&rows[i])
-    }
-
     /// The generation number the next publish carries.
     fn next_generation(&self) -> u64 {
         self.current.generation() + 1
@@ -322,7 +315,7 @@ pub struct Forwarder {
     label_unaware: HashMap<InstanceId, LabelPair>,
     flow_table: FlowTable,
     /// The compiled FIB: its rows are the rules, one per label pair with
-    /// its epoch tags, republished by every rule mutator (DESIGN.md §14).
+    /// its epoch, republished by every rule mutator (DESIGN.md §14).
     fib: FibState,
     stats: ForwarderStats,
     /// Sink for synthetic per-packet header work (see `io_work`), kept so
@@ -420,85 +413,38 @@ impl Forwarder {
         self.work_sink
     }
 
-    /// Installs (or replaces) the rule sets for a label pair at its current
-    /// active epoch. Existing flow-table entries are untouched, so
-    /// established connections keep their instances (Section 5.3: "existing
-    /// entries ... remain until the completion of a flow and only new flows
-    /// route on the new routes").
+    /// Installs (or replaces) the rule sets for a label pair, keeping the
+    /// pair's epoch (0 for a new pair). Existing flow-table entries are
+    /// untouched, so established connections keep their instances
+    /// (Section 5.3: "existing entries ... remain until the completion of
+    /// a flow and only new flows route on the new routes").
     pub fn install_rules(&mut self, labels: LabelPair, rules: RuleSet) {
         let epoch = self.active_epoch(labels).unwrap_or(0);
         self.install_rules_epoch(labels, rules, epoch);
     }
 
-    /// Installs the rule sets for a label pair tagged with `epoch`
-    /// (DESIGN.md §10). The highest installed epoch is the active one: new
-    /// flows hash onto its rules, while flows pinned in the flow table keep
-    /// draining on whatever rules installed their entry — make-before-break
-    /// needs both tags present until the old epoch is retired. A pair keeps
-    /// only its active rules, so installing below the active epoch adds the
-    /// tag and nothing else.
+    /// Publishes the row `{labels, epoch, rules}`, replacing any row the
+    /// pair has (DESIGN.md §10). New flows hash onto `rules`; flows pinned
+    /// in the flow table keep draining on whatever rules installed their
+    /// entry, which is all make-before-break needs.
     pub fn install_rules_epoch(&mut self, labels: LabelPair, rules: RuleSet, epoch: u64) {
-        let installed = self.fib.row(labels);
-        let mut epochs = installed.map_or_else(Vec::new, |r| r.epochs.clone());
-        if let Err(i) = epochs.binary_search(&epoch) {
-            epochs.insert(i, epoch);
-        }
-        let row = match installed {
-            Some(row) if epoch < row.active_epoch => FibRow {
-                epochs,
-                ..row.clone()
-            },
-            _ => FibRow {
-                labels,
-                active_epoch: epoch,
-                epochs,
-                rules,
-            },
-        };
-        self.publish_row(row);
+        self.publish_row(FibRow {
+            labels,
+            epoch,
+            rules,
+        });
     }
 
-    /// Removes the epoch tag `epoch` for a label pair (the retire step of
-    /// an update). The rules stay, under the highest remaining tag;
-    /// retiring the last tag removes the pair. Returns whether such an
-    /// epoch was installed. Established flows continue via their
-    /// flow-table entries regardless.
-    pub fn retire_epoch(&mut self, labels: LabelPair, epoch: u64) -> bool {
-        let Some(row) = self.fib.row(labels) else {
-            return false;
-        };
-        let Ok(i) = row.epochs.binary_search(&epoch) else {
-            return false;
-        };
-        if row.epochs.len() == 1 {
-            self.remove_rules(labels);
-        } else {
-            let mut row = row.clone();
-            row.epochs.remove(i);
-            row.active_epoch = row.epochs[row.epochs.len() - 1];
-            self.publish_row(row);
-        }
-        true
-    }
-
-    /// The active (highest installed) epoch for a label pair.
+    /// The epoch of a label pair's row, if the pair is installed.
     #[must_use]
     pub fn active_epoch(&self, labels: LabelPair) -> Option<u64> {
-        self.fib.row(labels).map(|r| r.active_epoch)
+        let rows = self.fib.current.rows();
+        let i = rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
+        Some(rows[i].epoch)
     }
 
-    /// All installed epochs for a label pair, ascending. Borrowed iterator
-    /// form: no per-call allocation (callers that need a `Vec` collect at
-    /// their own, colder boundary).
-    pub fn installed_epochs(&self, labels: LabelPair) -> impl Iterator<Item = u64> + '_ {
-        self.fib
-            .row(labels)
-            .into_iter()
-            .flat_map(|r| r.epochs.iter().copied())
-    }
-
-    /// Removes a label pair with all its epoch tags, returning its rules;
-    /// established flows continue via their flow-table entries.
+    /// Removes a label pair, returning its rules; established flows
+    /// continue via their flow-table entries.
     pub fn remove_rules(&mut self, labels: LabelPair) -> Option<RuleSet> {
         let rows = self.fib.current.rows();
         let i = rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
@@ -626,31 +572,21 @@ impl Forwarder {
     ///   carried row replaces its pair's row through the single-row
     ///   `patch_row` path, and registrations merge.
     ///
-    /// Rows are installed as carried. A row that lists no epochs says its
-    /// pair has no rules, in both kinds: `Full` skips it, `Patch` drops
-    /// the pair. (The decoder rejects such a row; an artifact built in
-    /// memory can carry one.)
-    ///
-    /// Either way the swap rides the existing RCU generation publish:
-    /// in-flight batches finish on the snapshot they hold, the next batch
-    /// sees the new generation, and the flow table is never touched —
-    /// pinned flows drain across the swap with zero drops
-    /// (make-before-break, DESIGN.md §15).
+    /// Rows are installed as carried. Either way the swap rides the
+    /// existing RCU generation publish: in-flight batches finish on the
+    /// snapshot they hold, the next batch sees the new generation, and the
+    /// flow table is never touched — pinned flows drain across the swap
+    /// with zero drops (make-before-break, DESIGN.md §15).
     pub fn apply_artifact(&mut self, art: &ForwarderArtifact, kind: ArtifactKind) {
         if kind == ArtifactKind::Full {
             self.label_unaware.clear();
-            let rows = art.rows.iter().filter(|r| !r.epochs.is_empty());
-            self.publish_rows(rows.cloned().collect());
+            self.publish_rows(art.rows.clone());
         } else {
             for &labels in &art.removed {
                 self.remove_rules(labels);
             }
             for row in &art.rows {
-                if row.epochs.is_empty() {
-                    self.remove_rules(row.labels);
-                } else {
-                    self.publish_row(row.clone());
-                }
+                self.publish_row(row.clone());
             }
         }
         self.label_unaware.extend(art.label_unaware.iter().copied());
@@ -1299,7 +1235,7 @@ mod tests {
     }
 
     #[test]
-    fn fail_vnf_instance_prunes_every_epoch() {
+    fn fail_vnf_instance_prunes_the_row_and_keeps_its_epoch() {
         let mut f = affinity_forwarder();
         f.install_rules_epoch(
             labels(),
@@ -1311,20 +1247,11 @@ mod tests {
             7,
         );
         f.fail_vnf_instance(InstanceId::new(1));
-        // Epoch 7 (active) no longer selects vnf 1...
+        assert_eq!(f.active_epoch(labels()), Some(7));
         for port in 0..50u16 {
             let pkt = Packet::labeled(labels(), key(port), 64);
             let (_, inst) = f.process(pkt, edge()).unwrap();
-            assert_ne!(inst, vnf(1), "dead instance selected at active epoch");
-        }
-        // ...and neither do the surviving rules once the epoch-7 tag goes.
-        assert!(f.retire_epoch(labels(), 7));
-        assert_eq!(f.active_epoch(labels()), Some(0));
-        f.clear_flow_state();
-        for port in 0..50u16 {
-            let pkt = Packet::labeled(labels(), key(port), 64);
-            let (_, inst) = f.process(pkt, edge()).unwrap();
-            assert_ne!(inst, vnf(1), "dead instance selected after the retire");
+            assert_ne!(inst, vnf(1), "dead instance selected after failover");
         }
     }
 
@@ -1400,8 +1327,8 @@ mod tests {
         let pkt = Packet::labeled(labels(), key(1000), 500);
         let (_, inst) = f.process(pkt, edge()).unwrap();
 
-        // Install epoch 1 pointing everything at a new instance: the old
-        // epoch's rules stay installed, but epoch 1 is now active.
+        // Install epoch 1 pointing everything at a new instance: the row
+        // now carries epoch 1 and only its rules.
         f.install_rules_epoch(
             labels(),
             RuleSet {
@@ -1412,7 +1339,6 @@ mod tests {
             1,
         );
         assert_eq!(f.active_epoch(labels()), Some(1));
-        assert_eq!(f.installed_epochs(labels()).collect::<Vec<_>>(), vec![0, 1]);
 
         // Pinned flow keeps draining on its flow-table entry; a fresh flow
         // hashes onto the new epoch.
@@ -1421,38 +1347,6 @@ mod tests {
         let pkt2 = Packet::labeled(labels(), key(2000), 500);
         let (_, fresh) = f.process(pkt2, edge()).unwrap();
         assert_eq!(fresh, vnf(99));
-
-        // Retiring the old epoch leaves the new one active and breaks
-        // nothing: the pin still serves the old flow.
-        assert!(f.retire_epoch(labels(), 0));
-        assert!(!f.retire_epoch(labels(), 0), "already retired");
-        assert_eq!(f.installed_epochs(labels()).collect::<Vec<_>>(), vec![1]);
-        let (_, after) = f.process(pkt, edge()).unwrap();
-        assert_eq!(after, inst);
-    }
-
-    #[test]
-    fn a_pair_keeps_only_its_active_rules() {
-        let mut f = affinity_forwarder();
-        f.install_rules_epoch(labels(), single_vnf_rules(99), 7);
-        // Installing below the active epoch adds a tag, not rules.
-        f.install_rules_epoch(labels(), single_vnf_rules(50), 3);
-        assert_eq!(
-            f.installed_epochs(labels()).collect::<Vec<_>>(),
-            vec![0, 3, 7]
-        );
-        // Retiring the active tag leaves its rules under the highest
-        // remaining tag; there are no older rules to fall back to.
-        assert!(f.retire_epoch(labels(), 7));
-        assert_eq!(f.active_epoch(labels()), Some(3));
-        let pkt = Packet::labeled(labels(), key(3000), 500);
-        assert_eq!(f.process(pkt, edge()).unwrap().1, vnf(99));
-        // Retiring the last tag removes the label pair entirely.
-        assert!(f.retire_epoch(labels(), 0));
-        assert!(f.retire_epoch(labels(), 3));
-        assert_eq!(f.active_epoch(labels()), None);
-        // Two installs, two surviving retires, one removal.
-        assert_eq!(f.fib_recompilations(), (1, 5));
     }
 
     #[test]
@@ -1883,82 +1777,6 @@ mod tests {
         assert_eq!(f.stats().flow_hits, 1);
         assert_eq!(f.stats().drops, 1);
         assert_batch_equivalent(make, &[pinned, fresh, pinned, fresh], edge());
-    }
-
-    /// A one-forwarder artifact share over `rows`.
-    fn artifact(rows: Vec<FibRow>) -> ForwarderArtifact {
-        ForwarderArtifact {
-            forwarder: ForwarderId::new(1),
-            mode: ForwarderMode::Affinity,
-            generation: 1,
-            rows,
-            label_unaware: Vec::new(),
-            removed: Vec::new(),
-        }
-    }
-
-    fn single_vnf_rules(inst: u64) -> RuleSet {
-        RuleSet {
-            to_vnf: WeightedChoice::single(vnf(inst)),
-            to_next: WeightedChoice::single(fwd_addr(9)),
-            to_prev: WeightedChoice::single(edge()),
-        }
-    }
-
-    #[test]
-    fn patch_row_without_epochs_drops_the_pair() {
-        let art = artifact(vec![FibRow {
-            labels: labels(),
-            active_epoch: 0,
-            epochs: Vec::new(),
-            rules: single_vnf_rules(1),
-        }]);
-        let make = || {
-            let mut f = affinity_forwarder();
-            f.apply_artifact(&art, ArtifactKind::Patch);
-            f
-        };
-        let f = make();
-        assert_eq!(f.active_epoch(labels()), None);
-        assert!(f.fib.current.is_empty(), "no ghost row");
-        // install (patch) + removal (rebuild); naming an absent pair again
-        // publishes nothing.
-        assert_eq!(f.fib_recompilations(), (1, 1));
-        let mut again = make();
-        again.apply_artifact(&art, ArtifactKind::Patch);
-        assert_eq!(again.fib_recompilations(), (1, 1));
-        let pkts = [Packet::labeled(labels(), key(1), 64)];
-        assert_batch_equivalent(make, &pkts, edge());
-    }
-
-    #[test]
-    fn full_row_without_epochs_leaves_no_ghost_key() {
-        // The epoch-less row is the chain's smallest label pair: installed,
-        // it would become the chain fallback reverse traffic resolves to.
-        let ghost = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
-        let art = artifact(vec![
-            FibRow {
-                labels: ghost,
-                active_epoch: 0,
-                epochs: Vec::new(),
-                rules: single_vnf_rules(1),
-            },
-            FibRow {
-                labels: labels(),
-                active_epoch: 3,
-                epochs: vec![3],
-                rules: single_vnf_rules(2),
-            },
-        ]);
-        let make = || Forwarder::from_artifact(SiteId::new(0), &art);
-        let mut f = make();
-        assert_eq!(f.active_epoch(ghost), None);
-        assert_eq!(f.active_epoch(labels()), Some(3));
-        assert_eq!(f.fib_recompilations(), (1, 0));
-        let reverse = LabelPair::new(ChainLabel::new(1), EgressLabel::new(7));
-        let pkt = Packet::labeled(reverse, key(1), 64);
-        assert_eq!(f.process(pkt, edge()).unwrap().1, vnf(2));
-        assert_batch_equivalent(make, &[pkt, Packet::labeled(ghost, key(2), 64)], edge());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! rewritten packets, same error strings, same per-flow pins, same LB
 //! choices, same drop/hit/miss counters, same synthetic header work, and
 //! the same sampled telemetry — under arbitrary interleavings of
-//! `install_rules_epoch` / `retire_epoch` / `fail_vnf_instance` and packet
+//! `install_rules_epoch` / `remove_rules` / `fail_vnf_instance` and packet
 //! batches in both directions.
 //!
 //! Two forwarders replay the identical script: a per-packet `process`
@@ -46,8 +46,8 @@ enum Op {
         epoch: u8,
         weights: Vec<u8>,
     },
-    /// `retire_epoch(pair, epoch)`.
-    Retire { chain: u8, egress: u8, epoch: u8 },
+    /// `remove_rules(pair)`.
+    Remove { chain: u8, egress: u8 },
     /// `fail_vnf_instance(instance)`.
     Fail(u8),
     /// A batch of labeled packets from the wire (forward direction).
@@ -62,8 +62,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         3 => (1u8..4, 1u8..3, 0u8..4, prop::collection::vec(1u8..10, 1..4)).prop_map(
             |(chain, egress, epoch, weights)| Op::Install { chain, egress, epoch, weights },
         ),
-        2 => (1u8..4, 1u8..3, 0u8..4)
-            .prop_map(|(chain, egress, epoch)| Op::Retire { chain, egress, epoch }),
+        2 => (1u8..4, 1u8..3).prop_map(|(chain, egress)| Op::Remove { chain, egress }),
         1 => (0u8..6).prop_map(Op::Fail),
         5 => prop::collection::vec(pkt.clone(), 1..80).prop_map(Op::WireBatch),
         2 => (0u8..6, prop::collection::vec(pkt, 1..40))
@@ -131,8 +130,8 @@ fn replay(ops: &[Op], mode: ForwarderMode, batch: bool) -> (Forwarder, Telemetry
                     u64::from(*epoch),
                 );
             }
-            Op::Retire { chain, egress, epoch } => {
-                let _ = fwd.retire_epoch(pair(*chain, *egress), u64::from(*epoch));
+            Op::Remove { chain, egress } => {
+                let _ = fwd.remove_rules(pair(*chain, *egress));
             }
             Op::Fail(inst) => {
                 let _ = fwd.fail_vnf_instance(InstanceId::new(u64::from(*inst)));
@@ -226,7 +225,7 @@ fn fib_generation_is_deterministic_and_exported() {
         Op::Install { chain: 2, egress: 1, epoch: 0, weights: vec![3] },
         Op::Install { chain: 1, egress: 1, epoch: 1, weights: vec![2, 2] },
         Op::WireBatch(vec![(0, 1, 1), (1, 2, 1), (2, 3, 1)]),
-        Op::Retire { chain: 1, egress: 1, epoch: 0 },
+        Op::Remove { chain: 2, egress: 1 },
         Op::Fail(0),
     ];
     let (a, hub, _) = replay(&ops, ForwarderMode::Affinity, true);

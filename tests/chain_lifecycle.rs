@@ -206,35 +206,73 @@ fn assert_replicas_match(sb: &Switchboard, replicas: &mut HashMap<SiteId, Replic
     }
 }
 
+/// A row has one epoch, that of the route that installed it: at every
+/// stage site of every installed route of `chains`, the forwarders holding
+/// the route's label pair (at least one) hold it at the route's epoch.
+fn assert_rows_carry_their_route_epoch(sb: &Switchboard, chains: &[ChainId], verb: &str) {
+    for &chain in chains {
+        for route in sb.routes_of(chain) {
+            for &site in &route.sites {
+                let local = sb.control_plane().local(site).expect("route site");
+                let epochs: Vec<u64> = local
+                    .forwarder_ids()
+                    .into_iter()
+                    .filter_map(|id| {
+                        local
+                            .forwarder(id)
+                            .expect("listed")
+                            .active_epoch(route.labels)
+                    })
+                    .collect();
+                assert!(
+                    !epochs.is_empty(),
+                    "after {verb}: {} has no row at {site}",
+                    route.labels
+                );
+                assert!(
+                    epochs.iter().all(|&e| e == route.epoch),
+                    "after {verb}: {} at {site} carries {epochs:?}, its route is at epoch {}",
+                    route.labels,
+                    route.epoch
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn stored_artifacts_replay_to_the_running_state_after_every_verb() {
     let (mut sb, one, sites) = deploy();
     let two = ChainId::new(2);
     let (a, b) = (sites[1], sites[2]);
     let mut replicas = HashMap::new();
-    assert_replicas_match(&sb, &mut replicas, "deploy_chain");
+    let mut check = |sb: &Switchboard, verb: &str| {
+        assert_replicas_match(sb, &mut replicas, verb);
+        assert_rows_carry_their_route_epoch(sb, &[one, two], verb);
+    };
+    check(&sb, "deploy_chain");
 
     sb.deploy_chain_via(request(two), vec![(vec![a, b], 1.0)]).unwrap();
-    assert_replicas_match(&sb, &mut replicas, "deploy_chain_via");
+    check(&sb, "deploy_chain_via");
 
     let first_site = sb.routes_of(one)[0].sites[0];
     let other = if first_site == a { b } else { a };
     sb.add_route_via(one, vec![other, other]).unwrap();
-    assert_replicas_match(&sb, &mut replicas, "add_route_via");
+    check(&sb, "add_route_via");
 
     sb.add_edge_site(one, "mobile", sites[3]).unwrap();
-    assert_replicas_match(&sb, &mut replicas, "add_edge_site");
+    check(&sb, "add_edge_site");
 
     sb.update_chain(two, vec![(vec![a, b], 0.25), (vec![b, a], 0.75)]).unwrap();
-    assert_replicas_match(&sb, &mut replicas, "update_chain");
+    check(&sb, "update_chain");
 
     sb.reroute_chain(two).unwrap();
-    assert_replicas_match(&sb, &mut replicas, "reroute_chain");
+    check(&sb, "reroute_chain");
 
     sb.remove_chain(one).unwrap();
-    assert_replicas_match(&sb, &mut replicas, "remove_chain");
+    check(&sb, "remove_chain");
     sb.remove_chain(two).unwrap();
-    assert_replicas_match(&sb, &mut replicas, "remove_chain (last)");
+    check(&sb, "remove_chain (last)");
     for (site, replica) in &replicas {
         for f in &replica.forwarders {
             assert!(f.export_artifact().rows.is_empty(), "{site}: rules outlived their chains");
@@ -312,6 +350,67 @@ fn add_edge_site_refuses_an_attachment_registered_at_another_site() {
     // Re-adding an edge site under its own name stays allowed.
     sb.add_edge_site(chain, "mobile", sites[2]).unwrap();
     sb.add_edge_site(chain, "mobile", sites[2]).unwrap();
+}
+
+/// An edge site added after the deploy serves the chain for as long as
+/// the chain does. An update that retires the route it is bound to moves
+/// it to the nearest new route, so new flows from it are still delivered
+/// and their replies still come back to it; once the chain is removed it
+/// refuses new flows exactly as the chain's ingress does.
+#[test]
+fn an_added_edge_site_follows_its_chain_through_updates_and_removal() {
+    let (mut sb, sites) = testbed();
+    let chain = ChainId::new(1);
+    let (s1, s2) = (sites[1], sites[2]);
+    sb.deploy_chain_via(request(chain), vec![(vec![s1, s1], 1.0)])
+        .unwrap();
+    sb.add_edge_site(chain, "mobile", s2).unwrap();
+    let mobile = sb
+        .control_plane()
+        .edge()
+        .instance_at(s2)
+        .expect("added edge instance")
+        .addr();
+    let out = sb
+        .control_plane()
+        .edge()
+        .instance_at(sites[3])
+        .unwrap()
+        .addr();
+    // A new flow from the added edge, and its reply from the egress: the
+    // element each left the chain at.
+    let round_trip = |sb: &mut Switchboard, port: u16| {
+        let there = sb
+            .send(chain, s2, Packet::unlabeled(key(port), 700))
+            .unwrap_or_else(|e| panic!("flow {port} from the added edge: {e}"));
+        let back = sb
+            .send(
+                chain,
+                sites[3],
+                Packet::unlabeled(key(port).reversed(), 700),
+            )
+            .unwrap_or_else(|e| panic!("reply to flow {port}: {e}"));
+        assert!(there.delivered && back.delivered, "flow {port} dropped");
+        (*there.hops.last().unwrap(), *back.hops.last().unwrap())
+    };
+    assert_eq!(round_trip(&mut sb, 1), (out, mobile));
+
+    for (to, port) in [(s2, 2), (s1, 3)] {
+        sb.update_chain(chain, vec![(vec![to, to], 1.0)]).unwrap();
+        assert_eq!(
+            round_trip(&mut sb, port),
+            (out, mobile),
+            "after moving to {to}"
+        );
+    }
+
+    sb.remove_chain(chain).unwrap();
+    let refused = |sb: &mut Switchboard, site: SiteId| {
+        sb.send(chain, site, Packet::unlabeled(key(4), 700))
+            .expect_err("a removed chain takes no new flows")
+            .to_string()
+    };
+    assert_eq!(refused(&mut sb, s2), refused(&mut sb, sites[0]));
 }
 
 #[test]

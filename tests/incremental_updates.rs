@@ -192,7 +192,7 @@ fn remove_chain_is_symmetric_through_every_layer() {
     for fid in local.forwarder_ids() {
         let fwd = local.forwarder(fid).unwrap();
         assert!(
-            fwd.installed_epochs(labels).next().is_none(),
+            fwd.active_epoch(labels).is_none(),
             "forwarder rules must be removed on teardown"
         );
     }

@@ -225,6 +225,62 @@ fn a_label_unaware_instance_serves_one_route() {
     assert_eq!(exits_at(&mut sb, 3, 3000), (id, Addr::Edge(out2)));
 }
 
+/// A VNF site left with no instances has capacity but nothing to serve it
+/// with, so its controller vetoes the reservation: a forced deploy through
+/// it fails before anything is reserved, and SB-DP routes around it.
+#[test]
+fn a_vnf_site_without_instances_vetoes_its_reservation() {
+    let (model, sites) = scenarios::line_testbed();
+    let mut sb = Switchboard::new(
+        model,
+        DelayModel::uniform(Millis::new(0.1), Millis::new(10.0)),
+        SwitchboardConfig::default(),
+    );
+    sb.use_passthrough_behaviors();
+    sb.register_attachment("in", sites[0]);
+    sb.register_attachment("out", sites[3]);
+    sb.control_plane_mut()
+        .set_instances(VnfId::new(0), sites[1], vec![])
+        .unwrap();
+    let available = |sb: &Switchboard| {
+        sb.control_plane()
+            .vnf_controller(VnfId::new(0))
+            .unwrap()
+            .available_at(sites[1])
+    };
+    let request = ChainRequest {
+        id: ChainId::new(1),
+        ingress_attachment: "in".into(),
+        egress_attachment: "out".into(),
+        vnfs: vec![VnfId::new(0), VnfId::new(1)],
+        forward: 5.0,
+        reverse: 1.0,
+    };
+
+    let err = sb
+        .deploy_chain_via(request.clone(), vec![(vec![sites[1], sites[1]], 1.0)])
+        .unwrap_err();
+    assert!(
+        matches!(err, switchboard::types::Error::CommitRejected { .. }),
+        "{err}"
+    );
+    assert!(sb.routes_of(ChainId::new(1)).is_empty());
+    assert!(
+        (available(&sb) - 200.0).abs() < 1e-9,
+        "{} reserved",
+        200.0 - available(&sb)
+    );
+
+    let routed = sb.deploy_chain(request).unwrap();
+    assert!(routed.routes.iter().all(|r| r.sites[0] != sites[1]));
+    let key = FlowKey::tcp([10, 0, 0, 1], 1000, [10, 9, 9, 9], 80);
+    let t = sb
+        .send(ChainId::new(1), sites[0], Packet::unlabeled(key, 500))
+        .unwrap();
+    assert!(t.delivered);
+    assert!((available(&sb) - 200.0).abs() < 1e-9);
+}
+
 /// The recompute after a 2PC veto is admission-controlled like the first
 /// solve: when the surviving capacity places only part of the chain's
 /// demand, the deploy fails `Infeasible` and reserves nothing, instead of
