@@ -271,7 +271,6 @@ pub struct ControlPlane {
     edge: EdgeController,
     vnf_ctls: HashMap<VnfId, VnfController>,
     locals: HashMap<SiteId, LocalSwitchboard>,
-    fwd_site: HashMap<ForwarderId, SiteId>,
     tracker: LoadTracker,
     chains: HashMap<ChainId, ChainState>,
     /// Hop sets per (route, stage), for later rule amendments (mobility).
@@ -364,7 +363,6 @@ impl ControlPlane {
             edge: EdgeController::new(),
             vnf_ctls,
             locals,
-            fwd_site: HashMap::new(),
             tracker,
             chains: HashMap::new(),
             stage_hops: HashMap::new(),
@@ -559,7 +557,8 @@ impl ControlPlane {
     /// The site owning forwarder `id` (known after instance attachment).
     #[must_use]
     pub fn forwarder_site(&self, id: ForwarderId) -> Option<SiteId> {
-        self.fwd_site.get(&id).copied()
+        let site = LocalSwitchboard::allocating_site(id)?;
+        self.locals.get(&site)?.forwarder(id).map(|_| site)
     }
 
     /// The routes of a deployed chain.
@@ -1239,9 +1238,6 @@ impl ControlPlane {
 
                 let local = self.locals.get_mut(&site).expect("site exists");
                 let fwd_records = local.attach_instances(vnf, &records);
-                for fr in &fwd_records {
-                    self.fwd_site.insert(fr.forwarder, site);
-                }
                 // Publish forwarder records on the Figure 6 topic; the
                 // adjacent stages' sites subscribe.
                 let fwd_topic = Topic::vnf_forwarders(
@@ -2373,6 +2369,30 @@ mod tests {
         // The ingress edge has a route binding.
         let edge = cp.edge().instance_at(SiteId::new(0)).unwrap();
         assert_eq!(edge.routes_for(ChainId::new(1)), 1);
+    }
+
+    #[test]
+    fn forwarder_site_names_the_site_of_a_live_forwarder_only() {
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+        let site = cp.deploy_chain(request(1)).unwrap().routes[0].sites[0];
+        let ids = cp.local(site).unwrap().forwarder_ids();
+        for &id in &ids {
+            assert_eq!(cp.forwarder_site(id), Some(site));
+        }
+        // The next id this site would allocate, and an id allocated at a
+        // site the control plane does not have.
+        let unallocated = ForwarderId::new(ids.last().unwrap().value() + 1);
+        assert_eq!(cp.forwarder_site(unallocated), None);
+        let mut elsewhere = LocalSwitchboard::new(SiteId::new(9), 1);
+        let record = InstanceRecord {
+            instance: InstanceId::new(0),
+            weight: 1.0,
+            supports_labels: true,
+        };
+        let foreign = elsewhere.attach_instances(VnfId::new(0), &[record])[0].forwarder;
+        assert_eq!(cp.forwarder_site(foreign), None);
     }
 
     #[test]

@@ -28,6 +28,10 @@ use sb_telemetry::Telemetry;
 use sb_types::{Error, ForwarderId, InstanceId, LabelPair, Result, SiteId, VnfId};
 use std::collections::HashMap;
 
+/// Forwarder ids per site: a site allocates from `site · IDS_PER_SITE`
+/// upward, keeping ids globally unique without coordination.
+const IDS_PER_SITE: u64 = 1_000_000;
+
 /// The Local Switchboard of one site.
 #[derive(Debug)]
 pub struct LocalSwitchboard {
@@ -55,13 +59,13 @@ pub struct LocalSwitchboard {
 
 impl LocalSwitchboard {
     /// Creates the Local Switchboard for `site`. Forwarder identifiers are
-    /// allocated from `site.value() * 1_000_000` upward, keeping them
-    /// globally unique without coordination.
+    /// allocated from a base derived from `site`, keeping them globally
+    /// unique without coordination.
     #[must_use]
     pub fn new(site: SiteId, instances_per_forwarder: usize) -> Self {
         Self {
             site,
-            id_base: u64::from(site.value()) * 1_000_000,
+            id_base: u64::from(site.value()) * IDS_PER_SITE,
             next_idx: 0,
             instances_per_forwarder: instances_per_forwarder.max(1),
             forwarders: HashMap::new(),
@@ -86,6 +90,14 @@ impl LocalSwitchboard {
             fwd.attach_telemetry(hub, sample_every);
         }
         self.telemetry = Some((hub.clone(), sample_every));
+    }
+
+    /// The site whose Local Switchboard allocates forwarder id `id`.
+    #[must_use]
+    pub(crate) fn allocating_site(id: ForwarderId) -> Option<SiteId> {
+        u32::try_from(id.value() / IDS_PER_SITE)
+            .ok()
+            .map(SiteId::new)
     }
 
     /// The site this Local Switchboard runs at.

@@ -2,14 +2,16 @@
 
 use crate::messages::InstanceRecord;
 use sb_types::{ChainId, Error, LoadUnits, Result, RouteId, SiteId, VnfId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// One site's pool of instances for a VNF.
 #[derive(Debug, Clone)]
 struct SitePool {
     capacity: LoadUnits,
     committed: LoadUnits,
-    prepared: HashMap<(ChainId, RouteId), LoadUnits>,
+    /// Outstanding reservations, in key order: their sum decides a veto,
+    /// so it must add the same terms in the same order in every process.
+    prepared: BTreeMap<(ChainId, RouteId), LoadUnits>,
     /// Keys of live routes whose reservation has been committed, so a
     /// retried commit (after a lost acknowledgment) is an idempotent
     /// no-op. [`VnfController::retire`] removes a route's key.
@@ -71,7 +73,7 @@ impl VnfController {
             SitePool {
                 capacity,
                 committed: 0.0,
-                prepared: HashMap::new(),
+                prepared: BTreeMap::new(),
                 committed_keys: HashSet::new(),
                 instances,
             },

@@ -215,7 +215,7 @@ pub fn tier1(config: &Tier1Config) -> NetworkModel {
     // Switchboard volume, routed over the shortest paths.
     if config.background_ratio > 0.0 {
         let bg = tm.scaled(config.background_ratio);
-        let mut link_bg = vec![0.0; topo.num_links()];
+        let mut background = vec![0.0; topo.num_links()];
         for &s in &nodes {
             for &d in &nodes {
                 if s == d {
@@ -225,12 +225,12 @@ pub fn tier1(config: &Tier1Config) -> NetworkModel {
                 if demand <= 0.0 {
                     continue;
                 }
-                for (&link, &r) in routing.fractions_between(s, d) {
-                    link_bg[link.index()] += demand * r;
+                for &(link, r) in routing.fractions_between(s, d) {
+                    background[link.index()] += demand * r;
                 }
             }
         }
-        for (i, load) in link_bg.into_iter().enumerate() {
+        for (i, load) in background.into_iter().enumerate() {
             #[allow(clippy::cast_possible_truncation)]
             b.set_background(sb_types::LinkId::new(i as u32), load);
         }

@@ -14,9 +14,11 @@
 //!   depending only on the links routing it) and a *VNF* term (the
 //!   compute utilization cost, keyed by `(next VNF, destination site)`
 //!   and depending only on that pool's load). Both tables are dense
-//!   arrays, so a hit is an index + NaN check — far cheaper than the
-//!   `HashMap` walk a fresh evaluation pays — and the coarse transit key
-//!   is shared across every VNF and chain crossing the same node pair;
+//!   arrays, so a hit is an index + NaN check — far cheaper than the walk
+//!   over the routing table's links a fresh evaluation pays — and the
+//!   coarse transit key is shared across every VNF and chain crossing the
+//!   same node pair. A miss is that fresh evaluation, by the same function
+//!   the sequential solver calls;
 //! - every transit cell is indexed by the links it reads, and
 //!   [`SubproblemCache::note_apply`] invalidates the touched cells
 //!   whenever [`crate::dp::LoadTracker::apply`] dirties a link or pool —
@@ -88,17 +90,6 @@ pub struct SubproblemCache {
     /// Which live transit cells read each link's load (cell indexes;
     /// drained on invalidation, duplicates after a refill are harmless).
     by_link: Vec<Vec<u32>>,
-    /// Flat snapshot of the routing table: the `(link, fraction)` pairs
-    /// of every node pair, concatenated, in the exact iteration order
-    /// [`crate::dp`]'s cost function sees them — so a refill's
-    /// floating-point sum is bit-identical to a fresh evaluation.
-    path_links: Vec<(u32, f64)>,
-    /// Per transit cell, the `[start, end)` range into `path_links`.
-    path_span: Vec<(u32, u32)>,
-    /// Per link, its background traffic `g_e` (static model state).
-    link_bg: Vec<f64>,
-    /// Per link, its bandwidth (static model state).
-    link_bw: Vec<f64>,
     /// Live (non-NaN) cells across both tables.
     filled: usize,
     capacity: usize,
@@ -131,10 +122,6 @@ impl SubproblemCache {
             transit: Vec::new(),
             vnf_ft: Vec::new(),
             by_link: Vec::new(),
-            path_links: Vec::new(),
-            path_span: Vec::new(),
-            link_bg: Vec::new(),
-            link_bw: Vec::new(),
             filled: 0,
             capacity,
             stats: CacheStats::default(),
@@ -190,33 +177,6 @@ impl SubproblemCache {
         self.vnf_ft = vec![f64::NAN; v * s];
         self.by_link = vec![Vec::new(); l];
         self.filled = 0;
-        self.path_links.clear();
-        self.path_span.clear();
-        self.path_span.reserve(n * n);
-        for a in 0..n {
-            for b in 0..n {
-                let start = u32::try_from(self.path_links.len()).expect("snapshot fits u32");
-                if a != b {
-                    let from = sb_types::NodeId::new(u32::try_from(a).expect("node id fits u32"));
-                    let to = sb_types::NodeId::new(u32::try_from(b).expect("node id fits u32"));
-                    for (&link, &r) in model.routing().fractions_between(from, to) {
-                        let li = u32::try_from(link.index()).expect("link id fits u32");
-                        self.path_links.push((li, r));
-                    }
-                }
-                let end = u32::try_from(self.path_links.len()).expect("snapshot fits u32");
-                self.path_span.push((start, end));
-            }
-        }
-        self.link_bg = (0..l)
-            .map(|i| model.background(LinkId::new(u32::try_from(i).expect("link id fits u32"))))
-            .collect();
-        self.link_bw = model
-            .topology()
-            .links()
-            .iter()
-            .map(sb_topology::Link::bandwidth)
-            .collect();
     }
 
     /// The memoized DP edge cost: identical to [`crate::dp`]'s cost
@@ -264,9 +224,9 @@ impl SubproblemCache {
         cost
     }
 
-    /// Computes and (capacity permitting) caches the transit cell `ti`:
-    /// the latency plus weighted network utilization cost `from → to`,
-    /// registering the links it read in the invalidation index.
+    /// Computes [`dp::transit_cost`] `from → to` and (capacity permitting)
+    /// caches it in transit cell `ti`, registering the links whose load it
+    /// read in the invalidation index.
     fn fill_transit(
         &mut self,
         model: &NetworkModel,
@@ -276,48 +236,21 @@ impl SubproblemCache {
         from: Place,
         to: Place,
     ) -> f64 {
-        let latency = model.latency(from.node, to.node).value();
-        if !latency.is_finite() {
-            return self.store_transit(ti, f64::INFINITY);
-        }
-        let mut cost = latency;
-        if config.util_weight > 0.0 && from.node != to.node {
-            let (start, end) = self.path_span[ti];
-            let span = &self.path_links[start as usize..end as usize];
-            let mut net = 0.0;
-            for &(li, r) in span {
-                let li = li as usize;
-                let u = (tracker.link_load[li] + self.link_bg[li]) / self.link_bw[li];
-                net += r * fortz_thorup_cost(u);
-            }
-            cost += config.util_weight * net;
-            let stored = self.admit();
-            if stored {
-                self.transit[ti] = cost;
-                self.filled += 1;
-                // Register the link dependencies of the stored cell.
-                let cell = u32::try_from(ti).expect("transit table fits u32");
-                let (start, end) = self.path_span[ti];
-                for i in start as usize..end as usize {
-                    let li = self.path_links[i].0 as usize;
-                    self.by_link[li].push(cell);
-                }
-            }
+        let cost = dp::transit_cost(model, tracker, config, from, to);
+        if !self.admit() {
             return cost;
         }
-        // Latency-only transit (same node, or util_weight 0): no load
-        // dependencies to register.
-        self.store_transit(ti, cost)
-    }
-
-    /// Writes `value` into transit cell `ti` if capacity allows,
-    /// returning `value` either way.
-    fn store_transit(&mut self, ti: usize, value: f64) -> f64 {
-        if self.admit() {
-            self.transit[ti] = value;
-            self.filled += 1;
+        self.transit[ti] = cost;
+        self.filled += 1;
+        // Only the network-utilization term reads loads; an unreachable
+        // pair routes over no link.
+        if config.util_weight > 0.0 && from.node != to.node {
+            let cell = u32::try_from(ti).expect("transit table fits u32");
+            for &(link, _) in model.routing().fractions_between(from.node, to.node) {
+                self.by_link[link.index()].push(cell);
+            }
         }
-        value
+        cost
     }
 
     /// Computes and (capacity permitting) caches the Fortz-Thorup compute

@@ -27,7 +27,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sb_lp::{LinExpr, MipOptions, Model as LpModel, Sense};
 use sb_types::{Error, LoadUnits, Result, SiteId, VnfId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Returns a copy of `model` with site capacities set to `new_caps` and
 /// every VNF's per-site capacity scaled by its site's growth factor.
@@ -94,7 +94,7 @@ pub fn plan_cloud_capacity(model: &NetworkModel, extra: LoadUnits) -> Result<Vec
     // together they make the planning LP agree exactly with how
     // [`rescale_model`] scores an allocation.
     let mut site_exprs: Vec<LinExpr> = vec![LinExpr::new(); model.num_sites()];
-    let mut vnf_site_exprs: HashMap<(VnfId, SiteId), LinExpr> = HashMap::new();
+    let mut vnf_site_exprs: BTreeMap<(VnfId, SiteId), LinExpr> = BTreeMap::new();
     for fv in &vars {
         let chain = &model.chains()[fv.chain];
         let traffic = chain.stage_traffic(fv.stage);
@@ -148,12 +148,12 @@ pub fn plan_cloud_capacity(model: &NetworkModel, extra: LoadUnits) -> Result<Vec
         }
         let (w, v) = (chain.forward[fv.stage], chain.reverse[fv.stage]);
         if w > 0.0 {
-            for (&link, &r) in model.routing().fractions_between(fv.from.node, fv.to.node) {
+            for &(link, r) in model.routing().fractions_between(fv.from.node, fv.to.node) {
                 link_exprs[link.index()].add_term(fv.var, w * r);
             }
         }
         if v > 0.0 {
-            for (&link, &r) in model.routing().fractions_between(fv.to.node, fv.from.node) {
+            for &(link, r) in model.routing().fractions_between(fv.to.node, fv.from.node) {
                 link_exprs[link.index()].add_term(fv.var, v * r);
             }
         }
@@ -229,7 +229,7 @@ pub fn plan_vnf_placement_mip(
 
     // Binary placement variables and linking constraints: flow into a
     // candidate site of this VNF requires w_fs = 1.
-    let mut w = HashMap::new();
+    let mut w = BTreeMap::new();
     for &s in &candidates {
         w.insert(s, lpm.add_binary_var(format!("w_{s}"), 0.0));
     }

@@ -180,10 +180,10 @@ pub fn path_coefficients(model: &NetworkModel, chain: &ChainSpec, sites: &[SiteI
         let w = chain.forward[z];
         let v = chain.reverse[z];
         if from.node != to.node {
-            for (&link, &r) in model.routing().fractions_between(from.node, to.node) {
+            for &(link, r) in model.routing().fractions_between(from.node, to.node) {
                 *coefs.links.entry(link).or_insert(0.0) += w * r;
             }
-            for (&link, &r) in model.routing().fractions_between(to.node, from.node) {
+            for &(link, r) in model.routing().fractions_between(to.node, from.node) {
                 *coefs.links.entry(link).or_insert(0.0) += v * r;
             }
         }
@@ -222,7 +222,7 @@ pub(crate) fn edge_cost(
 /// The part of [`edge_cost`] that depends on both endpoints: propagation
 /// latency plus weighted network utilization cost `from → to`, infinite
 /// when `to` is unreachable.
-fn transit_cost(
+pub(crate) fn transit_cost(
     model: &NetworkModel,
     tracker: &LoadTracker,
     config: &DpConfig,
@@ -236,7 +236,7 @@ fn transit_cost(
     let mut cost = latency;
     if config.util_weight > 0.0 && from.node != to.node {
         let mut net = 0.0;
-        for (&link, &r) in model.routing().fractions_between(from.node, to.node) {
+        for &(link, r) in model.routing().fractions_between(from.node, to.node) {
             net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
         }
         cost += config.util_weight * net;

@@ -81,14 +81,14 @@ impl Evaluation {
                     // reverse traffic follows to->from (Eq 7).
                     if flow.from.node != flow.to.node {
                         if fwd_traffic > 0.0 {
-                            for (&link, &r) in
+                            for &(link, r) in
                                 routing.fractions_between(flow.from.node, flow.to.node)
                             {
                                 link_load[link.index()] += fwd_traffic * r;
                             }
                         }
                         if rev_traffic > 0.0 {
-                            for (&link, &r) in
+                            for &(link, r) in
                                 routing.fractions_between(flow.to.node, flow.from.node)
                             {
                                 link_load[link.index()] += rev_traffic * r;

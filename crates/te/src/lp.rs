@@ -18,7 +18,7 @@ use crate::model::ChainSpec;
 use crate::route::{ChainRoutes, RoutingSolution, StageFlow};
 use sb_lp::{LinExpr, Model as LpModel, Sense, VarId};
 use sb_types::{Error, Result, SiteId, VnfId};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One chain-stage-pair variable.
 pub(crate) struct FlowVar {
@@ -61,7 +61,7 @@ pub(crate) fn add_shared_constraints(model: &NetworkModel, lp: &mut LpModel, var
 
     // Compute loads: per site and per (VNF, site).
     let mut site_exprs: Vec<LinExpr> = vec![LinExpr::new(); model.num_sites()];
-    let mut vnf_site_exprs: HashMap<(VnfId, SiteId), LinExpr> = HashMap::new();
+    let mut vnf_site_exprs: BTreeMap<(VnfId, SiteId), LinExpr> = BTreeMap::new();
     for fv in vars {
         let chain = &model.chains()[fv.chain];
         let traffic = chain.stage_traffic(fv.stage);
@@ -111,12 +111,12 @@ pub(crate) fn add_shared_constraints(model: &NetworkModel, lp: &mut LpModel, var
             continue;
         }
         if w > 0.0 {
-            for (&link, &r) in model.routing().fractions_between(fv.from.node, fv.to.node) {
+            for &(link, r) in model.routing().fractions_between(fv.from.node, fv.to.node) {
                 link_exprs[link.index()].add_term(fv.var, w * r);
             }
         }
         if v > 0.0 {
-            for (&link, &r) in model.routing().fractions_between(fv.to.node, fv.from.node) {
+            for &(link, r) in model.routing().fractions_between(fv.to.node, fv.from.node) {
                 link_exprs[link.index()].add_term(fv.var, v * r);
             }
         }

@@ -6,11 +6,16 @@
 //! crosses link `e`". Routing follows latency-shortest paths; when several
 //! outgoing links lie on shortest paths (ECMP), traffic splits equally at
 //! each hop, which is how backbone IGPs behave.
+//!
+//! The fractions are stored once, as one flat table in an order the
+//! topology fixes: pair by pair, and within a pair by ascending link id.
+//! Every sum over a pair's links (an SB-DP edge cost, a link load) thus
+//! adds the same terms in the same order in every process.
 
 use crate::graph::Topology;
 use sb_types::{LinkId, Millis, NodeId};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 const EPS: f64 = 1e-9;
 
@@ -47,8 +52,13 @@ pub struct Routing {
     n: usize,
     /// `dist[s*n + t]` in milliseconds; infinite when unreachable.
     dist: Vec<f64>,
-    /// ECMP fractions per `(s, t)` pair: link id → fraction of the demand.
-    fractions: Vec<HashMap<LinkId, f64>>,
+    /// ECMP fractions of every `(s, t)` pair concatenated in pair order
+    /// `s*n + t`, each pair's `(link, fraction of the demand)` entries
+    /// ascending by link.
+    fractions: Vec<(LinkId, f64)>,
+    /// `fractions[starts[s*n + t]..starts[s*n + t + 1]]` is the pair's
+    /// slice (`n*n + 1` entries).
+    starts: Vec<usize>,
     /// One canonical shortest path (first ECMP branch) per `(s, t)`.
     paths: Vec<Vec<LinkId>>,
 }
@@ -67,7 +77,7 @@ impl Routing {
         }
 
         let mut dist = vec![f64::INFINITY; n * n];
-        let mut fractions = vec![HashMap::new(); n * n];
+        let mut pair_fractions: Vec<Vec<(LinkId, f64)>> = vec![Vec::new(); n * n];
         let mut paths = vec![Vec::new(); n * n];
 
         for t in 0..n {
@@ -115,7 +125,7 @@ impl Routing {
                 }
                 let mut share = vec![0.0; n];
                 share[s] = 1.0;
-                let frac = &mut fractions[s * n + t];
+                let frac = &mut pair_fractions[s * n + t];
                 for &u in &order {
                     if share[u] <= 0.0 || u == t {
                         continue;
@@ -126,10 +136,13 @@ impl Routing {
                     let per = share[u] / hops.len() as f64;
                     for &(v, link) in hops {
                         share[v] += per;
-                        *frac.entry(link).or_insert(0.0) += per;
+                        frac.push((link, per));
                     }
                     share[u] = 0.0;
                 }
+                // Every node splits its share once, so every link is
+                // listed once.
+                frac.sort_unstable_by_key(|&(link, _)| link);
                 // Canonical path: first ECMP branch at each hop.
                 let mut path = Vec::new();
                 let mut u = s;
@@ -144,10 +157,18 @@ impl Routing {
             }
         }
 
+        let mut fractions = Vec::with_capacity(pair_fractions.iter().map(Vec::len).sum());
+        let mut starts = Vec::with_capacity(n * n + 1);
+        starts.push(0);
+        for pair in pair_fractions {
+            fractions.extend(pair);
+            starts.push(fractions.len());
+        }
         Self {
             n,
             dist,
             fractions,
+            starts,
             paths,
         }
     }
@@ -170,17 +191,17 @@ impl Routing {
     /// shortest path.
     #[must_use]
     pub fn fraction(&self, a: NodeId, b: NodeId, link: LinkId) -> f64 {
-        self.fractions[a.index() * self.n + b.index()]
-            .get(&link)
-            .copied()
-            .unwrap_or(0.0)
+        let pair = self.fractions_between(a, b);
+        pair.binary_search_by_key(&link, |&(l, _)| l)
+            .map_or(0.0, |i| pair[i].1)
     }
 
     /// All links carrying a positive fraction of the `a → b` demand, with
-    /// their fractions.
+    /// their fractions, ascending by link.
     #[must_use]
-    pub fn fractions_between(&self, a: NodeId, b: NodeId) -> &HashMap<LinkId, f64> {
-        &self.fractions[a.index() * self.n + b.index()]
+    pub fn fractions_between(&self, a: NodeId, b: NodeId) -> &[(LinkId, f64)] {
+        let pair = a.index() * self.n + b.index();
+        &self.fractions[self.starts[pair]..self.starts[pair + 1]]
     }
 
     /// One canonical shortest path from `a` to `b` as a link sequence;
@@ -208,6 +229,57 @@ mod tests {
         b.add_duplex_link(n1, d, 10.0, Millis::new(1.0));
         b.add_duplex_link(n2, d, 10.0, Millis::new(1.0));
         b.build()
+    }
+
+    /// The `scenarios::fleet` shape: `n` nodes on a circle joined by a
+    /// ring plus chords, latency by chord length, so its symmetry gives
+    /// equal-cost paths.
+    fn circle(n: usize) -> Topology {
+        let pos = |i: usize| {
+            #[allow(clippy::cast_precision_loss)]
+            let theta = std::f64::consts::TAU * i as f64 / n as f64;
+            (30.0 * theta.sin(), 30.0 * theta.cos())
+        };
+        let latency = |a: usize, c: usize| {
+            let ((ax, ay), (cx, cy)) = (pos(a), pos(c));
+            Millis::new(0.5 + 0.4 * ((ax - cx).powi(2) + (ay - cy).powi(2)).sqrt())
+        };
+        let mut b = TopologyBuilder::new();
+        let ids: Vec<_> = (0..n)
+            .map(|i| b.add_node(format!("s{i}"), pos(i), 1.0))
+            .collect();
+        for i in 0..n {
+            for j in [(i + 1) % n, (i + n / 3) % n] {
+                b.add_duplex_link(ids[i], ids[j], 10.0, latency(i, j));
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn fractions_are_ascending_by_link_and_probed_exactly() {
+        for t in [diamond(), circle(60)] {
+            let r = Routing::shortest_paths(&t);
+            let mut split = false;
+            for a in t.node_ids() {
+                for b in t.node_ids() {
+                    let pair = r.fractions_between(a, b);
+                    assert!(
+                        pair.windows(2).all(|w| w[0].0 < w[1].0),
+                        "{a}->{b} not ascending by link: {pair:?}"
+                    );
+                    for l in t.links() {
+                        let listed = pair
+                            .iter()
+                            .find(|&&(id, _)| id == l.id())
+                            .map_or(0.0, |&(_, f)| f);
+                        assert_eq!(r.fraction(a, b, l.id()).to_bits(), listed.to_bits());
+                    }
+                    split |= pair.iter().any(|&(_, f)| f < 1.0);
+                }
+            }
+            assert!(split, "no ECMP split exercised");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! 14 400 path entries — for route compute and again for accounting cost
 //! 7.1 MB in 58 695 allocations per deploy, and building the
 //! `Switchboard` copied it three times for 11.1 MB; sharing it leaves a
-//! deploy about 116 KB in 1 043 calls, and the build 0.75 MB.
+//! deploy about 114 KB in 1 008 calls, and the build 0.69 MB.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
