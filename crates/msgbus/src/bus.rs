@@ -138,6 +138,37 @@ pub struct PublishOutcome {
     pub last_delivery: Option<SimTime>,
 }
 
+/// The arrival times of one hop's surviving copies, held inline: none on
+/// a drop, one normally, two on a duplication.
+#[derive(Debug, Clone, Copy)]
+struct Arrivals {
+    at: [SimTime; 2],
+    len: usize,
+}
+
+impl Arrivals {
+    const NONE: Self = Self {
+        at: [SimTime::ZERO; 2],
+        len: 0,
+    };
+
+    fn one(t: SimTime) -> Self {
+        Self {
+            at: [t, SimTime::ZERO],
+            len: 1,
+        }
+    }
+
+    fn push(&mut self, t: SimTime) {
+        self.at[self.len] = t;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[SimTime] {
+        &self.at[..self.len]
+    }
+}
+
 /// Registry counters mirroring [`BusStats`]. The plain struct stays the
 /// hot-path accumulator; after each publish the absolute values are
 /// re-published with single-writer stores (see `sb_telemetry::Counter::set`),
@@ -193,6 +224,9 @@ struct BusCore {
     /// Per subscriber, in delivery order: the shared message and its
     /// delivery time.
     mailboxes: Vec<Vec<(Arc<Message>, SimTime)>>,
+    /// A publish's `(site, subscriber)` fan-out list, kept between
+    /// publishes so its buffer is reused.
+    fanout: Vec<(SiteId, SubscriberId)>,
     /// Uplink busy-until per site.
     uplink_busy: HashMap<SiteId, SimTime>,
     stats: BusStats,
@@ -209,6 +243,7 @@ impl BusCore {
             sub_sites: Vec::new(),
             subscriptions: HashMap::new(),
             mailboxes: Vec::new(),
+            fanout: Vec::new(),
             uplink_busy: HashMap::new(),
             stats: BusStats::default(),
             faults: None,
@@ -243,10 +278,10 @@ impl BusCore {
 
     /// One wide-area hop from `from` to `to` starting at `t`: consults the
     /// fault plan for the copy's fate, then pushes each surviving copy
-    /// through `from`'s uplink. Returns the arrival times at `to` (empty on
-    /// a drop, two entries on a duplication) and the number of copies lost
-    /// to faults or full queues.
-    fn wan_hop(&mut self, t: SimTime, from: SiteId, to: SiteId) -> (Vec<SimTime>, usize) {
+    /// through `from`'s uplink. Returns the arrival times at `to` (none on
+    /// a drop, two on a duplication) and the number of copies lost to
+    /// faults or full queues.
+    fn wan_hop(&mut self, t: SimTime, from: SiteId, to: SiteId) -> (Arrivals, usize) {
         let fate = match &self.faults {
             Some(f) => f
                 .lock()
@@ -257,7 +292,7 @@ impl BusCore {
         let (copies, extra) = match fate {
             MessageFate::Drop => {
                 self.stats.fault_dropped += 1;
-                return (Vec::new(), 1);
+                return (Arrivals::NONE, 1);
             }
             MessageFate::Deliver => (1, Millis::ZERO),
             MessageFate::Duplicate => {
@@ -269,7 +304,7 @@ impl BusCore {
                 (1, d)
             }
         };
-        let mut arrivals = Vec::new();
+        let mut arrivals = Arrivals::NONE;
         let mut lost = 0;
         for _ in 0..copies {
             match self.uplink_send(from, t) {
@@ -306,11 +341,15 @@ impl BusCore {
         }
     }
 
-    fn subscribers_of(&self, topic: &Topic) -> Vec<SubscriberId> {
-        self.subscriptions
-            .get(topic)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+    /// Fills `self.fanout` with `topic`'s subscribers and their sites, in
+    /// ascending subscriber order.
+    fn fill_fanout(&mut self, topic: &Topic) {
+        self.fanout.clear();
+        if let Some(subs) = self.subscriptions.get(topic) {
+            let sub_sites = &self.sub_sites;
+            self.fanout
+                .extend(subs.iter().map(|&s| (sub_sites[s.0 as usize], s)));
+        }
     }
 
     /// Attempts to transmit one copy through `site`'s uplink at time `t`.
@@ -445,6 +484,12 @@ impl ProxyBus {
     shared_bus_api!();
 
     /// Publishes `msg` from `from_site` at virtual time `at`.
+    ///
+    /// The subscribers are grouped by site in a list the bus keeps between
+    /// publishes, sorted by site and, within a site, by subscriber; each
+    /// hop's arrivals are held inline, so a publish allocates nothing per
+    /// site. Sites are visited in ascending order, which fixes the order of
+    /// deliveries and of fault-plan draws.
     pub fn publish(&mut self, at: SimTime, from_site: SiteId, msg: Message) -> PublishOutcome {
         self.core.stats.published += 1;
         let local = self.core.topo.delays.local();
@@ -471,50 +516,46 @@ impl ProxyBus {
         // each surviving relay arrival fans out independently below.
         let relay_arrivals = if from_site == owner {
             self.core.stats.local_messages += 1;
-            vec![t0]
+            Arrivals::one(t0)
         } else {
             let (arrivals, lost) = self.core.wan_hop(t0, from_site, owner);
-            outcome.wan_copies += arrivals.len();
+            outcome.wan_copies += arrivals.len;
             outcome.dropped += lost;
             arrivals
         };
 
-        let subs = self.core.subscribers_of(msg.topic());
+        self.core.fill_fanout(msg.topic());
+        // Group subscribers by site: one WAN copy per remote site. The
+        // list is filled in subscriber order, so a stable sort by site
+        // keeps each site's subscribers ascending.
+        let mut fanout = std::mem::take(&mut self.core.fanout);
+        fanout.sort_by_key(|&(site, _)| site);
         let msg = Arc::new(msg);
-        // Group subscribers by site: one WAN copy per remote site.
-        let mut by_site: HashMap<SiteId, Vec<SubscriberId>> = HashMap::new();
-        for s in subs {
-            by_site
-                .entry(self.core.sub_sites[s.0 as usize])
-                .or_default()
-                .push(s);
-        }
-        let mut sites: Vec<_> = by_site.into_iter().collect();
-        sites.sort_by_key(|&(site, _)| site);
 
-        for t in relay_arrivals {
+        for &t in relay_arrivals.as_slice() {
             // The owner proxy cannot relay while its site is down.
             if from_site != owner && self.core.site_down(t, owner) {
                 self.core.note_crash_suppressed(1);
                 continue;
             }
-            for (site, subs) in &sites {
-                let arrivals = if *site == owner {
+            for group in fanout.chunk_by(|a, b| a.0 == b.0) {
+                let site = group[0].0;
+                let arrivals = if site == owner {
                     self.core.stats.local_messages += 1;
-                    vec![t]
+                    Arrivals::one(t)
                 } else {
-                    let (arrivals, lost) = self.core.wan_hop(t, owner, *site);
-                    outcome.wan_copies += arrivals.len();
-                    outcome.dropped += lost * subs.len();
+                    let (arrivals, lost) = self.core.wan_hop(t, owner, site);
+                    outcome.wan_copies += arrivals.len;
+                    outcome.dropped += lost * group.len();
                     arrivals
                 };
-                for arrival in arrivals {
+                for &arrival in arrivals.as_slice() {
                     // A crashed destination site receives nothing.
-                    if self.core.site_down(arrival, *site) {
+                    if self.core.site_down(arrival, site) {
                         self.core.note_crash_suppressed(1);
                         continue;
                     }
-                    for &sub in subs {
+                    for &(_, sub) in group {
                         let deliver_at = arrival + local;
                         self.core.deliver(sub, &msg, deliver_at);
                         outcome.delivered += 1;
@@ -527,6 +568,7 @@ impl ProxyBus {
                 }
             }
         }
+        self.core.fanout = fanout;
         self.core.sync_telemetry();
         outcome
     }
@@ -555,7 +597,6 @@ impl FullMeshBus {
     pub fn publish(&mut self, at: SimTime, from_site: SiteId, msg: Message) -> PublishOutcome {
         self.core.stats.published += 1;
         let local = self.core.topo.delays.local();
-        let subs = self.core.subscribers_of(msg.topic());
 
         let mut outcome = PublishOutcome {
             delivered: 0,
@@ -571,20 +612,21 @@ impl FullMeshBus {
             return outcome;
         }
 
+        self.core.fill_fanout(msg.topic());
+        let fanout = std::mem::take(&mut self.core.fanout);
         let msg = Arc::new(msg);
-        for sub in subs {
-            let site = self.core.sub_sites[sub.0 as usize];
+        for &(site, sub) in &fanout {
             let t = at + local;
             let arrivals = if site == from_site {
                 self.core.stats.local_messages += 1;
-                vec![t]
+                Arrivals::one(t)
             } else {
                 let (arrivals, lost) = self.core.wan_hop(t, from_site, site);
-                outcome.wan_copies += arrivals.len();
+                outcome.wan_copies += arrivals.len;
                 outcome.dropped += lost;
                 arrivals
             };
-            for arrival in arrivals {
+            for &arrival in arrivals.as_slice() {
                 // A crashed destination site receives nothing.
                 if self.core.site_down(arrival, site) {
                     self.core.note_crash_suppressed(1);
@@ -599,6 +641,7 @@ impl FullMeshBus {
                 );
             }
         }
+        self.core.fanout = fanout;
         self.core.sync_telemetry();
         outcome
     }
@@ -880,6 +923,76 @@ mod tests {
         assert_eq!(snap.counter("bus.wan_messages"), stats.wan_messages);
         assert_eq!(snap.counter("bus.local_messages"), stats.local_messages);
         assert!(stats.wan_messages > 0 && stats.local_messages > 0);
+    }
+
+    /// A proxy bus with 1 ms uplink serialization and `capacity` queue
+    /// slots, one subscriber registered at each of `at` (in that order) on
+    /// a topic owned by site 0.
+    fn serialized_fanout(capacity: usize, at: &[u32]) -> (ProxyBus, Vec<SubscriberId>) {
+        let topo = BusTopology::bounded(sites(4), delays(), Millis::new(1.0), capacity);
+        let mut bus = ProxyBus::new(topo);
+        let subs = at
+            .iter()
+            .map(|&site| {
+                let s = bus.register_subscriber(SiteId::new(site));
+                bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+                s
+            })
+            .collect();
+        (bus, subs)
+    }
+
+    #[test]
+    fn fan_out_serializes_sites_in_ascending_order() {
+        // Registration order 3, 1, 2, 2; the owner's uplink must still send
+        // to site 1, then 2, then 3, one 1 ms slot each.
+        let (mut bus, subs) = serialized_fanout(16, &[3, 1, 2, 2]);
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        assert_eq!((out.delivered, out.dropped, out.wan_copies), (4, 0, 3));
+        assert_eq!(
+            bus.stats(),
+            BusStats {
+                published: 1,
+                delivered: 4,
+                wan_messages: 3,
+                local_messages: 1,
+                ..BusStats::default()
+            }
+        );
+        // local 0.1 + k ms in the uplink queue + 40 wan + local 0.1.
+        let at = |sub: SubscriberId, bus: &mut ProxyBus| {
+            let inbox = bus.drain(sub);
+            assert_eq!(inbox.len(), 1, "{sub}");
+            inbox[0].1
+        };
+        let expected = |ms: u64| SimTime::from_nanos(ms * 1_000_000 + 200_000);
+        assert_eq!(at(subs[1], &mut bus), expected(41), "site 1 goes first");
+        assert_eq!(at(subs[2], &mut bus), expected(42), "site 2 second");
+        assert_eq!(at(subs[3], &mut bus), expected(42), "one copy serves site 2");
+        assert_eq!(at(subs[0], &mut bus), expected(43), "site 3 last");
+        assert_eq!(out.last_delivery, Some(expected(43)));
+    }
+
+    #[test]
+    fn a_full_uplink_drops_the_highest_site_for_all_its_subscribers() {
+        // Two queue slots: sites 1 and 2 get theirs, site 3's copy finds
+        // the queue full and is lost for both of its subscribers.
+        let (mut bus, subs) = serialized_fanout(2, &[3, 1, 3, 2]);
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        assert_eq!((out.delivered, out.dropped, out.wan_copies), (2, 2, 2));
+        assert_eq!(
+            bus.stats(),
+            BusStats {
+                published: 1,
+                delivered: 2,
+                dropped: 1,
+                wan_messages: 2,
+                local_messages: 1,
+                ..BusStats::default()
+            }
+        );
+        let pending: Vec<usize> = subs.iter().map(|&s| bus.pending(s)).collect();
+        assert_eq!(pending, [0, 1, 0, 1]);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! All three run against the same [`LoadTracker`] accounting as SB-DP and
 //! are scored by the same evaluator.
 
-use crate::dp::{edge_cost, path_coefficients, DpConfig, LoadTracker, MAX_PATHS_PER_CHAIN};
+use crate::dp::{
+    edge_cost, path_coefficients, price_links, DpConfig, LoadTracker, MAX_PATHS_PER_CHAIN,
+};
 use crate::model::{ChainSpec, NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
 use sb_types::SiteId;
@@ -201,6 +203,8 @@ fn greedy_walk(
     config: &DpConfig,
     chain: &ChainSpec,
 ) -> Option<Vec<SiteId>> {
+    let mut prices = Vec::new();
+    price_links(model, tracker, &mut prices);
     let mut at = Place::node(chain.ingress);
     let mut sites = Vec::with_capacity(chain.vnfs.len());
     for &vnf_id in &chain.vnfs {
@@ -208,7 +212,7 @@ fn greedy_walk(
         let mut best: Option<(f64, SiteId)> = None;
         for s in vnf.sites() {
             let to = Place::site(model.site_node(s), s);
-            let c = edge_cost(model, tracker, config, at, to, Some(vnf_id));
+            let c = edge_cost(model, tracker, &prices, config, at, to, Some(vnf_id));
             if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
                 best = Some((c, s));
             }

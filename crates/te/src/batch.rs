@@ -90,6 +90,11 @@ pub struct SubproblemCache {
     /// Which live transit cells read each link's load (cell indexes;
     /// drained on invalidation, duplicates after a refill are harmless).
     by_link: Vec<Vec<u32>>,
+    /// Per-link Fortz-Thorup prices a transit miss reads, filled by
+    /// [`dp::price_links`] on the first miss after a load change.
+    prices: Vec<f64>,
+    /// Whether `prices` match the loads last reported.
+    priced: bool,
     /// Live (non-NaN) cells across both tables.
     filled: usize,
     capacity: usize,
@@ -122,6 +127,8 @@ impl SubproblemCache {
             transit: Vec::new(),
             vnf_ft: Vec::new(),
             by_link: Vec::new(),
+            prices: Vec::new(),
+            priced: false,
             filled: 0,
             capacity,
             stats: CacheStats::default(),
@@ -156,6 +163,7 @@ impl SubproblemCache {
         for cells in &mut self.by_link {
             cells.clear();
         }
+        self.priced = false;
         self.filled = 0;
     }
 
@@ -176,6 +184,7 @@ impl SubproblemCache {
         self.transit = vec![f64::NAN; n * n];
         self.vnf_ft = vec![f64::NAN; v * s];
         self.by_link = vec![Vec::new(); l];
+        self.priced = false;
         self.filled = 0;
     }
 
@@ -226,7 +235,8 @@ impl SubproblemCache {
 
     /// Computes [`dp::transit_cost`] `from → to` and (capacity permitting)
     /// caches it in transit cell `ti`, registering the links whose load it
-    /// read in the invalidation index.
+    /// read in the invalidation index. The link prices are refilled first
+    /// when a load changed since the last fill.
     fn fill_transit(
         &mut self,
         model: &NetworkModel,
@@ -236,7 +246,11 @@ impl SubproblemCache {
         from: Place,
         to: Place,
     ) -> f64 {
-        let cost = dp::transit_cost(model, tracker, config, from, to);
+        if !self.priced {
+            dp::price_links(model, tracker, &mut self.prices);
+            self.priced = true;
+        }
+        let cost = dp::transit_cost(model, &self.prices, config, from, to);
         if !self.admit() {
             return cost;
         }
@@ -303,6 +317,7 @@ impl SubproblemCache {
         }
         for &link in coefs.links.keys() {
             self.touch_link(link);
+            self.priced = false;
         }
         for &(vnf, site) in coefs.vnf_sites.keys() {
             self.touch_vnf_site(vnf, site);

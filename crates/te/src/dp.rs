@@ -21,6 +21,13 @@
 //! later chains see the load earlier chains placed. The same tracker backs
 //! the baselines in [`crate::baselines`], keeping accounting identical
 //! across schemes.
+//!
+//! Loads only change between passes, so a pass prices each link once: the
+//! network term sums `r · price[link]` over a dense per-link vector of
+//! Fortz-Thorup costs. Uncached, a pass also skips every source whose
+//! latency alone already loses to the destination's best cost (the
+//! network term is never negative); the answer and its tie-breaks are the
+//! same as pricing every source.
 
 use crate::model::{ChainSpec, NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
@@ -206,25 +213,46 @@ pub fn path_coefficients(model: &NetworkModel, chain: &ChainSpec, sites: &[SiteI
 
 /// The DP edge cost `cost(s, z, s')` of Section 4.4: latency + weighted
 /// network utilization cost + weighted compute utilization cost of the next
-/// VNF at the destination.
+/// VNF at the destination. `prices` are the link prices [`price_links`]
+/// filled against `tracker`.
 pub(crate) fn edge_cost(
     model: &NetworkModel,
     tracker: &LoadTracker,
+    prices: &[f64],
     config: &DpConfig,
     from: Place,
     to: Place,
     next_vnf: Option<VnfId>,
 ) -> f64 {
-    transit_cost(model, tracker, config, from, to)
+    transit_cost(model, prices, config, from, to)
         + compute_cost(model, tracker, config, to, next_vnf)
+}
+
+/// Fills `prices` with every link's Fortz-Thorup cost at its current
+/// utilization, indexed by link id: the factor the network term weights
+/// by `r_{ss'e}`. Loads only change between passes, so one fill serves
+/// every relaxation of a pass.
+pub(crate) fn price_links(model: &NetworkModel, tracker: &LoadTracker, prices: &mut Vec<f64>) {
+    prices.clear();
+    prices.extend(
+        model
+            .topology()
+            .links()
+            .iter()
+            .map(|l| fortz_thorup_cost(tracker.link_utilization(model, l.id()))),
+    );
 }
 
 /// The part of [`edge_cost`] that depends on both endpoints: propagation
 /// latency plus weighted network utilization cost `from → to`, infinite
-/// when `to` is unreachable.
+/// when `to` is unreachable. `prices` are per-link Fortz-Thorup costs
+/// from [`price_links`]; they are read only when `util_weight > 0`.
+///
+/// Never below the latency: `r ≥ 0` and every price is `≥ 0`, so the
+/// network term is non-negative. [`best_path`] relies on that bound.
 pub(crate) fn transit_cost(
     model: &NetworkModel,
-    tracker: &LoadTracker,
+    prices: &[f64],
     config: &DpConfig,
     from: Place,
     to: Place,
@@ -237,7 +265,7 @@ pub(crate) fn transit_cost(
     if config.util_weight > 0.0 && from.node != to.node {
         let mut net = 0.0;
         for &(link, r) in model.routing().fractions_between(from.node, to.node) {
-            net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
+            net += r * prices[link.index()];
         }
         cost += config.util_weight * net;
     }
@@ -282,6 +310,9 @@ pub struct DpScratch {
     /// Frontier of the previous stage, in ascending site-id order (the
     /// deterministic tie-break order the sequential solver established).
     prev: Vec<(Place, f64, Option<SiteId>)>,
+    /// Per-link Fortz-Thorup prices of the current pass (uncached solve
+    /// only), filled once by [`price_links`] before any relaxation.
+    prices: Vec<f64>,
 }
 
 impl DpScratch {
@@ -311,6 +342,15 @@ impl DpScratch {
 /// chain has any deployment reachable from the ingress. Edge costs go
 /// through `cache` when one is supplied (see [`crate::batch`]); the cache
 /// is exact, so the result is identical either way.
+///
+/// Uncached, a pass prices every link once and then skips each source
+/// that latency alone rules out. [`transit_cost`] is never below the
+/// latency and float addition is monotone, so a source's cost
+/// `base + (transit + compute)` is at least `base + (latency + compute)`.
+/// Once that bound reaches the destination's best `b`, the source cannot
+/// pass the strict `c < b` test: the skip changes no cell and no tie,
+/// which still goes to the lowest site id. The cached branch prices every
+/// source, which keeps it an unpruned oracle for this one.
 fn best_path(
     model: &NetworkModel,
     tracker: &LoadTracker,
@@ -321,10 +361,13 @@ fn best_path(
 ) -> Option<Vec<SiteId>> {
     scratch.reset(model, chain);
     scratch.prev.push((Place::node(chain.ingress), 0.0, None));
+    if cache.is_none() && config.util_weight > 0.0 {
+        price_links(model, tracker, &mut scratch.prices);
+    }
 
     for (z, &vnf_id) in chain.vnfs.iter().enumerate() {
         let vnf = &model.vnfs()[vnf_id.index()];
-        let (stages, prev) = (&mut scratch.stages, &mut scratch.prev);
+        let (stages, prev, prices) = (&mut scratch.stages, &mut scratch.prev, &scratch.prices);
         let stage = &mut stages[z];
         let mut any = false;
         for site in vnf.sites() {
@@ -344,7 +387,13 @@ fn best_path(
             for &(from, base, _) in prev.iter() {
                 let edge = match cache.as_deref_mut() {
                     Some(c) => c.edge_cost(model, tracker, config, from, to, Some(vnf_id)),
-                    None => transit_cost(model, tracker, config, from, to) + compute,
+                    None => {
+                        let latency = model.latency(from.node, to.node).value();
+                        if best.is_some_and(|(b, _)| base + (latency + compute) >= b) {
+                            continue;
+                        }
+                        transit_cost(model, prices, config, from, to) + compute
+                    }
                 };
                 let c = base + edge;
                 if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
@@ -376,7 +425,14 @@ fn best_path(
     for &(from, base, site) in &scratch.prev {
         let edge = match cache.as_deref_mut() {
             Some(c) => c.edge_cost(model, tracker, config, from, egress, None),
-            None => edge_cost(model, tracker, config, from, egress, None),
+            None => {
+                // The egress has no VNF: the bound is the latency alone.
+                let latency = model.latency(from.node, egress.node).value();
+                if best_last.is_some_and(|(b, _)| base + latency >= b) {
+                    continue;
+                }
+                transit_cost(model, &scratch.prices, config, from, egress)
+            }
         };
         let c = base + edge;
         if let Some(site) = site {
@@ -567,6 +623,39 @@ mod tests {
             near_load(&latency_only),
             near_load(&full)
         );
+    }
+
+    #[test]
+    fn exact_ties_go_to_the_lowest_site_id() {
+        // Mirror-image sites 0 and 1 reach site 2 (and node n3) at exactly
+        // equal cost, so both the stage relaxation and the egress close see
+        // a tie that the latency-bound skip must leave to the first source.
+        let mut tb = sb_topology::TopologyBuilder::new();
+        let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
+        let n1 = tb.add_node("left", (-1.0, 1.0), 1.0);
+        let n2 = tb.add_node("right", (1.0, 1.0), 1.0);
+        let n3 = tb.add_node("join", (0.0, 2.0), 1.0);
+        tb.add_duplex_link(n0, n1, 1000.0, Millis::new(2.0));
+        tb.add_duplex_link(n0, n2, 1000.0, Millis::new(2.0));
+        tb.add_duplex_link(n1, n3, 1000.0, Millis::new(3.0));
+        tb.add_duplex_link(n2, n3, 1000.0, Millis::new(3.0));
+        let mut b = NetworkModel::builder(tb.build());
+        let s0 = b.add_site(n1, 100.0);
+        let s1 = b.add_site(n2, 100.0);
+        let s2 = b.add_site(n3, 100.0);
+        let mirrored = b.add_vnf(Map::from([(s0, 50.0), (s1, 50.0)]), 1.0);
+        let joined = b.add_vnf(Map::from([(s2, 50.0)]), 1.0);
+        let m = b.build().unwrap();
+        let egress_tie = ChainSpec::uniform(ChainId::new(0), n0, n3, vec![mirrored], 1.0, 0.5);
+        let stage_tie =
+            ChainSpec::uniform(ChainId::new(1), n0, n3, vec![mirrored, joined], 1.0, 0.5);
+        for config in [DpConfig::default(), DpConfig { util_weight: 0.0 }] {
+            for (chain, want) in [(&egress_tie, vec![s0]), (&stage_tie, vec![s0, s2])] {
+                let paths = route_chain(&m, &mut LoadTracker::new(&m), &config, chain);
+                assert_eq!(paths.len(), 1, "{config:?}: {paths:?}");
+                assert_eq!(paths[0].sites, want, "{config:?}: chain {}", chain.id);
+            }
+        }
     }
 
     #[test]

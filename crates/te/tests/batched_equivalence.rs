@@ -2,7 +2,11 @@
 //! cache) is *result-identical* to the sequential solver on random small
 //! models — under an unbounded cache and under arbitrary eviction
 //! schedules (tiny capacities force evictions at every schedule the
-//! capacity admits).
+//! capacity admits), with and without the utilization terms.
+//!
+//! The cached path prices every source, while the uncached sequential
+//! solver skips each source whose latency bound already loses. So the
+//! batched solver is also the unpruned oracle for that skip.
 
 use proptest::prelude::*;
 use sb_te::dp::{route_chains, DpConfig};
@@ -133,6 +137,19 @@ proptest! {
         let cfg = DpConfig::default();
         let seq = route_chains(&model, &cfg);
         let mut cache = SubproblemCache::with_capacity(cap);
+        let bat = route_chains_batched(&model, &cfg, &mut cache);
+        assert_solutions_equal(&seq, &bat)?;
+    }
+
+    /// Under DP-Latency (no utilization terms) the skip's latency bound is
+    /// the exact cost, so every tie between sources goes through the skip:
+    /// the pruned solver must still pick the lowest site id.
+    #[test]
+    fn batched_equals_sequential_latency_only(rm in arb_model()) {
+        let model = build(&rm);
+        let cfg = DpConfig { util_weight: 0.0 };
+        let seq = route_chains(&model, &cfg);
+        let mut cache = SubproblemCache::new();
         let bat = route_chains_batched(&model, &cfg, &mut cache);
         assert_solutions_equal(&seq, &bat)?;
     }
