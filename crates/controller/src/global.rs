@@ -28,8 +28,9 @@
 //!
 //! Routes reach every site (Section 6) as the announcement each Local
 //! Switchboard receives on the Global Switchboard's route topic, charged in
-//! a deploy's `wan_messages`; in process they are held once, in the chain
-//! record ([`ControlPlane::routes_of`]) that edge-site addition reads.
+//! a deploy's `wan_messages`; in process they are held once, with each
+//! stage's forwarders, in the chain record ([`ControlPlane::routes_of`])
+//! that edge-site addition reads.
 
 use crate::edge::EdgeController;
 use crate::local::LocalSwitchboard;
@@ -54,9 +55,6 @@ use std::collections::{BTreeMap, HashMap};
 
 /// Weighted next-hop addresses, as a rule set's weighted choice takes them.
 type Hops = Vec<(Addr, f64)>;
-
-/// The `(next hops, previous hops)` of one route stage, as installed.
-type StageHops = (Hops, Hops);
 
 /// The site hosting Global Switchboard (and the edge controller).
 const GSB_SITE: SiteId = SiteId::new(0);
@@ -228,8 +226,9 @@ struct ChainState {
     request: ChainRequest,
     ingress_site: SiteId,
     egress_site: SiteId,
-    /// The installed routes in route-id order: the one copy of them.
-    routes: Vec<RouteAnnouncement>,
+    /// The installed routes in route-id order, each with its stage
+    /// forwarders: the one copy of them.
+    routes: Vec<InstalledRoute>,
     /// The chain's current configuration epoch. Deploy installs epoch 1;
     /// every successful [`ControlPlane::update_chain`] /
     /// [`ControlPlane::reroute_chain`] bumps it by one, and re-tagging a
@@ -240,6 +239,16 @@ struct ChainState {
     /// previous hop of that route's stage 0, and its [`edge_topic`] lives
     /// as long as the chain does.
     added_edges: BTreeMap<SiteId, RouteId>,
+}
+
+/// An installed route and the forwarder records each of its stages
+/// published when it was installed (Figure 6). Stage `z`'s records are
+/// stage `z - 1`'s next hops and stage `z + 1`'s previous hops, and stage
+/// 0's are the first hop of every edge bound to the route.
+#[derive(Debug, Clone)]
+struct InstalledRoute {
+    ann: RouteAnnouncement,
+    stages: Vec<Vec<ForwarderRecord>>,
 }
 
 /// One (VNF, site) reservation of a two-phase commit round. Deploy
@@ -259,7 +268,7 @@ struct PrepareItem {
 /// the five-step deployment saga.
 pub struct ControlPlane {
     config: ControlPlaneConfig,
-    /// Sites/VNF catalog/topology; chains are appended as they deploy.
+    /// Sites/VNF catalog/topology, with an empty chain list.
     base_model: NetworkModel,
     delays: DelayModel,
     bus: ProxyBus,
@@ -273,11 +282,6 @@ pub struct ControlPlane {
     locals: HashMap<SiteId, LocalSwitchboard>,
     tracker: LoadTracker,
     chains: HashMap<ChainId, ChainState>,
-    /// Hop sets per (route, stage), for later rule amendments (mobility).
-    stage_hops: HashMap<(RouteId, usize), StageHops>,
-    /// Each route's stage-0 forwarder set as installed — the ingress
-    /// edge's first hops, which every weight shift binds.
-    first_hops: HashMap<RouteId, Hops>,
     next_label: u32,
     next_route: u64,
     next_instance: u64,
@@ -365,8 +369,6 @@ impl ControlPlane {
             locals,
             tracker,
             chains: HashMap::new(),
-            stage_hops: HashMap::new(),
-            first_hops: HashMap::new(),
             next_label: 1,
             next_route: 1,
             next_instance,
@@ -403,6 +405,14 @@ impl ControlPlane {
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.now
+    }
+
+    /// The traffic-engineering model the control plane was built over:
+    /// sites, VNF catalog and topology. Its chain list is empty; deployed
+    /// chains live in the chain records ([`routes_of`](Self::routes_of)).
+    #[must_use]
+    pub fn model(&self) -> &NetworkModel {
+        &self.base_model
     }
 
     /// Attaches a fault plan: bus messages and control-plane RPCs now
@@ -566,7 +576,7 @@ impl ControlPlane {
     pub fn routes_of(&self, chain: ChainId) -> Vec<RouteAnnouncement> {
         self.chains
             .get(&chain)
-            .map(|c| c.routes.clone())
+            .map(|c| c.routes.iter().map(|r| r.ann.clone()).collect())
             .unwrap_or_default()
     }
 
@@ -797,13 +807,7 @@ impl ControlPlane {
         }
 
         // (4)+(5) Propagate, allocate, install.
-        self.propagate_and_install(
-            &announcements,
-            ingress_site,
-            egress_site,
-            &mut report,
-            Some(span),
-        )?;
+        let routes = self.propagate_and_install(&announcements, &mut report, Some(span))?;
 
         self.chains.insert(
             request.id,
@@ -811,7 +815,7 @@ impl ControlPlane {
                 request,
                 ingress_site,
                 egress_site,
-                routes: announcements.clone(),
+                routes,
                 epoch: 1,
                 added_edges: BTreeMap::new(),
             },
@@ -1156,15 +1160,14 @@ impl ControlPlane {
         out
     }
 
-    /// Arrows 3-5 of Figure 4 for a set of routes.
+    /// Arrows 3-5 of Figure 4 for a set of routes; returns them with
+    /// their stage forwarders.
     fn propagate_and_install(
         &mut self,
         announcements: &[RouteAnnouncement],
-        ingress_site: SiteId,
-        egress_site: SiteId,
         report: &mut DeploymentReport,
         parent: Option<SpanId>,
-    ) -> Result<()> {
+    ) -> Result<Vec<InstalledRoute>> {
         // (3) Route propagation: one publish per route on the GSB's route
         // topic; every Local Switchboard is a subscriber (routes are
         // replicated at every site, Section 6).
@@ -1183,11 +1186,12 @@ impl ControlPlane {
         report.push("propagate routes", self.now.since(t_start));
         self.trace_step(parent, "cp.propagate_routes", t_start);
 
-        // (4)+(5): shared with the delta update path.
-        let stage_forwarders = self.allocate_and_publish(announcements, report, parent)?;
+        // (4)+(5): shared with the delta update path. A chain gains added
+        // edges only once it is deployed.
+        let routes = self.allocate_and_publish(announcements, report, parent)?;
         let t_start = self.now;
-        self.install_route_rules(announcements, ingress_site, egress_site, &stage_forwarders)?;
-        self.bind_ingress(announcements, ingress_site)?;
+        self.install_route_rules(&routes, &BTreeMap::new())?;
+        self.bind_ingress(&routes)?;
         // The install is now authoritative: compile one full route
         // artifact per participant site — the serialized form of what was
         // just installed, ready for standalone forwarders. A deploy is
@@ -1196,25 +1200,26 @@ impl ControlPlane {
         self.now += CONFIG_DELAY;
         report.push("install load-balancing rules", self.now.since(t_start));
         self.trace_step(parent, "cp.install_rules", t_start);
-        Ok(())
+        Ok(routes)
     }
 
     /// Arrow 4 of Figure 4: for each stage of each route, the VNF
     /// controller publishes its instances at the site (from its home site,
     /// on the site-owned topic), the Local Switchboard attaches them to
     /// forwarders and publishes forwarder records. Publishes are
-    /// concurrent; the step costs the slowest. Returns each stage's
-    /// forwarders as weighted hops.
+    /// concurrent; the step costs the slowest. Returns each route with the
+    /// forwarder records of its stages.
     fn allocate_and_publish(
         &mut self,
         announcements: &[RouteAnnouncement],
         report: &mut DeploymentReport,
         parent: Option<SpanId>,
-    ) -> Result<HashMap<(RouteId, usize), Hops>> {
+    ) -> Result<Vec<InstalledRoute>> {
         let t_start = self.now;
         let mut t_done = self.now;
-        let mut stage_forwarders = HashMap::new();
+        let mut routes = Vec::with_capacity(announcements.len());
         for ann in announcements {
+            let mut stages = Vec::with_capacity(ann.sites.len());
             for (z, (&vnf, &site)) in ann.vnfs.iter().zip(&ann.sites).enumerate() {
                 let ctl = self
                     .vnf_ctls
@@ -1261,8 +1266,12 @@ impl ControlPlane {
                 if let Some(t) = out.last_delivery {
                     t_done = t_done.max(t);
                 }
-                stage_forwarders.insert((ann.route, z), forwarder_hops(&fwd_records));
+                stages.push(fwd_records);
             }
+            routes.push(InstalledRoute {
+                ann: ann.clone(),
+                stages,
+            });
         }
         self.now = self.now.max(t_done);
         report.push(
@@ -1270,88 +1279,91 @@ impl ControlPlane {
             self.now.since(t_start),
         );
         self.trace_step(parent, "cp.allocate_instances", t_start);
-        Ok(stage_forwarders)
+        Ok(routes)
     }
 
-    /// Arrow 5, first half: compute each stage's hop sets and install the
-    /// forwarder rules, tagged with each announcement's epoch (an update's
-    /// added routes carry fresh labels, so their rows sit beside the old
-    /// routes' rows until those are retired). Records the hop sets for
-    /// later amendments (mobility, weight shifts).
-    fn install_route_rules(
+    /// Arrow 5, first half: install every stage of `routes`, each row
+    /// tagged with its announcement's epoch (an update's added routes
+    /// carry fresh labels, so their rows sit beside the old routes' rows
+    /// until those are retired). Returns how many forwarders held a pair
+    /// at an older epoch: the epochs a re-tag retires.
+    fn install_route_rules<'r>(
         &mut self,
-        announcements: &[RouteAnnouncement],
-        ingress_site: SiteId,
-        egress_site: SiteId,
-        stage_forwarders: &HashMap<(RouteId, usize), Hops>,
-    ) -> Result<()> {
-        let ingress_edge = self
-            .edge
-            .instance_at(ingress_site)
-            .ok_or_else(|| Error::unknown("edge instance at site", ingress_site))?
-            .addr();
-        let egress_edge = self
-            .edge
-            .instance_at(egress_site)
-            .ok_or_else(|| Error::unknown("edge instance at site", egress_site))?
-            .addr();
-        for ann in announcements {
-            let stages = ann.sites.len();
-            for z in 0..stages {
-                let next = if z + 1 < stages {
-                    stage_forwarders[&(ann.route, z + 1)].clone()
-                } else {
-                    vec![(egress_edge, 1.0)]
-                };
-                let prev = if z == 0 {
-                    vec![(ingress_edge, 1.0)]
-                } else {
-                    stage_forwarders[&(ann.route, z - 1)].clone()
-                };
-                self.stage_hops
-                    .insert((ann.route, z), (next.clone(), prev.clone()));
-                let site = ann.sites[z];
-                self.locals
-                    .get_mut(&site)
-                    .expect("site exists")
-                    .install_stage_rules(ann, z, next, prev)?;
-            }
-            if stages > 0 {
-                self.first_hops
-                    .insert(ann.route, stage_forwarders[&(ann.route, 0)].clone());
+        routes: impl IntoIterator<Item = &'r InstalledRoute>,
+        added_edges: &BTreeMap<SiteId, RouteId>,
+    ) -> Result<usize> {
+        let mut retired = 0;
+        for route in routes {
+            for z in 0..route.stages.len() {
+                retired += self.install_stage(route, z, added_edges)?;
             }
         }
-        Ok(())
+        Ok(retired)
     }
 
-    /// Arrow 5, second half: point the ingress edge's weighted route
-    /// bindings at each route's stage-0 forwarders, as recorded when its
-    /// rules were installed, with the route's fraction. Run *after* the
-    /// rules of the route's epoch are installed — this is the
-    /// traffic-shifting step of make-before-break.
-    fn bind_ingress(
+    /// Installs stage `z` of `route` at its site, returning the epochs the
+    /// install retires. The stage's hops are derived from the chain
+    /// record: next is stage `z + 1`'s forwarders (the egress edge at the
+    /// last stage), previous is stage `z - 1`'s forwarders or, at stage 0,
+    /// the ingress edge followed by the edges `added_edges` binds to the
+    /// route, ascending by site.
+    fn install_stage(
         &mut self,
-        announcements: &[RouteAnnouncement],
-        ingress_site: SiteId,
+        route: &InstalledRoute,
+        z: usize,
+        added_edges: &BTreeMap<SiteId, RouteId>,
+    ) -> Result<usize> {
+        let ann = &route.ann;
+        let next = match route.stages.get(z + 1) {
+            Some(records) => forwarder_hops(records),
+            None => vec![(self.edge_addr(ann.egress_site), 1.0)],
+        };
+        let prev = match z.checked_sub(1) {
+            Some(before) => forwarder_hops(&route.stages[before]),
+            None => std::iter::once(ann.ingress_site)
+                .chain(
+                    added_edges
+                        .iter()
+                        .filter(|&(_, &bound)| bound == ann.route)
+                        .map(|(&site, _)| site),
+                )
+                .map(|site| (self.edge_addr(site), 1.0))
+                .collect(),
+        };
+        let site = ann.sites[z];
+        self.locals
+            .get_mut(&site)
+            .ok_or_else(|| Error::unknown("site", site))?
+            .install_stage_rules(ann, z, next, prev)
+    }
+
+    /// Arrow 5, second half: point the ingress edge's weighted binding of
+    /// each of `routes` at the route's first hop, with the route's
+    /// fraction. Run *after* the rules of the route's epoch are installed
+    /// — this is the traffic-shifting step of make-before-break.
+    fn bind_ingress<'r>(
+        &mut self,
+        routes: impl IntoIterator<Item = &'r InstalledRoute>,
     ) -> Result<()> {
-        for ann in announcements {
-            // First hop: the stage-0 forwarder set, or the egress edge for
-            // VNF-less chains.
-            let first_hop = if ann.sites.is_empty() {
-                WeightedChoice::single(self.edge_addr(ann.egress_site))
-            } else {
-                let hops = self
-                    .first_hops
-                    .get(&ann.route)
-                    .ok_or_else(|| Error::unknown("first hops", ann.route))?;
-                WeightedChoice::new(hops.clone())?
-            };
+        for route in routes {
+            let first_hop = self.first_hop(route)?;
+            let ann = &route.ann;
             self.edge
-                .instance_at_mut(ingress_site)
-                .ok_or_else(|| Error::unknown("edge instance at site", ingress_site))?
+                .instance_at_mut(ann.ingress_site)
+                .ok_or_else(|| Error::unknown("edge instance at site", ann.ingress_site))?
                 .install_route(ann.chain, ann.route, ann.labels, first_hop, ann.fraction);
         }
         Ok(())
+    }
+
+    /// Where every edge bound to `route` sends its new flows: the stage-0
+    /// forwarders the route was installed with, or the egress edge for a
+    /// VNF-less chain.
+    fn first_hop(&self, route: &InstalledRoute) -> Result<WeightedChoice> {
+        match route.stages.first() {
+            Some(records) => WeightedChoice::new(forwarder_hops(records)),
+            None => Ok(WeightedChoice::single(self.edge_addr(route.ann.egress_site))),
+        }
     }
 
     /// Compiles and stores one route artifact per site whose forwarder
@@ -1450,7 +1462,7 @@ impl ControlPlane {
                 "route site count must match chain VNF count",
             ));
         }
-        if state.routes.iter().any(|r| r.sites == sites) {
+        if state.routes.iter().any(|r| r.ann.sites == sites) {
             return Err(Error::invalid_argument(
                 "the chain already has a route through these sites; \
                  rebalance it with update_chain",
@@ -1494,6 +1506,8 @@ impl ControlPlane {
     ///   attach to).
     /// - [`Error::DuplicateEntity`], before any state changes, when
     ///   `attachment` is already registered at another site.
+    /// - [`Error::InvalidArgument`], before any state changes, when `site`
+    ///   is the chain's ingress site, whose edge already binds every route.
     pub fn add_edge_site(
         &mut self,
         chain: ChainId,
@@ -1516,6 +1530,14 @@ impl ControlPlane {
         if self.edge.resolve(&attachment).is_ok_and(|at| at != site) {
             return Err(Error::duplicate("attachment", attachment));
         }
+        // The ingress edge binds each route at its fraction; binding one at
+        // fraction 1 there would skew the split the reservations are sized
+        // for.
+        if site == state.ingress_site {
+            return Err(Error::invalid_argument(format!(
+                "{site} is the ingress site of {chain}"
+            )));
+        }
         // Step 1: the site's Local Switchboard chooses the first VNF's site
         // among the chain's routes, which every site received when they
         // were announced — pure local computation (0 ms in Table 2).
@@ -1534,25 +1556,21 @@ impl ControlPlane {
             .tracer
             .attr(root, "site", &site.to_string());
         report.push("local SB chooses the 1st VNF's site", Millis::ZERO);
-        let first_site = nearest.sites[0];
+        let first_site = nearest.ann.sites[0];
 
         // Step 2: the edge's forwarder receives the first VNF's forwarder
-        // info (one-way publish from the first VNF's site).
+        // info (one-way publish from the first VNF's site): the records
+        // the route's stage 0 published at install.
         let fwd_topic = Topic::vnf_forwarders(
-            nearest.labels.chain().value(),
-            nearest.labels.egress().value(),
-            nearest.vnfs[0].value(),
+            nearest.ann.labels.chain().value(),
+            nearest.ann.labels.egress().value(),
+            nearest.ann.vnfs[0].value(),
             first_site,
         );
         let sub = self.site_subs[&site];
         self.bus.subscribe(sub, fwd_topic.clone());
-        let records = self
-            .locals
-            .get(&first_site)
-            .expect("route site exists")
-            .forwarder_records(nearest.vnfs[0]);
         let t_start = self.now;
-        let msg = Message::json(fwd_topic, &records);
+        let msg = Message::json(fwd_topic, &nearest.stages[0]);
         let out = self.publish_with_retry(
             t_start,
             first_site,
@@ -1594,11 +1612,12 @@ impl ControlPlane {
         report.push("1st VNF's fwrdr starts dataplane configuration", CONFIG_DELAY);
 
         // Step 6: bind the edge to the route and reinstall stage-0 rules
-        // with the new edge as an extra previous hop, completing the
+        // with the new edge among the previous hops, completing the
         // reverse path.
-        self.bind_added_edge(site, &nearest)?;
         let state = self.chains.get_mut(&chain).expect("looked up above");
-        state.added_edges.insert(site, nearest.route);
+        state.added_edges.insert(site, nearest.ann.route);
+        let added_edges = state.added_edges.clone();
+        self.bind_added_edge(site, &nearest, &added_edges)?;
         self.compile_artifacts(epoch, ArtifactKind::Patch);
         self.now += CONFIG_DELAY;
         report.push("1st VNF's fwrdr finishes configuration", CONFIG_DELAY);
@@ -1607,34 +1626,23 @@ impl ControlPlane {
     }
 
     /// Binds the edge instance at the added edge `site` to `route`: new
-    /// flows entering there take the route through its first VNF's
-    /// forwarders, and the route's stage-0 rules gain the edge as a
-    /// previous hop. Shared by edge-site addition and by an update that
-    /// retires the edge's route.
-    fn bind_added_edge(&mut self, site: SiteId, route: &RouteAnnouncement) -> Result<()> {
-        let first_site = route.sites[0];
-        let records = self.locals[&first_site].forwarder_records(route.vnfs[0]);
-        let first_hop = WeightedChoice::new(forwarder_hops(&records))?;
-        let edge = self
-            .edge
+    /// flows entering there take the route through its first hop, as the
+    /// ingress's do, and the route's stage-0 rules are reinstalled with the
+    /// edges `added_edges` binds to it among the previous hops. Shared by
+    /// edge-site addition and by an update that retires the edge's route.
+    fn bind_added_edge(
+        &mut self,
+        site: SiteId,
+        route: &InstalledRoute,
+        added_edges: &BTreeMap<SiteId, RouteId>,
+    ) -> Result<()> {
+        let first_hop = self.first_hop(route)?;
+        let ann = &route.ann;
+        self.edge
             .instance_at_mut(site)
-            .ok_or_else(|| Error::unknown("edge instance at site", site))?;
-        edge.install_route(route.chain, route.route, route.labels, first_hop, 1.0);
-        let edge = edge.addr();
-        let (next, mut prev) = self
-            .stage_hops
-            .get(&(route.route, 0))
-            .cloned()
-            .ok_or_else(|| Error::unknown("stage hops", route.route))?;
-        if !prev.iter().any(|&(a, _)| a == edge) {
-            prev.push((edge, 1.0));
-        }
-        self.stage_hops
-            .insert((route.route, 0), (next.clone(), prev.clone()));
-        self.locals
-            .get_mut(&first_site)
-            .expect("route site exists")
-            .install_stage_rules(route, 0, next, prev)?;
+            .ok_or_else(|| Error::unknown("edge instance at site", site))?
+            .install_route(ann.chain, ann.route, ann.labels, first_hop, 1.0);
+        self.install_stage(route, 0, added_edges)?;
         Ok(())
     }
 
@@ -1743,28 +1751,29 @@ impl ControlPlane {
         if delta.is_empty() {
             return Ok(ChainHandle {
                 chain,
-                routes: state.routes,
+                routes: state.routes.into_iter().map(|r| r.ann).collect(),
                 report,
             });
         }
         let new_epoch = state.epoch + 1;
 
-        // Partition the installed announcements by the delta's verdicts.
+        // Partition the installed routes by the delta's verdicts.
         // Several installed routes can share one site sequence (forced
         // deploys); the diff is keyed by the merged sequence, so such a
         // modified group is replaced wholesale (remove + add) while a
         // lone modified route keeps its identity and shifts fraction.
-        let mut kept: Vec<RouteAnnouncement> = Vec::new();
-        let mut removed: Vec<RouteAnnouncement> = Vec::new();
-        let mut modified: Vec<(RouteAnnouncement, f64)> = Vec::new();
+        let mut kept: Vec<InstalledRoute> = Vec::new();
+        let mut removed: Vec<InstalledRoute> = Vec::new();
+        let mut modified: Vec<(InstalledRoute, f64)> = Vec::new();
         let mut added_paths: Vec<RoutePath> = delta.added.clone();
-        for ann in &state.routes {
+        for route in &state.routes {
+            let ann = &route.ann;
             if delta.removed.iter().any(|p| p.sites == ann.sites) {
-                removed.push(ann.clone());
+                removed.push(route.clone());
             } else if let Some(m) = delta.modified.iter().find(|m| m.sites == ann.sites) {
-                let group = state.routes.iter().filter(|r| r.sites == ann.sites).count();
+                let group = state.routes.iter().filter(|r| r.ann.sites == ann.sites).count();
                 if group > 1 {
-                    removed.push(ann.clone());
+                    removed.push(route.clone());
                     if !added_paths.iter().any(|p| p.sites == m.sites) {
                         added_paths.push(RoutePath {
                             sites: m.sites.clone(),
@@ -1772,13 +1781,13 @@ impl ControlPlane {
                         });
                     }
                 } else {
-                    let mut nu = ann.clone();
-                    nu.fraction = m.new_fraction;
-                    nu.epoch = new_epoch;
+                    let mut nu = route.clone();
+                    nu.ann.fraction = m.new_fraction;
+                    nu.ann.epoch = new_epoch;
                     modified.push((nu, ann.fraction));
                 }
             } else {
-                kept.push(ann.clone());
+                kept.push(route.clone());
             }
         }
         let added = self.announce(
@@ -1797,7 +1806,7 @@ impl ControlPlane {
         // free. On rejection nothing has been installed: the old epoch
         // keeps serving untouched.
         let mut items = self.prepare_items(&spec, &added);
-        for (nu, old_fraction) in &modified {
+        for (InstalledRoute { ann: nu, .. }, old_fraction) in &modified {
             let grow = nu.fraction - old_fraction;
             if grow > 1e-12 {
                 for (z, (&vnf, &site)) in nu.vnfs.iter().zip(&nu.sites).enumerate() {
@@ -1823,7 +1832,7 @@ impl ControlPlane {
             let coefs = dp::path_coefficients(&self.base_model, &spec, &ann.sites);
             self.tracker.apply(&coefs, ann.fraction);
         }
-        for (nu, old_fraction) in &modified {
+        for (InstalledRoute { ann: nu, .. }, old_fraction) in &modified {
             let coefs = dp::path_coefficients(&self.base_model, &spec, &nu.sites);
             self.tracker.apply(&coefs, nu.fraction - old_fraction);
         }
@@ -1833,10 +1842,9 @@ impl ControlPlane {
         // scales with the delta, not the chain (unchanged routes'
         // sites hear nothing).
         let t_pub = self.now;
-        let changed: Vec<RouteAnnouncement> = added
+        let changed: Vec<&RouteAnnouncement> = added
             .iter()
-            .chain(modified.iter().map(|(nu, _)| nu))
-            .cloned()
+            .chain(modified.iter().map(|(nu, _)| &nu.ann))
             .collect();
         let affected = delta.affected_sites();
         let t_done =
@@ -1847,38 +1855,18 @@ impl ControlPlane {
 
         // (4) Make: allocate instances for added routes and install their
         // rules beside the old routes' rows, which stay for pinned flows;
-        // nothing is serving the added routes yet.
-        let stage_forwarders = if added.is_empty() {
-            HashMap::new()
+        // nothing is serving the added routes yet. The modified routes'
+        // (content-identical) rows are re-tagged at the new epoch from the
+        // stage forwarders in the chain record; each re-tagged row retires
+        // its old epoch.
+        let added = if added.is_empty() {
+            Vec::new()
         } else {
             self.allocate_and_publish(&added, &mut report, Some(span))?
         };
         let t_inst = self.now;
-        self.install_route_rules(
-            &added,
-            state.ingress_site,
-            state.egress_site,
-            &stage_forwarders,
-        )?;
-        // Re-tag the modified routes' (content-identical) rules at the
-        // new epoch from the hop sets recorded at install time; each
-        // re-tagged row retires its old epoch.
-        let mut epochs_retired = 0;
-        for (nu, _) in &modified {
-            for z in 0..nu.sites.len() {
-                let (next, prev) = self
-                    .stage_hops
-                    .get(&(nu.route, z))
-                    .cloned()
-                    .ok_or_else(|| Error::unknown("stage hops", nu.route))?;
-                let site = nu.sites[z];
-                epochs_retired += self
-                    .locals
-                    .get_mut(&site)
-                    .ok_or_else(|| Error::unknown("site", site))?
-                    .install_stage_rules(nu, z, next, prev)?;
-            }
-        }
+        let changed = || added.iter().chain(modified.iter().map(|(nu, _)| nu));
+        let epochs_retired = self.install_route_rules(changed(), &state.added_edges)?;
         self.tele.epochs_retired.add(epochs_retired as u64);
         self.now += CONFIG_DELAY;
         report.push("install new-epoch rules", self.now.since(t_inst));
@@ -1890,17 +1878,18 @@ impl ControlPlane {
         // site whose route is being retired moves to the new route nearest
         // to it, by `add_edge_site`'s own rule.
         let t_shift = self.now;
-        self.bind_ingress(&changed, state.ingress_site)?;
+        self.bind_ingress(changed())?;
         let mut new_routes = kept;
-        new_routes.extend(changed);
-        new_routes.sort_by_key(|r| r.route);
+        new_routes.extend(added);
+        new_routes.extend(modified.iter().map(|(nu, _)| nu.clone()));
+        new_routes.sort_by_key(|r| r.ann.route);
         let mut added_edges = state.added_edges.clone();
-        for (&site, bound) in &mut added_edges {
-            if removed.iter().any(|r| r.route == *bound) {
+        for (&site, bound) in &state.added_edges {
+            if removed.iter().any(|r| r.ann.route == *bound) {
                 let nearest = nearest_route(&self.base_model, &new_routes, site)
                     .expect("an update leaves the chain a route");
-                self.bind_added_edge(site, nearest)?;
-                *bound = nearest.route;
+                added_edges.insert(site, nearest.ann.route);
+                self.bind_added_edge(site, nearest, &added_edges)?;
             }
         }
         self.now += CONFIG_DELAY;
@@ -1911,9 +1900,9 @@ impl ControlPlane {
         // fractions' capacity.
         let t_retire = self.now;
         self.retire_routes(&spec, &removed, &state, |site| {
-            new_routes.iter().any(|r| r.sites.contains(&site))
+            new_routes.iter().any(|r| r.ann.sites.contains(&site))
         });
-        for (nu, old_fraction) in &modified {
+        for (InstalledRoute { ann: nu, .. }, old_fraction) in &modified {
             let shrink = old_fraction - nu.fraction;
             if shrink > 1e-12 {
                 for (z, (&vnf, &site)) in nu.vnfs.iter().zip(&nu.sites).enumerate() {
@@ -1933,13 +1922,14 @@ impl ControlPlane {
         // previous artifact reproduces the post-update state.
         self.compile_artifacts(new_epoch, ArtifactKind::Patch);
 
+        let routes = new_routes.iter().map(|r| r.ann.clone()).collect();
         let st = self.chains.get_mut(&chain).expect("chain exists");
-        st.routes = new_routes.clone();
+        st.routes = new_routes;
         st.epoch = new_epoch;
         st.added_edges = added_edges;
         Ok(ChainHandle {
             chain,
-            routes: new_routes,
+            routes,
             report,
         })
     }
@@ -1953,7 +1943,7 @@ impl ControlPlane {
     fn publish_route_deltas(
         &mut self,
         chain: ChainId,
-        payload: &[RouteAnnouncement],
+        payload: &[&RouteAnnouncement],
         affected: &[SiteId],
         what: &str,
         report: &mut DeploymentReport,
@@ -1977,9 +1967,8 @@ impl ControlPlane {
 
     /// Retires a set of routes of the chain `state` records: unbinds them
     /// at its ingress and added edges, strips their forwarder rules at
-    /// each stage site, forgets the recorded hop sets, releases the
-    /// reserved VNF capacity, and unwinds their load from the live
-    /// tracker. Pinned flows keep their forwarder flow-table entries and
+    /// each stage site, releases the reserved VNF capacity, and unwinds
+    /// their load from the live tracker. Pinned flows keep their forwarder flow-table entries and
     /// edge pins, so established connections drain rather than break
     /// (Section 5.3).
     ///
@@ -1991,11 +1980,11 @@ impl ControlPlane {
     fn retire_routes(
         &mut self,
         spec: &ChainSpec,
-        anns: &[RouteAnnouncement],
+        routes: &[InstalledRoute],
         state: &ChainState,
         still_routed: impl Fn(SiteId) -> bool,
     ) {
-        for ann in anns {
+        for InstalledRoute { ann, .. } in routes {
             for &site in std::iter::once(&state.ingress_site).chain(state.added_edges.keys()) {
                 if let Some(edge) = self.edge.instance_at_mut(site) {
                     edge.remove_route(ann.chain, ann.route);
@@ -2007,7 +1996,6 @@ impl ControlPlane {
                 if let Some(ctl) = self.vnf_ctls.get_mut(&vnf) {
                     ctl.retire(ann.chain, ann.route, site, load);
                 }
-                self.stage_hops.remove(&(ann.route, z));
                 self.bus
                     .remove_topic(&Topic::vnf_instances(label, egress, vnf.value(), site));
                 self.bus
@@ -2026,7 +2014,6 @@ impl ControlPlane {
                         .remove_topic(&Topic::route_delta(ann.chain.value() as u32, site));
                 }
             }
-            self.first_hops.remove(&ann.route);
             let coefs = dp::path_coefficients(&self.base_model, spec, &ann.sites);
             self.tracker.apply(&coefs, -ann.fraction);
         }
@@ -2064,13 +2051,14 @@ impl ControlPlane {
         let mut affected: Vec<SiteId> = state
             .routes
             .iter()
-            .flat_map(|r| r.sites.iter().copied())
+            .flat_map(|r| r.ann.sites.iter().copied())
             .collect();
         affected.sort();
         affected.dedup();
+        let anns: Vec<&RouteAnnouncement> = state.routes.iter().map(|r| &r.ann).collect();
         let t_done = self.publish_route_deltas(
             chain,
-            &state.routes,
+            &anns,
             &affected,
             "route removal delta",
             &mut report,
@@ -2124,12 +2112,12 @@ fn edge_topic(chain: ChainId, site: SiteId) -> Topic {
 /// route id wins a tie.
 fn nearest_route<'a>(
     model: &NetworkModel,
-    routes: &'a [RouteAnnouncement],
+    routes: &'a [InstalledRoute],
     site: SiteId,
-) -> Option<&'a RouteAnnouncement> {
-    let latency = |r: &RouteAnnouncement| {
+) -> Option<&'a InstalledRoute> {
+    let latency = |r: &InstalledRoute| {
         model
-            .latency(model.site_node(site), model.site_node(r.sites[0]))
+            .latency(model.site_node(site), model.site_node(r.ann.sites[0]))
             .value()
     };
     routes
@@ -2182,12 +2170,12 @@ fn check_placeable(paths: &[RoutePath], chain: ChainId, when: &str) -> Result<()
 
 /// The installed routes as the TE layer's `(site sequence, fraction)`
 /// paths — what a target is diffed against.
-fn installed_paths(routes: &[RouteAnnouncement]) -> Vec<RoutePath> {
+fn installed_paths(routes: &[InstalledRoute]) -> Vec<RoutePath> {
     routes
         .iter()
         .map(|r| RoutePath {
-            sites: r.sites.clone(),
-            fraction: r.fraction,
+            sites: r.ann.sites.clone(),
+            fraction: r.ann.fraction,
         })
         .collect()
 }
@@ -3002,9 +2990,9 @@ mod tests {
             let mut tracker = LoadTracker::new(&cp.base_model);
             for st in cp.chains.values() {
                 let spec = cp.chain_spec(&st.request, st.ingress_site, st.egress_site);
-                for r in &st.routes {
-                    let coefs = dp::path_coefficients(&cp.base_model, &spec, &r.sites);
-                    tracker.apply(&coefs, r.fraction);
+                for InstalledRoute { ann, .. } in &st.routes {
+                    let coefs = dp::path_coefficients(&cp.base_model, &spec, &ann.sites);
+                    tracker.apply(&coefs, ann.fraction);
                 }
             }
             tracker

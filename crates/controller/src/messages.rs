@@ -29,12 +29,10 @@ pub struct RouteAnnouncement {
     /// The fraction of the chain's traffic carried by this route.
     pub fraction: f64,
     /// The configuration epoch that installed (or last updated) this
-    /// route. Forwarder rules are tagged with it so an update can install
-    /// new-epoch rules alongside the old ones and retire the old epoch
-    /// only after the load-balancing weights have shifted
-    /// (make-before-break, DESIGN.md §10). Deploy starts at epoch 1;
-    /// `0` (the serde default, for pre-epoch payloads) is treated as 1.
-    #[serde(default)]
+    /// route; deploy installs epoch 1. Forwarder rows are tagged with it,
+    /// so an update installs an added route's rows beside the old routes'
+    /// and a re-tag of a modified route's rows retires their old epoch at
+    /// the *make* step (make-before-break, DESIGN.md §10).
     pub epoch: u64,
 }
 
@@ -81,17 +79,6 @@ mod tests {
         let json = serde_json::to_string(&ra).unwrap();
         let back: RouteAnnouncement = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ra);
-    }
-
-    #[test]
-    fn pre_epoch_payloads_default_to_epoch_zero() {
-        // Stored routes serialized before epochs existed carry no `epoch`
-        // field; deserialization must not reject them.
-        let json = r#"{"chain":1,"route":2,"labels":{"chain":3,"egress":4},
-            "ingress_site":0,"egress_site":1,"vnfs":[5],"sites":[2],
-            "fraction":0.5}"#;
-        let back: RouteAnnouncement = serde_json::from_str(json).unwrap();
-        assert_eq!(back.epoch, 0);
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub struct SwitchboardConfig {
 /// worked example.
 pub struct Switchboard {
     cp: ControlPlane,
-    model: NetworkModel,
     behaviors: HashMap<InstanceId, Box<dyn VnfBehavior>>,
     passthrough_default: bool,
     /// Instances killed by the fault plan's scheduled VNF crashes. Packets
@@ -55,13 +54,12 @@ impl Switchboard {
     /// catalog) and a control-plane WAN delay model.
     #[must_use]
     pub fn new(model: NetworkModel, delays: DelayModel, config: SwitchboardConfig) -> Self {
-        let mut cp = ControlPlane::new(model.clone(), delays, config.control);
+        let mut cp = ControlPlane::new(model, delays, config.control);
         if let Some(spec) = config.faults {
             cp.set_fault_plan(sb_faults::shared(FaultPlan::new(spec)));
         }
         Self {
             cp,
-            model,
             behaviors: HashMap::new(),
             passthrough_default: false,
             crashed_vnfs: HashSet::new(),
@@ -111,10 +109,11 @@ impl Switchboard {
         self.cp.artifact_sites()
     }
 
-    /// The traffic-engineering model this deployment was built from.
+    /// The traffic-engineering model this deployment was built from, as
+    /// the control plane holds it: its chain list is empty.
     #[must_use]
     pub fn model(&self) -> &NetworkModel {
-        &self.model
+        self.cp.model()
     }
 
     /// Binds a concrete behavior (firewall, NAT, cache…) to its VNF
@@ -312,9 +311,8 @@ impl Switchboard {
 
     /// Propagation latency between two sites' nodes.
     fn prop(&self, a: SiteId, b: SiteId) -> Result<Millis> {
-        let d = self
-            .model
-            .latency(self.model.site_node(a), self.model.site_node(b));
+        let model = self.cp.model();
+        let d = model.latency(model.site_node(a), model.site_node(b));
         if d.value().is_finite() {
             Ok(d)
         } else {

@@ -1,7 +1,8 @@
 //! Integration: the full chain lifecycle across control plane, message
 //! bus, traffic engineering and data plane.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use switchboard::controller::InstanceRecord;
 use switchboard::dataplane::artifact::decode;
 use switchboard::dataplane::{Forwarder, ForwarderArtifact};
 use switchboard::prelude::*;
@@ -350,6 +351,170 @@ fn add_edge_site_refuses_an_attachment_registered_at_another_site() {
     // Re-adding an edge site under its own name stays allowed.
     sb.add_edge_site(chain, "mobile", sites[2]).unwrap();
     sb.add_edge_site(chain, "mobile", sites[2]).unwrap();
+}
+
+/// An edge site at the chain's own ingress would rebind the ingress edge's
+/// binding of one route at fraction 1, and new flows would stop splitting
+/// the way the reservations are sized. The call is refused before anything
+/// changes: no attachment, no span, the same split and the same artifact.
+#[test]
+fn add_edge_site_refuses_the_chains_own_ingress_site() {
+    let (mut sb, sites) = testbed();
+    let chain = ChainId::new(1);
+    let (s1, s2) = (sites[1], sites[2]);
+    sb.deploy_chain_via(request(chain), vec![(vec![s1, s1], 0.5), (vec![s2, s2], 0.5)])
+        .unwrap();
+    // How many of 1 000 new flows from the ingress cross s1.
+    let via_s1 = |sb: &mut Switchboard, first_port: u16| {
+        (first_port..first_port + 1_000)
+            .filter(|&port| {
+                let t = sb
+                    .send(chain, sites[0], Packet::unlabeled(key(port), 700))
+                    .unwrap();
+                assert!(t.delivered, "flow {port} dropped");
+                t.forwarders()
+                    .iter()
+                    .any(|&f| sb.control_plane().forwarder_site(f) == Some(s1))
+            })
+            .count()
+    };
+    let before = via_s1(&mut sb, 10_000);
+    let artifact = sb.site_artifact_bytes(s1).expect("stage site").to_vec();
+
+    let err = sb.add_edge_site(chain, "mobile", sites[0]).unwrap_err();
+    assert!(
+        matches!(err, switchboard::types::Error::InvalidArgument { .. }),
+        "{err}"
+    );
+    assert!(sb.control_plane().edge().resolve("mobile").is_err());
+    assert!(
+        sb.telemetry()
+            .tracer
+            .snapshot()
+            .iter()
+            .all(|r| r.name != "cp.add_edge_site"),
+        "a refused call opened a span"
+    );
+    assert!(
+        sb.site_artifact_bytes(s1) == Some(artifact.as_slice()),
+        "a refused edge site changed s1's artifact"
+    );
+    let after = via_s1(&mut sb, 20_000);
+    for (when, n) in [("before", before), ("after", after)] {
+        assert!(
+            (430..=570).contains(&n),
+            "{when} the call {n} of 1 000 new flows went via s1"
+        );
+    }
+}
+
+/// Every edge bound to a route enters it through the forwarders its stage
+/// 0 published at install. A later deploy that grows the first VNF's pool
+/// at that site does not change them: new flows from an edge site added
+/// after it and from the ingress take the same first hop.
+#[test]
+fn an_added_edge_and_the_ingress_enter_a_route_through_the_same_forwarders() {
+    let (mut sb, sites) = testbed();
+    let (one, s1) = (ChainId::new(1), sites[1]);
+    let first_vnf_only = |id: u64| ChainRequest {
+        vnfs: vec![VnfId::new(0)],
+        ..request(ChainId::new(id))
+    };
+    sb.deploy_chain_via(first_vnf_only(1), vec![(vec![s1], 1.0)])
+        .unwrap();
+    let instance = sb.control_plane_mut().allocate_instance_id();
+    sb.control_plane_mut()
+        .set_instances(
+            VnfId::new(0),
+            s1,
+            vec![InstanceRecord {
+                instance,
+                weight: 1.0,
+                supports_labels: true,
+            }],
+        )
+        .unwrap();
+    sb.deploy_chain_via(first_vnf_only(2), vec![(vec![s1], 1.0)])
+        .unwrap();
+    let pool: Vec<u64> = sb
+        .control_plane()
+        .local(s1)
+        .expect("stage site")
+        .forwarder_records(VnfId::new(0))
+        .iter()
+        .map(|r| r.forwarder.value())
+        .collect();
+    assert_eq!(pool, [1_000_000, 1_000_001], "the second deploy grows the pool");
+
+    sb.add_edge_site(one, "mobile", sites[2]).unwrap();
+    for (from, first_port) in [(sites[2], 30_000), (sites[0], 40_000)] {
+        let first_hops: BTreeSet<u64> = (first_port..first_port + 200)
+            .map(|port| {
+                let t = sb
+                    .send(one, from, Packet::unlabeled(key(port), 700))
+                    .unwrap();
+                assert!(t.delivered, "flow {port} from {from} dropped");
+                t.forwarders()[0].value()
+            })
+            .collect();
+        assert_eq!(
+            first_hops,
+            BTreeSet::from([1_000_000]),
+            "the forwarders new flows from {from} enter chain 1 through"
+        );
+    }
+}
+
+/// Stage 0's previous hops are derived from the chain record: the ingress
+/// edge, then the added edges bound to the route, ascending by site,
+/// whatever order the edges were added in, and again after an update
+/// re-tags the route. `RuleSet::to_prev` is carried in rows and artifacts,
+/// but no forwarding path reads it: reverse traffic follows the pins
+/// `affinity_pin` sets, so this order is visible only in row and artifact
+/// bytes.
+#[test]
+fn stage_zero_previous_hops_are_canonical_and_survive_a_retag() {
+    let (mut sb, sites) = testbed();
+    let (chain, s1) = (ChainId::new(1), sites[1]);
+    let labels = sb
+        .deploy_chain_via(request(chain), vec![(vec![s1, s1], 1.0)])
+        .unwrap()
+        .routes[0]
+        .labels;
+    sb.add_edge_site(chain, "far", sites[3]).unwrap();
+    sb.add_edge_site(chain, "near", sites[2]).unwrap();
+    let edge = |site: SiteId| {
+        sb.control_plane()
+            .edge()
+            .instance_at(site)
+            .expect("edge instance")
+            .addr()
+    };
+    let want: Vec<Addr> = [sites[0], sites[2], sites[3]].into_iter().map(edge).collect();
+    // The epoch and previous hops of the route's stage-0 row at each
+    // forwarder of s1's first-VNF pool.
+    let stage_zero = |sb: &Switchboard| -> Vec<(u64, Vec<Addr>)> {
+        let local = sb.control_plane().local(s1).expect("stage site");
+        local
+            .forwarder_records(VnfId::new(0))
+            .iter()
+            .map(|r| {
+                let rows = local
+                    .forwarder(r.forwarder)
+                    .expect("pool member")
+                    .export_artifact()
+                    .rows;
+                let row = rows
+                    .iter()
+                    .find(|row| row.labels == labels)
+                    .expect("stage-0 row");
+                (row.epoch, row.rules.to_prev.targets())
+            })
+            .collect()
+    };
+    assert_eq!(stage_zero(&sb), [(1, want.clone())], "after both edge sites");
+    sb.add_route_via(chain, vec![sites[2], sites[2]]).unwrap();
+    assert_eq!(stage_zero(&sb), [(2, want)], "after the re-tag");
 }
 
 /// An edge site added after the deploy serves the chain for as long as

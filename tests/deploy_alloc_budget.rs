@@ -8,7 +8,10 @@
 //! deploy about 114 KB in 1 008 calls, and the build 0.69 MB. A route
 //! announcement to the 120 subscribed sites then still built one `Vec` per
 //! site and one per WAN hop; fanning out from one reused list with inline
-//! arrival times leaves a deploy 86 891 B in 712 calls.
+//! arrival times leaves a deploy 86 891 B in 712 calls. Keeping each
+//! route's stage forwarders once, in the chain record, and no second model
+//! in the facade leaves a deploy 85 230 B in 702 calls and the build
+//! 636 805 B.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
