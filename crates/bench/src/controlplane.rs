@@ -6,15 +6,13 @@
 //! ([`switchboard::scenarios::fleet`]) at one chain count and measures:
 //!
 //! - **deployments/sec**: the sequential cold SB-DP solve
-//!   ([`sb_te::dp::route_chains`]) versus the batched solve with shared
-//!   scratch and cross-chain subproblem cache
-//!   ([`sb_te::route_chains_batched`]), with a result-identity check;
+//!   ([`sb_te::dp::route_chains`]);
 //! - **update-storm convergence**: a burst of coalescing demand updates
 //!   against a [`sb_controller::FleetReconciler`], drained warm (dirty
 //!   chains only, priority order) versus a cold full re-solve;
-//! - **cache hit rate** and **WAN messages per update** (one message per
-//!   site affected by each chain's route delta, matching the update
-//!   pipeline's announcement scoping).
+//! - **WAN messages per update** (one message per site affected by each
+//!   chain's route delta, matching the update pipeline's announcement
+//!   scoping).
 //!
 //! Regenerate with:
 //!
@@ -26,9 +24,7 @@
 //! `--check-warm` as the storm-convergence gate.
 
 use sb_controller::FleetReconciler;
-use sb_te::batch::SubproblemCache;
 use sb_te::dp::{route_chains, DpConfig};
-use sb_te::{route_chains_batched, RoutingSolution};
 use sb_telemetry::Telemetry;
 use serde::Serialize;
 use std::time::Instant;
@@ -42,25 +38,10 @@ pub struct ControlPlaneCell {
     /// Cloud sites in the fleet model.
     pub sites: usize,
     /// Wall time of the sequential cold solve (fresh tracker, per-chain
-    /// allocations, no cache).
+    /// allocations).
     pub cold_solve_ms: f64,
     /// `chains / cold_solve_s`.
     pub cold_deploys_per_sec: f64,
-    /// Wall time of the batched solve (shared scratch + subproblem cache).
-    pub batched_solve_ms: f64,
-    /// `chains / batched_solve_s`.
-    pub batched_deploys_per_sec: f64,
-    /// `batched_deploys_per_sec / cold_deploys_per_sec`.
-    pub speedup: f64,
-    /// Whether the batched solution was verified identical to the
-    /// sequential one (it must be — the cache is exact).
-    pub solutions_match: bool,
-    /// Cache lookups served from the cache during the batched solve.
-    pub cache_hits: u64,
-    /// Cache lookups that evaluated the edge cost.
-    pub cache_misses: u64,
-    /// `hits / (hits + misses)`.
-    pub cache_hit_rate: f64,
     /// Distinct chains hit by the update storm.
     pub storm_chains: usize,
     /// Raw updates enqueued (each chain is updated repeatedly; the queue
@@ -100,8 +81,7 @@ pub struct ControlPlaneBaseline {
     pub rows: Vec<ControlPlaneCell>,
     /// The [`sb_telemetry::Telemetry::export_json`] snapshot the
     /// reconciler runs reported into: `cp.route_compute` per-chain
-    /// latency histogram plus `te.cache_hits` / `te.cache_misses` /
-    /// `te.queue_coalesced` counters.
+    /// latency histogram plus the `te.queue_coalesced` counter.
     pub telemetry: serde_json::Value,
 }
 
@@ -165,22 +145,6 @@ impl ControlPlaneConfig {
     }
 }
 
-fn solutions_equal(a: &RoutingSolution, b: &RoutingSolution) -> bool {
-    a.chains.len() == b.chains.len()
-        && a.chains.iter().zip(&b.chains).all(|(x, y)| {
-            (x.routed - y.routed).abs() < 1e-9
-                && x.stages.len() == y.stages.len()
-                && x.stages.iter().zip(&y.stages).all(|(sa, sb)| {
-                    sa.len() == sb.len()
-                        && sa.iter().zip(sb).all(|(fa, fb)| {
-                            fa.from == fb.from
-                                && fa.to == fb.to
-                                && (fa.fraction - fb.fraction).abs() < 1e-9
-                        })
-                })
-        })
-}
-
 /// A deterministic storm over `chains` chains: every
 /// `storm_fraction`-selected chain receives `updates_per_chain` updates
 /// with a fixed per-chain priority and demand target (repeats exercise
@@ -210,16 +174,8 @@ fn run_row(cfg: &ControlPlaneConfig, chains: usize, hub: &Telemetry) -> ControlP
     let dp = DpConfig::default();
 
     let t0 = Instant::now();
-    let cold = route_chains(&model, &dp);
+    std::hint::black_box(route_chains(&model, &dp));
     let cold_s = t0.elapsed().as_secs_f64();
-
-    let mut cache = SubproblemCache::new();
-    let t0 = Instant::now();
-    let batched = route_chains_batched(&model, &dp, &mut cache);
-    let batched_s = t0.elapsed().as_secs_f64();
-    let stats = cache.stats();
-
-    let solutions_match = solutions_equal(&cold, &batched);
 
     // Update storm against a live reconciler.
     let mut reconciler = FleetReconciler::new(model, dp);
@@ -245,13 +201,6 @@ fn run_row(cfg: &ControlPlaneConfig, chains: usize, hub: &Telemetry) -> ControlP
         sites: cfg.sites,
         cold_solve_ms: cold_s * 1e3,
         cold_deploys_per_sec: chains as f64 / cold_s,
-        batched_solve_ms: batched_s * 1e3,
-        batched_deploys_per_sec: chains as f64 / batched_s,
-        speedup: cold_s / batched_s,
-        solutions_match,
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
-        cache_hit_rate: stats.hit_rate(),
         storm_chains: plan.len(),
         storm_raw_updates: raw_updates,
         storm_coalesced: report.coalesced,
@@ -280,9 +229,7 @@ pub fn run(cfg: &ControlPlaneConfig) -> ControlPlaneBaseline {
         benchmark: "controlplane",
         methodology: "fleet-scale scenario (ring+chord WAN backbone, one site per node, \
                       coverage-placed VNF catalog); cold = sb_te::dp::route_chains \
-                      (sequential, fresh tracker, no reuse); batched = \
-                      sb_te::route_chains_batched (shared DP scratch + exact cross-chain \
-                      subproblem cache, result-identity checked); storm = coalescing \
+                      (sequential, fresh tracker, no reuse); storm = coalescing \
                       priority-queue drain of a 5% demand storm via \
                       sb_controller::FleetReconciler versus a cold full re-solve of the \
                       same post-storm specs; wan_messages = one message per site affected \
@@ -391,10 +338,7 @@ mod tests {
         let b = run(&tiny());
         assert_eq!(b.rows.len(), 1);
         let row = &b.rows[0];
-        assert!(row.solutions_match, "batched solve diverged from sequential");
         assert!(row.cold_deploys_per_sec > 0.0);
-        assert!(row.batched_deploys_per_sec > 0.0);
-        assert!(row.cache_hits + row.cache_misses > 0);
         assert_eq!(row.storm_raw_updates, row.storm_chains * 2);
         assert!(row.storm_coalesced > 0, "repeat updates must coalesce");
         assert!(row.wan_messages_per_update >= 0.0);
@@ -406,12 +350,13 @@ mod tests {
             .get("telemetry")
             .and_then(|t| t.get("metrics"))
             .expect("telemetry.metrics section");
-        for counter in ["te.cache_hits", "te.cache_misses", "te.queue_coalesced"] {
-            assert!(
-                metrics.get("counters").and_then(|c| c.get(counter)).is_some(),
-                "missing counter {counter}"
-            );
-        }
+        assert!(
+            metrics
+                .get("counters")
+                .and_then(|c| c.get("te.queue_coalesced"))
+                .is_some(),
+            "missing counter te.queue_coalesced"
+        );
         assert!(
             metrics
                 .get("histograms")

@@ -15,20 +15,19 @@
 //!   [`sb_te::dp::LoadTracker`], then the dirty chains are re-solved in
 //!   canonical order — ascending `(priority, chain id)` — against the
 //!   clean chains' standing load, through one shared
-//!   [`sb_te::dp::DpScratch`] and [`sb_te::SubproblemCache`]. The
-//!   canonical order makes the outcome a function of the coalesced queue
-//!   *contents*, independent of update arrival order (property-tested);
+//!   [`sb_te::dp::DpScratch`]. The canonical order makes the outcome a
+//!   function of the coalesced queue *contents*, independent of update
+//!   arrival order (property-tested);
 //! - each re-solve is diffed against the installed paths with
 //!   [`sb_te::delta::RouteDelta`], so the report carries the update
 //!   pipeline's real WAN cost: one message per affected site, exactly as
 //!   [`crate::ControlPlane`] scopes its delta announcements.
 //!
-//! When every chain is dirty the drain degenerates to a cold batched
-//! re-solve (tracker reset instead of pairwise unwinding, which would
-//! leave float dust), making a full-fleet storm bit-identical to
-//! [`sb_te::route_chains_batched`].
+//! When every chain is dirty the drain degenerates to a cold re-solve
+//! (tracker reset instead of pairwise unwinding, which would leave float
+//! dust), making a full-fleet storm bit-identical to
+//! [`sb_te::dp::route_chains`].
 
-use sb_te::batch::{CacheStats, SubproblemCache};
 use sb_te::delta::RouteDelta;
 use sb_te::dp::{self, DpConfig, DpScratch, LoadTracker};
 use sb_te::{ChainRoutes, ChainSpec, NetworkModel, RoutePath, RoutingSolution};
@@ -64,8 +63,6 @@ pub struct DrainReport {
 /// benchmark snapshot expects them).
 #[derive(Debug, Clone)]
 struct ReconcileTelemetry {
-    cache_hits: Counter,
-    cache_misses: Counter,
     queue_coalesced: Counter,
     route_compute: Histogram,
 }
@@ -73,8 +70,6 @@ struct ReconcileTelemetry {
 impl ReconcileTelemetry {
     fn new(hub: &Telemetry) -> Self {
         Self {
-            cache_hits: hub.registry.counter("te.cache_hits"),
-            cache_misses: hub.registry.counter("te.cache_misses"),
             queue_coalesced: hub.registry.counter("te.queue_coalesced"),
             route_compute: hub.registry.histogram("cp.route_compute"),
         }
@@ -82,8 +77,8 @@ impl ReconcileTelemetry {
 }
 
 /// The fleet-scale incremental routing driver: chain specs, their
-/// installed routes, the live load tracker, the shared subproblem cache,
-/// and the prioritized dirty-chain queue.
+/// installed routes, the live load tracker and the prioritized dirty-chain
+/// queue.
 #[derive(Debug)]
 pub struct FleetReconciler {
     model: NetworkModel,
@@ -102,7 +97,6 @@ pub struct FleetReconciler {
     installed: Vec<Vec<RoutePath>>,
     index: HashMap<ChainId, usize>,
     tracker: LoadTracker,
-    cache: SubproblemCache,
     scratch: DpScratch,
     pending: HashMap<usize, Pending>,
     coalesced_since_drain: u64,
@@ -116,9 +110,8 @@ pub struct FleetReconciler {
 }
 
 impl FleetReconciler {
-    /// Deploys every chain of `model` through the batched solver (shared
-    /// scratch + cache) and returns the reconciler holding the resulting
-    /// live state.
+    /// Deploys every chain of `model` through SB-DP with one shared scratch
+    /// and returns the reconciler holding the resulting live state.
     #[must_use]
     pub fn new(model: NetworkModel, config: DpConfig) -> Self {
         let base_specs: Vec<ChainSpec> = model.chains().to_vec();
@@ -128,12 +121,11 @@ impl FleetReconciler {
             .map(|(i, c)| (c.id, i))
             .collect();
         let mut tracker = LoadTracker::new(&model);
-        let mut cache = SubproblemCache::new();
         let mut scratch = DpScratch::new();
         let installed = base_specs
             .iter()
             .map(|spec| {
-                dp::route_chain_with(&model, &mut tracker, &config, spec, &mut scratch, Some(&mut cache))
+                dp::route_chain_with(&model, &mut tracker, &config, spec, &mut scratch, None)
             })
             .collect();
         Self {
@@ -143,7 +135,6 @@ impl FleetReconciler {
             installed,
             index,
             tracker,
-            cache,
             scratch,
             pristine_model: model.clone(),
             model,
@@ -156,13 +147,10 @@ impl FleetReconciler {
         }
     }
 
-    /// Publishes cache and queue counters plus the per-chain
+    /// Publishes the queue's coalescing counter plus the per-chain
     /// `cp.route_compute` latency histogram into `hub`.
     pub fn attach_telemetry(&mut self, hub: &Telemetry) {
-        let tele = ReconcileTelemetry::new(hub);
-        tele.cache_hits.set(self.cache.stats().hits);
-        tele.cache_misses.set(self.cache.stats().misses);
-        self.tele = Some(tele);
+        self.tele = Some(ReconcileTelemetry::new(hub));
     }
 
     /// Number of chains under management.
@@ -175,12 +163,6 @@ impl FleetReconciler {
     #[must_use]
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Cumulative cache counters of the shared subproblem cache.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Marks `chain` dirty: its demand moves to `demand_scale` × the base
@@ -231,11 +213,10 @@ impl FleetReconciler {
     /// `priority`. Returns the number of chains enqueued.
     ///
     /// The routing model is rebuilt from the pristine one with failed
-    /// sites removed from every VNF's deployment map, and the subproblem
-    /// cache is cleared (its entries assume the old site sets). Installed
-    /// load is **not** unwound here — [`FleetReconciler::drain`] unwinds
-    /// pending chains itself; path load coefficients depend only on
-    /// topology, which a VNF-site-set swap leaves unchanged.
+    /// sites removed from every VNF's deployment map. Installed load is
+    /// **not** unwound here — [`FleetReconciler::drain`] unwinds pending
+    /// chains itself; path load coefficients depend only on topology,
+    /// which a VNF-site-set swap leaves unchanged.
     ///
     /// Affected chains are: those whose installed paths touch a site whose
     /// health changed, those left under-routed by an earlier change, and
@@ -271,7 +252,6 @@ impl FleetReconciler {
             }
         }
         self.model = model;
-        self.cache.clear();
 
         let mut affected = std::mem::take(&mut self.displaced);
         for (i, paths) in self.installed.iter().enumerate() {
@@ -327,16 +307,14 @@ impl FleetReconciler {
 
         if work.len() == self.specs.len() {
             // Full-fleet storm: a fresh tracker instead of pairwise
-            // unwinding, so the drain is exactly a cold batched re-solve
+            // unwinding, so the drain is exactly a cold re-solve
             // (unwinding would leave float dust on every load).
             self.tracker = LoadTracker::new(&self.model);
-            self.cache.clear();
         } else {
             for &(_, i, _) in &work {
                 for p in &self.installed[i] {
                     let coefs = dp::path_coefficients(&self.model, &self.specs[i], &p.sites);
                     self.tracker.apply(&coefs, -p.fraction);
-                    self.cache.note_apply(&coefs);
                 }
             }
         }
@@ -351,7 +329,7 @@ impl FleetReconciler {
                 &self.config,
                 &self.specs[i],
                 &mut self.scratch,
-                Some(&mut self.cache),
+                None,
             );
             if let Some(t) = &self.tele {
                 #[allow(clippy::cast_possible_truncation)]
@@ -364,11 +342,6 @@ impl FleetReconciler {
             report.resolved_chains += 1;
         }
 
-        if let Some(t) = &self.tele {
-            let s = self.cache.stats();
-            t.cache_hits.set(s.hits);
-            t.cache_misses.set(s.misses);
-        }
         report
     }
 
@@ -466,7 +439,6 @@ mod tests {
         let r = FleetReconciler::new(line_model(4), DpConfig::default());
         assert_eq!(r.num_chains(), 4);
         assert!((routed_total(&r.solution()) - 4.0).abs() < 1e-6);
-        assert!(r.cache_stats().misses > 0);
     }
 
     #[test]
@@ -587,7 +559,6 @@ mod tests {
         r.enqueue(ChainId::new(0), 0, 1.3);
         r.enqueue(ChainId::new(0), 0, 1.3);
         let _ = r.drain();
-        assert!(hub.registry.counter("te.cache_misses").get() > 0);
         assert_eq!(hub.registry.counter("te.queue_coalesced").get(), 1);
         let snap = hub.registry.snapshot();
         let h = snap.histogram("cp.route_compute").expect("histogram exists");

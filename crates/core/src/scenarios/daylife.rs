@@ -613,8 +613,6 @@ pub fn run(cfg: &DaylifeConfig) -> DaylifeResult {
     let m_drains = hub.registry.counter("cp.drains");
     let m_resolved = hub.registry.counter("cp.resolved_chains");
     let m_wan = hub.registry.counter("cp.wan_messages");
-    let m_hits = hub.registry.counter("te.cache_hits");
-    let m_misses = hub.registry.counter("te.cache_misses");
     let g_users = hub.registry.gauge("daylife.users");
     let g_failed = hub.registry.gauge("daylife.failed_sites");
     let g_pending = hub.registry.gauge("cp.pending_chains");
@@ -677,8 +675,8 @@ pub fn run(cfg: &DaylifeConfig) -> DaylifeResult {
 
     // Silence "unused" on handles the closures re-fetch by name.
     let _ = (
-        m_offered, m_delivered, m_dropped, m_unserved, m_drains, m_resolved, m_wan, m_hits,
-        m_misses, g_users, g_failed, g_pending, h_latency,
+        m_offered, m_delivered, m_dropped, m_unserved, m_drains, m_resolved, m_wan, g_users,
+        g_failed, g_pending, h_latency,
     );
 
     DaylifeResult {
@@ -848,9 +846,6 @@ fn window_close(sim: &mut Simulator<DaylifeState>, st: &mut DaylifeState, _k: u6
     reg.counter("cp.drains").set(st.totals.drains);
     reg.counter("cp.resolved_chains").set(st.totals.resolved_chains);
     reg.counter("cp.wan_messages").set(st.totals.wan_messages);
-    let cache = st.rec.cache_stats();
-    reg.counter("te.cache_hits").set(cache.hits);
-    reg.counter("te.cache_misses").set(cache.misses);
     reg.gauge("cp.pending_chains")
         .set(st.rec.pending_len() as i64);
 

@@ -1,11 +1,11 @@
 //! Batched SB-DP with a cross-chain subproblem cache.
 //!
-//! At fleet scale (thousands of chains over 100+ sites) the sequential
-//! solver's cost is dominated by re-evaluating the DP edge cost
-//! `cost(s, z, s')` for (site, VNF, site) triples that many tenants
-//! share: chains with overlapping site sequences relax the same edges
-//! against a load state that barely moved in between. This module
-//! memoizes those relaxations:
+//! Chains with overlapping site sequences relax the same DP edges
+//! `cost(s, z, s')` against a load state that barely moved in between.
+//! This module memoizes those relaxations. Since [`crate::dp`] prices
+//! each link once per pass and skips sources by their latency bound, the
+//! cache is slower than the plain solver; no control-plane path uses it,
+//! and its one caller is the benchmark's TE probe.
 //!
 //! - [`SubproblemCache`] caches [`crate::dp`]'s edge cost keyed by the
 //!   site-sequence segment it closes, split along its two independent
@@ -24,9 +24,9 @@
 //!   whenever [`crate::dp::LoadTracker::apply`] dirties a link or pool —
 //!   so a hit always returns the value a fresh evaluation would compute,
 //!   and the batched solver is *result-identical* to the sequential one
-//!   (property-tested under arbitrary eviction schedules).
+//!   (property-tested in `tests/sbdp_oracle.rs`).
 //!
-//! [`route_chains_batched`] is the fleet entry point: one shared
+//! [`route_chains_batched`] is the entry point: one shared
 //! [`crate::dp::DpScratch`] (O(1) allocations per chain) plus one shared
 //! cache across all chains of a model.
 
@@ -45,8 +45,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped because a load they depend on changed.
     pub invalidations: u64,
-    /// Entries dropped to stay within the configured capacity.
-    pub evictions: u64,
 }
 
 impl CacheStats {
@@ -69,9 +67,9 @@ impl CacheStats {
 /// Coherence contract: between [`SubproblemCache::clear`] (or
 /// construction) and now, every mutation of the tracker the cached costs
 /// were computed against must have been reported via
-/// [`SubproblemCache::note_apply`]. [`route_chains_batched`] and the
-/// controller's reconciler maintain this automatically; clear the cache
-/// when switching to a different tracker or model.
+/// [`SubproblemCache::note_apply`]. [`route_chains_batched`] maintains
+/// this automatically; clear the cache when switching to a different
+/// tracker or model.
 #[derive(Debug, Clone)]
 pub struct SubproblemCache {
     /// Node count the dense tables were sized for (0 = unsized).
@@ -95,9 +93,6 @@ pub struct SubproblemCache {
     prices: Vec<f64>,
     /// Whether `prices` match the loads last reported.
     priced: bool,
-    /// Live (non-NaN) cells across both tables.
-    filled: usize,
-    capacity: usize,
     stats: CacheStats,
 }
 
@@ -112,14 +107,6 @@ impl SubproblemCache {
     /// evaluation.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_capacity(usize::MAX)
-    }
-
-    /// An exact cache holding at most `capacity` live cells; every cell
-    /// is flushed when an insert would overflow. Evictions only cost
-    /// extra misses, never correctness.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             n_nodes: 0,
             num_sites: 0,
@@ -129,22 +116,8 @@ impl SubproblemCache {
             by_link: Vec::new(),
             prices: Vec::new(),
             priced: false,
-            filled: 0,
-            capacity,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Live memoized cells across both tables.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.filled
-    }
-
-    /// Whether the cache currently holds no live cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.filled == 0
     }
 
     /// Counter snapshot (cumulative across [`SubproblemCache::clear`]).
@@ -164,7 +137,6 @@ impl SubproblemCache {
             cells.clear();
         }
         self.priced = false;
-        self.filled = 0;
     }
 
     /// (Re)allocates the dense tables when the model's dimensions differ
@@ -185,7 +157,6 @@ impl SubproblemCache {
         self.vnf_ft = vec![f64::NAN; v * s];
         self.by_link = vec![Vec::new(); l];
         self.priced = false;
-        self.filled = 0;
     }
 
     /// The memoized DP edge cost: identical to [`crate::dp`]'s cost
@@ -233,10 +204,10 @@ impl SubproblemCache {
         cost
     }
 
-    /// Computes [`dp::transit_cost`] `from → to` and (capacity permitting)
-    /// caches it in transit cell `ti`, registering the links whose load it
-    /// read in the invalidation index. The link prices are refilled first
-    /// when a load changed since the last fill.
+    /// Computes [`dp::transit_cost`] `from → to` and caches it in transit
+    /// cell `ti`, registering the links whose load it read in the
+    /// invalidation index. The link prices are refilled first when a load
+    /// changed since the last fill.
     fn fill_transit(
         &mut self,
         model: &NetworkModel,
@@ -251,11 +222,7 @@ impl SubproblemCache {
             self.priced = true;
         }
         let cost = dp::transit_cost(model, &self.prices, config, from, to);
-        if !self.admit() {
-            return cost;
-        }
         self.transit[ti] = cost;
-        self.filled += 1;
         // Only the network-utilization term reads loads; an unreachable
         // pair routes over no link.
         if config.util_weight > 0.0 && from.node != to.node {
@@ -267,8 +234,8 @@ impl SubproblemCache {
         cost
     }
 
-    /// Computes and (capacity permitting) caches the Fortz-Thorup compute
-    /// cost cell `vi` of `vnf` at `site`.
+    /// Computes and caches the Fortz-Thorup compute cost cell `vi` of
+    /// `vnf` at `site`.
     fn fill_vnf(
         &mut self,
         model: &NetworkModel,
@@ -283,28 +250,8 @@ impl SubproblemCache {
         } else {
             fortz_thorup_cost(u)
         };
-        if self.admit() {
-            self.vnf_ft[vi] = ft;
-            self.filled += 1;
-        }
+        self.vnf_ft[vi] = ft;
         ft
-    }
-
-    /// Whether one more cell may be stored, flushing everything first
-    /// when the capacity is reached (arbitrary-eviction schedule; only
-    /// costs misses, never correctness).
-    fn admit(&mut self) -> bool {
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.filled >= self.capacity {
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                self.stats.evictions += self.filled as u64;
-            }
-            self.clear();
-        }
-        true
     }
 
     /// Reports that the tracker just absorbed (or released) load along
@@ -330,7 +277,6 @@ impl SubproblemCache {
             let slot = &mut self.transit[cell as usize];
             if !slot.is_nan() {
                 *slot = f64::NAN;
-                self.filled -= 1;
                 self.stats.invalidations += 1;
             }
         }
@@ -343,17 +289,16 @@ impl SubproblemCache {
         }
         if !self.vnf_ft[vi].is_nan() {
             self.vnf_ft[vi] = f64::NAN;
-            self.filled -= 1;
             self.stats.invalidations += 1;
         }
     }
 }
 
 /// Routes all chains sequentially like [`dp::route_chains`], but through
-/// one shared [`DpScratch`] and `cache` — the fleet-scale fast path. The
-/// cache is cleared on entry (its entries may shadow a different load
-/// state) and left coherent with the final load state on return. The
-/// result is identical to [`dp::route_chains`].
+/// one shared [`DpScratch`] and `cache`. The cache is cleared on entry
+/// (its entries may shadow a different load state) and left coherent with
+/// the final load state on return. The result is identical to
+/// [`dp::route_chains`].
 #[must_use]
 pub fn route_chains_batched(
     model: &NetworkModel,
@@ -407,18 +352,6 @@ mod tests {
         assert!(solutions_equal(&seq, &bat));
         let s = cache.stats();
         assert!(s.misses > 0, "cache never consulted");
-    }
-
-    #[test]
-    fn batched_matches_under_tiny_capacity() {
-        let m = line_model().with_scaled_traffic(3.0);
-        let cfg = DpConfig::default();
-        let seq = route_chains(&m, &cfg);
-        for cap in [0, 1, 2, 7] {
-            let mut cache = SubproblemCache::with_capacity(cap);
-            let bat = route_chains_batched(&m, &cfg, &mut cache);
-            assert!(solutions_equal(&seq, &bat), "capacity {cap} diverged");
-        }
     }
 
     #[test]

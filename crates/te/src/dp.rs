@@ -349,8 +349,8 @@ impl DpScratch {
 /// `base + (transit + compute)` is at least `base + (latency + compute)`.
 /// Once that bound reaches the destination's best `b`, the source cannot
 /// pass the strict `c < b` test: the skip changes no cell and no tie,
-/// which still goes to the lowest site id. The cached branch prices every
-/// source, which keeps it an unpruned oracle for this one.
+/// which still goes to the lowest site id. `tests/sbdp_oracle.rs` holds
+/// the pruned pass to an enumeration of every site sequence.
 fn best_path(
     model: &NetworkModel,
     tracker: &LoadTracker,

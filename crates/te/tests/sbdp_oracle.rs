@@ -1,0 +1,325 @@
+//! Brute-force oracle for SB-DP on random small models.
+//!
+//! SB-DP skips every source whose latency bound already loses. The
+//! oracle enumerates every site sequence of a chain and prices it through
+//! the public API in the order `dp.rs` sums an edge: the latency, plus
+//! `w·Σ r·FT(u_link)`, plus `w·FT(u_vnf)`, added stage by stage from the
+//! ingress.
+//!
+//! - Under the utilization terms the first path SB-DP picks must cost,
+//!   bit for bit, the minimum over every sequence. Path identity is not
+//!   asserted: rounding can make two totals equal while one prefix is
+//!   cheaper, and SB-DP keeps the cheaper prefix.
+//! - Under DP-Latency every latency is a multiple of 0.5 ms, so sums are
+//!   exact: the whole headroom loop, ties included, must equal the
+//!   brute-force pick's.
+//!
+//! The batched solver (shared scratch + cross-chain subproblem cache) is
+//! also held result-identical to the sequential one.
+
+use proptest::prelude::*;
+use sb_netsim::queueing::fortz_thorup_cost;
+use sb_te::dp::{path_coefficients, route_chain, route_chains, DpConfig, LoadTracker};
+use sb_te::{
+    route_chains_batched, ChainSpec, NetworkModel, RoutePath, RoutingSolution, SubproblemCache,
+};
+use sb_topology::TopologyBuilder;
+use sb_types::{ChainId, Millis, NodeId, SiteId, VnfId};
+use std::collections::HashMap;
+
+/// A random small model: 4-6 nodes in a ring with chords, sites at every
+/// node, 3 VNFs with random coverage, 1-4 chains.
+#[derive(Debug, Clone)]
+struct RandomModel {
+    nodes: usize,
+    chords: Vec<(usize, usize)>,
+    vnf_sites: Vec<Vec<usize>>,
+    chains: Vec<(usize, usize, Vec<usize>, f64)>,
+    capacity: f64,
+}
+
+fn arb_model() -> impl Strategy<Value = RandomModel> {
+    (4usize..7)
+        .prop_flat_map(|nodes| {
+            let chord = (0..nodes, 0..nodes).prop_filter("distinct", |(a, b)| a != b);
+            let vnf = prop::collection::btree_set(0..nodes, 1..=nodes.min(3))
+                .prop_map(|s| s.into_iter().collect::<Vec<_>>());
+            let chain = (
+                0..nodes,
+                0..nodes,
+                prop::collection::btree_set(0usize..3, 1..=2),
+                1.0..8.0f64,
+            )
+                .prop_map(|(i, e, vs, d)| (i, e, vs.into_iter().collect::<Vec<_>>(), d));
+            (
+                Just(nodes),
+                prop::collection::vec(chord, 0..3),
+                prop::collection::vec(vnf, 3),
+                prop::collection::vec(chain, 1..4),
+                50.0..200.0f64,
+            )
+        })
+        .prop_map(|(nodes, chords, vnf_sites, chains, capacity)| RandomModel {
+            nodes,
+            chords,
+            vnf_sites,
+            chains,
+            capacity,
+        })
+}
+
+fn build(rm: &RandomModel) -> NetworkModel {
+    let mut tb = TopologyBuilder::new();
+    let nodes: Vec<NodeId> = (0..rm.nodes)
+        .map(|i| tb.add_node(format!("n{i}"), (0.0, i as f64), 1.0))
+        .collect();
+    for i in 0..rm.nodes {
+        tb.add_duplex_link(
+            nodes[i],
+            nodes[(i + 1) % rm.nodes],
+            100.0,
+            Millis::new(1.0 + i as f64),
+        );
+    }
+    for &(a, b) in &rm.chords {
+        tb.add_duplex_link(nodes[a], nodes[b], 100.0, Millis::new(2.5));
+    }
+    let mut b = NetworkModel::builder(tb.build());
+    let sites: Vec<SiteId> = nodes.iter().map(|&n| b.add_site(n, rm.capacity)).collect();
+    for placement in &rm.vnf_sites {
+        let caps: HashMap<SiteId, f64> = placement
+            .iter()
+            .map(|&i| (sites[i], rm.capacity / 2.0))
+            .collect();
+        b.add_vnf(caps, 1.0);
+    }
+    for (ci, (ing, eg, vnfs, demand)) in rm.chains.iter().enumerate() {
+        b.add_chain(ChainSpec::uniform(
+            ChainId::new(ci as u64),
+            nodes[*ing],
+            nodes[*eg],
+            vnfs.iter().map(|&v| VnfId::new(v as u32)).collect(),
+            *demand,
+            demand * 0.2,
+        ));
+    }
+    b.build().expect("random model is structurally valid")
+}
+
+fn assert_solutions_equal(a: &RoutingSolution, b: &RoutingSolution) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.chains.len(), b.chains.len());
+    for (x, y) in a.chains.iter().zip(&b.chains) {
+        prop_assert!((x.routed - y.routed).abs() < 1e-12, "routed share diverged");
+        prop_assert_eq!(x.stages.len(), y.stages.len());
+        for (sa, sb) in x.stages.iter().zip(&y.stages) {
+            prop_assert_eq!(sa.len(), sb.len());
+            for (fa, fb) in sa.iter().zip(sb) {
+                prop_assert_eq!(fa.from, fb.from);
+                prop_assert_eq!(fa.to, fb.to);
+                prop_assert!((fa.fraction - fb.fraction).abs() < 1e-12);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every site sequence of `chain`: one deployment site of each VNF, in
+/// stage order.
+fn sequences(model: &NetworkModel, chain: &ChainSpec) -> Vec<Vec<SiteId>> {
+    let mut out = vec![Vec::new()];
+    for &vnf in &chain.vnfs {
+        let sites = model.vnfs()[vnf.index()].sites();
+        out = out
+            .iter()
+            .flat_map(|prefix| {
+                sites.iter().map(move |&s| {
+                    let mut seq = prefix.clone();
+                    seq.push(s);
+                    seq
+                })
+            })
+            .collect();
+    }
+    out
+}
+
+/// SB-DP's total cost of routing `chain` along `sites` against `tracker`,
+/// summed in `dp.rs`'s order; infinite when a hop is unreachable or a VNF
+/// has no capacity.
+fn sequence_cost(
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    w: f64,
+    chain: &ChainSpec,
+    sites: &[SiteId],
+) -> f64 {
+    let mut total = 0.0;
+    let mut from = chain.ingress;
+    for z in 0..=sites.len() {
+        let (to, next) = match sites.get(z) {
+            Some(&s) => (model.site_node(s), Some((chain.vnfs[z], s))),
+            None => (chain.egress, None),
+        };
+        let latency = model.latency(from, to).value();
+        if !latency.is_finite() {
+            return f64::INFINITY;
+        }
+        let mut edge = latency;
+        if w > 0.0 && from != to {
+            let mut net = 0.0;
+            for &(link, r) in model.routing().fractions_between(from, to) {
+                net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
+            }
+            edge += w * net;
+        }
+        if let Some((vnf, site)) = next.filter(|_| w > 0.0) {
+            let u = tracker.vnf_utilization(model, vnf, site);
+            if u.is_infinite() {
+                return f64::INFINITY;
+            }
+            edge += w * fortz_thorup_cost(u);
+        }
+        total += edge;
+        from = to;
+    }
+    total
+}
+
+/// The least-cost finite sequence; ties go to the sequence that is
+/// smallest comparing the last stage's site first, then the stage before.
+fn brute_force_pick(
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    w: f64,
+    chain: &ChainSpec,
+) -> Option<Vec<SiteId>> {
+    sequences(model, chain)
+        .into_iter()
+        .map(|s| (sequence_cost(model, tracker, w, chain, &s), s))
+        .filter(|(c, _)| c.is_finite())
+        .min_by(|(ca, sa), (cb, sb)| {
+            ca.total_cmp(cb)
+                .then_with(|| sa.iter().rev().cmp(sb.iter().rev()))
+        })
+        .map(|(_, s)| s)
+}
+
+/// `route_chain`'s headroom loop with [`brute_force_pick`] in place of the
+/// DP.
+fn route_chain_by_enumeration(
+    model: &NetworkModel,
+    tracker: &mut LoadTracker,
+    w: f64,
+    chain: &ChainSpec,
+) -> Vec<RoutePath> {
+    const EPS: f64 = 1e-9;
+    const MAX_PATHS_PER_CHAIN: usize = 64;
+    let mut remaining = 1.0;
+    let mut paths: Vec<RoutePath> = Vec::new();
+    for _ in 0..MAX_PATHS_PER_CHAIN {
+        if remaining <= EPS {
+            break;
+        }
+        let Some(sites) = brute_force_pick(model, tracker, w, chain) else {
+            break;
+        };
+        let coefs = path_coefficients(model, chain, &sites);
+        let fraction = tracker.headroom(model, &coefs).min(remaining);
+        if fraction <= EPS {
+            break;
+        }
+        tracker.apply(&coefs, fraction);
+        remaining -= fraction;
+        if let Some(p) = paths.iter_mut().find(|p| p.sites == sites) {
+            p.fraction += fraction;
+        } else {
+            paths.push(RoutePath { sites, fraction });
+        }
+    }
+    paths
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Under the utilization terms the first path SB-DP picks for each
+    /// chain costs exactly the minimum over every site sequence, on the
+    /// tracker the chain is solved against.
+    #[test]
+    fn first_pick_costs_the_enumerated_minimum(rm in arb_model()) {
+        let model = build(&rm);
+        let cfg = DpConfig { util_weight: 30.0 };
+        let mut tracker = LoadTracker::new(&model);
+        for chain in model.chains() {
+            let before = tracker.clone();
+            let paths = route_chain(&model, &mut tracker, &cfg, chain);
+            let Some(first) = paths.first() else {
+                continue;
+            };
+            let min = sequences(&model, chain)
+                .iter()
+                .map(|s| sequence_cost(&model, &before, cfg.util_weight, chain, s))
+                .fold(f64::INFINITY, f64::min);
+            let picked = sequence_cost(&model, &before, cfg.util_weight, chain, &first.sites);
+            prop_assert_eq!(
+                picked.to_bits(),
+                min.to_bits(),
+                "chain {:?} picked {:?} at {} but the minimum is {}",
+                chain.id,
+                first.sites,
+                picked,
+                min
+            );
+        }
+    }
+
+    /// Under DP-Latency SB-DP's paths and fractions are bit-identical to
+    /// the headroom loop driven by the brute-force pick.
+    #[test]
+    fn latency_only_routes_equal_enumeration(rm in arb_model()) {
+        let model = build(&rm);
+        let cfg = DpConfig { util_weight: 0.0 };
+        let mut dp_tracker = LoadTracker::new(&model);
+        let mut bf_tracker = LoadTracker::new(&model);
+        for chain in model.chains() {
+            let dp = route_chain(&model, &mut dp_tracker, &cfg, chain);
+            let bf = route_chain_by_enumeration(&model, &mut bf_tracker, cfg.util_weight, chain);
+            prop_assert_eq!(dp.len(), bf.len());
+            for (a, b) in dp.iter().zip(&bf) {
+                prop_assert_eq!(&a.sites, &b.sites);
+                prop_assert_eq!(a.fraction.to_bits(), b.fraction.to_bits());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// With the exact cache the batched solver returns the exact solution
+    /// of the sequential solver.
+    #[test]
+    fn batched_equals_sequential(rm in arb_model()) {
+        let model = build(&rm);
+        let cfg = DpConfig::default();
+        let seq = route_chains(&model, &cfg);
+        let mut cache = SubproblemCache::new();
+        let bat = route_chains_batched(&model, &cfg, &mut cache);
+        assert_solutions_equal(&seq, &bat)?;
+        let s = cache.stats();
+        prop_assert!(s.hits + s.misses > 0, "cache never consulted");
+    }
+
+    /// Under DP-Latency (no utilization terms) the skip's latency bound is
+    /// the exact cost, so every tie between sources goes through the skip:
+    /// the pruned solver must still pick the lowest site id.
+    #[test]
+    fn batched_equals_sequential_latency_only(rm in arb_model()) {
+        let model = build(&rm);
+        let cfg = DpConfig { util_weight: 0.0 };
+        let seq = route_chains(&model, &cfg);
+        let mut cache = SubproblemCache::new();
+        let bat = route_chains_batched(&model, &cfg, &mut cache);
+        assert_solutions_equal(&seq, &bat)?;
+    }
+}
