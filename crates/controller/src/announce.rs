@@ -67,15 +67,16 @@ impl Announce {
     /// in-process stand-in for every Local Switchboard reading its inbox.
     /// The receivers run inline (the code after each publish attaches the
     /// instances, installs the rules), so a delivery has been acted on as
-    /// soon as it is made. Cleared in place: the mailboxes keep their
-    /// buffers, so steady-state delivery allocates nothing, and the
-    /// message is freed where the publisher's own copy used to be —
-    /// consuming only when the verb ends costs `fleet_deploy` throughput.
+    /// soon as it is made. Only the mailboxes this publish delivered to
+    /// are consumed — every other one is already empty — and in place: the
+    /// mailboxes keep their buffers, so steady-state delivery allocates
+    /// nothing, and the message is freed where the publisher's own copy
+    /// used to be. Consuming only when the verb ends costs `fleet_deploy`
+    /// throughput; visiting every site's mailbox after each publish would
+    /// cost the update path, whose messages reach a few sites, 120 visits.
     fn publish(&mut self, at: SimTime, from: SiteId, msg: Message) -> sb_msgbus::PublishOutcome {
         let out = self.bus.publish(at, from, msg);
-        for &sub in self.site_subs.values() {
-            self.bus.discard(sub);
-        }
+        self.bus.discard_delivered();
         out
     }
 
@@ -154,7 +155,8 @@ impl Announce {
     /// [`Topic::route_delta`] topic. The topic is owned by the affected
     /// site itself, so each publish costs at most one WAN copy — unlike
     /// the chain-wide `/routes/site_<gsb>_gsb` replication topic every
-    /// site subscribes to. Returns when the last copy arrived.
+    /// site subscribes to. The payload is encoded once; each site's message
+    /// carries that text. Returns when the last copy arrived.
     pub(crate) fn route_deltas(
         &mut self,
         chain: ChainId,
@@ -164,6 +166,7 @@ impl Announce {
         at: SimTime,
         report: &mut DeploymentReport,
     ) -> SimTime {
+        let text = serde_json::to_string(payload).expect("route delta must serialize");
         let mut done = at;
         for &site in affected {
             let Some(&sub) = self.site_subs.get(&site) else {
@@ -171,7 +174,7 @@ impl Announce {
             };
             let topic = Topic::route_delta(chain.value() as u32, site);
             self.bus.subscribe(sub, topic.clone());
-            let msg = Message::json(topic, &payload);
+            let msg = Message::new(topic, text.clone());
             done = done.max(self.publish_with_retry(at, GSB_SITE, msg, what, report));
         }
         done

@@ -21,8 +21,7 @@
 
 use crate::messages::{ForwarderRecord, InstanceRecord, RouteAnnouncement};
 use sb_dataplane::{
-    Addr, ArtifactKind, Forwarder, ForwarderArtifact, ForwarderMode, RuleSet, SiteArtifact,
-    WeightedChoice,
+    Addr, ArtifactKind, Forwarder, ForwarderMode, RuleSet, SiteArtifact, WeightedChoice,
 };
 use sb_telemetry::Telemetry;
 use sb_types::{Error, ForwarderId, InstanceId, LabelPair, Result, SiteId, VnfId};
@@ -303,36 +302,15 @@ impl LocalSwitchboard {
     /// registrations touching those pairs. Applying the patch on top of
     /// the previous epoch's state (via `Forwarder::apply_artifact`, which
     /// routes each row through the single-row `patch_row` path)
-    /// reproduces this site's current state for those pairs.
+    /// reproduces this site's current state for those pairs. Each
+    /// forwarder reads only the rows of `labels`
+    /// ([`Forwarder::export_artifact_in`]).
     #[must_use]
     pub fn export_patch_artifact(&self, labels: &[LabelPair], epoch: u64) -> SiteArtifact {
         let forwarders = self
             .forwarder_ids()
             .into_iter()
-            .map(|id| {
-                let full = self.forwarders[&id].export_artifact();
-                let rows: Vec<_> = full
-                    .rows
-                    .into_iter()
-                    .filter(|r| labels.contains(&r.labels))
-                    .collect();
-                let removed: Vec<LabelPair> = labels
-                    .iter()
-                    .copied()
-                    .filter(|l| !rows.iter().any(|r| r.labels == *l))
-                    .collect();
-                let label_unaware: Vec<_> = full
-                    .label_unaware
-                    .into_iter()
-                    .filter(|(_, l)| labels.contains(l))
-                    .collect();
-                ForwarderArtifact {
-                    rows,
-                    removed,
-                    label_unaware,
-                    ..full
-                }
-            })
+            .map(|id| self.forwarders[&id].export_artifact_in(Some(labels)))
             .collect();
         SiteArtifact {
             site: self.site,
@@ -352,6 +330,7 @@ impl LocalSwitchboard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sb_types::{ChainId, ChainLabel, EgressLabel};
 
     fn rec(i: u64, weight: f64) -> InstanceRecord {
@@ -489,6 +468,114 @@ mod tests {
         assert_eq!(l.install_stage_rules(&r, 0, hops.clone(), hops).unwrap(), 2);
         for id in l.forwarder_ids() {
             assert_eq!(l.forwarder(id).unwrap().active_epoch(r.labels), Some(2));
+        }
+    }
+
+    /// The patch export as first written, kept as the oracle: filter each
+    /// forwarder's full export down to `labels`.
+    fn filtered_full_export(
+        l: &LocalSwitchboard,
+        labels: &[LabelPair],
+        epoch: u64,
+    ) -> SiteArtifact {
+        let forwarders = l
+            .forwarder_ids()
+            .into_iter()
+            .map(|id| {
+                let full = l.forwarders[&id].export_artifact();
+                let rows: Vec<_> = full
+                    .rows
+                    .into_iter()
+                    .filter(|r| labels.contains(&r.labels))
+                    .collect();
+                let removed: Vec<LabelPair> = labels
+                    .iter()
+                    .copied()
+                    .filter(|l| !rows.iter().any(|r| r.labels == *l))
+                    .collect();
+                let label_unaware: Vec<_> = full
+                    .label_unaware
+                    .into_iter()
+                    .filter(|(_, l)| labels.contains(l))
+                    .collect();
+                sb_dataplane::ForwarderArtifact {
+                    rows,
+                    removed,
+                    label_unaware,
+                    ..full
+                }
+            })
+            .collect();
+        SiteArtifact {
+            site: l.site,
+            epoch,
+            kind: ArtifactKind::Patch,
+            forwarders,
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Attach instance `.1` of VNF `.0`, label-aware or not.
+        Attach(u32, u64, bool),
+        /// Install VNF `.0`'s stage of the route labelled `.1` at epoch `.2`.
+        Install(u32, (u32, u32), u64),
+        Remove((u32, u32)),
+    }
+
+    fn pair((chain, egress): (u32, u32)) -> LabelPair {
+        LabelPair::new(ChainLabel::new(chain), EgressLabel::new(egress))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Reading only the scope's rows exports what filtering the whole
+        /// export did, after any mix of attaches, installs (label-unaware
+        /// instances included) and removals — for any scope, unsorted,
+        /// repeated, or naming pairs no forwarder ever held.
+        #[test]
+        fn a_scoped_patch_export_equals_the_filtered_full_export(
+            ops in prop::collection::vec(
+                prop_oneof![
+                    2 => (0u32..2, 0u64..12, any::<bool>())
+                        .prop_map(|(v, i, a)| Op::Attach(v, i, a)),
+                    3 => (0u32..2, (1u32..6, 1u32..3), 1u64..4)
+                        .prop_map(|(v, l, e)| Op::Install(v, l, e)),
+                    1 => (1u32..6, 1u32..3).prop_map(Op::Remove),
+                ],
+                0..32,
+            ),
+            // Mostly pairs the ops use; some no forwarder ever held.
+            scope in prop::collection::vec(
+                prop_oneof![3 => (1u32..6, 1u32..3), 1 => (0u32..8, 0u32..4)],
+                0..8,
+            ),
+        ) {
+            let mut l = LocalSwitchboard::new(SiteId::new(4), 2);
+            let hops = vec![(Addr::Edge(sb_types::EdgeInstanceId::new(9)), 1.0)];
+            for op in ops {
+                match op {
+                    Op::Attach(vnf, i, aware) => {
+                        let rec = InstanceRecord { supports_labels: aware, ..rec(i, 1.0) };
+                        l.attach_instances(VnfId::new(vnf), &[rec]);
+                    }
+                    Op::Install(vnf, labels, epoch) => {
+                        let mut r = route(1, 1, vnf, 4);
+                        (r.labels, r.epoch) = (pair(labels), epoch);
+                        // A VNF with no instances here refuses; nothing changes.
+                        let _ = l.install_stage_rules(&r, 0, hops.clone(), hops.clone());
+                    }
+                    Op::Remove(labels) => {
+                        l.remove_route_rules(pair(labels));
+                    }
+                }
+            }
+            let scope: Vec<LabelPair> = scope.into_iter().map(pair).collect();
+            prop_assert_eq!(
+                l.export_patch_artifact(&scope, 7),
+                filtered_full_export(&l, &scope, 7)
+            );
         }
     }
 }

@@ -535,21 +535,51 @@ impl Forwarder {
     /// Exports this forwarder's compiled forwarding state as an artifact
     /// share: the published [`CompiledFib`]'s rows (already sorted by
     /// label pair), the label-unaware registrations, the mode, and the
-    /// current generation. `removed` is always empty — a single
-    /// forwarder's export is a full snapshot; patch artifacts are derived
-    /// by the control plane, which knows what changed.
+    /// current generation. `removed` is empty — a single forwarder's
+    /// export is a full snapshot; see
+    /// [`export_artifact_in`](Self::export_artifact_in) for a patch.
     #[must_use]
     pub fn export_artifact(&self) -> ForwarderArtifact {
-        let mut label_unaware: Vec<(InstanceId, LabelPair)> =
-            self.label_unaware.iter().map(|(&i, &l)| (i, l)).collect();
+        self.export_artifact_in(None)
+    }
+
+    /// [`export_artifact`](Self::export_artifact), or with a `scope` of
+    /// label pairs its patch share: the rows of the scope's pairs this
+    /// forwarder holds, found by binary search, a removal entry for each
+    /// scope pair it does not hold (in scope order), and the label-unaware
+    /// registrations re-affixing a scope pair. No other row is read.
+    #[must_use]
+    pub fn export_artifact_in(&self, scope: Option<&[LabelPair]>) -> ForwarderArtifact {
+        let in_scope = |l: &LabelPair| scope.is_none_or(|s| s.contains(l));
+        let mut label_unaware: Vec<(InstanceId, LabelPair)> = self
+            .label_unaware
+            .iter()
+            .filter(|(_, l)| in_scope(l))
+            .map(|(&i, &l)| (i, l))
+            .collect();
         label_unaware.sort_by_key(|&(i, _)| i);
+        let all = self.fib.current.rows();
+        let (rows, removed) = match scope {
+            None => (all.to_vec(), Vec::new()),
+            Some(scope) => {
+                let find = |l: &LabelPair| all.binary_search_by_key(l, |r| r.labels);
+                let mut rows: Vec<FibRow> = scope
+                    .iter()
+                    .filter_map(|l| find(l).ok().map(|i| all[i].clone()))
+                    .collect();
+                rows.sort_by_key(|r| r.labels);
+                rows.dedup_by_key(|r| r.labels);
+                let removed = scope.iter().copied().filter(|l| find(l).is_err()).collect();
+                (rows, removed)
+            }
+        };
         ForwarderArtifact {
             forwarder: self.id,
             mode: self.mode,
             generation: self.fib.current.generation(),
-            rows: self.fib.current.rows().to_vec(),
+            rows,
             label_unaware,
-            removed: Vec::new(),
+            removed,
         }
     }
 

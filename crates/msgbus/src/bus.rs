@@ -19,10 +19,11 @@
 //! wraps it in one [`Arc`] and every mailbox entry, at every site, holds that
 //! handle. [`drain`](ProxyBus::drain) hands a subscriber its messages in
 //! delivery-time order (the last holder takes the allocation itself);
-//! [`discard`](ProxyBus::discard) consumes a mailbox in place, keeping its
-//! buffer, for a subscriber that acts on deliveries as they happen and has
-//! nothing left to read. A mailbox nobody consumes grows with every message
-//! ever sent.
+//! [`discard_delivered`](ProxyBus::discard_delivered) consumes in place,
+//! keeping their buffers, exactly the mailboxes the last publish delivered
+//! to — for subscribers that act on each delivery as it happens and have
+//! nothing left to read, so the other mailboxes are not visited. A mailbox
+//! nobody consumes grows with every message ever sent.
 //!
 //! Subscription filters live exactly as long as they have a subscriber: the
 //! `unsubscribe` that empties a topic's set removes the topic, and
@@ -225,7 +226,8 @@ struct BusCore {
     /// delivery time.
     mailboxes: Vec<Vec<(Arc<Message>, SimTime)>>,
     /// A publish's `(site, subscriber)` fan-out list, kept between
-    /// publishes so its buffer is reused.
+    /// publishes so its buffer is reused. After a publish it lists exactly
+    /// the subscribers that publish delivered to.
     fanout: Vec<(SiteId, SubscriberId)>,
     /// Uplink busy-until per site.
     uplink_busy: HashMap<SiteId, SimTime>,
@@ -371,6 +373,25 @@ impl BusCore {
         Some(departure)
     }
 
+    /// Narrows a publish's `fanout` to the subscribers `msg` reached, when
+    /// a copy was lost (`lossy`) — a mailbox `msg` reached ends with it.
+    /// Without a loss every subscriber was reached.
+    fn keep_reached(
+        &self,
+        fanout: &mut Vec<(SiteId, SubscriberId)>,
+        msg: &Arc<Message>,
+        lossy: bool,
+    ) {
+        if lossy {
+            let mailboxes = &self.mailboxes;
+            fanout.retain(|&(_, sub)| {
+                mailboxes[sub.0 as usize]
+                    .last()
+                    .is_some_and(|(m, _)| Arc::ptr_eq(m, msg))
+            });
+        }
+    }
+
     fn deliver(&mut self, sub: SubscriberId, msg: &Arc<Message>, at: SimTime) {
         self.mailboxes[sub.0 as usize].push((Arc::clone(msg), at));
         self.stats.delivered += 1;
@@ -424,10 +445,14 @@ macro_rules! shared_bus_api {
             self.core.drain(sub)
         }
 
-        /// Consumes `sub`'s mailbox without reading it, keeping the
-        /// mailbox's buffer for the next deliveries.
-        pub fn discard(&mut self, sub: SubscriberId) {
-            self.core.mailboxes[sub.0 as usize].clear();
+        /// Consumes every mailbox the last publish delivered to, and no
+        /// other, without reading them and keeping their buffers for the
+        /// next deliveries: for subscribers that act on each message as it
+        /// is delivered.
+        pub fn discard_delivered(&mut self) {
+            for &(_, sub) in &self.core.fanout {
+                self.core.mailboxes[sub.0 as usize].clear();
+            }
         }
 
         /// Messages delivered to `sub` and not yet consumed.
@@ -505,9 +530,11 @@ impl ProxyBus {
         // A publish from a crashed site goes nowhere.
         if self.core.site_down(at, from_site) {
             self.core.note_crash_suppressed(1);
+            self.core.fanout.clear();
             self.core.sync_telemetry();
             return outcome;
         }
+        let suppressed = self.core.stats.crash_suppressed;
 
         // Publisher -> its own proxy.
         let t0 = at + local;
@@ -568,6 +595,8 @@ impl ProxyBus {
                 }
             }
         }
+        let lossy = outcome.dropped > 0 || self.core.stats.crash_suppressed != suppressed;
+        self.core.keep_reached(&mut fanout, &msg, lossy);
         self.core.fanout = fanout;
         self.core.sync_telemetry();
         outcome
@@ -608,12 +637,14 @@ impl FullMeshBus {
         // A publish from a crashed site goes nowhere.
         if self.core.site_down(at, from_site) {
             self.core.note_crash_suppressed(1);
+            self.core.fanout.clear();
             self.core.sync_telemetry();
             return outcome;
         }
+        let suppressed = self.core.stats.crash_suppressed;
 
         self.core.fill_fanout(msg.topic());
-        let fanout = std::mem::take(&mut self.core.fanout);
+        let mut fanout = std::mem::take(&mut self.core.fanout);
         let msg = Arc::new(msg);
         for &(site, sub) in &fanout {
             let t = at + local;
@@ -641,6 +672,8 @@ impl FullMeshBus {
                 );
             }
         }
+        let lossy = outcome.dropped > 0 || self.core.stats.crash_suppressed != suppressed;
+        self.core.keep_reached(&mut fanout, &msg, lossy);
         self.core.fanout = fanout;
         self.core.sync_telemetry();
         outcome
@@ -869,11 +902,112 @@ mod tests {
         }
         let held = bus.core.mailboxes[s.0 as usize].capacity();
         assert_eq!(bus.pending(s), 3);
-        bus.discard(s);
+        bus.discard_delivered();
         assert_eq!(bus.pending(s), 0);
         assert_eq!(bus.core.mailboxes[s.0 as usize].capacity(), held);
         assert!(bus.drain(s).is_empty());
         assert_eq!(bus.stats().delivered, 3, "consuming is not un-delivering");
+    }
+
+    /// A message on `/u`, owned by and published at `site`: a local hop,
+    /// never faulted.
+    fn local_msg(site: u32) -> (Topic, Message) {
+        let topic = Topic::with_owner("/u", SiteId::new(site));
+        (topic.clone(), Message::new(topic, "{}"))
+    }
+
+    #[test]
+    fn discard_delivered_consumes_exactly_the_last_publishs_mailboxes() {
+        let (other, pending_msg) = local_msg(2);
+        let mut proxy = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
+        let mut mesh = FullMeshBus::new(BusTopology::unbounded(sites(3), delays()));
+        let proxy_subs = six_subscribers(|site| proxy.register_subscriber(site));
+        let mesh_subs = six_subscribers(|site| mesh.register_subscriber(site));
+        // The last subscriber listens on `/u` only and holds one message.
+        let topic = Topic::with_owner("/t", SiteId::new(0));
+        for (&s, &m) in proxy_subs.iter().zip(&mesh_subs).take(5) {
+            proxy.subscribe(s, topic.clone());
+            mesh.subscribe(m, topic.clone());
+        }
+        let bystander = (proxy_subs[5], mesh_subs[5]);
+        proxy.subscribe(bystander.0, other.clone());
+        mesh.subscribe(bystander.1, other);
+        proxy.publish(SimTime::ZERO, SiteId::new(2), pending_msg.clone());
+        mesh.publish(SimTime::ZERO, SiteId::new(2), pending_msg);
+
+        let (p_out, m_out) = (
+            proxy.publish(SimTime::ZERO, SiteId::new(0), msg(0)),
+            mesh.publish(SimTime::ZERO, SiteId::new(0), msg(0)),
+        );
+        assert_eq!((p_out.delivered, m_out.delivered), (5, 5));
+        proxy.discard_delivered();
+        mesh.discard_delivered();
+        for (&s, &m) in proxy_subs.iter().zip(&mesh_subs).take(5) {
+            assert_eq!((proxy.pending(s), mesh.pending(m)), (0, 0), "{s}");
+        }
+        let held = (proxy.pending(bystander.0), mesh.pending(bystander.1));
+        assert_eq!(held, (1, 1));
+        // Consuming again is a no-op.
+        proxy.discard_delivered();
+        assert_eq!(proxy.pending(bystander.0), 1);
+    }
+
+    #[test]
+    fn discard_delivered_consumes_a_duplicated_delivery_and_skips_a_lost_one() {
+        // Every WAN copy is doubled, except towards site 2, where every
+        // copy is lost.
+        let cut = sb_faults::PairFaults::blackhole(SiteId::new(0), SiteId::new(2));
+        let spec = sb_faults::FaultSpec::new(7).with_duplicate_probability(1.0);
+        let plan = sb_faults::FaultPlan::new(spec.with_pair(cut));
+        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
+        bus.set_fault_plan(sb_faults::shared(plan));
+        let doubled = bus.register_subscriber(SiteId::new(1));
+        let cut_off = bus.register_subscriber(SiteId::new(2));
+        let topic = Topic::with_owner("/t", SiteId::new(0));
+        bus.subscribe(doubled, topic.clone());
+        bus.subscribe(cut_off, topic);
+        // `cut_off` still holds a message from before.
+        let (other, earlier) = local_msg(2);
+        bus.subscribe(cut_off, other);
+        bus.publish(SimTime::ZERO, SiteId::new(2), earlier);
+
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        assert_eq!((out.delivered, out.dropped), (2, 1));
+        assert_eq!((bus.pending(doubled), bus.pending(cut_off)), (2, 1));
+        bus.discard_delivered();
+        assert_eq!(bus.pending(doubled), 0, "both copies consumed");
+        assert_eq!(bus.pending(cut_off), 1, "the lost copy consumed nothing");
+    }
+
+    #[test]
+    fn discard_delivered_after_a_publish_from_a_crashed_site_consumes_nothing() {
+        let crash = sb_faults::CrashWindow::permanent(SiteId::new(1), SimTime::from_millis(10.0));
+        let plan = || {
+            sb_faults::shared(sb_faults::FaultPlan::new(
+                sb_faults::FaultSpec::new(7).with_crash(crash.clone()),
+            ))
+        };
+        let topic = Topic::with_owner("/t", SiteId::new(0));
+        let mut proxy = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
+        let mut mesh = FullMeshBus::new(BusTopology::unbounded(sites(3), delays()));
+        proxy.set_fault_plan(plan());
+        mesh.set_fault_plan(plan());
+        let (p, m) = (
+            proxy.register_subscriber(SiteId::new(0)),
+            mesh.register_subscriber(SiteId::new(0)),
+        );
+        proxy.subscribe(p, topic.clone());
+        mesh.subscribe(m, topic);
+        // Delivered before the crash and not consumed.
+        proxy.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        mesh.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+
+        let late = SimTime::from_millis(20.0);
+        assert_eq!(proxy.publish(late, SiteId::new(1), msg(0)).delivered, 0);
+        assert_eq!(mesh.publish(late, SiteId::new(1), msg(0)).delivered, 0);
+        proxy.discard_delivered();
+        mesh.discard_delivered();
+        assert_eq!((proxy.pending(p), mesh.pending(m)), (1, 1));
     }
 
     #[test]
