@@ -200,7 +200,8 @@ mod tests {
                         to_next: WeightedChoice::single(Addr::Forwarder(ForwarderId::new(9))),
                         to_prev: WeightedChoice::single(Addr::Forwarder(ForwarderId::new(8))),
                     },
-                }],
+                }]
+                .into(),
                 label_unaware: vec![(InstanceId::new(7), labels)],
                 removed: vec![],
             }],

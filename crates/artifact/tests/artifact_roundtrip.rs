@@ -83,7 +83,7 @@ fn apply_rule_op(fwd: &mut Forwarder, op: &RuleOp) {
             fwd.install_rules_epoch(pair(*chain, *egress), rules_from_weights(weights), u64::from(*epoch));
         }
         RuleOp::Remove { chain, egress } => {
-            let _ = fwd.remove_rules(pair(*chain, *egress));
+            fwd.remove_rules(pair(*chain, *egress));
         }
         RuleOp::Fail(inst) => {
             let _ = fwd.fail_vnf_instance(InstanceId::new(u64::from(*inst)));
@@ -164,7 +164,7 @@ fn patch_of(full: &ForwarderArtifact, touched: &[LabelPair]) -> ForwarderArtifac
         .filter(|l| !full.rows.iter().any(|r| r.labels == *l))
         .collect();
     ForwarderArtifact {
-        rows,
+        rows: rows.into(),
         removed,
         label_unaware: full
             .label_unaware
@@ -391,7 +391,7 @@ fn hostile_bodies_with_valid_checksums_are_rejected() {
         forwarder: ForwarderId::new(id),
         mode: ForwarderMode::Affinity,
         generation: 1,
-        rows,
+        rows: rows.into(),
         label_unaware: Vec::new(),
         removed: Vec::new(),
     };

@@ -262,7 +262,7 @@ impl LocalSwitchboard {
         self.touched.push(labels);
         let mut removed = 0;
         for fwd in self.forwarders.values_mut() {
-            if fwd.remove_rules(labels).is_some() {
+            if fwd.remove_rules(labels) {
                 removed += 1;
             }
         }
@@ -485,8 +485,9 @@ mod tests {
                 let full = l.forwarders[&id].export_artifact();
                 let rows: Vec<_> = full
                     .rows
-                    .into_iter()
+                    .iter()
                     .filter(|r| labels.contains(&r.labels))
+                    .cloned()
                     .collect();
                 let removed: Vec<LabelPair> = labels
                     .iter()
@@ -499,7 +500,7 @@ mod tests {
                     .filter(|(_, l)| labels.contains(l))
                     .collect();
                 sb_dataplane::ForwarderArtifact {
-                    rows,
+                    rows: rows.into(),
                     removed,
                     label_unaware,
                     ..full

@@ -6,7 +6,7 @@
 use crate::chain::{ChainRequest, InstalledRoute};
 use crate::global::ControlPlane;
 use crate::messages::RouteAnnouncement;
-use sb_te::dp::{self, DpConfig, LoadTracker};
+use sb_te::dp::{self, DpConfig, DpScratch, LoadTracker};
 use sb_te::{ChainSpec, NetworkModel, RoutePath};
 use sb_types::{ChainId, Error, Result, SiteId, VnfId};
 use std::borrow::Cow;
@@ -17,6 +17,8 @@ pub(crate) struct Solve {
     model: NetworkModel,
     /// The load of every installed route.
     tracker: LoadTracker,
+    /// SB-DP's tables, reused by every solve.
+    scratch: DpScratch,
 }
 
 impl Solve {
@@ -25,7 +27,11 @@ impl Solve {
     pub(crate) fn new(model: &NetworkModel) -> Self {
         let model = model.with_chains(Vec::new());
         let tracker = LoadTracker::new(&model);
-        Self { model, tracker }
+        Self {
+            model,
+            tracker,
+            scratch: DpScratch::new(),
+        }
     }
 
     /// The TE layer's view of a chain between two resolved sites.
@@ -40,18 +46,25 @@ impl Solve {
         )
     }
 
-    /// The model a route solve may use: the shared model without the
-    /// `dead` sites' VNF capacity and without the `excluded` (VNF, site)
+    /// The model a route solve may use: `shared` without the `dead`
+    /// sites' VNF capacity and without the `excluded` (VNF, site)
     /// deployments that 2PC vetoed, so route (re)computation degrades
     /// gracefully instead of proposing routes through them. It stays
     /// borrowed while there is nothing to remove — a healthy solve copies
-    /// nothing — and otherwise replaces each affected VNF's deployment map
-    /// once.
-    fn solve_model(&self, dead: &[SiteId], excluded: &[(VnfId, SiteId)]) -> Cow<'_, NetworkModel> {
+    /// and scans nothing — and otherwise replaces each affected VNF's
+    /// deployment map once.
+    fn solve_model<'a>(
+        shared: &'a NetworkModel,
+        dead: &[SiteId],
+        excluded: &[(VnfId, SiteId)],
+    ) -> Cow<'a, NetworkModel> {
+        let mut model = Cow::Borrowed(shared);
+        if dead.is_empty() && excluded.is_empty() {
+            return model;
+        }
         let stripped =
             |vnf: VnfId, site: &SiteId| dead.contains(site) || excluded.contains(&(vnf, *site));
-        let mut model = Cow::Borrowed(&self.model);
-        for vnf in self.model.vnfs() {
+        for vnf in shared.vnfs() {
             if vnf.site_capacity.keys().any(|s| stripped(vnf.id, s)) {
                 let mut caps = vnf.site_capacity.clone();
                 caps.retain(|s, _| !stripped(vnf.id, s));
@@ -66,22 +79,24 @@ impl Solve {
     /// tracker, with the `installed` paths (a rerouted chain's own routes;
     /// empty otherwise) lifted off it first, so only this chain's load is
     /// re-solved. Admission-controlled by [`check_placeable`], which names
-    /// the solve by `when`. The live tracker is untouched.
+    /// the solve by `when`. The live tracker is untouched; only the
+    /// reused DP tables change.
     pub(crate) fn solve(
-        &self,
+        &mut self,
         spec: &ChainSpec,
         dead: &[SiteId],
         excluded: &[(VnfId, SiteId)],
         installed: &[RoutePath],
         when: &str,
     ) -> Result<Vec<RoutePath>> {
-        let model = self.solve_model(dead, excluded);
+        let model = Self::solve_model(&self.model, dead, excluded);
         let mut trial = self.tracker.clone();
         for p in installed {
             let coefs = dp::path_coefficients(&model, spec, &p.sites);
             trial.apply(&coefs, -p.fraction);
         }
-        let paths = dp::route_chain(&model, &mut trial, &DpConfig::default(), spec);
+        let (config, scratch) = (DpConfig::default(), &mut self.scratch);
+        let paths = dp::route_chain_with(&model, &mut trial, &config, spec, scratch, None);
         check_placeable(&paths, spec.id, when)?;
         Ok(paths)
     }

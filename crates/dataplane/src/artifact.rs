@@ -59,6 +59,7 @@ use sb_types::{
     ChainLabel, EdgeInstanceId, EgressLabel, Error, ForwarderId, InstanceId, LabelPair, Result,
     SiteId,
 };
+use std::sync::Arc;
 
 /// The four magic bytes opening every artifact file.
 pub const MAGIC: [u8; 4] = *b"SBAF";
@@ -107,9 +108,10 @@ pub struct ForwarderArtifact {
     /// The compiled-FIB generation this state was exported at (telemetry
     /// breadcrumb; the receiver publishes its own next generation).
     pub generation: u64,
-    /// The compiled rule rows. A `Full` artifact lists every row; a
-    /// `Patch` lists only changed rows.
-    pub rows: Vec<FibRow>,
+    /// The compiled rule rows. A `Full` artifact lists every row (an
+    /// export shares the forwarder's compiled row array); a `Patch` lists
+    /// only changed rows.
+    pub rows: Arc<[FibRow]>,
     /// Label-unaware VNF registrations: `(instance, labels to re-affix)`.
     pub label_unaware: Vec<(InstanceId, LabelPair)>,
     /// Label pairs removed since the previous epoch (`Patch` only; empty
@@ -500,7 +502,7 @@ pub fn decode(bytes: &[u8]) -> Result<SiteArtifact> {
             forwarder,
             mode,
             generation,
-            rows,
+            rows: rows.into(),
             label_unaware,
             removed,
         });
@@ -559,7 +561,7 @@ mod tests {
                 forwarder: ForwarderId::new(4_000_001),
                 mode: ForwarderMode::Affinity,
                 generation: 7,
-                rows: vec![row(1, 2, 10), row(1, 7, 20), row(3, 4, 30)],
+                rows: vec![row(1, 2, 10), row(1, 7, 20), row(3, 4, 30)].into(),
                 label_unaware: vec![(InstanceId::new(10), pair(1, 2))],
                 removed: vec![],
             }],
@@ -577,12 +579,13 @@ mod tests {
     #[test]
     fn encoding_is_order_independent() {
         let mut shuffled = sample();
-        shuffled.forwarders[0].rows.reverse();
+        let reversed: Vec<FibRow> = shuffled.forwarders[0].rows.iter().rev().cloned().collect();
+        shuffled.forwarders[0].rows = reversed.into();
         shuffled.forwarders.push(ForwarderArtifact {
             forwarder: ForwarderId::new(1),
             mode: ForwarderMode::Overlay,
             generation: 1,
-            rows: vec![],
+            rows: vec![].into(),
             label_unaware: vec![],
             removed: vec![],
         });
@@ -593,7 +596,7 @@ mod tests {
                 forwarder: ForwarderId::new(1),
                 mode: ForwarderMode::Overlay,
                 generation: 1,
-                rows: vec![],
+                rows: vec![].into(),
                 label_unaware: vec![],
                 removed: vec![],
             },

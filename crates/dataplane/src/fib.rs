@@ -84,7 +84,9 @@ pub struct FibRow {
 pub struct CompiledFib {
     generation: u64,
     /// Rule rows, sorted by label pair — deterministic across rebuilds.
-    rows: Vec<FibRow>,
+    /// The array is immutable, so a full artifact export shares it
+    /// ([`shared_rows`](Self::shared_rows)) instead of copying it.
+    rows: Arc<[FibRow]>,
     /// Interning table: packed label-pair key per slot.
     slot_keys: Box<[u64]>,
     /// Row index per slot; [`FIB_MISS`] marks an empty slot.
@@ -122,6 +124,25 @@ impl CompiledFib {
     #[must_use]
     pub fn build(generation: u64, mut rows: Vec<FibRow>) -> Self {
         rows.sort_by_key(|r| r.labels);
+        Self::index(generation, rows.into())
+    }
+
+    /// [`build`](Self::build) over a shared row array: the FIB keeps
+    /// `rows` itself when it is already sorted by label pair (as every
+    /// FIB's and artifact's rows are), and compiles a sorted copy
+    /// otherwise.
+    #[must_use]
+    pub(crate) fn from_rows(generation: u64, rows: Arc<[FibRow]>) -> Self {
+        if rows.is_sorted_by_key(|r| r.labels) {
+            Self::index(generation, rows)
+        } else {
+            Self::build(generation, rows.to_vec())
+        }
+    }
+
+    /// Builds the interning and chain-fallback tables over `rows`, which
+    /// are sorted by label pair.
+    fn index(generation: u64, rows: Arc<[FibRow]>) -> Self {
         let buckets = (rows.len() * 2).next_power_of_two().max(8);
         let mut slot_keys = vec![0u64; buckets].into_boxed_slice();
         let mut slot_rows = vec![FIB_MISS; buckets].into_boxed_slice();
@@ -155,31 +176,33 @@ impl CompiledFib {
 
     /// A copy of this FIB with one row replaced (or inserted), tagged
     /// `generation`. The single-row delta path for an install that touches
-    /// one label pair: row payloads are cloned but
+    /// one label pair: row payloads are cloned into one new array but
     /// nothing is re-derived. A replacement reuses the
-    /// interning and fallback tables verbatim; an insert falls back to a
-    /// fresh [`build`](Self::build) over the extended row set.
+    /// interning and fallback tables verbatim; an insert re-indexes the
+    /// extended row set, which is already sorted.
     #[must_use]
     pub fn patch_row(&self, generation: u64, row: FibRow) -> Self {
         match self.rows.binary_search_by_key(&row.labels, |r| r.labels) {
-            Ok(i) => {
-                let mut rows = self.rows.clone();
-                rows[i] = row;
-                Self {
-                    generation,
-                    rows,
-                    slot_keys: self.slot_keys.clone(),
-                    slot_rows: self.slot_rows.clone(),
-                    mask: self.mask,
-                    chains: self.chains.clone(),
-                }
-            }
-            Err(_) => {
-                let mut rows = self.rows.clone();
-                rows.push(row);
-                Self::build(generation, rows)
-            }
+            Ok(i) => Self {
+                generation,
+                rows: splice(&self.rows, i, row, i + 1),
+                slot_keys: self.slot_keys.clone(),
+                slot_rows: self.slot_rows.clone(),
+                mask: self.mask,
+                chains: self.chains.clone(),
+            },
+            Err(i) => Self::index(generation, splice(&self.rows, i, row, i)),
         }
+    }
+
+    /// A copy of this FIB without `labels`' row, re-indexed and tagged
+    /// `generation`, or `None` when the pair has no row.
+    #[must_use]
+    pub(crate) fn without_row(&self, generation: u64, labels: LabelPair) -> Option<Self> {
+        let i = self.rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
+        let (head, tail) = (&self.rows[..i], &self.rows[i + 1..]);
+        let rows = head.iter().chain(tail).cloned().collect();
+        Some(Self::index(generation, rows))
     }
 
     /// This snapshot's generation number.
@@ -203,6 +226,13 @@ impl CompiledFib {
     /// The compiled rows, sorted by label pair.
     #[must_use]
     pub fn rows(&self) -> &[FibRow] {
+        &self.rows
+    }
+
+    /// The compiled row array itself, for a holder that keeps it beyond
+    /// this snapshot (a full artifact export).
+    #[must_use]
+    pub(crate) fn shared_rows(&self) -> &Arc<[FibRow]> {
         &self.rows
     }
 
@@ -250,6 +280,18 @@ impl CompiledFib {
             prefetch_read(std::ptr::from_ref(r));
         }
     }
+}
+
+/// `rows[..at]`, then `row`, then `rows[resume..]`, cloned into one
+/// allocation: an insert when `resume == at`, a replacement when
+/// `resume == at + 1`. Sorted when `row` belongs at `at`.
+fn splice(rows: &[FibRow], at: usize, row: FibRow, resume: usize) -> Arc<[FibRow]> {
+    let (head, tail) = (&rows[..at], &rows[resume..]);
+    head.iter()
+        .cloned()
+        .chain(std::iter::once(row))
+        .chain(tail.iter().cloned())
+        .collect()
 }
 
 /// Shared state behind a [`FibCell`] and its readers.
@@ -451,6 +493,26 @@ mod tests {
         // ...and becomes the chain's new canonical fallback.
         let idx = grown.lookup_index(pair(1, 77)).unwrap();
         assert_eq!(grown.row(idx).labels, pair(1, 1));
+    }
+
+    #[test]
+    fn without_row_reindexes_and_from_rows_shares_only_sorted_rows() {
+        let fib = CompiledFib::build(1, vec![row(1, 1, 10), row(1, 2, 11), row(2, 2, 12)]);
+        assert!(fib.without_row(2, pair(9, 9)).is_none());
+        let trimmed = fib.without_row(2, pair(1, 1)).unwrap();
+        assert_eq!(trimmed.generation(), 2);
+        assert_eq!(trimmed.rows(), &fib.rows()[1..]);
+        // The chain's fallback moves to its next-smallest pair.
+        let idx = trimmed.lookup_index(pair(1, 77)).unwrap();
+        assert_eq!(trimmed.row(idx).labels, pair(1, 2));
+        let idx = trimmed.lookup_index(pair(2, 2)).unwrap();
+        assert_eq!(trimmed.row(idx).labels, pair(2, 2));
+
+        let shared = CompiledFib::from_rows(3, Arc::clone(fib.shared_rows()));
+        assert!(Arc::ptr_eq(shared.shared_rows(), fib.shared_rows()));
+        let reversed: Arc<[FibRow]> = fib.rows().iter().rev().cloned().collect();
+        let sorted = CompiledFib::from_rows(3, reversed);
+        assert_eq!(sorted.rows(), fib.rows());
     }
 
     #[test]

@@ -443,15 +443,10 @@ impl Forwarder {
         Some(rows[i].epoch)
     }
 
-    /// Removes a label pair, returning its rules; established flows
-    /// continue via their flow-table entries.
-    pub fn remove_rules(&mut self, labels: LabelPair) -> Option<RuleSet> {
-        let rows = self.fib.current.rows();
-        let i = rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
-        let mut rows = rows.to_vec();
-        let removed = rows.remove(i);
-        self.publish_rows(rows);
-        Some(removed.rules)
+    /// Removes a label pair, returning whether it was installed;
+    /// established flows continue via their flow-table entries.
+    pub fn remove_rules(&mut self, labels: LabelPair) -> bool {
+        self.publish_rebuild(|fib, generation| fib.without_row(generation, labels))
     }
 
     /// Sets the static next hop used in [`ForwarderMode::Bridge`].
@@ -500,14 +495,18 @@ impl Forwarder {
     /// tests assert. Returns the number of flow-table entries evicted.
     pub fn fail_vnf_instance(&mut self, instance: InstanceId) -> usize {
         let dead = Addr::Vnf(instance);
-        let mut rows = self.fib.current.rows().to_vec();
-        for row in &mut rows {
-            if let Ok(pruned) = row.rules.to_vnf.without(dead) {
-                row.rules.to_vnf = pruned;
+        let pruned = |row: &FibRow| {
+            let mut row = row.clone();
+            if let Ok(to_vnf) = row.rules.to_vnf.without(dead) {
+                row.rules.to_vnf = to_vnf;
             }
-        }
+            row
+        };
         // Every label pair may have changed: full recompilation.
-        self.publish_rows(rows);
+        self.publish_rebuild(|fib, generation| {
+            let rows = fib.rows().iter().map(pruned).collect();
+            Some(CompiledFib::from_rows(generation, rows))
+        });
         self.flow_table.remove_where(|_, next| next == dead)
     }
 
@@ -533,10 +532,10 @@ impl Forwarder {
     }
 
     /// Exports this forwarder's compiled forwarding state as an artifact
-    /// share: the published [`CompiledFib`]'s rows (already sorted by
-    /// label pair), the label-unaware registrations, the mode, and the
-    /// current generation. `removed` is empty — a single forwarder's
-    /// export is a full snapshot; see
+    /// share: the published [`CompiledFib`]'s row array (already sorted
+    /// by label pair, and shared, not copied), the label-unaware
+    /// registrations, the mode, and the current generation. `removed` is
+    /// empty — a single forwarder's export is a full snapshot; see
     /// [`export_artifact_in`](Self::export_artifact_in) for a patch.
     #[must_use]
     pub fn export_artifact(&self) -> ForwarderArtifact {
@@ -560,7 +559,7 @@ impl Forwarder {
         label_unaware.sort_by_key(|&(i, _)| i);
         let all = self.fib.current.rows();
         let (rows, removed) = match scope {
-            None => (all.to_vec(), Vec::new()),
+            None => (Arc::clone(self.fib.current.shared_rows()), Vec::new()),
             Some(scope) => {
                 let find = |l: &LabelPair| all.binary_search_by_key(l, |r| r.labels);
                 let mut rows: Vec<FibRow> = scope
@@ -570,7 +569,7 @@ impl Forwarder {
                 rows.sort_by_key(|r| r.labels);
                 rows.dedup_by_key(|r| r.labels);
                 let removed = scope.iter().copied().filter(|l| find(l).is_err()).collect();
-                (rows, removed)
+                (rows.into(), removed)
             }
         };
         ForwarderArtifact {
@@ -597,7 +596,8 @@ impl Forwarder {
     /// Hot-swaps artifact state into this forwarder.
     ///
     /// - [`ArtifactKind::Full`]: the rows and label-unaware registrations
-    ///   are replaced wholesale and one full FIB rebuild is published.
+    ///   are replaced wholesale and one full FIB rebuild is published; it
+    ///   shares the artifact's row array when that is sorted.
     /// - [`ArtifactKind::Patch`]: removals drop their label pairs, each
     ///   carried row replaces its pair's row through the single-row
     ///   `patch_row` path, and registrations merge.
@@ -610,12 +610,13 @@ impl Forwarder {
     pub fn apply_artifact(&mut self, art: &ForwarderArtifact, kind: ArtifactKind) {
         if kind == ArtifactKind::Full {
             self.label_unaware.clear();
-            self.publish_rows(art.rows.clone());
+            let rows = Arc::clone(&art.rows);
+            self.publish_rebuild(|_, generation| Some(CompiledFib::from_rows(generation, rows)));
         } else {
             for &labels in &art.removed {
                 self.remove_rules(labels);
             }
-            for row in &art.rows {
+            for row in art.rows.iter() {
                 self.publish_row(row.clone());
             }
         }
@@ -635,13 +636,21 @@ impl Forwarder {
         self.fib_note_published(started);
     }
 
-    /// Compiles `rows` into a fresh FIB and publishes it.
-    fn publish_rows(&mut self, rows: Vec<FibRow>) {
+    /// Publishes the full recompilation `compile` makes of the current
+    /// FIB at the next generation; returns `false`, publishing nothing,
+    /// when it makes none.
+    fn publish_rebuild(
+        &mut self,
+        compile: impl FnOnce(&CompiledFib, u64) -> Option<CompiledFib>,
+    ) -> bool {
         let started = Instant::now();
-        self.fib
-            .publish(CompiledFib::build(self.fib.next_generation(), rows));
+        let Some(next) = compile(&self.fib.current, self.fib.next_generation()) else {
+            return false;
+        };
+        self.fib.publish(next);
         self.fib.rebuilds += 1;
         self.fib_note_published(started);
+        true
     }
 
     /// Publishes FIB telemetry after a rebuild/patch. The duration
@@ -1790,7 +1799,7 @@ mod tests {
         let make = || {
             let mut f = affinity_forwarder();
             f.process(pinned, edge()).unwrap();
-            assert!(f.remove_rules(labels()).is_some());
+            assert!(f.remove_rules(labels()));
             f
         };
         let mut f = make();
@@ -1807,6 +1816,39 @@ mod tests {
         assert_eq!(f.stats().flow_hits, 1);
         assert_eq!(f.stats().drops, 1);
         assert_batch_equivalent(make, &[pinned, fresh, pinned, fresh], edge());
+    }
+
+    #[test]
+    fn a_full_export_shares_its_snapshot_and_keeps_it() {
+        use crate::artifact::{decode, encode, SiteArtifact};
+        let mut f = affinity_forwarder();
+        let before = f.export_artifact();
+        let published = f.fib_reader().snapshot().clone();
+        assert!(Arc::ptr_eq(&before.rows, published.shared_rows()));
+        let kept = before.rows.to_vec();
+
+        let other = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
+        let rules = RuleSet {
+            to_vnf: WeightedChoice::single(vnf(3)),
+            to_next: WeightedChoice::single(fwd_addr(9)),
+            to_prev: WeightedChoice::single(edge()),
+        };
+        f.install_rules_epoch(other, rules, 4);
+        let after = f.export_artifact();
+        assert_eq!(before.rows[..], kept[..], "a publish changed an export");
+        assert_ne!(after.rows, before.rows);
+        let republished = f.fib_reader().snapshot().clone();
+        assert!(Arc::ptr_eq(&after.rows, republished.shared_rows()));
+
+        for export in [before, after] {
+            let art = SiteArtifact {
+                site: SiteId::new(0),
+                epoch: 4,
+                kind: ArtifactKind::Full,
+                forwarders: vec![export],
+            };
+            assert_eq!(decode(&encode(&art)).unwrap(), art);
+        }
     }
 
     #[test]

@@ -131,7 +131,7 @@ fn replay(ops: &[Op], mode: ForwarderMode, batch: bool) -> (Forwarder, Telemetry
                 );
             }
             Op::Remove { chain, egress } => {
-                let _ = fwd.remove_rules(pair(*chain, *egress));
+                fwd.remove_rules(pair(*chain, *egress));
             }
             Op::Fail(inst) => {
                 let _ = fwd.fail_vnf_instance(InstanceId::new(u64::from(*inst)));

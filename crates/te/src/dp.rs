@@ -24,10 +24,12 @@
 //!
 //! Loads only change between passes, so a pass prices each link once: the
 //! network term sums `r · price[link]` over a dense per-link vector of
-//! Fortz-Thorup costs. Uncached, a pass also skips every source whose
-//! latency alone already loses to the destination's best cost (the
-//! network term is never negative); the answer and its tie-breaks are the
-//! same as pricing every source.
+//! Fortz-Thorup costs. Uncached, a pass walks each destination's sources
+//! cheapest prefix first: it stops at the first source whose prefix cost
+//! alone already loses to the destination's best, and skips each source
+//! whose latency alone does (the network term is never negative). The
+//! answer and its tie-breaks are the same as pricing every source in
+//! ascending site order.
 
 use crate::model::{ChainSpec, NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
@@ -101,6 +103,12 @@ impl LoadTracker {
             .get(&site)
             .copied()
             .unwrap_or(0.0);
+        self.vnf_utilization_at(vnf, site, cap)
+    }
+
+    /// [`vnf_utilization`](Self::vnf_utilization) with the deployment's
+    /// capacity `cap` already looked up (infinite when `cap ≤ 0`).
+    fn vnf_utilization_at(&self, vnf: VnfId, site: SiteId, cap: f64) -> f64 {
         if cap <= 0.0 {
             return f64::INFINITY;
         }
@@ -249,7 +257,7 @@ pub(crate) fn price_links(model: &NetworkModel, tracker: &LoadTracker, prices: &
 /// from [`price_links`]; they are read only when `util_weight > 0`.
 ///
 /// Never below the latency: `r ≥ 0` and every price is `≥ 0`, so the
-/// network term is non-negative. [`best_path`] relies on that bound.
+/// network term is non-negative. [`cheapest_source`] relies on that bound.
 pub(crate) fn transit_cost(
     model: &NetworkModel,
     prices: &[f64],
@@ -285,14 +293,33 @@ fn compute_cost(
 ) -> f64 {
     match (next_vnf, to.site) {
         (Some(vnf), Some(site)) if config.util_weight > 0.0 => {
-            let u = tracker.vnf_utilization(model, vnf, site);
-            if u.is_infinite() {
-                f64::INFINITY
-            } else {
-                config.util_weight * fortz_thorup_cost(u)
-            }
+            let cap = model.vnfs()[vnf.index()]
+                .site_capacity
+                .get(&site)
+                .copied()
+                .unwrap_or(0.0);
+            vnf_compute_cost(tracker, config, vnf, site, cap)
         }
         _ => 0.0,
+    }
+}
+
+/// [`compute_cost`] of `vnf` at `site`, whose capacity there is `cap`.
+fn vnf_compute_cost(
+    tracker: &LoadTracker,
+    config: &DpConfig,
+    vnf: VnfId,
+    site: SiteId,
+    cap: f64,
+) -> f64 {
+    if config.util_weight <= 0.0 {
+        return 0.0;
+    }
+    let u = tracker.vnf_utilization_at(vnf, site, cap);
+    if u.is_infinite() {
+        f64::INFINITY
+    } else {
+        config.util_weight * fortz_thorup_cost(u)
     }
 }
 
@@ -313,6 +340,12 @@ pub struct DpScratch {
     /// Per-link Fortz-Thorup prices of the current pass (uncached solve
     /// only), filled once by [`price_links`] before any relaxation.
     prices: Vec<f64>,
+    /// The current stage VNF's `(site, capacity)` deployments, in
+    /// ascending site order.
+    sites: Vec<(SiteId, f64)>,
+    /// Positions in `prev`, cheapest prefix cost first, position breaking
+    /// ties (uncached solve only).
+    order: Vec<usize>,
 }
 
 impl DpScratch {
@@ -343,14 +376,12 @@ impl DpScratch {
 /// through `cache` when one is supplied (see [`crate::batch`]); the cache
 /// is exact, so the result is identical either way.
 ///
-/// Uncached, a pass prices every link once and then skips each source
-/// that latency alone rules out. [`transit_cost`] is never below the
-/// latency and float addition is monotone, so a source's cost
-/// `base + (transit + compute)` is at least `base + (latency + compute)`.
-/// Once that bound reaches the destination's best `b`, the source cannot
-/// pass the strict `c < b` test: the skip changes no cell and no tie,
-/// which still goes to the lowest site id. `tests/sbdp_oracle.rs` holds
-/// the pruned pass to an enumeration of every site sequence.
+/// Each destination takes the source of least cost, the lowest site id
+/// on a tie. Uncached, a pass prices every link once and finds that
+/// source with [`cheapest_source`]; cached, it scans every source in
+/// ascending site order. `tests/sbdp_oracle.rs` holds the uncached pass
+/// to that scan over every (source, destination) pair and to an
+/// enumeration of every site sequence.
 fn best_path(
     model: &NetworkModel,
     tracker: &LoadTracker,
@@ -361,47 +392,41 @@ fn best_path(
 ) -> Option<Vec<SiteId>> {
     scratch.reset(model, chain);
     scratch.prev.push((Place::node(chain.ingress), 0.0, None));
-    if cache.is_none() && config.util_weight > 0.0 {
+    let uncached = cache.is_none();
+    if uncached && config.util_weight > 0.0 {
         price_links(model, tracker, &mut scratch.prices);
     }
 
     for (z, &vnf_id) in chain.vnfs.iter().enumerate() {
-        let vnf = &model.vnfs()[vnf_id.index()];
-        let (stages, prev, prices) = (&mut scratch.stages, &mut scratch.prev, &scratch.prices);
+        let DpScratch {
+            stages,
+            prev,
+            prices,
+            sites,
+            order,
+        } = &mut *scratch;
+        let deployments = &model.vnfs()[vnf_id.index()].site_capacity;
+        sites.clear();
+        sites.extend(deployments.iter().map(|(&s, &c)| (s, c)));
+        sites.sort_unstable_by_key(|&(s, _)| s);
+        if uncached {
+            cost_order(prev, order);
+        }
         let stage = &mut stages[z];
         let mut any = false;
-        for site in vnf.sites() {
+        for &(site, cap) in sites.iter() {
             let to = Place::site(model.site_node(site), site);
-            // Uncached, the destination's compute term is priced once here,
-            // not once per source: `edge_cost` is `transit + compute`, and
-            // an infinite compute term rules the site out for every source.
-            let compute = if cache.is_some() {
-                0.0
-            } else {
-                compute_cost(model, tracker, config, to, Some(vnf_id))
-            };
-            if compute.is_infinite() {
-                continue;
-            }
-            let mut best: Option<(f64, Option<SiteId>)> = None;
-            for &(from, base, _) in prev.iter() {
-                let edge = match cache.as_deref_mut() {
-                    Some(c) => c.edge_cost(model, tracker, config, from, to, Some(vnf_id)),
-                    None => {
-                        let latency = model.latency(from.node, to.node).value();
-                        if best.is_some_and(|(b, _)| base + (latency + compute) >= b) {
-                            continue;
-                        }
-                        transit_cost(model, prices, config, from, to) + compute
-                    }
-                };
-                let c = base + edge;
-                if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
-                    best = Some((c, from.site));
+            let best = match cache.as_deref_mut() {
+                Some(c) => cached_source(c, model, tracker, config, prev, to, Some(vnf_id)),
+                None => {
+                    // The destination's compute term is priced once here,
+                    // not once per source: `edge_cost` is `transit + compute`.
+                    let compute = vnf_compute_cost(tracker, config, vnf_id, site, cap);
+                    cheapest_source(model, prices, config, prev, order, to, compute)
                 }
-            }
-            if let Some(entry) = best {
-                stage[site.index()] = Some(entry);
+            };
+            if let Some((c, i)) = best {
+                stage[site.index()] = Some((c, prev[i].0.site));
                 any = true;
             }
         }
@@ -419,33 +444,23 @@ fn best_path(
         }
     }
 
-    // Close to the egress.
+    // Close to the egress, which has no VNF.
     let egress = Place::node(chain.egress);
-    let mut best_last: Option<(f64, SiteId)> = None;
-    for &(from, base, site) in &scratch.prev {
-        let edge = match cache.as_deref_mut() {
-            Some(c) => c.edge_cost(model, tracker, config, from, egress, None),
-            None => {
-                // The egress has no VNF: the bound is the latency alone.
-                let latency = model.latency(from.node, egress.node).value();
-                if best_last.is_some_and(|(b, _)| base + latency >= b) {
-                    continue;
-                }
-                transit_cost(model, &scratch.prices, config, from, egress)
-            }
-        };
-        let c = base + edge;
-        if let Some(site) = site {
-            if c.is_finite() && best_last.is_none_or(|(b, _)| c < b) {
-                best_last = Some((c, site));
-            }
+    let prev = &scratch.prev;
+    let best_last = match cache {
+        Some(c) => cached_source(c, model, tracker, config, prev, egress, None),
+        None => {
+            let order = &mut scratch.order;
+            cost_order(prev, order);
+            cheapest_source(model, &scratch.prices, config, prev, order, egress, 0.0)
         }
-    }
+    };
     if chain.vnfs.is_empty() {
         // Chains without VNFs route directly ingress -> egress.
         return Some(Vec::new());
     }
-    let (_, mut at) = best_last?;
+    let (_, i) = best_last?;
+    let mut at = prev[i].0.site.expect("a non-first frontier holds sites");
     // Backtrack parents.
     let mut sites = vec![at];
     for z in (1..chain.vnfs.len()).rev() {
@@ -456,6 +471,81 @@ fn best_path(
     }
     sites.reverse();
     Some(sites)
+}
+
+/// Fills `order` with the positions of `prev`, cheapest prefix cost
+/// first and position breaking ties.
+fn cost_order(prev: &[(Place, f64, Option<SiteId>)], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..prev.len());
+    order.sort_unstable_by(|&a, &b| prev[a].1.total_cmp(&prev[b].1).then(a.cmp(&b)));
+}
+
+/// The source of `prev` (by position) that reaches `to` at least cost,
+/// `base + (transit + compute)`, and that cost: the lowest position among
+/// equals, which is the lowest site id. `None` when no source reaches
+/// `to` at a finite cost. `order` is `prev`'s [`cost_order`].
+///
+/// Walking cheapest prefix first, the walk stops at the first source
+/// whose `base + compute` is above the best `b`: [`transit_cost`] is
+/// never negative and float addition is monotone, so its cost and every
+/// later source's is above `b`. The stop is strict: a source co-located
+/// with `to` has zero transit and can tie `b` from a lower position. A
+/// source is skipped unpriced when its latency bound
+/// `base + (latency + compute)` is above `b`, or equals it at a higher
+/// position than the best's; a priced source wins with `c < b`, or
+/// `c == b` at a lower position.
+fn cheapest_source(
+    model: &NetworkModel,
+    prices: &[f64],
+    config: &DpConfig,
+    prev: &[(Place, f64, Option<SiteId>)],
+    order: &[usize],
+    to: Place,
+    compute: f64,
+) -> Option<(f64, usize)> {
+    if compute.is_infinite() {
+        return None;
+    }
+    let mut best: Option<(f64, usize)> = None;
+    for &i in order {
+        let (from, base, _) = prev[i];
+        if let Some((b, at)) = best {
+            if base + compute > b {
+                break;
+            }
+            let bound = base + (model.latency(from.node, to.node).value() + compute);
+            if bound > b || (bound == b && i > at) {
+                continue;
+            }
+        }
+        let c = base + (transit_cost(model, prices, config, from, to) + compute);
+        if c.is_finite() && best.is_none_or(|(b, at)| c < b || (c == b && i < at)) {
+            best = Some((c, i));
+        }
+    }
+    best
+}
+
+/// [`cheapest_source`] through `cache`: every source of `prev` priced,
+/// in position order, the first of equals kept.
+fn cached_source(
+    cache: &mut crate::batch::SubproblemCache,
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    config: &DpConfig,
+    prev: &[(Place, f64, Option<SiteId>)],
+    to: Place,
+    next_vnf: Option<VnfId>,
+) -> Option<(f64, usize)> {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, &(from, base, _)) in prev.iter().enumerate() {
+        let c = base + cache.edge_cost(model, tracker, config, from, to, next_vnf);
+        if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
+            best = Some((c, i));
+        }
+    }
+    best
 }
 
 /// Routes one chain with SB-DP against `tracker`, mutating the tracker and
@@ -655,6 +745,64 @@ mod tests {
                 assert_eq!(paths.len(), 1, "{config:?}: {paths:?}");
                 assert_eq!(paths[0].sites, want, "{config:?}: chain {}", chain.id);
             }
+        }
+    }
+
+    #[test]
+    fn a_tie_goes_to_the_lower_id_even_from_a_dearer_prefix() {
+        // Site 0 costs 3 ms from the ingress, site 1 costs 1 ms, and both
+        // reach the join at 4 ms in total. The cost-ordered walk prices
+        // site 1 first; site 0's equal total must still take the cell.
+        let mut tb = sb_topology::TopologyBuilder::new();
+        let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
+        let n1 = tb.add_node("far", (-1.0, 1.0), 1.0);
+        let n2 = tb.add_node("near", (1.0, 1.0), 1.0);
+        let n3 = tb.add_node("join", (0.0, 2.0), 1.0);
+        tb.add_duplex_link(n0, n1, 1000.0, Millis::new(3.0));
+        tb.add_duplex_link(n0, n2, 1000.0, Millis::new(1.0));
+        tb.add_duplex_link(n1, n3, 1000.0, Millis::new(1.0));
+        tb.add_duplex_link(n2, n3, 1000.0, Millis::new(3.0));
+        let mut b = NetworkModel::builder(tb.build());
+        let s0 = b.add_site(n1, 100.0);
+        let s1 = b.add_site(n2, 100.0);
+        let s2 = b.add_site(n3, 100.0);
+        let split = b.add_vnf(Map::from([(s0, 50.0), (s1, 50.0)]), 1.0);
+        let joined = b.add_vnf(Map::from([(s2, 50.0)]), 1.0);
+        let m = b.build().unwrap();
+        let egress_tie = ChainSpec::uniform(ChainId::new(0), n0, n3, vec![split], 1.0, 0.5);
+        let stage_tie = ChainSpec::uniform(ChainId::new(1), n0, n3, vec![split, joined], 1.0, 0.5);
+        for config in [DpConfig::default(), DpConfig { util_weight: 0.0 }] {
+            for (chain, want) in [(&egress_tie, vec![s0]), (&stage_tie, vec![s0, s2])] {
+                let paths = route_chain(&m, &mut LoadTracker::new(&m), &config, chain);
+                assert_eq!(paths.len(), 1, "{config:?}: {paths:?}");
+                assert_eq!(paths[0].sites, want, "{config:?}: chain {}", chain.id);
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_does_not_stop_at_a_source_that_can_still_tie() {
+        // Site 1 (1 ms from the ingress) reaches site 0 at 4 ms. Site 0
+        // itself costs 4 ms from the ingress and is zero transit from
+        // itself, so when the walk reaches it `base + compute` equals the
+        // best: stopping there would hand the tie to the higher id.
+        let mut tb = sb_topology::TopologyBuilder::new();
+        let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
+        let n1 = tb.add_node("hub", (0.0, 2.0), 1.0);
+        let n2 = tb.add_node("relay", (0.0, 1.0), 1.0);
+        tb.add_duplex_link(n0, n2, 1000.0, Millis::new(1.0));
+        tb.add_duplex_link(n2, n1, 1000.0, Millis::new(3.0));
+        let mut b = NetworkModel::builder(tb.build());
+        let s0 = b.add_site(n1, 100.0);
+        let s1 = b.add_site(n2, 100.0);
+        let first = b.add_vnf(Map::from([(s0, 50.0), (s1, 50.0)]), 1.0);
+        let second = b.add_vnf(Map::from([(s0, 50.0)]), 1.0);
+        let m = b.build().unwrap();
+        let chain = ChainSpec::uniform(ChainId::new(0), n0, n1, vec![first, second], 1.0, 0.5);
+        for config in [DpConfig::default(), DpConfig { util_weight: 0.0 }] {
+            let paths = route_chain(&m, &mut LoadTracker::new(&m), &config, &chain);
+            assert_eq!(paths.len(), 1, "{config:?}: {paths:?}");
+            assert_eq!(paths[0].sites, vec![s0, s0], "{config:?}");
         }
     }
 

@@ -1,14 +1,20 @@
-//! Brute-force oracle for SB-DP on random small models.
+//! Brute-force oracles for SB-DP on random small models.
 //!
-//! SB-DP skips every source whose latency bound already loses. The
-//! oracle enumerates every site sequence of a chain and prices it through
-//! the public API in the order `dp.rs` sums an edge: the latency, plus
-//! `w·Σ r·FT(u_link)`, plus `w·FT(u_vnf)`, added stage by stage from the
-//! ingress.
+//! SB-DP walks each destination's sources cheapest prefix first, stops at
+//! the first that cannot win and skips those whose latency bound already
+//! loses. The oracles price an edge through the public API in the order
+//! `dp.rs` sums it: the latency, plus `w·Σ r·FT(u_link)`, plus
+//! `w·FT(u_vnf)`.
 //!
-//! - Under the utilization terms the first path SB-DP picks must cost,
-//!   bit for bit, the minimum over every sequence. Path identity is not
-//!   asserted: rounding can make two totals equal while one prefix is
+//! - The reference DP is Eq 8 as first written: every (source,
+//!   destination) pair priced, sources in ascending site order, a strict
+//!   `<` keeping the first of equals. Under both weightings SB-DP's
+//!   paths and fractions must equal the headroom loop driven by it, bit
+//!   for bit.
+//! - The enumeration prices every site sequence stage by stage from the
+//!   ingress. Under the utilization terms the first path SB-DP picks must
+//!   cost, bit for bit, the minimum over every sequence. Path identity is
+//!   not asserted: rounding can make two totals equal while one prefix is
 //!   cheaper, and SB-DP keeps the cheaper prefix.
 //! - Under DP-Latency every latency is a multiple of 0.5 ms, so sums are
 //!   exact: the whole headroom loop, ties included, must equal the
@@ -143,6 +149,39 @@ fn sequences(model: &NetworkModel, chain: &ChainSpec) -> Vec<Vec<SiteId>> {
     out
 }
 
+/// SB-DP's edge cost `from → to` against `tracker`, where `next` is the
+/// VNF placed at `to` (none at the egress), summed in `dp.rs`'s order;
+/// infinite when `to` is unreachable or the VNF has no capacity there.
+fn edge_cost(
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    w: f64,
+    from: NodeId,
+    to: NodeId,
+    next: Option<(VnfId, SiteId)>,
+) -> f64 {
+    let latency = model.latency(from, to).value();
+    if !latency.is_finite() {
+        return f64::INFINITY;
+    }
+    let mut edge = latency;
+    if w > 0.0 && from != to {
+        let mut net = 0.0;
+        for &(link, r) in model.routing().fractions_between(from, to) {
+            net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
+        }
+        edge += w * net;
+    }
+    if let Some((vnf, site)) = next.filter(|_| w > 0.0) {
+        let u = tracker.vnf_utilization(model, vnf, site);
+        if u.is_infinite() {
+            return f64::INFINITY;
+        }
+        edge += w * fortz_thorup_cost(u);
+    }
+    edge
+}
+
 /// SB-DP's total cost of routing `chain` along `sites` against `tracker`,
 /// summed in `dp.rs`'s order; infinite when a hop is unreachable or a VNF
 /// has no capacity.
@@ -160,29 +199,66 @@ fn sequence_cost(
             Some(&s) => (model.site_node(s), Some((chain.vnfs[z], s))),
             None => (chain.egress, None),
         };
-        let latency = model.latency(from, to).value();
-        if !latency.is_finite() {
+        let edge = edge_cost(model, tracker, w, from, to, next);
+        if !edge.is_finite() {
             return f64::INFINITY;
-        }
-        let mut edge = latency;
-        if w > 0.0 && from != to {
-            let mut net = 0.0;
-            for &(link, r) in model.routing().fractions_between(from, to) {
-                net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
-            }
-            edge += w * net;
-        }
-        if let Some((vnf, site)) = next.filter(|_| w > 0.0) {
-            let u = tracker.vnf_utilization(model, vnf, site);
-            if u.is_infinite() {
-                return f64::INFINITY;
-            }
-            edge += w * fortz_thorup_cost(u);
         }
         total += edge;
         from = to;
     }
     total
+}
+
+/// Eq 8 as first written: each stage's table over every (source,
+/// destination) pair, destinations and sources in ascending site order,
+/// a source taking the cell only at a strictly lower finite cost. The
+/// egress closes the same way; the parents give the sequence.
+fn reference_pick(
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    w: f64,
+    chain: &ChainSpec,
+) -> Option<Vec<SiteId>> {
+    // (node, prefix cost, site, parent index in the previous frontier)
+    type Cell = (NodeId, f64, Option<SiteId>, usize);
+    let mut frontiers: Vec<Vec<Cell>> = vec![vec![(chain.ingress, 0.0, None, 0)]];
+    let best = |prev: &[Cell], to: NodeId, next: Option<(VnfId, SiteId)>| {
+        let mut best: Option<(f64, usize)> = None;
+        for (i, &(from, base, _, _)) in prev.iter().enumerate() {
+            let c = base + edge_cost(model, tracker, w, from, to, next);
+            if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
+                best = Some((c, i));
+            }
+        }
+        best
+    };
+    for &vnf in &chain.vnfs {
+        let prev = frontiers.last().expect("the ingress frontier");
+        let mut next = Vec::new();
+        for site in model.vnfs()[vnf.index()].sites() {
+            let to = model.site_node(site);
+            if let Some((c, i)) = best(prev, to, Some((vnf, site))) {
+                next.push((to, c, Some(site), i));
+            }
+        }
+        if next.is_empty() {
+            return None;
+        }
+        frontiers.push(next);
+    }
+    if chain.vnfs.is_empty() {
+        return Some(Vec::new());
+    }
+    let last = frontiers.last().expect("a stage frontier");
+    let (_, mut at) = best(last, chain.egress, None)?;
+    let mut sites = Vec::new();
+    for frontier in frontiers[1..].iter().rev() {
+        let (_, _, site, parent) = frontier[at];
+        sites.push(site.expect("a stage cell holds a site"));
+        at = parent;
+    }
+    sites.reverse();
+    Some(sites)
 }
 
 /// The least-cost finite sequence; ties go to the sequence that is
@@ -204,9 +280,13 @@ fn brute_force_pick(
         .map(|(_, s)| s)
 }
 
-/// `route_chain`'s headroom loop with [`brute_force_pick`] in place of the
-/// DP.
-fn route_chain_by_enumeration(
+/// A pick of the site sequence to route next: [`brute_force_pick`] or
+/// [`reference_pick`].
+type Pick = fn(&NetworkModel, &LoadTracker, f64, &ChainSpec) -> Option<Vec<SiteId>>;
+
+/// `route_chain`'s headroom loop with `pick` in place of the DP.
+fn route_chain_by(
+    pick: Pick,
     model: &NetworkModel,
     tracker: &mut LoadTracker,
     w: f64,
@@ -220,7 +300,7 @@ fn route_chain_by_enumeration(
         if remaining <= EPS {
             break;
         }
-        let Some(sites) = brute_force_pick(model, tracker, w, chain) else {
+        let Some(sites) = pick(model, tracker, w, chain) else {
             break;
         };
         let coefs = path_coefficients(model, chain, &sites);
@@ -283,14 +363,43 @@ proptest! {
         let mut bf_tracker = LoadTracker::new(&model);
         for chain in model.chains() {
             let dp = route_chain(&model, &mut dp_tracker, &cfg, chain);
-            let bf = route_chain_by_enumeration(&model, &mut bf_tracker, cfg.util_weight, chain);
-            prop_assert_eq!(dp.len(), bf.len());
-            for (a, b) in dp.iter().zip(&bf) {
-                prop_assert_eq!(&a.sites, &b.sites);
-                prop_assert_eq!(a.fraction.to_bits(), b.fraction.to_bits());
+            let bf = route_chain_by(
+                brute_force_pick,
+                &model,
+                &mut bf_tracker,
+                cfg.util_weight,
+                chain,
+            );
+            assert_paths_equal(&dp, &bf)?;
+        }
+    }
+
+    /// Under both weightings SB-DP's paths and fractions are bit-identical
+    /// to the headroom loop driven by the unpruned reference DP, so the
+    /// cost-ordered walk, its stop and its skip change no choice.
+    #[test]
+    fn routes_equal_the_unpruned_reference_dp(rm in arb_model()) {
+        let model = build(&rm);
+        for cfg in [DpConfig::default(), DpConfig { util_weight: 0.0 }] {
+            let mut dp_tracker = LoadTracker::new(&model);
+            let mut ref_tracker = LoadTracker::new(&model);
+            for chain in model.chains() {
+                let dp = route_chain(&model, &mut dp_tracker, &cfg, chain);
+                let w = cfg.util_weight;
+                let reference = route_chain_by(reference_pick, &model, &mut ref_tracker, w, chain);
+                assert_paths_equal(&dp, &reference)?;
             }
         }
     }
+}
+
+fn assert_paths_equal(a: &[RoutePath], b: &[RoutePath]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for (x, y) in a.iter().zip(b) {
+        prop_assert_eq!(&x.sites, &y.sites);
+        prop_assert_eq!(x.fraction.to_bits(), y.fraction.to_bits());
+    }
+    Ok(())
 }
 
 proptest! {

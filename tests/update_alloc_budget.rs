@@ -6,7 +6,8 @@
 //! it in place leaves about 58 KB in 850, and later 49 145 B in 752.
 //! Encoding a route delta once, streaming JSON without a `Value` tree,
 //! exporting a patch from its own rows only and consuming only the
-//! mailboxes a publish filled leaves 31 972 B in 492.
+//! mailboxes a publish filled leaves 31 972 B in 492. Removing a row
+//! without cloning the rule set nobody reads leaves 29 457 B in 480.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
@@ -21,8 +22,8 @@ use counting_alloc::counting;
 /// Updates run before counting, then the updates counted.
 const WARM_UP: usize = 200;
 const MEASURED: usize = 1_000;
-const MAX_BYTES_PER_UPDATE: usize = 36 * 1024;
-const MAX_CALLS_PER_UPDATE: usize = 566;
+const MAX_BYTES_PER_UPDATE: usize = 33 * 1024;
+const MAX_CALLS_PER_UPDATE: usize = 552;
 
 #[test]
 fn an_update_allocates_for_its_delta_not_for_the_network() {
