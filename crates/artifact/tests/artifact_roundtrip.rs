@@ -379,7 +379,8 @@ fn reseal_rewritten(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
 /// checksum, which hostile bytes can carry — rejects bodies out of the
 /// canonical order: a repeated row label pair, rows in descending order,
 /// and a repeated forwarder id each decode to `Err`, while the honest
-/// encoding still round-trips.
+/// encoding still round-trips. A weighted choice claiming `u32::MAX`
+/// targets decodes to `Err` too, without sizing a buffer for them.
 #[test]
 fn hostile_bodies_with_valid_checksums_are_rejected() {
     let row = |chain: u32, egress: u32| FibRow {
@@ -408,14 +409,26 @@ fn hostile_bodies_with_valid_checksums_are_rejected() {
     assert_eq!(decode(&honest).expect("honest encoding"), art);
 
     let labels = |chain: u32, egress: u32| [chain.to_le_bytes(), egress.to_le_bytes()].concat();
+    // The last row's label pair, epoch and `to_vnf` target count.
+    let row_head = |count: u32| {
+        [
+            labels(1002, 1),
+            3u64.to_le_bytes().to_vec(),
+            count.to_le_bytes().to_vec(),
+        ]
+        .concat()
+    };
+    let ascending = "strictly ascending";
     let cases = [
         (
             "repeated row",
             reseal_rewritten(&honest, &labels(1001, 77), &labels(1001, 66)),
+            ascending,
         ),
         (
             "descending rows",
             reseal_rewritten(&honest, &labels(1001, 77), &labels(1001, 55)),
+            ascending,
         ),
         (
             "repeated forwarder",
@@ -424,14 +437,18 @@ fn hostile_bodies_with_valid_checksums_are_rejected() {
                 &4_000_002u64.to_le_bytes(),
                 &4_000_001u64.to_le_bytes(),
             ),
+            ascending,
+        ),
+        (
+            "huge target count",
+            reseal_rewritten(&honest, &row_head(2), &row_head(u32::MAX)),
+            // Rejected wherever the body stops parsing as targets.
+            "artifact: ",
         ),
     ];
-    for (what, bytes) in cases {
+    for (what, bytes, expected) in cases {
         let err = decode(&bytes).expect_err(what);
-        assert!(
-            err.to_string().contains("strictly ascending"),
-            "{what}: {err}"
-        );
+        assert!(err.to_string().contains(expected), "{what}: {err}");
     }
 }
 

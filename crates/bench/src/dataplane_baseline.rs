@@ -90,8 +90,8 @@ pub struct BatchCell {
 /// the forwarder runs Overlay mode so *every* packet resolves its label
 /// pair against the rule state — Affinity steady state pins flows and
 /// bypasses steering by design, which would measure the flow table, not
-/// the FIB. Forward pairs resolve through the compiled FIB's interning
-/// table, reverse pairs through its chain-fallback index.
+/// the FIB. Forward pairs resolve to their exact row, reverse pairs to the
+/// chain's smallest pair, both by searching the FIB's sorted rows.
 #[derive(Debug, Clone, Serialize)]
 pub struct MixedCell {
     /// Distinct chains whose label pairs appear in the traffic mix (each

@@ -344,7 +344,11 @@ impl<'a> Dec<'a> {
                 "artifact: weighted choice with no targets",
             ));
         }
-        let mut targets = Vec::with_capacity(n);
+        // Each target takes 29 bytes (tagged address, cumulative weight,
+        // threshold, alias), so a hostile count cannot size the buffers
+        // past what the body can hold.
+        let cap = n.min((self.buf.len() - self.pos) / 29);
+        let mut targets = Vec::with_capacity(cap);
         let mut prev = 0.0f64;
         for _ in 0..n {
             let addr = self.addr()?;
@@ -363,11 +367,11 @@ impl<'a> Dec<'a> {
                 "artifact: weighted-choice total must be finite and positive",
             ));
         }
-        let mut thresholds = Vec::with_capacity(n);
+        let mut thresholds = Vec::with_capacity(cap);
         for _ in 0..n {
             thresholds.push(self.u64()?);
         }
-        let mut aliases = Vec::with_capacity(n);
+        let mut aliases = Vec::with_capacity(cap);
         for _ in 0..n {
             let a = self.u32()?;
             if a as usize >= n {

@@ -1,30 +1,28 @@
-//! The compiled FIB: dense label-interned rule tables with RCU-style
-//! generation publish (DESIGN.md §14).
+//! The compiled FIB: a forwarder's rule rows, sorted by label pair, with
+//! RCU-style generation publish (DESIGN.md §14).
 //!
 //! A forwarder's rules are the rows of the [`CompiledFib`] it last
-//! published — nothing else holds them. Following Active Switching's
-//! insight that chain steering should be resolved into flat per-hop state
-//! rather than re-looked-up per packet, a [`CompiledFib`] holds:
+//! published — nothing else holds them, and nothing is derived from them.
+//! A [`CompiledFib`] is its **sorted rule rows** ([`FibRow`]): per label
+//! pair, the [`RuleSet`] with its Vose alias tables already baked and the
+//! epoch of the route that installed it. Make-before-break needs no second
+//! epoch here: flows pinned before an update keep their flow-table
+//! entries. A row is also exactly what an artifact carries.
 //!
-//! - **dense rule rows** ([`FibRow`]), sorted by label pair: per pair, the
-//!   [`RuleSet`] with its Vose alias tables already baked and the epoch of
-//!   the route that installed it. Make-before-break needs no second epoch
-//!   here: flows pinned before an update keep their flow-table entries.
-//!   A row is also exactly what an artifact carries;
-//! - a **label-interning table**: an open-addressed, power-of-two probe
-//!   table mapping a packed `LabelPair` to a small dense row index — a
-//!   splitmix-mixed u64 compare per probe, no SipHash, no buckets;
-//! - a **chain-fallback table**: reverse-direction packets carry the
-//!   opposite egress label, so a miss on the exact pair falls back to the
-//!   chain's canonical (smallest) label pair — the same row
-//!   `Forwarder::process` finds by binary search over the rows.
+//! The one rule lookup, [`CompiledFib::lookup_index`], binary-searches
+//! those rows: the exact label pair, else the chain's canonical
+//! (smallest) pair, since reverse-direction packets carry the opposite
+//! egress label. Only a connection's first packet pays for it in Affinity
+//! mode (Section 5.3, Figure 6): a flow-table hit never touches the FIB,
+//! so the flow table is the flat per-hop steering state Active Switching
+//! argues for, and the FIB needs no second index beside its rows.
 //!
 //! # Generation lifecycle
 //!
 //! Compilation happens off the hot path, in the rule mutators
 //! (`install_rules_epoch` / `remove_rules` / `fail_vnf_instance` / ...).
 //! Each mutation builds the next [`CompiledFib`] from the current one — a
-//! full rebuild over an edited row set, or an in-place single-row patch
+//! full rebuild over an edited row set, or a single-row splice
 //! ([`CompiledFib::patch_row`]) when only one label pair changed — and
 //! publishes it through a
 //! [`FibCell`] with RCU semantics: readers ([`FibReader`]) keep an `Arc`
@@ -58,11 +56,6 @@ pub fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
-/// Sentinel row index meaning "no FIB row" (lookup miss with no chain
-/// fallback). Kept out of the valid range by construction: a FIB can never
-/// hold `u32::MAX` rows.
-pub const FIB_MISS: u32 = u32::MAX;
-
 /// One compiled rule row: everything the hot path needs for a label pair,
 /// laid out contiguously in the row array.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,28 +80,6 @@ pub struct CompiledFib {
     /// The array is immutable, so a full artifact export shares it
     /// ([`shared_rows`](Self::shared_rows)) instead of copying it.
     rows: Arc<[FibRow]>,
-    /// Interning table: packed label-pair key per slot.
-    slot_keys: Box<[u64]>,
-    /// Row index per slot; [`FIB_MISS`] marks an empty slot.
-    slot_rows: Box<[u32]>,
-    mask: usize,
-    /// `(chain value, canonical row index)` sorted by chain value; the
-    /// canonical row is the chain's smallest label pair.
-    chains: Vec<(u32, u32)>,
-}
-
-/// Packs a label pair into the u64 interning key.
-#[inline]
-fn pack(labels: LabelPair) -> u64 {
-    (u64::from(labels.chain().value()) << 32) | u64::from(labels.egress().value())
-}
-
-/// splitmix64 finalizer over the packed key.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl CompiledFib {
@@ -119,12 +90,15 @@ impl CompiledFib {
     }
 
     /// Compiles `rows` into a FIB tagged `generation`. Rows are sorted by
-    /// label pair, so the layout (and the chain-fallback choice) is
+    /// label pair, so the layout (and the chain fallback's choice) is
     /// deterministic regardless of the order they are given in.
     #[must_use]
     pub fn build(generation: u64, mut rows: Vec<FibRow>) -> Self {
         rows.sort_by_key(|r| r.labels);
-        Self::index(generation, rows.into())
+        Self {
+            generation,
+            rows: rows.into(),
+        }
     }
 
     /// [`build`](Self::build) over a shared row array: the FIB keeps
@@ -134,75 +108,38 @@ impl CompiledFib {
     #[must_use]
     pub(crate) fn from_rows(generation: u64, rows: Arc<[FibRow]>) -> Self {
         if rows.is_sorted_by_key(|r| r.labels) {
-            Self::index(generation, rows)
+            Self { generation, rows }
         } else {
             Self::build(generation, rows.to_vec())
         }
     }
 
-    /// Builds the interning and chain-fallback tables over `rows`, which
-    /// are sorted by label pair.
-    fn index(generation: u64, rows: Arc<[FibRow]>) -> Self {
-        let buckets = (rows.len() * 2).next_power_of_two().max(8);
-        let mut slot_keys = vec![0u64; buckets].into_boxed_slice();
-        let mut slot_rows = vec![FIB_MISS; buckets].into_boxed_slice();
-        let mask = buckets - 1;
-        let mut chains: Vec<(u32, u32)> = Vec::new();
-        #[allow(clippy::cast_possible_truncation)]
-        for (idx, row) in rows.iter().enumerate() {
-            let key = pack(row.labels);
-            let mut i = (mix(key) as usize) & mask;
-            while slot_rows[i] != FIB_MISS {
-                i = (i + 1) & mask;
-            }
-            slot_keys[i] = key;
-            slot_rows[i] = idx as u32;
-            // Rows are sorted, so the first row seen per chain is the
-            // chain's smallest label pair — the canonical fallback.
-            let chain = row.labels.chain().value();
-            if chains.last().map(|&(c, _)| c) != Some(chain) {
-                chains.push((chain, idx as u32));
-            }
-        }
-        Self {
-            generation,
-            rows,
-            slot_keys,
-            slot_rows,
-            mask,
-            chains,
-        }
-    }
-
-    /// A copy of this FIB with one row replaced (or inserted), tagged
-    /// `generation`. The single-row delta path for an install that touches
-    /// one label pair: row payloads are cloned into one new array but
-    /// nothing is re-derived. A replacement reuses the
-    /// interning and fallback tables verbatim; an insert re-indexes the
-    /// extended row set, which is already sorted.
+    /// A copy of this FIB with one row replaced (or inserted in sorted
+    /// position), tagged `generation`: row payloads are cloned into one
+    /// new array and nothing is re-derived. The single-row delta path for
+    /// an install that touches one label pair.
     #[must_use]
     pub fn patch_row(&self, generation: u64, row: FibRow) -> Self {
-        match self.rows.binary_search_by_key(&row.labels, |r| r.labels) {
-            Ok(i) => Self {
-                generation,
-                rows: splice(&self.rows, i, row, i + 1),
-                slot_keys: self.slot_keys.clone(),
-                slot_rows: self.slot_rows.clone(),
-                mask: self.mask,
-                chains: self.chains.clone(),
-            },
-            Err(i) => Self::index(generation, splice(&self.rows, i, row, i)),
+        let (at, resume) = match self.position(row.labels) {
+            Ok(i) => (i, i + 1),
+            Err(i) => (i, i),
+        };
+        Self {
+            generation,
+            rows: splice(&self.rows, at, row, resume),
         }
     }
 
-    /// A copy of this FIB without `labels`' row, re-indexed and tagged
-    /// `generation`, or `None` when the pair has no row.
+    /// A copy of this FIB without `labels`' row, tagged `generation`, or
+    /// `None` when the pair has no row.
     #[must_use]
     pub(crate) fn without_row(&self, generation: u64, labels: LabelPair) -> Option<Self> {
-        let i = self.rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
+        let i = self.position(labels).ok()?;
         let (head, tail) = (&self.rows[..i], &self.rows[i + 1..]);
-        let rows = head.iter().chain(tail).cloned().collect();
-        Some(Self::index(generation, rows))
+        Some(Self {
+            generation,
+            rows: head.iter().chain(tail).cloned().collect(),
+        })
     }
 
     /// This snapshot's generation number.
@@ -236,49 +173,46 @@ impl CompiledFib {
         &self.rows
     }
 
-    /// Resolves a label pair to its row index: exact match through the
-    /// interning table, else the chain's canonical row (reverse-direction
-    /// packets carry the opposite egress label but belong to the same
-    /// chain), else `None`. Resolves exactly the row `Forwarder::process`
-    /// finds by binary search.
+    /// The exact binary search over the sorted rows: `Ok` with the index
+    /// of `labels`' row, or `Err` with the index a row for it would be
+    /// inserted at.
+    pub(crate) fn position(&self, labels: LabelPair) -> Result<usize, usize> {
+        self.rows.binary_search_by_key(&labels, |r| r.labels)
+    }
+
+    /// Resolves a label pair to its row index: the exact pair, else the
+    /// chain's canonical (smallest) pair — reverse-direction packets carry
+    /// the opposite egress label but belong to the same chain — else
+    /// `None`. One binary search on the chain label finds the chain's
+    /// first row, which is the answer when it is the chain's only row;
+    /// only a chain with several rows searches again for the exact pair.
     #[inline]
     #[must_use]
     pub fn lookup_index(&self, labels: LabelPair) -> Option<u32> {
-        let key = pack(labels);
-        let mut i = (mix(key) as usize) & self.mask;
-        loop {
-            let row = self.slot_rows[i];
-            if row == FIB_MISS {
-                break;
-            }
-            if self.slot_keys[i] == key {
-                return Some(row);
-            }
-            i = (i + 1) & self.mask;
+        let chain = labels.chain();
+        let in_chain = |i: usize| self.rows.get(i).is_some_and(|r| r.labels.chain() == chain);
+        let first = self.rows.partition_point(|r| r.labels.chain() < chain);
+        if !in_chain(first) {
+            return None;
         }
-        self.chains
-            .binary_search_by_key(&labels.chain().value(), |&(c, _)| c)
-            .ok()
-            .map(|j| self.chains[j].1)
+        let i = if in_chain(first + 1) {
+            self.position(labels).unwrap_or(first)
+        } else {
+            first
+        };
+        #[allow(clippy::cast_possible_truncation)]
+        Some(i as u32)
     }
 
     /// The row at `idx` (from [`lookup_index`](Self::lookup_index)).
     ///
     /// # Panics
     ///
-    /// Panics if `idx` is out of range (in particular [`FIB_MISS`]).
+    /// Panics if `idx` is out of range.
     #[inline]
     #[must_use]
     pub fn row(&self, idx: u32) -> &FibRow {
         &self.rows[idx as usize]
-    }
-
-    /// Prefetches the row at `idx` ahead of [`row`](Self::row).
-    #[inline]
-    pub fn prefetch_row(&self, idx: u32) {
-        if let Some(r) = self.rows.get(idx as usize) {
-            prefetch_read(std::ptr::from_ref(r));
-        }
     }
 }
 
@@ -471,9 +405,9 @@ mod tests {
     }
 
     #[test]
-    fn patch_replaces_in_place_and_insert_rebuilds() {
+    fn patch_replaces_or_inserts_in_sorted_position() {
         let fib = CompiledFib::build(1, vec![row(1, 2, 10), row(2, 2, 11)]);
-        // Replace: layout identical, payload swapped, generation bumped.
+        // Replace: same pairs, payload swapped, generation bumped.
         let patched = fib.patch_row(2, row(1, 2, 42));
         assert_eq!(patched.generation(), 2);
         assert_eq!(patched.len(), 2);
@@ -488,6 +422,7 @@ mod tests {
         // Insert: a brand-new pair lands in sorted position and is found.
         let grown = patched.patch_row(3, row(1, 1, 50));
         assert_eq!(grown.len(), 3);
+        assert!(grown.rows().is_sorted_by_key(|r| r.labels));
         let idx = grown.lookup_index(pair(1, 1)).unwrap();
         assert_eq!(grown.row(idx).labels, pair(1, 1));
         // ...and becomes the chain's new canonical fallback.
@@ -496,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn without_row_reindexes_and_from_rows_shares_only_sorted_rows() {
+    fn without_row_moves_the_fallback_and_from_rows_shares_only_sorted_rows() {
         let fib = CompiledFib::build(1, vec![row(1, 1, 10), row(1, 2, 11), row(2, 2, 12)]);
         assert!(fib.without_row(2, pair(9, 9)).is_none());
         let trimmed = fib.without_row(2, pair(1, 1)).unwrap();
@@ -513,6 +448,40 @@ mod tests {
         let reversed: Arc<[FibRow]> = fib.rows().iter().rev().cloned().collect();
         let sorted = CompiledFib::from_rows(3, reversed);
         assert_eq!(sorted.rows(), fib.rows());
+    }
+
+    /// The lookup's oracle: a linear scan over the rows for the exact
+    /// pair, else the smallest pair with the query's chain, else `None`.
+    fn lookup_by_scan(rows: &[FibRow], labels: LabelPair) -> Option<LabelPair> {
+        rows.iter()
+            .map(|r| r.labels)
+            .find(|&l| l == labels)
+            .or_else(|| {
+                rows.iter()
+                    .map(|r| r.labels)
+                    .filter(|l| l.chain() == labels.chain())
+                    .min()
+            })
+    }
+
+    proptest::proptest! {
+        /// Over arbitrary row sets — several egresses per chain, the
+        /// empty FIB — and arbitrary queries, the lookup resolves exactly
+        /// the row the linear scan names. Small label
+        /// ranges make exact hits, chain fallbacks and misses all common.
+        #[test]
+        fn lookup_index_equals_a_linear_scan(
+            pairs in proptest::collection::btree_set((1u32..8, 1u32..6), 0..24),
+            queries in proptest::collection::vec((1u32..9, 1u32..7), 1..32),
+        ) {
+            let rows: Vec<FibRow> = pairs.iter().map(|&(c, e)| row(c, e, 0)).collect();
+            let fib = CompiledFib::build(1, rows.clone());
+            for (c, e) in queries {
+                let q = pair(c, e);
+                let got = fib.lookup_index(q).map(|i| fib.row(i).labels);
+                proptest::prop_assert_eq!(got, lookup_by_scan(&rows, q), "query {}", q);
+            }
+        }
     }
 
     #[test]
@@ -585,8 +554,7 @@ mod tests {
     #[test]
     fn prefetch_is_a_safe_noop_hint() {
         let fib = CompiledFib::build(1, vec![row(1, 2, 10)]);
-        fib.prefetch_row(0);
-        fib.prefetch_row(FIB_MISS); // out of range: ignored
+        prefetch_read(std::ptr::from_ref(&fib.rows()[0]));
         prefetch_read(std::ptr::null::<u64>()); // any address is fine
     }
 }

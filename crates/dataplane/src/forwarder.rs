@@ -28,18 +28,18 @@
 //!   ([`WeightedChoice::select`]); the packet's flow-table record is
 //!   likewise located once (canonical orientation + record hash) and the
 //!   located probe serves the prefetch, the lookup and, on a miss, the pin.
+//! - Both paths resolve rules through [`CompiledFib::lookup_index`], in
+//!   Affinity mode only on a flow-table miss: a hit never touches the FIB.
 //! - [`Forwarder::process_batch`] amortizes mode dispatch and the FIB
-//!   snapshot across a batch, prefetches what each packet will read (its
-//!   flow-table record in Affinity mode, where a hit never touches the
-//!   FIB; its rule row in Overlay mode) and interleaves the per-packet
-//!   header-work loops of up to [`IO_WORK_LANES`] packets, breaking the
-//!   serial dependency chain that dominates single-packet processing.
-//!   Batched processing is packet-for-packet equivalent to calling
-//!   [`Forwarder::process`] in a loop — same next hops, same errors, same
-//!   counters, same `work_sink`.
+//!   snapshot across a batch, prefetches each packet's flow-table record
+//!   in Affinity mode and interleaves the per-packet header-work loops of
+//!   up to [`IO_WORK_LANES`] packets, breaking the serial dependency chain
+//!   that dominates single-packet processing. Batched processing is
+//!   packet-for-packet equivalent to calling [`Forwarder::process`] in a
+//!   loop — same next hops, same errors, same counters, same `work_sink`.
 
 use crate::artifact::{ArtifactKind, ForwarderArtifact};
-use crate::fib::{CompiledFib, FibCell, FibReader, FibRow, FIB_MISS};
+use crate::fib::{CompiledFib, FibCell, FibReader, FibRow};
 use crate::flow_table::{FlowContext, FlowProbe, FlowTable, FlowTableKey};
 use crate::loadbalancer::WeightedChoice;
 use crate::packet::{Addr, Packet, TunnelHeader};
@@ -438,9 +438,9 @@ impl Forwarder {
     /// The epoch of a label pair's row, if the pair is installed.
     #[must_use]
     pub fn active_epoch(&self, labels: LabelPair) -> Option<u64> {
-        let rows = self.fib.current.rows();
-        let i = rows.binary_search_by_key(&labels, |r| r.labels).ok()?;
-        Some(rows[i].epoch)
+        let fib = &self.fib.current;
+        let i = fib.position(labels).ok()?;
+        Some(fib.rows()[i].epoch)
     }
 
     /// Removes a label pair, returning whether it was installed;
@@ -557,25 +557,28 @@ impl Forwarder {
             .map(|(&i, &l)| (i, l))
             .collect();
         label_unaware.sort_by_key(|&(i, _)| i);
-        let all = self.fib.current.rows();
+        let fib = &self.fib.current;
         let (rows, removed) = match scope {
-            None => (Arc::clone(self.fib.current.shared_rows()), Vec::new()),
+            None => (Arc::clone(fib.shared_rows()), Vec::new()),
             Some(scope) => {
-                let find = |l: &LabelPair| all.binary_search_by_key(l, |r| r.labels);
                 let mut rows: Vec<FibRow> = scope
                     .iter()
-                    .filter_map(|l| find(l).ok().map(|i| all[i].clone()))
+                    .filter_map(|&l| fib.position(l).ok().map(|i| fib.rows()[i].clone()))
                     .collect();
                 rows.sort_by_key(|r| r.labels);
                 rows.dedup_by_key(|r| r.labels);
-                let removed = scope.iter().copied().filter(|l| find(l).is_err()).collect();
+                let removed = scope
+                    .iter()
+                    .copied()
+                    .filter(|&l| fib.position(l).is_err())
+                    .collect();
                 (rows.into(), removed)
             }
         };
         ForwarderArtifact {
             forwarder: self.id,
             mode: self.mode,
-            generation: self.fib.current.generation(),
+            generation: fib.generation(),
             rows,
             label_unaware,
             removed,
@@ -865,20 +868,17 @@ impl Forwarder {
     /// compiled-FIB snapshot the whole batch runs on.
     ///
     /// - **Stage 1** decapsulates, re-affixes labels and computes every
-    ///   packet's flow hash, then fetches what stage 2 will read. In
-    ///   Affinity mode that is the packet's flow-table record — located
-    ///   here once, its line prefetched — and nothing else: a hit never
-    ///   touches the FIB. In Overlay mode, where every packet needs
-    ///   its rule row, it is the row (one interning probe, no SipHash, and
-    ///   a prefetch). The batched header work runs between the stages,
+    ///   packet's flow hash. In Affinity mode it also locates the packet's
+    ///   flow-table record once and prefetches its line; a hit never
+    ///   touches the FIB. The batched header work runs between the stages,
     ///   giving the prefetches time to land.
     /// - **Stage 2** probes and forwards in arrival order (order matters:
     ///   the first packet of a connection pins the hops later packets of
     ///   the same batch hit — a stage-1 prefetch of a pre-pin or pre-growth
-    ///   line is merely a stale hint). Affinity resolves the label pair's
-    ///   row only on a flow-table miss, as `process` does: the first packet
-    ///   of a connection pays for rule resolution, its record serves every
-    ///   later one (Section 5.3, Figure 6).
+    ///   line is merely a stale hint). Overlay resolves every packet's row
+    ///   here; Affinity resolves it only on a flow-table miss, as `process`
+    ///   does: the first packet of a connection pays for rule resolution,
+    ///   its record serves every later one (Section 5.3, Figure 6).
     fn labeled_chunk(
         &mut self,
         fib: &CompiledFib,
@@ -897,9 +897,8 @@ impl Forwarder {
         // Stage 1.
         let mut hashes = [0u64; BATCH_CHUNK];
         let mut seeds = [0u64; BATCH_CHUNK];
-        // Each labeled packet's FIB row (Overlay) or located flow-table
-        // record (Affinity), carried to stage 2.
-        let mut rows = [FIB_MISS; BATCH_CHUNK];
+        // Each labeled packet's located flow-table record (Affinity),
+        // carried to stage 2.
         let mut probes = [None::<FlowProbe>; BATCH_CHUNK];
         let mut n_seeds = 0usize;
         for (i, pkt) in chunk.iter_mut().enumerate() {
@@ -928,9 +927,6 @@ impl Forwarder {
                     });
                     self.flow_table.prefetch(&at);
                     probes[i] = Some(at);
-                } else if let Some(idx) = fib.lookup_index(labels) {
-                    rows[i] = idx;
-                    fib.prefetch_row(idx);
                 }
             }
         }
@@ -956,20 +952,12 @@ impl Forwarder {
                 Some(labels) => {
                     let hash = hashes[i];
                     let res = match &probes[i] {
-                        // Overlay: stateless weighted selection per packet.
                         None => {
                             stats.flow_misses += 1;
-                            match fib.rows().get(rows[i] as usize) {
-                                Some(r) => Ok(match context {
-                                    FlowContext::FromWire => r.rules.to_vnf.select(hash),
-                                    FlowContext::FromVnf => r.rules.to_next.select(hash),
-                                }),
-                                None => Err(no_rule_error(labels)),
-                            }
+                            overlay_next(fib, labels, context, hash)
                         }
                         Some(at) => {
-                            let rules = || fib.lookup_index(labels).map(|idx| &fib.row(idx).rules);
-                            affinity_next(flow_table, stats, rules, at, hash, labels, context, from)
+                            affinity_next(flow_table, stats, fib, at, hash, labels, context, from)
                         }
                     };
                     match res {
@@ -1042,40 +1030,30 @@ impl Forwarder {
         let next = match self.mode {
             ForwarderMode::Bridge => unreachable!("handled above"),
             ForwarderMode::Overlay => {
-                // Stateless weighted selection per packet.
                 self.stats.flow_misses += 1;
-                let rules = self.rules_for(labels)?;
-                match context {
-                    FlowContext::FromWire => rules.to_vnf.select(hash),
-                    FlowContext::FromVnf => rules.to_next.select(hash),
-                }
+                overlay_next(&self.fib.current, labels, context, hash)?
             }
             ForwarderMode::Affinity => {
-                let Self {
-                    ref fib,
-                    ref mut flow_table,
-                    ref mut stats,
-                    ..
-                } = *self;
                 let at = FlowTable::locate(&FlowTableKey {
                     chain: labels.chain(),
                     key: pkt.key,
                     context,
                 });
-                let rules = || lookup_rules_in(fib.current.rows(), labels);
-                affinity_next(flow_table, stats, rules, &at, hash, labels, context, from)?
+                affinity_next(
+                    &mut self.flow_table,
+                    &mut self.stats,
+                    &self.fib.current,
+                    &at,
+                    hash,
+                    labels,
+                    context,
+                    from,
+                )?
             }
         };
 
         finish_output(&self.label_unaware, self.site, &mut pkt, labels, next);
         Ok((pkt, next))
-    }
-
-    /// Rule lookup: exact label pair first, then any rule for the same
-    /// chain label (reverse-direction packets carry the opposite egress
-    /// label but belong to the same chain).
-    fn rules_for(&self, labels: LabelPair) -> Result<&RuleSet> {
-        lookup_rules_in(self.fib.current.rows(), labels).ok_or_else(|| no_rule_error(labels))
     }
 }
 
@@ -1088,19 +1066,23 @@ fn no_rule_error(labels: LabelPair) -> Error {
     Error::forwarding(format!("no rule for labels {labels}"))
 }
 
-/// The reference rule lookup of [`Forwarder::process`], over the sorted
-/// rows alone: a binary search for the exact label pair, else the chain's
-/// *canonical* (smallest) label pair — reverse-direction packets carry the
-/// opposite egress label but belong to the same chain. It shares nothing
-/// with the compiled FIB's interning and fallback tables, which the batch
-/// path probes, so `fib_equivalence` holds the two against each other.
-fn lookup_rules_in(rows: &[FibRow], labels: LabelPair) -> Option<&RuleSet> {
-    let i = rows
-        .binary_search_by_key(&labels, |r| r.labels)
-        .unwrap_or_else(|_| rows.partition_point(|r| r.labels.chain() < labels.chain()));
-    rows.get(i)
-        .filter(|r| r.labels.chain() == labels.chain())
-        .map(|r| &r.rules)
+/// The Overlay next hop, shared by [`Forwarder::process`] and the batch
+/// path: stateless weighted selection over the rules
+/// [`CompiledFib::lookup_index`] resolves for `labels`.
+fn overlay_next(
+    fib: &CompiledFib,
+    labels: LabelPair,
+    context: FlowContext,
+    hash: u64,
+) -> Result<Addr> {
+    let idx = fib
+        .lookup_index(labels)
+        .ok_or_else(|| no_rule_error(labels))?;
+    let rules = &fib.row(idx).rules;
+    Ok(match context {
+        FlowContext::FromWire => rules.to_vnf.select(hash),
+        FlowContext::FromVnf => rules.to_next.select(hash),
+    })
 }
 
 /// Output rewrite shared by the single-packet and batch paths: strip labels
@@ -1133,15 +1115,15 @@ fn finish_output(
 /// pinning on the first packet (Figure 6). Takes the forwarder's fields
 /// split apart so batch loops can keep disjoint borrows. `at` is the
 /// packet's located flow-table record, `hash` its precomputed
-/// [`FlowKey::stable_hash`]; `rules` resolves the label pair's rule set
-/// (`None` = the no-rule drop) and runs only on a miss — `process`
-/// binary-searches the rows there, the batch path probes the FIB's
-/// interning table.
+/// [`FlowKey::stable_hash`]; only a miss resolves the label pair in `fib`.
+/// Always inlined: out of line, a call per packet on the flow-table hit
+/// path cost `fwd_hot` ~4 % of its packet rate (2-core x86-64, 15 s).
 #[allow(clippy::too_many_arguments)]
-fn affinity_next<'r>(
+#[inline(always)]
+fn affinity_next(
     flow_table: &mut FlowTable,
     stats: &mut ForwarderStats,
-    rules: impl FnOnce() -> Option<&'r RuleSet>,
+    fib: &CompiledFib,
     at: &FlowProbe,
     hash: u64,
     labels: LabelPair,
@@ -1153,14 +1135,16 @@ fn affinity_next<'r>(
         return Ok(next);
     }
     stats.flow_misses += 1;
-    let rules = rules().ok_or_else(|| no_rule_error(labels))?;
-    affinity_pin(flow_table, rules, at, hash, context, from)
+    let idx = fib
+        .lookup_index(labels)
+        .ok_or_else(|| no_rule_error(labels))?;
+    affinity_pin(flow_table, &fib.row(idx).rules, at, hash, context, from)
 }
 
-/// The affinity miss path's selection + pinning, shared by both rule
-/// lookups: weighted selection on the flow hash, then one pin
-/// of the connection's forward and reverse hops — all of them or, when the
-/// table is full, none (the packet drops and the next one retries).
+/// The affinity miss path's selection + pinning: weighted selection on
+/// the flow hash, then one pin of the connection's forward and reverse
+/// hops — all of them or, when the table is full, none (the packet drops
+/// and the next one retries).
 fn affinity_pin(
     flow_table: &mut FlowTable,
     rules: &RuleSet,

@@ -1,18 +1,18 @@
-//! Batch pipeline ≡ per-packet `process` reference (DESIGN.md §14).
+//! Batch pipeline ≡ per-packet `process` (DESIGN.md §14).
 //!
-//! The compiled-FIB batch pipeline must be *bit-identical* to the
-//! per-packet reference, a binary search over the same rows that shares
-//! nothing with the FIB's interning tables: same next hops, same
-//! rewritten packets, same error strings, same per-flow pins, same LB
-//! choices, same drop/hit/miss counters, same synthetic header work, and
-//! the same sampled telemetry — under arbitrary interleavings of
-//! `install_rules_epoch` / `remove_rules` / `fail_vnf_instance` and packet
-//! batches in both directions.
+//! The two-stage batch pipeline must be *bit-identical* to per-packet
+//! `process`: same next hops, same rewritten packets, same error strings,
+//! same per-flow pins, same LB choices, same drop/hit/miss counters, same
+//! synthetic header work, and the same sampled telemetry — under
+//! arbitrary interleavings of `install_rules_epoch` / `remove_rules` /
+//! `fail_vnf_instance` and packet batches in both directions.
 //!
-//! Two forwarders replay the identical script: a per-packet `process`
-//! oracle and the batch path. Any divergence anywhere is a bug in the
-//! compiler, the RCU publish, or the two-stage pipeline. CI runs this as
-//! the named step
+//! Two forwarders replay the identical script: one through `process`, one
+//! through the batch path. Both resolve rules through the same
+//! `CompiledFib::lookup_index`, whose own oracle is a linear scan in
+//! `fib.rs`'s unit tests; this replay pins the rest of the pipeline. Any
+//! divergence is a bug in the patch/rebuild compiler, the RCU publish, or
+//! the two-stage pipeline. CI runs this as the named step
 //! `cargo test --release -p sb-dataplane --test fib_equivalence`.
 
 use proptest::prelude::*;

@@ -8,6 +8,8 @@
 //! exporting a patch from its own rows only and consuming only the
 //! mailboxes a publish filled leaves 31 972 B in 492. Removing a row
 //! without cloning the rule set nobody reads leaves 29 457 B in 480.
+//! Dropping the FIB's label-interning table and chain-fallback index,
+//! which every rule install cloned or rebuilt, leaves 28 394 B in 464.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
@@ -22,8 +24,8 @@ use counting_alloc::counting;
 /// Updates run before counting, then the updates counted.
 const WARM_UP: usize = 200;
 const MEASURED: usize = 1_000;
-const MAX_BYTES_PER_UPDATE: usize = 33 * 1024;
-const MAX_CALLS_PER_UPDATE: usize = 552;
+const MAX_BYTES_PER_UPDATE: usize = 32 * 1024;
+const MAX_CALLS_PER_UPDATE: usize = 534;
 
 #[test]
 fn an_update_allocates_for_its_delta_not_for_the_network() {
