@@ -13,6 +13,7 @@
 use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, Topic};
 use sb_netsim::SimTime;
 use sb_types::{Millis, SiteId};
+use std::sync::Arc;
 
 /// Results for one bus topology.
 #[derive(Debug, Clone)]
@@ -100,14 +101,14 @@ pub fn run(config: &Config) -> (BusResult, BusResult) {
             bus.publish(
                 at,
                 SiteId::new(0),
-                Message::json(topic.clone(), &at.as_nanos()),
+                Message::new(topic.clone(), Arc::new(at.as_nanos())),
             );
         }
         let mut span = Millis::ZERO;
         let mut latencies = Vec::new();
         for s in &subs {
             for (msg, t) in bus.drain(*s) {
-                let published = SimTime::from_nanos(msg.decode::<u64>().expect("timestamp"));
+                let published = SimTime::from_nanos(*msg.payload::<u64>().expect("timestamp"));
                 latencies.push(t.since(published).value());
                 span = Millis::new(span.value().max(t.as_millis().value()));
             }
@@ -130,14 +131,14 @@ pub fn run(config: &Config) -> (BusResult, BusResult) {
             bus.publish(
                 at,
                 SiteId::new(0),
-                Message::json(topic.clone(), &at.as_nanos()),
+                Message::new(topic.clone(), Arc::new(at.as_nanos())),
             );
         }
         let mut span = Millis::ZERO;
         let mut latencies = Vec::new();
         for s in &subs {
             for (msg, t) in bus.drain(*s) {
-                let published = SimTime::from_nanos(msg.decode::<u64>().expect("timestamp"));
+                let published = SimTime::from_nanos(*msg.payload::<u64>().expect("timestamp"));
                 latencies.push(t.since(published).value());
                 span = Millis::new(span.value().max(t.as_millis().value()));
             }

@@ -5,8 +5,9 @@
 //! Local Switchboard). It publishes route announcements and deltas, the
 //! VNF controllers' instance records and the Local Switchboards'
 //! forwarder records, republishing what the fault plan drops, and hands
-//! the verbs the time the last copy arrived. Retiring a route drops the
-//! topics named after it.
+//! the verbs the time the last copy arrived. Each message carries the
+//! value the controller keeps, shared, not a copy. Retiring a route drops
+//! the topics named after it.
 
 use crate::chain::{DeploymentReport, InstalledRoute};
 use crate::global::GSB_SITE;
@@ -19,6 +20,7 @@ use sb_netsim::SimTime;
 use sb_telemetry::{Counter, Telemetry, TraceRecorder};
 use sb_types::{ChainId, EdgeInstanceId, Error, Millis, Result, SiteId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The bus and every site's endpoint on it.
 pub(crate) struct Announce {
@@ -63,17 +65,17 @@ impl Announce {
         self.bus.set_fault_plan(plan);
     }
 
-    /// Publishes on the bus and consumes what was delivered — the
-    /// in-process stand-in for every Local Switchboard reading its inbox.
-    /// The receivers run inline (the code after each publish attaches the
-    /// instances, installs the rules), so a delivery has been acted on as
-    /// soon as it is made. Only the mailboxes this publish delivered to
-    /// are consumed — every other one is already empty — and in place: the
-    /// mailboxes keep their buffers, so steady-state delivery allocates
-    /// nothing, and the message is freed where the publisher's own copy
-    /// used to be. Consuming only when the verb ends costs `fleet_deploy`
-    /// throughput; visiting every site's mailbox after each publish would
-    /// cost the update path, whose messages reach a few sites, 120 visits.
+    /// Publishes on the bus and consumes what was delivered, unread. The
+    /// receivers run inline: the code after each publish attaches the
+    /// instances and installs the rules whatever the publish's outcome, so
+    /// a site's in-process state is installed even when every copy meant
+    /// for it was lost past its retries. Such a loss costs only virtual
+    /// time, WAN copies and a report note; acting on delivered copies
+    /// alone is the receive half of ROADMAP item 3. Only the mailboxes
+    /// this publish delivered to are consumed — every other one is already
+    /// empty — and in place, so steady-state delivery allocates nothing;
+    /// visiting every site's mailbox would cost the update path, whose
+    /// messages reach a few sites, 120 visits.
     fn publish(&mut self, at: SimTime, from: SiteId, msg: Message) -> sb_msgbus::PublishOutcome {
         let out = self.bus.publish(at, from, msg);
         self.bus.discard_delivered();
@@ -94,11 +96,9 @@ impl Announce {
         what: &str,
         report: &mut DeploymentReport,
     ) -> SimTime {
-        // Without a fault plan nothing can be lost: no copy is kept back.
-        let kept = self.bus.fault_plan().is_some().then(|| msg.clone());
-        let first = self.publish(at, from, msg);
+        let first = self.publish(at, from, msg.clone());
         let (mut wan, mut last) = (first.wan_copies, first.last_delivery);
-        if let Some(msg) = kept.filter(|_| first.dropped > 0 || first.delivered == 0) {
+        if first.dropped > 0 || first.delivered == 0 {
             let mut extra = Millis::ZERO;
             let mut clean_after = None;
             for attempt in 0..MAX_RPC_RETRIES {
@@ -136,14 +136,14 @@ impl Announce {
     /// the last copy arrived.
     pub(crate) fn routes(
         &mut self,
-        announcements: &[RouteAnnouncement],
+        announcements: &[Arc<RouteAnnouncement>],
         at: SimTime,
         report: &mut DeploymentReport,
     ) -> SimTime {
         let route_topic = gsb_route_topic();
         let mut done = at;
         for ann in announcements {
-            let msg = Message::json(route_topic.clone(), ann);
+            let msg = Message::new(route_topic.clone(), Arc::clone(ann));
             done =
                 done.max(self.publish_with_retry(at, GSB_SITE, msg, "route announcement", report));
         }
@@ -155,18 +155,17 @@ impl Announce {
     /// [`Topic::route_delta`] topic. The topic is owned by the affected
     /// site itself, so each publish costs at most one WAN copy — unlike
     /// the chain-wide `/routes/site_<gsb>_gsb` replication topic every
-    /// site subscribes to. The payload is encoded once; each site's message
-    /// carries that text. Returns when the last copy arrived.
+    /// site subscribes to. Every site's message shares the one `payload`.
+    /// Returns when the last copy arrived.
     pub(crate) fn route_deltas(
         &mut self,
         chain: ChainId,
-        payload: &[&RouteAnnouncement],
+        payload: Arc<Vec<Arc<RouteAnnouncement>>>,
         affected: &[SiteId],
         what: &str,
         at: SimTime,
         report: &mut DeploymentReport,
     ) -> SimTime {
-        let text = serde_json::to_string(payload).expect("route delta must serialize");
         let mut done = at;
         for &site in affected {
             let Some(&sub) = self.site_subs.get(&site) else {
@@ -174,7 +173,7 @@ impl Announce {
             };
             let topic = Topic::route_delta(chain.value() as u32, site);
             self.bus.subscribe(sub, topic.clone());
-            let msg = Message::new(topic, text.clone());
+            let msg = Message::new(topic, Arc::clone(&payload));
             done = done.max(self.publish_with_retry(at, GSB_SITE, msg, what, report));
         }
         done
@@ -190,7 +189,7 @@ impl Announce {
         &mut self,
         reserve: &Reserve,
         install: &mut Install,
-        announcements: &[RouteAnnouncement],
+        announcements: &[Arc<RouteAnnouncement>],
         at: SimTime,
         report: &mut DeploymentReport,
     ) -> Result<(Vec<InstalledRoute>, SimTime)> {
@@ -203,15 +202,15 @@ impl Announce {
                 let ctl = reserve
                     .controller(vnf)
                     .ok_or_else(|| Error::unknown("vnf", vnf))?;
-                let records = ctl.instances_at(site);
+                let records = Arc::new(ctl.instances_at(site));
                 let inst_topic = Topic::vnf_instances(label, egress, vnf.value(), site);
                 self.bus
                     .subscribe(self.site_subs[&site], inst_topic.clone());
-                let msg = Message::json(inst_topic, &records);
+                let msg = Message::new(inst_topic, Arc::clone(&records));
                 let home = ctl.home_site();
                 done = done.max(self.publish_with_retry(at, home, msg, "instance records", report));
 
-                let fwd_records = install.attach_instances(site, vnf, &records);
+                let fwd_records = Arc::new(install.attach_instances(site, vnf, &records));
                 // Publish forwarder records on the Figure 6 topic; the
                 // adjacent stages' sites subscribe.
                 let fwd_topic = Topic::vnf_forwarders(label, egress, vnf.value(), site);
@@ -224,13 +223,13 @@ impl Announce {
                 for n in neighbors.into_iter().flatten() {
                     self.bus.subscribe(self.site_subs[&n], fwd_topic.clone());
                 }
-                let msg = Message::json(fwd_topic, &fwd_records);
+                let msg = Message::new(fwd_topic, Arc::clone(&fwd_records));
                 done =
                     done.max(self.publish_with_retry(at, site, msg, "forwarder records", report));
                 stages.push(fwd_records);
             }
             routes.push(InstalledRoute {
-                ann: ann.clone(),
+                ann: Arc::clone(ann),
                 stages,
             });
         }
@@ -256,7 +255,7 @@ impl Announce {
             ann.sites[0],
         );
         self.bus.subscribe(self.site_subs[&site], topic.clone());
-        let msg = Message::json(topic, &route.stages[0]);
+        let msg = Message::new(topic, Arc::clone(&route.stages[0]));
         self.publish_with_retry(at, ann.sites[0], msg, "first VNF forwarder info", report)
     }
 
@@ -273,7 +272,7 @@ impl Announce {
         let topic = edge_topic(chain, site);
         self.bus
             .subscribe(self.site_subs[&first_site], topic.clone());
-        let msg = Message::json(topic, &vec![edge.value()]);
+        let msg = Message::new(topic, Arc::new(edge));
         self.publish_with_retry(at, site, msg, "edge forwarder info", report)
     }
 

@@ -4,6 +4,7 @@
 
 use crate::messages::{ForwarderRecord, RouteAnnouncement};
 use sb_types::{ChainId, Millis, Rate, VnfId};
+use std::sync::Arc;
 
 /// A customer's chain specification (the portal form of Section 2).
 #[derive(Debug, Clone)]
@@ -77,9 +78,10 @@ pub struct ChainHandle {
 /// An installed route and the forwarder records each of its stages
 /// published when it was installed (Figure 6). Stage `z`'s records are
 /// stage `z - 1`'s next hops and stage `z + 1`'s previous hops, and stage
-/// 0's are the first hop of every edge bound to the route.
+/// 0's are the first hop of every edge bound to the route. Both are the
+/// values the bus carried, shared with the messages that published them.
 #[derive(Debug, Clone)]
 pub(crate) struct InstalledRoute {
-    pub(crate) ann: RouteAnnouncement,
-    pub(crate) stages: Vec<Vec<ForwarderRecord>>,
+    pub(crate) ann: Arc<RouteAnnouncement>,
+    pub(crate) stages: Vec<Arc<Vec<ForwarderRecord>>>,
 }

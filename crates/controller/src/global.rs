@@ -54,6 +54,7 @@ use sb_types::{
     ChainId, ChainLabel, EgressLabel, Error, InstanceId, LabelPair, Millis, Result, RouteId, SiteId,
 };
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// The site hosting Global Switchboard (and the edge controller).
 pub(crate) const GSB_SITE: SiteId = SiteId::new(0);
@@ -207,11 +208,11 @@ struct Op {
 
 impl Op {
     /// The verb's outcome: `chain`'s `routes`, with the report.
-    fn handle(&mut self, chain: ChainId, routes: Vec<RouteAnnouncement>) -> ChainHandle {
+    fn handle(&mut self, chain: ChainId, routes: &[InstalledRoute]) -> ChainHandle {
         let report = std::mem::take(&mut self.report);
         ChainHandle {
             chain,
-            routes,
+            routes: routes.iter().map(|r| (*r.ann).clone()).collect(),
             report,
         }
     }
@@ -317,7 +318,7 @@ impl ControlPlane {
     pub fn routes_of(&self, chain: ChainId) -> Vec<RouteAnnouncement> {
         self.chains
             .get(&chain)
-            .map(|c| c.routes.iter().map(|r| r.ann.clone()).collect())
+            .map(|c| c.routes.iter().map(|r| (*r.ann).clone()).collect())
             .unwrap_or_default()
     }
 
@@ -468,7 +469,7 @@ impl ControlPlane {
             added_edges: BTreeMap::new(),
         };
         self.chains.insert(id, state);
-        Ok(op.handle(id, routes))
+        Ok(op.handle(id, &self.chains[&id].routes))
     }
 
     /// Refuses a request before any state changes: a chain that is
@@ -521,7 +522,7 @@ impl ControlPlane {
         spec: &ChainSpec,
         forced: Option<Vec<(Vec<SiteId>, f64)>>,
         op: &mut Op,
-    ) -> Result<Vec<RouteAnnouncement>> {
+    ) -> Result<Vec<Arc<RouteAnnouncement>>> {
         let resolvable = forced.is_none();
         let mut paths: Vec<RoutePath> = match forced {
             Some(routes) => routes
@@ -542,7 +543,7 @@ impl ControlPlane {
         let mut excluded = Vec::new();
         loop {
             let routes = self.label_routes(request, ends, &paths, 1);
-            let full = routes.iter().map(|a| (a, a.fraction));
+            let full = routes.iter().map(|a| (a.as_ref(), a.fraction));
             let items = prepare_items(&self.solve, spec, full);
             let Err(e) = self.two_phase_commit(&items, op) else {
                 return Ok(routes);
@@ -572,7 +573,7 @@ impl ControlPlane {
         (ingress_site, egress_site): (SiteId, SiteId),
         paths: &[RoutePath],
         epoch: u64,
-    ) -> Vec<RouteAnnouncement> {
+    ) -> Vec<Arc<RouteAnnouncement>> {
         let mut routes = Vec::with_capacity(paths.len());
         for p in paths {
             let egress = EgressLabel::new(egress_site.value());
@@ -580,7 +581,7 @@ impl ControlPlane {
             self.next_label += 1;
             let route = RouteId::new(self.next_route);
             self.next_route += 1;
-            routes.push(RouteAnnouncement {
+            routes.push(Arc::new(RouteAnnouncement {
                 chain: request.id,
                 route,
                 labels,
@@ -590,7 +591,7 @@ impl ControlPlane {
                 sites: p.sites.clone(),
                 fraction: p.fraction,
                 epoch,
-            });
+            }));
         }
         routes
     }
@@ -614,7 +615,7 @@ impl ControlPlane {
     /// with their stage forwarders.
     fn allocate(
         &mut self,
-        routes: &[RouteAnnouncement],
+        routes: &[Arc<RouteAnnouncement>],
         op: &mut Op,
     ) -> Result<Vec<InstalledRoute>> {
         let (t, report, announce) = (self.now, &mut op.report, &mut self.announce);
@@ -844,8 +845,7 @@ impl ControlPlane {
         let delta = RouteDelta::diff(&state.paths(), target);
         self.spend(op, DIFF, COMPUTE_TIME);
         if delta.is_empty() {
-            let routes = state.routes.into_iter().map(|r| r.ann).collect();
-            return Ok(op.handle(chain, routes));
+            return Ok(op.handle(chain, &state.routes));
         }
         let epoch = state.epoch + 1;
         let plan = Plan::new(&state.routes, &delta, epoch);
@@ -861,9 +861,9 @@ impl ControlPlane {
         // keeps serving untouched.
         let grown = plan.modified.iter().filter_map(|(nu, old)| {
             let grow = nu.ann.fraction - old;
-            (grow > 1e-12).then_some((&nu.ann, grow))
+            (grow > 1e-12).then_some((nu.ann.as_ref(), grow))
         });
-        let full = added.iter().map(|a| (a, a.fraction));
+        let full = added.iter().map(|a| (a.as_ref(), a.fraction));
         let items = prepare_items(&self.solve, &spec, full.chain(grown));
         if items.is_empty() {
             let name = "two-phase commit (no load increases)";
@@ -887,12 +887,12 @@ impl ControlPlane {
         // sites hear nothing).
         let t = self.now;
         let modified = plan.modified.iter().map(|(nu, _)| &nu.ann);
-        let changed: Vec<&RouteAnnouncement> = added.iter().chain(modified).collect();
+        let changed = Arc::new(added.iter().chain(modified).cloned().collect());
         let (affected, report) = (delta.affected_sites(), &mut op.report);
         let what = "route delta";
         let done = self
             .announce
-            .route_deltas(chain, &changed, &affected, what, t, report);
+            .route_deltas(chain, changed, &affected, what, t, report);
         self.wait(op, PROPAGATE_DELTA, (t, done));
 
         let added = if added.is_empty() {
@@ -901,10 +901,9 @@ impl ControlPlane {
             self.allocate(&added, op)?
         };
         let (routes, added_edges) = self.switch_over(&spec, &state, plan, added, op)?;
-        let anns = routes.iter().map(|r| r.ann.clone()).collect();
         let st = self.chains.get_mut(&chain).expect("chain exists");
         (st.routes, st.epoch, st.added_edges) = (routes, epoch, added_edges);
-        Ok(op.handle(chain, anns))
+        Ok(op.handle(chain, &st.routes))
     }
 
     /// Steps 4–6 of an update, make-before-break: install the new-epoch
@@ -1022,14 +1021,14 @@ impl ControlPlane {
         // Removal delta to the affected sites only (payload: the retiring
         // announcements, so receivers know which route ids die).
         let t = self.now;
-        let anns: Vec<&RouteAnnouncement> = state.routes.iter().map(|r| &r.ann).collect();
+        let anns: Vec<_> = state.routes.iter().map(|r| Arc::clone(&r.ann)).collect();
         let mut affected: Vec<SiteId> = anns.iter().flat_map(|a| a.sites.clone()).collect();
         affected.sort();
         affected.dedup();
         let (what, report) = ("route removal delta", &mut op.report);
         let done = self
             .announce
-            .route_deltas(chain, &anns, &affected, what, t, report);
+            .route_deltas(chain, Arc::new(anns), &affected, what, t, report);
         self.wait(op, PROPAGATE_DELTA, (t, done));
 
         self.retire_routes(&spec, &state.routes, &state, |_| false);
@@ -1083,7 +1082,8 @@ impl Plan {
                 }
             } else if let Some(m) = modified {
                 let mut nu = route.clone();
-                (nu.ann.fraction, nu.ann.epoch) = (m.new_fraction, epoch);
+                let ann = Arc::make_mut(&mut nu.ann);
+                (ann.fraction, ann.epoch) = (m.new_fraction, epoch);
                 plan.modified.push((nu, route.ann.fraction));
             } else {
                 plan.kept.push(route.clone());

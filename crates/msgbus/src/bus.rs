@@ -15,10 +15,10 @@
 //! # Delivery is a shared handle
 //!
 //! The copies the two topologies differ in are *wire* copies, counted in
-//! [`BusStats`]. In memory a published [`Message`] is stored once: `publish`
-//! wraps it in one [`Arc`] and every mailbox entry, at every site, holds that
-//! handle. [`drain`](ProxyBus::drain) hands a subscriber its messages in
-//! delivery-time order (the last holder takes the allocation itself);
+//! [`BusStats`]. In memory a published [`Message`]'s payload is stored once:
+//! every mailbox entry, at every site, is a clone of the message, which
+//! shares its topic path and payload. [`drain`](ProxyBus::drain) hands a
+//! subscriber its messages in delivery-time order;
 //! [`discard_delivered`](ProxyBus::discard_delivered) consumes in place,
 //! keeping their buffers, exactly the mailboxes the last publish delivered
 //! to — for subscribers that act on each delivery as it happens and have
@@ -39,7 +39,6 @@ use sb_telemetry::{Counter, Telemetry};
 use sb_types::{Millis, SiteId};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
 
 /// A handle to a registered subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -222,9 +221,9 @@ struct BusCore {
     topo: BusTopology,
     sub_sites: Vec<SiteId>,
     subscriptions: HashMap<Topic, BTreeSet<SubscriberId>>,
-    /// Per subscriber, in delivery order: the shared message and its
-    /// delivery time.
-    mailboxes: Vec<Vec<(Arc<Message>, SimTime)>>,
+    /// Per subscriber, in delivery order: the message and its delivery
+    /// time.
+    mailboxes: Vec<Vec<(Message, SimTime)>>,
     /// A publish's `(site, subscriber)` fan-out list, kept between
     /// publishes so its buffer is reused. After a publish it lists exactly
     /// the subscribers that publish delivered to.
@@ -374,26 +373,23 @@ impl BusCore {
     }
 
     /// Narrows a publish's `fanout` to the subscribers `msg` reached, when
-    /// a copy was lost (`lossy`) — a mailbox `msg` reached ends with it.
-    /// Without a loss every subscriber was reached.
-    fn keep_reached(
-        &self,
-        fanout: &mut Vec<(SiteId, SubscriberId)>,
-        msg: &Arc<Message>,
-        lossy: bool,
-    ) {
+    /// a copy was lost (`lossy`) — a mailbox `msg` reached ends with its
+    /// payload. Without a loss every subscriber was reached. A republish
+    /// shares its payload with the first attempt, so this tells them apart
+    /// only for a subscriber that consumed the earlier copy.
+    fn keep_reached(&self, fanout: &mut Vec<(SiteId, SubscriberId)>, msg: &Message, lossy: bool) {
         if lossy {
             let mailboxes = &self.mailboxes;
             fanout.retain(|&(_, sub)| {
                 mailboxes[sub.0 as usize]
                     .last()
-                    .is_some_and(|(m, _)| Arc::ptr_eq(m, msg))
+                    .is_some_and(|(m, _)| m.shares_payload(msg))
             });
         }
     }
 
-    fn deliver(&mut self, sub: SubscriberId, msg: &Arc<Message>, at: SimTime) {
-        self.mailboxes[sub.0 as usize].push((Arc::clone(msg), at));
+    fn deliver(&mut self, sub: SubscriberId, msg: &Message, at: SimTime) {
+        self.mailboxes[sub.0 as usize].push((msg.clone(), at));
         self.stats.delivered += 1;
     }
 
@@ -401,9 +397,6 @@ impl BusCore {
         let mut inbox = std::mem::take(&mut self.mailboxes[sub.0 as usize]);
         inbox.sort_by_key(|&(_, t)| t);
         inbox
-            .into_iter()
-            .map(|(msg, t)| (Arc::unwrap_or_clone(msg), t))
-            .collect()
     }
 }
 
@@ -438,8 +431,7 @@ macro_rules! shared_bus_api {
         }
 
         /// Takes all messages delivered to `sub` so far, ordered by
-        /// delivery time. A message still held by another mailbox is
-        /// copied out; its last holder takes the shared allocation.
+        /// delivery time.
         #[must_use]
         pub fn drain(&mut self, sub: SubscriberId) -> Vec<(Message, SimTime)> {
             self.core.drain(sub)
@@ -557,7 +549,6 @@ impl ProxyBus {
         // keeps each site's subscribers ascending.
         let mut fanout = std::mem::take(&mut self.core.fanout);
         fanout.sort_by_key(|&(site, _)| site);
-        let msg = Arc::new(msg);
 
         for &t in relay_arrivals.as_slice() {
             // The owner proxy cannot relay while its site is down.
@@ -645,7 +636,6 @@ impl FullMeshBus {
 
         self.core.fill_fanout(msg.topic());
         let mut fanout = std::mem::take(&mut self.core.fanout);
-        let msg = Arc::new(msg);
         for &(site, sub) in &fanout {
             let t = at + local;
             let arrivals = if site == from_site {
@@ -683,6 +673,7 @@ impl FullMeshBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn sites(n: u32) -> Vec<SiteId> {
         (0..n).map(SiteId::new).collect()
@@ -693,7 +684,7 @@ mod tests {
     }
 
     fn msg(owner: u32) -> Message {
-        Message::new(Topic::with_owner("/t", SiteId::new(owner)), "{}")
+        Message::new(Topic::with_owner("/t", SiteId::new(owner)), Arc::new(owner))
     }
 
     #[test]
@@ -827,14 +818,13 @@ mod tests {
             .collect()
     }
 
-    /// Every mailbox holds one entry, and all of them are the same allocation.
+    /// Every mailbox holds one entry, and all of them share one payload.
     fn assert_stored_once(core: &BusCore, subs: &[SubscriberId]) {
         let first = &core.mailboxes[subs[0].0 as usize][0].0;
-        assert_eq!(Arc::strong_count(first), subs.len());
         for s in subs {
             let inbox = &core.mailboxes[s.0 as usize];
             assert_eq!(inbox.len(), 1);
-            assert!(Arc::ptr_eq(&inbox[0].0, first), "{s} holds its own copy");
+            assert!(inbox[0].0.shares_payload(first), "{s} holds its own copy");
         }
     }
 
@@ -868,10 +858,10 @@ mod tests {
         for &s in &subs {
             bus.subscribe(s, topic.clone());
         }
-        let late = Message::new(topic.clone(), "\"late\"");
-        let early = Message::new(topic, "\"early\"");
-        bus.publish(SimTime::from_millis(100.0), SiteId::new(0), late.clone());
-        bus.publish(SimTime::ZERO, SiteId::new(0), early.clone());
+        let late = Message::new(topic.clone(), Arc::new("late"));
+        let early = Message::new(topic, Arc::new("early"));
+        bus.publish(SimTime::from_millis(100.0), SiteId::new(0), late);
+        bus.publish(SimTime::ZERO, SiteId::new(0), early);
         assert_eq!(
             bus.stats(),
             BusStats {
@@ -886,8 +876,8 @@ mod tests {
         for &s in &subs {
             assert_eq!(bus.pending(s), 2);
             let inbox = bus.drain(s);
-            let order: Vec<&Message> = inbox.iter().map(|(m, _)| m).collect();
-            assert_eq!(order, [&early, &late], "{s}: ordered by delivery time");
+            let order: Vec<&str> = inbox.iter().map(|(m, _)| *m.payload().unwrap()).collect();
+            assert_eq!(order, ["early", "late"], "{s}: ordered by delivery time");
             assert_eq!(bus.pending(s), 0);
         }
     }
@@ -913,7 +903,7 @@ mod tests {
     /// never faulted.
     fn local_msg(site: u32) -> (Topic, Message) {
         let topic = Topic::with_owner("/u", SiteId::new(site));
-        (topic.clone(), Message::new(topic, "{}"))
+        (topic.clone(), Message::new(topic, Arc::new(site)))
     }
 
     #[test]

@@ -24,6 +24,7 @@
 //! use sb_msgbus::{BusTopology, DelayModel, Message, ProxyBus, Topic};
 //! use sb_netsim::SimTime;
 //! use sb_types::{Millis, SiteId};
+//! use std::sync::Arc;
 //!
 //! let (a, b) = (SiteId::new(0), SiteId::new(1));
 //! let delays = DelayModel::uniform(Millis::new(0.1), Millis::new(40.0));
@@ -33,10 +34,12 @@
 //! let topic = Topic::parse("/c1/e3/vnf_G/site_0_instances").unwrap();
 //! bus.subscribe(sub, topic.clone());
 //!
-//! let out = bus.publish(SimTime::ZERO, a, Message::json(topic, &"instance list"));
+//! // The payload is a typed value, shared by every delivered copy.
+//! let weights = Arc::new(vec![1.0_f64, 2.5]);
+//! let out = bus.publish(SimTime::ZERO, a, Message::new(topic, weights.clone()));
 //! assert_eq!(out.delivered, 1);
 //! let inbox = bus.drain(sub);
-//! assert_eq!(inbox.len(), 1);
+//! assert_eq!(inbox[0].0.payload::<Vec<f64>>(), Some(&*weights));
 //! // One local proxy hop + one WAN hop + one local delivery hop.
 //! assert!(inbox[0].1 >= SimTime::from_millis(40.0));
 //! ```

@@ -7,13 +7,14 @@
 //! sites numerically: `/c1/e3/vnf_G/site_4_instances` is owned by site 4.
 
 use sb_types::{Error, Result, SiteId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
-/// A hierarchical topic with an owner site.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// A hierarchical topic with an owner site. The path is shared, so a
+/// delivered copy or a subscription filter costs no allocation.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Topic {
-    path: String,
+    path: Arc<str>,
     owner: SiteId,
 }
 
@@ -40,7 +41,7 @@ impl Topic {
             .next_back()
             .ok_or_else(|| Error::bus(format!("topic has no site_<id> segment: {path}")))?;
         Ok(Self {
-            path,
+            path: path.into(),
             owner: SiteId::new(owner),
         })
     }
@@ -48,7 +49,7 @@ impl Topic {
     /// Builds a topic with an explicit owner site, for payloads that do not
     /// follow the `site_<id>` naming convention.
     #[must_use]
-    pub fn with_owner(path: impl Into<String>, owner: SiteId) -> Self {
+    pub fn with_owner(path: impl Into<Arc<str>>, owner: SiteId) -> Self {
         Self {
             path: path.into(),
             owner,

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, Topic};
 use sb_netsim::SimTime;
 use sb_types::{Millis, SiteId};
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct Placement {
@@ -58,7 +59,7 @@ fn sites(n: u32) -> Vec<SiteId> {
 }
 
 fn msg() -> Message {
-    Message::new(Topic::with_owner("/t", SiteId::new(0)), "{}")
+    Message::new(Topic::with_owner("/t", SiteId::new(0)), Arc::new(0u64))
 }
 
 proptest! {

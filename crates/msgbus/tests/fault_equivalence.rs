@@ -10,6 +10,7 @@ use sb_faults::{FaultPlan, FaultSpec};
 use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, Topic};
 use sb_netsim::SimTime;
 use sb_types::{Millis, SiteId};
+use std::sync::Arc;
 
 fn sites3() -> (SiteId, SiteId, SiteId) {
     (SiteId::new(0), SiteId::new(1), SiteId::new(2))
@@ -21,6 +22,21 @@ fn topology() -> BusTopology {
         vec![a, b, c],
         DelayModel::uniform(Millis::new(0.1), Millis::new(40.0)),
     )
+}
+
+/// A message whose payload is `text`.
+fn text(topic: &Topic, text: String) -> Message {
+    Message::new(topic.clone(), Arc::new(text))
+}
+
+/// A drained inbox as comparable values: topic path, text payload and
+/// delivery time.
+fn contents(inbox: Vec<(Message, SimTime)>) -> Vec<(String, String, SimTime)> {
+    let body = |m: &Message| m.payload::<String>().expect("a text payload").clone();
+    inbox
+        .into_iter()
+        .map(|(m, t)| (m.topic().path().to_string(), body(&m), t))
+        .collect()
 }
 
 fn zero_fault_plan(seed: u64) -> sb_msgbus::SharedFaultPlan {
@@ -48,15 +64,15 @@ macro_rules! assert_transparent {
 
         for i in 0..20u32 {
             let at = SimTime::from_millis(f64::from(i) * 3.0);
-            let msg = Message::json(topic.clone(), &format!("update-{i}"));
+            let msg = text(&topic, format!("update-{i}"));
             let out_plain = plain.publish(at, a, msg.clone());
             let out_faulted = faulted.publish(at, a, msg);
             assert_eq!(out_plain, out_faulted, "publish outcome {i}");
         }
         let (pb, pc) = subs[0];
         let (fb, fc) = subs[1];
-        assert_eq!(plain.drain(pb), faulted.drain(fb));
-        assert_eq!(plain.drain(pc), faulted.drain(fc));
+        assert_eq!(contents(plain.drain(pb)), contents(faulted.drain(fb)));
+        assert_eq!(contents(plain.drain(pc)), contents(faulted.drain(fc)));
         assert_eq!(plain.stats(), faulted.stats());
         // The plan injected nothing.
         let plan = faulted.fault_plan().unwrap();
@@ -105,7 +121,7 @@ fn proxy_and_full_mesh_deliver_equivalent_message_sets() {
 
     for i in 0..10u32 {
         let at = SimTime::from_millis(f64::from(i) * 5.0);
-        let msg = Message::json(topic.clone(), &format!("payload-{i}"));
+        let msg = text(&topic, format!("payload-{i}"));
         let po = proxy.publish(at, a, msg.clone());
         let mo = mesh.publish(at, a, msg);
         assert_eq!(po.delivered, mo.delivered, "message {i}");
@@ -114,10 +130,13 @@ fn proxy_and_full_mesh_deliver_equivalent_message_sets() {
         assert_eq!(po.wan_copies, mo.wan_copies, "message {i}");
     }
     for (p, m) in p_subs.iter().zip(&m_subs) {
-        let pv: Vec<Message> =
-            proxy.drain(*p).into_iter().map(|(msg, _)| msg).collect();
-        let mv: Vec<Message> =
-            mesh.drain(*m).into_iter().map(|(msg, _)| msg).collect();
+        let strip = |inbox| {
+            contents(inbox)
+                .into_iter()
+                .map(|(topic, text, _)| (topic, text))
+        };
+        let pv: Vec<_> = strip(proxy.drain(*p)).collect();
+        let mv: Vec<_> = strip(mesh.drain(*m)).collect();
         assert_eq!(pv, mv, "same messages in the same order");
         assert_eq!(pv.len(), 10);
     }
@@ -134,7 +153,7 @@ fn publisher_site_filtering_tracks_subscriber_churn() {
     let topic = Topic::with_owner("/c2/state".to_string(), a);
 
     // No subscribers anywhere: nothing crosses the WAN.
-    let out = bus.publish(SimTime::ZERO, a, Message::json(topic.clone(), &"v0"));
+    let out = bus.publish(SimTime::ZERO, a, text(&topic, "v0".into()));
     assert_eq!((out.delivered, out.wan_copies), (0, 0));
 
     // One remote site with two subscribers: ONE wan copy, two deliveries.
@@ -142,32 +161,20 @@ fn publisher_site_filtering_tracks_subscriber_churn() {
     let b2 = bus.register_subscriber(b);
     bus.subscribe(b1, topic.clone());
     bus.subscribe(b2, topic.clone());
-    let out = bus.publish(
-        SimTime::from_millis(1.0),
-        a,
-        Message::json(topic.clone(), &"v1"),
-    );
+    let out = bus.publish(SimTime::from_millis(1.0), a, text(&topic, "v1".into()));
     assert_eq!((out.delivered, out.wan_copies), (2, 1));
 
     // A second remote site joins late: it gets later messages only.
     let c1 = bus.register_subscriber(c);
     bus.subscribe(c1, topic.clone());
-    let out = bus.publish(
-        SimTime::from_millis(2.0),
-        a,
-        Message::json(topic.clone(), &"v2"),
-    );
+    let out = bus.publish(SimTime::from_millis(2.0), a, text(&topic, "v2".into()));
     assert_eq!((out.delivered, out.wan_copies), (3, 2));
     assert_eq!(bus.drain(c1).len(), 1, "no retroactive delivery");
 
     // Site b leaves entirely: its filter is removed at the proxy.
     bus.unsubscribe(b1, &topic);
     bus.unsubscribe(b2, &topic);
-    let out = bus.publish(
-        SimTime::from_millis(3.0),
-        a,
-        Message::json(topic.clone(), &"v3"),
-    );
+    let out = bus.publish(SimTime::from_millis(3.0), a, text(&topic, "v3".into()));
     assert_eq!((out.delivered, out.wan_copies), (1, 1));
     assert_eq!(bus.drain(b1).len(), 2, "v1 and v2 only");
     assert_eq!(bus.drain(b2).len(), 2);

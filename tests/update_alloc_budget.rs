@@ -10,6 +10,9 @@
 //! without cloning the rule set nobody reads leaves 29 457 B in 480.
 //! Dropping the FIB's label-interning table and chain-fallback index,
 //! which every rule install cloned or rebuilt, leaves 28 394 B in 464.
+//! Publishing shared typed values instead of JSON text, with the chain
+//! record holding the announcements and stage forwarders those messages
+//! carried, leaves 24 583 B in 439.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
@@ -24,8 +27,8 @@ use counting_alloc::counting;
 /// Updates run before counting, then the updates counted.
 const WARM_UP: usize = 200;
 const MEASURED: usize = 1_000;
-const MAX_BYTES_PER_UPDATE: usize = 32 * 1024;
-const MAX_CALLS_PER_UPDATE: usize = 534;
+const MAX_BYTES_PER_UPDATE: usize = 28 * 1024;
+const MAX_CALLS_PER_UPDATE: usize = 505;
 
 #[test]
 fn an_update_allocates_for_its_delta_not_for_the_network() {
