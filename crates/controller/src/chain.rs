@@ -69,8 +69,8 @@ impl DeploymentReport {
 pub struct ChainHandle {
     /// The chain.
     pub chain: ChainId,
-    /// All active routes.
-    pub routes: Vec<RouteAnnouncement>,
+    /// All active routes: the announcements the chain record holds.
+    pub routes: Vec<Arc<RouteAnnouncement>>,
     /// The deployment timing report.
     pub report: DeploymentReport,
 }

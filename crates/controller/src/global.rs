@@ -212,7 +212,7 @@ impl Op {
         let report = std::mem::take(&mut self.report);
         ChainHandle {
             chain,
-            routes: routes.iter().map(|r| (*r.ann).clone()).collect(),
+            routes: routes.iter().map(|r| Arc::clone(&r.ann)).collect(),
             report,
         }
     }
@@ -313,12 +313,12 @@ impl ControlPlane {
         sites
     }
 
-    /// The routes of a deployed chain.
+    /// The routes of a deployed chain: the announcements its record holds.
     #[must_use]
-    pub fn routes_of(&self, chain: ChainId) -> Vec<RouteAnnouncement> {
+    pub fn routes_of(&self, chain: ChainId) -> Vec<Arc<RouteAnnouncement>> {
         self.chains
             .get(&chain)
-            .map(|c| c.routes.iter().map(|r| (*r.ann).clone()).collect())
+            .map(|c| c.routes.iter().map(|r| Arc::clone(&r.ann)).collect())
             .unwrap_or_default()
     }
 
@@ -649,7 +649,7 @@ impl ControlPlane {
         &mut self,
         chain: ChainId,
         sites: Vec<SiteId>,
-    ) -> Result<(RouteAnnouncement, DeploymentReport)> {
+    ) -> Result<(Arc<RouteAnnouncement>, DeploymentReport)> {
         let state = self.chain_state(chain)?;
         if sites.len() != state.request.vnfs.len() {
             return Err(Error::invalid_argument(
@@ -1281,6 +1281,29 @@ mod tests {
     }
 
     #[test]
+    fn handles_share_the_routes_the_chain_record_holds() {
+        let mut cp = control_plane();
+        cp.register_attachment("customer-in", SiteId::new(0));
+        cp.register_attachment("customer-out", SiteId::new(3));
+        let handle = cp.deploy_chain(request(1)).unwrap();
+        let shared = |a: &[Arc<RouteAnnouncement>], b: &[Arc<RouteAnnouncement>]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+        };
+        assert!(shared(&handle.routes, &cp.routes_of(ChainId::new(1))));
+        let other = if handle.routes[0].sites[0] == SiteId::new(1) {
+            SiteId::new(2)
+        } else {
+            SiteId::new(1)
+        };
+        let (added, _) = cp.add_route_via(ChainId::new(1), vec![other]).unwrap();
+        let routes = cp.routes_of(ChainId::new(1));
+        assert_eq!(routes.iter().filter(|r| Arc::ptr_eq(r, &added)).count(), 1);
+        let back = vec![(handle.routes[0].sites.clone(), 1.0)];
+        let updated = cp.update_chain(ChainId::new(1), back).unwrap();
+        assert!(shared(&updated.routes, &cp.routes_of(ChainId::new(1))));
+    }
+
+    #[test]
     fn add_route_via_rejects_an_installed_site_sequence() {
         let mut cp = control_plane();
         cp.register_attachment("customer-in", SiteId::new(0));
@@ -1676,7 +1699,7 @@ mod tests {
         // The chain's own load is lifted off before the re-solve, so with
         // nothing else changed SB-DP re-picks what is installed.
         let h = cp.reroute_chain(ChainId::new(1)).unwrap();
-        let bits = |routes: &[RouteAnnouncement]| -> Vec<(RouteId, u64)> {
+        let bits = |routes: &[Arc<RouteAnnouncement>]| -> Vec<(RouteId, u64)> {
             routes
                 .iter()
                 .map(|r| (r.route, r.fraction.to_bits()))

@@ -19,9 +19,10 @@
 //! - [`Forwarder`]: the proxy itself, with the three processing modes of
 //!   Figure 7 ([`ForwarderMode::Bridge`] / [`Overlay`](ForwarderMode::Overlay)
 //!   / [`Affinity`](ForwarderMode::Affinity));
-//! - [`fib`]: the compiled FIB — dense label-interned rule rows published
-//!   RCU-style per generation, feeding the forwarder's prefetch-pipelined
-//!   batch path (DESIGN.md §14);
+//! - [`fib`]: the compiled FIB — the forwarder's rule rows sorted by label
+//!   pair, found by one binary search and published RCU-style per
+//!   generation, feeding the forwarder's prefetch-pipelined batch path
+//!   (DESIGN.md §14);
 //! - [`pktgen::PacketGenerator`]: the MoonGen stand-in;
 //! - [`ring`]: lock-free SPSC rings connecting the sharded runner's
 //!   pktgen → forwarder → sink stages;

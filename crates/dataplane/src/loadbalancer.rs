@@ -17,7 +17,6 @@
 
 use crate::packet::Addr;
 use sb_types::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Avalanching finalizer (splitmix64): decorrelates the threshold draw from
 /// the slot-index draw so one 64-bit flow hash can drive both.
@@ -50,7 +49,7 @@ fn mix(mut h: u64) -> u64 {
 ///     .count();
 /// assert!((6_500..8_500).contains(&hits));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WeightedChoice {
     /// `(target, cumulative_weight)`, cumulative over the normalized
     /// distribution, ending at exactly `total`; [`without`](Self::without)

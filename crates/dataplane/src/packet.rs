@@ -1,11 +1,10 @@
 //! Packets and data-plane addresses.
 
 use sb_types::{EdgeInstanceId, FlowKey, ForwarderId, InstanceId, LabelPair, SiteId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The address of a data-plane element a packet can be handed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Addr {
     /// A VNF instance attached to a forwarder.
     Vnf(InstanceId),
@@ -28,7 +27,7 @@ impl fmt::Display for Addr {
 /// A VXLAN-like tunnel header used when a packet crosses the wide area
 /// between two forwarders (Section 5.4: "VXLAN tunnels help isolate
 /// Switchboard's traffic in a shared cloud").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TunnelHeader {
     /// The virtual network identifier.
     pub vni: u32,
@@ -44,7 +43,7 @@ pub struct TunnelHeader {
 ///
 /// `Packet` is `Copy` and heap-free so the forwarding hot path measured in
 /// Figure 8 does no allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Packet {
     /// The chain/egress label pair; `None` when labels were stripped for a
     /// label-unaware VNF or before a `Bridge`-mode forwarder.

@@ -38,10 +38,9 @@ use rand::{Rng, SeedableRng};
 use sb_netsim::SimTime;
 use sb_telemetry::{Counter, Telemetry};
 use sb_types::{InstanceId, Millis, SiteId};
-use serde::{Deserialize, Serialize};
 
 /// Probabilistic fault rates for one direction of a site pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PairFaults {
     /// Source site of the wide-area hop.
     pub from: SiteId,
@@ -71,14 +70,14 @@ impl PairFaults {
 
 /// A site outage over simulated time: down from `from` (inclusive) until
 /// `until` (exclusive), or forever when `until` is `None`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CrashWindow {
     /// The crashed site.
     pub site: SiteId,
-    /// Crash instant, in simulated nanoseconds.
-    pub from_nanos: u64,
-    /// Recovery instant in simulated nanoseconds, or `None` if permanent.
-    pub until_nanos: Option<u64>,
+    /// Crash instant.
+    pub from: SimTime,
+    /// Recovery instant, or `None` if permanent.
+    pub until: Option<SimTime>,
 }
 
 impl CrashWindow {
@@ -87,8 +86,8 @@ impl CrashWindow {
     pub fn permanent(site: SiteId, from: SimTime) -> Self {
         Self {
             site,
-            from_nanos: from.as_nanos(),
-            until_nanos: None,
+            from,
+            until: None,
         }
     }
 
@@ -97,16 +96,15 @@ impl CrashWindow {
     pub fn recovering(site: SiteId, from: SimTime, until: SimTime) -> Self {
         Self {
             site,
-            from_nanos: from.as_nanos(),
-            until_nanos: Some(until.as_nanos()),
+            from,
+            until: Some(until),
         }
     }
 
     /// Whether the site is down at `at`.
     #[must_use]
     pub fn covers(&self, at: SimTime) -> bool {
-        let t = at.as_nanos();
-        t >= self.from_nanos && self.until_nanos.is_none_or(|u| t < u)
+        at >= self.from && self.until.is_none_or(|u| at < u)
     }
 }
 
@@ -115,23 +113,19 @@ impl CrashWindow {
 /// pushed from the controller's persistent store — survive. Surviving flows
 /// re-pin deterministically on their next packet (Section 5.3's flow
 /// affinity is soft state).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForwarderRestart {
     /// The site whose forwarders restart.
     pub site: SiteId,
-    /// When the restart (and state loss) takes effect, in simulated
-    /// nanoseconds (same convention as [`CrashWindow`]).
-    pub at_nanos: u64,
+    /// When the restart (and state loss) takes effect.
+    pub at: SimTime,
 }
 
 impl ForwarderRestart {
     /// A restart of `site`'s forwarders at `at`.
     #[must_use]
     pub fn new(site: SiteId, at: SimTime) -> Self {
-        Self {
-            site,
-            at_nanos: at.as_nanos(),
-        }
+        Self { site, at }
     }
 }
 
@@ -141,27 +135,24 @@ impl ForwarderRestart {
 /// are (Section 5.3's affinity guarantee under churn). Like
 /// [`ForwarderRestart`], crashes are scheduled events, not probabilistic
 /// ones: they consume no randomness and fire exactly once.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VnfCrash {
     /// The VNF instance that dies.
     pub instance: InstanceId,
-    /// When the crash takes effect, in simulated nanoseconds.
-    pub at_nanos: u64,
+    /// When the crash takes effect.
+    pub at: SimTime,
 }
 
 impl VnfCrash {
     /// A crash of `instance` at `at`.
     #[must_use]
     pub fn new(instance: InstanceId, at: SimTime) -> Self {
-        Self {
-            instance,
-            at_nanos: at.as_nanos(),
-        }
+        Self { instance, at }
     }
 }
 
 /// Which control-plane RPC a timeout decision applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RpcPhase {
     /// Two-phase-commit prepare.
     Prepare,
@@ -188,7 +179,7 @@ impl std::fmt::Display for RpcPhase {
 
 /// Declarative description of the faults to inject. Feed it to
 /// [`FaultPlan::new`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FaultSpec {
     /// RNG seed. Identical specs with identical seeds replay identically.
     pub seed: u64,
@@ -208,19 +199,13 @@ pub struct FaultSpec {
     pub prepare_timeout_probability: f64,
     /// Probability that a 2PC commit RPC times out.
     pub commit_timeout_probability: f64,
-    /// Scheduled forwarder restarts (flow-table state loss). Defaults to
-    /// none, so specs serialized before this field existed still load.
-    #[serde(default)]
+    /// Scheduled forwarder restarts (flow-table state loss).
     pub restarts: Vec<ForwarderRestart>,
     /// Per-packet loss probability on the label-switched data path. Drawn
     /// from a dedicated RNG stream (see [`FaultPlan::packet_is_lost`]), so
-    /// data-plane volume never perturbs control-plane fates. Defaults to
-    /// zero for older serialized specs.
-    #[serde(default)]
+    /// data-plane volume never perturbs control-plane fates.
     pub packet_loss_probability: f64,
-    /// Scheduled VNF instance crashes. Defaults to none for older
-    /// serialized specs.
-    #[serde(default)]
+    /// Scheduled VNF instance crashes.
     pub vnf_crashes: Vec<VnfCrash>,
 }
 
@@ -514,7 +499,7 @@ impl FaultPlan {
     pub fn take_due_restarts(&mut self, now: SimTime) -> Vec<SiteId> {
         let mut due = Vec::new();
         for (i, r) in self.spec.restarts.iter().enumerate() {
-            if !self.restarts_fired[i] && r.at_nanos <= now.as_nanos() {
+            if !self.restarts_fired[i] && r.at <= now {
                 self.restarts_fired[i] = true;
                 due.push(r.site);
             }
@@ -538,7 +523,7 @@ impl FaultPlan {
     pub fn take_due_vnf_crashes(&mut self, now: SimTime) -> Vec<InstanceId> {
         let mut due = Vec::new();
         for (i, c) in self.spec.vnf_crashes.iter().enumerate() {
-            if !self.vnf_crashes_fired[i] && c.at_nanos <= now.as_nanos() {
+            if !self.vnf_crashes_fired[i] && c.at <= now {
                 self.vnf_crashes_fired[i] = true;
                 due.push(c.instance);
             }
@@ -861,36 +846,30 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_serde_value() {
+    fn builders_record_overrides_and_crashes() {
         let spec = FaultSpec::new(11)
             .with_drop_probability(0.1)
             .with_pair(PairFaults::blackhole(SiteId::new(0), SiteId::new(2)))
             .with_crash(CrashWindow::permanent(SiteId::new(1), SimTime::ZERO));
-        let v = serde::Serialize::to_value(&spec);
-        let back: FaultSpec = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back.seed, spec.seed);
-        assert_eq!(back.pair_overrides.len(), 1);
-        assert_eq!(back.crashes.len(), 1);
+        assert_eq!(spec.seed, 11);
+        assert_eq!(spec.drop_probability, 0.1);
+        assert_eq!(spec.pair_overrides.len(), 1);
+        assert_eq!(spec.crashes.len(), 1);
+        assert_eq!(spec.crashes[0].from, SimTime::ZERO);
+        assert_eq!(spec.crashes[0].until, None);
     }
 
     #[test]
-    fn restarts_round_trip_and_default_to_empty() {
+    fn restarts_are_recorded_and_default_to_empty() {
         let spec = FaultSpec::new(3).with_forwarder_restart(
             SiteId::new(2),
             SimTime::from_millis(40.0),
         );
-        let v = serde::Serialize::to_value(&spec);
-        let back: FaultSpec = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back.restarts, spec.restarts);
-        // A spec serialized before the field existed deserializes to none.
-        let old = serde::Serialize::to_value(&FaultSpec::new(3));
-        let serde::Value::Object(mut entries) = old else {
-            panic!("spec must serialize to an object")
-        };
-        entries.retain(|(k, _)| k != "restarts");
-        let back: FaultSpec = serde::Deserialize::from_value(&serde::Value::Object(entries))
-            .unwrap();
-        assert!(back.restarts.is_empty());
+        assert_eq!(
+            spec.restarts,
+            vec![ForwarderRestart::new(SiteId::new(2), SimTime::from_millis(40.0))]
+        );
+        assert!(FaultSpec::new(3).restarts.is_empty());
     }
 
     #[test]
@@ -964,24 +943,18 @@ mod tests {
     }
 
     #[test]
-    fn dataplane_fault_fields_default_for_old_specs() {
-        let old = serde::Serialize::to_value(&FaultSpec::new(3));
-        let serde::Value::Object(mut entries) = old else {
-            panic!("spec must serialize to an object")
-        };
-        entries.retain(|(k, _)| k != "packet_loss_probability" && k != "vnf_crashes");
-        let back: FaultSpec =
-            serde::Deserialize::from_value(&serde::Value::Object(entries)).unwrap();
-        assert_eq!(back.packet_loss_probability, 0.0);
-        assert!(back.vnf_crashes.is_empty());
-        // And a populated spec round-trips.
+    fn dataplane_fault_fields_default_to_none() {
+        let spec = FaultSpec::new(3);
+        assert_eq!(spec.packet_loss_probability, 0.0);
+        assert!(spec.vnf_crashes.is_empty());
         let spec = FaultSpec::new(8)
             .with_packet_loss(0.25)
             .with_vnf_crash(InstanceId::new(7), SimTime::from_millis(15.0));
-        let v = serde::Serialize::to_value(&spec);
-        let back: FaultSpec = serde::Deserialize::from_value(&v).unwrap();
-        assert_eq!(back.packet_loss_probability, 0.25);
-        assert_eq!(back.vnf_crashes, spec.vnf_crashes);
+        assert_eq!(spec.packet_loss_probability, 0.25);
+        assert_eq!(
+            spec.vnf_crashes,
+            vec![VnfCrash::new(InstanceId::new(7), SimTime::from_millis(15.0))]
+        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The directed topology graph: nodes, capacitated links, adjacency.
 
 use sb_types::{Error, LinkId, Millis, NodeId, Rate, Result};
-use serde::{Deserialize, Serialize};
 
 /// A network node (a backbone PoP in the tier-1 setting).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     id: NodeId,
     name: String,
@@ -44,7 +43,7 @@ impl Node {
 }
 
 /// A directed, capacitated link between two nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Link {
     id: LinkId,
     from: NodeId,
@@ -88,7 +87,7 @@ impl Link {
 /// An immutable directed network topology.
 ///
 /// Construct with [`TopologyBuilder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<Node>,
     links: Vec<Link>,

@@ -5,12 +5,11 @@
 //! protocol, source port, destination port). The reverse direction of a
 //! connection is matched by the reversed key.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The transport protocol field of a flow key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum IpProtocol {
     /// TCP (IP protocol 6).
     Tcp,
@@ -58,7 +57,7 @@ impl fmt::Display for IpProtocol {
 /// assert_eq!(r.dst_port(), k.src_port());
 /// assert_eq!(r.reversed(), k);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowKey {
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
@@ -301,9 +300,8 @@ mod tests {
         }
 
         #[test]
-        fn serde_round_trip(k in arb_key()) {
-            let json = serde_json::to_string(&k).unwrap();
-            let back: FlowKey = serde_json::from_str(&json).unwrap();
+        fn round_trips_through_its_fields(k in arb_key()) {
+            let back = FlowKey::new(k.src_ip(), k.src_port(), k.dst_ip(), k.dst_port(), k.protocol());
             prop_assert_eq!(back, k);
         }
     }

@@ -6,16 +6,12 @@
 //!
 //! [`C-NEWTYPE`]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $repr:ty, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-        )]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub struct $name($repr);
 
         impl $name {
@@ -165,14 +161,5 @@ mod tests {
     fn ordering_follows_raw_values() {
         assert!(NodeId::new(1) < NodeId::new(2));
         assert!(ChainId::new(10) > ChainId::new(9));
-    }
-
-    #[test]
-    fn serde_is_transparent() {
-        let id = SiteId::new(5);
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "5");
-        let back: SiteId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
     }
 }

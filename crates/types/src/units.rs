@@ -6,7 +6,6 @@
 //! while staying zero-cost; the few places where confusing two quantities
 //! would be catastrophic use full newtypes in their own crates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -31,8 +30,7 @@ pub type Bytes = u64;
 /// let six_cores = per_core * 3.0;
 /// assert!((six_cores.value() - 21.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Mpps(f64);
 
 impl Mpps {
@@ -98,8 +96,7 @@ impl Mul<f64> for Mpps {
 /// assert_eq!((rtt / 2.0).value(), 40.0);
 /// assert_eq!(rtt.as_micros(), 80_000.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Millis(f64);
 
 impl Millis {

@@ -209,8 +209,8 @@ fn fleet_verbs(
     for &c in deployed.iter().step_by(2) {
         let back: Vec<(Vec<SiteId>, f64)> = sb
             .routes_of(c)
-            .into_iter()
-            .map(|r| (r.sites, r.fraction))
+            .iter()
+            .map(|r| (r.sites.clone(), r.fraction))
             .collect();
         let alt = alternative(&sb, c);
         let res = sb.update_chain(c, vec![(alt, 1.0)]);

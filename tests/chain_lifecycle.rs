@@ -156,7 +156,7 @@ fn removal_after_route_addition_leaks_no_capacity() {
         }
     }
     let paths = |h: switchboard::controller::ChainHandle| -> Vec<(Vec<SiteId>, f64)> {
-        h.routes.into_iter().map(|r| (r.sites, r.fraction)).collect()
+        h.routes.iter().map(|r| (r.sites.clone(), r.fraction)).collect()
     };
     assert_eq!(
         paths(sb.deploy_chain(request(chain)).expect("deploys again")),

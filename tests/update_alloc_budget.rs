@@ -12,7 +12,8 @@
 //! which every rule install cloned or rebuilt, leaves 28 394 B in 464.
 //! Publishing shared typed values instead of JSON text, with the chain
 //! record holding the announcements and stage forwarders those messages
-//! carried, leaves 24 583 B in 439.
+//! carried, leaves 24 583 B in 439. Handing each verb the chain record's
+//! announcements instead of deep copies leaves 24 471 B in 437.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
@@ -28,7 +29,7 @@ use counting_alloc::counting;
 const WARM_UP: usize = 200;
 const MEASURED: usize = 1_000;
 const MAX_BYTES_PER_UPDATE: usize = 28 * 1024;
-const MAX_CALLS_PER_UPDATE: usize = 505;
+const MAX_CALLS_PER_UPDATE: usize = 503;
 
 #[test]
 fn an_update_allocates_for_its_delta_not_for_the_network() {
