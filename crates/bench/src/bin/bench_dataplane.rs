@@ -22,9 +22,8 @@
 //! runner at 1 versus 2 shards, exiting non-zero if 2 contending shards do
 //! not reach at least 1.5x the single-shard rate — the CI gate that keeps
 //! the shared-nothing runner actually scaling. On hosts with fewer than
-//! four cores (generator + 2 shards + sink) the check is skipped with a
-//! note and exits zero: a starved host measures scheduler noise, not
-//! scaling.
+//! two cores (one per shard thread) the check is skipped with a note and
+//! exits zero: a starved host measures scheduler noise, not scaling.
 
 use sb_bench::dataplane_baseline::{
     check_overhead, check_scaleout, run, to_json, BaselineConfig, SCALEOUT_MIN_CORES,
@@ -77,7 +76,7 @@ fn main() {
         if report.skipped {
             eprintln!(
                 "[bench-dataplane: SKIP: contended scale-out needs >= {SCALEOUT_MIN_CORES} cores \
-                 (gen + 2 shards + sink), host has {}]",
+                 (one per shard thread), host has {}]",
                 report.available_cores
             );
             return;

@@ -53,9 +53,10 @@ pub struct ScaleCell {
     pub mpps: f64,
 }
 
-/// One contended scale-out cell: N shard threads running concurrently
-/// behind SPSC rings (`measure_sharded`), as opposed to the isolated cells
-/// where each instance is measured alone and the rates summed.
+/// One contended scale-out cell: N shard threads running concurrently,
+/// each driving its own RSS share of one flow population
+/// (`measure_sharded`), as opposed to the isolated cells where each
+/// instance is measured alone and the rates summed.
 #[derive(Debug, Clone, Serialize)]
 pub struct ContendedCell {
     /// Concurrent forwarder shard threads.
@@ -331,11 +332,11 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
         methodology: "single_instance/scaleout: isolated per-instance \
                       generate->process loops (sb_dataplane::runner::measure_isolated), \
                       aggregate = sum of per-instance steady-state rates; \
-                      contended_scaleout: N shard threads live simultaneously behind \
-                      SPSC rings with RSS flow sharding \
-                      (sb_dataplane::runner::measure_sharded), so shards contend for \
-                      cores — rows only show scaling when the host has cores to give \
-                      (gen + N shards + sink threads)",
+                      contended_scaleout: N shard threads live simultaneously, each \
+                      generating and forwarding its own RSS share of one global flow \
+                      population (sb_dataplane::runner::measure_sharded), so shards \
+                      contend for cores — rows only show scaling when the host has a \
+                      core per shard",
         duration_ms,
         single_instance: single,
         scaleout,
@@ -576,8 +577,8 @@ pub fn check_overhead(cfg: &BaselineConfig) -> OverheadReport {
 }
 
 /// The shard-thread layout needs this many cores before contended scaling
-/// is physically possible: a generator, two shards, and a sink.
-pub const SCALEOUT_MIN_CORES: usize = 4;
+/// is physically possible: one per shard thread of the two-shard run.
+pub const SCALEOUT_MIN_CORES: usize = 2;
 
 /// Result of the contended scale-out gate (`bench-dataplane
 /// --check-scaleout`): aggregate Mpps at 1 versus 2 contending shards.

@@ -28,9 +28,7 @@
 //! [`WindowRoller`](sb_telemetry::timeseries::WindowRoller), and every
 //! run ends in an [`SloReport`] over the per-window series. Everything is
 //! deterministic — virtual clock, seeded populations, pure fault windows
-//! — so the same config yields byte-identical JSON, and per-chain
-//! integer rounding makes the counters independent of how chains are
-//! grouped into accounting shards (`shards` is exactly that knob).
+//! — so the same config yields byte-identical JSON.
 
 use crate::scenarios::{fleet, FleetConfig};
 use rand::rngs::StdRng;
@@ -133,10 +131,6 @@ pub struct DaylifeConfig {
     /// Relative demand-scale change that makes a chain worth re-solving
     /// (the reconciler coalesces below it).
     pub enqueue_threshold: f64,
-    /// Accounting shards for the per-window counter roll-up. Totals are
-    /// invariant in this (per-chain rounding happens first); the knob
-    /// exists so the determinism suite can prove it.
-    pub shards: usize,
     /// p99 path-latency ceiling for the default SLO set, in nanoseconds.
     pub p99_ceiling_ns: u64,
     /// Max tolerated drop ratio per window for the default SLO set.
@@ -177,7 +171,6 @@ impl DaylifeConfig {
                 interval_s: 0.8,
             }),
             enqueue_threshold: 0.04,
-            shards: 1,
             p99_ceiling_ns: 400_000_000,
             max_drop_ratio: 0.005,
         }
@@ -545,7 +538,6 @@ fn path_latency_ns(model: &NetworkModel, spec: &ChainSpec, path: &RoutePath) -> 
 pub fn run(cfg: &DaylifeConfig) -> DaylifeResult {
     assert!(cfg.windows > 0, "need at least one window");
     assert!(cfg.day_s > 0.0, "day must have positive length");
-    assert!(cfg.shards > 0, "need at least one accounting shard");
 
     let model = fleet(&cfg.fleet);
     let num_chains = model.chains().len();
@@ -758,7 +750,7 @@ fn fault_detected(sim: &mut Simulator<DaylifeState>, st: &mut DaylifeState) {
 }
 
 /// Window-close event: integrate to the boundary, publish exact counter
-/// deltas (per-chain floors summed shard-wise), record demand-weighted
+/// deltas (per-chain floors summed in chain order), record demand-weighted
 /// path latencies, sync control-plane counters, advance the virtual
 /// clock, and roll the window.
 #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
@@ -766,12 +758,9 @@ fn window_close(sim: &mut Simulator<DaylifeState>, st: &mut DaylifeState, _k: u6
     let boundary_ns = sim.now().as_nanos();
     st.integrate_to(boundary_ns);
 
-    // Per-chain integer emission first (floor of the exact cumulative
-    // count), then a shard-wise roll-up. Integer addition is associative,
-    // so the totals are independent of the shard count — the determinism
-    // suite runs shards ∈ {1, 2, 4} and demands identical JSON.
-    let shards = st.cfg.shards;
-    let mut shard_sums = vec![[0u64; 4]; shards];
+    // Per-chain integer emission (floor of the exact cumulative count),
+    // summed in chain order into the window's totals.
+    let mut total = [0u64; 4];
     let mut latency_emits: Vec<(u64, u64)> = Vec::new();
     for (i, c) in st.chains.iter_mut().enumerate() {
         let new_offered = c.acc_offered.floor() as u64;
@@ -788,17 +777,10 @@ fn window_close(sim: &mut Simulator<DaylifeState>, st: &mut DaylifeState, _k: u6
         c.emit_delivered = new_delivered;
         c.emit_dropped = new_dropped;
         c.emit_unserved = new_unserved;
-        let s = &mut shard_sums[i % shards];
-        for (acc, delta) in s.iter_mut().zip(d) {
+        for (acc, delta) in total.iter_mut().zip(d) {
             *acc += delta;
         }
         latency_emits.push((i as u64, d[1]));
-    }
-    let mut total = [0u64; 4];
-    for s in &shard_sums {
-        for (acc, &v) in total.iter_mut().zip(s) {
-            *acc += v;
-        }
     }
     let reg = &st.hub.registry;
     reg.counter("daylife.offered").add(total[0]);
@@ -951,21 +933,12 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_deterministic_and_shard_invariant() {
+    fn runs_are_deterministic() {
         let base = DaylifeConfig::steady(11).quick();
         let a = run(&base);
         let b = run(&base);
         assert_eq!(a.timeseries_json, b.timeseries_json);
         assert_eq!(a.slo.to_json(), b.slo.to_json());
-        for shards in [2usize, 4] {
-            let mut cfg = base.clone();
-            cfg.shards = shards;
-            let c = run(&cfg);
-            assert_eq!(
-                a.timeseries_json, c.timeseries_json,
-                "counters must not depend on the accounting shard count"
-            );
-        }
     }
 
     #[test]

@@ -24,13 +24,13 @@
 //!   generation, feeding the forwarder's prefetch-pipelined batch path
 //!   (DESIGN.md §14);
 //! - [`pktgen::PacketGenerator`]: the MoonGen stand-in;
-//! - [`ring`]: lock-free SPSC rings connecting the sharded runner's
-//!   pktgen → forwarder → sink stages;
 //! - [`shard`]: RSS-style symmetric flow sharding across per-core
 //!   forwarder shards (DESIGN.md §11);
 //! - [`runner`]: the multi-core scale-out harness behind Figure 8, both
-//!   isolated ([`runner::measure_isolated`]) and contended
-//!   ([`runner::measure_sharded`]).
+//!   isolated ([`runner::measure_isolated`]: one instance at a time, rates
+//!   summed) and contended ([`runner::measure_sharded`]: every shard at
+//!   once, each generating and forwarding its own RSS share of one flow
+//!   population).
 //!
 //! # Examples
 //!
@@ -57,9 +57,9 @@
 //! assert_eq!(hop, next);
 //! ```
 
-// `deny`, not `forbid`: the SPSC ring ([`ring`]) and the [`fib`] prefetch
-// hint are the two places allowed to use `unsafe` (scoped `#[allow]` with
-// per-block SAFETY comments); everything else in the crate still refuses it.
+// `deny`, not `forbid`: the [`fib`] prefetch hint is the one place allowed
+// to use `unsafe` (a scoped `#[allow]` with a SAFETY comment); everything
+// else in the crate still refuses it.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -70,7 +70,6 @@ mod forwarder;
 mod loadbalancer;
 mod packet;
 pub mod pktgen;
-pub mod ring;
 pub mod runner;
 pub mod shard;
 

@@ -63,7 +63,6 @@ impl PacketGenerator {
     /// Panics if `num_flows` is zero.
     #[must_use]
     pub fn new(labels: LabelPair, num_flows: usize, size: u16, seed: u64) -> Self {
-        assert!(num_flows > 0, "need at least one flow");
         // Distinct 5-tuples: walk source address/port space.
         let mut flows = Vec::with_capacity(num_flows);
         for i in 0..num_flows {
@@ -78,6 +77,18 @@ impl PacketGenerator {
             let sport = 1024 + (i % 60_000) as u16;
             flows.push(FlowKey::udp(src, sport, [192, 168, 0, 1], 9000));
         }
+        Self::from_flows(labels, flows, size, seed)
+    }
+
+    /// Creates a generator over an explicit flow population — one shard's
+    /// RSS share of a larger one, say. `seed` sets the emission order only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flows` is empty.
+    #[must_use]
+    pub fn from_flows(labels: LabelPair, flows: Vec<FlowKey>, size: u16, seed: u64) -> Self {
+        assert!(!flows.is_empty(), "need at least one flow");
         Self {
             labels,
             flows,
@@ -185,14 +196,6 @@ impl PacketGenerator {
     /// Emits the next packet, choosing its flow uniformly (deterministic
     /// xorshift over the population).
     pub fn next_packet(&mut self) -> Packet {
-        self.next_packet_indexed().1
-    }
-
-    /// [`next_packet`](Self::next_packet), additionally returning the index
-    /// of the emitted packet's flow in [`flows`](Self::flows). The sharded
-    /// runner uses the index to look up a precomputed per-flow shard
-    /// assignment instead of hashing the 5-tuple on every packet.
-    pub fn next_packet_indexed(&mut self) -> (usize, Packet) {
         // xorshift64*.
         let mut x = self.state;
         x ^= x >> 12;
@@ -211,7 +214,7 @@ impl PacketGenerator {
             .get(idx)
             .copied()
             .unwrap_or(self.labels);
-        (idx, Packet::labeled(labels, self.flows[idx], self.size))
+        Packet::labeled(labels, self.flows[idx], self.size)
     }
 
     /// The underlying flow population.
@@ -306,10 +309,10 @@ mod tests {
         // A flow's labels never change across emissions.
         let mut pinned = std::collections::HashMap::new();
         for _ in 0..20_000 {
-            let (idx, pkt) = g.next_packet_indexed();
-            let prev = pinned.insert(idx, pkt.labels);
+            let pkt = g.next_packet();
+            let prev = pinned.insert(pkt.key, pkt.labels);
             if let Some(p) = prev {
-                assert_eq!(p, pkt.labels, "flow {idx} switched chains");
+                assert_eq!(p, pkt.labels, "flow {:?} switched chains", pkt.key);
             }
         }
         // A realistic mix: many chains appear within the emission window.
@@ -368,13 +371,16 @@ mod tests {
     }
 
     #[test]
-    fn indexed_emission_matches_population_and_plain_path() {
+    fn explicit_flow_list_emits_from_its_population_like_new() {
         let mut a = PacketGenerator::new(labels(), 64, 64, 3);
-        let mut b = PacketGenerator::new(labels(), 64, 64, 3);
+        let mut b = PacketGenerator::from_flows(labels(), a.flows().to_vec(), 64, 3);
         for _ in 0..500 {
-            let (idx, pkt) = a.next_packet_indexed();
-            assert_eq!(pkt.key, a.flows()[idx], "index points at wrong flow");
-            assert_eq!(pkt, b.next_packet(), "indexed path diverged");
+            let pkt = b.next_packet();
+            assert!(
+                b.flows().contains(&pkt.key),
+                "packet outside the population"
+            );
+            assert_eq!(pkt, a.next_packet(), "explicit flow list diverged");
         }
     }
 }

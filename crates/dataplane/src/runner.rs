@@ -4,9 +4,14 @@
 //! core with its own SR-IOV virtual interface, its own traffic generator
 //! and its own VNF, then reports aggregate steady-state throughput as
 //! instances and per-instance flow counts scale. This module reproduces
-//! that setup in-process: each forwarder instance runs on a dedicated
-//! thread in a tight generate→process loop, and the harness reports
-//! aggregate millions of packets per second.
+//! that setup in-process with two harnesses that share one generate→process
+//! worker loop and report aggregate millions of packets per second:
+//!
+//! - [`measure_isolated`] runs each instance alone, one after another, and
+//!   sums their rates — the per-core ceiling, on any host;
+//! - [`measure_sharded`] runs N shard threads at once, each generating and
+//!   forwarding its own RSS share of one global flow population, as a
+//!   NIC's per-core queues would feed them — the contended counterpart.
 //!
 //! Packets are driven through [`Forwarder::process_batch`] in batches of
 //! [`ScaleoutConfig::batch_size`] (DPDK-style burst processing); a batch
@@ -28,7 +33,6 @@ use sb_types::{
     SiteId,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of one scale-out measurement.
@@ -81,10 +85,9 @@ pub const DEFAULT_SAMPLE_EVERY: u64 = sb_telemetry::trace::DEFAULT_SAMPLE_EVERY;
 /// first-packet inserts — the paper's "steady-state throughput".
 ///
 /// This is the single criterion shared by [`measure_isolated`] and
-/// [`measure_sharded`]; `flows` is the worker's expected flow population
-/// (per instance for the isolated harness, per shard for the sharded one).
-/// The wall-clock warmup duration gates the window as well — both
-/// conditions must hold.
+/// [`measure_sharded`]; `flows` is the size of the worker's own flow
+/// population (an instance's, or a shard's RSS share). The wall-clock
+/// warmup duration gates the window as well — both conditions must hold.
 #[must_use]
 pub const fn steady_state_floor(flows: usize) -> u64 {
     4 * flows as u64
@@ -249,18 +252,64 @@ fn record_drive_latency(latency: &Histogram, started: Instant, batch: usize) {
 }
 
 /// Summarizes the merged worker histogram and, when a hub is attached,
-/// folds it into the registry's per-mode latency histogram.
-fn finish_latency(
-    config: &ScaleoutConfig,
-    hub: Option<&Telemetry>,
-    merged: &Histogram,
-) -> LatencySummary {
+/// folds it into the registry's histogram `name`.
+fn finish_latency(hub: Option<&Telemetry>, name: &str, merged: &Histogram) -> LatencySummary {
     if let Some(h) = hub {
-        h.registry
-            .histogram(&format!("dataplane.latency.{}", config.mode.as_str()))
-            .merge_from(merged);
+        h.registry.histogram(name).merge_from(merged);
     }
     LatencySummary::from(&merged.snapshot())
+}
+
+/// One worker's generate→process loop, shared by both harnesses.
+///
+/// The worker drives traffic until `open(past_floor)` lets its measured
+/// window open, where `past_floor` turns true once it has driven the
+/// [`steady_state_floor`] of its own flow population. It then drives while
+/// `running(t0)` holds, `t0` being the window's start, and times one
+/// `drive` call in [`lat_sample_every`] into a latency histogram. Returns
+/// the window's `(packets, pps, latency)`.
+fn run_worker(
+    fwd: &mut Forwarder,
+    gen: &mut PacketGenerator,
+    batch: usize,
+    sample_every: u64,
+    mut open: impl FnMut(bool) -> bool,
+    mut running: impl FnMut(Instant) -> bool,
+) -> (u64, f64, Histogram) {
+    let edge = Addr::Edge(EdgeInstanceId::new(0));
+    let mut pkts = vec![gen.next_packet(); batch];
+    let mut out = Vec::with_capacity(batch);
+    let latency = Histogram::new();
+    let floor = steady_state_floor(gen.num_flows());
+    let mut warm_sent = 0u64;
+    while !open(warm_sent >= floor) {
+        warm_sent += drive(fwd, gen, edge, &mut pkts, &mut out);
+    }
+    // Measured phase.
+    let lat_every = lat_sample_every(sample_every, batch);
+    let mut drives = 0u64;
+    let mut next_timed = 0u64;
+    let mut packets = 0u64;
+    let t0 = Instant::now();
+    while running(t0) {
+        if lat_every != 0 && drives == next_timed {
+            next_timed += lat_every;
+            let s = Instant::now();
+            packets += drive(fwd, gen, edge, &mut pkts, &mut out);
+            record_drive_latency(&latency, s, batch);
+        } else {
+            packets += drive(fwd, gen, edge, &mut pkts, &mut out);
+        }
+        drives += 1;
+    }
+    let elapsed = t0.elapsed().as_secs_f64();
+    #[allow(clippy::cast_precision_loss)]
+    let pps = if elapsed > 0.0 {
+        packets as f64 / elapsed
+    } else {
+        0.0
+    };
+    (packets, pps, latency)
 }
 
 /// Runs each forwarder instance *in isolation* (one at a time, on whatever
@@ -272,6 +321,9 @@ fn finish_latency(
 /// than instances a truly concurrent run would serialize on the scheduler
 /// and misreport the scale-out shape; isolated measurement reproduces the
 /// paper's per-core semantics on any host.
+///
+/// Each instance's window opens once the wall-clock warmup has elapsed and
+/// it has driven its [`steady_state_floor`].
 ///
 /// When a hub is given and `sample_every` is non-zero, every forwarder
 /// instance is instrumented (sampled `pkt.hop` events plus `fwd-*`
@@ -289,91 +341,50 @@ pub fn measure_isolated(config: &ScaleoutConfig, hub: Option<&Telemetry>) -> Sca
     let mut pps = 0.0f64;
     let merged = Histogram::new();
     for t in 0..config.instances {
-        let one = ScaleoutConfig {
-            instances: 1,
-            ..config.clone()
-        };
-        let r = run_worker(t, &one, hub);
-        packets += r.0;
-        flow_entries += r.2;
-        pps += r.1;
-        merged.merge_from(&r.3);
+        let (mut fwd, labels) = build_forwarder(t, config);
+        if let (Some(h), true) = (hub, config.sample_every > 0) {
+            fwd.attach_telemetry(h, config.sample_every);
+        }
+        let mut gen = build_generator(&labels, config, t as u64 + 1);
+        let warm_end = Instant::now() + config.warmup;
+        let (n, rate, latency) = run_worker(
+            &mut fwd,
+            &mut gen,
+            config.batch_size.max(1),
+            config.sample_every,
+            |past_floor| past_floor && Instant::now() >= warm_end,
+            |t0| t0.elapsed() < config.duration,
+        );
+        packets += n;
+        pps += rate;
+        flow_entries += fwd.flow_entries();
+        merged.merge_from(&latency);
     }
+    let name = format!("dataplane.latency.{}", config.mode.as_str());
     ScaleoutResult {
         throughput: Mpps::from_pps(pps),
         packets,
         flow_entries,
-        latency: finish_latency(config, hub, &merged),
+        latency: finish_latency(hub, &name, &merged),
     }
-}
-
-/// One instance's generate→process loop for a fixed wall-clock window.
-/// Returns `(packets, pps, flow_entries, latency)`.
-fn run_worker(
-    thread: usize,
-    cfg: &ScaleoutConfig,
-    hub: Option<&Telemetry>,
-) -> (u64, f64, usize, Histogram) {
-    let (mut fwd, labels) = build_forwarder(thread, cfg);
-    if let (Some(h), true) = (hub, cfg.sample_every > 0) {
-        fwd.attach_telemetry(h, cfg.sample_every);
-    }
-    let mut gen = build_generator(&labels, cfg, thread as u64 + 1);
-    let edge = Addr::Edge(EdgeInstanceId::new(0));
-    let batch = cfg.batch_size.max(1);
-    let mut pkts = vec![gen.next_packet(); batch];
-    let mut out = Vec::with_capacity(batch);
-    let latency = Histogram::new();
-    // Warmup until the flow table reaches steady state (shared criterion,
-    // see `steady_state_floor`): at least the configured wall-clock warmup
-    // AND the packet floor.
-    let min_packets = steady_state_floor(cfg.flows_per_instance);
-    let warm_end = Instant::now() + cfg.warmup;
-    let mut warm_sent = 0u64;
-    while Instant::now() < warm_end || warm_sent < min_packets {
-        warm_sent += drive(&mut fwd, &mut gen, edge, &mut pkts, &mut out);
-    }
-    // Measured phase.
-    let lat_every = lat_sample_every(cfg.sample_every, batch);
-    let mut drives = 0u64;
-    let mut next_timed = 0u64;
-    let mut packets = 0u64;
-    let t0 = Instant::now();
-    let end = t0 + cfg.duration;
-    while Instant::now() < end {
-        if lat_every != 0 && drives == next_timed {
-            next_timed += lat_every;
-            let s = Instant::now();
-            packets += drive(&mut fwd, &mut gen, edge, &mut pkts, &mut out);
-            record_drive_latency(&latency, s, batch);
-        } else {
-            packets += drive(&mut fwd, &mut gen, edge, &mut pkts, &mut out);
-        }
-        drives += 1;
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    #[allow(clippy::cast_precision_loss)]
-    let pps = packets as f64 / elapsed;
-    (packets, pps, fwd.flow_entries(), latency)
 }
 
 // ---------------------------------------------------------------------------
-// Sharded (contended) measurement: pktgen → N forwarder shards → sink,
-// connected by SPSC rings (DESIGN.md §11).
+// Sharded (contended) measurement: N forwarder shards run at once, each
+// driving its own RSS share of one flow population (DESIGN.md §11).
 // ---------------------------------------------------------------------------
 
 /// Configuration of one sharded (contended) scale-out measurement.
 ///
 /// Unlike [`ScaleoutConfig`], which gives every instance its own private
-/// flow population, the sharded harness drives **one global population of
-/// [`flows_total`](Self::flows_total) flows** through a single generator
-/// stage and RSS-hashes it across [`shards`](Self::shards) forwarder
-/// shards, so shards genuinely contend for cores, memory bandwidth, and the
-/// rings between stages.
+/// flow population, the sharded harness builds **one global population of
+/// [`flows_total`](Self::flows_total) flows** and splits it across
+/// [`shards`](Self::shards) forwarder shards by the symmetric RSS hash, the
+/// way a multi-queue NIC gives each core its own queue. The shards run at
+/// the same time, so they genuinely contend for cores and memory bandwidth.
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
-    /// Number of forwarder shard threads (the harness additionally runs one
-    /// generator thread and one sink thread).
+    /// Number of forwarder shard threads; each generates its own traffic.
     pub shards: usize,
     /// Total flows in the global population; each shard owns roughly
     /// `flows_total / shards` of them via the symmetric RSS hash.
@@ -386,14 +397,11 @@ pub struct ShardedConfig {
     pub duration: Duration,
     /// Wall-clock warmup floor; the measured window does not open until
     /// this has elapsed *and* every shard has driven the
-    /// [`steady_state_floor`] of its expected per-shard flow population,
-    /// so oversubscribed hosts take longer to warm up rather than
-    /// measuring cold flow tables.
+    /// [`steady_state_floor`] of its own flow share, so oversubscribed
+    /// hosts take longer to warm up rather than measuring cold flow tables.
     pub warmup: Duration,
-    /// Ring pop / forwarder batch size.
+    /// Forwarder batch size.
     pub batch_size: usize,
-    /// Capacity of each SPSC ring (rounded up to a power of two).
-    pub ring_capacity: usize,
     /// Telemetry sampling period, as in [`ScaleoutConfig::sample_every`].
     pub sample_every: u64,
 }
@@ -408,7 +416,6 @@ impl Default for ShardedConfig {
             duration: Duration::from_millis(400),
             warmup: Duration::from_millis(100),
             batch_size: 64,
-            ring_capacity: 1024,
             sample_every: DEFAULT_SAMPLE_EVERY,
         }
     }
@@ -418,6 +425,11 @@ impl Default for ShardedConfig {
 /// every shard sees the same `to_vnf` choice over this many instances, so
 /// pin selection is identical no matter which shard owns a flow.
 pub const SHARDED_LB_WIDTH: usize = 4;
+
+/// The one label pair every shard installs and all sharded traffic carries.
+fn sharded_labels() -> LabelPair {
+    LabelPair::new(ChainLabel::new(1), EgressLabel::new(1))
+}
 
 /// One shard's share of a sharded measurement.
 #[derive(Debug, Clone, Copy)]
@@ -455,8 +467,7 @@ pub struct ShardedResult {
 /// [`SHARDED_LB_WIDTH`]-wide uniform `to_vnf` choice under one label pair —
 /// which is what makes shard placement invisible to pin selection (the
 /// shard-equivalence property pinned by `tests/sharded_dataplane.rs`).
-fn build_shard(shard: usize, cfg: &ShardedConfig) -> (Forwarder, LabelPair) {
-    let labels = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
+fn build_shard(shard: usize, cfg: &ShardedConfig) -> Forwarder {
     let expected = cfg.flows_total.div_ceil(cfg.shards);
     let mut f = Forwarder::with_flow_capacity(
         ForwarderId::new(shard as u64),
@@ -473,7 +484,7 @@ fn build_shard(shard: usize, cfg: &ShardedConfig) -> (Forwarder, LabelPair) {
     )
     .expect("static LB weights are valid");
     f.install_rules(
-        labels,
+        sharded_labels(),
         RuleSet {
             to_vnf,
             to_next: WeightedChoice::single(Addr::Forwarder(ForwarderId::new(1_000_000))),
@@ -481,319 +492,120 @@ fn build_shard(shard: usize, cfg: &ShardedConfig) -> (Forwarder, LabelPair) {
         },
     );
     f.set_bridge_next(Addr::Vnf(InstanceId::new(0)));
-    (f, labels)
+    f
 }
 
-/// Runs one contended sharded measurement: a generator thread RSS-scatters
-/// one global flow population across `config.shards` forwarder-shard
-/// threads over SPSC rings; each shard drains its ring in batches, runs the
-/// forwarder fast path, and pushes the processed packets to a sink thread
-/// over its own ring.
-///
-/// Per-shard warmup follows the shared [`steady_state_floor`] criterion on
-/// the shard's *expected* flow share, and the coordinator holds the
-/// measured window until the wall-clock warmup has elapsed *and* every
-/// shard has crossed its floor — on a host with fewer cores than stage
-/// threads, warmup stretches instead of the window opening on cold flow
-/// tables. Each shard then times its own measured window, so backpressure
-/// stalls (full sink ring, empty input ring) are charged to the shard they
-/// stall — this is the honest contended counterpart of
-/// [`measure_isolated`].
-///
-/// When a hub is given and `sample_every` is non-zero, each shard's latency
-/// histogram is published under the per-shard label dimension
-/// `dataplane.sharded.latency.<mode>{shard=N}` and the cross-shard merge
-/// under the bare `dataplane.sharded.latency.<mode>` name (one histogram
-/// family, see [`sb_telemetry::labeled`]).
+/// Splits the one global flow population (seed 1) across the shards by
+/// [`shard_of_key`](crate::shard::shard_of_key), as symmetric RSS assigns
+/// NIC queues, and builds each shard's generator over its own share.
 ///
 /// # Panics
 ///
-/// Panics if `config.shards` is zero, `config.flows_total < config.shards`,
-/// or a stage thread panics.
+/// Panics if some shard's share is empty.
+fn shard_generators(cfg: &ShardedConfig) -> Vec<PacketGenerator> {
+    let labels = sharded_labels();
+    let mut shares = vec![Vec::new(); cfg.shards];
+    for &k in PacketGenerator::new(labels, cfg.flows_total, cfg.packet_size, 1).flows() {
+        shares[crate::shard::shard_of_key(k, cfg.shards)].push(k);
+    }
+    assert!(
+        shares.iter().all(|flows| !flows.is_empty()),
+        "need at least one flow per shard"
+    );
+    shares
+        .into_iter()
+        .enumerate()
+        .map(|(s, flows)| PacketGenerator::from_flows(labels, flows, cfg.packet_size, s as u64 + 1))
+        .collect()
+}
+
+/// Runs one contended sharded measurement: `config.shards` forwarder-shard
+/// threads run at once, each generating and forwarding its own RSS share
+/// of one global flow population (see [`ShardedConfig`]).
+///
+/// Each shard runs the same worker loop as [`measure_isolated`]. The
+/// coordinator holds every measured window until the wall-clock warmup has
+/// elapsed *and* every shard has crossed the [`steady_state_floor`] of its
+/// share — on a host with fewer cores than shards, warmup stretches instead
+/// of the window opening on cold flow tables. Each shard then times its own
+/// window until the coordinator stops the run.
+///
+/// When a hub is given and `sample_every` is non-zero, every shard is
+/// instrumented like an isolated instance; the cross-shard merge of the
+/// latency histograms is published as `dataplane.sharded.latency.<mode>`.
+/// Per-shard figures are in [`ShardedResult::shards`].
+///
+/// # Panics
+///
+/// Panics if `config.shards` is zero, some shard owns no flow (always so
+/// when `config.flows_total < config.shards`), or a shard thread panics.
 #[must_use]
 pub fn measure_sharded(config: &ShardedConfig, hub: Option<&Telemetry>) -> ShardedResult {
     assert!(config.shards > 0, "need at least one shard");
-    assert!(
-        config.flows_total >= config.shards,
-        "need at least one flow per shard"
-    );
-    let stop = Arc::new(AtomicBool::new(false));
-    let measuring = Arc::new(AtomicBool::new(false));
-    // Count of shards that have crossed their steady-state floor; the
-    // coordinator gates the measured window on all of them being warm.
-    let warm = Arc::new(AtomicUsize::new(0));
-    let batch = config.batch_size.max(1);
-
-    // One input ring (gen → shard) and one output ring (shard → sink) per
-    // shard; every ring has exactly one producer and one consumer thread.
-    let mut in_tx = Vec::with_capacity(config.shards);
-    let mut in_rx = Vec::with_capacity(config.shards);
-    let mut out_tx = Vec::with_capacity(config.shards);
-    let mut out_rx = Vec::with_capacity(config.shards);
-    for _ in 0..config.shards {
-        let (tx, rx) = crate::ring::spsc::<Packet>(config.ring_capacity);
-        in_tx.push(tx);
-        in_rx.push(rx);
-        let (tx, rx) = crate::ring::spsc::<Packet>(config.ring_capacity);
-        out_tx.push(tx);
-        out_rx.push(rx);
-    }
-
-    // Generator stage: one thread, one global population, RSS-scattered.
-    let gen_thread = {
-        let stop = Arc::clone(&stop);
-        let cfg = config.clone();
-        std::thread::spawn(move || {
-            let labels = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
-            let mut gen =
-                PacketGenerator::new(labels, cfg.flows_total, cfg.packet_size, 1);
-            // Shard each flow once up front; per packet the scatter is a
-            // table lookup, not two FNV hashes.
-            #[allow(clippy::cast_possible_truncation)]
-            let shard_by_flow: Vec<u32> = gen
-                .flows()
-                .iter()
-                .map(|k| crate::shard::shard_of_key(*k, cfg.shards) as u32)
-                .collect();
-            let mut staged: Vec<Vec<Packet>> =
-                (0..cfg.shards).map(|_| Vec::with_capacity(batch)).collect();
-            'produce: while !stop.load(Ordering::Relaxed) {
-                for buf in &mut staged {
-                    buf.clear();
-                }
-                for _ in 0..batch {
-                    let (idx, pkt) = gen.next_packet_indexed();
-                    staged[shard_by_flow[idx] as usize].push(pkt);
-                }
-                // Flush every staged buffer in order (front first), so a
-                // flow's packets enter its ring in emission order.
-                for (s, buf) in staged.iter().enumerate() {
-                    let mut off = 0;
-                    while off < buf.len() {
-                        let pushed = in_tx[s].push_batch(&buf[off..]);
-                        off += pushed;
-                        if pushed == 0 {
-                            if stop.load(Ordering::Relaxed) {
-                                break 'produce;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-            }
-        })
-    };
-
-    // Forwarder shard stage: N threads, each owning one forwarder, one
-    // input ring consumer, and one sink ring producer.
-    let mut shard_threads = Vec::with_capacity(config.shards);
-    for (s, (mut rx, mut tx)) in in_rx.drain(..).zip(out_tx.drain(..)).enumerate() {
-        let stop = Arc::clone(&stop);
-        let measuring = Arc::clone(&measuring);
-        let warm = Arc::clone(&warm);
-        let cfg = config.clone();
-        let hub = hub.cloned();
-        shard_threads.push(std::thread::spawn(move || {
-            let (mut fwd, _labels) = build_shard(s, &cfg);
-            if let (Some(h), true) = (&hub, cfg.sample_every > 0) {
-                fwd.attach_telemetry(h, cfg.sample_every);
-            }
-            let mut pkts: Vec<Packet> = Vec::with_capacity(batch);
-            let mut results = Vec::with_capacity(batch);
-            let latency = Histogram::new();
-            let expected = cfg.flows_total.div_ceil(cfg.shards);
-            let min_packets = steady_state_floor(expected);
-            let lat_every = lat_sample_every(cfg.sample_every, batch);
-
-            // One drain→process→forward cycle; returns packets processed,
-            // or `None` when the input ring is empty.
-            let cycle = |fwd: &mut Forwarder,
-                             pkts: &mut Vec<Packet>,
-                             results: &mut Vec<Result<Addr>>,
-                             rx: &mut crate::ring::Consumer<Packet>,
-                             tx: &mut crate::ring::Producer<Packet>,
-                             timed: bool,
-                             latency: &Histogram|
-             -> Option<u64> {
-                pkts.clear();
-                let n = rx.pop_batch(pkts, batch);
-                if n == 0 {
-                    return None;
-                }
-                if timed {
-                    let t = Instant::now();
-                    fwd.process_batch_into(pkts, Addr::Edge(EdgeInstanceId::new(0)), results);
-                    record_drive_latency(latency, t, n);
-                } else {
-                    fwd.process_batch_into(pkts, Addr::Edge(EdgeInstanceId::new(0)), results);
-                }
-                // Sink stage handoff: the processed packets continue over
-                // this shard's output ring.
-                let mut off = 0;
-                while off < pkts.len() {
-                    let pushed = tx.push_batch(&pkts[off..]);
-                    off += pushed;
-                    if pushed == 0 {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                }
-                Some(n as u64)
-            };
-
-            // Warmup: shared steady-state criterion on the shard's expected
-            // flow share, plus the coordinator's wall-clock gate. Crossing
-            // the floor is announced once so the coordinator can hold the
-            // window until every shard is warm.
-            let mut warm_sent = 0u64;
-            let mut announced = false;
-            while !(measuring.load(Ordering::Relaxed) && warm_sent >= min_packets) {
-                if !announced && warm_sent >= min_packets {
-                    warm.fetch_add(1, Ordering::SeqCst);
-                    announced = true;
-                }
-                if stop.load(Ordering::Relaxed) {
-                    // Window closed before steady state; report nothing
-                    // rather than a partially-warm rate.
-                    return (
-                        ShardStats {
-                            shard: s,
-                            packets: 0,
-                            throughput: Mpps::from_pps(0.0),
-                            flow_entries: fwd.flow_entries(),
-                            latency: LatencySummary::default(),
-                        },
-                        latency,
-                    );
-                }
-                match cycle(
-                    &mut fwd, &mut pkts, &mut results, &mut rx, &mut tx, false, &latency,
-                ) {
-                    Some(n) => warm_sent += n,
-                    None => std::thread::yield_now(),
-                }
-            }
-
-            if !announced {
-                warm.fetch_add(1, Ordering::SeqCst);
-            }
-
-            // Measured window, timed per shard; ring stalls count.
-            let mut drives = 0u64;
-            let mut next_timed = 0u64;
-            let mut measured = 0u64;
-            let t0 = Instant::now();
-            while !stop.load(Ordering::Relaxed) {
-                let timed = lat_every != 0 && drives == next_timed;
-                match cycle(
-                    &mut fwd, &mut pkts, &mut results, &mut rx, &mut tx, timed, &latency,
-                ) {
-                    Some(n) => {
-                        measured += n;
-                        if timed {
-                            next_timed += lat_every;
-                        }
-                        drives += 1;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
-            let elapsed = t0.elapsed().as_secs_f64();
-            #[allow(clippy::cast_precision_loss)]
-            let pps = if elapsed > 0.0 {
-                measured as f64 / elapsed
-            } else {
-                0.0
-            };
-            (
-                ShardStats {
-                    shard: s,
-                    packets: measured,
-                    throughput: Mpps::from_pps(pps),
-                    flow_entries: fwd.flow_entries(),
-                    latency: LatencySummary::from(&latency.snapshot()),
-                },
-                latency,
-            )
-        }));
-    }
-
-    // Sink stage: one thread draining every shard's output ring. It keeps
-    // draining until the coordinator stops the run *and* the rings are dry,
-    // so shards never block on a full output ring at shutdown.
-    let sink_thread = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut scratch: Vec<Packet> = Vec::with_capacity(batch);
-            let mut sunk = 0u64;
-            loop {
-                let mut drained = 0usize;
-                for rx in &mut out_rx {
-                    scratch.clear();
-                    drained += rx.pop_batch(&mut scratch, batch);
-                }
-                sunk += drained as u64;
-                if drained == 0 {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-            sunk
-        })
-    };
-
-    std::thread::sleep(config.warmup);
-    // Hold the window until every shard has crossed its steady-state
-    // floor: on a host with fewer cores than stage threads the wall clock
-    // alone can elapse long before the flow tables are warm, and a
-    // partially-warm window must not be measured.
-    while warm.load(Ordering::SeqCst) < config.shards {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    measuring.store(true, Ordering::SeqCst);
-    std::thread::sleep(config.duration);
-    stop.store(true, Ordering::SeqCst);
-
-    gen_thread.join().expect("generator thread panicked");
-    let family = format!("dataplane.sharded.latency.{}", config.mode.as_str());
+    let gens = shard_generators(config);
+    // Count of shards past their steady-state floor; the window opens only
+    // once all of them are.
+    let warm = AtomicUsize::new(0);
+    let measuring = AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
     let merged = Histogram::new();
-    let mut shards: Vec<ShardStats> = Vec::with_capacity(config.shards);
-    for handle in shard_threads {
-        let (st, lat) = handle.join().expect("shard thread panicked");
-        if let (Some(h), true) = (hub, config.sample_every > 0) {
-            // Per-shard label dimension: one histogram family, one labeled
-            // series per shard plus the bare cross-shard merge below.
-            h.registry
-                .histogram(&sb_telemetry::labeled(
-                    &family,
-                    &[("shard", &st.shard.to_string())],
-                ))
-                .merge_from(&lat);
+    let shards: Vec<ShardStats> = std::thread::scope(|scope| {
+        let threads: Vec<_> = gens
+            .into_iter()
+            .enumerate()
+            .map(|(s, mut gen)| {
+                let (warm, measuring, stop, merged) = (&warm, &measuring, &stop, &merged);
+                scope.spawn(move || {
+                    let mut fwd = build_shard(s, config);
+                    if let (Some(h), true) = (hub, config.sample_every > 0) {
+                        fwd.attach_telemetry(h, config.sample_every);
+                    }
+                    let mut announced = false;
+                    let (packets, pps, latency) = run_worker(
+                        &mut fwd,
+                        &mut gen,
+                        config.batch_size.max(1),
+                        config.sample_every,
+                        |past_floor| {
+                            if past_floor && !announced {
+                                warm.fetch_add(1, Ordering::SeqCst);
+                                announced = true;
+                            }
+                            past_floor && measuring.load(Ordering::Relaxed)
+                        },
+                        |_| !stop.load(Ordering::Relaxed),
+                    );
+                    merged.merge_from(&latency);
+                    ShardStats {
+                        shard: s,
+                        packets,
+                        throughput: Mpps::from_pps(pps),
+                        flow_entries: fwd.flow_entries(),
+                        latency: LatencySummary::from(&latency.snapshot()),
+                    }
+                })
+            })
+            .collect();
+        std::thread::sleep(config.warmup);
+        while warm.load(Ordering::SeqCst) < config.shards {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        merged.merge_from(&lat);
-        shards.push(st);
-    }
-    let sunk = sink_thread.join().expect("sink thread panicked");
-    shards.sort_by_key(|st| st.shard);
+        measuring.store(true, Ordering::SeqCst);
+        std::thread::sleep(config.duration);
+        stop.store(true, Ordering::SeqCst);
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("shard thread panicked"))
+            .collect()
+    });
 
-    if let Some(h) = hub {
-        h.registry.histogram(&family).merge_from(&merged);
-        h.registry.counter("dataplane.sharded.sink_rx").add(sunk);
-    }
-
-    let packets: u64 = shards.iter().map(|st| st.packets).sum();
-    let pps: f64 = shards.iter().map(|st| st.throughput.as_pps()).sum();
-    let flow_entries: usize = shards.iter().map(|st| st.flow_entries).sum();
+    let name = format!("dataplane.sharded.latency.{}", config.mode.as_str());
     ShardedResult {
-        throughput: Mpps::from_pps(pps),
-        packets,
+        throughput: Mpps::from_pps(shards.iter().map(|st| st.throughput.as_pps()).sum()),
+        packets: shards.iter().map(|st| st.packets).sum(),
         flows_total: config.flows_total,
-        flow_entries,
-        latency: LatencySummary::from(&merged.snapshot()),
+        flow_entries: shards.iter().map(|st| st.flow_entries).sum(),
+        latency: finish_latency(hub, &name, &merged),
         shards,
     }
 }
@@ -1006,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_hub_gets_per_shard_histogram_family_and_sink_counter() {
+    fn sharded_hub_gets_the_merged_latency_histogram() {
         let hub = Telemetry::new();
         let r = measure_sharded(
             &ShardedConfig {
@@ -1021,21 +833,38 @@ mod tests {
             Some(&hub),
         );
         let snap = hub.registry.snapshot();
-        let fam = snap.histogram_family("dataplane.sharded.latency.affinity");
-        // Bare merged series + one labeled series per shard.
-        assert_eq!(fam.len(), 3, "{:?}", fam.iter().map(|(n, _)| n).collect::<Vec<_>>());
         let merged = snap
             .histogram("dataplane.sharded.latency.affinity")
             .expect("merged histogram");
         assert_eq!(merged.count, r.latency.samples);
-        assert!(
-            snap.histogram("dataplane.sharded.latency.affinity{shard=0}").is_some()
-                && snap.histogram("dataplane.sharded.latency.affinity{shard=1}").is_some(),
-            "per-shard label dimension missing"
-        );
-        // The sink drained what the shards forwarded (modulo packets still
-        // in flight in the rings at the stop edge, drained afterwards).
-        assert!(snap.counter("dataplane.sharded.sink_rx") > 0);
+    }
+
+    #[test]
+    fn each_shard_drives_exactly_its_rss_share_of_the_population() {
+        for shards in [2usize, 4] {
+            let cfg = ShardedConfig {
+                shards,
+                flows_total: 4096,
+                ..ShardedConfig::default()
+            };
+            let population = PacketGenerator::new(sharded_labels(), 4096, 64, 1);
+            let mut gens = shard_generators(&cfg);
+            assert_eq!(gens.len(), shards);
+            let mut owner = std::collections::HashMap::new();
+            for (s, gen) in gens.iter_mut().enumerate() {
+                for &k in gen.flows() {
+                    assert_eq!(crate::shard::shard_of_key(k, shards), s, "{k:?}");
+                    assert!(owner.insert(k, s).is_none(), "{k:?} in two shards");
+                }
+                // What the shard emits comes from its own share.
+                for _ in 0..1000 {
+                    let key = gen.next_packet().key;
+                    assert_eq!(owner.get(&key), Some(&s), "{key:?}");
+                }
+            }
+            assert_eq!(owner.len(), population.num_flows());
+            assert!(population.flows().iter().all(|k| owner.contains_key(k)));
+        }
     }
 
     #[test]

@@ -87,10 +87,9 @@ pub fn shard_of_key(key: FlowKey, shards: usize) -> usize {
 }
 
 /// N forwarder shards with identical rule state, processed in the caller's
-/// thread. This is the single-threaded core of the sharded runner: the
-/// threaded harness moves each shard onto its own thread behind SPSC rings,
-/// while property tests drive a `ShardSet` directly to compare against a
-/// one-shard (sequential) reference.
+/// thread. The threaded runner gives each shard its own thread and its own
+/// RSS share of the flows; property tests drive a `ShardSet` directly to
+/// compare against a one-shard (sequential) reference.
 #[derive(Debug)]
 pub struct ShardSet {
     shards: Vec<Forwarder>,

@@ -7,8 +7,8 @@
 //!
 //! The interleaving model mirrors the threaded runner: packets are
 //! partitioned across shards by the symmetric RSS hash (preserving arrival
-//! order within each shard, as the SPSC rings do), and the proptest then
-//! chooses which shard makes progress at every step. Per-flow order is
+//! order within each shard, as per-shard RSS queues do), and the proptest
+//! then chooses which shard makes progress at every step. Per-flow order is
 //! preserved because one flow maps to exactly one shard.
 
 use proptest::prelude::*;
@@ -127,8 +127,8 @@ fn run_trace(set: &mut ShardSet, trace: &[Ev]) -> FlowLog {
 }
 
 /// Reorders `trace` into an arbitrary cross-shard interleaving that the
-/// threaded runner could produce: per-shard order is preserved (the SPSC
-/// rings are FIFO), but shards progress in the schedule's order.
+/// threaded runner could produce: per-shard order is preserved (per-shard
+/// RSS queues are FIFO), but shards progress in the schedule's order.
 fn interleave(trace: &[Ev], shards: usize, schedule: &[usize]) -> Vec<Ev> {
     let mut queues: Vec<std::collections::VecDeque<Ev>> =
         vec![std::collections::VecDeque::new(); shards];

@@ -25,7 +25,7 @@ pub mod slo;
 pub mod timeseries;
 pub mod trace;
 
-pub use metrics::{labeled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use slo::{evaluate, SloKind, SloOutcome, SloReport, SloTarget};
 pub use timeseries::{CounterWindow, WindowConfig, WindowRoller, WindowSnapshot};
 pub use trace::{Clock, RecordKind, SpanId, TraceRecord, TraceRecorder};

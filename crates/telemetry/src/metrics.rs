@@ -321,47 +321,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Renders a metric name with a label dimension appended in a canonical,
-/// deterministic form: `name{k1=v1,k2=v2}`. Labels are emitted in the
-/// order given (callers keep a fixed order so the same series always maps
-/// to the same registry entry); an empty label set yields the bare name.
-///
-/// The registry itself stays a flat name → metric table — a labeled series
-/// is just a metric whose name carries its dimensions — so the lock-free
-/// handle semantics of [`Registry`] are unchanged. The sharded data-plane
-/// runner uses this for its per-shard latency histograms
-/// (`dataplane.sharded.latency{mode=affinity,shard=3}`).
-///
-/// # Examples
-///
-/// ```
-/// use sb_telemetry::metrics::labeled;
-/// assert_eq!(
-///     labeled("dataplane.sharded.latency", &[("mode", "affinity"), ("shard", "3")]),
-///     "dataplane.sharded.latency{mode=affinity,shard=3}"
-/// );
-/// assert_eq!(labeled("plain", &[]), "plain");
-/// ```
-#[must_use]
-pub fn labeled(name: &str, labels: &[(&str, &str)]) -> String {
-    if labels.is_empty() {
-        return name.to_string();
-    }
-    let mut out = String::with_capacity(name.len() + 16 * labels.len());
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push('=');
-        out.push_str(v);
-    }
-    out.push('}');
-    out
-}
-
 #[derive(Clone, Debug)]
 enum Metric {
     Counter(Counter),
@@ -497,24 +456,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// All histograms of one labeled family: those named exactly `name` or
-    /// `name{...}` (see [`labeled`]). Returned in registry order, which is
-    /// lexicographic by full name (so `{shard=10}` sorts before
-    /// `{shard=2}` — order by parsing the label value if that matters).
-    #[must_use]
-    pub fn histogram_family(&self, name: &str) -> Vec<(&str, &HistogramSnapshot)> {
-        self.histograms
-            .iter()
-            .filter(|(n, _)| {
-                n == name
-                    || (n.starts_with(name)
-                        && n[name.len()..].starts_with('{')
-                        && n.ends_with('}'))
-            })
-            .map(|(n, h)| (n.as_str(), h))
-            .collect()
     }
 
     /// Renders the snapshot as a JSON object
@@ -686,29 +627,6 @@ mod tests {
         assert!(json.find("\"a\"").unwrap() < json.find("\"z\"").unwrap());
         assert!(json.contains("\"histograms\""));
         assert!(json.contains("\"p99\""));
-    }
-
-    #[test]
-    fn labeled_names_form_one_family_per_metric() {
-        let reg = Registry::new();
-        reg.histogram(&labeled("lat", &[("shard", "0")])).record(1);
-        reg.histogram(&labeled("lat", &[("shard", "1")])).record(2);
-        reg.histogram(&labeled("lat", &[("shard", "10")])).record(3);
-        reg.histogram("lat").record(4);
-        reg.histogram("latency.other").record(5);
-        let snap = reg.snapshot();
-        let fam = snap.histogram_family("lat");
-        let names: Vec<&str> = fam.iter().map(|(n, _)| *n).collect();
-        // Registry order is lexicographic by full name, so shard=10 lands
-        // before shard=1 ('0' < '}'); the family contract is membership.
-        assert_eq!(
-            names,
-            vec!["lat", "lat{shard=0}", "lat{shard=10}", "lat{shard=1}"],
-            "family must catch bare + labeled names only"
-        );
-        assert!(snap.histogram("lat{shard=1}").is_some());
-        assert!(snap.histogram_family("latency.other").len() == 1);
-        assert!(snap.histogram_family("missing").is_empty());
     }
 
     #[test]

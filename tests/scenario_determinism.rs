@@ -2,9 +2,9 @@
 //! deterministic.
 //!
 //! Same seed + same scenario config ⇒ byte-identical windowed time-series
-//! JSON and SLO report, across repeated runs and across accounting shard
-//! counts. CI runs this file as a named step so a determinism regression
-//! is called out in the job log, not buried in the workspace sweep.
+//! JSON and SLO report across repeated runs. CI runs this file as a named
+//! step so a determinism regression is called out in the job log, not
+//! buried in the workspace sweep.
 
 use switchboard::scenarios::daylife::{self, DaylifeConfig};
 
@@ -38,34 +38,9 @@ fn repeated_runs_are_byte_identical() {
 }
 
 #[test]
-fn shard_count_does_not_change_the_output() {
-    for base in variants(42) {
-        let reference = daylife::run(&base);
-        for shards in [2usize, 4] {
-            let mut cfg = base.clone();
-            cfg.shards = shards;
-            let sharded = daylife::run(&cfg);
-            assert_eq!(
-                reference.timeseries_json, sharded.timeseries_json,
-                "{} windowed JSON must not depend on the shard count \
-                 (shards={shards})",
-                base.name
-            );
-            assert_eq!(
-                reference.slo.to_json(),
-                sharded.slo.to_json(),
-                "{} SLO report must not depend on the shard count \
-                 (shards={shards})",
-                base.name
-            );
-        }
-    }
-}
-
-#[test]
 fn different_seeds_actually_differ() {
     // Guards against the suite accidentally ignoring its seed (which
-    // would make the two tests above vacuous).
+    // would make the test above vacuous).
     let a = daylife::run(&DaylifeConfig::steady(1).quick());
     let b = daylife::run(&DaylifeConfig::steady(2).quick());
     assert_ne!(
