@@ -416,13 +416,12 @@ pub const MIXED_CHAINS: usize = 64;
 /// The mixed-label measurement configuration: Overlay mode, so label
 /// steering is on the path of *every* packet (Affinity steady state pins
 /// flows into the flow table and only steers on first-packet misses — it
-/// would measure probe latency, not rule resolution), with bidirectional
-/// traffic so half of each chain's flows carry the reverse, never-installed
-/// label pair and exercise the chain-fallback lookup.
+/// would measure probe latency, not rule resolution). Several chains mean
+/// bidirectional traffic, so half of each chain's flows carry the reverse,
+/// never-installed label pair and exercise the chain-fallback lookup.
 fn mixed_config(cfg: &BaselineConfig, flows: usize) -> ScaleoutConfig {
     ScaleoutConfig {
         chains: MIXED_CHAINS,
-        bidirectional: true,
         ..scaleout_config(cfg, ForwarderMode::Overlay, flows)
     }
 }

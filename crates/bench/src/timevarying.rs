@@ -28,7 +28,6 @@ use crate::Scale;
 use sb_te::delta::warm_route_chains;
 use sb_te::dp::{route_chains, DpConfig};
 use sb_te::eval::Evaluation;
-use sb_te::NetworkModel;
 use switchboard::scenarios::{diurnal_series, Tier1Config};
 
 /// Per-epoch comparison row.
@@ -136,19 +135,6 @@ pub fn run(scale: Scale) -> Vec<EpochRow> {
             }
         })
         .collect()
-}
-
-/// The model used by [`run`], exposed for tests.
-#[must_use]
-pub fn base_model(scale: Scale) -> NetworkModel {
-    let cfg = Tier1Config {
-        num_chains: scale.pick(40, 120),
-        num_vnfs: scale.pick(8, 16),
-        coverage: 0.4,
-        total_traffic: 300.0,
-        ..Tier1Config::default()
-    };
-    switchboard::scenarios::tier1(&cfg)
 }
 
 /// Formats the day as rows.

@@ -9,8 +9,8 @@
 //! forwarder needs to strip/re-affix labels. The control
 //! plane emits one per participant site at 2PC install time; a data-plane
 //! process — in-process or standalone, see the `sb` CLI — consumes it via
-//! `Forwarder::apply_artifact` and hot-swaps through the existing RCU
-//! generation publish.
+//! `Forwarder::apply_artifact` and hot-swaps it in as the forwarder's
+//! next FIB generation.
 //!
 //! # Format (version 2)
 //!

@@ -1,5 +1,5 @@
-//! The compiled FIB: a forwarder's rule rows, sorted by label pair, with
-//! RCU-style generation publish (DESIGN.md §14).
+//! The compiled FIB: a forwarder's rule rows, sorted by label pair, one
+//! immutable generation per rule mutation (DESIGN.md §14).
 //!
 //! A forwarder's rules are the rows of the [`CompiledFib`] it last
 //! published — nothing else holds them, and nothing is derived from them.
@@ -24,18 +24,15 @@
 //! Each mutation builds the next [`CompiledFib`] from the current one — a
 //! full rebuild over an edited row set, or a single-row splice
 //! ([`CompiledFib::patch_row`]) when only one label pair changed — and
-//! publishes it through a
-//! [`FibCell`] with RCU semantics: readers ([`FibReader`]) keep an `Arc`
-//! to the generation they last saw and re-check a single atomic generation
-//! counter per batch; only when the generation moved do they take the
-//! cell's lock to swap their `Arc`. Packet processing therefore never
-//! stalls on a rebuild, and a generation stays alive (and consistent)
-//! for as long as any reader still holds it.
+//! publishes it by replacing the forwarder's `Arc`. A batch clones that
+//! `Arc` once and holds it to its end, and every mutator takes `&mut
+//! self`, so no batch sees a half-applied swap. A generation stays alive
+//! (and consistent) for as long as a batch, a [`FibReader`] snapshot or an
+//! artifact export still holds it.
 
 use crate::forwarder::RuleSet;
 use sb_types::LabelPair;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Issues a best-effort read prefetch for the cache line holding `p`.
 ///
@@ -44,7 +41,7 @@ use std::sync::{Arc, Mutex};
 /// unmapped — is architecturally safe; it can never fault or alter
 /// program-visible state, which is why the scoped `unsafe` below is sound.
 #[inline(always)]
-pub fn prefetch_read<T>(p: *const T) {
+pub(crate) fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` is a hint instruction with no architectural
     // effect beyond cache state; it is defined for arbitrary addresses.
@@ -71,8 +68,8 @@ pub struct FibRow {
 /// An immutable compiled snapshot of a forwarder's rule state.
 ///
 /// Built off the hot path by [`CompiledFib::build`] (full rebuild) or
-/// [`CompiledFib::patch_row`] (single-row delta) and published through a
-/// [`FibCell`]. Lookups are wait-free and allocation-free.
+/// [`CompiledFib::patch_row`] (single-row delta) and published by the one
+/// forwarder that owns it. Lookups are wait-free and allocation-free.
 #[derive(Debug)]
 pub struct CompiledFib {
     generation: u64,
@@ -228,124 +225,20 @@ fn splice(rows: &[FibRow], at: usize, row: FibRow, resume: usize) -> Arc<[FibRow
         .collect()
 }
 
-/// Shared state behind a [`FibCell`] and its readers.
-#[derive(Debug)]
-struct FibShared {
-    /// The published generation; written with `Release` after the slot
-    /// swap, so a reader that observes it and takes the lock is guaranteed
-    /// to find (at least) that generation's `Arc` in the slot.
-    generation: AtomicU64,
-    slot: Mutex<Arc<CompiledFib>>,
-}
-
-/// The writer side of the RCU publish protocol.
-///
-/// One cell per forwarder: mutators build the next [`CompiledFib`] off the
-/// hot path and [`publish`](FibCell::publish) it; the swap is a brief lock
-/// over one `Arc` assignment, never a stall proportional to table size.
-/// Readers obtained via [`reader`](FibCell::reader) can live on other
-/// threads; generations they still hold stay alive until dropped.
-#[derive(Debug)]
-pub struct FibCell {
-    shared: Arc<FibShared>,
-}
-
-impl FibCell {
-    /// Creates a cell publishing `fib` as the initial generation.
-    #[must_use]
-    pub fn new(fib: CompiledFib) -> Self {
-        let generation = fib.generation();
-        Self {
-            shared: Arc::new(FibShared {
-                generation: AtomicU64::new(generation),
-                slot: Mutex::new(Arc::new(fib)),
-            }),
-        }
-    }
-
-    /// The currently published generation number.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.shared.generation.load(Ordering::Acquire)
-    }
-
-    /// The currently published snapshot.
-    #[must_use]
-    pub fn current(&self) -> Arc<CompiledFib> {
-        Arc::clone(&self.shared.slot.lock().expect("fib slot poisoned"))
-    }
-
-    /// Publishes `fib` as the new generation and returns the published
-    /// snapshot. The slot swap happens under the lock; the generation
-    /// counter is released afterwards, so readers that observe the new
-    /// number always find the new snapshot.
-    pub fn publish(&self, fib: CompiledFib) -> Arc<CompiledFib> {
-        let generation = fib.generation();
-        let fib = Arc::new(fib);
-        let mut slot = self.shared.slot.lock().expect("fib slot poisoned");
-        *slot = Arc::clone(&fib);
-        self.shared.generation.store(generation, Ordering::Release);
-        fib
-    }
-
-    /// A reader handle over this cell (cheap; clone freely across threads).
-    #[must_use]
-    pub fn reader(&self) -> FibReader {
-        let cached = self.current();
-        FibReader {
-            shared: Arc::clone(&self.shared),
-            cached_generation: cached.generation(),
-            cached,
-        }
-    }
-
-    /// A detached copy: a fresh cell whose initial snapshot is this cell's
-    /// current generation, with no further coupling. Cloning a forwarder
-    /// must not let the clone's rebuilds clobber the original's FIB.
-    #[must_use]
-    pub fn detach(&self) -> Self {
-        let cached = self.current();
-        Self {
-            shared: Arc::new(FibShared {
-                generation: AtomicU64::new(cached.generation()),
-                slot: Mutex::new(cached),
-            }),
-        }
-    }
-}
-
-/// The reader side of the RCU publish protocol: caches the last generation
-/// seen and re-checks one atomic per batch, taking the cell's lock only
-/// when the generation actually moved.
-#[derive(Debug)]
+/// A snapshot handle on one compiled generation, taken by
+/// [`Forwarder::fib_reader`](crate::Forwarder::fib_reader): it holds the
+/// `Arc` that was current when it was taken, so later publishes on the
+/// forwarder neither move it nor free its rows.
+#[derive(Debug, Clone)]
 pub struct FibReader {
-    shared: Arc<FibShared>,
-    cached_generation: u64,
-    cached: Arc<CompiledFib>,
+    pub(crate) fib: Arc<CompiledFib>,
 }
 
 impl FibReader {
-    /// The current snapshot. Wait-free (one `Acquire` load) while the
-    /// published generation is unchanged; on a change, briefly locks the
-    /// slot to re-clone the new `Arc`.
+    /// The generation this handle holds.
     #[inline]
     pub fn snapshot(&mut self) -> &Arc<CompiledFib> {
-        let generation = self.shared.generation.load(Ordering::Acquire);
-        if generation != self.cached_generation {
-            self.cached = Arc::clone(&self.shared.slot.lock().expect("fib slot poisoned"));
-            self.cached_generation = self.cached.generation();
-        }
-        &self.cached
-    }
-}
-
-impl Clone for FibReader {
-    fn clone(&self) -> Self {
-        Self {
-            shared: Arc::clone(&self.shared),
-            cached_generation: self.cached_generation,
-            cached: Arc::clone(&self.cached),
-        }
+        &self.fib
     }
 }
 
@@ -481,73 +374,6 @@ mod tests {
                 let got = fib.lookup_index(q).map(|i| fib.row(i).labels);
                 proptest::prop_assert_eq!(got, lookup_by_scan(&rows, q), "query {}", q);
             }
-        }
-    }
-
-    #[test]
-    fn cell_publish_and_reader_refresh() {
-        let cell = FibCell::new(CompiledFib::empty());
-        let mut reader = cell.reader();
-        assert_eq!(reader.snapshot().generation(), 0);
-        cell.publish(CompiledFib::build(1, vec![row(1, 2, 10)]));
-        assert_eq!(cell.generation(), 1);
-        let snap = reader.snapshot();
-        assert_eq!(snap.generation(), 1);
-        assert_eq!(snap.len(), 1);
-    }
-
-    #[test]
-    fn detached_cell_does_not_clobber_the_original() {
-        let cell = FibCell::new(CompiledFib::build(3, vec![row(1, 2, 10)]));
-        let detached = cell.detach();
-        detached.publish(CompiledFib::build(4, Vec::new()));
-        assert_eq!(cell.generation(), 3, "original cell must be untouched");
-        assert_eq!(cell.current().len(), 1);
-        assert_eq!(detached.generation(), 4);
-    }
-
-    #[test]
-    fn readers_see_consistent_generations_under_concurrent_publish() {
-        // Writer publishes N generations where generation g carries g rows,
-        // each tagged epoch == g; readers must only ever observe
-        // snapshots satisfying that invariant (never a half-published mix).
-        const GENERATIONS: u64 = 200;
-        let cell = FibCell::new(CompiledFib::empty());
-        let mut handles = Vec::new();
-        for _ in 0..2 {
-            let mut reader = cell.reader();
-            handles.push(std::thread::spawn(move || {
-                let mut last = 0u64;
-                loop {
-                    let snap = reader.snapshot();
-                    let g = snap.generation();
-                    assert!(g >= last, "generation went backwards: {g} < {last}");
-                    assert_eq!(snap.len() as u64, g, "row count mismatch at gen {g}");
-                    assert!(
-                        snap.rows().iter().all(|r| r.epoch == g),
-                        "torn snapshot at gen {g}"
-                    );
-                    last = g;
-                    if g == GENERATIONS {
-                        return;
-                    }
-                    std::thread::yield_now();
-                }
-            }));
-        }
-        for g in 1..=GENERATIONS {
-            #[allow(clippy::cast_possible_truncation)]
-            let rows = (0..g)
-                .map(|i| FibRow {
-                    labels: pair(i as u32 + 1, 1),
-                    epoch: g,
-                    rules: ruleset(i),
-                })
-                .collect();
-            cell.publish(CompiledFib::build(g, rows));
-        }
-        for h in handles {
-            h.join().expect("reader thread panicked");
         }
     }
 

@@ -39,7 +39,7 @@
 //!   loop — same next hops, same errors, same counters, same `work_sink`.
 
 use crate::artifact::{ArtifactKind, ForwarderArtifact};
-use crate::fib::{CompiledFib, FibCell, FibReader, FibRow};
+use crate::fib::{CompiledFib, FibReader, FibRow};
 use crate::flow_table::{FlowContext, FlowProbe, FlowTable, FlowTableKey};
 use crate::loadbalancer::WeightedChoice;
 use crate::packet::{Addr, Packet, TunnelHeader};
@@ -238,18 +238,13 @@ impl FwdTelemetry {
     }
 }
 
-/// The forwarder's rule state: the RCU publish cell (writer side), the
-/// [`CompiledFib`] it last published — whose rows are the only copy of the
-/// forwarder's rules — and recompilation counters.
-///
-/// `Clone` detaches: a cloned forwarder gets a fresh cell seeded with the
-/// current generation, so its subsequent rebuilds never clobber (or race
-/// with) the original's readers.
-#[derive(Debug)]
+/// The forwarder's rule state: the [`CompiledFib`] it last published —
+/// whose rows are the only copy of the forwarder's rules — and
+/// recompilation counters. Publishing replaces `current`, so a cloned
+/// forwarder's publishes replace only its own `Arc`.
+#[derive(Debug, Clone)]
 struct FibState {
-    cell: FibCell,
-    /// The generation last published; mutators derive the next one from
-    /// it and `&self` readers use it without taking the cell's lock.
+    /// The generation last published; mutators derive the next one from it.
     current: Arc<CompiledFib>,
     /// Full recompilations published so far.
     rebuilds: u64,
@@ -259,11 +254,8 @@ struct FibState {
 
 impl FibState {
     fn new() -> Self {
-        let cell = FibCell::new(CompiledFib::empty());
-        let current = cell.current();
         Self {
-            cell,
-            current,
+            current: Arc::new(CompiledFib::empty()),
             rebuilds: 0,
             patches: 0,
         }
@@ -274,24 +266,9 @@ impl FibState {
         self.current.generation() + 1
     }
 
-    fn publish(&mut self, fib: CompiledFib) {
-        self.current = self.cell.publish(fib);
-    }
-
     fn sync_stats(&self) -> FibSyncStats {
         FibSyncStats {
             generation: self.current.generation(),
-            rebuilds: self.rebuilds,
-            patches: self.patches,
-        }
-    }
-}
-
-impl Clone for FibState {
-    fn clone(&self) -> Self {
-        Self {
-            cell: self.cell.detach(),
-            current: Arc::clone(&self.current),
             rebuilds: self.rebuilds,
             patches: self.patches,
         }
@@ -523,12 +500,14 @@ impl Forwarder {
         (self.fib.rebuilds, self.fib.patches)
     }
 
-    /// A reader handle over this forwarder's compiled FIB, usable from
-    /// other threads; it keeps observing generations as mutators publish
-    /// them.
+    /// A snapshot handle on the published compiled FIB. It keeps the
+    /// generation current now: later rule mutations publish a new `Arc`
+    /// and leave the handle's rows as they were.
     #[must_use]
     pub fn fib_reader(&self) -> FibReader {
-        self.fib.cell.reader()
+        FibReader {
+            fib: Arc::clone(&self.fib.current),
+        }
     }
 
     /// Exports this forwarder's compiled forwarding state as an artifact
@@ -605,11 +584,11 @@ impl Forwarder {
     ///   carried row replaces its pair's row through the single-row
     ///   `patch_row` path, and registrations merge.
     ///
-    /// Rows are installed as carried. Either way the swap rides the
-    /// existing RCU generation publish: in-flight batches finish on the
-    /// snapshot they hold, the next batch sees the new generation, and the
-    /// flow table is never touched — pinned flows drain across the swap
-    /// with zero drops (make-before-break, DESIGN.md §15).
+    /// Rows are installed as carried. Either way the swap is an ordinary
+    /// generation publish: it takes `&mut self`, so no batch is in flight;
+    /// the next batch sees the new generation, and the flow table is never
+    /// touched — pinned flows drain across the swap with zero drops
+    /// (make-before-break, DESIGN.md §15).
     pub fn apply_artifact(&mut self, art: &ForwarderArtifact, kind: ArtifactKind) {
         if kind == ArtifactKind::Full {
             self.label_unaware.clear();
@@ -634,7 +613,7 @@ impl Forwarder {
     fn publish_row(&mut self, row: FibRow) {
         let started = Instant::now();
         let next = self.fib.current.patch_row(self.fib.next_generation(), row);
-        self.fib.publish(next);
+        self.fib.current = Arc::new(next);
         self.fib.patches += 1;
         self.fib_note_published(started);
     }
@@ -650,7 +629,7 @@ impl Forwarder {
         let Some(next) = compile(&self.fib.current, self.fib.next_generation()) else {
             return false;
         };
-        self.fib.publish(next);
+        self.fib.current = Arc::new(next);
         self.fib.rebuilds += 1;
         self.fib_note_published(started);
         true
@@ -1833,6 +1812,38 @@ mod tests {
             };
             assert_eq!(decode(&encode(&art)).unwrap(), art);
         }
+    }
+
+    #[test]
+    fn snapshots_and_clones_keep_their_generation_across_mutations() {
+        let other = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
+        let rules = RuleSet {
+            to_vnf: WeightedChoice::single(vnf(3)),
+            to_next: WeightedChoice::single(fwd_addr(9)),
+            to_prev: WeightedChoice::single(edge()),
+        };
+
+        // A snapshot taken before a mutation keeps its generation and rows.
+        let mut f = affinity_forwarder();
+        let mut reader = f.fib_reader();
+        let generation = reader.snapshot().generation();
+        let rows = reader.snapshot().rows().to_vec();
+        f.install_rules_epoch(other, rules.clone(), 4);
+        assert!(f.remove_rules(labels()));
+        assert_eq!(f.fib_generation(), generation + 2);
+        assert_eq!(reader.snapshot().generation(), generation);
+        assert_eq!(reader.snapshot().rows(), &rows[..]);
+
+        // Mutations on a clone leave the original as it was.
+        let original = f.export_artifact();
+        let mut clone = f.clone();
+        clone.install_rules_epoch(labels(), rules, 5);
+        assert!(clone.remove_rules(other));
+        assert_eq!(clone.fib_generation(), generation + 4);
+        assert_eq!(f.fib_generation(), generation + 2);
+        assert_eq!(f.fib_reader().snapshot().rows(), &original.rows[..]);
+        assert_eq!(f.export_artifact(), original);
+        assert_ne!(clone.export_artifact().rows, original.rows);
     }
 
     #[test]

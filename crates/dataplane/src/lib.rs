@@ -20,8 +20,8 @@
 //!   Figure 7 ([`ForwarderMode::Bridge`] / [`Overlay`](ForwarderMode::Overlay)
 //!   / [`Affinity`](ForwarderMode::Affinity));
 //! - [`fib`]: the compiled FIB — the forwarder's rule rows sorted by label
-//!   pair, found by one binary search and published RCU-style per
-//!   generation, feeding the forwarder's prefetch-pipelined batch path
+//!   pair, found by one binary search, one immutable generation per rule
+//!   mutation, feeding the forwarder's prefetch-pipelined batch path
 //!   (DESIGN.md §14);
 //! - [`pktgen::PacketGenerator`]: the MoonGen stand-in;
 //! - [`shard`]: RSS-style symmetric flow sharding across per-core
@@ -74,7 +74,7 @@ pub mod runner;
 pub mod shard;
 
 pub use artifact::{ArtifactKind, ForwarderArtifact, SiteArtifact};
-pub use fib::{CompiledFib, FibCell, FibReader, FibRow};
+pub use fib::{CompiledFib, FibReader, FibRow};
 pub use flow_table::{FlowContext, FlowTable, FlowTableKey};
 pub use forwarder::{Forwarder, ForwarderMode, ForwarderStats, RuleSet};
 pub use loadbalancer::WeightedChoice;

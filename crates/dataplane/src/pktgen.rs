@@ -109,12 +109,7 @@ impl PacketGenerator {
     ///
     /// Each block gets at least one flow; `num_flows` must therefore be
     /// at least `chains.len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chains` is empty or `num_flows < chains.len()`.
-    #[must_use]
-    pub fn mixed(chains: &[LabelPair], num_flows: usize, size: u16, seed: u64) -> Self {
+    fn mixed(chains: &[LabelPair], num_flows: usize, size: u16, seed: u64) -> Self {
         assert!(!chains.is_empty(), "need at least one chain");
         assert!(
             num_flows >= chains.len(),
@@ -147,12 +142,14 @@ impl PacketGenerator {
         g
     }
 
-    /// [`mixed`](Self::mixed) with bidirectional traffic: within each
-    /// chain's flow block, every second flow carries the chain's *reverse*
-    /// label pair (same chain label, the far end's egress label) instead of
-    /// the installed forward pair. Reverse pairs are never installed, so a
-    /// batch mixes exact-match and chain-fallback rule lookups the way a
-    /// bidirectional fleet workload does. Flow → label affinity stays
+    /// A *mixed-label* generator with bidirectional traffic: the flow
+    /// population is split into contiguous blocks, one per entry of
+    /// `chains`, sized by a Zipf(`s = 1`) distribution over the chain
+    /// ranks, and within each block every second flow carries the chain's
+    /// *reverse* label pair (same chain label, the far end's egress label)
+    /// instead of the installed forward pair. Reverse pairs are never
+    /// installed, so a batch mixes exact-match and chain-fallback rule
+    /// lookups the way a bidirectional fleet workload does. Flow → label affinity stays
     /// stable, and blocks keep their Zipf sizes.
     ///
     /// # Panics

@@ -62,16 +62,12 @@ pub struct ScaleoutConfig {
     pub sample_every: u64,
     /// Distinct service chains installed per forwarder instance. `1` is
     /// the classic single-chain Figure 8 setup; larger values split the
-    /// flow population into Zipf-sized per-chain blocks
-    /// ([`PacketGenerator::mixed`]) so every batch carries a realistic
-    /// fleet mix of label pairs.
+    /// flow population into Zipf-sized per-chain blocks of bidirectional
+    /// traffic ([`PacketGenerator::mixed_bidirectional`]), so every batch
+    /// carries a realistic fleet mix of label pairs, and every second flow
+    /// of a block carries its chain's never-installed reverse pair and
+    /// resolves through the forwarder's chain fallback.
     pub chains: usize,
-    /// Whether mixed-label traffic is bidirectional
-    /// ([`PacketGenerator::mixed_bidirectional`]): every second flow of a
-    /// chain's block carries the chain's reverse label pair, which is never
-    /// installed and therefore resolves through the forwarder's chain
-    /// fallback. Only meaningful with `chains > 1`.
-    pub bidirectional: bool,
 }
 
 /// The default packet-sampling period (see DESIGN.md §9: the overhead
@@ -105,7 +101,6 @@ impl Default for ScaleoutConfig {
             batch_size: 256,
             sample_every: DEFAULT_SAMPLE_EVERY,
             chains: 1,
-            bidirectional: false,
         }
     }
 }
@@ -194,14 +189,13 @@ fn build_forwarder(thread: usize, cfg: &ScaleoutConfig) -> (Forwarder, Vec<Label
 }
 
 /// Builds the traffic generator matching [`build_forwarder`]'s label set:
-/// uniform single-chain for one chain, Zipf mixed-label otherwise.
+/// uniform single-chain for one chain, bidirectional Zipf mixed-label
+/// otherwise.
 fn build_generator(labels: &[LabelPair], cfg: &ScaleoutConfig, seed: u64) -> PacketGenerator {
     if labels.len() == 1 {
         PacketGenerator::new(labels[0], cfg.flows_per_instance, cfg.packet_size, seed)
-    } else if cfg.bidirectional {
-        PacketGenerator::mixed_bidirectional(labels, cfg.flows_per_instance, cfg.packet_size, seed)
     } else {
-        PacketGenerator::mixed(labels, cfg.flows_per_instance, cfg.packet_size, seed)
+        PacketGenerator::mixed_bidirectional(labels, cfg.flows_per_instance, cfg.packet_size, seed)
     }
 }
 

@@ -26,15 +26,13 @@
 //!
 //! Because every shard installs identical rules and weighted choice is a
 //! pure function of the (direction-sensitive) flow hash, the pin a flow
-//! gets from an N-shard set is byte-identical to what a single sequential
+//! gets from N shards is byte-identical to what a single sequential
 //! forwarder would have chosen; sharding changes only *where* the entry is
 //! stored. `tests/sharded_dataplane.rs` pins this property for arbitrary
-//! traces, and the [`ShardSet`] type here is the single-threaded harness it
-//! (and the threaded runner) builds on.
+//! traces over N plain forwarders, each packet routed by
+//! [`shard_of_key`].
 
-use crate::forwarder::{Forwarder, ForwarderMode, RuleSet};
-use crate::packet::{Addr, Packet};
-use sb_types::{FlowKey, ForwarderId, LabelPair, Result, SiteId};
+use sb_types::FlowKey;
 
 /// A direction-invariant (symmetric) 64-bit hash of a connection: both
 /// directions of a flow produce the same value.
@@ -86,96 +84,9 @@ pub fn shard_of_key(key: FlowKey, shards: usize) -> usize {
     shard_of(rss_hash(key), shards)
 }
 
-/// N forwarder shards with identical rule state, processed in the caller's
-/// thread. The threaded runner gives each shard its own thread and its own
-/// RSS share of the flows; property tests drive a `ShardSet` directly to
-/// compare against a one-shard (sequential) reference.
-#[derive(Debug)]
-pub struct ShardSet {
-    shards: Vec<Forwarder>,
-}
-
-impl ShardSet {
-    /// Creates `num_shards` forwarder shards in `mode`, each with its own
-    /// flow table bounded at `flow_capacity` entries (so the aggregate
-    /// capacity is `num_shards * flow_capacity`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` is zero.
-    #[must_use]
-    pub fn new(num_shards: usize, mode: ForwarderMode, flow_capacity: usize) -> Self {
-        assert!(num_shards > 0, "need at least one shard");
-        let shards = (0..num_shards)
-            .map(|i| {
-                Forwarder::with_flow_capacity(
-                    ForwarderId::new(i as u64),
-                    SiteId::new(0),
-                    mode,
-                    flow_capacity,
-                )
-            })
-            .collect();
-        Self { shards }
-    }
-
-    /// Installs the same rule set on every shard. Identical rules are what
-    /// make shard placement invisible to pin selection (see module docs).
-    pub fn install_rules(&mut self, labels: LabelPair, rules: &RuleSet) {
-        for shard in &mut self.shards {
-            shard.install_rules(labels, rules.clone());
-        }
-    }
-
-    /// Sets the label-unaware bridge next hop on every shard.
-    pub fn set_bridge_next(&mut self, next: Addr) {
-        for shard in &mut self.shards {
-            shard.set_bridge_next(next);
-        }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard `key` maps to.
-    #[must_use]
-    pub fn shard_of(&self, key: FlowKey) -> usize {
-        shard_of_key(key, self.shards.len())
-    }
-
-    /// Routes `pkt` to its shard and processes it there, returning the
-    /// shard index along with the forwarding outcome.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the owning shard's processing error (no rules installed,
-    /// flow table exhausted, ...).
-    pub fn process(&mut self, pkt: Packet, from: Addr) -> (usize, Result<(Packet, Addr)>) {
-        let s = self.shard_of(pkt.key);
-        (s, self.shards[s].process(pkt, from))
-    }
-
-    /// Total flow-table entries across all shards.
-    #[must_use]
-    pub fn flow_entries(&self) -> usize {
-        self.shards.iter().map(Forwarder::flow_entries).sum()
-    }
-
-    /// Immutable access to the shards.
-    #[must_use]
-    pub fn shards(&self) -> &[Forwarder] {
-        &self.shards
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loadbalancer::WeightedChoice;
-    use sb_types::{ChainLabel, EdgeInstanceId, EgressLabel, InstanceId};
 
     fn flow(i: u32) -> FlowKey {
         FlowKey::udp(
@@ -228,43 +139,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_is_rejected() {
         let _ = shard_of(1, 0);
-    }
-
-    #[test]
-    fn both_directions_land_in_owning_shard_and_pin_identically() {
-        let labels = LabelPair::new(ChainLabel::new(1), EgressLabel::new(1));
-        let rules = RuleSet {
-            to_vnf: WeightedChoice::new(
-                (0..4)
-                    .map(|i| (Addr::Vnf(InstanceId::new(i)), 1.0))
-                    .collect(),
-            )
-            .unwrap(),
-            to_next: WeightedChoice::single(Addr::Forwarder(ForwarderId::new(99))),
-            to_prev: WeightedChoice::single(Addr::Edge(EdgeInstanceId::new(0))),
-        };
-        let edge = Addr::Edge(EdgeInstanceId::new(0));
-
-        let mut sharded = ShardSet::new(4, ForwarderMode::Affinity, 1 << 12);
-        sharded.install_rules(labels, &rules);
-        let mut single = ShardSet::new(1, ForwarderMode::Affinity, 1 << 14);
-        single.install_rules(labels, &rules);
-
-        for i in 0..200 {
-            let k = flow(i);
-            let pkt = Packet::labeled(labels, k, 64);
-            let (s, r) = sharded.process(pkt, edge);
-            let (_, r1) = single.process(pkt, edge);
-            let (fwd_pkt, vnf) = r.unwrap();
-            assert_eq!(vnf, r1.unwrap().1, "pin differs for flow {i}");
-            // The VNF leg and the reverse direction stay in the same shard.
-            let (s2, r2) = sharded.process(fwd_pkt, vnf);
-            assert_eq!(s, s2);
-            r2.unwrap();
-            let rev = Packet::labeled(labels, k.reversed(), 64);
-            assert_eq!(sharded.shard_of(rev.key), s, "reverse escaped shard");
-        }
-        assert_eq!(sharded.num_shards(), 4);
-        assert!(sharded.flow_entries() > 0);
     }
 }

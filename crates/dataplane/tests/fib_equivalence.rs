@@ -11,8 +11,8 @@
 //! through the batch path. Both resolve rules through the same
 //! `CompiledFib::lookup_index`, whose own oracle is a linear scan in
 //! `fib.rs`'s unit tests; this replay pins the rest of the pipeline. Any
-//! divergence is a bug in the patch/rebuild compiler, the RCU publish, or
-//! the two-stage pipeline. CI runs this as the named step
+//! divergence is a bug in the patch/rebuild compiler, the generation
+//! publish, or the two-stage pipeline. CI runs this as the named step
 //! `cargo test --release -p sb-dataplane --test fib_equivalence`.
 
 use proptest::prelude::*;

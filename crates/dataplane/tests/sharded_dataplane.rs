@@ -1,8 +1,9 @@
 //! Property tests for RSS sharding (DESIGN.md §11): splitting a forwarder
 //! into N shared-nothing shards must be invisible to everything a flow can
 //! observe. For arbitrary packet traces and arbitrary cross-shard
-//! interleavings, an N-shard [`ShardSet`] must produce the same per-flow
-//! pin assignments and the same per-flow packet ordering as a single-shard
+//! interleavings, N forwarders with identical rules, each packet routed to
+//! the one [`shard_of_key`] names, must produce the same per-flow pin
+//! assignments and the same per-flow packet ordering as a single
 //! sequential forwarder processing the same trace.
 //!
 //! The interleaving model mirrors the threaded runner: packets are
@@ -12,10 +13,11 @@
 //! preserved because one flow maps to exactly one shard.
 
 use proptest::prelude::*;
-use sb_dataplane::shard::ShardSet;
-use sb_dataplane::{Addr, ForwarderMode, Packet, RuleSet, WeightedChoice};
+use sb_dataplane::shard::shard_of_key;
+use sb_dataplane::{Addr, Forwarder, ForwarderMode, Packet, RuleSet, WeightedChoice};
 use sb_types::{
-    ChainLabel, EdgeInstanceId, EgressLabel, FlowKey, ForwarderId, InstanceId, LabelPair,
+    ChainLabel, EdgeInstanceId, EgressLabel, FlowKey, ForwarderId, InstanceId, LabelPair, Result,
+    SiteId,
 };
 use std::collections::HashMap;
 
@@ -46,6 +48,34 @@ fn rules() -> RuleSet {
         .unwrap(),
         to_prev: WeightedChoice::single(edge()),
     }
+}
+
+/// `n` Affinity forwarder shards with identical rules, each with its own
+/// flow table bounded at `flow_capacity` entries.
+fn build_shards(n: usize, flow_capacity: usize) -> Vec<Forwarder> {
+    (0..n as u64)
+        .map(|i| {
+            let mut f = Forwarder::with_flow_capacity(
+                ForwarderId::new(i),
+                SiteId::new(0),
+                ForwarderMode::Affinity,
+                flow_capacity,
+            );
+            f.install_rules(labels(), rules());
+            f
+        })
+        .collect()
+}
+
+/// Processes `pkt` on the shard its key maps to, returning that shard's
+/// index along with the forwarding outcome.
+fn process(shards: &mut [Forwarder], pkt: Packet, from: Addr) -> (usize, Result<(Packet, Addr)>) {
+    let s = shard_of_key(pkt.key, shards.len());
+    (s, shards[s].process(pkt, from))
+}
+
+fn flow_entries(shards: &[Forwarder]) -> usize {
+    shards.iter().map(Forwarder::flow_entries).sum()
 }
 
 /// One trace event: a forward or reverse transit of one flow.
@@ -92,10 +122,10 @@ fn arb_trace(flows: u16, len: usize) -> impl Strategy<Value = Vec<Ev>> {
 /// hops the data plane chose. Equality of these logs is the whole property.
 type FlowLog = HashMap<u16, Vec<(Addr, Addr)>>;
 
-/// Runs `trace` through `set`, processing events in the given order, and
+/// Runs `trace` through `shards`, processing events in the given order, and
 /// returns the per-flow observation log. Panics (fails the test) on any
 /// forwarding error: identical rules on ample tables must always forward.
-fn run_trace(set: &mut ShardSet, trace: &[Ev]) -> FlowLog {
+fn run_trace(shards: &mut [Forwarder], trace: &[Ev]) -> FlowLog {
     let mut pinned_next: HashMap<u16, Addr> = HashMap::new();
     let mut log: FlowLog = HashMap::new();
     for &ev in trace {
@@ -103,9 +133,9 @@ fn run_trace(set: &mut ShardSet, trace: &[Ev]) -> FlowLog {
         match ev {
             Ev::Forward(_) => {
                 let pkt = Packet::labeled(labels(), flow(i), 64);
-                let (s1, r) = set.process(pkt, edge());
+                let (s1, r) = process(shards, pkt, edge());
                 let (pkt, vnf) = r.expect("forward to VNF");
-                let (s2, r) = set.process(pkt, vnf);
+                let (s2, r) = process(shards, pkt, vnf);
                 let (_, next) = r.expect("forward to next hop");
                 assert_eq!(s1, s2, "flow {i} changed shard mid-transit");
                 pinned_next.insert(i, next);
@@ -114,9 +144,9 @@ fn run_trace(set: &mut ShardSet, trace: &[Ev]) -> FlowLog {
             Ev::Reverse(_) => {
                 let from = pinned_next[&i];
                 let pkt = Packet::labeled(labels(), flow(i).reversed(), 64);
-                let (s1, r) = set.process(pkt, from);
+                let (s1, r) = process(shards, pkt, from);
                 let (pkt, vnf) = r.expect("reverse to VNF");
-                let (s2, r) = set.process(pkt, vnf);
+                let (s2, r) = process(shards, pkt, vnf);
                 let (_, prev) = r.expect("reverse to previous hop");
                 assert_eq!(s1, s2, "flow {i} changed shard mid-transit");
                 log.entry(i).or_default().push((vnf, prev));
@@ -133,7 +163,7 @@ fn interleave(trace: &[Ev], shards: usize, schedule: &[usize]) -> Vec<Ev> {
     let mut queues: Vec<std::collections::VecDeque<Ev>> =
         vec![std::collections::VecDeque::new(); shards];
     for &ev in trace {
-        queues[sb_dataplane::shard::shard_of_key(flow(ev.flow()), shards)].push_back(ev);
+        queues[shard_of_key(flow(ev.flow()), shards)].push_back(ev);
     }
     let mut out = Vec::with_capacity(trace.len());
     for &pick in schedule {
@@ -152,7 +182,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The tentpole equivalence: per-flow pins and per-flow packet ordering
-    /// from an N-shard set under an arbitrary cross-shard interleaving are
+    /// from N shards under an arbitrary cross-shard interleaving are
     /// identical to a single-shard sequential run of the same trace.
     #[test]
     fn sharded_run_is_observationally_sequential(
@@ -160,10 +190,8 @@ proptest! {
         trace in arb_trace(48, 160),
         schedule in prop::collection::vec(0usize..4, 0..320),
     ) {
-        let mut sharded = ShardSet::new(shards, ForwarderMode::Affinity, 1 << 12);
-        sharded.install_rules(labels(), &rules());
-        let mut single = ShardSet::new(1, ForwarderMode::Affinity, 1 << 14);
-        single.install_rules(labels(), &rules());
+        let mut sharded = build_shards(shards, 1 << 12);
+        let mut single = build_shards(1, 1 << 14);
 
         let interleaved = interleave(&trace, shards, &schedule);
         prop_assert_eq!(interleaved.len(), trace.len(), "interleaving lost events");
@@ -174,7 +202,7 @@ proptest! {
 
         // Sharding only relocates flow-table entries; it never changes how
         // many exist.
-        prop_assert_eq!(sharded.flow_entries(), single.flow_entries());
+        prop_assert_eq!(flow_entries(&sharded), flow_entries(&single));
     }
 
     /// Shard placement is stable and symmetric: every packet of a flow —
@@ -185,12 +213,11 @@ proptest! {
         shards in 1usize..=8,
         flows in prop::collection::vec(0u16..2000, 1..64),
     ) {
-        let set = ShardSet::new(shards, ForwarderMode::Affinity, 64);
         for i in flows {
-            let s = set.shard_of(flow(i));
+            let s = shard_of_key(flow(i), shards);
             prop_assert!(s < shards);
-            prop_assert_eq!(set.shard_of(flow(i).reversed()), s, "directions split");
-            prop_assert_eq!(set.shard_of(flow(i)), s, "ownership unstable");
+            prop_assert_eq!(shard_of_key(flow(i).reversed(), shards), s, "directions split");
+            prop_assert_eq!(shard_of_key(flow(i), shards), s, "ownership unstable");
         }
     }
 }
