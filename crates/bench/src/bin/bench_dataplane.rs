@@ -12,21 +12,24 @@
 //! parameters; the default is the full checked-in baseline matrix. See
 //! `sb_bench::dataplane_baseline` for the document schema.
 //!
-//! `--check-overhead` skips the baseline matrix and instead measures the
-//! Affinity@2K cell with telemetry sampling at its default rate versus
-//! fully disabled, exiting non-zero if the instrumented run is more than
-//! 5% slower — the CI gate that keeps the observability layer off the
-//! fast path.
+//! Both gates below skip the baseline matrix, run their two arms in
+//! alternating windows (`GATE_PAIRS` pairs), print every pair, and decide
+//! on the median of the per-pair ratios.
 //!
-//! `--check-scaleout` skips the matrix and measures the contended sharded
-//! runner at 1 versus 2 shards, exiting non-zero if 2 contending shards do
-//! not reach at least 1.5x the single-shard rate — the CI gate that keeps
-//! the shared-nothing runner actually scaling. On hosts with fewer than
-//! two cores (one per shard thread) the check is skipped with a note and
-//! exits zero: a starved host measures scheduler noise, not scaling.
+//! `--check-overhead` measures the Affinity@2K cell with telemetry
+//! sampling at its default rate versus fully disabled, exiting non-zero if
+//! the instrumented run is more than 5% slower — the CI gate that keeps
+//! the observability layer off the fast path.
+//!
+//! `--check-scaleout` measures 1 versus 2 concurrent shards, exiting
+//! non-zero if 2 contending shards do not reach at least 1.5x the
+//! single-shard rate — the CI gate that keeps the shared-nothing harness
+//! actually scaling. On hosts with fewer than two cores (one per shard
+//! thread) the check is skipped with a note and exits zero: a starved
+//! host measures scheduler noise, not scaling.
 
 use sb_bench::dataplane_baseline::{
-    check_overhead, check_scaleout, run, to_json, BaselineConfig, SCALEOUT_MIN_CORES,
+    check_overhead, check_scaleout, run, to_json, BaselineConfig, PairedRuns, SCALEOUT_MIN_CORES,
 };
 
 /// Maximum tolerated throughput loss with default telemetry sampling.
@@ -73,20 +76,20 @@ fn main() {
 
     if scaleout_only {
         let report = check_scaleout(&cfg);
-        if report.skipped {
+        let Some(runs) = report.runs else {
             eprintln!(
                 "[bench-dataplane: SKIP: contended scale-out needs >= {SCALEOUT_MIN_CORES} cores \
                  (one per shard thread), host has {}]",
                 report.available_cores
             );
             return;
-        }
+        };
+        print_pairs("1 shard", "2 shards", &runs);
         eprintln!(
-            "[bench-dataplane: contended scale-out: {:.3} Mpps @ 2 shards vs {:.3} Mpps @ 1 shard \
-             (ratio {:.2}, {} cores)]",
-            report.two_shard_mpps, report.single_shard_mpps, report.ratio, report.available_cores
+            "[bench-dataplane: contended scale-out: median pair ratio {:.2} ({} cores)]",
+            runs.ratio, report.available_cores
         );
-        if report.ratio < SCALEOUT_MIN_RATIO {
+        if runs.ratio < SCALEOUT_MIN_RATIO {
             eprintln!(
                 "[bench-dataplane: FAIL: 2 contending shards must reach {SCALEOUT_MIN_RATIO}x \
                  a single shard]"
@@ -98,12 +101,13 @@ fn main() {
     }
 
     if overhead_only {
-        let report = check_overhead(&cfg);
+        let runs = check_overhead(&cfg);
+        print_pairs("telemetry off", "telemetry on", &runs);
         eprintln!(
-            "[bench-dataplane: telemetry overhead: {:.3} Mpps enabled vs {:.3} Mpps disabled (ratio {:.4})]",
-            report.enabled_mpps, report.disabled_mpps, report.ratio
+            "[bench-dataplane: telemetry overhead: median pair ratio {:.4}]",
+            runs.ratio
         );
-        if report.ratio < 1.0 - OVERHEAD_TOLERANCE {
+        if runs.ratio < 1.0 - OVERHEAD_TOLERANCE {
             eprintln!(
                 "[bench-dataplane: FAIL: telemetry costs more than {:.0}% throughput]",
                 OVERHEAD_TOLERANCE * 100.0
@@ -117,9 +121,13 @@ fn main() {
     let t0 = std::time::Instant::now();
     let baseline = run(&cfg);
     let json = to_json(&baseline);
+    let rows = baseline.single_instance.len()
+        + baseline.contended_scaleout.len()
+        + baseline.batch_sweep.len()
+        + baseline.mixed_label.len()
+        + baseline.artifact_cycle.len();
     eprintln!(
-        "[bench-dataplane: {} cells in {:.1}s]",
-        baseline.single_instance.len() + baseline.scaleout.len() + baseline.batch_sweep.len(),
+        "[bench-dataplane: {rows} rows in {:.1}s]",
         t0.elapsed().as_secs_f64()
     );
     match out_path {
@@ -131,5 +139,16 @@ fn main() {
             eprintln!("[bench-dataplane: wrote {path}]");
         }
         None => print!("{json}"),
+    }
+}
+
+/// Prints every pair of a ratio gate, in the order run.
+fn print_pairs(reference: &str, candidate: &str, runs: &PairedRuns) {
+    for (i, &(r, c)) in runs.pairs.iter().enumerate() {
+        eprintln!(
+            "[bench-dataplane: pair {}: {reference} {r:.3} Mpps, {candidate} {c:.3} Mpps, ratio {:.3}]",
+            i + 1,
+            c / r
+        );
     }
 }

@@ -4,9 +4,10 @@
 //! Unlike the figure modules (which print paper-style rows), this module
 //! produces a stable JSON document that is checked in at the repo root and
 //! serves as the reference point for future performance PRs: per-mode
-//! single-instance Mpps across the Figure 8 flow counts, isolated scale-out
-//! points, and a batch-size sweep showing the amortization curve of
-//! [`sb_dataplane::Forwarder::process_batch`].
+//! single-forwarder Mpps across the Figure 8 flow counts, scale-out over
+//! concurrent shards, and a batch-size sweep showing the amortization curve
+//! of [`sb_dataplane::Forwarder::process_batch`]. Every row is one call of
+//! [`measure_sharded`], at one shard unless it says otherwise.
 //!
 //! Regenerate with:
 //!
@@ -17,12 +18,11 @@
 //! CI runs the same binary with `--quick` as a smoke check that the
 //! harness works and the JSON stays well-formed.
 
-use sb_dataplane::runner::{measure_isolated, measure_sharded, ScaleoutConfig, ShardedConfig};
+use sb_dataplane::runner::{measure_sharded, ScaleoutConfig};
 use sb_dataplane::ForwarderMode;
 use sb_telemetry::{Telemetry, WindowConfig, WindowRoller};
 use serde::Serialize;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One single-instance cell: a mode at a flow count.
@@ -34,37 +34,31 @@ pub struct SingleCell {
     pub flows: usize,
     /// Measured steady-state throughput.
     pub mpps: f64,
+    /// Generator nanoseconds per packet, outside the forwarder's time.
+    pub gen_ns_per_pkt: f64,
     /// Flow-table entries at the end of the run.
     pub flow_entries: usize,
-    /// Median per-packet forwarding latency (sampled 1-in-N drives).
+    /// Median per-packet forwarding latency (sampled 1-in-N calls).
     pub latency_p50_ns: u64,
     /// 99th-percentile per-packet forwarding latency.
     pub latency_p99_ns: u64,
 }
 
-/// One isolated scale-out cell (Affinity mode).
-#[derive(Debug, Clone, Serialize)]
-pub struct ScaleCell {
-    /// Forwarder instances (each measured in isolation, rates summed).
-    pub instances: usize,
-    /// Flows per instance.
-    pub flows_per_instance: usize,
-    /// Aggregate throughput.
-    pub mpps: f64,
-}
-
-/// One contended scale-out cell: N shard threads running concurrently,
-/// each driving its own RSS share of one flow population
-/// (`measure_sharded`), as opposed to the isolated cells where each
-/// instance is measured alone and the rates summed.
+/// One scale-out cell (Affinity mode): N shard threads running at once,
+/// each driving its own RSS share of one flow population.
 #[derive(Debug, Clone, Serialize)]
 pub struct ContendedCell {
     /// Concurrent forwarder shard threads.
     pub shards: usize,
-    /// Size of the global flow population split across the shards.
-    pub flows_total: usize,
+    /// Size of the flow population split across the shards.
+    pub flows: usize,
+    /// More shards than the host has cores: the shards take turns on the
+    /// cores, so the row shows what those cores deliver, not scaling.
+    pub oversubscribed: bool,
     /// Aggregate steady-state throughput across the contending shards.
     pub mpps: f64,
+    /// Generator nanoseconds per packet, outside the forwarders' time.
+    pub gen_ns_per_pkt: f64,
     /// Median per-packet forwarding latency, merged across shards.
     pub latency_p50_ns: u64,
     /// 99th-percentile per-packet forwarding latency, merged across shards.
@@ -132,11 +126,9 @@ pub struct Baseline {
     pub methodology: &'static str,
     /// Measurement duration per cell (ms).
     pub duration_ms: u64,
-    /// Per-mode single-instance throughput across flow counts.
+    /// Per-mode single-forwarder throughput across flow counts.
     pub single_instance: Vec<SingleCell>,
-    /// Affinity-mode isolated scale-out points.
-    pub scaleout: Vec<ScaleCell>,
-    /// Affinity-mode contended scale-out: 1→N shard threads live at once.
+    /// Affinity-mode scale-out (Figure 8): 1→N shard threads live at once.
     pub contended_scaleout: Vec<ContendedCell>,
     /// Throughput vs batch size (Affinity, smallest flow count).
     pub batch_sweep: Vec<BatchCell>,
@@ -165,13 +157,11 @@ pub struct BaselineConfig {
     pub warmup: Duration,
     /// Flow counts for the single-instance matrix.
     pub flow_counts: Vec<usize>,
-    /// Instance counts for the scale-out points.
-    pub instance_counts: Vec<usize>,
     /// Batch sizes for the amortization sweep.
     pub batch_sizes: Vec<usize>,
     /// Shard counts for the contended scale-out sweep.
     pub shard_counts: Vec<usize>,
-    /// Flows per shard in the contended sweep (`flows_total = shards *
+    /// Flows per shard in the contended sweep (`flows = shards *
     /// flows_per_shard`, so per-shard work stays constant as N grows).
     pub flows_per_shard: usize,
 }
@@ -184,7 +174,6 @@ impl BaselineConfig {
             duration: Duration::from_millis(150),
             warmup: Duration::from_millis(40),
             flow_counts: vec![2_048, 65_536],
-            instance_counts: vec![1, 2],
             batch_sizes: vec![1, 32],
             shard_counts: vec![1, 2],
             flows_per_shard: 4_096,
@@ -198,7 +187,6 @@ impl BaselineConfig {
             duration: Duration::from_millis(800),
             warmup: Duration::from_millis(200),
             flow_counts: vec![2_048, 65_536, 524_288],
-            instance_counts: vec![1, 2, 4],
             batch_sizes: vec![1, 8, 32, 256],
             // The 4-shard row drives 4 x 512K = 2M+ concurrent flows.
             shard_counts: vec![1, 2, 4],
@@ -220,11 +208,10 @@ fn mode_name(mode: ForwarderMode) -> &'static str {
     }
 }
 
-fn scaleout_config(cfg: &BaselineConfig, mode: ForwarderMode, flows: usize) -> ScaleoutConfig {
+/// One forwarder on `flows` flows in `mode`, over the run's windows.
+fn cell_config(cfg: &BaselineConfig, mode: ForwarderMode, flows: usize) -> ScaleoutConfig {
     ScaleoutConfig {
-        instances: 1,
-        flows_per_instance: flows,
-        packet_size: 64,
+        flows,
         mode,
         duration: cfg.duration,
         warmup: cfg.warmup,
@@ -252,11 +239,12 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
         ForwarderMode::Affinity,
     ] {
         for &flows in &cfg.flow_counts {
-            let r = measure_isolated(&scaleout_config(cfg, mode, flows), Some(&hub));
+            let r = measure_sharded(&cell_config(cfg, mode, flows), Some(&hub));
             single.push(SingleCell {
                 mode: mode_name(mode),
                 flows,
                 mpps: r.throughput.value(),
+                gen_ns_per_pkt: r.gen_ns_per_pkt,
                 flow_entries: r.flow_entries,
                 latency_p50_ns: r.latency.p50_ns,
                 latency_p99_ns: r.latency.p99_ns,
@@ -264,30 +252,17 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
         }
     }
 
-    let scale_flows = cfg.flow_counts.get(1).copied().unwrap_or(65_536);
-    let mut scaleout = Vec::new();
-    for &instances in &cfg.instance_counts {
-        let r = measure_isolated(
-            &ScaleoutConfig {
-                instances,
-                ..scaleout_config(cfg, ForwarderMode::Affinity, scale_flows)
-            },
-            Some(&hub),
-        );
-        scaleout.push(ScaleCell {
-            instances,
-            flows_per_instance: scale_flows,
-            mpps: r.throughput.value(),
-        });
-    }
-
+    let cores = available_cores();
     let mut contended = Vec::new();
     for &shards in &cfg.shard_counts {
-        let r = measure_sharded(&sharded_config(cfg, shards), Some(&hub));
+        let c = sharded_config(cfg, shards);
+        let r = measure_sharded(&c, Some(&hub));
         contended.push(ContendedCell {
             shards,
-            flows_total: r.flows_total,
+            flows: c.flows,
+            oversubscribed: shards > cores,
             mpps: r.throughput.value(),
+            gen_ns_per_pkt: r.gen_ns_per_pkt,
             latency_p50_ns: r.latency.p50_ns,
             latency_p99_ns: r.latency.p99_ns,
             flow_entries: r.flow_entries,
@@ -297,10 +272,10 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
     let sweep_flows = cfg.flow_counts.first().copied().unwrap_or(2_048);
     let mut batch_sweep = Vec::new();
     for &batch_size in &cfg.batch_sizes {
-        let r = measure_isolated(
+        let r = measure_sharded(
             &ScaleoutConfig {
                 batch_size,
-                ..scaleout_config(cfg, ForwarderMode::Affinity, sweep_flows)
+                ..cell_config(cfg, ForwarderMode::Affinity, sweep_flows)
             },
             Some(&hub),
         );
@@ -311,7 +286,7 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
         });
     }
 
-    let r = measure_isolated(&mixed_config(cfg, sweep_flows), Some(&hub));
+    let r = measure_sharded(&mixed_config(cfg, sweep_flows), Some(&hub));
     let mixed_label = vec![MixedCell {
         chains: MIXED_CHAINS,
         flows: sweep_flows,
@@ -329,17 +304,17 @@ pub fn run(cfg: &BaselineConfig) -> Baseline {
     Baseline {
         benchmark: "dataplane",
         packet_size: 64,
-        methodology: "single_instance/scaleout: isolated per-instance \
-                      generate->process loops (sb_dataplane::runner::measure_isolated), \
-                      aggregate = sum of per-instance steady-state rates; \
-                      contended_scaleout: N shard threads live simultaneously, each \
-                      generating and forwarding its own RSS share of one global flow \
-                      population (sb_dataplane::runner::measure_sharded), so shards \
-                      contend for cores — rows only show scaling when the host has a \
-                      core per shard",
+        methodology: "every row is sb_dataplane::runner::measure_sharded: N shard \
+                      threads live at once (N = 1 outside contended_scaleout), each \
+                      generating and forwarding its own RSS share of one flow \
+                      population; a shard fills a 4096-packet buffer outside the \
+                      timer and its rate is packets over forwarder-busy time \
+                      (gen_ns_per_pkt is the generator's own cost; it still runs on \
+                      the shard's core and shares its caches); mpps sums the shards' \
+                      rates; an oversubscribed row has more shards than host cores \
+                      and shows what those cores deliver, not scaling",
         duration_ms,
         single_instance: single,
-        scaleout,
         contended_scaleout: contended,
         batch_sweep,
         mixed_label,
@@ -422,20 +397,21 @@ pub const MIXED_CHAINS: usize = 64;
 fn mixed_config(cfg: &BaselineConfig, flows: usize) -> ScaleoutConfig {
     ScaleoutConfig {
         chains: MIXED_CHAINS,
-        ..scaleout_config(cfg, ForwarderMode::Overlay, flows)
+        ..cell_config(cfg, ForwarderMode::Overlay, flows)
     }
 }
 
-fn sharded_config(cfg: &BaselineConfig, shards: usize) -> ShardedConfig {
-    ShardedConfig {
+/// The scale-out cell: `shards` Affinity shards on `flows_per_shard` flows each.
+fn sharded_config(cfg: &BaselineConfig, shards: usize) -> ScaleoutConfig {
+    ScaleoutConfig {
         shards,
-        flows_total: shards * cfg.flows_per_shard,
-        packet_size: 64,
-        mode: ForwarderMode::Affinity,
-        duration: cfg.duration,
-        warmup: cfg.warmup,
-        ..ShardedConfig::default()
+        ..cell_config(cfg, ForwarderMode::Affinity, shards * cfg.flows_per_shard)
     }
+}
+
+/// Cores the host reports (`std::thread::available_parallelism`).
+pub(crate) fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Deploys a two-VNF chain on the line testbed and pushes a few packets
@@ -475,157 +451,132 @@ fn exercise_control_plane(hub: &Telemetry) -> switchboard::Switchboard {
     sb
 }
 
-/// Result of the telemetry overhead gate (`bench-dataplane
-/// --check-overhead`): Affinity-mode throughput with default 1-in-N packet
-/// sampling enabled versus fully disabled instrumentation.
-#[derive(Debug, Clone, Serialize)]
-pub struct OverheadReport {
-    /// Mpps with `sample_every = 0` (telemetry off), best of three runs.
-    pub disabled_mpps: f64,
-    /// Mpps with the default `sample_every` (telemetry on), best of three.
-    pub enabled_mpps: f64,
-    /// `enabled / disabled`; below `1 - tolerance` fails the gate.
+/// Pairs of windows a ratio gate runs.
+pub const GATE_PAIRS: usize = 7;
+
+/// A ratio gate's two arms, measured in alternating windows: host drift
+/// lands on both arms of a pair, and the verdict is the median of the
+/// per-pair ratios rather than a ratio of two blocks run one after the
+/// other.
+#[derive(Debug, Clone)]
+pub struct PairedRuns {
+    /// `(reference, candidate)` Mpps of each pair, in the order run.
+    pub pairs: Vec<(f64, f64)>,
+    /// Median of the per-pair ratios `candidate / reference`.
     pub ratio: f64,
 }
 
-/// Measures telemetry overhead on the Affinity@2K cell. Both
-/// configurations take the best of three runs to damp scheduler noise.
+/// Runs [`GATE_PAIRS`] pairs, the reference arm first in each.
+fn alternate(mut reference: impl FnMut() -> f64, mut candidate: impl FnMut() -> f64) -> PairedRuns {
+    let pairs: Vec<(f64, f64)> = (0..GATE_PAIRS).map(|_| (reference(), candidate())).collect();
+    let mut ratios: Vec<f64> = pairs.iter().map(|&(r, c)| c / r).collect();
+    ratios.sort_by(f64::total_cmp);
+    PairedRuns {
+        ratio: ratios[ratios.len() / 2],
+        pairs,
+    }
+}
+
+/// The telemetry overhead gate (`bench-dataplane --check-overhead`) on the
+/// Affinity@2K cell: telemetry off (`sample_every = 0`) is the reference
+/// arm, default 1-in-N packet sampling the candidate.
 ///
-/// The enabled leg carries the *full* observability stack the scenario
+/// The enabled arm carries the *full* observability stack the scenario
 /// harness uses, not just the sampled counters: a scraper thread rolls
 /// 1 ms windows over the shared registry
 /// ([`WindowRoller`](sb_telemetry::timeseries::WindowRoller)) for the
-/// whole measurement, so the <5% gate also prices the windowed
-/// time-series layer's pull-based snapshot reads contending with the
-/// forwarder's atomic writes.
+/// whole window, so the <5% gate also prices the windowed time-series
+/// layer's pull-based snapshot reads contending with the forwarder's
+/// atomic writes.
+///
+/// # Panics
+///
+/// Panics if the scraper rolled no window.
 #[must_use]
-pub fn check_overhead(cfg: &BaselineConfig) -> OverheadReport {
+pub fn check_overhead(cfg: &BaselineConfig) -> PairedRuns {
     let flows = cfg.flow_counts.first().copied().unwrap_or(2_048);
-    let base = scaleout_config(cfg, ForwarderMode::Affinity, flows);
+    let on = cell_config(cfg, ForwarderMode::Affinity, flows);
+    let off = ScaleoutConfig {
+        sample_every: 0,
+        ..on.clone()
+    };
     // With a spare core the scraper runs concurrently (real contention:
     // snapshot reads vs forwarder atomic writes); on a single core any
     // extra runnable thread steals timeslices from the measured loop and
     // the gate would price scheduler noise, not telemetry, so the roller
-    // is ticked synchronously between runs instead.
-    let spare_core = std::thread::available_parallelism().map_or(1, std::num::NonZero::get) >= 2;
-    let best = |sample_every: u64| -> f64 {
-        let hub = Telemetry::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut sync_roller = None;
-        let mut scraper = None;
-        if sample_every != 0 {
-            let roller = WindowRoller::new(
-                &hub.registry,
-                &hub.clock,
-                WindowConfig {
-                    width_ns: 1_000_000,
-                    capacity: 256,
-                },
-            );
-            if spare_core {
-                let clock = hub.clock.clone();
-                let stop = Arc::clone(&stop);
-                let mut roller = roller;
-                scraper = Some(std::thread::spawn(move || {
-                    let mut closed = 0;
-                    while !stop.load(Ordering::Relaxed) {
-                        clock.advance_ns(1_000_000);
-                        closed += roller.tick();
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    closed
-                }));
+    // is ticked synchronously after each window instead.
+    let spare_core = available_cores() >= 2;
+    let hub = Telemetry::new();
+    let mut roller = WindowRoller::new(
+        &hub.registry,
+        &hub.clock,
+        WindowConfig {
+            width_ns: 1_000_000,
+            capacity: 256,
+        },
+    );
+    let mut closed = 0;
+    let runs = alternate(
+        || measure_sharded(&off, None).throughput.value(),
+        || {
+            let mut mpps = 0.0;
+            closed += if spare_core {
+                let stop = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    let scraper = s.spawn(|| {
+                        let mut n = 0;
+                        while !stop.load(Ordering::Relaxed) {
+                            hub.clock.advance_ns(1_000_000);
+                            n += roller.tick();
+                            std::thread::sleep(Duration::from_millis(10));
+                        }
+                        n
+                    });
+                    mpps = measure_sharded(&on, Some(&hub)).throughput.value();
+                    stop.store(true, Ordering::Relaxed);
+                    scraper.join().expect("scraper thread never panics")
+                })
             } else {
-                sync_roller = Some(roller);
-            }
-        }
-        let mut closed_sync = 0;
-        let mpps = (0..3)
-            .map(|_| {
-                let c = ScaleoutConfig {
-                    sample_every,
-                    ..base.clone()
-                };
-                let r = measure_isolated(&c, (sample_every != 0).then_some(&hub));
-                if let Some(roller) = sync_roller.as_mut() {
-                    hub.clock.advance_ns(1_000_000);
-                    closed_sync += roller.tick();
-                }
-                r.throughput.value()
-            })
-            .fold(0.0_f64, f64::max);
-        stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = scraper {
-            closed_sync += handle.join().expect("scraper thread never panics");
-        }
-        if sample_every != 0 {
-            assert!(
-                closed_sync > 0,
-                "the window scraper must actually roll windows"
-            );
-        }
-        mpps
-    };
-    let disabled_mpps = best(0);
-    let enabled_mpps = best(base.sample_every);
-    OverheadReport {
-        disabled_mpps,
-        enabled_mpps,
-        ratio: enabled_mpps / disabled_mpps,
-    }
+                mpps = measure_sharded(&on, Some(&hub)).throughput.value();
+                hub.clock.advance_ns(1_000_000);
+                roller.tick()
+            };
+            mpps
+        },
+    );
+    assert!(closed > 0, "the window scraper must actually roll windows");
+    runs
 }
 
 /// The shard-thread layout needs this many cores before contended scaling
 /// is physically possible: one per shard thread of the two-shard run.
 pub const SCALEOUT_MIN_CORES: usize = 2;
 
-/// Result of the contended scale-out gate (`bench-dataplane
-/// --check-scaleout`): aggregate Mpps at 1 versus 2 contending shards.
-#[derive(Debug, Clone, Serialize)]
+/// The contended scale-out gate (`bench-dataplane --check-scaleout`):
+/// 1 shard is the reference arm, 2 contending shards the candidate.
+#[derive(Debug, Clone)]
 pub struct ScaleoutReport {
     /// Cores the host reports (`std::thread::available_parallelism`).
     pub available_cores: usize,
-    /// `true` when the host has fewer than [`SCALEOUT_MIN_CORES`] cores and
-    /// the measurement was skipped (the gate passes vacuously: a starved
-    /// host cannot show scaling, only scheduler noise).
-    pub skipped: bool,
-    /// Aggregate Mpps at 1 shard, best of three runs.
-    pub single_shard_mpps: f64,
-    /// Aggregate Mpps at 2 contending shards, best of three runs.
-    pub two_shard_mpps: f64,
-    /// `two_shard / single_shard`; the gate fails below its threshold.
-    pub ratio: f64,
+    /// The paired windows; `None` when the host has fewer than
+    /// [`SCALEOUT_MIN_CORES`] cores and the measurement was skipped (the
+    /// gate passes vacuously: a starved host cannot show scaling, only
+    /// scheduler noise).
+    pub runs: Option<PairedRuns>,
 }
 
-/// Measures the 2-shard contended speedup over 1 shard (best of three runs
-/// each to damp scheduler noise). When the host has fewer than
-/// [`SCALEOUT_MIN_CORES`] cores the measurement is skipped — see
-/// [`ScaleoutReport::skipped`].
+/// Measures the 2-shard contended speedup over 1 shard in alternating
+/// windows.
 #[must_use]
 pub fn check_scaleout(cfg: &BaselineConfig) -> ScaleoutReport {
-    let available_cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if available_cores < SCALEOUT_MIN_CORES {
-        return ScaleoutReport {
-            available_cores,
-            skipped: true,
-            single_shard_mpps: 0.0,
-            two_shard_mpps: 0.0,
-            ratio: 0.0,
-        };
-    }
-    let best = |shards: usize| -> f64 {
-        (0..3)
-            .map(|_| measure_sharded(&sharded_config(cfg, shards), None).throughput.value())
-            .fold(0.0_f64, f64::max)
-    };
-    let single_shard_mpps = best(1);
-    let two_shard_mpps = best(2);
+    let available_cores = available_cores();
+    let runs = (available_cores >= SCALEOUT_MIN_CORES).then(|| {
+        let arm = |shards| move || measure_sharded(&sharded_config(cfg, shards), None).throughput.value();
+        alternate(arm(1), arm(2))
+    });
     ScaleoutReport {
         available_cores,
-        skipped: false,
-        single_shard_mpps,
-        two_shard_mpps,
-        ratio: two_shard_mpps / single_shard_mpps,
+        runs,
     }
 }
 
@@ -704,7 +655,6 @@ mod tests {
             duration: Duration::from_millis(20),
             warmup: Duration::from_millis(5),
             flow_counts: vec![128],
-            instance_counts: vec![1],
             batch_sizes: vec![1, 16],
             shard_counts: vec![1, 2],
             flows_per_shard: 256,
@@ -717,9 +667,10 @@ mod tests {
         assert_eq!(b.contended_scaleout.len(), 2);
         for (cell, &shards) in b.contended_scaleout.iter().zip(&cfg.shard_counts) {
             assert_eq!(cell.shards, shards);
-            assert_eq!(cell.flows_total, shards * cfg.flows_per_shard);
+            assert_eq!(cell.flows, shards * cfg.flows_per_shard);
+            assert_eq!(cell.oversubscribed, shards > available_cores());
             assert!(cell.mpps > 0.0, "{shards} shards produced nothing");
-            assert!(cell.flow_entries >= cell.flows_total);
+            assert!(cell.flow_entries >= cell.flows);
             assert!(cell.latency_p99_ns >= cell.latency_p50_ns);
         }
         assert_eq!(b.mixed_label.len(), 1);
@@ -732,6 +683,7 @@ mod tests {
         assert!(parsed.get("single_instance").is_some());
         assert!(parsed.get("batch_sweep").is_some());
         assert!(parsed.get("contended_scaleout").is_some());
+        assert!(parsed.get("scaleout").is_none(), "no sequential-sum rows");
         assert!(parsed.get("mixed_label").is_some());
         let metrics = parsed
             .get("telemetry")
@@ -773,14 +725,13 @@ mod tests {
             duration: Duration::from_millis(10),
             warmup: Duration::from_millis(2),
             flow_counts: vec![128],
-            instance_counts: vec![1],
             batch_sizes: vec![32],
             shard_counts: vec![1],
             flows_per_shard: 128,
         };
         let r = check_overhead(&cfg);
-        assert!(r.disabled_mpps > 0.0);
-        assert!(r.enabled_mpps > 0.0);
+        assert_eq!(r.pairs.len(), GATE_PAIRS);
+        assert!(r.pairs.iter().all(|&(off, on)| off > 0.0 && on > 0.0));
         assert!(r.ratio > 0.0);
     }
 
@@ -790,19 +741,22 @@ mod tests {
             duration: Duration::from_millis(15),
             warmup: Duration::from_millis(4),
             flow_counts: vec![128],
-            instance_counts: vec![1],
             batch_sizes: vec![32],
             shard_counts: vec![1, 2],
             flows_per_shard: 256,
         };
         let r = check_scaleout(&cfg);
-        if r.available_cores < SCALEOUT_MIN_CORES {
-            assert!(r.skipped, "starved host must skip, not fail noisily");
-        } else {
-            assert!(!r.skipped);
-            assert!(r.single_shard_mpps > 0.0);
-            assert!(r.two_shard_mpps > 0.0);
-            assert!(r.ratio > 0.0);
+        match r.runs {
+            None => assert!(
+                r.available_cores < SCALEOUT_MIN_CORES,
+                "a host with cores must measure"
+            ),
+            Some(runs) => {
+                assert!(r.available_cores >= SCALEOUT_MIN_CORES, "starved host must skip");
+                assert_eq!(runs.pairs.len(), GATE_PAIRS);
+                assert!(runs.pairs.iter().all(|&(one, two)| one > 0.0 && two > 0.0));
+                assert!(runs.ratio > 0.0);
+            }
         }
     }
 

@@ -9,7 +9,7 @@
 //! modes with 1-50 concurrent flows and report per-mode throughput plus
 //! overhead percentages relative to the bridge.
 
-use sb_dataplane::runner::{measure_isolated, ScaleoutConfig};
+use sb_dataplane::runner::{measure_sharded, ScaleoutConfig};
 use sb_dataplane::ForwarderMode;
 use std::time::Duration;
 
@@ -41,14 +41,12 @@ impl Row {
     }
 }
 
-/// Runs one mode/flow-count cell.
+/// Runs one mode/flow-count cell on one forwarder.
 #[must_use]
 pub fn measure_mode(mode: ForwarderMode, flows: usize, millis: u64) -> f64 {
-    let r = measure_isolated(
+    let r = measure_sharded(
         &ScaleoutConfig {
-            instances: 1,
-            flows_per_instance: flows,
-            packet_size: 64,
+            flows,
             mode,
             duration: Duration::from_millis(millis),
             warmup: Duration::from_millis(millis / 4),

@@ -26,11 +26,10 @@
 //! - [`pktgen::PacketGenerator`]: the MoonGen stand-in;
 //! - [`shard`]: RSS-style symmetric flow sharding across per-core
 //!   forwarder shards (DESIGN.md §11);
-//! - [`runner`]: the multi-core scale-out harness behind Figure 8, both
-//!   isolated ([`runner::measure_isolated`]: one instance at a time, rates
-//!   summed) and contended ([`runner::measure_sharded`]: every shard at
-//!   once, each generating and forwarding its own RSS share of one flow
-//!   population).
+//! - [`runner`]: the one measurement harness behind Figures 7 and 8
+//!   ([`runner::measure_sharded`]): N forwarder shards at once, each
+//!   generating and forwarding its own RSS share of one flow population,
+//!   with only the forwarder inside the timed window.
 //!
 //! # Examples
 //!

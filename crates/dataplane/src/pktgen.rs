@@ -63,6 +63,7 @@ impl PacketGenerator {
     /// Panics if `num_flows` is zero.
     #[must_use]
     pub fn new(labels: LabelPair, num_flows: usize, size: u16, seed: u64) -> Self {
+        assert!(num_flows > 0, "need at least one flow");
         // Distinct 5-tuples: walk source address/port space.
         let mut flows = Vec::with_capacity(num_flows);
         for i in 0..num_flows {
@@ -77,18 +78,6 @@ impl PacketGenerator {
             let sport = 1024 + (i % 60_000) as u16;
             flows.push(FlowKey::udp(src, sport, [192, 168, 0, 1], 9000));
         }
-        Self::from_flows(labels, flows, size, seed)
-    }
-
-    /// Creates a generator over an explicit flow population — one shard's
-    /// RSS share of a larger one, say. `seed` sets the emission order only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flows` is empty.
-    #[must_use]
-    pub fn from_flows(labels: LabelPair, flows: Vec<FlowKey>, size: u16, seed: u64) -> Self {
-        assert!(!flows.is_empty(), "need at least one flow");
         Self {
             labels,
             flows,
@@ -97,6 +86,38 @@ impl PacketGenerator {
             state: seed | 1,
             emitted: 0,
         }
+    }
+
+    /// Splits the population by [`shard_of_key`](crate::shard::shard_of_key)
+    /// into one generator per shard, as symmetric RSS assigns NIC queues.
+    /// Each flow keeps its label pair. Shard `s` emits in the order of seed
+    /// `2s + 1`, so one shard replays a generator built with seed 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some shard's share is empty.
+    pub(crate) fn split(self, shards: usize) -> Vec<Self> {
+        let mut parts: Vec<Self> = (0..shards as u64)
+            .map(|s| Self {
+                flows: Vec::new(),
+                flow_labels: Vec::new(),
+                state: 2 * s + 1,
+                emitted: 0,
+                ..self
+            })
+            .collect();
+        for (i, &k) in self.flows.iter().enumerate() {
+            let part = &mut parts[crate::shard::shard_of_key(k, shards)];
+            part.flows.push(k);
+            if let Some(&l) = self.flow_labels.get(i) {
+                part.flow_labels.push(l);
+            }
+        }
+        assert!(
+            parts.iter().all(|p| !p.flows.is_empty()),
+            "need at least one flow per shard"
+        );
+        parts
     }
 
     /// Creates a *mixed-label* generator: the flow population is split
@@ -365,19 +386,5 @@ mod tests {
             .map(|c| LabelPair::new(ChainLabel::new(c), EgressLabel::new(c)))
             .collect();
         let _ = PacketGenerator::mixed(&chains, 3, 64, 1);
-    }
-
-    #[test]
-    fn explicit_flow_list_emits_from_its_population_like_new() {
-        let mut a = PacketGenerator::new(labels(), 64, 64, 3);
-        let mut b = PacketGenerator::from_flows(labels(), a.flows().to_vec(), 64, 3);
-        for _ in 0..500 {
-            let pkt = b.next_packet();
-            assert!(
-                b.flows().contains(&pkt.key),
-                "packet outside the population"
-            );
-            assert_eq!(pkt, a.next_packet(), "explicit flow list diverged");
-        }
     }
 }

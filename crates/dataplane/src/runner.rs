@@ -1,27 +1,28 @@
-//! Multi-core forwarder scale-out measurement (the Figure 8 harness).
+//! The data-plane measurement harness behind Figures 7 and 8.
 //!
 //! Section 5.4's DPDK experiment pins each forwarder instance to one CPU
 //! core with its own SR-IOV virtual interface, its own traffic generator
 //! and its own VNF, then reports aggregate steady-state throughput as
-//! instances and per-instance flow counts scale. This module reproduces
-//! that setup in-process with two harnesses that share one generate→process
-//! worker loop and report aggregate millions of packets per second:
+//! instances and flow counts scale. [`measure_sharded`] reproduces that
+//! setup in-process: N shard threads run at once, each generating and
+//! forwarding its own RSS share of one flow population, as a NIC's
+//! per-core queues would feed them. At one shard it is the
+//! single-forwarder cell of Figure 7 and of the mode, flow and batch
+//! sweeps.
 //!
-//! - [`measure_isolated`] runs each instance alone, one after another, and
-//!   sums their rates — the per-core ceiling, on any host;
-//! - [`measure_sharded`] runs N shard threads at once, each generating and
-//!   forwarding its own RSS share of one global flow population, as a
-//!   NIC's per-core queues would feed them — the contended counterpart.
-//!
-//! Packets are driven through [`Forwarder::process_batch`] in batches of
-//! [`ScaleoutConfig::batch_size`] (DPDK-style burst processing); a batch
-//! size of 1 falls back to per-packet [`Forwarder::process`] so the bench
-//! suite can sweep the amortization curve.
+//! Each worker fills a staging buffer from its generator *outside* the
+//! timer, then times the forwarder over the whole buffer in batches of
+//! [`ScaleoutConfig::batch_size`] (DPDK-style burst processing; a batch
+//! size of 1 uses per-packet [`Forwarder::process`], so the bench suite
+//! can sweep the amortization curve). A shard's rate is its packets over
+//! its forwarder-busy time; the generator's cost per packet is reported
+//! beside it. The generator still runs on the shard's core between
+//! buffers and shares its caches, as a NIC would not.
 //!
 //! Absolute numbers depend on the host CPU (the paper used an XL710 NIC and
-//! a Xeon E5-2470); the reproduced *shape* is near-linear scaling across
-//! instances and throughput decay as the per-instance flow table outgrows
-//! the CPU caches.
+//! a Xeon E5-2470). The reproduced *shape* is throughput decay as the flow
+//! table outgrows the CPU caches, and aggregate scaling with shards up to
+//! the host's core count and no further.
 
 use crate::forwarder::{Forwarder, ForwarderMode, RuleSet};
 use crate::loadbalancer::WeightedChoice;
@@ -29,27 +30,32 @@ use crate::packet::{Addr, Packet};
 use crate::pktgen::PacketGenerator;
 use sb_telemetry::{Histogram, HistogramSnapshot, Telemetry};
 use sb_types::{
-    ChainLabel, EdgeInstanceId, EgressLabel, ForwarderId, InstanceId, LabelPair, Mpps, Result,
-    SiteId,
+    ChainLabel, EdgeInstanceId, EgressLabel, ForwarderId, InstanceId, LabelPair, Mpps, SiteId,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Configuration of one scale-out measurement.
+/// Configuration of one measurement.
 #[derive(Debug, Clone)]
 pub struct ScaleoutConfig {
-    /// Number of forwarder instances (threads), 1-6 in Figure 8.
-    pub instances: usize,
-    /// Distinct flows per instance (2K-512K in Figure 8).
-    pub flows_per_instance: usize,
+    /// Forwarder shard threads running at once, each on its own RSS share
+    /// of the population (1-6 instances in Figure 8).
+    pub shards: usize,
+    /// Flows in the whole population, split across the shards by
+    /// [`shard_of_key`](crate::shard::shard_of_key) (2K-512K per instance
+    /// in Figure 8).
+    pub flows: usize,
     /// Packet size in bytes (64 in Figure 8).
     pub packet_size: u16,
     /// Forwarder mode (Figure 8 uses the full `Affinity` mode).
     pub mode: ForwarderMode,
-    /// Measurement duration.
+    /// Measured window, from the moment every shard is warm.
     pub duration: Duration,
-    /// Warmup phase excluded from the measurement (lets the flow tables
-    /// reach steady state, matching the paper's "steady-state throughput").
+    /// Wall-clock warmup floor. The window opens once this has elapsed
+    /// *and* every shard has driven the steady-state floor of its share
+    /// (4 packets per flow), so the measured phase sees flow-table hits,
+    /// not first-packet inserts, and an oversubscribed host stretches
+    /// warmup instead of measuring cold tables.
     pub warmup: Duration,
     /// Packets handed to the forwarder per [`Forwarder::process_batch`]
     /// call; `1` uses the per-packet [`Forwarder::process`] path instead.
@@ -60,54 +66,46 @@ pub struct ScaleoutConfig {
     /// no forwarder instrumentation and no timing — which is the
     /// reference point for the CI overhead gate.
     pub sample_every: u64,
-    /// Distinct service chains installed per forwarder instance. `1` is
-    /// the classic single-chain Figure 8 setup; larger values split the
-    /// flow population into Zipf-sized per-chain blocks of bidirectional
-    /// traffic ([`PacketGenerator::mixed_bidirectional`]), so every batch
-    /// carries a realistic fleet mix of label pairs, and every second flow
-    /// of a block carries its chain's never-installed reverse pair and
-    /// resolves through the forwarder's chain fallback.
+    /// Service chains installed per forwarder. `1` is the classic
+    /// single-chain Figure 8 setup; larger values split the population
+    /// into Zipf-sized per-chain blocks of bidirectional traffic
+    /// ([`PacketGenerator::mixed_bidirectional`]), so every batch carries
+    /// a fleet mix of label pairs and every second flow of a block carries
+    /// its chain's never-installed reverse pair.
     pub chains: usize,
-}
-
-/// The default packet-sampling period (see DESIGN.md §9: the overhead
-/// budget is <5% at this rate, enforced in CI).
-pub const DEFAULT_SAMPLE_EVERY: u64 = sb_telemetry::trace::DEFAULT_SAMPLE_EVERY;
-
-/// The steady-state packet floor of every warmup phase: a worker's measured
-/// window may not open until it has driven at least `4 × flows` packets, so
-/// (with the generator's uniform flow selection) essentially every flow has
-/// been visited and the measured phase sees flow-table *hits*, not
-/// first-packet inserts — the paper's "steady-state throughput".
-///
-/// This is the single criterion shared by [`measure_isolated`] and
-/// [`measure_sharded`]; `flows` is the size of the worker's own flow
-/// population (an instance's, or a shard's RSS share). The wall-clock
-/// warmup duration gates the window as well — both conditions must hold.
-#[must_use]
-pub const fn steady_state_floor(flows: usize) -> u64 {
-    4 * flows as u64
 }
 
 impl Default for ScaleoutConfig {
     fn default() -> Self {
         Self {
-            instances: 1,
-            flows_per_instance: 2048,
+            shards: 1,
+            flows: 2048,
             packet_size: 64,
             mode: ForwarderMode::Affinity,
             duration: Duration::from_millis(400),
             warmup: Duration::from_millis(100),
             batch_size: 256,
-            sample_every: DEFAULT_SAMPLE_EVERY,
+            sample_every: sb_telemetry::trace::DEFAULT_SAMPLE_EVERY,
             chains: 1,
         }
     }
 }
 
+/// The steady-state packet floor of a worker's warmup: its window may not
+/// open until it has driven `4 × flows` packets of its own share, so (with
+/// the generator's uniform flow selection) essentially every flow has been
+/// visited — the paper's "steady-state throughput".
+const fn steady_state_floor(flows: usize) -> u64 {
+    4 * flows as u64
+}
+
+/// Packets a worker generates per refill of its staging buffer. Large
+/// enough that the three clock reads per refill cost nothing per packet.
+const STAGE: usize = 4096;
+
 /// Per-packet processing-latency percentiles of a measurement, estimated
-/// from log2-bucketed histograms of sampled `drive` calls (each timed call
-/// contributes its elapsed time divided by the batch size). All zeros when
+/// from log2-bucketed histograms of sampled forwarder calls (each timed call
+/// contributes its elapsed time divided by its batch size). All zeros when
 /// sampling was disabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
@@ -138,42 +136,57 @@ impl From<&HistogramSnapshot> for LatencySummary {
     }
 }
 
-/// The outcome of a scale-out measurement.
+/// One shard's share of a measurement.
 #[derive(Debug, Clone, Copy)]
-pub struct ScaleoutResult {
-    /// Aggregate throughput across all instances.
-    pub throughput: Mpps,
-    /// Total packets processed during the measured phase.
+pub struct ShardStats {
+    /// Shard index.
+    pub shard: usize,
+    /// Packets this shard forwarded in its measured window.
     pub packets: u64,
-    /// Total flow-table entries installed across instances at the end.
+    /// Packets over the time the shard spent in the forwarder.
+    pub throughput: Mpps,
+    /// Nanoseconds per packet the shard spent generating its traffic,
+    /// outside the forwarder's time (`1e3 / (1e3 / Mpps + this)` is the
+    /// rate of the whole generate-and-forward loop).
+    pub gen_ns_per_pkt: f64,
+    /// Flow-table entries in this shard at the end of the run.
     pub flow_entries: usize,
-    /// Sampled per-packet latency percentiles across all instances.
+    /// Sampled per-packet forwarding latency within this shard.
     pub latency: LatencySummary,
 }
 
-/// Builds the forwarder used by each measurement thread: one attached VNF
-/// instance, one next-hop forwarder, mirroring the paper's "each forwarder
-/// receives traffic from a traffic generator and sends it to a unique VNF
-/// instance associated with the forwarder". With `cfg.chains > 1` the same
-/// hop set is installed once per chain under distinct label pairs, so the
-/// mixed-label pattern exercises FIB lookups without changing the per-hop
-/// work.
-fn build_forwarder(thread: usize, cfg: &ScaleoutConfig) -> (Forwarder, Vec<LabelPair>) {
-    let chains = cfg.chains.max(1);
+/// The outcome of a measurement: the aggregate over shards, and each
+/// shard's own figures.
+#[derive(Debug, Clone)]
+pub struct ScaleoutResult {
+    /// Sum of the shards' rates.
+    pub throughput: Mpps,
+    /// Packets forwarded across shards in the measured window.
+    pub packets: u64,
+    /// Generator nanoseconds per packet over all shards' packets.
+    pub gen_ns_per_pkt: f64,
+    /// Flow-table entries across shards at the end.
+    pub flow_entries: usize,
+    /// Latency percentiles of every shard's samples merged.
+    pub latency: LatencySummary,
+    /// Per-shard breakdown, indexed by shard.
+    pub shards: Vec<ShardStats>,
+}
+
+/// Builds shard `shard`'s forwarder, as the paper sets Figures 7 and 8 up:
+/// "each forwarder receives traffic from a traffic generator and sends it
+/// to a unique VNF instance associated with the forwarder". Under each of
+/// the `chains` pairs `(c + 1, 1)` the forwarder sends to its own VNF, so
+/// several chains exercise FIB lookups without changing the per-hop work.
+fn build_forwarder(shard: usize, flows: usize, cfg: &ScaleoutConfig) -> Forwarder {
     let mut f = Forwarder::with_flow_capacity(
-        ForwarderId::new(thread as u64),
+        ForwarderId::new(shard as u64),
         SiteId::new(0),
         cfg.mode,
-        4 * cfg.flows_per_instance + 64,
+        4 * flows + 64,
     );
-    let vnf = Addr::Vnf(InstanceId::new(thread as u64));
-    let mut labels = Vec::with_capacity(chains);
-    for c in 0..chains {
-        #[allow(clippy::cast_possible_truncation)]
-        let pair = LabelPair::new(
-            ChainLabel::new((thread * chains + c) as u32 + 1),
-            EgressLabel::new(1),
-        );
+    let vnf = Addr::Vnf(InstanceId::new(shard as u64));
+    for pair in chain_pairs(cfg.chains) {
         f.install_rules(
             pair,
             RuleSet {
@@ -182,367 +195,197 @@ fn build_forwarder(thread: usize, cfg: &ScaleoutConfig) -> (Forwarder, Vec<Label
                 to_prev: WeightedChoice::single(Addr::Edge(EdgeInstanceId::new(0))),
             },
         );
-        labels.push(pair);
     }
     f.set_bridge_next(vnf);
-    (f, labels)
+    f
 }
 
-/// Builds the traffic generator matching [`build_forwarder`]'s label set:
-/// uniform single-chain for one chain, bidirectional Zipf mixed-label
-/// otherwise.
-fn build_generator(labels: &[LabelPair], cfg: &ScaleoutConfig, seed: u64) -> PacketGenerator {
-    if labels.len() == 1 {
-        PacketGenerator::new(labels[0], cfg.flows_per_instance, cfg.packet_size, seed)
-    } else {
-        PacketGenerator::mixed_bidirectional(labels, cfg.flows_per_instance, cfg.packet_size, seed)
-    }
-}
-
-/// One worker's traffic drive: refills the staging buffer from the
-/// generator and pushes it through the forwarder. Returns the number of
-/// packets driven.
-#[inline]
-fn drive(
-    fwd: &mut Forwarder,
-    gen: &mut PacketGenerator,
-    edge: Addr,
-    pkts: &mut [Packet],
-    out: &mut Vec<Result<Addr>>,
-) -> u64 {
-    if pkts.len() == 1 {
-        // Per-packet path (bench sweeps use batch_size = 1 as the
-        // no-amortization reference point).
-        let _ = fwd.process(gen.next_packet(), edge);
-        return 1;
-    }
-    for p in pkts.iter_mut() {
-        *p = gen.next_packet();
-    }
-    fwd.process_batch_into(pkts, edge, out);
-    pkts.len() as u64
-}
-
-/// How many `drive` calls separate two timed ones: the per-packet sampling
-/// period divided by the batch size, so roughly one packet in
-/// `sample_every` is timed regardless of batch size (and the `Instant`
-/// overhead on the batch=1 path stays far below the 5% budget). `0` means
-/// timing is disabled.
-fn lat_sample_every(sample_every: u64, batch: usize) -> u64 {
-    if sample_every == 0 {
-        0
-    } else {
-        (sample_every / batch as u64).max(1)
-    }
-}
-
-/// Records one timed `drive` call: elapsed time split evenly over the
-/// batch approximates per-packet processing latency.
-#[inline]
-fn record_drive_latency(latency: &Histogram, started: Instant, batch: usize) {
+/// The installed label pairs `(c + 1, 1)` of `chains` chains (at least one).
+fn chain_pairs(chains: usize) -> Vec<LabelPair> {
     #[allow(clippy::cast_possible_truncation)]
-    let elapsed_ns = started.elapsed().as_nanos() as u64;
-    latency.record(elapsed_ns / batch as u64);
+    (0..chains.max(1))
+        .map(|c| LabelPair::new(ChainLabel::new(c as u32 + 1), EgressLabel::new(1)))
+        .collect()
 }
 
-/// Summarizes the merged worker histogram and, when a hub is attached,
-/// folds it into the registry's histogram `name`.
-fn finish_latency(hub: Option<&Telemetry>, name: &str, merged: &Histogram) -> LatencySummary {
-    if let Some(h) = hub {
-        h.registry.histogram(name).merge_from(merged);
-    }
-    LatencySummary::from(&merged.snapshot())
-}
-
-/// One worker's generate→process loop, shared by both harnesses.
+/// Builds the one population (seed 1) — uniform single-chain for one
+/// chain, bidirectional Zipf mixed-label otherwise — and splits it into
+/// one generator per shard by RSS hash, each flow keeping its label pair.
 ///
-/// The worker drives traffic until `open(past_floor)` lets its measured
-/// window open, where `past_floor` turns true once it has driven the
-/// [`steady_state_floor`] of its own flow population. It then drives while
-/// `running(t0)` holds, `t0` being the window's start, and times one
-/// `drive` call in [`lat_sample_every`] into a latency histogram. Returns
-/// the window's `(packets, pps, latency)`.
+/// # Panics
+///
+/// Panics if some shard's share is empty.
+fn shard_generators(cfg: &ScaleoutConfig) -> Vec<PacketGenerator> {
+    let pairs = chain_pairs(cfg.chains);
+    let population = if pairs.len() == 1 {
+        PacketGenerator::new(pairs[0], cfg.flows, cfg.packet_size, 1)
+    } else {
+        PacketGenerator::mixed_bidirectional(&pairs, cfg.flows, cfg.packet_size, 1)
+    };
+    population.split(cfg.shards)
+}
+
+/// Times one forwarder call in `every` (`0`: none) into `latency`.
+struct Sampler {
+    every: u64,
+    /// Calls left until the next timed one.
+    due: u64,
+    latency: Histogram,
+}
+
+/// Pushes `stage` through the forwarder in `batch`-sized calls (batch 1:
+/// per-packet `process`), timing the calls `sampler` picks.
+fn forward(
+    fwd: &mut Forwarder,
+    stage: &mut [Packet],
+    batch: usize,
+    out: &mut Vec<sb_types::Result<Addr>>,
+    sampler: &mut Sampler,
+) {
+    let edge = Addr::Edge(EdgeInstanceId::new(0));
+    for chunk in stage.chunks_mut(batch) {
+        let started = (sampler.every != 0 && sampler.due == 0).then(Instant::now);
+        if batch == 1 {
+            let _ = fwd.process(chunk[0], edge);
+        } else {
+            fwd.process_batch_into(chunk, edge, out);
+        }
+        if let Some(s) = started {
+            sampler.due = sampler.every;
+            #[allow(clippy::cast_possible_truncation)]
+            sampler.latency.record(s.elapsed().as_nanos() as u64 / batch as u64);
+        }
+        sampler.due = sampler.due.saturating_sub(1);
+    }
+}
+
+/// What one worker measured in its window.
+struct Window {
+    packets: u64,
+    /// Time spent in the forwarder.
+    busy: Duration,
+    /// Time spent filling the staging buffer.
+    generating: Duration,
+    latency: Histogram,
+}
+
+/// One worker's loop.
+///
+/// The worker refills its staging buffer and forwards it until
+/// `open(past_floor)` lets its window open, where `past_floor` turns true
+/// once it has driven the [`steady_state_floor`] of its own flows. It then
+/// forwards one buffer after another until `running()` fails, timing the
+/// generator and the forwarder separately, and times roughly one packet in
+/// `sample_every` into a latency histogram.
 fn run_worker(
     fwd: &mut Forwarder,
     gen: &mut PacketGenerator,
     batch: usize,
     sample_every: u64,
     mut open: impl FnMut(bool) -> bool,
-    mut running: impl FnMut(Instant) -> bool,
-) -> (u64, f64, Histogram) {
-    let edge = Addr::Edge(EdgeInstanceId::new(0));
-    let mut pkts = vec![gen.next_packet(); batch];
+    running: impl Fn() -> bool,
+) -> Window {
+    let mut stage = vec![gen.next_packet(); STAGE.next_multiple_of(batch)];
+    let fill = |gen: &mut PacketGenerator, stage: &mut [Packet]| {
+        for p in stage.iter_mut() {
+            *p = gen.next_packet();
+        }
+    };
     let mut out = Vec::with_capacity(batch);
-    let latency = Histogram::new();
+    let mut sampler = Sampler {
+        every: 0,
+        due: 0,
+        latency: Histogram::new(),
+    };
     let floor = steady_state_floor(gen.num_flows());
     let mut warm_sent = 0u64;
     while !open(warm_sent >= floor) {
-        warm_sent += drive(fwd, gen, edge, &mut pkts, &mut out);
+        fill(gen, &mut stage);
+        forward(fwd, &mut stage, batch, &mut out, &mut sampler);
+        warm_sent += stage.len() as u64;
     }
-    // Measured phase.
-    let lat_every = lat_sample_every(sample_every, batch);
-    let mut drives = 0u64;
-    let mut next_timed = 0u64;
-    let mut packets = 0u64;
-    let t0 = Instant::now();
-    while running(t0) {
-        if lat_every != 0 && drives == next_timed {
-            next_timed += lat_every;
-            let s = Instant::now();
-            packets += drive(fwd, gen, edge, &mut pkts, &mut out);
-            record_drive_latency(&latency, s, batch);
-        } else {
-            packets += drive(fwd, gen, edge, &mut pkts, &mut out);
+    // One packet in `sample_every` is timed, whatever the batch size. The
+    // first timed call is half a period in, so timed calls fall between the
+    // forwarder's own 1-in-`sample_every` trace events instead of on them.
+    sampler.every = match sample_every {
+        0 => 0,
+        n => (n / batch as u64).max(1),
+    };
+    sampler.due = sampler.every / 2;
+    // The window holds at least one buffer, however short it is.
+    let (mut packets, mut busy, mut generating) = (0, Duration::ZERO, Duration::ZERO);
+    loop {
+        let t0 = Instant::now();
+        fill(gen, &mut stage);
+        let t1 = Instant::now();
+        forward(fwd, &mut stage, batch, &mut out, &mut sampler);
+        let t2 = Instant::now();
+        generating += t1 - t0;
+        busy += t2 - t1;
+        packets += stage.len() as u64;
+        if !running() {
+            break;
         }
-        drives += 1;
     }
-    let elapsed = t0.elapsed().as_secs_f64();
-    #[allow(clippy::cast_precision_loss)]
-    let pps = if elapsed > 0.0 {
-        packets as f64 / elapsed
+    Window {
+        packets,
+        busy,
+        generating,
+        latency: sampler.latency,
+    }
+}
+
+/// Packets per second over `time`, or 0 for an empty window.
+#[allow(clippy::cast_precision_loss)]
+fn per_sec(packets: u64, time: Duration) -> f64 {
+    let s = time.as_secs_f64();
+    if s > 0.0 {
+        packets as f64 / s
     } else {
         0.0
-    };
-    (packets, pps, latency)
-}
-
-/// Runs each forwarder instance *in isolation* (one at a time, on whatever
-/// core the scheduler provides) and sums their throughputs.
-///
-/// In the paper's testbed each forwarder is pinned to its own core and
-/// shares nothing with its peers, so the aggregate of Figure 8 is by
-/// construction the sum of per-core throughputs. On hosts with fewer cores
-/// than instances a truly concurrent run would serialize on the scheduler
-/// and misreport the scale-out shape; isolated measurement reproduces the
-/// paper's per-core semantics on any host.
-///
-/// Each instance's window opens once the wall-clock warmup has elapsed and
-/// it has driven its [`steady_state_floor`].
-///
-/// When a hub is given and `sample_every` is non-zero, every forwarder
-/// instance is instrumented (sampled `pkt.hop` events plus `fwd-*`
-/// counters) and the merged latency histogram is additionally published as
-/// `dataplane.latency.<mode>` in the hub's registry.
-///
-/// # Panics
-///
-/// Panics if `config.instances` is zero.
-#[must_use]
-pub fn measure_isolated(config: &ScaleoutConfig, hub: Option<&Telemetry>) -> ScaleoutResult {
-    assert!(config.instances > 0, "need at least one instance");
-    let mut packets = 0u64;
-    let mut flow_entries = 0usize;
-    let mut pps = 0.0f64;
-    let merged = Histogram::new();
-    for t in 0..config.instances {
-        let (mut fwd, labels) = build_forwarder(t, config);
-        if let (Some(h), true) = (hub, config.sample_every > 0) {
-            fwd.attach_telemetry(h, config.sample_every);
-        }
-        let mut gen = build_generator(&labels, config, t as u64 + 1);
-        let warm_end = Instant::now() + config.warmup;
-        let (n, rate, latency) = run_worker(
-            &mut fwd,
-            &mut gen,
-            config.batch_size.max(1),
-            config.sample_every,
-            |past_floor| past_floor && Instant::now() >= warm_end,
-            |t0| t0.elapsed() < config.duration,
-        );
-        packets += n;
-        pps += rate;
-        flow_entries += fwd.flow_entries();
-        merged.merge_from(&latency);
-    }
-    let name = format!("dataplane.latency.{}", config.mode.as_str());
-    ScaleoutResult {
-        throughput: Mpps::from_pps(pps),
-        packets,
-        flow_entries,
-        latency: finish_latency(hub, &name, &merged),
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded (contended) measurement: N forwarder shards run at once, each
-// driving its own RSS share of one flow population (DESIGN.md §11).
-// ---------------------------------------------------------------------------
-
-/// Configuration of one sharded (contended) scale-out measurement.
-///
-/// Unlike [`ScaleoutConfig`], which gives every instance its own private
-/// flow population, the sharded harness builds **one global population of
-/// [`flows_total`](Self::flows_total) flows** and splits it across
-/// [`shards`](Self::shards) forwarder shards by the symmetric RSS hash, the
-/// way a multi-queue NIC gives each core its own queue. The shards run at
-/// the same time, so they genuinely contend for cores and memory bandwidth.
-#[derive(Debug, Clone)]
-pub struct ShardedConfig {
-    /// Number of forwarder shard threads; each generates its own traffic.
-    pub shards: usize,
-    /// Total flows in the global population; each shard owns roughly
-    /// `flows_total / shards` of them via the symmetric RSS hash.
-    pub flows_total: usize,
-    /// Packet size in bytes.
-    pub packet_size: u16,
-    /// Forwarder mode (the contended Figure 8 sweep uses `Affinity`).
-    pub mode: ForwarderMode,
-    /// Measurement duration (each shard times its own window).
-    pub duration: Duration,
-    /// Wall-clock warmup floor; the measured window does not open until
-    /// this has elapsed *and* every shard has driven the
-    /// [`steady_state_floor`] of its own flow share, so oversubscribed
-    /// hosts take longer to warm up rather than measuring cold flow tables.
-    pub warmup: Duration,
-    /// Forwarder batch size.
-    pub batch_size: usize,
-    /// Telemetry sampling period, as in [`ScaleoutConfig::sample_every`].
-    pub sample_every: u64,
-}
-
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        Self {
-            shards: 2,
-            flows_total: 4096,
-            packet_size: 64,
-            mode: ForwarderMode::Affinity,
-            duration: Duration::from_millis(400),
-            warmup: Duration::from_millis(100),
-            batch_size: 64,
-            sample_every: DEFAULT_SAMPLE_EVERY,
-        }
+/// Nanoseconds per packet spent in `time`, or 0 for no packets.
+#[allow(clippy::cast_precision_loss)]
+fn ns_per(time: Duration, packets: u64) -> f64 {
+    if packets == 0 {
+        0.0
+    } else {
+        time.as_nanos() as f64 / packets as f64
     }
 }
 
-/// Width of the shared load-balancer rule set the sharded harness installs:
-/// every shard sees the same `to_vnf` choice over this many instances, so
-/// pin selection is identical no matter which shard owns a flow.
-pub const SHARDED_LB_WIDTH: usize = 4;
-
-/// The one label pair every shard installs and all sharded traffic carries.
-fn sharded_labels() -> LabelPair {
-    LabelPair::new(ChainLabel::new(1), EgressLabel::new(1))
-}
-
-/// One shard's share of a sharded measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Packets this shard processed during its measured window.
-    pub packets: u64,
-    /// This shard's steady-state throughput.
-    pub throughput: Mpps,
-    /// Flow-table entries in this shard at the end of the run.
-    pub flow_entries: usize,
-    /// Sampled per-packet forwarding latency within this shard.
-    pub latency: LatencySummary,
-}
-
-/// The outcome of a sharded (contended) measurement.
-#[derive(Debug, Clone)]
-pub struct ShardedResult {
-    /// Aggregate steady-state throughput (sum of per-shard rates).
-    pub throughput: Mpps,
-    /// Total packets processed across shards during the measured phase.
-    pub packets: u64,
-    /// Size of the global flow population that was driven.
-    pub flows_total: usize,
-    /// Aggregate flow-table entries across all shards at the end.
-    pub flow_entries: usize,
-    /// Merged per-packet latency percentiles across shards.
-    pub latency: LatencySummary,
-    /// Per-shard breakdown, indexed by shard.
-    pub shards: Vec<ShardStats>,
-}
-
-/// Builds one forwarder shard. All shards get byte-identical rules — a
-/// [`SHARDED_LB_WIDTH`]-wide uniform `to_vnf` choice under one label pair —
-/// which is what makes shard placement invisible to pin selection (the
-/// shard-equivalence property pinned by `tests/sharded_dataplane.rs`).
-fn build_shard(shard: usize, cfg: &ShardedConfig) -> Forwarder {
-    let expected = cfg.flows_total.div_ceil(cfg.shards);
-    let mut f = Forwarder::with_flow_capacity(
-        ForwarderId::new(shard as u64),
-        SiteId::new(0),
-        cfg.mode,
-        // Up to 3 entries per forward-direction flow, plus slack for RSS
-        // imbalance between shards.
-        4 * expected + 1024,
-    );
-    let to_vnf = WeightedChoice::new(
-        (0..SHARDED_LB_WIDTH)
-            .map(|i| (Addr::Vnf(InstanceId::new(i as u64)), 1.0))
-            .collect(),
-    )
-    .expect("static LB weights are valid");
-    f.install_rules(
-        sharded_labels(),
-        RuleSet {
-            to_vnf,
-            to_next: WeightedChoice::single(Addr::Forwarder(ForwarderId::new(1_000_000))),
-            to_prev: WeightedChoice::single(Addr::Edge(EdgeInstanceId::new(0))),
-        },
-    );
-    f.set_bridge_next(Addr::Vnf(InstanceId::new(0)));
-    f
-}
-
-/// Splits the one global flow population (seed 1) across the shards by
-/// [`shard_of_key`](crate::shard::shard_of_key), as symmetric RSS assigns
-/// NIC queues, and builds each shard's generator over its own share.
+/// Runs one measurement: `config.shards` forwarder threads at once, each
+/// generating and forwarding its own RSS share of one flow population (see
+/// [`ScaleoutConfig`]).
 ///
-/// # Panics
+/// The calling thread holds every window shut until the wall-clock warmup
+/// has elapsed *and* every shard has crossed the steady-state floor of its
+/// share; it then lets the shards run for `config.duration` and stops
+/// them. Each shard's rate is its packets over its forwarder-busy time,
+/// and the aggregate is the sum of those rates. On a host with fewer cores
+/// than shards the shards take turns on the cores, and the aggregate is
+/// what those cores deliver, not a per-core sum.
 ///
-/// Panics if some shard's share is empty.
-fn shard_generators(cfg: &ShardedConfig) -> Vec<PacketGenerator> {
-    let labels = sharded_labels();
-    let mut shares = vec![Vec::new(); cfg.shards];
-    for &k in PacketGenerator::new(labels, cfg.flows_total, cfg.packet_size, 1).flows() {
-        shares[crate::shard::shard_of_key(k, cfg.shards)].push(k);
-    }
-    assert!(
-        shares.iter().all(|flows| !flows.is_empty()),
-        "need at least one flow per shard"
-    );
-    shares
-        .into_iter()
-        .enumerate()
-        .map(|(s, flows)| PacketGenerator::from_flows(labels, flows, cfg.packet_size, s as u64 + 1))
-        .collect()
-}
-
-/// Runs one contended sharded measurement: `config.shards` forwarder-shard
-/// threads run at once, each generating and forwarding its own RSS share
-/// of one global flow population (see [`ShardedConfig`]).
-///
-/// Each shard runs the same worker loop as [`measure_isolated`]. The
-/// coordinator holds every measured window until the wall-clock warmup has
-/// elapsed *and* every shard has crossed the [`steady_state_floor`] of its
-/// share — on a host with fewer cores than shards, warmup stretches instead
-/// of the window opening on cold flow tables. Each shard then times its own
-/// window until the coordinator stops the run.
-///
-/// When a hub is given and `sample_every` is non-zero, every shard is
-/// instrumented like an isolated instance; the cross-shard merge of the
-/// latency histograms is published as `dataplane.sharded.latency.<mode>`.
-/// Per-shard figures are in [`ShardedResult::shards`].
+/// When a hub is given and `sample_every` is non-zero, every forwarder is
+/// instrumented (sampled `pkt.hop` events plus `fwd-<shard>` counters) and
+/// the merged latency histogram is published as `dataplane.latency.<mode>`.
 ///
 /// # Panics
 ///
 /// Panics if `config.shards` is zero, some shard owns no flow (always so
-/// when `config.flows_total < config.shards`), or a shard thread panics.
+/// when `config.flows < config.shards`), or a shard thread panics.
 #[must_use]
-pub fn measure_sharded(config: &ShardedConfig, hub: Option<&Telemetry>) -> ShardedResult {
+pub fn measure_sharded(config: &ScaleoutConfig, hub: Option<&Telemetry>) -> ScaleoutResult {
     assert!(config.shards > 0, "need at least one shard");
     let gens = shard_generators(config);
-    // Count of shards past their steady-state floor; the window opens only
-    // once all of them are.
+    // Shards past their steady-state floor; the window opens when all are.
     let warm = AtomicUsize::new(0);
     let measuring = AtomicBool::new(false);
     let stop = AtomicBool::new(false);
     let merged = Histogram::new();
+    let batch = config.batch_size.max(1);
     let shards: Vec<ShardStats> = std::thread::scope(|scope| {
         let threads: Vec<_> = gens
             .into_iter()
@@ -550,15 +393,15 @@ pub fn measure_sharded(config: &ShardedConfig, hub: Option<&Telemetry>) -> Shard
             .map(|(s, mut gen)| {
                 let (warm, measuring, stop, merged) = (&warm, &measuring, &stop, &merged);
                 scope.spawn(move || {
-                    let mut fwd = build_shard(s, config);
+                    let mut fwd = build_forwarder(s, gen.num_flows(), config);
                     if let (Some(h), true) = (hub, config.sample_every > 0) {
                         fwd.attach_telemetry(h, config.sample_every);
                     }
                     let mut announced = false;
-                    let (packets, pps, latency) = run_worker(
+                    let w = run_worker(
                         &mut fwd,
                         &mut gen,
-                        config.batch_size.max(1),
+                        batch,
                         config.sample_every,
                         |past_floor| {
                             if past_floor && !announced {
@@ -567,15 +410,16 @@ pub fn measure_sharded(config: &ShardedConfig, hub: Option<&Telemetry>) -> Shard
                             }
                             past_floor && measuring.load(Ordering::Relaxed)
                         },
-                        |_| !stop.load(Ordering::Relaxed),
+                        || !stop.load(Ordering::Relaxed),
                     );
-                    merged.merge_from(&latency);
+                    merged.merge_from(&w.latency);
                     ShardStats {
                         shard: s,
-                        packets,
-                        throughput: Mpps::from_pps(pps),
+                        packets: w.packets,
+                        throughput: Mpps::from_pps(per_sec(w.packets, w.busy)),
+                        gen_ns_per_pkt: ns_per(w.generating, w.packets),
                         flow_entries: fwd.flow_entries(),
-                        latency: LatencySummary::from(&latency.snapshot()),
+                        latency: LatencySummary::from(&w.latency.snapshot()),
                     }
                 })
             })
@@ -593,13 +437,20 @@ pub fn measure_sharded(config: &ShardedConfig, hub: Option<&Telemetry>) -> Shard
             .collect()
     });
 
-    let name = format!("dataplane.sharded.latency.{}", config.mode.as_str());
-    ShardedResult {
-        throughput: Mpps::from_pps(shards.iter().map(|st| st.throughput.as_pps()).sum()),
-        packets: shards.iter().map(|st| st.packets).sum(),
-        flows_total: config.flows_total,
+    if let Some(h) = hub {
+        let name = format!("dataplane.latency.{}", config.mode.as_str());
+        h.registry.histogram(&name).merge_from(&merged);
+    }
+    let packets: u64 = shards.iter().map(|st| st.packets).sum();
+    #[allow(clippy::cast_precision_loss)]
+    let generating: f64 = shards.iter().map(|st| st.gen_ns_per_pkt * st.packets as f64).sum();
+    ScaleoutResult {
+        throughput: shards.iter().map(|st| st.throughput).fold(Mpps::default(), |a, b| a + b),
+        packets,
+        #[allow(clippy::cast_precision_loss)]
+        gen_ns_per_pkt: generating / packets.max(1) as f64,
         flow_entries: shards.iter().map(|st| st.flow_entries).sum(),
-        latency: finish_latency(hub, &name, &merged),
+        latency: LatencySummary::from(&merged.snapshot()),
         shards,
     }
 }
@@ -608,11 +459,11 @@ pub fn measure_sharded(config: &ShardedConfig, hub: Option<&Telemetry>) -> Shard
 mod tests {
     use super::*;
 
-    fn quick(instances: usize, flows: usize, mode: ForwarderMode) -> ScaleoutResult {
-        measure_isolated(
+    fn quick(shards: usize, flows: usize, mode: ForwarderMode) -> ScaleoutResult {
+        measure_sharded(
             &ScaleoutConfig {
-                instances,
-                flows_per_instance: flows,
+                shards,
+                flows,
                 mode,
                 duration: Duration::from_millis(120),
                 warmup: Duration::from_millis(30),
@@ -623,10 +474,12 @@ mod tests {
     }
 
     #[test]
-    fn single_instance_forwards_packets() {
+    fn single_shard_forwards_packets() {
         let r = quick(1, 1024, ForwarderMode::Affinity);
         assert!(r.packets > 0);
         assert!(r.throughput.value() > 0.1, "{}", r.throughput);
+        assert!(r.gen_ns_per_pkt > 0.0, "{}", r.gen_ns_per_pkt);
+        assert_eq!(r.shards.len(), 1);
     }
 
     #[test]
@@ -639,38 +492,36 @@ mod tests {
     }
 
     #[test]
-    fn isolated_instances_aggregate() {
-        // What is deterministic about a two-instance run. The throughput
+    fn two_shards_aggregate() {
+        // What is deterministic about a two-shard run. The throughput
         // ratio is wall-clock and belongs to `bench-dataplane
         // --check-scaleout`, not to a unit test sharing two cores with the
         // rest of the sweep.
         let hub = Telemetry::new();
-        let two = measure_isolated(
-            &ScaleoutConfig {
-                instances: 2,
-                flows_per_instance: 1024,
-                duration: Duration::from_millis(120),
-                warmup: Duration::from_millis(30),
-                ..ScaleoutConfig::default()
-            },
-            Some(&hub),
-        );
-        // Both instances forward, dropping nothing; the aggregate is their
-        // sum (each forwarder's own `rx` also counts its warm-up).
+        let cfg = ScaleoutConfig {
+            shards: 2,
+            flows: 2048,
+            duration: Duration::from_millis(120),
+            warmup: Duration::from_millis(30),
+            ..ScaleoutConfig::default()
+        };
+        let two = measure_sharded(&cfg, Some(&hub));
+        // Both shards forward, dropping nothing, and each is past its own
+        // share's floor (each forwarder's own `rx` also counts its warm-up).
         let snap = hub.registry.snapshot();
-        let rx: Vec<u64> = (0..2)
-            .map(|t| snap.counter(&format!("fwd-{t}.rx")))
-            .collect();
-        let floor = steady_state_floor(1024);
-        assert!(rx.iter().all(|&n| n > floor), "{rx:?}");
-        for (t, &n) in rx.iter().enumerate() {
-            assert_eq!(snap.counter(&format!("fwd-{t}.tx")), n, "instance {t}");
+        for (st, gen) in two.shards.iter().zip(shard_generators(&cfg)) {
+            let s = st.shard;
+            let rx = snap.counter(&format!("fwd-{s}.rx"));
+            assert_eq!(snap.counter(&format!("fwd-{s}.tx")), rx, "shard {s}");
+            let floor = steady_state_floor(gen.num_flows());
+            assert!(st.packets > 0 && rx >= floor + st.packets, "shard {s}: {rx}");
         }
-        assert!(two.packets > 0 && two.packets + 2 * floor <= rx[0] + rx[1]);
-        // Both flow tables reach steady state: more hops than one
-        // instance's 1024 connections × 3 can hold, at most twice that.
-        assert!(two.flow_entries > 3 * 1024, "{}", two.flow_entries);
-        assert!(two.flow_entries <= 2 * 3 * 1024, "{}", two.flow_entries);
+        let sum: u64 = two.shards.iter().map(|s| s.packets).sum();
+        assert_eq!(sum, two.packets);
+        // Both tables reach steady state: every flow of the population is
+        // pinned in exactly one shard, with at most 3 hops each.
+        assert!(two.flow_entries >= 2048, "{}", two.flow_entries);
+        assert!(two.flow_entries <= 3 * 2048, "{}", two.flow_entries);
     }
 
     #[test]
@@ -687,9 +538,9 @@ mod tests {
 
     #[test]
     fn batch_size_one_still_measures() {
-        let r = measure_isolated(
+        let r = measure_sharded(
             &ScaleoutConfig {
-                flows_per_instance: 512,
+                flows: 512,
                 duration: Duration::from_millis(60),
                 warmup: Duration::from_millis(15),
                 batch_size: 1,
@@ -703,20 +554,25 @@ mod tests {
 
     #[test]
     fn latency_summary_is_populated_and_ordered() {
-        let r = quick(1, 512, ForwarderMode::Affinity);
-        assert!(r.latency.samples > 0, "no timed drives in {:?}", r.latency);
+        let r = quick(2, 512, ForwarderMode::Affinity);
+        assert!(r.latency.samples > 0, "no timed calls in {:?}", r.latency);
         assert!(r.latency.p50_ns >= 1);
         assert!(r.latency.p50_ns <= r.latency.p90_ns);
         assert!(r.latency.p90_ns <= r.latency.p99_ns);
         assert!(r.latency.p99_ns <= r.latency.max_ns);
         assert!(r.latency.mean_ns > 0.0);
+        assert_eq!(
+            r.latency.samples,
+            r.shards.iter().map(|s| s.latency.samples).sum::<u64>(),
+            "merged histogram must cover every shard's samples"
+        );
     }
 
     #[test]
     fn sampling_disabled_yields_empty_latency_summary() {
-        let r = measure_isolated(
+        let r = measure_sharded(
             &ScaleoutConfig {
-                flows_per_instance: 256,
+                flows: 256,
                 duration: Duration::from_millis(60),
                 warmup: Duration::from_millis(15),
                 sample_every: 0,
@@ -730,9 +586,9 @@ mod tests {
 
     #[test]
     fn mixed_chain_measurement_forwards() {
-        let r = measure_isolated(
+        let r = measure_sharded(
             &ScaleoutConfig {
-                flows_per_instance: 512,
+                flows: 512,
                 chains: 8,
                 duration: Duration::from_millis(80),
                 warmup: Duration::from_millis(20),
@@ -748,100 +604,45 @@ mod tests {
 
     #[test]
     fn warmup_floor_is_pinned() {
-        // The shared steady-state criterion: 4 packets per expected flow.
-        // Both harnesses (`measure_isolated`, `measure_sharded`) gate their
-        // measured windows on this exact floor; changing it changes what
-        // "steady state" means in every published benchmark, so the value
-        // is pinned here.
+        // The steady-state criterion: 4 packets per flow of the worker's
+        // share. Every published data-plane row gates its window on this
+        // floor; changing it changes what "steady state" means, so the
+        // value is pinned here.
         assert_eq!(steady_state_floor(0), 0);
         assert_eq!(steady_state_floor(1), 4);
         assert_eq!(steady_state_floor(512), 2048);
         assert_eq!(steady_state_floor(524_288), 2_097_152);
     }
 
-    fn quick_sharded(shards: usize, flows_total: usize) -> ShardedResult {
-        measure_sharded(
-            &ShardedConfig {
-                shards,
-                flows_total,
-                duration: Duration::from_millis(120),
-                warmup: Duration::from_millis(30),
-                batch_size: 32,
-                ..ShardedConfig::default()
-            },
-            None,
-        )
-    }
-
-    #[test]
-    fn sharded_single_shard_forwards_packets() {
-        let r = quick_sharded(1, 512);
-        assert!(r.packets > 0);
-        assert!(r.throughput.value() > 0.01, "{}", r.throughput);
-        assert_eq!(r.shards.len(), 1);
-        assert_eq!(r.flows_total, 512);
-    }
-
-    #[test]
-    fn sharded_shards_all_reach_steady_state_and_report() {
-        let r = quick_sharded(2, 1024);
-        assert_eq!(r.shards.len(), 2);
-        for st in &r.shards {
-            assert!(st.packets > 0, "shard {} starved", st.shard);
-            // RSS spreads ~512 flows onto each shard; after warmup each
-            // shard's table holds up to 3 entries per owned flow.
-            assert!(st.flow_entries > 100, "shard {}: {}", st.shard, st.flow_entries);
-        }
-        let sum: u64 = r.shards.iter().map(|s| s.packets).sum();
-        assert_eq!(sum, r.packets);
-        // Both directions of the population stay shardable: aggregate
-        // entries never exceed 3 per flow plus slack.
-        assert!(r.flow_entries <= 3 * 1024 + 64, "{}", r.flow_entries);
-    }
-
-    #[test]
-    fn sharded_latency_summary_is_populated() {
-        let r = quick_sharded(2, 512);
-        assert!(r.latency.samples > 0);
-        assert!(r.latency.p50_ns <= r.latency.p99_ns);
-        assert_eq!(
-            r.latency.samples,
-            r.shards.iter().map(|s| s.latency.samples).sum::<u64>(),
-            "merged histogram must cover every shard's samples"
-        );
-    }
-
-    #[test]
-    fn sharded_hub_gets_the_merged_latency_histogram() {
-        let hub = Telemetry::new();
-        let r = measure_sharded(
-            &ShardedConfig {
-                shards: 2,
-                flows_total: 512,
-                duration: Duration::from_millis(100),
-                warmup: Duration::from_millis(25),
-                batch_size: 32,
-                sample_every: 64,
-                ..ShardedConfig::default()
-            },
-            Some(&hub),
-        );
-        let snap = hub.registry.snapshot();
-        let merged = snap
-            .histogram("dataplane.sharded.latency.affinity")
-            .expect("merged histogram");
-        assert_eq!(merged.count, r.latency.samples);
-    }
-
     #[test]
     fn each_shard_drives_exactly_its_rss_share_of_the_population() {
-        for shards in [2usize, 4] {
-            let cfg = ShardedConfig {
+        for (shards, chains) in [(2usize, 1usize), (4, 1), (3, 8)] {
+            let cfg = ScaleoutConfig {
                 shards,
-                flows_total: 4096,
-                ..ShardedConfig::default()
+                flows: 4096,
+                chains,
+                ..ScaleoutConfig::default()
             };
-            let population = PacketGenerator::new(sharded_labels(), 4096, 64, 1);
+            // The unsplit population, as one forwarder of `chains` chains
+            // would be driven.
+            let pairs = chain_pairs(chains);
+            let population = if chains == 1 {
+                PacketGenerator::new(pairs[0], 4096, 64, 1)
+            } else {
+                PacketGenerator::mixed_bidirectional(&pairs, 4096, 64, 1)
+            };
+            // One shard replays its population and emission order.
+            let mut whole = population.clone();
+            let mut one = shard_generators(&ScaleoutConfig { shards: 1, ..cfg.clone() });
+            assert_eq!(one[0].flows(), whole.flows());
+            for _ in 0..1000 {
+                assert_eq!(one[0].next_packet(), whole.next_packet());
+            }
+            let label_of: std::collections::HashMap<_, _> = population
+                .flows()
+                .iter()
+                .zip(population.flow_labels())
+                .collect();
             let mut gens = shard_generators(&cfg);
             assert_eq!(gens.len(), shards);
             let mut owner = std::collections::HashMap::new();
@@ -849,6 +650,11 @@ mod tests {
                 for &k in gen.flows() {
                     assert_eq!(crate::shard::shard_of_key(k, shards), s, "{k:?}");
                     assert!(owner.insert(k, s).is_none(), "{k:?} in two shards");
+                }
+                // A flow keeps the label pair it has in the whole population.
+                assert_eq!(gen.flow_labels().len(), gen.flows().len() * usize::from(chains > 1));
+                for (k, l) in gen.flows().iter().zip(gen.flow_labels()) {
+                    assert_eq!(label_of.get(k), Some(&l), "{k:?}");
                 }
                 // What the shard emits comes from its own share.
                 for _ in 0..1000 {
@@ -863,12 +669,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "at least one flow per shard")]
-    fn sharded_rejects_fewer_flows_than_shards() {
+    fn rejects_fewer_flows_than_shards() {
         let _ = measure_sharded(
-            &ShardedConfig {
+            &ScaleoutConfig {
                 shards: 4,
-                flows_total: 2,
-                ..ShardedConfig::default()
+                flows: 2,
+                ..ScaleoutConfig::default()
             },
             None,
         );
@@ -877,9 +683,10 @@ mod tests {
     #[test]
     fn hub_receives_per_mode_latency_histogram_and_forwarder_counters() {
         let hub = Telemetry::new();
-        let r = measure_isolated(
+        let r = measure_sharded(
             &ScaleoutConfig {
-                flows_per_instance: 256,
+                shards: 2,
+                flows: 512,
                 duration: Duration::from_millis(60),
                 warmup: Duration::from_millis(15),
                 sample_every: 64,
@@ -892,7 +699,7 @@ mod tests {
             .histogram("dataplane.latency.affinity")
             .expect("latency histogram registered");
         assert_eq!(lat.count, r.latency.samples);
-        assert!(snap.counter("fwd-0.rx") > 0);
+        assert!(snap.counter("fwd-0.rx") > 0 && snap.counter("fwd-1.rx") > 0);
         // Sampled packet hops land in the hub's trace ring.
         assert!(hub
             .tracer

@@ -1,7 +1,7 @@
 //! RSS-style flow sharding across per-core forwarder shards.
 //!
-//! The sharded runner (DESIGN.md §11) splits one forwarder's work across N
-//! shard threads the way a multi-queue NIC splits it across cores: a hash of
+//! The measurement harness (DESIGN.md §11) splits one flow population
+//! across N shard threads the way a multi-queue NIC splits it across cores: a hash of
 //! the connection tuple picks the shard, and everything downstream of that
 //! pick — flow-table entries, load-balancer pins, reverse-path state — lives
 //! only in that shard. Shards share nothing and never lock.
@@ -24,10 +24,10 @@
 //!
 //! # Equivalence with a single shard
 //!
-//! Because every shard installs identical rules and weighted choice is a
-//! pure function of the (direction-sensitive) flow hash, the pin a flow
-//! gets from N shards is byte-identical to what a single sequential
-//! forwarder would have chosen; sharding changes only *where* the entry is
+//! Weighted choice is a pure function of the (direction-sensitive) flow
+//! hash, so when every shard installs identical rules the pin a flow gets
+//! from N shards is byte-identical to what a single sequential forwarder
+//! would have chosen; sharding changes only *where* the entry is
 //! stored. `tests/sharded_dataplane.rs` pins this property for arbitrary
 //! traces over N plain forwarders, each packet routed by
 //! [`shard_of_key`].

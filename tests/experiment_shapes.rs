@@ -124,3 +124,84 @@ fn table3_sharing_beats_siloing_on_both_metrics() {
         siloed.download_ms
     );
 }
+
+/// The checked-in data-plane baseline. The Figure 7 and 8 shapes are read
+/// from the committed file, not re-measured, so these tests time nothing.
+fn dataplane_rows(section: &str) -> Vec<serde::Value> {
+    let doc = serde_json::from_str_value(include_str!("../BENCH_dataplane.json"))
+        .expect("BENCH_dataplane.json is well-formed");
+    match doc.get(section) {
+        Some(serde::Value::Array(rows)) => rows.clone(),
+        other => panic!("BENCH_dataplane.json: {section} is not an array: {other:?}"),
+    }
+}
+
+fn num(row: &serde::Value, key: &str) -> f64 {
+    match row.get(key) {
+        Some(serde::Value::Float(x)) => *x,
+        #[allow(clippy::cast_precision_loss)]
+        Some(serde::Value::Int(n)) => *n as f64,
+        other => panic!("{key} is not a number in {row:?}: {other:?}"),
+    }
+}
+
+/// `single_instance` Mpps of `mode` at `flows` flows.
+fn single(rows: &[serde::Value], mode: &str, flows: f64) -> f64 {
+    let row = rows
+        .iter()
+        .find(|r| r.get("mode") == Some(&serde::Value::Str(mode.into())) && num(r, "flows") == flows)
+        .unwrap_or_else(|| panic!("no single_instance row for {mode} at {flows} flows"));
+    num(row, "mpps")
+}
+
+#[test]
+fn fig7_bridge_beats_overlay_beats_affinity_at_every_flow_count() {
+    let rows = dataplane_rows("single_instance");
+    for flows in [2_048.0, 65_536.0, 524_288.0] {
+        let (b, o, a) = (
+            single(&rows, "bridge", flows),
+            single(&rows, "overlay", flows),
+            single(&rows, "affinity", flows),
+        );
+        assert!(b > o && o > a, "{flows} flows: bridge {b}, overlay {o}, affinity {a}");
+    }
+}
+
+#[test]
+fn fig8_affinity_decays_as_its_flow_table_outgrows_the_caches() {
+    let rows = dataplane_rows("single_instance");
+    let fall = |mode: &str| single(&rows, mode, 524_288.0) / single(&rows, mode, 2_048.0);
+    assert!(fall("affinity") < 1.0, "affinity 2K -> 512K: {}x", fall("affinity"));
+    // Bridge and Overlay keep no per-flow state: they lose less than it.
+    for mode in ["bridge", "overlay"] {
+        assert!(
+            fall(mode) > fall("affinity"),
+            "{mode} 2K -> 512K: {}x vs affinity {}x",
+            fall(mode),
+            fall("affinity")
+        );
+    }
+}
+
+#[test]
+fn fig8_shards_past_the_core_count_add_nothing() {
+    let rows = dataplane_rows("contended_scaleout");
+    let over = |r: &serde::Value| match r.get("oversubscribed") {
+        Some(serde::Value::Bool(b)) => *b,
+        other => panic!("row without an oversubscribed flag: {r:?} ({other:?})"),
+    };
+    let widest = rows
+        .iter()
+        .filter(|r| !over(r))
+        .map(|r| num(r, "mpps"))
+        .fold(0.0, f64::max);
+    assert!(widest > 0.0, "no row fits the host's cores");
+    for r in rows.iter().filter(|r| over(r)) {
+        assert!(
+            num(r, "mpps") <= widest,
+            "{} oversubscribed shards read {} Mpps, above the {widest} of a row that fits",
+            num(r, "shards"),
+            num(r, "mpps")
+        );
+    }
+}

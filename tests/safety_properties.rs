@@ -150,12 +150,12 @@ fn unsolicited_inbound_traffic_is_blocked() {
 fn load_spreads_across_instances_with_affinity_per_flow() {
     let (mut sb, chain, sa, _) = stateful_testbed();
     let mut first_seen: HashMap<FlowKey, Vec<InstanceId>> = HashMap::new();
-    let mut instance_counts: HashMap<InstanceId, u32> = HashMap::new();
+    let mut per_instance: HashMap<InstanceId, u32> = HashMap::new();
     for p in 0..300 {
         let k = key(20_000 + p);
         let t = sb.send(chain, sa, Packet::unlabeled(k, 700)).unwrap();
         let insts = t.vnf_instances();
-        instance_counts
+        per_instance
             .entry(insts[0])
             .and_modify(|c| *c += 1)
             .or_insert(1);
@@ -168,11 +168,11 @@ fn load_spreads_across_instances_with_affinity_per_flow() {
     }
     // Spread: with 3 equal-weight firewall instances, each should see a
     // substantial share of the 300 flows.
-    assert!(instance_counts.len() >= 2, "{instance_counts:?}");
-    for (&inst, &count) in &instance_counts {
+    assert!(per_instance.len() >= 2, "{per_instance:?}");
+    for (&inst, &count) in &per_instance {
         assert!(
             count > 30,
-            "instance {inst} starved: {count}/300 ({instance_counts:?})"
+            "instance {inst} starved: {count}/300 ({per_instance:?})"
         );
     }
 }
