@@ -477,6 +477,37 @@ fn alternate(mut reference: impl FnMut() -> f64, mut candidate: impl FnMut() -> 
     }
 }
 
+/// Runs `measure` while `roller` rolls windows over `hub`'s registry, on a
+/// scraper thread when `spare_core` is set, else once afterwards. Returns
+/// the measured Mpps and the windows the roller closed.
+fn scraped(
+    spare_core: bool,
+    hub: &Telemetry,
+    roller: &mut WindowRoller,
+    measure: impl FnOnce() -> f64,
+) -> (f64, usize) {
+    if !spare_core {
+        let mpps = measure();
+        hub.clock.advance_ns(1_000_000);
+        return (mpps, roller.tick());
+    }
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let scraper = s.spawn(|| {
+            let mut n = 0;
+            while !stop.load(Ordering::Relaxed) {
+                hub.clock.advance_ns(1_000_000);
+                n += roller.tick();
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            n
+        });
+        let mpps = measure();
+        stop.store(true, Ordering::Relaxed);
+        (mpps, scraper.join().expect("scraper thread never panics"))
+    })
+}
+
 /// The telemetry overhead gate (`bench-dataplane --check-overhead`) on the
 /// Affinity@2K cell: telemetry off (`sample_every = 0`) is the reference
 /// arm, default 1-in-N packet sampling the candidate.
@@ -487,11 +518,13 @@ fn alternate(mut reference: impl FnMut() -> f64, mut candidate: impl FnMut() -> 
 /// ([`WindowRoller`](sb_telemetry::timeseries::WindowRoller)) for the
 /// whole window, so the <5% gate also prices the windowed time-series
 /// layer's pull-based snapshot reads contending with the forwarder's
-/// atomic writes.
+/// atomic writes. The disabled arm runs the same scraper over a registry
+/// no forwarder writes, so the two arms keep the host equally busy and
+/// differ by telemetry alone.
 ///
 /// # Panics
 ///
-/// Panics if the scraper rolled no window.
+/// Panics if the enabled arm's scraper rolled no window.
 #[must_use]
 pub fn check_overhead(cfg: &BaselineConfig) -> PairedRuns {
     let flows = cfg.flow_counts.first().copied().unwrap_or(2_048);
@@ -506,41 +539,25 @@ pub fn check_overhead(cfg: &BaselineConfig) -> PairedRuns {
     // the gate would price scheduler noise, not telemetry, so the roller
     // is ticked synchronously after each window instead.
     let spare_core = available_cores() >= 2;
-    let hub = Telemetry::new();
-    let mut roller = WindowRoller::new(
-        &hub.registry,
-        &hub.clock,
-        WindowConfig {
+    let (hub, idle) = (Telemetry::new(), Telemetry::new());
+    let roller = |t: &Telemetry| {
+        let windows = WindowConfig {
             width_ns: 1_000_000,
             capacity: 256,
-        },
-    );
+        };
+        WindowRoller::new(&t.registry, &t.clock, windows)
+    };
+    let (mut on_roller, mut off_roller) = (roller(&hub), roller(&idle));
     let mut closed = 0;
     let runs = alternate(
-        || measure_sharded(&off, None).throughput.value(),
         || {
-            let mut mpps = 0.0;
-            closed += if spare_core {
-                let stop = AtomicBool::new(false);
-                std::thread::scope(|s| {
-                    let scraper = s.spawn(|| {
-                        let mut n = 0;
-                        while !stop.load(Ordering::Relaxed) {
-                            hub.clock.advance_ns(1_000_000);
-                            n += roller.tick();
-                            std::thread::sleep(Duration::from_millis(10));
-                        }
-                        n
-                    });
-                    mpps = measure_sharded(&on, Some(&hub)).throughput.value();
-                    stop.store(true, Ordering::Relaxed);
-                    scraper.join().expect("scraper thread never panics")
-                })
-            } else {
-                mpps = measure_sharded(&on, Some(&hub)).throughput.value();
-                hub.clock.advance_ns(1_000_000);
-                roller.tick()
-            };
+            let measure = || measure_sharded(&off, None).throughput.value();
+            scraped(spare_core, &idle, &mut off_roller, measure).0
+        },
+        || {
+            let measure = || measure_sharded(&on, Some(&hub)).throughput.value();
+            let (mpps, n) = scraped(spare_core, &hub, &mut on_roller, measure);
+            closed += n;
             mpps
         },
     );

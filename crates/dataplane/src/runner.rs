@@ -21,8 +21,9 @@
 //!
 //! Absolute numbers depend on the host CPU (the paper used an XL710 NIC and
 //! a Xeon E5-2470). The reproduced *shape* is throughput decay as the flow
-//! table outgrows the CPU caches, and aggregate scaling with shards up to
-//! the host's core count and no further.
+//! table outgrows the CPU caches, and aggregate scaling with shards while
+//! each shard has a core of its own; a run with more shards than cores
+//! measures the cores, not scaling.
 
 use crate::forwarder::{Forwarder, ForwarderMode, RuleSet};
 use crate::loadbalancer::WeightedChoice;
@@ -100,7 +101,8 @@ const fn steady_state_floor(flows: usize) -> u64 {
 }
 
 /// Packets a worker generates per refill of its staging buffer. Large
-/// enough that the three clock reads per refill cost nothing per packet.
+/// enough that the three clock reads per refill cost nothing per packet;
+/// an L1-sized 512-packet buffer read no faster at 2K flows.
 const STAGE: usize = 4096;
 
 /// Per-packet processing-latency percentiles of a measurement, estimated
@@ -225,12 +227,40 @@ fn shard_generators(cfg: &ScaleoutConfig) -> Vec<PacketGenerator> {
     population.split(cfg.shards)
 }
 
-/// Times one forwarder call in `every` (`0`: none) into `latency`.
+/// Times one forwarder call per `every` packets (`0`: none) into `latency`.
+#[derive(Default)]
 struct Sampler {
     every: u64,
-    /// Calls left until the next timed one.
-    due: u64,
+    /// The forwarder's rx ordinal of the next packet handed to it.
+    at: u64,
+    /// The ordinal from which the next call is timed.
+    next: u64,
     latency: Histogram,
+}
+
+impl Sampler {
+    /// Starts timing one call per `every` packets at rx ordinal `at`. The
+    /// forwarder traces the packets whose rx ordinal is a multiple of
+    /// `every` (`attach_telemetry` phases them so); a timed call starts
+    /// half a period past one, so it does not also pay for recording a
+    /// trace event whenever its batch is at most `every / 4`.
+    fn open(&mut self, every: u64, at: u64) {
+        self.every = every;
+        self.at = at;
+        if every > 0 {
+            self.next = at.next_multiple_of(every) + every / 2;
+        }
+    }
+
+    /// Whether the call that forwards the next `n` packets is timed.
+    fn take(&mut self, n: u64) -> bool {
+        let timed = self.every != 0 && self.at >= self.next;
+        if timed {
+            self.next = (self.next + self.every).max(self.at + n);
+        }
+        self.at += n;
+        timed
+    }
 }
 
 /// Pushes `stage` through the forwarder in `batch`-sized calls (batch 1:
@@ -244,18 +274,17 @@ fn forward(
 ) {
     let edge = Addr::Edge(EdgeInstanceId::new(0));
     for chunk in stage.chunks_mut(batch) {
-        let started = (sampler.every != 0 && sampler.due == 0).then(Instant::now);
+        let n = chunk.len() as u64;
+        let started = sampler.take(n).then(Instant::now);
         if batch == 1 {
             let _ = fwd.process(chunk[0], edge);
         } else {
             fwd.process_batch_into(chunk, edge, out);
         }
         if let Some(s) = started {
-            sampler.due = sampler.every;
             #[allow(clippy::cast_possible_truncation)]
-            sampler.latency.record(s.elapsed().as_nanos() as u64 / batch as u64);
+            sampler.latency.record(s.elapsed().as_nanos() as u64 / n);
         }
-        sampler.due = sampler.due.saturating_sub(1);
     }
 }
 
@@ -292,11 +321,7 @@ fn run_worker(
         }
     };
     let mut out = Vec::with_capacity(batch);
-    let mut sampler = Sampler {
-        every: 0,
-        due: 0,
-        latency: Histogram::new(),
-    };
+    let mut sampler = Sampler::default();
     let floor = steady_state_floor(gen.num_flows());
     let mut warm_sent = 0u64;
     while !open(warm_sent >= floor) {
@@ -304,14 +329,7 @@ fn run_worker(
         forward(fwd, &mut stage, batch, &mut out, &mut sampler);
         warm_sent += stage.len() as u64;
     }
-    // One packet in `sample_every` is timed, whatever the batch size. The
-    // first timed call is half a period in, so timed calls fall between the
-    // forwarder's own 1-in-`sample_every` trace events instead of on them.
-    sampler.every = match sample_every {
-        0 => 0,
-        n => (n / batch as u64).max(1),
-    };
-    sampler.due = sampler.every / 2;
+    sampler.open(sample_every, fwd.stats().rx);
     // The window holds at least one buffer, however short it is.
     let (mut packets, mut busy, mut generating) = (0, Duration::ZERO, Duration::ZERO);
     loop {
@@ -513,15 +531,19 @@ mod tests {
             let s = st.shard;
             let rx = snap.counter(&format!("fwd-{s}.rx"));
             assert_eq!(snap.counter(&format!("fwd-{s}.tx")), rx, "shard {s}");
-            let floor = steady_state_floor(gen.num_flows());
+            let flows = gen.num_flows();
+            let floor = steady_state_floor(flows);
             assert!(st.packets > 0 && rx >= floor + st.packets, "shard {s}: {rx}");
+            // Its table reaches steady state over its own share: one to
+            // three hops per flow.
+            let entries = st.flow_entries;
+            assert!(
+                entries >= flows && entries <= 3 * flows,
+                "shard {s}: {entries} entries for {flows} flows"
+            );
         }
         let sum: u64 = two.shards.iter().map(|s| s.packets).sum();
         assert_eq!(sum, two.packets);
-        // Both tables reach steady state: every flow of the population is
-        // pinned in exactly one shard, with at most 3 hops each.
-        assert!(two.flow_entries >= 2048, "{}", two.flow_entries);
-        assert!(two.flow_entries <= 3 * 2048, "{}", two.flow_entries);
     }
 
     #[test]
@@ -612,6 +634,47 @@ mod tests {
         assert_eq!(steady_state_floor(1), 4);
         assert_eq!(steady_state_floor(512), 2048);
         assert_eq!(steady_state_floor(524_288), 2_097_152);
+    }
+
+    #[test]
+    fn timed_calls_fall_between_the_forwarders_trace_samples() {
+        // The forwarder traces the packets whose rx ordinal is a multiple
+        // of its period, from wherever it was attached.
+        let hub = Telemetry::new();
+        let mut fwd = build_forwarder(0, 64, &ScaleoutConfig::default());
+        let mut gen = PacketGenerator::new(chain_pairs(1)[0], 64, 64, 1);
+        let edge = Addr::Edge(EdgeInstanceId::new(0));
+        for _ in 0..37 {
+            let _ = fwd.process(gen.next_packet(), edge);
+        }
+        fwd.attach_telemetry(&hub, 64);
+        for _ in 0..1000 {
+            let _ = fwd.process(gen.next_packet(), edge);
+        }
+        let hops: Vec<u64> = hub
+            .tracer
+            .snapshot()
+            .iter()
+            .filter(|r| r.name == "pkt.hop")
+            .map(|r| r.start_ns)
+            .collect();
+        assert_eq!(hops.len(), 16);
+        assert!(hops.iter().all(|o| o % 64 == 0), "{hops:?}");
+        // A timed call starts half a period past one of them and holds
+        // none, for any batch up to a quarter period, aligned or not.
+        for batch in [1u64, 7, 12, 16] {
+            let mut sampler = Sampler::default();
+            sampler.open(64, 37);
+            let mut timed = 0;
+            for c in 0..6400 / batch {
+                let start = 37 + c * batch;
+                if sampler.take(batch) {
+                    timed += 1;
+                    assert!(start % 64 >= 32 && (start + batch - 1) % 64 >= 32, "{batch}");
+                }
+            }
+            assert!((98..=100).contains(&timed), "batch {batch}: {timed} timed calls");
+        }
     }
 
     #[test]

@@ -182,26 +182,3 @@ fn fig8_affinity_decays_as_its_flow_table_outgrows_the_caches() {
         );
     }
 }
-
-#[test]
-fn fig8_shards_past_the_core_count_add_nothing() {
-    let rows = dataplane_rows("contended_scaleout");
-    let over = |r: &serde::Value| match r.get("oversubscribed") {
-        Some(serde::Value::Bool(b)) => *b,
-        other => panic!("row without an oversubscribed flag: {r:?} ({other:?})"),
-    };
-    let widest = rows
-        .iter()
-        .filter(|r| !over(r))
-        .map(|r| num(r, "mpps"))
-        .fold(0.0, f64::max);
-    assert!(widest > 0.0, "no row fits the host's cores");
-    for r in rows.iter().filter(|r| over(r)) {
-        assert!(
-            num(r, "mpps") <= widest,
-            "{} oversubscribed shards read {} Mpps, above the {widest} of a row that fits",
-            num(r, "shards"),
-            num(r, "mpps")
-        );
-    }
-}
