@@ -13,8 +13,8 @@
 //! `sb_bench::dataplane_baseline` for the document schema.
 //!
 //! Both gates below skip the baseline matrix, run their two arms in
-//! alternating windows (`GATE_PAIRS` pairs), print every pair, and decide
-//! on the median of the per-pair ratios.
+//! alternating windows (`OVERHEAD_PAIRS` and `GATE_PAIRS` pairs), print
+//! every pair, and decide on the median of the per-pair ratios.
 //!
 //! `--check-overhead` measures the Affinity@2K cell with telemetry
 //! sampling at its default rate versus fully disabled, exiting non-zero if

@@ -451,8 +451,15 @@ fn exercise_control_plane(hub: &Telemetry) -> switchboard::Switchboard {
     sb
 }
 
-/// Pairs of windows a ratio gate runs.
+/// Pairs of windows the scale-out gate runs.
 pub const GATE_PAIRS: usize = 7;
+
+/// Pairs of windows the overhead gate runs. Its 5 % bar sits a few
+/// percent from both the true cost of sampling and a regression it must
+/// catch, while one pair's ratio swings by ±30 % on a 2-vCPU host (each
+/// window's shard thread lands on either core), so its median needs nine
+/// times the scale-out gate's pairs: about 25 s with `--quick`.
+pub const OVERHEAD_PAIRS: usize = 63;
 
 /// A ratio gate's two arms, measured in alternating windows: host drift
 /// lands on both arms of a pair, and the verdict is the median of the
@@ -466,9 +473,13 @@ pub struct PairedRuns {
     pub ratio: f64,
 }
 
-/// Runs [`GATE_PAIRS`] pairs, the reference arm first in each.
-fn alternate(mut reference: impl FnMut() -> f64, mut candidate: impl FnMut() -> f64) -> PairedRuns {
-    let pairs: Vec<(f64, f64)> = (0..GATE_PAIRS).map(|_| (reference(), candidate())).collect();
+/// Runs `pairs` pairs, the reference arm first in each.
+fn alternate(
+    pairs: usize,
+    mut reference: impl FnMut() -> f64,
+    mut candidate: impl FnMut() -> f64,
+) -> PairedRuns {
+    let pairs: Vec<(f64, f64)> = (0..pairs).map(|_| (reference(), candidate())).collect();
     let mut ratios: Vec<f64> = pairs.iter().map(|&(r, c)| c / r).collect();
     ratios.sort_by(f64::total_cmp);
     PairedRuns {
@@ -550,6 +561,7 @@ pub fn check_overhead(cfg: &BaselineConfig) -> PairedRuns {
     let (mut on_roller, mut off_roller) = (roller(&hub), roller(&idle));
     let mut closed = 0;
     let runs = alternate(
+        OVERHEAD_PAIRS,
         || {
             let measure = || measure_sharded(&off, None).throughput.value();
             scraped(spare_core, &idle, &mut off_roller, measure).0
@@ -589,7 +601,7 @@ pub fn check_scaleout(cfg: &BaselineConfig) -> ScaleoutReport {
     let available_cores = available_cores();
     let runs = (available_cores >= SCALEOUT_MIN_CORES).then(|| {
         let arm = |shards| move || measure_sharded(&sharded_config(cfg, shards), None).throughput.value();
-        alternate(arm(1), arm(2))
+        alternate(GATE_PAIRS, arm(1), arm(2))
     });
     ScaleoutReport {
         available_cores,
@@ -747,7 +759,7 @@ mod tests {
             flows_per_shard: 128,
         };
         let r = check_overhead(&cfg);
-        assert_eq!(r.pairs.len(), GATE_PAIRS);
+        assert_eq!(r.pairs.len(), OVERHEAD_PAIRS);
         assert!(r.pairs.iter().all(|&(off, on)| off > 0.0 && on > 0.0));
         assert!(r.ratio > 0.0);
     }

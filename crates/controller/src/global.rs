@@ -1903,7 +1903,8 @@ mod tests {
             }
             tracker
         }
-        fn assert_close(live: &LoadTracker, want: &LoadTracker, verb: &str) {
+        fn assert_close(cp: &ControlPlane, want: &LoadTracker, verb: &str) {
+            let live = cp.solve.tracker();
             let pairs = live
                 .link_load
                 .iter()
@@ -1912,12 +1913,14 @@ mod tests {
             for (a, b) in pairs {
                 assert!((a - b).abs() < 1e-9, "after {verb}: {a} vs {b}");
             }
-            for key in live.vnf_site_load.keys().chain(want.vnf_site_load.keys()) {
-                let (a, b) = (
-                    live.vnf_site_load.get(key).copied().unwrap_or(0.0),
-                    want.vnf_site_load.get(key).copied().unwrap_or(0.0),
-                );
-                assert!((a - b).abs() < 1e-9, "after {verb}: {key:?} {a} vs {b}");
+            for vnf in cp.model().vnfs() {
+                for site in cp.model().sites() {
+                    let (a, b) = (
+                        live.vnf_site_load(vnf.id, site),
+                        want.vnf_site_load(vnf.id, site),
+                    );
+                    assert!((a - b).abs() < 1e-9, "after {verb}: {vnf:?}@{site} {a} vs {b}");
+                }
             }
         }
         let (one, two) = (ChainId::new(1), ChainId::new(2));
@@ -1927,27 +1930,23 @@ mod tests {
         cp.register_attachment("customer-out", SiteId::new(3));
 
         let home = cp.deploy_chain(request(1)).unwrap().routes[0].sites.clone();
-        assert_close(cp.solve.tracker(), &rebuilt(&cp), "deploy");
+        assert_close(&cp, &rebuilt(&cp), "deploy");
         cp.deploy_chain_via(request(2), vec![(vec![s1], 1.0)])
             .unwrap();
-        assert_close(cp.solve.tracker(), &rebuilt(&cp), "deploy via");
+        assert_close(&cp, &rebuilt(&cp), "deploy via");
         let away = if home == vec![s1] { s2 } else { s1 };
         cp.update_chain(one, vec![(vec![away], 1.0)]).unwrap();
-        assert_close(cp.solve.tracker(), &rebuilt(&cp), "update");
+        assert_close(&cp, &rebuilt(&cp), "update");
         cp.update_chain(one, vec![(home, 1.0)]).unwrap();
-        assert_close(cp.solve.tracker(), &rebuilt(&cp), "update back");
+        assert_close(&cp, &rebuilt(&cp), "update back");
         cp.add_route_via(two, vec![s2]).unwrap();
-        assert_close(cp.solve.tracker(), &rebuilt(&cp), "add-route");
+        assert_close(&cp, &rebuilt(&cp), "add-route");
         cp.reroute_chain(one).unwrap();
-        assert_close(cp.solve.tracker(), &rebuilt(&cp), "reroute");
+        assert_close(&cp, &rebuilt(&cp), "reroute");
         cp.remove_chain(one).unwrap();
-        assert_close(cp.solve.tracker(), &rebuilt(&cp), "remove");
+        assert_close(&cp, &rebuilt(&cp), "remove");
         cp.remove_chain(two).unwrap();
-        assert_close(
-            cp.solve.tracker(),
-            &LoadTracker::new(cp.model()),
-            "last remove",
-        );
+        assert_close(&cp, &LoadTracker::new(cp.model()), "last remove");
     }
 
     #[test]
@@ -1993,7 +1992,7 @@ mod tests {
         cp.register_attachment("customer-out", SiteId::new(3));
         let state = |cp: &ControlPlane| {
             let ctl = cp.vnf_controller(vnf).unwrap();
-            let load = cp.solve.tracker().vnf_site_load.get(&(vnf, s1)).copied();
+            let load = cp.solve.tracker().vnf_site_load(vnf, s1);
             (ctl.available_at(s1), ctl.instances_at(s1), load)
         };
         let pristine = state(&cp);
@@ -2017,7 +2016,7 @@ mod tests {
         cp.remove_chain(ChainId::new(1)).unwrap();
         let (available, instances, load) = state(&cp);
         assert_eq!((available, instances), (pristine.0, pristine.1));
-        assert!(load.unwrap_or(0.0).abs() < 1e-9, "{load:?}");
+        assert!(load.abs() < 1e-9, "{load:?}");
     }
 
     #[test]

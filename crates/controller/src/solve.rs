@@ -17,6 +17,9 @@ pub(crate) struct Solve {
     model: NetworkModel,
     /// The load of every installed route.
     tracker: LoadTracker,
+    /// A solve's trial copy of `tracker`, its buffers reused by every
+    /// solve.
+    trial: LoadTracker,
     /// SB-DP's tables, reused by every solve.
     scratch: DpScratch,
 }
@@ -29,6 +32,7 @@ impl Solve {
         let tracker = LoadTracker::new(&model);
         Self {
             model,
+            trial: tracker.clone(),
             tracker,
             scratch: DpScratch::new(),
         }
@@ -80,7 +84,7 @@ impl Solve {
     /// empty otherwise) lifted off it first, so only this chain's load is
     /// re-solved. Admission-controlled by [`check_placeable`], which names
     /// the solve by `when`. The live tracker is untouched; only the
-    /// reused DP tables change.
+    /// reused trial copy and DP tables change.
     pub(crate) fn solve(
         &mut self,
         spec: &ChainSpec,
@@ -90,13 +94,14 @@ impl Solve {
         when: &str,
     ) -> Result<Vec<RoutePath>> {
         let model = Self::solve_model(&self.model, dead, excluded);
-        let mut trial = self.tracker.clone();
+        let trial = &mut self.trial;
+        trial.clone_from(&self.tracker);
         for p in installed {
             let coefs = dp::path_coefficients(&model, spec, &p.sites);
             trial.apply(&coefs, -p.fraction);
         }
         let (config, scratch) = (DpConfig::default(), &mut self.scratch);
-        let paths = dp::route_chain_with(&model, &mut trial, &config, spec, scratch, None);
+        let paths = dp::route_chain_with(&model, trial, &config, spec, scratch, None);
         check_placeable(&paths, spec.id, when)?;
         Ok(paths)
     }

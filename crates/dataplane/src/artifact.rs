@@ -215,14 +215,65 @@ fn len_u32(len: usize) -> u32 {
     len as u32
 }
 
+/// Bytes of the fixed header, up to and including `n_forwarders`.
+const HEADER_LEN: usize = 4 + 2 + 1 + 1 + 4 + 8 + 4;
+/// Bytes of a forwarder's fixed fields, up to and including `n_removed`.
+const FORWARDER_LEN: usize = 8 + 1 + 8 + 4 + 4 + 4;
+/// Bytes of a row's labels and epoch, before its three choices.
+const ROW_LEN: usize = 4 + 4 + 8;
+/// Bytes of one label-unaware registration.
+const UNAWARE_LEN: usize = 8 + 4 + 4;
+/// Bytes of one removal.
+const REMOVED_LEN: usize = 4 + 4;
+/// Bytes of the checksum trailer.
+const CHECKSUM_LEN: usize = 8;
+
+/// Encoded size of a weighted choice.
+fn choice_len(wc: &WeightedChoice) -> usize {
+    let (targets, _, thresholds, aliases) = wc.raw_parts();
+    4 + targets.len() * (1 + 8 + 8) + 8 + thresholds.len() * 8 + aliases.len() * 4
+}
+
+/// Encoded size of `artifact`, checksum included.
+fn encoded_len(artifact: &SiteArtifact) -> usize {
+    let forwarder = |f: &ForwarderArtifact| {
+        let rows: usize = f
+            .rows
+            .iter()
+            .map(|r| {
+                ROW_LEN
+                    + choice_len(&r.rules.to_vnf)
+                    + choice_len(&r.rules.to_next)
+                    + choice_len(&r.rules.to_prev)
+            })
+            .sum();
+        FORWARDER_LEN + rows + f.label_unaware.len() * UNAWARE_LEN + f.removed.len() * REMOVED_LEN
+    };
+    HEADER_LEN + artifact.forwarders.iter().map(forwarder).sum::<usize>() + CHECKSUM_LEN
+}
+
+/// Calls `emit` on each of `items` in ascending `key` order, equal keys in
+/// the order held: in place when `items` is already sorted, as every
+/// export's lists are, else through a sorted list of references.
+fn for_each_sorted<T, K: Ord>(items: &[T], key: impl Fn(&T) -> K, emit: impl FnMut(&T)) {
+    if items.is_sorted_by_key(&key) {
+        items.iter().for_each(emit);
+    } else {
+        let mut order: Vec<&T> = items.iter().collect();
+        order.sort_by_key(|&t| key(t));
+        order.into_iter().for_each(emit);
+    }
+}
+
 /// Serializes `artifact` into the version-2 wire format. Every list is
 /// emitted in sorted order (forwarders by id, rows by label pair,
 /// registrations by instance, removals ascending), so the bytes are a
 /// pure function of the logical state: two compiles of the same route
-/// solution produce identical files.
+/// solution produce identical files. The output is sized once, up front.
 #[must_use]
 pub fn encode(artifact: &SiteArtifact) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(256);
+    let len = encoded_len(artifact);
+    let mut buf = Vec::with_capacity(len);
     buf.extend_from_slice(&MAGIC);
     put_u16(&mut buf, VERSION);
     buf.push(artifact.kind.to_u8());
@@ -231,45 +282,30 @@ pub fn encode(artifact: &SiteArtifact) -> Vec<u8> {
     put_u64(&mut buf, artifact.epoch);
     put_u32(&mut buf, len_u32(artifact.forwarders.len()));
 
-    let mut fwd_order: Vec<usize> = (0..artifact.forwarders.len()).collect();
-    fwd_order.sort_by_key(|&i| artifact.forwarders[i].forwarder);
-    for fi in fwd_order {
-        let f = &artifact.forwarders[fi];
+    for_each_sorted(&artifact.forwarders, |f| f.forwarder, |f| {
         put_u64(&mut buf, f.forwarder.value());
         buf.push(mode_to_u8(f.mode));
         put_u64(&mut buf, f.generation);
         put_u32(&mut buf, len_u32(f.rows.len()));
         put_u32(&mut buf, len_u32(f.label_unaware.len()));
         put_u32(&mut buf, len_u32(f.removed.len()));
-
-        let mut row_order: Vec<usize> = (0..f.rows.len()).collect();
-        row_order.sort_by_key(|&i| f.rows[i].labels);
-        for ri in row_order {
-            let row = &f.rows[ri];
+        for_each_sorted(&f.rows, |row| row.labels, |row| {
             put_labels(&mut buf, row.labels);
             put_u64(&mut buf, row.epoch);
             put_choice(&mut buf, &row.rules.to_vnf);
             put_choice(&mut buf, &row.rules.to_next);
             put_choice(&mut buf, &row.rules.to_prev);
-        }
-
-        let mut unaware_order: Vec<usize> = (0..f.label_unaware.len()).collect();
-        unaware_order.sort_by_key(|&i| f.label_unaware[i].0);
-        for ui in unaware_order {
-            let (instance, labels) = f.label_unaware[ui];
+        });
+        for_each_sorted(&f.label_unaware, |&(instance, _)| instance, |&(instance, labels)| {
             put_u64(&mut buf, instance.value());
             put_labels(&mut buf, labels);
-        }
-
-        let mut removed = f.removed.clone();
-        removed.sort_unstable();
-        for labels in removed {
-            put_labels(&mut buf, labels);
-        }
-    }
+        });
+        for_each_sorted(&f.removed, |&labels| labels, |&labels| put_labels(&mut buf, labels));
+    });
 
     let checksum = fnv1a64(&buf);
     put_u64(&mut buf, checksum);
+    debug_assert_eq!(buf.len(), len, "encoded_len agrees with encode");
     buf
 }
 

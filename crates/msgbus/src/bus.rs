@@ -12,18 +12,23 @@
 //!   messages — the mechanism behind full-mesh's order-of-magnitude worse
 //!   latency in Figure 9.
 //!
-//! # Delivery is a shared handle
+//! # A message is stored once
 //!
 //! The copies the two topologies differ in are *wire* copies, counted in
-//! [`BusStats`]. In memory a published [`Message`]'s payload is stored once:
-//! every mailbox entry, at every site, is a clone of the message, which
-//! shares its topic path and payload. [`drain`](ProxyBus::drain) hands a
-//! subscriber its messages in delivery-time order;
+//! [`BusStats`]. In memory each publish moves its [`Message`] into one
+//! bus-owned *slot*, which also counts the mailbox entries naming it. A
+//! mailbox entry is a `(slot, delivery time)` pair, so delivering a copy
+//! and consuming one are a plain count, not a clone and a drop of the
+//! message's shared topic and payload. A slot nothing names is freed for
+//! the next publish. [`drain`](ProxyBus::drain) hands a subscriber its
+//! messages in delivery-time order, moving each out of its slot with the
+//! slot's last entry and cloning it for any other;
 //! [`discard_delivered`](ProxyBus::discard_delivered) consumes in place,
 //! keeping their buffers, exactly the mailboxes the last publish delivered
 //! to — for subscribers that act on each delivery as it happens and have
 //! nothing left to read, so the other mailboxes are not visited. A mailbox
-//! nobody consumes grows with every message ever sent.
+//! nobody consumes grows with every message ever sent, and so does the
+//! slot table ([`stored_messages`](ProxyBus::stored_messages)).
 //!
 //! Subscription filters live exactly as long as they have a subscriber: the
 //! `unsubscribe` that empties a topic's set removes the topic, and
@@ -215,15 +220,100 @@ impl BusTelemetry {
     }
 }
 
+/// A bus-owned home of one published message: the message, while some
+/// mailbox entry names it, and how many do.
+#[derive(Debug, Clone)]
+struct Slot {
+    msg: Option<Message>,
+    entries: usize,
+}
+
+/// Every published message some mailbox still holds, each once, indexed
+/// by slot. Freed slots are reused before the table grows.
+#[derive(Debug, Clone, Default)]
+struct SlotTable {
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+}
+
+impl SlotTable {
+    /// Moves a publish's `msg` into a slot, named by no entry yet.
+    fn store(&mut self, msg: Message) -> usize {
+        let slot = Slot {
+            msg: Some(msg),
+            entries: 0,
+        };
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// The message in `slot`.
+    fn message(&self, slot: usize) -> &Message {
+        self.slots[slot]
+            .msg
+            .as_ref()
+            .expect("a named slot holds its message")
+    }
+
+    /// One more mailbox entry names `slot`.
+    fn name(&mut self, slot: usize) {
+        self.slots[slot].entries += 1;
+    }
+
+    /// Frees `slot` when no entry names it.
+    fn settle(&mut self, slot: usize) {
+        if self.slots[slot].entries == 0 {
+            self.slots[slot].msg = None;
+            self.free.push(slot);
+        }
+    }
+
+    /// Removes one entry naming `slot` and returns its message when that
+    /// was the last entry, freeing the slot; `None` while other entries
+    /// still name it.
+    fn release(&mut self, slot: usize) -> Option<Message> {
+        let s = &mut self.slots[slot];
+        s.entries -= 1;
+        if s.entries > 0 {
+            return None;
+        }
+        self.free.push(slot);
+        s.msg.take()
+    }
+
+    /// [`release`](Self::release), handing out the message either way: moved
+    /// out with the last entry, cloned for any other.
+    fn take(&mut self, slot: usize) -> Message {
+        match self.release(slot) {
+            Some(last) => last,
+            None => self.message(slot).clone(),
+        }
+    }
+
+    /// Slots holding a message.
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
 /// Shared machinery of both bus topologies.
 #[derive(Debug, Clone)]
 struct BusCore {
     topo: BusTopology,
     sub_sites: Vec<SiteId>,
     subscriptions: HashMap<Topic, BTreeSet<SubscriberId>>,
-    /// Per subscriber, in delivery order: the message and its delivery
-    /// time.
-    mailboxes: Vec<Vec<(Message, SimTime)>>,
+    slots: SlotTable,
+    /// Per subscriber, in delivery order: the message's slot and its
+    /// delivery time.
+    mailboxes: Vec<Vec<(usize, SimTime)>>,
     /// A publish's `(site, subscriber)` fan-out list, kept between
     /// publishes so its buffer is reused. After a publish it lists exactly
     /// the subscribers that publish delivered to.
@@ -243,6 +333,7 @@ impl BusCore {
             topo,
             sub_sites: Vec::new(),
             subscriptions: HashMap::new(),
+            slots: SlotTable::default(),
             mailboxes: Vec::new(),
             fanout: Vec::new(),
             uplink_busy: HashMap::new(),
@@ -372,31 +463,44 @@ impl BusCore {
         Some(departure)
     }
 
-    /// Narrows a publish's `fanout` to the subscribers `msg` reached, when
-    /// a copy was lost (`lossy`) — a mailbox `msg` reached ends with its
-    /// payload. Without a loss every subscriber was reached. A republish
-    /// shares its payload with the first attempt, so this tells them apart
-    /// only for a subscriber that consumed the earlier copy.
-    fn keep_reached(&self, fanout: &mut Vec<(SiteId, SubscriberId)>, msg: &Message, lossy: bool) {
+    /// Narrows a publish's `fanout` to the subscribers the message in
+    /// `slot` reached, when a copy was lost (`lossy`) — a mailbox it
+    /// reached ends with its payload. Without a loss every subscriber was
+    /// reached. A republish shares its payload with the first attempt, so
+    /// this tells them apart only for a subscriber that consumed the
+    /// earlier copy.
+    fn keep_reached(&self, fanout: &mut Vec<(SiteId, SubscriberId)>, slot: usize, lossy: bool) {
         if lossy {
-            let mailboxes = &self.mailboxes;
+            let msg = self.slots.message(slot);
             fanout.retain(|&(_, sub)| {
-                mailboxes[sub.0 as usize]
+                self.mailboxes[sub.0 as usize]
                     .last()
-                    .is_some_and(|(m, _)| m.shares_payload(msg))
+                    .is_some_and(|&(s, _)| self.slots.message(s).shares_payload(msg))
             });
         }
     }
 
-    fn deliver(&mut self, sub: SubscriberId, msg: &Message, at: SimTime) {
-        self.mailboxes[sub.0 as usize].push((msg.clone(), at));
+    fn deliver(&mut self, sub: SubscriberId, slot: usize, at: SimTime) {
+        self.mailboxes[sub.0 as usize].push((slot, at));
+        self.slots.name(slot);
         self.stats.delivered += 1;
     }
 
     fn drain(&mut self, sub: SubscriberId) -> Vec<(Message, SimTime)> {
-        let mut inbox = std::mem::take(&mut self.mailboxes[sub.0 as usize]);
+        let inbox = &mut self.mailboxes[sub.0 as usize];
         inbox.sort_by_key(|&(_, t)| t);
-        inbox
+        let slots = &mut self.slots;
+        inbox.drain(..).map(|(slot, t)| (slots.take(slot), t)).collect()
+    }
+
+    /// Consumes the mailboxes the last publish delivered to, unread,
+    /// keeping their buffers.
+    fn discard_delivered(&mut self) {
+        for &(_, sub) in &self.fanout {
+            for (slot, _) in self.mailboxes[sub.0 as usize].drain(..) {
+                self.slots.release(slot);
+            }
+        }
     }
 }
 
@@ -442,15 +546,21 @@ macro_rules! shared_bus_api {
         /// next deliveries: for subscribers that act on each message as it
         /// is delivered.
         pub fn discard_delivered(&mut self) {
-            for &(_, sub) in &self.core.fanout {
-                self.core.mailboxes[sub.0 as usize].clear();
-            }
+            self.core.discard_delivered();
         }
 
         /// Messages delivered to `sub` and not yet consumed.
         #[must_use]
         pub fn pending(&self, sub: SubscriberId) -> usize {
             self.core.mailboxes[sub.0 as usize].len()
+        }
+
+        /// Published messages some mailbox still holds, each counted once
+        /// however many mailboxes hold it: zero once every mailbox is
+        /// consumed.
+        #[must_use]
+        pub fn stored_messages(&self) -> usize {
+            self.core.slots.len()
         }
 
         /// Aggregate counters.
@@ -527,6 +637,8 @@ impl ProxyBus {
             return outcome;
         }
         let suppressed = self.core.stats.crash_suppressed;
+        self.core.fill_fanout(msg.topic());
+        let slot = self.core.slots.store(msg);
 
         // Publisher -> its own proxy.
         let t0 = at + local;
@@ -543,7 +655,6 @@ impl ProxyBus {
             arrivals
         };
 
-        self.core.fill_fanout(msg.topic());
         // Group subscribers by site: one WAN copy per remote site. The
         // list is filled in subscriber order, so a stable sort by site
         // keeps each site's subscribers ascending.
@@ -575,7 +686,7 @@ impl ProxyBus {
                     }
                     for &(_, sub) in group {
                         let deliver_at = arrival + local;
-                        self.core.deliver(sub, &msg, deliver_at);
+                        self.core.deliver(sub, slot, deliver_at);
                         outcome.delivered += 1;
                         outcome.last_delivery = Some(
                             outcome
@@ -587,7 +698,8 @@ impl ProxyBus {
             }
         }
         let lossy = outcome.dropped > 0 || self.core.stats.crash_suppressed != suppressed;
-        self.core.keep_reached(&mut fanout, &msg, lossy);
+        self.core.keep_reached(&mut fanout, slot, lossy);
+        self.core.slots.settle(slot);
         self.core.fanout = fanout;
         self.core.sync_telemetry();
         outcome
@@ -635,6 +747,7 @@ impl FullMeshBus {
         let suppressed = self.core.stats.crash_suppressed;
 
         self.core.fill_fanout(msg.topic());
+        let slot = self.core.slots.store(msg);
         let mut fanout = std::mem::take(&mut self.core.fanout);
         for &(site, sub) in &fanout {
             let t = at + local;
@@ -653,7 +766,7 @@ impl FullMeshBus {
                     self.core.note_crash_suppressed(1);
                     continue;
                 }
-                self.core.deliver(sub, &msg, arrival);
+                self.core.deliver(sub, slot, arrival);
                 outcome.delivered += 1;
                 outcome.last_delivery = Some(
                     outcome
@@ -663,7 +776,8 @@ impl FullMeshBus {
             }
         }
         let lossy = outcome.dropped > 0 || self.core.stats.crash_suppressed != suppressed;
-        self.core.keep_reached(&mut fanout, &msg, lossy);
+        self.core.keep_reached(&mut fanout, slot, lossy);
+        self.core.slots.settle(slot);
         self.core.fanout = fanout;
         self.core.sync_telemetry();
         outcome
@@ -818,14 +932,17 @@ mod tests {
             .collect()
     }
 
-    /// Every mailbox holds one entry, and all of them share one payload.
+    /// Every mailbox holds one entry, and all of them name the one slot
+    /// that holds the message.
     fn assert_stored_once(core: &BusCore, subs: &[SubscriberId]) {
-        let first = &core.mailboxes[subs[0].0 as usize][0].0;
+        let first = core.mailboxes[subs[0].0 as usize][0].0;
         for s in subs {
             let inbox = &core.mailboxes[s.0 as usize];
             assert_eq!(inbox.len(), 1);
-            assert!(inbox[0].0.shares_payload(first), "{s} holds its own copy");
+            assert_eq!(inbox[0].0, first, "{s} holds its own copy");
         }
+        assert_eq!(core.slots.len(), 1);
+        assert_eq!(core.slots.slots[first].entries, subs.len());
     }
 
     #[test]
@@ -848,6 +965,10 @@ mod tests {
         let out = mesh.publish(SimTime::ZERO, SiteId::new(0), msg(0));
         assert_eq!((out.delivered, out.wan_copies), (6, 5));
         assert_stored_once(&mesh.core, &subs);
+        for s in subs {
+            let _ = mesh.drain(s);
+        }
+        assert_eq!(mesh.stored_messages(), 0, "draining frees the slot");
     }
 
     #[test]
@@ -896,6 +1017,7 @@ mod tests {
         assert_eq!(bus.pending(s), 0);
         assert_eq!(bus.core.mailboxes[s.0 as usize].capacity(), held);
         assert!(bus.drain(s).is_empty());
+        assert_eq!(bus.stored_messages(), 0, "discarding frees every slot");
         assert_eq!(bus.stats().delivered, 3, "consuming is not un-delivering");
     }
 
@@ -1126,5 +1248,28 @@ mod tests {
         assert_eq!(out.delivered, 0);
         assert_eq!(out.wan_copies, 0);
         assert_eq!(bus.stats().wan_messages, 0);
+        assert_eq!(bus.stored_messages(), 0, "a message nobody holds is not kept");
+    }
+
+    #[test]
+    fn a_slot_lives_until_its_last_copy_is_consumed() {
+        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
+        let subs = six_subscribers(|site| bus.register_subscriber(site));
+        for &s in &subs {
+            bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+        }
+        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        assert_eq!(bus.stored_messages(), 2);
+        for &s in &subs[..5] {
+            assert_eq!(bus.drain(s).len(), 2);
+            assert_eq!(bus.stored_messages(), 2, "{s} was not the last holder");
+        }
+        let last = bus.drain(subs[5]);
+        assert_eq!(bus.stored_messages(), 0);
+        assert!(!last[0].0.shares_payload(&last[1].0), "two publishes, two payloads");
+        // Freed slots are reused before the table grows.
+        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        assert_eq!((bus.stored_messages(), bus.core.slots.slots.len()), (1, 2));
     }
 }

@@ -18,6 +18,12 @@
 //! the control-plane transport used by `sb-controller`, where only the
 //! propagation delays matter (Table 2, Figure 10a).
 //!
+//! In memory a publish is stored once: the bus moves the [`Message`] into
+//! one slot of its slot table, and each mailbox entry is the slot's index
+//! and a delivery time. Delivering and consuming a copy are plain counts
+//! on the slot, which is freed with its last entry; [`ProxyBus::drain`]
+//! still hands out owned messages, sharing the payload.
+//!
 //! # Examples
 //!
 //! ```

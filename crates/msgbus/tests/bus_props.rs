@@ -4,9 +4,15 @@
 //! any publish sequence, the proxy topology never sends more wide-area
 //! copies than full mesh, and under a bounded publisher uplink its worst
 //! delivery latency is never worse.
+//!
+//! The bus stores each published message once, in a slot its mailbox
+//! entries name. Under any mix of subscribes, publishes, drains and
+//! discards, with copies dropped and duplicated, a slot lives exactly as
+//! long as some mailbox holds its message.
 
 use proptest::prelude::*;
-use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, Topic};
+use sb_faults::{FaultPlan, FaultSpec};
+use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, SubscriberId, Topic};
 use sb_netsim::SimTime;
 use sb_types::{Millis, SiteId};
 use std::sync::Arc;
@@ -60,6 +66,85 @@ fn sites(n: u32) -> Vec<SiteId> {
 
 fn msg() -> Message {
     Message::new(Topic::with_owner("/t", SiteId::new(0)), Arc::new(0u64))
+}
+
+/// One step of a bus's life, by subscriber, topic and site index.
+#[derive(Debug, Clone)]
+enum Op {
+    Subscribe(usize, usize),
+    Publish(usize, usize),
+    Drain(usize),
+    Discard,
+}
+
+const OP_SITES: usize = 4;
+const OP_TOPICS: usize = 3;
+const OP_SUBSCRIBERS: usize = 6;
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        (0..OP_SUBSCRIBERS, 0..OP_TOPICS).prop_map(|(s, t)| Op::Subscribe(s, t)),
+        (0..OP_SITES, 0..OP_TOPICS).prop_map(|(site, t)| Op::Publish(site, t)),
+        (0..OP_SUBSCRIBERS).prop_map(Op::Drain),
+        Just(Op::Discard),
+    ]
+}
+
+/// Topic `t` of the op alphabet, owned by site `t % OP_SITES`.
+fn op_topic(t: usize) -> Topic {
+    let owner = SiteId::new(u32::try_from(t % OP_SITES).expect("few sites"));
+    Topic::with_owner(format!("/op{t}"), owner)
+}
+
+/// Runs `ops` on a bus of `$ty` under a plan that drops and duplicates
+/// copies with probability `$drop` and `$dup`, checking after every op
+/// that the slot table holds a message exactly while a mailbox does, and
+/// at the end, once every mailbox is drained, that it is empty.
+macro_rules! assert_slots_track_mailboxes {
+    ($ty:ty, $seed:expr, $drop:expr, $dup:expr, $ops:expr) => {{
+        let delays = DelayModel::uniform(Millis::new(0.1), Millis::new(30.0));
+        let topo = BusTopology::unbounded(sites(OP_SITES as u32), delays);
+        let mut bus = <$ty>::new(topo);
+        let spec = FaultSpec::new($seed)
+            .with_drop_probability($drop)
+            .with_duplicate_probability($dup);
+        bus.set_fault_plan(sb_faults::shared(FaultPlan::new(spec)));
+        let subs: Vec<SubscriberId> = (0..OP_SUBSCRIBERS)
+            .map(|i| bus.register_subscriber(SiteId::new((i % OP_SITES) as u32)))
+            .collect();
+        // Copies drained or discarded so far, and copies still held.
+        let (mut consumed, mut held) = (0usize, 0usize);
+        for (i, op) in $ops.iter().enumerate() {
+            match *op {
+                Op::Subscribe(s, t) => bus.subscribe(subs[s], op_topic(t)),
+                Op::Publish(site, t) => {
+                    let at = SimTime::from_millis(i as f64);
+                    let payload = Arc::new(i);
+                    bus.publish(at, SiteId::new(site as u32), Message::new(op_topic(t), payload));
+                }
+                Op::Drain(s) => {
+                    for (m, _) in bus.drain(subs[s]) {
+                        prop_assert!(m.payload::<usize>().is_some());
+                        consumed += 1;
+                    }
+                }
+                Op::Discard => {
+                    bus.discard_delivered();
+                    let left: usize = subs.iter().map(|&s| bus.pending(s)).sum();
+                    consumed += held - left;
+                }
+            }
+            held = subs.iter().map(|&s| bus.pending(s)).sum();
+            prop_assert_eq!(bus.stats().delivered, (consumed + held) as u64);
+            prop_assert!(bus.stored_messages() <= held, "a stored message no mailbox holds");
+            prop_assert_eq!(bus.stored_messages() == 0, held == 0);
+        }
+        for &s in &subs {
+            consumed += bus.drain(s).len();
+        }
+        prop_assert_eq!(bus.stored_messages(), 0);
+        prop_assert_eq!(bus.stats().delivered, consumed as u64);
+    }};
 }
 
 proptest! {
@@ -132,6 +217,19 @@ proptest! {
                 "proxy {proxy_worst} vs mesh {mesh_worst}"
             );
         }
+    }
+
+    /// The slot table is empty once every mailbox has been drained,
+    /// whatever was published, consumed and lost before.
+    #[test]
+    fn slots_are_freed_once_every_mailbox_is_drained(
+        seed in any::<u64>(),
+        drop in prop_oneof![Just(0.0), 0.0..0.6f64],
+        dup in prop_oneof![Just(0.0), 0.0..0.6f64],
+        ops in prop::collection::vec(arb_op(), 0..60),
+    ) {
+        assert_slots_track_mailboxes!(ProxyBus, seed, drop, dup, ops);
+        assert_slots_track_mailboxes!(FullMeshBus, seed, drop, dup, ops);
     }
 
     /// Messages delivered to a subscriber arrive no earlier than the

@@ -105,11 +105,7 @@ pub fn compute_aware(model: &NetworkModel) -> RoutingSolution {
                     .map(|s| {
                         let node = model.site_node(s);
                         let cap = vnf.site_capacity[&s];
-                        let used = tracker
-                            .vnf_site_load
-                            .get(&(vnf_id, s))
-                            .copied()
-                            .unwrap_or(0.0);
+                        let used = tracker.vnf_site_load(vnf_id, s);
                         (model.latency(at.node, node).value(), s, cap - used)
                     })
                     .filter(|(d, _, _)| d.is_finite())

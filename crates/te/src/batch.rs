@@ -221,7 +221,8 @@ impl SubproblemCache {
             dp::price_links(model, tracker, &mut self.prices);
             self.priced = true;
         }
-        let cost = dp::transit_cost(model, &self.prices, config, from, to);
+        let prices = &self.prices;
+        let cost = dp::transit_cost(model, config, from, to, |link| prices[link.index()]);
         self.transit[ti] = cost;
         // Only the network-utilization term reads loads; an unreachable
         // pair routes over no link.

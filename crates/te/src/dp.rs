@@ -22,14 +22,18 @@
 //! the baselines in [`crate::baselines`], keeping accounting identical
 //! across schemes.
 //!
-//! Loads only change between passes, so a pass prices each link once: the
-//! network term sums `r · price[link]` over a dense per-link vector of
-//! Fortz-Thorup costs. Uncached, a pass walks each destination's sources
-//! cheapest prefix first: it stops at the first source whose prefix cost
-//! alone already loses to the destination's best, and skips each source
-//! whose latency alone does (the network term is never negative). The
-//! answer and its tie-breaks are the same as pricing every source in
-//! ascending site order.
+//! Loads only change between passes, so a pass prices each link at most
+//! once, the first time a relaxation reads it: the network term sums
+//! `r · price[link]` over a dense per-link vector of Fortz-Thorup costs.
+//! Uncached, a pass relaxes each destination in two passes over its
+//! sources. The first computes every source's latency bound `base +
+//! (latency + compute)` from one contiguous row of latencies to the
+//! destination; the network term is never negative, so no source costs
+//! less. The second prices only the sources whose bound is below the best
+//! cost found, or equal to it at a lower position. The answer and its
+//! tie-breaks are the same as pricing every source in ascending site
+//! order. The (VNF, site) loads are a dense vector, and each VNF's
+//! deployments come sorted from the model.
 
 use crate::model::{ChainSpec, NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
@@ -38,12 +42,6 @@ use sb_types::{LinkId, SiteId, VnfId};
 use std::collections::HashMap;
 
 const EPS: f64 = 1e-9;
-
-/// One DP table cell: the best prefix cost of placing the current
-/// stage's VNF at this site, plus the parent site of the previous stage
-/// (`None` for the first stage — the ingress has no site). `None` cells
-/// were never relaxed.
-type DpCell = Option<(f64, Option<SiteId>)>;
 
 /// Tuning knobs of the DP cost function.
 #[derive(Debug, Clone)]
@@ -67,25 +65,61 @@ impl Default for DpConfig {
 }
 
 /// Residual-load accounting shared by the sequential schemes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LoadTracker {
     /// Chain traffic placed on each link so far.
     pub link_load: Vec<f64>,
     /// Compute load placed at each site so far.
     pub site_load: Vec<f64>,
-    /// Compute load per (VNF, site).
-    pub vnf_site_load: HashMap<(VnfId, SiteId), f64>,
+    /// Compute load per (VNF, site), dense:
+    /// `vnf_site_load[vnf * num_sites + site]`.
+    vnf_site_load: Vec<f64>,
+    /// Site count of the model the tracker was sized for.
+    num_sites: usize,
+}
+
+impl Clone for LoadTracker {
+    fn clone(&self) -> Self {
+        Self {
+            link_load: self.link_load.clone(),
+            site_load: self.site_load.clone(),
+            vnf_site_load: self.vnf_site_load.clone(),
+            num_sites: self.num_sites,
+        }
+    }
+
+    /// Copies `source` into the tracker's own buffers: a trial copy per
+    /// solve allocates nothing once the buffers have grown.
+    fn clone_from(&mut self, source: &Self) {
+        self.link_load.clone_from(&source.link_load);
+        self.site_load.clone_from(&source.site_load);
+        self.vnf_site_load.clone_from(&source.vnf_site_load);
+        self.num_sites = source.num_sites;
+    }
 }
 
 impl LoadTracker {
     /// A tracker with no load placed.
     #[must_use]
     pub fn new(model: &NetworkModel) -> Self {
+        let num_sites = model.num_sites();
         Self {
             link_load: vec![0.0; model.topology().num_links()],
-            site_load: vec![0.0; model.num_sites()],
-            vnf_site_load: HashMap::new(),
+            site_load: vec![0.0; num_sites],
+            vnf_site_load: vec![0.0; model.vnfs().len() * num_sites],
+            num_sites,
         }
+    }
+
+    /// Compute load placed on `vnf` at `site` so far (0 where none was).
+    #[must_use]
+    pub fn vnf_site_load(&self, vnf: VnfId, site: SiteId) -> f64 {
+        self.vnf_site_load[self.vnf_site(vnf, site)]
+    }
+
+    /// The dense index of `(vnf, site)`.
+    fn vnf_site(&self, vnf: VnfId, site: SiteId) -> usize {
+        vnf.index() * self.num_sites + site.index()
     }
 
     /// Current utilization of `link` including background traffic.
@@ -112,7 +146,7 @@ impl LoadTracker {
         if cap <= 0.0 {
             return f64::INFINITY;
         }
-        self.vnf_site_load.get(&(vnf, site)).copied().unwrap_or(0.0) / cap
+        self.vnf_site_load(vnf, site) / cap
     }
 
     /// Largest extra fraction of `chain`'s demand the path can carry given
@@ -142,7 +176,7 @@ impl LoadTracker {
                     .get(&site)
                     .copied()
                     .unwrap_or(0.0);
-                let used = self.vnf_site_load.get(&(vnf, site)).copied().unwrap_or(0.0);
+                let used = self.vnf_site_load(vnf, site);
                 h = h.min(((cap - used) / coef).max(0.0));
             }
         }
@@ -157,8 +191,9 @@ impl LoadTracker {
         for (&site, &coef) in &coefs.sites {
             self.site_load[site.index()] += coef * fraction;
         }
-        for (&key, &coef) in &coefs.vnf_sites {
-            *self.vnf_site_load.entry(key).or_insert(0.0) += coef * fraction;
+        for (&(vnf, site), &coef) in &coefs.vnf_sites {
+            let i = self.vnf_site(vnf, site);
+            self.vnf_site_load[i] += coef * fraction;
         }
     }
 }
@@ -232,14 +267,15 @@ pub(crate) fn edge_cost(
     to: Place,
     next_vnf: Option<VnfId>,
 ) -> f64 {
-    transit_cost(model, prices, config, from, to)
+    transit_cost(model, config, from, to, |link| prices[link.index()])
         + compute_cost(model, tracker, config, to, next_vnf)
 }
 
 /// Fills `prices` with every link's Fortz-Thorup cost at its current
 /// utilization, indexed by link id: the factor the network term weights
-/// by `r_{ss'e}`. Loads only change between passes, so one fill serves
-/// every relaxation of a pass.
+/// by `r_{ss'e}`. The eager form, for the baselines and the
+/// [`SubproblemCache`](crate::batch::SubproblemCache); an SB-DP pass
+/// prices only the links it reads ([`Pricer`]).
 pub(crate) fn price_links(model: &NetworkModel, tracker: &LoadTracker, prices: &mut Vec<f64>) {
     prices.clear();
     prices.extend(
@@ -247,23 +283,28 @@ pub(crate) fn price_links(model: &NetworkModel, tracker: &LoadTracker, prices: &
             .topology()
             .links()
             .iter()
-            .map(|l| fortz_thorup_cost(tracker.link_utilization(model, l.id()))),
+            .map(|l| link_price(model, tracker, l.id())),
     );
+}
+
+/// `link`'s Fortz-Thorup cost at its current utilization.
+fn link_price(model: &NetworkModel, tracker: &LoadTracker, link: LinkId) -> f64 {
+    fortz_thorup_cost(tracker.link_utilization(model, link))
 }
 
 /// The part of [`edge_cost`] that depends on both endpoints: propagation
 /// latency plus weighted network utilization cost `from → to`, infinite
-/// when `to` is unreachable. `prices` are per-link Fortz-Thorup costs
-/// from [`price_links`]; they are read only when `util_weight > 0`.
+/// when `to` is unreachable. `price` gives a link's Fortz-Thorup cost; it
+/// is called only when `util_weight > 0`.
 ///
 /// Never below the latency: `r ≥ 0` and every price is `≥ 0`, so the
 /// network term is non-negative. [`cheapest_source`] relies on that bound.
 pub(crate) fn transit_cost(
     model: &NetworkModel,
-    prices: &[f64],
     config: &DpConfig,
     from: Place,
     to: Place,
+    mut price: impl FnMut(LinkId) -> f64,
 ) -> f64 {
     let latency = model.latency(from.node, to.node).value();
     if !latency.is_finite() {
@@ -273,7 +314,7 @@ pub(crate) fn transit_cost(
     if config.util_weight > 0.0 && from.node != to.node {
         let mut net = 0.0;
         for &(link, r) in model.routing().fractions_between(from.node, to.node) {
-            net += r * prices[link.index()];
+            net += r * price(link);
         }
         cost += config.util_weight * net;
     }
@@ -323,29 +364,32 @@ fn vnf_compute_cost(
     }
 }
 
+/// One relaxed cell of Eq 8's table `E(z, s)`: where the stage's VNF
+/// sits, the least cost of a route prefix ending there, and the position
+/// of that prefix's previous stop in the previous stage's frontier.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    at: Place,
+    cost: f64,
+    parent: usize,
+}
+
 /// Reusable SB-DP workspace: the per-stage tables [`route_chain`] needs,
-/// hoisted out of the solver so the batched entry points allocate them
-/// once per fleet instead of once per stage per chain. The tables are
-/// dense (indexed by `SiteId`), which also removes per-relaxation hashing
-/// from the DP inner loop.
+/// hoisted out of the solver so the batched entry points and the
+/// controller allocate them once instead of once per stage per chain.
 #[derive(Debug, Default)]
 pub struct DpScratch {
-    /// Per-stage DP tables: `stages[z][site.index()]` holds the best
-    /// prefix cost placing the `z`-th VNF at that site, plus the parent
-    /// site of the preceding stage (Eq 8's `E(z, s)` with backpointers).
-    stages: Vec<Vec<DpCell>>,
-    /// Frontier of the previous stage, in ascending site-id order (the
-    /// deterministic tie-break order the sequential solver established).
-    prev: Vec<(Place, f64, Option<SiteId>)>,
-    /// Per-link Fortz-Thorup prices of the current pass (uncached solve
-    /// only), filled once by [`price_links`] before any relaxation.
+    /// Per-stage frontiers: `frontiers[z + 1]` holds the relaxed cells of
+    /// the `z`-th VNF in ascending site order (Eq 8's `E(z, s)` with
+    /// backpointers, the deterministic tie-break order); `frontiers[0]`
+    /// is the ingress alone.
+    frontiers: Vec<Vec<Cell>>,
+    /// Per-link Fortz-Thorup prices of the current pass, `NaN` until a
+    /// relaxation first reads the link (uncached solve only).
     prices: Vec<f64>,
-    /// The current stage VNF's `(site, capacity)` deployments, in
-    /// ascending site order.
-    sites: Vec<(SiteId, f64)>,
-    /// Positions in `prev`, cheapest prefix cost first, position breaking
-    /// ties (uncached solve only).
-    order: Vec<usize>,
+    /// The current destination's latency bound of each frontier source
+    /// (uncached solve only).
+    bounds: Vec<f64>,
 }
 
 impl DpScratch {
@@ -355,18 +399,52 @@ impl DpScratch {
         Self::default()
     }
 
-    /// Clears and resizes the tables for one run of `chain` against
-    /// `model`, reusing every previously grown allocation.
-    fn reset(&mut self, model: &NetworkModel, chain: &ChainSpec) {
-        let n = model.num_sites();
-        while self.stages.len() < chain.vnfs.len() {
-            self.stages.push(Vec::new());
+    /// Empties the frontiers for one pass over a chain of `stages` VNFs
+    /// and seeds the first with the ingress, reusing every previously
+    /// grown allocation.
+    fn reset(&mut self, chain: &ChainSpec) {
+        let stages = chain.vnfs.len();
+        if self.frontiers.len() <= stages {
+            self.frontiers.resize_with(stages + 1, Vec::new);
         }
-        for stage in self.stages.iter_mut().take(chain.vnfs.len()) {
-            stage.clear();
-            stage.resize(n, None);
+        for frontier in &mut self.frontiers[..=stages] {
+            frontier.clear();
         }
-        self.prev.clear();
+        self.frontiers[0].push(Cell {
+            at: Place::node(chain.ingress),
+            cost: 0.0,
+            parent: 0,
+        });
+    }
+}
+
+/// An uncached pass's view of the cost function: link prices are filled
+/// on first read, so a pass prices the links its relaxations cross, once
+/// each, and no other.
+struct Pricer<'a> {
+    model: &'a NetworkModel,
+    tracker: &'a LoadTracker,
+    config: &'a DpConfig,
+    prices: &'a mut [f64],
+}
+
+impl Pricer<'_> {
+    /// `base + (transit + compute)` of reaching `to` from `from`.
+    fn cost(&mut self, from: Place, base: f64, to: Place, compute: f64) -> f64 {
+        let Self {
+            model,
+            tracker,
+            config,
+            prices,
+        } = self;
+        let transit = transit_cost(model, config, from, to, |link| {
+            let price = &mut prices[link.index()];
+            if price.is_nan() {
+                *price = link_price(model, tracker, link);
+            }
+            *price
+        });
+        base + (transit + compute)
     }
 }
 
@@ -377,11 +455,12 @@ impl DpScratch {
 /// is exact, so the result is identical either way.
 ///
 /// Each destination takes the source of least cost, the lowest site id
-/// on a tie. Uncached, a pass prices every link once and finds that
-/// source with [`cheapest_source`]; cached, it scans every source in
-/// ascending site order. `tests/sbdp_oracle.rs` holds the uncached pass
-/// to that scan over every (source, destination) pair and to an
-/// enumeration of every site sequence.
+/// on a tie. Uncached, [`cheapest_source`] finds it in two passes over the
+/// frontier and prices only the sources their latency bound admits;
+/// cached, every source is priced in ascending site order.
+/// `tests/sbdp_oracle.rs` holds the uncached pass to that scan over every
+/// (source, destination) pair and to an enumeration of every site
+/// sequence.
 fn best_path(
     model: &NetworkModel,
     tracker: &LoadTracker,
@@ -390,31 +469,27 @@ fn best_path(
     scratch: &mut DpScratch,
     mut cache: Option<&mut crate::batch::SubproblemCache>,
 ) -> Option<Vec<SiteId>> {
-    scratch.reset(model, chain);
-    scratch.prev.push((Place::node(chain.ingress), 0.0, None));
-    let uncached = cache.is_none();
-    if uncached && config.util_weight > 0.0 {
-        price_links(model, tracker, &mut scratch.prices);
+    scratch.reset(chain);
+    let DpScratch {
+        frontiers,
+        prices,
+        bounds,
+    } = scratch;
+    prices.clear();
+    if cache.is_none() && config.util_weight > 0.0 {
+        prices.resize(model.topology().num_links(), f64::NAN);
     }
+    let mut pricer = Pricer {
+        model,
+        tracker,
+        config,
+        prices,
+    };
 
     for (z, &vnf_id) in chain.vnfs.iter().enumerate() {
-        let DpScratch {
-            stages,
-            prev,
-            prices,
-            sites,
-            order,
-        } = &mut *scratch;
-        let deployments = &model.vnfs()[vnf_id.index()].site_capacity;
-        sites.clear();
-        sites.extend(deployments.iter().map(|(&s, &c)| (s, c)));
-        sites.sort_unstable_by_key(|&(s, _)| s);
-        if uncached {
-            cost_order(prev, order);
-        }
-        let stage = &mut stages[z];
-        let mut any = false;
-        for &(site, cap) in sites.iter() {
+        let (done, rest) = frontiers.split_at_mut(z + 1);
+        let (prev, next) = (&done[z], &mut rest[0]);
+        for &(site, cap) in model.deployments(vnf_id) {
             let to = Place::site(model.site_node(site), site);
             let best = match cache.as_deref_mut() {
                 Some(c) => cached_source(c, model, tracker, config, prev, to, Some(vnf_id)),
@@ -422,109 +497,99 @@ fn best_path(
                     // The destination's compute term is priced once here,
                     // not once per source: `edge_cost` is `transit + compute`.
                     let compute = vnf_compute_cost(tracker, config, vnf_id, site, cap);
-                    cheapest_source(model, prices, config, prev, order, to, compute)
+                    cheapest_source(&mut pricer, bounds, prev, to, compute)
                 }
             };
-            if let Some((c, i)) = best {
-                stage[site.index()] = Some((c, prev[i].0.site));
-                any = true;
+            if let Some((cost, parent)) = best {
+                next.push(Cell {
+                    at: to,
+                    cost,
+                    parent,
+                });
             }
         }
-        if !any {
+        if next.is_empty() {
             return None;
-        }
-        // Rebuild the frontier by ascending site index: the same
-        // deterministic order the sorted sparse frontier used to have.
-        prev.clear();
-        for (idx, slot) in stage.iter().enumerate() {
-            if let Some((c, _)) = *slot {
-                let s = SiteId::new(u32::try_from(idx).expect("site count fits u32"));
-                prev.push((Place::site(model.site_node(s), s), c, Some(s)));
-            }
         }
     }
 
     // Close to the egress, which has no VNF.
     let egress = Place::node(chain.egress);
-    let prev = &scratch.prev;
+    let last = &frontiers[chain.vnfs.len()];
     let best_last = match cache {
-        Some(c) => cached_source(c, model, tracker, config, prev, egress, None),
-        None => {
-            let order = &mut scratch.order;
-            cost_order(prev, order);
-            cheapest_source(model, &scratch.prices, config, prev, order, egress, 0.0)
-        }
+        Some(c) => cached_source(c, model, tracker, config, last, egress, None),
+        None => cheapest_source(&mut pricer, bounds, last, egress, 0.0),
     };
     if chain.vnfs.is_empty() {
         // Chains without VNFs route directly ingress -> egress.
         return Some(Vec::new());
     }
-    let (_, i) = best_last?;
-    let mut at = prev[i].0.site.expect("a non-first frontier holds sites");
+    let (_, mut i) = best_last?;
     // Backtrack parents.
-    let mut sites = vec![at];
-    for z in (1..chain.vnfs.len()).rev() {
-        let (_, parent) = scratch.stages[z][at.index()].expect("backtracked site was relaxed");
-        let p = parent.expect("non-first stage has a parent site");
-        sites.push(p);
-        at = p;
+    let mut sites = Vec::with_capacity(chain.vnfs.len());
+    for frontier in frontiers[1..=chain.vnfs.len()].iter().rev() {
+        let cell = frontier[i];
+        sites.push(cell.at.site.expect("a VNF stage's cells are sites"));
+        i = cell.parent;
     }
     sites.reverse();
     Some(sites)
 }
 
-/// Fills `order` with the positions of `prev`, cheapest prefix cost
-/// first and position breaking ties.
-fn cost_order(prev: &[(Place, f64, Option<SiteId>)], order: &mut Vec<usize>) {
-    order.clear();
-    order.extend(0..prev.len());
-    order.sort_unstable_by(|&a, &b| prev[a].1.total_cmp(&prev[b].1).then(a.cmp(&b)));
-}
-
 /// The source of `prev` (by position) that reaches `to` at least cost,
 /// `base + (transit + compute)`, and that cost: the lowest position among
 /// equals, which is the lowest site id. `None` when no source reaches
-/// `to` at a finite cost. `order` is `prev`'s [`cost_order`].
+/// `to` at a finite cost.
 ///
-/// Walking cheapest prefix first, the walk stops at the first source
-/// whose `base + compute` is above the best `b`: [`transit_cost`] is
-/// never negative and float addition is monotone, so its cost and every
-/// later source's is above `b`. The stop is strict: a source co-located
-/// with `to` has zero transit and can tie `b` from a lower position. A
-/// source is skipped unpriced when its latency bound
-/// `base + (latency + compute)` is above `b`, or equals it at a higher
-/// position than the best's; a priced source wins with `c < b`, or
-/// `c == b` at a lower position.
+/// Two passes over the frontier. The first, branch-light, fills `bounds`
+/// with each source's latency bound `base + (latency + compute)`, reading
+/// the one contiguous row of latencies to `to`, and keeps the lowest
+/// bound's position (the first of equals). [`transit_cost`] is never
+/// below the latency and float addition is monotone, so no source costs
+/// less than its bound. The second prices that source first, then only
+/// the sources whose bound is below the best cost `b`, or equals it at a
+/// lower position than the best's: any other costs more than `b`, or ties
+/// it from a higher position. A priced source wins with `c < b`, or
+/// `c == b` at a lower position — a source co-located with `to` has zero
+/// transit, so its bound is exact and can tie `b` from below. The answer,
+/// tie-break included, is the unpruned scan's.
 fn cheapest_source(
-    model: &NetworkModel,
-    prices: &[f64],
-    config: &DpConfig,
-    prev: &[(Place, f64, Option<SiteId>)],
-    order: &[usize],
+    pricer: &mut Pricer<'_>,
+    bounds: &mut Vec<f64>,
+    prev: &[Cell],
     to: Place,
     compute: f64,
 ) -> Option<(f64, usize)> {
     if compute.is_infinite() {
         return None;
     }
-    let mut best: Option<(f64, usize)> = None;
-    for &i in order {
-        let (from, base, _) = prev[i];
-        if let Some((b, at)) = best {
-            if base + compute > b {
-                break;
-            }
-            let bound = base + (model.latency(from.node, to.node).value() + compute);
-            if bound > b || (bound == b && i > at) {
-                continue;
-            }
+    let latencies = pricer.model.routing().latencies_to(to.node);
+    bounds.clear();
+    let (mut lowest, mut first) = (f64::INFINITY, 0);
+    for (i, c) in prev.iter().enumerate() {
+        let bound = c.cost + (latencies[c.at.node.index()] + compute);
+        bounds.push(bound);
+        let lower = bound < lowest;
+        lowest = if lower { bound } else { lowest };
+        first = if lower { i } else { first };
+    }
+
+    // `(b, at)` is the best so far; `b` stays infinite until a source
+    // reaches `to` at a finite cost.
+    let (mut b, mut at) = (f64::INFINITY, first);
+    let mut price = |i: usize, b: &mut f64, at: &mut usize| {
+        let c = pricer.cost(prev[i].at, prev[i].cost, to, compute);
+        if c < *b || (c == *b && i < *at) {
+            (*b, *at) = (c, i);
         }
-        let c = base + (transit_cost(model, prices, config, from, to) + compute);
-        if c.is_finite() && best.is_none_or(|(b, at)| c < b || (c == b && i < at)) {
-            best = Some((c, i));
+    };
+    price(first, &mut b, &mut at);
+    for (i, &bound) in bounds.iter().enumerate() {
+        if i != first && (bound < b || (bound == b && i < at)) {
+            price(i, &mut b, &mut at);
         }
     }
-    best
+    b.is_finite().then_some((b, at))
 }
 
 /// [`cheapest_source`] through `cache`: every source of `prev` priced,
@@ -534,13 +599,13 @@ fn cached_source(
     model: &NetworkModel,
     tracker: &LoadTracker,
     config: &DpConfig,
-    prev: &[(Place, f64, Option<SiteId>)],
+    prev: &[Cell],
     to: Place,
     next_vnf: Option<VnfId>,
 ) -> Option<(f64, usize)> {
     let mut best: Option<(f64, usize)> = None;
-    for (i, &(from, base, _)) in prev.iter().enumerate() {
-        let c = base + cache.edge_cost(model, tracker, config, from, to, next_vnf);
+    for (i, cell) in prev.iter().enumerate() {
+        let c = cell.cost + cache.edge_cost(model, tracker, config, cell.at, to, next_vnf);
         if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
             best = Some((c, i));
         }
@@ -613,11 +678,12 @@ pub fn route_chain_with(
 #[must_use]
 pub fn route_chains(model: &NetworkModel, config: &DpConfig) -> RoutingSolution {
     let mut tracker = LoadTracker::new(model);
+    let mut scratch = DpScratch::new();
     let chains = model
         .chains()
         .iter()
         .map(|c| {
-            let paths = route_chain(model, &mut tracker, config, c);
+            let paths = route_chain_with(model, &mut tracker, config, c, &mut scratch, None);
             ChainRoutes::from_paths(model, c, &paths)
         })
         .collect();
@@ -719,7 +785,8 @@ mod tests {
     fn exact_ties_go_to_the_lowest_site_id() {
         // Mirror-image sites 0 and 1 reach site 2 (and node n3) at exactly
         // equal cost, so both the stage relaxation and the egress close see
-        // a tie that the latency-bound skip must leave to the first source.
+        // a tie that the latency-bound pruning must leave to the first
+        // source.
         let mut tb = sb_topology::TopologyBuilder::new();
         let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
         let n1 = tb.add_node("left", (-1.0, 1.0), 1.0);
@@ -751,8 +818,8 @@ mod tests {
     #[test]
     fn a_tie_goes_to_the_lower_id_even_from_a_dearer_prefix() {
         // Site 0 costs 3 ms from the ingress, site 1 costs 1 ms, and both
-        // reach the join at 4 ms in total. The cost-ordered walk prices
-        // site 1 first; site 0's equal total must still take the cell.
+        // reach the join at 4 ms in total: equal bounds, equal costs.
+        // Site 0's equal total must take the cell.
         let mut tb = sb_topology::TopologyBuilder::new();
         let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
         let n1 = tb.add_node("far", (-1.0, 1.0), 1.0);
@@ -781,11 +848,11 @@ mod tests {
     }
 
     #[test]
-    fn the_walk_does_not_stop_at_a_source_that_can_still_tie() {
+    fn a_co_located_source_ties_at_its_exact_bound() {
         // Site 1 (1 ms from the ingress) reaches site 0 at 4 ms. Site 0
         // itself costs 4 ms from the ingress and is zero transit from
-        // itself, so when the walk reaches it `base + compute` equals the
-        // best: stopping there would hand the tie to the higher id.
+        // itself, so its bound is its exact cost and equals the best:
+        // pruning it would hand the tie to the higher id.
         let mut tb = sb_topology::TopologyBuilder::new();
         let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
         let n1 = tb.add_node("hub", (0.0, 2.0), 1.0);
@@ -804,6 +871,96 @@ mod tests {
             assert_eq!(paths.len(), 1, "{config:?}: {paths:?}");
             assert_eq!(paths[0].sites, vec![s0, s0], "{config:?}");
         }
+    }
+
+    /// The ingress reaches sites 0 (`left`) and 1 (`right`) in 1 ms each;
+    /// they reach site 2 at the join in 1 ms and `right_ms`. The
+    /// left → join link carries 250 of background on 1 000 of bandwidth:
+    /// a Fortz-Thorup cost of 0.25, which the default weight of 30 prices
+    /// at exactly 7.5 ms on top of the latency. The chain places one VNF
+    /// at site 0 or 1, then one at site 2, and leaves from the join.
+    fn loaded_diamond(right_ms: f64) -> (NetworkModel, ChainSpec, [SiteId; 3]) {
+        let mut tb = sb_topology::TopologyBuilder::new();
+        let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
+        let n1 = tb.add_node("left", (-1.0, 1.0), 1.0);
+        let n2 = tb.add_node("right", (1.0, 1.0), 1.0);
+        let n3 = tb.add_node("join", (0.0, 2.0), 1.0);
+        tb.add_duplex_link(n0, n1, 1000.0, Millis::new(1.0));
+        tb.add_duplex_link(n0, n2, 1000.0, Millis::new(1.0));
+        let (loaded, _) = tb.add_duplex_link(n1, n3, 1000.0, Millis::new(1.0));
+        tb.add_duplex_link(n2, n3, 1000.0, Millis::new(right_ms));
+        let mut b = NetworkModel::builder(tb.build());
+        b.set_background(loaded, 250.0);
+        let s0 = b.add_site(n1, 100.0);
+        let s1 = b.add_site(n2, 100.0);
+        let s2 = b.add_site(n3, 100.0);
+        let split = b.add_vnf(Map::from([(s0, 50.0), (s1, 50.0)]), 1.0);
+        let joined = b.add_vnf(Map::from([(s2, 50.0)]), 1.0);
+        let chain = ChainSpec::uniform(ChainId::new(0), n0, n3, vec![split, joined], 1.0, 0.5);
+        (b.build().unwrap(), chain, [s0, s1, s2])
+    }
+
+    /// The one path SB-DP routes `chain` along on an unloaded tracker.
+    fn only_path(m: &NetworkModel, config: &DpConfig, chain: &ChainSpec) -> Vec<SiteId> {
+        let paths = route_chain(m, &mut LoadTracker::new(m), config, chain);
+        assert_eq!(paths.len(), 1, "{config:?}: {paths:?}");
+        paths[0].sites.clone()
+    }
+
+    #[test]
+    fn the_source_with_the_lowest_bound_can_lose() {
+        // At the join, site 0's bound is 2 ms and site 1's 3 ms, but the
+        // loaded link makes site 0 cost 9.5 ms: site 1, priced second
+        // because its bound is below that, wins at 3 ms.
+        let (m, chain, [s0, s1, s2]) = loaded_diamond(2.0);
+        assert_eq!(only_path(&m, &DpConfig::default(), &chain), [s1, s2]);
+        let latency_only = DpConfig { util_weight: 0.0 };
+        assert_eq!(only_path(&m, &latency_only, &chain), [s0, s2]);
+    }
+
+    #[test]
+    fn of_two_sources_tied_on_bound_the_higher_can_win() {
+        // Both sites reach the join with a 2 ms bound. Site 0, the first
+        // of equals, is priced first at 9.5 ms; site 1's equal bound is
+        // below that, so it is priced too and wins at 2 ms. Without the
+        // network term the two tie exactly and site 0 keeps the cell.
+        let (m, chain, [s0, s1, s2]) = loaded_diamond(1.0);
+        assert_eq!(only_path(&m, &DpConfig::default(), &chain), [s1, s2]);
+        let latency_only = DpConfig { util_weight: 0.0 };
+        assert_eq!(only_path(&m, &latency_only, &chain), [s0, s2]);
+    }
+
+    #[test]
+    fn a_zero_transit_source_ties_the_best_from_a_lower_position() {
+        // The hub (site 0) is reached through the relay (site 1) over a
+        // loaded link: 4 ms + 7.5 ms from the ingress. For the second VNF,
+        // at the hub, the relay's bound is 1 + 3 = 4 ms, the lowest, and
+        // it is priced first at 1 + 3 + 7.5 = 11.5 ms. The hub itself,
+        // zero transit away, has bound and cost 11.5 ms: equal to the
+        // best, from a lower position, so it is priced and takes the cell.
+        let mut tb = sb_topology::TopologyBuilder::new();
+        let n0 = tb.add_node("in", (0.0, 0.0), 1.0);
+        let n1 = tb.add_node("hub", (0.0, 2.0), 1.0);
+        let n2 = tb.add_node("relay", (0.0, 1.0), 1.0);
+        tb.add_duplex_link(n0, n2, 1000.0, Millis::new(1.0));
+        let (loaded, _) = tb.add_duplex_link(n2, n1, 1000.0, Millis::new(3.0));
+        let mut b = NetworkModel::builder(tb.build());
+        b.set_background(loaded, 250.0);
+        let s0 = b.add_site(n1, 100.0);
+        let s1 = b.add_site(n2, 100.0);
+        let first = b.add_vnf(Map::from([(s0, 50.0), (s1, 50.0)]), 1.0);
+        let second = b.add_vnf(Map::from([(s0, 50.0)]), 1.0);
+        let m = b.build().unwrap();
+        let chain = ChainSpec::uniform(ChainId::new(0), n0, n1, vec![first, second], 1.0, 0.5);
+        let (tracker, config) = (LoadTracker::new(&m), DpConfig::default());
+        let mut prices = Vec::new();
+        price_links(&m, &tracker, &mut prices);
+        let edge = |from, to, vnf| edge_cost(&m, &tracker, &prices, &config, from, to, Some(vnf));
+        let (ingress, hub, relay) = (Place::node(n0), Place::site(n1, s0), Place::site(n2, s1));
+        let via_relay = edge(ingress, relay, first) + edge(relay, hub, second);
+        let at_hub = edge(ingress, hub, first) + edge(hub, hub, second);
+        assert_eq!((via_relay, at_hub), (11.5, 11.5), "an exact tie");
+        assert_eq!(only_path(&m, &config, &chain), [s0, s0]);
     }
 
     #[test]

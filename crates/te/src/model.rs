@@ -133,11 +133,21 @@ pub struct NetworkModel {
     /// Compute capacity `m_s` per site.
     site_capacity: Vec<LoadUnits>,
     vnfs: Vec<VnfSpec>,
+    /// Each VNF's `(site, m_sf)` deployments ascending by site (dense by
+    /// `VnfId`): `vnfs[f].site_capacity` in the order SB-DP visits it.
+    deployments: Vec<Vec<(SiteId, LoadUnits)>>,
     chains: Vec<ChainSpec>,
     /// Background traffic `g_e` per link (dense by `LinkId`).
     background: Vec<Rate>,
     /// Maximum link utilization limit β.
     mlu: f64,
+}
+
+/// `site_capacity`'s entries ascending by site.
+fn sorted_deployments(site_capacity: &HashMap<SiteId, LoadUnits>) -> Vec<(SiteId, LoadUnits)> {
+    let mut sites: Vec<_> = site_capacity.iter().map(|(&s, &c)| (s, c)).collect();
+    sites.sort_unstable_by_key(|&(s, _)| s);
+    sites
 }
 
 impl NetworkModel {
@@ -215,6 +225,17 @@ impl NetworkModel {
         self.vnfs
             .get(id.index())
             .ok_or_else(|| Error::unknown("vnf", id))
+    }
+
+    /// The deployments of `vnf`: each site of `S_f` with its capacity
+    /// `m_sf`, ascending by site.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vnf` is unknown.
+    #[must_use]
+    pub fn deployments(&self, vnf: VnfId) -> &[(SiteId, LoadUnits)] {
+        &self.deployments[vnf.index()]
     }
 
     /// The chain set `C`.
@@ -313,6 +334,7 @@ impl NetworkModel {
     #[must_use]
     pub fn with_vnf_sites(&self, vnf: VnfId, site_capacity: HashMap<SiteId, LoadUnits>) -> Self {
         let mut m = self.clone();
+        m.deployments[vnf.index()] = sorted_deployments(&site_capacity);
         m.vnfs[vnf.index()].site_capacity = site_capacity;
         m
     }
@@ -449,6 +471,11 @@ impl NetworkModelBuilder {
             routing: Arc::new(self.routing),
             site_node: self.site_node,
             site_capacity: self.site_capacity,
+            deployments: self
+                .vnfs
+                .iter()
+                .map(|v| sorted_deployments(&v.site_capacity))
+                .collect(),
             vnfs: self.vnfs,
             chains: self.chains,
             background: self.background,
@@ -586,7 +613,9 @@ mod tests {
         let m = testutil::line_model();
         let m2 = m.with_vnf_sites(VnfId::new(0), HashMap::from([(SiteId::new(0), 9.0)]));
         assert_eq!(m2.vnfs()[0].sites(), vec![SiteId::new(0)]);
+        assert_eq!(m2.deployments(VnfId::new(0)), [(SiteId::new(0), 9.0)]);
         assert_eq!(m.vnfs()[0].sites().len(), 2);
+        assert_eq!(m.deployments(VnfId::new(0)).len(), 2);
     }
 
     #[test]
@@ -594,5 +623,7 @@ mod tests {
         let m = testutil::line_model();
         let sites = m.vnfs()[0].sites();
         assert!(sites.windows(2).all(|w| w[0] < w[1]));
+        let deployed: Vec<SiteId> = m.deployments(VnfId::new(0)).iter().map(|d| d.0).collect();
+        assert_eq!(deployed, sites);
     }
 }

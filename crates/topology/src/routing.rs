@@ -50,7 +50,9 @@ impl Ord for HeapEntry {
 #[derive(Debug, Clone)]
 pub struct Routing {
     n: usize,
-    /// `dist[s*n + t]` in milliseconds; infinite when unreachable.
+    /// `dist[t*n + s]`: the latency `s → t` in milliseconds, infinite
+    /// when unreachable. Held by target, so the latencies from every node
+    /// to one target are one contiguous row ([`latencies_to`](Self::latencies_to)).
     dist: Vec<f64>,
     /// ECMP fractions of every `(s, t)` pair concatenated in pair order
     /// `s*n + t`, each pair's `(link, fraction of the demand)` entries
@@ -98,9 +100,7 @@ impl Routing {
                     }
                 }
             }
-            for s in 0..n {
-                dist[s * n + t] = d[s];
-            }
+            dist[t * n..(t + 1) * n].copy_from_slice(&d);
 
             // Shortest-path DAG toward t: link (u -> v) is on a shortest
             // path iff d[u] = lat + d[v]. ECMP fractions: process nodes in
@@ -177,13 +177,21 @@ impl Routing {
     /// `a == b`, infinite when unreachable.
     #[must_use]
     pub fn latency(&self, a: NodeId, b: NodeId) -> Millis {
-        Millis::new(self.dist[a.index() * self.n + b.index()])
+        Millis::new(self.dist[b.index() * self.n + a.index()])
+    }
+
+    /// The latency in milliseconds from every node to `b`, indexed by the
+    /// source node: `latencies_to(b)[a.index()]` is
+    /// [`latency(a, b)`](Self::latency).
+    #[must_use]
+    pub fn latencies_to(&self, b: NodeId) -> &[f64] {
+        &self.dist[b.index() * self.n..(b.index() + 1) * self.n]
     }
 
     /// Whether `b` is reachable from `a`.
     #[must_use]
     pub fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        self.dist[a.index() * self.n + b.index()].is_finite()
+        self.latency(a, b).value().is_finite()
     }
 
     /// The fraction `r_{n1n2e}` of traffic from `a` to `b` crossing `link`
@@ -378,5 +386,7 @@ mod tests {
         let r = Routing::shortest_paths(&t);
         assert_eq!(r.latency(a, c), Millis::new(3.0));
         assert_eq!(r.latency(c, a), Millis::new(7.0));
+        assert_eq!(r.latencies_to(c), [3.0, 0.0], "indexed by source");
+        assert_eq!(r.latencies_to(a), [0.0, 7.0]);
     }
 }
