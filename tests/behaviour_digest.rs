@@ -6,8 +6,9 @@
 //! commit timeouts), so the retry and rollback paths are pinned too. After
 //! each verb one line records its result, the WAN messages and 2PC
 //! participants it cost, an FNV-1a digest of its report's steps and
-//! partial-failure notes, the retired-epoch and commit counters, and
-//! FNV-1a digests of every stored artifact's bytes and of every in-process
+//! partial-failure notes, the retired-epoch and commit counters, the
+//! copies the bus delivered, lost to faults, duplicated by faults and
+//! suppressed by crashes during the verb, and FNV-1a digests of every stored artifact's bytes and of every in-process
 //! forwarder's rows. The lines must equal `behaviour_digest.golden`, and
 //! two child processes of this test must print the same lines: a `HashMap`
 //! whose per-process hash keys reach an output makes the processes
@@ -49,17 +50,39 @@ impl Fnv {
     }
 }
 
+/// The bus counters a digest line gives per verb.
+const BUS_COUNTERS: [&str; 4] = [
+    "bus.delivered",
+    "bus.fault_dropped",
+    "bus.fault_duplicated",
+    "bus.crash_suppressed",
+];
+
 /// The digest lines of one run. The last hash of each stored artifact and
 /// of each forwarder's published FIB is kept with what it hashed, so a
-/// verb re-hashes only what it changed.
+/// verb re-hashes only what it changed; the bus counters are kept as the
+/// last verb left them, so a line gives what its verb added.
 #[derive(Default)]
 struct Digest {
     lines: String,
     artifacts: BTreeMap<SiteId, (Vec<u8>, u64)>,
     fibs: BTreeMap<ForwarderId, (Arc<CompiledFib>, u64)>,
+    bus: [u64; 4],
 }
 
 impl Digest {
+    /// The bus counters of `sb`.
+    fn bus_counters(sb: &Switchboard) -> [u64; 4] {
+        let counters = sb.telemetry().registry.snapshot();
+        BUS_COUNTERS.map(|name| counters.counter(name))
+    }
+
+    /// Starts the verbs on a new `sb`: later lines give its bus counters'
+    /// growth.
+    fn start(&mut self, sb: &Switchboard) {
+        self.bus = Self::bus_counters(sb);
+    }
+
     /// One line for `verb` on `chain`, read from `sb` after the verb.
     fn record(
         &mut self,
@@ -87,6 +110,10 @@ impl Digest {
             Err(e) => format!("err {e}"),
         };
         let counters = sb.telemetry().registry.snapshot();
+        let bus = Self::bus_counters(sb);
+        let [delivered, dropped, duplicated, suppressed] =
+            std::array::from_fn(|i| bus[i] - self.bus[i]);
+        self.bus = bus;
         let mut artifacts = Fnv::new();
         for site in sb.artifact_sites() {
             let bytes = sb.site_artifact_bytes(site).expect("listed site");
@@ -119,7 +146,8 @@ impl Digest {
             }
         }
         self.lines += &format!(
-            "{verb} {chain}: {result} retired={} commits={} art={:016x} fwd={:016x}\n",
+            "{verb} {chain}: {result} retired={} commits={} \
+             delivered={delivered} lost={dropped} dup={duplicated} crashed={suppressed} art={:016x} fwd={:016x}\n",
             counters.counter("cp.epochs.retired"),
             counters.counter("cp.2pc.commits"),
             artifacts.0,
@@ -161,6 +189,7 @@ fn fleet_verbs(
             ..SwitchboardConfig::default()
         },
     );
+    digest.start(&sb);
     let sites = model.sites();
     for &site in &sites {
         sb.register_attachment(attachment(site), site);
@@ -248,6 +277,7 @@ fn lifecycle_verbs(digest: &mut Digest) {
         DelayModel::uniform(Millis::new(0.1), Millis::new(20.0)),
         SwitchboardConfig::default(),
     );
+    digest.start(&sb);
     sb.register_attachment("in", sites[0]);
     sb.register_attachment("out", sites[3]);
     let request = |id: u64| ChainRequest {
