@@ -23,6 +23,7 @@
 //! CI runs the same binary with `--quick` as a smoke check and with
 //! `--check-warm` as the storm-convergence gate.
 
+use crate::dataplane_baseline::PairedRuns;
 use sb_controller::FleetReconciler;
 use sb_te::dp::{route_chains, DpConfig};
 use sb_telemetry::Telemetry;
@@ -242,66 +243,29 @@ pub fn run(cfg: &ControlPlaneConfig) -> ControlPlaneBaseline {
     }
 }
 
-/// The warm-convergence gate needs at least this many cores: not for
-/// parallelism (the solver is single-threaded) but so the measured thread
-/// isn't sharing its only core with the OS — a starved host measures
-/// scheduler noise, not solver speed.
-pub const WARM_MIN_CORES: usize = 2;
-
 /// Chain count of the gated row (the acceptance row of the checked-in
 /// baseline).
 pub const WARM_GATE_CHAINS: usize = 1000;
 
-/// Result of the storm-convergence gate (`bench-controlplane
-/// --check-warm`).
-#[derive(Debug, Clone, Serialize)]
-pub struct WarmReport {
-    /// Cores the host reports (`std::thread::available_parallelism`).
-    pub available_cores: usize,
-    /// `true` when the host has fewer than [`WARM_MIN_CORES`] cores and
-    /// the measurement was skipped (the gate passes vacuously).
-    pub skipped: bool,
-    /// Warm prioritized-drain convergence time at the 1k-chain row, best
-    /// of three runs.
-    pub warm_ms: f64,
-    /// Cold full re-solve time of the same post-storm specs, best of
-    /// three.
-    pub cold_ms: f64,
-    /// `cold_ms / warm_ms`; the gate fails below its threshold.
-    pub ratio: f64,
-}
+/// Rows the storm-convergence gate runs.
+pub const WARM_GATE_PAIRS: usize = 7;
 
-/// Measures warm storm convergence versus a cold full re-solve at the
-/// [`WARM_GATE_CHAINS`] row (best of three each, to damp scheduler
-/// noise). Skipped on hosts with fewer than [`WARM_MIN_CORES`] cores.
+/// The storm-convergence gate (`bench-controlplane --check-warm`):
+/// [`WARM_GATE_PAIRS`] rows at [`WARM_GATE_CHAINS`] chains, each timing
+/// the warm prioritized drain (the reference arm) and the cold full
+/// re-solve of the same post-storm specs (the candidate) back to back, so
+/// host drift lands on both arms of a pair. The verdict is the median of
+/// the per-pair ratios `cold / warm`. Both arms are single-threaded.
 #[must_use]
-pub fn check_warm(cfg: &ControlPlaneConfig) -> WarmReport {
-    let available_cores =
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if available_cores < WARM_MIN_CORES {
-        return WarmReport {
-            available_cores,
-            skipped: true,
-            warm_ms: 0.0,
-            cold_ms: 0.0,
-            ratio: 0.0,
-        };
-    }
+pub fn check_warm(cfg: &ControlPlaneConfig) -> PairedRuns {
     let hub = Telemetry::new();
-    let mut warm_best = f64::INFINITY;
-    let mut cold_best = f64::INFINITY;
-    for _ in 0..3 {
-        let cell = run_row(cfg, WARM_GATE_CHAINS, &hub);
-        warm_best = warm_best.min(cell.storm_warm_ms);
-        cold_best = cold_best.min(cell.storm_cold_ms);
-    }
-    WarmReport {
-        available_cores,
-        skipped: false,
-        warm_ms: warm_best,
-        cold_ms: cold_best,
-        ratio: cold_best / warm_best,
-    }
+    let pairs = (0..WARM_GATE_PAIRS)
+        .map(|_| {
+            let cell = run_row(cfg, WARM_GATE_CHAINS, &hub);
+            (cell.storm_warm_ms, cell.storm_cold_ms)
+        })
+        .collect();
+    PairedRuns::new(pairs)
 }
 
 /// Serializes a baseline as indented JSON (same re-indenting scheme as
@@ -367,17 +331,24 @@ mod tests {
     }
 
     #[test]
-    fn warm_gate_skips_or_measures_by_core_count() {
-        // Gate semantics only — run at the tiny scale, not the 1k row.
-        let available = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get);
-        if available < WARM_MIN_CORES {
-            let r = check_warm(&tiny());
-            assert!(r.skipped);
-        }
-        // On adequate hosts the full gate is exercised by CI's
-        // `--check-warm` leg; running the 1k row here would dominate the
-        // unit-test suite's runtime.
+    fn a_paired_gate_decides_on_the_median_pair_ratio() {
+        // One slow outlier in either arm moves a best-of or a block ratio,
+        // not the median.
+        let pairs = vec![
+            (2.0, 40.0),
+            (1.0, 21.0),
+            (9.0, 18.0),
+            (2.0, 44.0),
+            (1.0, 23.0),
+        ];
+        let runs = PairedRuns::new(pairs);
+        assert_eq!(runs.pairs.len(), 5);
+        assert_eq!(
+            runs.pairs[2],
+            (9.0, 18.0),
+            "pairs are kept in the order run"
+        );
+        assert!((runs.ratio - 21.0).abs() < 1e-12, "{}", runs.ratio);
     }
 
     #[test]

@@ -467,10 +467,29 @@ pub const OVERHEAD_PAIRS: usize = 63;
 /// other.
 #[derive(Debug, Clone)]
 pub struct PairedRuns {
-    /// `(reference, candidate)` Mpps of each pair, in the order run.
+    /// `(reference, candidate)` measurements of each pair, in the order
+    /// run.
     pub pairs: Vec<(f64, f64)>,
     /// Median of the per-pair ratios `candidate / reference`.
     pub ratio: f64,
+}
+
+impl PairedRuns {
+    /// Decides on `pairs`: the median of their `candidate / reference`
+    /// ratios.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pairs` is empty.
+    #[must_use]
+    pub fn new(pairs: Vec<(f64, f64)>) -> Self {
+        let mut ratios: Vec<f64> = pairs.iter().map(|&(r, c)| c / r).collect();
+        ratios.sort_by(f64::total_cmp);
+        Self {
+            ratio: ratios[ratios.len() / 2],
+            pairs,
+        }
+    }
 }
 
 /// Runs `pairs` pairs, the reference arm first in each.
@@ -479,13 +498,7 @@ fn alternate(
     mut reference: impl FnMut() -> f64,
     mut candidate: impl FnMut() -> f64,
 ) -> PairedRuns {
-    let pairs: Vec<(f64, f64)> = (0..pairs).map(|_| (reference(), candidate())).collect();
-    let mut ratios: Vec<f64> = pairs.iter().map(|&(r, c)| c / r).collect();
-    ratios.sort_by(f64::total_cmp);
-    PairedRuns {
-        ratio: ratios[ratios.len() / 2],
-        pairs,
-    }
+    PairedRuns::new((0..pairs).map(|_| (reference(), candidate())).collect())
 }
 
 /// Runs `measure` while `roller` rolls windows over `hub`'s registry, on a

@@ -10,10 +10,9 @@
 //! remote sites; we publish a message burst and compare delivered
 //! throughput, mean latency and drops.
 
-use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, Topic};
+use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, ProxyBus, Topic};
 use sb_netsim::SimTime;
 use sb_types::{Millis, SiteId};
-use std::sync::Arc;
 
 /// Results for one bus topology.
 #[derive(Debug, Clone)]
@@ -79,74 +78,40 @@ pub fn run(config: &Config) -> (BusResult, BusResult) {
     );
     let topic = Topic::with_owner("/control/state", SiteId::new(0));
 
-    // The publish timestamp travels in the payload so per-message latency
-    // is exact even when earlier copies were dropped.
     let publish_time = |i: usize| -> SimTime {
         #[allow(clippy::cast_precision_loss)]
         SimTime::from_millis(i as f64 * config.publish_gap.value())
     };
 
-    let proxy = {
-        let mut bus = ProxyBus::new(topo.clone());
-        let mut subs = Vec::new();
-        for site in 1..config.sites {
-            for _ in 0..config.subscribers_per_site {
-                let s = bus.register_subscriber(SiteId::new(site));
-                bus.subscribe(s, topic.clone());
-                subs.push(s);
+    // One burst on a bus of `$ty`: every delivery's latency is its time
+    // since its own publish, read from the publish's deliveries, so it is
+    // exact even when earlier copies were dropped.
+    macro_rules! burst {
+        ($ty:ty, $name:expr) => {{
+            let mut bus = <$ty>::new(topo.clone());
+            for site in 1..config.sites {
+                for _ in 0..config.subscribers_per_site {
+                    let s = bus.register_subscriber(SiteId::new(site));
+                    bus.subscribe(s, topic.clone());
+                }
             }
-        }
-        for i in 0..config.messages {
-            let at = publish_time(i);
-            bus.publish(
-                at,
-                SiteId::new(0),
-                Message::new(topic.clone(), Arc::new(at.as_nanos())),
-            );
-        }
-        let mut span = Millis::ZERO;
-        let mut latencies = Vec::new();
-        for s in &subs {
-            for (msg, t) in bus.drain(*s) {
-                let published = SimTime::from_nanos(*msg.payload::<u64>().expect("timestamp"));
-                latencies.push(t.since(published).value());
-                span = Millis::new(span.value().max(t.as_millis().value()));
+            let mut span = Millis::ZERO;
+            let mut latencies = Vec::new();
+            for i in 0..config.messages {
+                let at = publish_time(i);
+                bus.publish(at, SiteId::new(0), &topic);
+                for &(_, t) in bus.deliveries() {
+                    latencies.push(t.since(at).value());
+                    span = Millis::new(span.value().max(t.as_millis().value()));
+                }
             }
-        }
-        summarize("switchboard-bus", &latencies, bus.stats().dropped, span)
-    };
-
-    let mesh = {
-        let mut bus = FullMeshBus::new(topo);
-        let mut subs = Vec::new();
-        for site in 1..config.sites {
-            for _ in 0..config.subscribers_per_site {
-                let s = bus.register_subscriber(SiteId::new(site));
-                bus.subscribe(s, topic.clone());
-                subs.push(s);
-            }
-        }
-        for i in 0..config.messages {
-            let at = publish_time(i);
-            bus.publish(
-                at,
-                SiteId::new(0),
-                Message::new(topic.clone(), Arc::new(at.as_nanos())),
-            );
-        }
-        let mut span = Millis::ZERO;
-        let mut latencies = Vec::new();
-        for s in &subs {
-            for (msg, t) in bus.drain(*s) {
-                let published = SimTime::from_nanos(*msg.payload::<u64>().expect("timestamp"));
-                latencies.push(t.since(published).value());
-                span = Millis::new(span.value().max(t.as_millis().value()));
-            }
-        }
-        summarize("full-mesh", &latencies, bus.stats().dropped, span)
-    };
-
-    (proxy, mesh)
+            summarize($name, &latencies, bus.stats().dropped, span)
+        }};
+    }
+    (
+        burst!(ProxyBus, "switchboard-bus"),
+        burst!(FullMeshBus, "full-mesh"),
+    )
 }
 
 fn summarize(name: &'static str, latencies: &[f64], dropped: u64, span: Millis) -> BusResult {

@@ -5,9 +5,10 @@
 //! Local Switchboard). It publishes route announcements and deltas, the
 //! VNF controllers' instance records and the Local Switchboards'
 //! forwarder records, republishing what the fault plan drops, and hands
-//! the verbs the time the last copy arrived. Each message carries the
-//! value the controller keeps, shared, not a copy. Retiring a route drops
-//! the topics named after it.
+//! the verbs the time the last copy arrived. A publish names only its
+//! topic: the controller keeps the value published, and the receivers run
+//! inline, so the bus stores nothing and the verbs read no payload back.
+//! Retiring a route drops the topics named after it.
 
 use crate::chain::{DeploymentReport, InstalledRoute};
 use crate::global::GSB_SITE;
@@ -15,10 +16,10 @@ use crate::install::Install;
 use crate::messages::RouteAnnouncement;
 use crate::reserve::{backoff, Reserve, MAX_RPC_RETRIES, RPC_TIMEOUT};
 use sb_faults::SharedFaultPlan;
-use sb_msgbus::{BusTopology, DelayModel, Message, ProxyBus, SubscriberId, Topic};
+use sb_msgbus::{BusTopology, DelayModel, ProxyBus, SubscriberId, Topic};
 use sb_netsim::SimTime;
 use sb_telemetry::{Counter, Telemetry, TraceRecorder};
-use sb_types::{ChainId, EdgeInstanceId, Error, Millis, Result, SiteId};
+use sb_types::{ChainId, Error, Millis, Result, SiteId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -27,6 +28,8 @@ pub(crate) struct Announce {
     bus: ProxyBus,
     /// One bus endpoint per site (its Local Switchboard).
     site_subs: HashMap<SiteId, SubscriberId>,
+    /// The Global Switchboard's route topic every site listens on.
+    route_topic: Topic,
     tracer: TraceRecorder,
     publish_retries: Counter,
 }
@@ -38,7 +41,8 @@ impl Announce {
     pub(crate) fn new(sites: &[SiteId], delays: DelayModel, hub: &Telemetry) -> Self {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites.to_vec(), delays));
         bus.attach_telemetry(hub);
-        let route_topic = gsb_route_topic();
+        let route_topic =
+            Topic::with_owner(format!("/routes/site_{}_gsb", GSB_SITE.value()), GSB_SITE);
         let mut site_subs = HashMap::new();
         for &s in sites {
             let sub = bus.register_subscriber(s);
@@ -48,6 +52,7 @@ impl Announce {
         Self {
             bus,
             site_subs,
+            route_topic,
             tracer: hub.tracer.clone(),
             publish_retries: hub.registry.counter("cp.publish.retries"),
         }
@@ -65,38 +70,28 @@ impl Announce {
         self.bus.set_fault_plan(plan);
     }
 
-    /// Publishes on the bus and consumes what was delivered, unread. The
-    /// receivers run inline: the code after each publish attaches the
+    /// Publishes on `topic` from `from` at `at`, re-sending with
+    /// exponential backoff while copies are lost under the fault plan.
+    /// Republishing re-sends to every subscriber (at-least-once delivery);
+    /// state messages are idempotent, so duplicates are harmless. Adds the
+    /// WAN copies to `report` and notes a republish or exhausted retries
+    /// there. Returns when the last copy arrived (`at` if none did).
+    ///
+    /// The receivers run inline: the code after each publish attaches the
     /// instances and installs the rules whatever the publish's outcome, so
     /// a site's in-process state is installed even when every copy meant
     /// for it was lost past its retries. Such a loss costs only virtual
-    /// time, WAN copies and a report note; acting on delivered copies
-    /// alone is the receive half of ROADMAP item 3. Only the mailboxes
-    /// this publish delivered to are consumed — every other one is already
-    /// empty — and in place, so steady-state delivery allocates nothing;
-    /// visiting every site's mailbox would cost the update path, whose
-    /// messages reach a few sites, 120 visits.
-    fn publish(&mut self, at: SimTime, from: SiteId, msg: Message) -> sb_msgbus::PublishOutcome {
-        let out = self.bus.publish(at, from, msg);
-        self.bus.discard_delivered();
-        out
-    }
-
-    /// Publishes `msg` from `from` at `at`, re-sending with exponential
-    /// backoff while copies are lost under the fault plan. Republishing
-    /// re-sends to every subscriber (at-least-once delivery); state
-    /// messages are idempotent, so duplicates are harmless. Adds the WAN
-    /// copies to `report` and notes a republish or exhausted retries
-    /// there. Returns when the last copy arrived (`at` if none did).
+    /// time, WAN copies and a report note; acting on the bus's deliveries
+    /// alone is the receive half of ROADMAP item 3.
     fn publish_with_retry(
         &mut self,
         at: SimTime,
         from: SiteId,
-        msg: Message,
+        topic: &Topic,
         what: &str,
         report: &mut DeploymentReport,
     ) -> SimTime {
-        let first = self.publish(at, from, msg.clone());
+        let first = self.bus.publish(at, from, topic);
         let (mut wan, mut last) = (first.wan_copies, first.last_delivery);
         if first.dropped > 0 || first.delivered == 0 {
             let mut extra = Millis::ZERO;
@@ -110,7 +105,7 @@ impl Announce {
                     (at + extra).as_nanos(),
                     &[("what", what), ("attempt", &(attempt + 1).to_string())],
                 );
-                let retry = self.publish(at + extra, from, msg.clone());
+                let retry = self.bus.publish(at + extra, from, topic);
                 wan += retry.wan_copies;
                 last = last.max(retry.last_delivery);
                 if retry.dropped == 0 && retry.delivered > 0 {
@@ -140,12 +135,10 @@ impl Announce {
         at: SimTime,
         report: &mut DeploymentReport,
     ) -> SimTime {
-        let route_topic = gsb_route_topic();
+        let (topic, what) = (self.route_topic.clone(), "route announcement");
         let mut done = at;
-        for ann in announcements {
-            let msg = Message::new(route_topic.clone(), Arc::clone(ann));
-            done =
-                done.max(self.publish_with_retry(at, GSB_SITE, msg, "route announcement", report));
+        for _ in announcements {
+            done = done.max(self.publish_with_retry(at, GSB_SITE, &topic, what, report));
         }
         done
     }
@@ -155,12 +148,10 @@ impl Announce {
     /// [`Topic::route_delta`] topic. The topic is owned by the affected
     /// site itself, so each publish costs at most one WAN copy — unlike
     /// the chain-wide `/routes/site_<gsb>_gsb` replication topic every
-    /// site subscribes to. Every site's message shares the one `payload`.
-    /// Returns when the last copy arrived.
+    /// site subscribes to. Returns when the last copy arrived.
     pub(crate) fn route_deltas(
         &mut self,
         chain: ChainId,
-        payload: Arc<Vec<Arc<RouteAnnouncement>>>,
         affected: &[SiteId],
         what: &str,
         at: SimTime,
@@ -173,8 +164,7 @@ impl Announce {
             };
             let topic = Topic::route_delta(chain.value() as u32, site);
             self.bus.subscribe(sub, topic.clone());
-            let msg = Message::new(topic, Arc::clone(&payload));
-            done = done.max(self.publish_with_retry(at, GSB_SITE, msg, what, report));
+            done = done.max(self.publish_with_retry(at, GSB_SITE, &topic, what, report));
         }
         done
     }
@@ -202,13 +192,12 @@ impl Announce {
                 let ctl = reserve
                     .controller(vnf)
                     .ok_or_else(|| Error::unknown("vnf", vnf))?;
-                let records = Arc::new(ctl.instances_at(site));
+                let records = ctl.instances_at(site);
                 let inst_topic = Topic::vnf_instances(label, egress, vnf.value(), site);
                 self.bus
                     .subscribe(self.site_subs[&site], inst_topic.clone());
-                let msg = Message::new(inst_topic, Arc::clone(&records));
-                let home = ctl.home_site();
-                done = done.max(self.publish_with_retry(at, home, msg, "instance records", report));
+                let (home, what) = (ctl.home_site(), "instance records");
+                done = done.max(self.publish_with_retry(at, home, &inst_topic, what, report));
 
                 let fwd_records = Arc::new(install.attach_instances(site, vnf, &records));
                 // Publish forwarder records on the Figure 6 topic; the
@@ -223,9 +212,8 @@ impl Announce {
                 for n in neighbors.into_iter().flatten() {
                     self.bus.subscribe(self.site_subs[&n], fwd_topic.clone());
                 }
-                let msg = Message::new(fwd_topic, Arc::clone(&fwd_records));
-                done =
-                    done.max(self.publish_with_retry(at, site, msg, "forwarder records", report));
+                let what = "forwarder records";
+                done = done.max(self.publish_with_retry(at, site, &fwd_topic, what, report));
                 stages.push(fwd_records);
             }
             routes.push(InstalledRoute {
@@ -255,16 +243,16 @@ impl Announce {
             ann.sites[0],
         );
         self.bus.subscribe(self.site_subs[&site], topic.clone());
-        let msg = Message::new(topic, Arc::clone(&route.stages[0]));
-        self.publish_with_retry(at, ann.sites[0], msg, "first VNF forwarder info", report)
+        let what = "first VNF forwarder info";
+        self.publish_with_retry(at, ann.sites[0], &topic, what, report)
     }
 
     /// Edge-site addition, step 4: the first VNF's site `first_site`
-    /// receives the edge instance `edge` added to `chain` at `site`, in a
-    /// one-way publish from `site`. Returns when it arrived.
+    /// receives the edge instance added to `chain` at `site`, in a one-way
+    /// publish from `site`. Returns when it arrived.
     pub(crate) fn edge_info(
         &mut self,
-        (chain, site, edge): (ChainId, SiteId, EdgeInstanceId),
+        (chain, site): (ChainId, SiteId),
         first_site: SiteId,
         at: SimTime,
         report: &mut DeploymentReport,
@@ -272,8 +260,7 @@ impl Announce {
         let topic = edge_topic(chain, site);
         self.bus
             .subscribe(self.site_subs[&first_site], topic.clone());
-        let msg = Message::new(topic, Arc::new(edge));
-        self.publish_with_retry(at, site, msg, "edge forwarder info", report)
+        self.publish_with_retry(at, site, &topic, "edge forwarder info", report)
     }
 
     /// Drops a retired route's bus state: the `vnf_instances` /
@@ -306,13 +293,6 @@ impl Announce {
     }
 }
 
-/// The chain-wide replication topic: owned by the Global Switchboard's
-/// site, subscribed by every Local Switchboard for the control plane's
-/// whole life.
-fn gsb_route_topic() -> Topic {
-    Topic::with_owner(format!("/routes/site_{}_gsb", GSB_SITE.value()), GSB_SITE)
-}
-
 /// The topic an edge site added to `chain` publishes its forwarder info
 /// on; the chain's first VNF sites subscribe.
 fn edge_topic(chain: ChainId, site: SiteId) -> Topic {
@@ -327,12 +307,5 @@ impl Announce {
     /// The bus.
     pub(crate) fn bus(&self) -> &ProxyBus {
         &self.bus
-    }
-
-    /// Undelivered messages in each site's mailbox.
-    pub(crate) fn pending(&self) -> impl Iterator<Item = (SiteId, usize)> + '_ {
-        self.site_subs
-            .iter()
-            .map(|(&site, &sub)| (site, self.bus.pending(sub)))
     }
 }

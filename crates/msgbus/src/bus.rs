@@ -12,23 +12,15 @@
 //!   messages — the mechanism behind full-mesh's order-of-magnitude worse
 //!   latency in Figure 9.
 //!
-//! # A message is stored once
+//! # A publish keeps nothing
 //!
 //! The copies the two topologies differ in are *wire* copies, counted in
-//! [`BusStats`]. In memory each publish moves its [`Message`] into one
-//! bus-owned *slot*, which also counts the mailbox entries naming it. A
-//! mailbox entry is a `(slot, delivery time)` pair, so delivering a copy
-//! and consuming one are a plain count, not a clone and a drop of the
-//! message's shared topic and payload. A slot nothing names is freed for
-//! the next publish. [`drain`](ProxyBus::drain) hands a subscriber its
-//! messages in delivery-time order, moving each out of its slot with the
-//! slot's last entry and cloning it for any other;
-//! [`discard_delivered`](ProxyBus::discard_delivered) consumes in place,
-//! keeping their buffers, exactly the mailboxes the last publish delivered
-//! to — for subscribers that act on each delivery as it happens and have
-//! nothing left to read, so the other mailboxes are not visited. A mailbox
-//! nobody consumes grows with every message ever sent, and so does the
-//! slot table ([`stored_messages`](ProxyBus::stored_messages)).
+//! [`BusStats`]. What reaches the subscribers is the list of deliveries
+//! the last publish made, [`deliveries`](ProxyBus::deliveries): one
+//! `(subscriber, delivery time)` pair per delivered copy, a duplicated
+//! copy twice. The bus stores no message: the publisher holds the value it
+//! published, and the list says who got it and when. The list's buffer is
+//! reused by the next publish, so steady-state delivery allocates nothing.
 //!
 //! Subscription filters live exactly as long as they have a subscriber: the
 //! `unsubscribe` that empties a topic's set removes the topic, and
@@ -36,7 +28,6 @@
 //! gone together with all its filters.
 
 use crate::delay::DelayModel;
-use crate::message::Message;
 use crate::topic::Topic;
 use sb_faults::{MessageFate, SharedFaultPlan};
 use sb_netsim::SimTime;
@@ -110,7 +101,7 @@ impl BusTopology {
 pub struct BusStats {
     /// `publish` calls.
     pub published: u64,
-    /// Deliveries into subscriber mailboxes.
+    /// Copies delivered to subscribers.
     pub delivered: u64,
     /// Copies dropped at a full uplink queue.
     pub dropped: u64,
@@ -133,7 +124,7 @@ pub struct BusStats {
 /// The outcome of a single publish.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PublishOutcome {
-    /// Subscribers that received the message.
+    /// Copies delivered to subscribers; a duplicated copy counts twice.
     pub delivered: usize,
     /// Copies dropped before reaching any subscriber.
     pub dropped: usize,
@@ -220,104 +211,18 @@ impl BusTelemetry {
     }
 }
 
-/// A bus-owned home of one published message: the message, while some
-/// mailbox entry names it, and how many do.
-#[derive(Debug, Clone)]
-struct Slot {
-    msg: Option<Message>,
-    entries: usize,
-}
-
-/// Every published message some mailbox still holds, each once, indexed
-/// by slot. Freed slots are reused before the table grows.
-#[derive(Debug, Clone, Default)]
-struct SlotTable {
-    slots: Vec<Slot>,
-    free: Vec<usize>,
-}
-
-impl SlotTable {
-    /// Moves a publish's `msg` into a slot, named by no entry yet.
-    fn store(&mut self, msg: Message) -> usize {
-        let slot = Slot {
-            msg: Some(msg),
-            entries: 0,
-        };
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = slot;
-                i
-            }
-            None => {
-                self.slots.push(slot);
-                self.slots.len() - 1
-            }
-        }
-    }
-
-    /// The message in `slot`.
-    fn message(&self, slot: usize) -> &Message {
-        self.slots[slot]
-            .msg
-            .as_ref()
-            .expect("a named slot holds its message")
-    }
-
-    /// One more mailbox entry names `slot`.
-    fn name(&mut self, slot: usize) {
-        self.slots[slot].entries += 1;
-    }
-
-    /// Frees `slot` when no entry names it.
-    fn settle(&mut self, slot: usize) {
-        if self.slots[slot].entries == 0 {
-            self.slots[slot].msg = None;
-            self.free.push(slot);
-        }
-    }
-
-    /// Removes one entry naming `slot` and returns its message when that
-    /// was the last entry, freeing the slot; `None` while other entries
-    /// still name it.
-    fn release(&mut self, slot: usize) -> Option<Message> {
-        let s = &mut self.slots[slot];
-        s.entries -= 1;
-        if s.entries > 0 {
-            return None;
-        }
-        self.free.push(slot);
-        s.msg.take()
-    }
-
-    /// [`release`](Self::release), handing out the message either way: moved
-    /// out with the last entry, cloned for any other.
-    fn take(&mut self, slot: usize) -> Message {
-        match self.release(slot) {
-            Some(last) => last,
-            None => self.message(slot).clone(),
-        }
-    }
-
-    /// Slots holding a message.
-    fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-}
-
 /// Shared machinery of both bus topologies.
 #[derive(Debug, Clone)]
 struct BusCore {
     topo: BusTopology,
     sub_sites: Vec<SiteId>,
     subscriptions: HashMap<Topic, BTreeSet<SubscriberId>>,
-    slots: SlotTable,
-    /// Per subscriber, in delivery order: the message's slot and its
-    /// delivery time.
-    mailboxes: Vec<Vec<(usize, SimTime)>>,
     /// A publish's `(site, subscriber)` fan-out list, kept between
-    /// publishes so its buffer is reused. After a publish it lists exactly
-    /// the subscribers that publish delivered to.
+    /// publishes so its buffer is reused.
     fanout: Vec<(SiteId, SubscriberId)>,
+    /// The copies the last publish delivered, in the order it made them,
+    /// kept between publishes so its buffer is reused.
+    deliveries: Vec<(SubscriberId, SimTime)>,
     /// Uplink busy-until per site.
     uplink_busy: HashMap<SiteId, SimTime>,
     stats: BusStats,
@@ -333,9 +238,8 @@ impl BusCore {
             topo,
             sub_sites: Vec::new(),
             subscriptions: HashMap::new(),
-            slots: SlotTable::default(),
-            mailboxes: Vec::new(),
             fanout: Vec::new(),
+            deliveries: Vec::new(),
             uplink_busy: HashMap::new(),
             stats: BusStats::default(),
             faults: None,
@@ -416,7 +320,6 @@ impl BusCore {
     fn register_subscriber(&mut self, site: SiteId) -> SubscriberId {
         let id = SubscriberId(self.sub_sites.len() as u64);
         self.sub_sites.push(site);
-        self.mailboxes.push(Vec::new());
         id
     }
 
@@ -463,43 +366,28 @@ impl BusCore {
         Some(departure)
     }
 
-    /// Narrows a publish's `fanout` to the subscribers the message in
-    /// `slot` reached, when a copy was lost (`lossy`) — a mailbox it
-    /// reached ends with its payload. Without a loss every subscriber was
-    /// reached. A republish shares its payload with the first attempt, so
-    /// this tells them apart only for a subscriber that consumed the
-    /// earlier copy.
-    fn keep_reached(&self, fanout: &mut Vec<(SiteId, SubscriberId)>, slot: usize, lossy: bool) {
-        if lossy {
-            let msg = self.slots.message(slot);
-            fanout.retain(|&(_, sub)| {
-                self.mailboxes[sub.0 as usize]
-                    .last()
-                    .is_some_and(|&(s, _)| self.slots.message(s).shares_payload(msg))
-            });
+    /// Starts a publish at `at` from `from_site`: counts it and clears the
+    /// last publish's deliveries. Returns `false`, counting the suppressed
+    /// copy, when `from_site` is crashed: such a publish goes nowhere.
+    fn begin(&mut self, at: SimTime, from_site: SiteId) -> bool {
+        self.stats.published += 1;
+        self.deliveries.clear();
+        if self.site_down(at, from_site) {
+            self.note_crash_suppressed(1);
+            return false;
         }
+        true
     }
 
-    fn deliver(&mut self, sub: SubscriberId, slot: usize, at: SimTime) {
-        self.mailboxes[sub.0 as usize].push((slot, at));
-        self.slots.name(slot);
-        self.stats.delivered += 1;
-    }
-
-    fn drain(&mut self, sub: SubscriberId) -> Vec<(Message, SimTime)> {
-        let inbox = &mut self.mailboxes[sub.0 as usize];
-        inbox.sort_by_key(|&(_, t)| t);
-        let slots = &mut self.slots;
-        inbox.drain(..).map(|(slot, t)| (slots.take(slot), t)).collect()
-    }
-
-    /// Consumes the mailboxes the last publish delivered to, unread,
-    /// keeping their buffers.
-    fn discard_delivered(&mut self) {
-        for &(_, sub) in &self.fanout {
-            for (slot, _) in self.mailboxes[sub.0 as usize].drain(..) {
-                self.slots.release(slot);
-            }
+    /// Ends a publish: its outcome, with the deliveries it made.
+    fn finish(&mut self, dropped: usize, wan_copies: usize) -> PublishOutcome {
+        self.stats.delivered += self.deliveries.len() as u64;
+        self.sync_telemetry();
+        PublishOutcome {
+            delivered: self.deliveries.len(),
+            dropped,
+            wan_copies,
+            last_delivery: self.deliveries.iter().map(|&(_, t)| t).max(),
         }
     }
 }
@@ -534,33 +422,13 @@ macro_rules! shared_bus_api {
             self.core.subscriptions.len()
         }
 
-        /// Takes all messages delivered to `sub` so far, ordered by
-        /// delivery time.
+        /// The copies the last publish delivered, as `(subscriber,
+        /// delivery time)` in the order the bus made them (see `publish`);
+        /// a duplicated copy appears twice. Empty after a publish from a
+        /// crashed site.
         #[must_use]
-        pub fn drain(&mut self, sub: SubscriberId) -> Vec<(Message, SimTime)> {
-            self.core.drain(sub)
-        }
-
-        /// Consumes every mailbox the last publish delivered to, and no
-        /// other, without reading them and keeping their buffers for the
-        /// next deliveries: for subscribers that act on each message as it
-        /// is delivered.
-        pub fn discard_delivered(&mut self) {
-            self.core.discard_delivered();
-        }
-
-        /// Messages delivered to `sub` and not yet consumed.
-        #[must_use]
-        pub fn pending(&self, sub: SubscriberId) -> usize {
-            self.core.mailboxes[sub.0 as usize].len()
-        }
-
-        /// Published messages some mailbox still holds, each counted once
-        /// however many mailboxes hold it: zero once every mailbox is
-        /// consumed.
-        #[must_use]
-        pub fn stored_messages(&self) -> usize {
-            self.core.slots.len()
+        pub fn deliveries(&self) -> &[(SubscriberId, SimTime)] {
+            &self.core.deliveries
         }
 
         /// Aggregate counters.
@@ -610,35 +478,23 @@ impl ProxyBus {
 
     shared_bus_api!();
 
-    /// Publishes `msg` from `from_site` at virtual time `at`.
+    /// Publishes on `topic` from `from_site` at virtual time `at`.
     ///
     /// The subscribers are grouped by site in a list the bus keeps between
     /// publishes, sorted by site and, within a site, by subscriber; each
     /// hop's arrivals are held inline, so a publish allocates nothing per
     /// site. Sites are visited in ascending order, which fixes the order of
-    /// deliveries and of fault-plan draws.
-    pub fn publish(&mut self, at: SimTime, from_site: SiteId, msg: Message) -> PublishOutcome {
-        self.core.stats.published += 1;
-        let local = self.core.topo.delays.local();
-        let owner = msg.topic().owner();
-
-        let mut outcome = PublishOutcome {
-            delivered: 0,
-            dropped: 0,
-            wan_copies: 0,
-            last_delivery: None,
-        };
-
-        // A publish from a crashed site goes nowhere.
-        if self.core.site_down(at, from_site) {
-            self.core.note_crash_suppressed(1);
-            self.core.fanout.clear();
-            self.core.sync_telemetry();
-            return outcome;
+    /// [`deliveries`](Self::deliveries) — ascending site, then ascending
+    /// subscriber, once per relay copy that reached the topic's owner — and
+    /// of fault-plan draws.
+    pub fn publish(&mut self, at: SimTime, from_site: SiteId, topic: &Topic) -> PublishOutcome {
+        if !self.core.begin(at, from_site) {
+            return self.core.finish(0, 0);
         }
-        let suppressed = self.core.stats.crash_suppressed;
-        self.core.fill_fanout(msg.topic());
-        let slot = self.core.slots.store(msg);
+        let (mut dropped, mut wan_copies) = (0, 0);
+        let local = self.core.topo.delays.local();
+        let owner = topic.owner();
+        self.core.fill_fanout(topic);
 
         // Publisher -> its own proxy.
         let t0 = at + local;
@@ -650,8 +506,8 @@ impl ProxyBus {
             Arrivals::one(t0)
         } else {
             let (arrivals, lost) = self.core.wan_hop(t0, from_site, owner);
-            outcome.wan_copies += arrivals.len;
-            outcome.dropped += lost;
+            wan_copies += arrivals.len;
+            dropped += lost;
             arrivals
         };
 
@@ -674,8 +530,8 @@ impl ProxyBus {
                     Arrivals::one(t)
                 } else {
                     let (arrivals, lost) = self.core.wan_hop(t, owner, site);
-                    outcome.wan_copies += arrivals.len;
-                    outcome.dropped += lost * group.len();
+                    wan_copies += arrivals.len;
+                    dropped += lost * group.len();
                     arrivals
                 };
                 for &arrival in arrivals.as_slice() {
@@ -684,25 +540,14 @@ impl ProxyBus {
                         self.core.note_crash_suppressed(1);
                         continue;
                     }
-                    for &(_, sub) in group {
-                        let deliver_at = arrival + local;
-                        self.core.deliver(sub, slot, deliver_at);
-                        outcome.delivered += 1;
-                        outcome.last_delivery = Some(
-                            outcome
-                                .last_delivery
-                                .map_or(deliver_at, |t: SimTime| t.max(deliver_at)),
-                        );
-                    }
+                    let deliver_at = arrival + local;
+                    let reached = group.iter().map(|&(_, sub)| (sub, deliver_at));
+                    self.core.deliveries.extend(reached);
                 }
             }
         }
-        let lossy = outcome.dropped > 0 || self.core.stats.crash_suppressed != suppressed;
-        self.core.keep_reached(&mut fanout, slot, lossy);
-        self.core.slots.settle(slot);
         self.core.fanout = fanout;
-        self.core.sync_telemetry();
-        outcome
+        self.core.finish(dropped, wan_copies)
     }
 }
 
@@ -724,40 +569,26 @@ impl FullMeshBus {
 
     shared_bus_api!();
 
-    /// Publishes `msg` from `from_site` at virtual time `at`: one copy per
-    /// subscriber, all through `from_site`'s uplink.
-    pub fn publish(&mut self, at: SimTime, from_site: SiteId, msg: Message) -> PublishOutcome {
-        self.core.stats.published += 1;
-        let local = self.core.topo.delays.local();
-
-        let mut outcome = PublishOutcome {
-            delivered: 0,
-            dropped: 0,
-            wan_copies: 0,
-            last_delivery: None,
-        };
-
-        // A publish from a crashed site goes nowhere.
-        if self.core.site_down(at, from_site) {
-            self.core.note_crash_suppressed(1);
-            self.core.fanout.clear();
-            self.core.sync_telemetry();
-            return outcome;
+    /// Publishes on `topic` from `from_site` at virtual time `at`: one
+    /// copy per subscriber, all through `from_site`'s uplink, in ascending
+    /// subscriber order — the order of [`deliveries`](Self::deliveries) and
+    /// of fault-plan draws.
+    pub fn publish(&mut self, at: SimTime, from_site: SiteId, topic: &Topic) -> PublishOutcome {
+        if !self.core.begin(at, from_site) {
+            return self.core.finish(0, 0);
         }
-        let suppressed = self.core.stats.crash_suppressed;
-
-        self.core.fill_fanout(msg.topic());
-        let slot = self.core.slots.store(msg);
-        let mut fanout = std::mem::take(&mut self.core.fanout);
+        let (mut dropped, mut wan_copies) = (0, 0);
+        let t = at + self.core.topo.delays.local();
+        self.core.fill_fanout(topic);
+        let fanout = std::mem::take(&mut self.core.fanout);
         for &(site, sub) in &fanout {
-            let t = at + local;
             let arrivals = if site == from_site {
                 self.core.stats.local_messages += 1;
                 Arrivals::one(t)
             } else {
                 let (arrivals, lost) = self.core.wan_hop(t, from_site, site);
-                outcome.wan_copies += arrivals.len;
-                outcome.dropped += lost;
+                wan_copies += arrivals.len;
+                dropped += lost;
                 arrivals
             };
             for &arrival in arrivals.as_slice() {
@@ -766,28 +597,17 @@ impl FullMeshBus {
                     self.core.note_crash_suppressed(1);
                     continue;
                 }
-                self.core.deliver(sub, slot, arrival);
-                outcome.delivered += 1;
-                outcome.last_delivery = Some(
-                    outcome
-                        .last_delivery
-                        .map_or(arrival, |t: SimTime| t.max(arrival)),
-                );
+                self.core.deliveries.push((sub, arrival));
             }
         }
-        let lossy = outcome.dropped > 0 || self.core.stats.crash_suppressed != suppressed;
-        self.core.keep_reached(&mut fanout, slot, lossy);
-        self.core.slots.settle(slot);
         self.core.fanout = fanout;
-        self.core.sync_telemetry();
-        outcome
+        self.core.finish(dropped, wan_copies)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn sites(n: u32) -> Vec<SiteId> {
         (0..n).map(SiteId::new).collect()
@@ -797,8 +617,18 @@ mod tests {
         DelayModel::uniform(Millis::new(0.1), Millis::new(40.0))
     }
 
-    fn msg(owner: u32) -> Message {
-        Message::new(Topic::with_owner("/t", SiteId::new(owner)), Arc::new(owner))
+    /// `/t`, owned by site `owner`.
+    fn topic(owner: u32) -> Topic {
+        Topic::with_owner("/t", SiteId::new(owner))
+    }
+
+    /// When the last publish delivered to `sub`, once per copy.
+    fn times_of(deliveries: &[(SubscriberId, SimTime)], sub: SubscriberId) -> Vec<SimTime> {
+        deliveries
+            .iter()
+            .filter(|&&(s, _)| s == sub)
+            .map(|&(_, t)| t)
+            .collect()
     }
 
     #[test]
@@ -808,26 +638,29 @@ mod tests {
         let mut subs = Vec::new();
         for site in [1u32, 1, 1, 2, 2, 0] {
             let s = bus.register_subscriber(SiteId::new(site));
-            bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+            bus.subscribe(s, topic(0));
             subs.push(s);
         }
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!(out.delivered, 6);
         assert_eq!(out.wan_copies, 2, "one copy per remote site");
         assert_eq!(out.dropped, 0);
         // Remote delivery: local + wan + local = 40.2ms; local-only: 0.2ms.
-        let inbox = bus.drain(subs[0]);
-        assert_eq!(inbox[0].1, SimTime::from_millis(40.2));
-        let local_inbox = bus.drain(subs[5]);
-        assert_eq!(local_inbox[0].1, SimTime::from_millis(0.2));
+        let got = bus.deliveries();
+        assert_eq!(times_of(got, subs[0]), [SimTime::from_millis(40.2)]);
+        assert_eq!(times_of(got, subs[5]), [SimTime::from_millis(0.2)]);
+        // Ascending site, then ascending subscriber.
+        let order: Vec<SubscriberId> = got.iter().map(|&(s, _)| s).collect();
+        let expected = [5, 0, 1, 2, 3, 4].map(|i| subs[i]);
+        assert_eq!(order, expected);
     }
 
     #[test]
     fn site_without_subscribers_receives_nothing() {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
         let s = bus.register_subscriber(SiteId::new(1));
-        bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        bus.subscribe(s, topic(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         // Only one WAN copy although three sites exist.
         assert_eq!(out.wan_copies, 1);
         assert_eq!(bus.stats().wan_messages, 1);
@@ -838,9 +671,9 @@ mod tests {
         let mut bus = FullMeshBus::new(BusTopology::unbounded(sites(2), delays()));
         for _ in 0..5 {
             let s = bus.register_subscriber(SiteId::new(1));
-            bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+            bus.subscribe(s, topic(0));
         }
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!(out.delivered, 5);
         assert_eq!(out.wan_copies, 5);
     }
@@ -850,51 +683,42 @@ mod tests {
         // Serialization 10ms, queue cap 3.
         let topo = BusTopology::bounded(sites(2), delays(), Millis::new(10.0), 3);
         let mut bus = FullMeshBus::new(topo);
-        let mut subs = Vec::new();
         for _ in 0..6 {
             let s = bus.register_subscriber(SiteId::new(1));
-            bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
-            subs.push(s);
+            bus.subscribe(s, topic(0));
         }
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         // First copy transmits immediately, then the queue holds 3; the
         // remaining copies drop.
         assert!(out.dropped >= 2, "expected drops, got {out:?}");
         assert!(out.delivered <= 4);
         // Delivered copies show increasing queueing delay.
-        let times: Vec<_> = subs
-            .iter()
-            .flat_map(|&s| bus.drain(s))
-            .map(|(_, t)| t)
-            .collect();
-        let mut sorted = times.clone();
-        sorted.sort();
-        assert!(sorted.windows(2).all(|w| w[1] > w[0]), "{sorted:?}");
+        let times: Vec<_> = bus.deliveries().iter().map(|&(_, t)| t).collect();
+        assert!(times.windows(2).all(|w| w[1] > w[0]), "{times:?}");
+        assert_eq!(times.last().copied(), out.last_delivery);
     }
 
     #[test]
     fn proxy_remote_publisher_relays_via_owner() {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
         let s = bus.register_subscriber(SiteId::new(2));
-        bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+        bus.subscribe(s, topic(0));
         // Publisher at site 1, owner site 0, subscriber site 2: two WAN hops.
-        let out = bus.publish(SimTime::ZERO, SiteId::new(1), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(1), &topic(0));
         assert_eq!(out.wan_copies, 2);
-        let inbox = bus.drain(s);
         // local + wan + wan + local = 80.2 ms.
-        assert_eq!(inbox[0].1, SimTime::from_millis(80.2));
+        assert_eq!(bus.deliveries(), [(s, SimTime::from_millis(80.2))]);
     }
 
     #[test]
     fn unsubscribe_stops_delivery() {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites(2), delays()));
         let s = bus.register_subscriber(SiteId::new(1));
-        let topic = Topic::with_owner("/t", SiteId::new(0));
-        bus.subscribe(s, topic.clone());
-        bus.unsubscribe(s, &topic);
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        bus.subscribe(s, topic(0));
+        bus.unsubscribe(s, &topic(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!(out.delivered, 0);
-        assert!(bus.drain(s).is_empty());
+        assert!(bus.deliveries().is_empty());
     }
 
     #[test]
@@ -902,7 +726,7 @@ mod tests {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites(2), delays()));
         let a = bus.register_subscriber(SiteId::new(0));
         let b = bus.register_subscriber(SiteId::new(1));
-        let topic = Topic::with_owner("/t", SiteId::new(0));
+        let topic = topic(0);
         bus.subscribe(a, topic.clone());
         bus.subscribe(b, topic.clone());
         assert_eq!(bus.topic_count(), 1);
@@ -919,153 +743,67 @@ mod tests {
         assert!(!bus.remove_topic(&topic));
         assert_eq!(bus.topic_count(), 0);
         assert_eq!(
-            bus.publish(SimTime::ZERO, SiteId::new(0), msg(0)).delivered,
+            bus.publish(SimTime::ZERO, SiteId::new(0), &topic).delivered,
             0
         );
     }
 
-    /// Six subscribers at three sites, as `proxy_delivers_single_wan_copy_per_site`.
-    fn six_subscribers(mut register: impl FnMut(SiteId) -> SubscriberId) -> Vec<SubscriberId> {
-        [1u32, 1, 1, 2, 2, 0]
-            .into_iter()
-            .map(|site| register(SiteId::new(site)))
-            .collect()
-    }
-
-    /// Every mailbox holds one entry, and all of them name the one slot
-    /// that holds the message.
-    fn assert_stored_once(core: &BusCore, subs: &[SubscriberId]) {
-        let first = core.mailboxes[subs[0].0 as usize][0].0;
-        for s in subs {
-            let inbox = &core.mailboxes[s.0 as usize];
-            assert_eq!(inbox.len(), 1);
-            assert_eq!(inbox[0].0, first, "{s} holds its own copy");
-        }
-        assert_eq!(core.slots.len(), 1);
-        assert_eq!(core.slots.slots[first].entries, subs.len());
-    }
-
     #[test]
-    fn a_publish_is_stored_once_however_many_mailboxes_hold_it() {
-        let topic = Topic::with_owner("/t", SiteId::new(0));
-        let mut proxy = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
-        let subs = six_subscribers(|site| proxy.register_subscriber(site));
-        for &s in &subs {
-            proxy.subscribe(s, topic.clone());
-        }
-        let out = proxy.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        assert_eq!((out.delivered, out.wan_copies), (6, 2));
-        assert_stored_once(&proxy.core, &subs);
-
-        let mut mesh = FullMeshBus::new(BusTopology::unbounded(sites(3), delays()));
-        let subs = six_subscribers(|site| mesh.register_subscriber(site));
-        for &s in &subs {
-            mesh.subscribe(s, topic.clone());
-        }
-        let out = mesh.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        assert_eq!((out.delivered, out.wan_copies), (6, 5));
-        assert_stored_once(&mesh.core, &subs);
-        for s in subs {
-            let _ = mesh.drain(s);
-        }
-        assert_eq!(mesh.stored_messages(), 0, "draining frees the slot");
-    }
-
-    #[test]
-    fn sharing_changes_neither_what_drain_returns_nor_the_stats() {
-        let topic = Topic::with_owner("/t", SiteId::new(0));
+    fn deliveries_list_the_last_publish_only_in_a_reused_buffer() {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
-        let subs = six_subscribers(|site| bus.register_subscriber(site));
+        let on_t = bus.register_subscriber(SiteId::new(1));
+        let on_u = bus.register_subscriber(SiteId::new(2));
+        let u = Topic::with_owner("/u", SiteId::new(2));
+        bus.subscribe(on_t, topic(0));
+        bus.subscribe(on_u, u.clone());
+        bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
+        assert_eq!(bus.deliveries(), [(on_t, SimTime::from_millis(40.2))]);
+        let buffer = bus.core.deliveries.as_ptr();
+        bus.publish(SimTime::ZERO, SiteId::new(2), &u);
+        assert_eq!(bus.deliveries(), [(on_u, SimTime::from_millis(0.2))]);
+        assert_eq!(bus.core.deliveries.as_ptr(), buffer, "the buffer is reused");
+        bus.publish(
+            SimTime::ZERO,
+            SiteId::new(0),
+            &Topic::with_owner("/v", SiteId::new(0)),
+        );
+        assert!(bus.deliveries().is_empty(), "nobody listens on /v");
+        assert_eq!(bus.stats().delivered, 2);
+    }
+
+    #[test]
+    fn every_subscriber_gets_each_duplicated_copy() {
+        // Every WAN copy is doubled: a remote subscriber gets two copies.
+        let spec = sb_faults::FaultSpec::new(3).with_duplicate_probability(1.0);
+        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
+        bus.set_fault_plan(sb_faults::shared(sb_faults::FaultPlan::new(spec)));
+        let subs: Vec<_> = [0, 1, 1, 2]
+            .into_iter()
+            .map(|s| bus.register_subscriber(SiteId::new(s)))
+            .collect();
         for &s in &subs {
-            bus.subscribe(s, topic.clone());
+            bus.subscribe(s, topic(0));
         }
-        let late = Message::new(topic.clone(), Arc::new("late"));
-        let early = Message::new(topic, Arc::new("early"));
-        bus.publish(SimTime::from_millis(100.0), SiteId::new(0), late);
-        bus.publish(SimTime::ZERO, SiteId::new(0), early);
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!(
-            bus.stats(),
-            BusStats {
-                published: 2,
-                delivered: 12,
-                wan_messages: 4,
-                // Per publish: publisher -> own proxy, and the owner-site fan-out.
-                local_messages: 4,
-                ..BusStats::default()
-            }
+            out.delivered, 7,
+            "one local copy and two per remote subscriber"
         );
-        for &s in &subs {
-            assert_eq!(bus.pending(s), 2);
-            let inbox = bus.drain(s);
-            let order: Vec<&str> = inbox.iter().map(|(m, _)| *m.payload().unwrap()).collect();
-            assert_eq!(order, ["early", "late"], "{s}: ordered by delivery time");
-            assert_eq!(bus.pending(s), 0);
-        }
-    }
-
-    #[test]
-    fn discard_consumes_in_place() {
-        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(2), delays()));
-        let s = bus.register_subscriber(SiteId::new(1));
-        bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
-        for _ in 0..3 {
-            bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        }
-        let held = bus.core.mailboxes[s.0 as usize].capacity();
-        assert_eq!(bus.pending(s), 3);
-        bus.discard_delivered();
-        assert_eq!(bus.pending(s), 0);
-        assert_eq!(bus.core.mailboxes[s.0 as usize].capacity(), held);
-        assert!(bus.drain(s).is_empty());
-        assert_eq!(bus.stored_messages(), 0, "discarding frees every slot");
-        assert_eq!(bus.stats().delivered, 3, "consuming is not un-delivering");
-    }
-
-    /// A message on `/u`, owned by and published at `site`: a local hop,
-    /// never faulted.
-    fn local_msg(site: u32) -> (Topic, Message) {
-        let topic = Topic::with_owner("/u", SiteId::new(site));
-        (topic.clone(), Message::new(topic, Arc::new(site)))
-    }
-
-    #[test]
-    fn discard_delivered_consumes_exactly_the_last_publishs_mailboxes() {
-        let (other, pending_msg) = local_msg(2);
-        let mut proxy = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
-        let mut mesh = FullMeshBus::new(BusTopology::unbounded(sites(3), delays()));
-        let proxy_subs = six_subscribers(|site| proxy.register_subscriber(site));
-        let mesh_subs = six_subscribers(|site| mesh.register_subscriber(site));
-        // The last subscriber listens on `/u` only and holds one message.
-        let topic = Topic::with_owner("/t", SiteId::new(0));
-        for (&s, &m) in proxy_subs.iter().zip(&mesh_subs).take(5) {
-            proxy.subscribe(s, topic.clone());
-            mesh.subscribe(m, topic.clone());
-        }
-        let bystander = (proxy_subs[5], mesh_subs[5]);
-        proxy.subscribe(bystander.0, other.clone());
-        mesh.subscribe(bystander.1, other);
-        proxy.publish(SimTime::ZERO, SiteId::new(2), pending_msg.clone());
-        mesh.publish(SimTime::ZERO, SiteId::new(2), pending_msg);
-
-        let (p_out, m_out) = (
-            proxy.publish(SimTime::ZERO, SiteId::new(0), msg(0)),
-            mesh.publish(SimTime::ZERO, SiteId::new(0), msg(0)),
+        assert_eq!(bus.deliveries().len(), 7);
+        let copies: Vec<usize> = subs
+            .iter()
+            .map(|&s| times_of(bus.deliveries(), s).len())
+            .collect();
+        assert_eq!(copies, [1, 2, 2, 2]);
+        assert_eq!(
+            bus.stats().fault_duplicated,
+            2,
+            "one doubled copy per remote site"
         );
-        assert_eq!((p_out.delivered, m_out.delivered), (5, 5));
-        proxy.discard_delivered();
-        mesh.discard_delivered();
-        for (&s, &m) in proxy_subs.iter().zip(&mesh_subs).take(5) {
-            assert_eq!((proxy.pending(s), mesh.pending(m)), (0, 0), "{s}");
-        }
-        let held = (proxy.pending(bystander.0), mesh.pending(bystander.1));
-        assert_eq!(held, (1, 1));
-        // Consuming again is a no-op.
-        proxy.discard_delivered();
-        assert_eq!(proxy.pending(bystander.0), 1);
     }
 
     #[test]
-    fn discard_delivered_consumes_a_duplicated_delivery_and_skips_a_lost_one() {
+    fn a_lost_copy_delivers_nothing_and_a_duplicated_one_twice() {
         // Every WAN copy is doubled, except towards site 2, where every
         // copy is lost.
         let cut = sb_faults::PairFaults::blackhole(SiteId::new(0), SiteId::new(2));
@@ -1075,63 +813,41 @@ mod tests {
         bus.set_fault_plan(sb_faults::shared(plan));
         let doubled = bus.register_subscriber(SiteId::new(1));
         let cut_off = bus.register_subscriber(SiteId::new(2));
-        let topic = Topic::with_owner("/t", SiteId::new(0));
-        bus.subscribe(doubled, topic.clone());
-        bus.subscribe(cut_off, topic);
-        // `cut_off` still holds a message from before.
-        let (other, earlier) = local_msg(2);
-        bus.subscribe(cut_off, other);
-        bus.publish(SimTime::ZERO, SiteId::new(2), earlier);
+        bus.subscribe(doubled, topic(0));
+        bus.subscribe(cut_off, topic(0));
 
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!((out.delivered, out.dropped), (2, 1));
-        assert_eq!((bus.pending(doubled), bus.pending(cut_off)), (2, 1));
-        bus.discard_delivered();
-        assert_eq!(bus.pending(doubled), 0, "both copies consumed");
-        assert_eq!(bus.pending(cut_off), 1, "the lost copy consumed nothing");
+        assert_eq!(times_of(bus.deliveries(), doubled).len(), 2);
+        assert!(times_of(bus.deliveries(), cut_off).is_empty());
     }
 
     #[test]
-    fn discard_delivered_after_a_publish_from_a_crashed_site_consumes_nothing() {
+    fn a_publish_from_a_crashed_site_delivers_nothing() {
         let crash = sb_faults::CrashWindow::permanent(SiteId::new(1), SimTime::from_millis(10.0));
         let plan = || {
             sb_faults::shared(sb_faults::FaultPlan::new(
                 sb_faults::FaultSpec::new(7).with_crash(crash.clone()),
             ))
         };
-        let topic = Topic::with_owner("/t", SiteId::new(0));
         let mut proxy = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
         let mut mesh = FullMeshBus::new(BusTopology::unbounded(sites(3), delays()));
         proxy.set_fault_plan(plan());
         mesh.set_fault_plan(plan());
-        let (p, m) = (
-            proxy.register_subscriber(SiteId::new(0)),
-            mesh.register_subscriber(SiteId::new(0)),
-        );
-        proxy.subscribe(p, topic.clone());
-        mesh.subscribe(m, topic);
-        // Delivered before the crash and not consumed.
-        proxy.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        mesh.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let p = proxy.register_subscriber(SiteId::new(0));
+        let m = mesh.register_subscriber(SiteId::new(0));
+        proxy.subscribe(p, topic(0));
+        mesh.subscribe(m, topic(0));
+        // Delivered before the crash.
+        proxy.publish(SimTime::ZERO, SiteId::new(1), &topic(0));
+        mesh.publish(SimTime::ZERO, SiteId::new(1), &topic(0));
+        assert_eq!((proxy.deliveries().len(), mesh.deliveries().len()), (1, 1));
 
         let late = SimTime::from_millis(20.0);
-        assert_eq!(proxy.publish(late, SiteId::new(1), msg(0)).delivered, 0);
-        assert_eq!(mesh.publish(late, SiteId::new(1), msg(0)).delivered, 0);
-        proxy.discard_delivered();
-        mesh.discard_delivered();
-        assert_eq!((proxy.pending(p), mesh.pending(m)), (1, 1));
-    }
-
-    #[test]
-    fn drain_orders_by_delivery_time() {
-        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(2), delays()));
-        let s = bus.register_subscriber(SiteId::new(1));
-        bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
-        bus.publish(SimTime::from_millis(100.0), SiteId::new(0), msg(0));
-        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        let inbox = bus.drain(s);
-        assert_eq!(inbox.len(), 2);
-        assert!(inbox[0].1 < inbox[1].1);
+        assert_eq!(proxy.publish(late, SiteId::new(1), &topic(0)).delivered, 0);
+        assert_eq!(mesh.publish(late, SiteId::new(1), &topic(0)).delivered, 0);
+        assert!(proxy.deliveries().is_empty() && mesh.deliveries().is_empty());
+        assert_eq!(proxy.stats().crash_suppressed, 1);
     }
 
     #[test]
@@ -1139,10 +855,9 @@ mod tests {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites(2), delays()));
         let local = bus.register_subscriber(SiteId::new(0));
         let remote = bus.register_subscriber(SiteId::new(1));
-        let topic = Topic::with_owner("/t", SiteId::new(0));
-        bus.subscribe(local, topic.clone());
-        bus.subscribe(remote, topic);
-        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        bus.subscribe(local, topic(0));
+        bus.subscribe(remote, topic(0));
+        bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         let stats = bus.stats();
         // Publisher->owner relay and owner-site fanout are local; the copy
         // to site 1 crosses the WAN.
@@ -1157,10 +872,14 @@ mod tests {
         bus.attach_telemetry(&hub);
         for site in [0u32, 1, 2, 1] {
             let s = bus.register_subscriber(SiteId::new(site));
-            bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+            bus.subscribe(s, topic(0));
         }
         for i in 0..4 {
-            bus.publish(SimTime::from_millis(f64::from(i)), SiteId::new(i % 3), msg(0));
+            bus.publish(
+                SimTime::from_millis(f64::from(i)),
+                SiteId::new(i % 3),
+                &topic(0),
+            );
         }
         let stats = bus.stats();
         let snap = hub.registry.snapshot();
@@ -1181,7 +900,7 @@ mod tests {
             .iter()
             .map(|&site| {
                 let s = bus.register_subscriber(SiteId::new(site));
-                bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
+                bus.subscribe(s, topic(0));
                 s
             })
             .collect();
@@ -1193,7 +912,7 @@ mod tests {
         // Registration order 3, 1, 2, 2; the owner's uplink must still send
         // to site 1, then 2, then 3, one 1 ms slot each.
         let (mut bus, subs) = serialized_fanout(16, &[3, 1, 2, 2]);
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!((out.delivered, out.dropped, out.wan_copies), (4, 0, 3));
         assert_eq!(
             bus.stats(),
@@ -1206,17 +925,18 @@ mod tests {
             }
         );
         // local 0.1 + k ms in the uplink queue + 40 wan + local 0.1.
-        let at = |sub: SubscriberId, bus: &mut ProxyBus| {
-            let inbox = bus.drain(sub);
-            assert_eq!(inbox.len(), 1, "{sub}");
-            inbox[0].1
-        };
-        let expected = |ms: u64| SimTime::from_nanos(ms * 1_000_000 + 200_000);
-        assert_eq!(at(subs[1], &mut bus), expected(41), "site 1 goes first");
-        assert_eq!(at(subs[2], &mut bus), expected(42), "site 2 second");
-        assert_eq!(at(subs[3], &mut bus), expected(42), "one copy serves site 2");
-        assert_eq!(at(subs[0], &mut bus), expected(43), "site 3 last");
-        assert_eq!(out.last_delivery, Some(expected(43)));
+        let at = |ms: u64| SimTime::from_nanos(ms * 1_000_000 + 200_000);
+        assert_eq!(
+            bus.deliveries(),
+            [
+                (subs[1], at(41)),
+                (subs[2], at(42)),
+                (subs[3], at(42)),
+                (subs[0], at(43)),
+            ],
+            "site 1 first, one copy serves site 2, site 3 last"
+        );
+        assert_eq!(out.last_delivery, Some(at(43)));
     }
 
     #[test]
@@ -1224,7 +944,7 @@ mod tests {
         // Two queue slots: sites 1 and 2 get theirs, site 3's copy finds
         // the queue full and is lost for both of its subscribers.
         let (mut bus, subs) = serialized_fanout(2, &[3, 1, 3, 2]);
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!((out.delivered, out.dropped, out.wan_copies), (2, 2, 2));
         assert_eq!(
             bus.stats(),
@@ -1237,39 +957,17 @@ mod tests {
                 ..BusStats::default()
             }
         );
-        let pending: Vec<usize> = subs.iter().map(|&s| bus.pending(s)).collect();
-        assert_eq!(pending, [0, 1, 0, 1]);
+        let reached: Vec<SubscriberId> = bus.deliveries().iter().map(|&(s, _)| s).collect();
+        assert_eq!(reached, [subs[1], subs[3]]);
     }
 
     #[test]
     fn publish_without_subscribers_is_cheap() {
         let mut bus = ProxyBus::new(BusTopology::unbounded(sites(4), delays()));
-        let out = bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
+        let out = bus.publish(SimTime::ZERO, SiteId::new(0), &topic(0));
         assert_eq!(out.delivered, 0);
         assert_eq!(out.wan_copies, 0);
         assert_eq!(bus.stats().wan_messages, 0);
-        assert_eq!(bus.stored_messages(), 0, "a message nobody holds is not kept");
-    }
-
-    #[test]
-    fn a_slot_lives_until_its_last_copy_is_consumed() {
-        let mut bus = ProxyBus::new(BusTopology::unbounded(sites(3), delays()));
-        let subs = six_subscribers(|site| bus.register_subscriber(site));
-        for &s in &subs {
-            bus.subscribe(s, Topic::with_owner("/t", SiteId::new(0)));
-        }
-        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        assert_eq!(bus.stored_messages(), 2);
-        for &s in &subs[..5] {
-            assert_eq!(bus.drain(s).len(), 2);
-            assert_eq!(bus.stored_messages(), 2, "{s} was not the last holder");
-        }
-        let last = bus.drain(subs[5]);
-        assert_eq!(bus.stored_messages(), 0);
-        assert!(!last[0].0.shares_payload(&last[1].0), "two publishes, two payloads");
-        // Freed slots are reused before the table grows.
-        bus.publish(SimTime::ZERO, SiteId::new(0), msg(0));
-        assert_eq!((bus.stored_messages(), bus.core.slots.slots.len()), (1, 2));
+        assert!(bus.deliveries().is_empty());
     }
 }

@@ -18,19 +18,17 @@
 //! the control-plane transport used by `sb-controller`, where only the
 //! propagation delays matter (Table 2, Figure 10a).
 //!
-//! In memory a publish is stored once: the bus moves the [`Message`] into
-//! one slot of its slot table, and each mailbox entry is the slot's index
-//! and a delivery time. Delivering and consuming a copy are plain counts
-//! on the slot, which is freed with its last entry; [`ProxyBus::drain`]
-//! still hands out owned messages, sharing the payload.
+//! A publish stores nothing: it returns its [`PublishOutcome`], and
+//! [`ProxyBus::deliveries`] lists the copies it delivered, one
+//! `(subscriber, delivery time)` pair each. The publisher keeps the value
+//! it published; the deliveries say which subscribers got it, and when.
 //!
 //! # Examples
 //!
 //! ```
-//! use sb_msgbus::{BusTopology, DelayModel, Message, ProxyBus, Topic};
+//! use sb_msgbus::{BusTopology, DelayModel, ProxyBus, Topic};
 //! use sb_netsim::SimTime;
 //! use sb_types::{Millis, SiteId};
-//! use std::sync::Arc;
 //!
 //! let (a, b) = (SiteId::new(0), SiteId::new(1));
 //! let delays = DelayModel::uniform(Millis::new(0.1), Millis::new(40.0));
@@ -40,14 +38,11 @@
 //! let topic = Topic::parse("/c1/e3/vnf_G/site_0_instances").unwrap();
 //! bus.subscribe(sub, topic.clone());
 //!
-//! // The payload is a typed value, shared by every delivered copy.
-//! let weights = Arc::new(vec![1.0_f64, 2.5]);
-//! let out = bus.publish(SimTime::ZERO, a, Message::new(topic, weights.clone()));
+//! let out = bus.publish(SimTime::ZERO, a, &topic);
 //! assert_eq!(out.delivered, 1);
-//! let inbox = bus.drain(sub);
-//! assert_eq!(inbox[0].0.payload::<Vec<f64>>(), Some(&*weights));
 //! // One local proxy hop + one WAN hop + one local delivery hop.
-//! assert!(inbox[0].1 >= SimTime::from_millis(40.0));
+//! assert_eq!(bus.deliveries(), [(sub, SimTime::from_millis(40.2))]);
+//! assert_eq!(out.last_delivery, Some(SimTime::from_millis(40.2)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,11 +50,9 @@
 
 mod bus;
 mod delay;
-mod message;
 mod topic;
 
 pub use bus::{BusStats, BusTopology, FullMeshBus, ProxyBus, PublishOutcome, SubscriberId};
 pub use delay::DelayModel;
-pub use message::Message;
 pub use sb_faults::SharedFaultPlan;
 pub use topic::Topic;

@@ -5,17 +5,17 @@
 //! copies than full mesh, and under a bounded publisher uplink its worst
 //! delivery latency is never worse.
 //!
-//! The bus stores each published message once, in a slot its mailbox
-//! entries name. Under any mix of subscribes, publishes, drains and
-//! discards, with copies dropped and duplicated, a slot lives exactly as
-//! long as some mailbox holds its message.
+//! A publish lists the copies it delivered. Under any mix of subscribes,
+//! unsubscribes and publishes, with copies dropped and duplicated, the
+//! list agrees with the publish's outcome and the bus counters, and names
+//! only subscribers of the published topic.
 
 use proptest::prelude::*;
 use sb_faults::{FaultPlan, FaultSpec};
-use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, SubscriberId, Topic};
+use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, ProxyBus, SubscriberId, Topic};
 use sb_netsim::SimTime;
 use sb_types::{Millis, SiteId};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 #[derive(Debug, Clone)]
 struct Placement {
@@ -64,17 +64,16 @@ fn sites(n: u32) -> Vec<SiteId> {
     (0..n).map(SiteId::new).collect()
 }
 
-fn msg() -> Message {
-    Message::new(Topic::with_owner("/t", SiteId::new(0)), Arc::new(0u64))
+fn topic() -> Topic {
+    Topic::with_owner("/t", SiteId::new(0))
 }
 
 /// One step of a bus's life, by subscriber, topic and site index.
 #[derive(Debug, Clone)]
 enum Op {
     Subscribe(usize, usize),
+    Unsubscribe(usize, usize),
     Publish(usize, usize),
-    Drain(usize),
-    Discard,
 }
 
 const OP_SITES: usize = 4;
@@ -84,9 +83,8 @@ const OP_SUBSCRIBERS: usize = 6;
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..OP_SUBSCRIBERS, 0..OP_TOPICS).prop_map(|(s, t)| Op::Subscribe(s, t)),
+        (0..OP_SUBSCRIBERS, 0..OP_TOPICS).prop_map(|(s, t)| Op::Unsubscribe(s, t)),
         (0..OP_SITES, 0..OP_TOPICS).prop_map(|(site, t)| Op::Publish(site, t)),
-        (0..OP_SUBSCRIBERS).prop_map(Op::Drain),
-        Just(Op::Discard),
     ]
 }
 
@@ -97,10 +95,11 @@ fn op_topic(t: usize) -> Topic {
 }
 
 /// Runs `ops` on a bus of `$ty` under a plan that drops and duplicates
-/// copies with probability `$drop` and `$dup`, checking after every op
-/// that the slot table holds a message exactly while a mailbox does, and
-/// at the end, once every mailbox is drained, that it is empty.
-macro_rules! assert_slots_track_mailboxes {
+/// copies with probability `$drop` and `$dup`, checking after every
+/// publish that its deliveries are as many as its outcome counts, end at
+/// its `last_delivery` and name only subscribers of its topic, and at the
+/// end that they add up to the bus's `delivered` counter.
+macro_rules! assert_deliveries_match_outcomes {
     ($ty:ty, $seed:expr, $drop:expr, $dup:expr, $ops:expr) => {{
         let delays = DelayModel::uniform(Millis::new(0.1), Millis::new(30.0));
         let topo = BusTopology::unbounded(sites(OP_SITES as u32), delays);
@@ -112,38 +111,34 @@ macro_rules! assert_slots_track_mailboxes {
         let subs: Vec<SubscriberId> = (0..OP_SUBSCRIBERS)
             .map(|i| bus.register_subscriber(SiteId::new((i % OP_SITES) as u32)))
             .collect();
-        // Copies drained or discarded so far, and copies still held.
-        let (mut consumed, mut held) = (0usize, 0usize);
+        // The `(subscriber, topic)` filters installed, and the copies
+        // delivered so far.
+        let mut filters = BTreeSet::new();
+        let mut delivered = 0usize;
         for (i, op) in $ops.iter().enumerate() {
             match *op {
-                Op::Subscribe(s, t) => bus.subscribe(subs[s], op_topic(t)),
+                Op::Subscribe(s, t) => {
+                    bus.subscribe(subs[s], op_topic(t));
+                    filters.insert((subs[s], t));
+                }
+                Op::Unsubscribe(s, t) => {
+                    bus.unsubscribe(subs[s], &op_topic(t));
+                    filters.remove(&(subs[s], t));
+                }
                 Op::Publish(site, t) => {
                     let at = SimTime::from_millis(i as f64);
-                    let payload = Arc::new(i);
-                    bus.publish(at, SiteId::new(site as u32), Message::new(op_topic(t), payload));
-                }
-                Op::Drain(s) => {
-                    for (m, _) in bus.drain(subs[s]) {
-                        prop_assert!(m.payload::<usize>().is_some());
-                        consumed += 1;
+                    let out = bus.publish(at, SiteId::new(site as u32), &op_topic(t));
+                    let got = bus.deliveries();
+                    prop_assert_eq!(got.len(), out.delivered);
+                    prop_assert_eq!(got.iter().map(|&(_, t)| t).max(), out.last_delivery);
+                    for &(sub, _) in got {
+                        prop_assert!(filters.contains(&(sub, t)), "{} is not on /op{}", sub, t);
                     }
-                }
-                Op::Discard => {
-                    bus.discard_delivered();
-                    let left: usize = subs.iter().map(|&s| bus.pending(s)).sum();
-                    consumed += held - left;
+                    delivered += got.len();
                 }
             }
-            held = subs.iter().map(|&s| bus.pending(s)).sum();
-            prop_assert_eq!(bus.stats().delivered, (consumed + held) as u64);
-            prop_assert!(bus.stored_messages() <= held, "a stored message no mailbox holds");
-            prop_assert_eq!(bus.stored_messages() == 0, held == 0);
         }
-        for &s in &subs {
-            consumed += bus.drain(s).len();
-        }
-        prop_assert_eq!(bus.stored_messages(), 0);
-        prop_assert_eq!(bus.stats().delivered, consumed as u64);
+        prop_assert_eq!(bus.stats().delivered, delivered as u64);
     }};
 }
 
@@ -161,8 +156,8 @@ proptest! {
 
         for i in 0..p.publishes {
             let at = SimTime::from_millis(i as f64);
-            proxy.publish(at, SiteId::new(0), msg());
-            mesh.publish(at, SiteId::new(0), msg());
+            proxy.publish(at, SiteId::new(0), &topic());
+            mesh.publish(at, SiteId::new(0), &topic());
         }
         prop_assert!(proxy.stats().wan_messages <= mesh.stats().wan_messages);
         // Without uplink limits both deliver everything.
@@ -199,10 +194,10 @@ proptest! {
         let mut mesh_worst = SimTime::ZERO;
         for i in 0..p.publishes {
             let at = SimTime::from_millis(i as f64 * 2.0);
-            if let Some(t) = proxy.publish(at, SiteId::new(0), msg()).last_delivery {
+            if let Some(t) = proxy.publish(at, SiteId::new(0), &topic()).last_delivery {
                 proxy_worst = proxy_worst.max(t);
             }
-            if let Some(t) = mesh.publish(at, SiteId::new(0), msg()).last_delivery {
+            if let Some(t) = mesh.publish(at, SiteId::new(0), &topic()).last_delivery {
                 mesh_worst = mesh_worst.max(t);
             }
         }
@@ -219,52 +214,48 @@ proptest! {
         }
     }
 
-    /// The slot table is empty once every mailbox has been drained,
-    /// whatever was published, consumed and lost before.
+    /// Each publish's deliveries agree with its outcome and name only
+    /// subscribers of its topic; together they are the bus's `delivered`
+    /// counter, whatever was lost and doubled.
     #[test]
-    fn slots_are_freed_once_every_mailbox_is_drained(
+    fn deliveries_match_each_publishs_outcome(
         seed in any::<u64>(),
         drop in prop_oneof![Just(0.0), 0.0..0.6f64],
         dup in prop_oneof![Just(0.0), 0.0..0.6f64],
         ops in prop::collection::vec(arb_op(), 0..60),
     ) {
-        assert_slots_track_mailboxes!(ProxyBus, seed, drop, dup, ops);
-        assert_slots_track_mailboxes!(FullMeshBus, seed, drop, dup, ops);
+        assert_deliveries_match_outcomes!(ProxyBus, seed, drop, dup, ops);
+        assert_deliveries_match_outcomes!(FullMeshBus, seed, drop, dup, ops);
     }
 
     /// Messages delivered to a subscriber arrive no earlier than the
-    /// physically possible minimum (one local hop), and at monotone
-    /// non-decreasing times when publishes are ordered.
+    /// physically possible minimum (one local hop), and every subscriber
+    /// gets one copy of each publish.
     #[test]
     fn delivery_times_are_physical(p in arb_placement()) {
         let delays = DelayModel::uniform(Millis::new(0.1), Millis::new(30.0));
         let topo = BusTopology::unbounded(sites(p.num_sites), delays);
         let mut proxy = ProxyBus::new(topo);
-        let topic = Topic::with_owner("/t", SiteId::new(0));
-        let subs: Vec<_> = p
-            .subscriber_sites
-            .iter()
-            .map(|&site| {
-                let s = proxy.register_subscriber(SiteId::new(site));
-                proxy.subscribe(s, topic.clone());
-                s
-            })
-            .collect();
+        let mut site_of = std::collections::BTreeMap::new();
+        for &site in &p.subscriber_sites {
+            let s = proxy.register_subscriber(SiteId::new(site));
+            proxy.subscribe(s, topic());
+            site_of.insert(s, site);
+        }
         for i in 0..p.publishes {
             let at = SimTime::from_millis(i as f64 * 10.0);
-            proxy.publish(at, SiteId::new(0), msg());
-        }
-        for (s, &site) in subs.iter().zip(&p.subscriber_sites) {
-            let inbox = proxy.drain(*s);
-            prop_assert_eq!(inbox.len(), p.publishes);
-            for (i, (_, t)) in inbox.iter().enumerate() {
-                let publish_at = SimTime::from_millis(i as f64 * 10.0);
-                let min = if site == 0 {
-                    publish_at + Millis::new(0.2)
+            proxy.publish(at, SiteId::new(0), &topic());
+            let got = proxy.deliveries();
+            let reached: BTreeSet<_> = got.iter().map(|&(s, _)| s).collect();
+            prop_assert_eq!(got.len(), site_of.len());
+            prop_assert_eq!(reached.len(), site_of.len());
+            for &(s, t) in got {
+                let min = if site_of[&s] == 0 {
+                    at + Millis::new(0.2)
                 } else {
-                    publish_at + Millis::new(30.2)
+                    at + Millis::new(30.2)
                 };
-                prop_assert!(*t >= min, "delivery {t} earlier than physical {min}");
+                prop_assert!(t >= min, "delivery {t} earlier than physical {min}");
             }
         }
     }

@@ -1,16 +1,15 @@
 //! Fault-plan transparency and subscription-filtering tests.
 //!
-//! A zero-fault plan must be invisible: both bus topologies deliver the
-//! same messages at the same times with or without it, and the two
-//! topologies deliver equivalent message sets to every subscriber.
+//! A zero-fault plan must be invisible: both bus topologies make the same
+//! deliveries at the same times with or without it, and the two
+//! topologies deliver every publish to the same subscribers.
 //! Subscription filters at the publisher's proxy must track subscriber
 //! churn exactly.
 
 use sb_faults::{FaultPlan, FaultSpec};
-use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, Message, ProxyBus, Topic};
+use sb_msgbus::{BusTopology, DelayModel, FullMeshBus, ProxyBus, SubscriberId, Topic};
 use sb_netsim::SimTime;
 use sb_types::{Millis, SiteId};
-use std::sync::Arc;
 
 fn sites3() -> (SiteId, SiteId, SiteId) {
     (SiteId::new(0), SiteId::new(1), SiteId::new(2))
@@ -24,27 +23,18 @@ fn topology() -> BusTopology {
     )
 }
 
-/// A message whose payload is `text`.
-fn text(topic: &Topic, text: String) -> Message {
-    Message::new(topic.clone(), Arc::new(text))
-}
-
-/// A drained inbox as comparable values: topic path, text payload and
-/// delivery time.
-fn contents(inbox: Vec<(Message, SimTime)>) -> Vec<(String, String, SimTime)> {
-    let body = |m: &Message| m.payload::<String>().expect("a text payload").clone();
-    inbox
-        .into_iter()
-        .map(|(m, t)| (m.topic().path().to_string(), body(&m), t))
-        .collect()
+/// A publish's deliveries as the subscribers reached, in order.
+fn reached(deliveries: &[(SubscriberId, SimTime)]) -> Vec<SubscriberId> {
+    deliveries.iter().map(|&(s, _)| s).collect()
 }
 
 fn zero_fault_plan(seed: u64) -> sb_msgbus::SharedFaultPlan {
     sb_faults::shared(FaultPlan::new(FaultSpec::new(seed)))
 }
 
-/// Drives an identical publish/drain schedule on two buses and asserts
-/// byte-identical deliveries (messages AND times) plus equal stats.
+/// Drives an identical publish schedule on two buses and asserts
+/// identical deliveries (subscribers AND times) after every publish, plus
+/// equal stats.
 macro_rules! assert_transparent {
     ($bus_ty:ty) => {
         let (a, b, c) = sites3();
@@ -62,17 +52,15 @@ macro_rules! assert_transparent {
             subs.push((s_b, s_c));
         }
 
+        assert_eq!(subs[0], subs[1], "same registration, same ids");
         for i in 0..20u32 {
             let at = SimTime::from_millis(f64::from(i) * 3.0);
-            let msg = text(&topic, format!("update-{i}"));
-            let out_plain = plain.publish(at, a, msg.clone());
-            let out_faulted = faulted.publish(at, a, msg);
+            let out_plain = plain.publish(at, a, &topic);
+            let out_faulted = faulted.publish(at, a, &topic);
             assert_eq!(out_plain, out_faulted, "publish outcome {i}");
+            assert_eq!(plain.deliveries(), faulted.deliveries(), "publish {i}");
+            assert_eq!(plain.deliveries().len(), 2, "publish {i}");
         }
-        let (pb, pc) = subs[0];
-        let (fb, fc) = subs[1];
-        assert_eq!(contents(plain.drain(pb)), contents(faulted.drain(fb)));
-        assert_eq!(contents(plain.drain(pc)), contents(faulted.drain(fc)));
         assert_eq!(plain.stats(), faulted.stats());
         // The plan injected nothing.
         let plan = faulted.fault_plan().unwrap();
@@ -90,9 +78,9 @@ fn zero_fault_plan_is_transparent_on_full_mesh_bus() {
     assert_transparent!(FullMeshBus);
 }
 
-/// Proxy and full-mesh topologies must deliver the same message sets to
-/// every subscriber under a zero-fault plan — they differ in wide-area
-/// copies and timing, never in what arrives.
+/// Proxy and full-mesh topologies must deliver every publish to the same
+/// subscribers under a zero-fault plan — they differ in wide-area copies
+/// and timing, never in who is reached.
 #[test]
 fn proxy_and_full_mesh_deliver_equivalent_message_sets() {
     let (a, b, c) = sites3();
@@ -119,26 +107,20 @@ fn proxy_and_full_mesh_deliver_equivalent_message_sets() {
         mesh.subscribe(s, topic.clone());
     }
 
+    assert_eq!(p_subs, m_subs, "same registration, same ids");
     for i in 0..10u32 {
         let at = SimTime::from_millis(f64::from(i) * 5.0);
-        let msg = text(&topic, format!("payload-{i}"));
-        let po = proxy.publish(at, a, msg.clone());
-        let mo = mesh.publish(at, a, msg);
+        let po = proxy.publish(at, a, &topic);
+        let mo = mesh.publish(at, a, &topic);
         assert_eq!(po.delivered, mo.delivered, "message {i}");
         // Proxy: one WAN copy per remote site; mesh: one per remote
         // subscriber. With one subscriber per site they coincide.
         assert_eq!(po.wan_copies, mo.wan_copies, "message {i}");
-    }
-    for (p, m) in p_subs.iter().zip(&m_subs) {
-        let strip = |inbox| {
-            contents(inbox)
-                .into_iter()
-                .map(|(topic, text, _)| (topic, text))
-        };
-        let pv: Vec<_> = strip(proxy.drain(*p)).collect();
-        let mv: Vec<_> = strip(mesh.drain(*m)).collect();
-        assert_eq!(pv, mv, "same messages in the same order");
-        assert_eq!(pv.len(), 10);
+        // One subscriber per site, registered in site order: ascending
+        // site is ascending subscriber.
+        let (pv, mv) = (reached(proxy.deliveries()), reached(mesh.deliveries()));
+        assert_eq!(pv, mv, "message {i}: same subscribers in the same order");
+        assert_eq!(pv, p_subs);
     }
 }
 
@@ -153,7 +135,7 @@ fn publisher_site_filtering_tracks_subscriber_churn() {
     let topic = Topic::with_owner("/c2/state".to_string(), a);
 
     // No subscribers anywhere: nothing crosses the WAN.
-    let out = bus.publish(SimTime::ZERO, a, text(&topic, "v0".into()));
+    let out = bus.publish(SimTime::ZERO, a, &topic);
     assert_eq!((out.delivered, out.wan_copies), (0, 0));
 
     // One remote site with two subscribers: ONE wan copy, two deliveries.
@@ -161,28 +143,24 @@ fn publisher_site_filtering_tracks_subscriber_churn() {
     let b2 = bus.register_subscriber(b);
     bus.subscribe(b1, topic.clone());
     bus.subscribe(b2, topic.clone());
-    let out = bus.publish(SimTime::from_millis(1.0), a, text(&topic, "v1".into()));
+    let out = bus.publish(SimTime::from_millis(1.0), a, &topic);
     assert_eq!((out.delivered, out.wan_copies), (2, 1));
+    assert_eq!(reached(bus.deliveries()), [b1, b2]);
 
     // A second remote site joins late: it gets later messages only.
     let c1 = bus.register_subscriber(c);
     bus.subscribe(c1, topic.clone());
-    let out = bus.publish(SimTime::from_millis(2.0), a, text(&topic, "v2".into()));
+    let out = bus.publish(SimTime::from_millis(2.0), a, &topic);
     assert_eq!((out.delivered, out.wan_copies), (3, 2));
-    assert_eq!(bus.drain(c1).len(), 1, "no retroactive delivery");
+    assert_eq!(reached(bus.deliveries()), [b1, b2, c1]);
 
     // Site b leaves entirely: its filter is removed at the proxy.
     bus.unsubscribe(b1, &topic);
     bus.unsubscribe(b2, &topic);
-    let out = bus.publish(SimTime::from_millis(3.0), a, text(&topic, "v3".into()));
+    let out = bus.publish(SimTime::from_millis(3.0), a, &topic);
     assert_eq!((out.delivered, out.wan_copies), (1, 1));
-    assert_eq!(bus.drain(b1).len(), 2, "v1 and v2 only");
-    assert_eq!(bus.drain(b2).len(), 2);
-    assert_eq!(bus.drain(c1).len(), 1, "v3 after the earlier drain");
+    assert_eq!(reached(bus.deliveries()), [c1], "site b is filtered out");
 
     // The zero-fault plan never fired.
-    assert_eq!(
-        bus.fault_plan().unwrap().lock().unwrap().stats().total(),
-        0
-    );
+    assert_eq!(bus.fault_plan().unwrap().lock().unwrap().stats().total(), 0);
 }

@@ -25,7 +25,9 @@
 //! dense vector, into reused buffers instead of cloning a `HashMap` per
 //! solve, storing each bus message once in a reused slot, and sizing
 //! each artifact encode once, without index vectors for lists already
-//! sorted, leaves 28 658 B in 341.
+//! sorted, leaves 28 658 B in 341. A publish that names only its topic,
+//! with no payload `Arc` around the instance records and the route topic
+//! built once per control plane, leaves 28 469 B in 336.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
@@ -45,7 +47,7 @@ const HEADROOM: f64 = 64.0;
 const WARM_UP: usize = 300;
 const MAX_BUILD_BYTES: usize = 2 * 1024 * 1024;
 const MAX_BYTES_PER_DEPLOY: usize = 32 * 1024;
-const MAX_CALLS_PER_DEPLOY: usize = 417;
+const MAX_CALLS_PER_DEPLOY: usize = 387;
 
 fn attachment(site: SiteId) -> String {
     format!("site{}", site.value())

@@ -27,6 +27,9 @@ fn fig9_bus_beats_broadcast_by_an_order_of_magnitude() {
     // "full-mesh suffers from message drops due to buffer overflows"
     assert!(mesh.dropped > 0);
     assert_eq!(proxy.dropped, 0);
+    // The default burst exactly: 200 publishes to 100 remote subscribers.
+    assert_eq!((proxy.delivered, proxy.dropped), (20_000, 0));
+    assert_eq!((mesh.delivered, mesh.dropped), (3_194, 16_806));
 }
 
 #[test]
