@@ -3,7 +3,8 @@
 //! A fixed sequence of control-plane verbs runs on four fleets and on the
 //! line testbed, followed by one cloud-capacity plan. One fleet runs under
 //! a seeded fault plan (lost, duplicated and delayed messages, prepare and
-//! commit timeouts), so the retry and rollback paths are pinned too. After
+//! commit timeouts, and one site down while chains are rerouted), so the
+//! retry, rollback and dead-site paths are pinned too. After
 //! each verb one line records its result, the WAN messages and 2PC
 //! participants it cost, an FNV-1a digest of its report's steps and
 //! partial-failure notes, the retired-epoch and commit counters, the
@@ -24,6 +25,8 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use switchboard::controller::ChainHandle;
 use switchboard::dataplane::CompiledFib;
+use switchboard::faults::CrashWindow;
+use switchboard::netsim::SimTime;
 use switchboard::prelude::*;
 use switchboard::scenarios::{self, FleetConfig, Tier1Config};
 use switchboard::te::capacity;
@@ -343,13 +346,23 @@ fn behaviour() -> String {
         digest.lines += &format!("fleet seed={seed} chains={chains} headroom={headroom}\n");
         fleet_verbs(&mut digest, seed, chains, headroom, None);
     }
-    // `chaos_control_plane`'s message and RPC fault mix.
+    // `chaos_control_plane`'s message and RPC fault mix, plus site 70
+    // down from 105.28 s to 110 s of virtual time: from the second
+    // reroute (chain-3, whose every VNF sits at site 70, so the solve's
+    // dead-site exclusion moves it) until after the first add-route, so
+    // copies to the site are suppressed.
+    let crash = CrashWindow::recovering(
+        SiteId::new(70),
+        SimTime::from_secs(105.28),
+        SimTime::from_secs(110.0),
+    );
     let faults = FaultSpec::new(7)
         .with_drop_probability(0.2)
         .with_duplicate_probability(0.1)
         .with_delay(0.3, Millis::new(40.0))
         .with_prepare_timeouts(0.25)
-        .with_commit_timeouts(0.2);
+        .with_commit_timeouts(0.2)
+        .with_crash(crash);
     digest.lines += "fleet seed=7 chains=40 headroom=64 faults=7\n";
     fleet_verbs(&mut digest, 7, 40, 64.0, Some(faults));
     digest.lines += "line testbed\n";
