@@ -15,7 +15,7 @@
 //! are scored by the same evaluator.
 
 use crate::dp::{
-    edge_cost, path_coefficients, price_links, DpConfig, LoadTracker, MAX_PATHS_PER_CHAIN,
+    compute_cost, path_coefficients, DpConfig, LoadTracker, Pricer, MAX_PATHS_PER_CHAIN,
 };
 use crate::model::{ChainSpec, NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
@@ -192,7 +192,8 @@ pub fn one_hop(model: &NetworkModel, config: &DpConfig) -> RoutingSolution {
     RoutingSolution { chains }
 }
 
-/// One greedy ingress-to-egress walk minimizing the DP edge cost per hop.
+/// One greedy ingress-to-egress walk minimizing the DP edge cost per hop,
+/// priced by SB-DP's pricer.
 fn greedy_walk(
     model: &NetworkModel,
     tracker: &LoadTracker,
@@ -200,15 +201,15 @@ fn greedy_walk(
     chain: &ChainSpec,
 ) -> Option<Vec<SiteId>> {
     let mut prices = Vec::new();
-    price_links(model, tracker, &mut prices);
+    let mut pricer = Pricer::new(model, tracker, config, &mut prices, None);
     let mut at = Place::node(chain.ingress);
     let mut sites = Vec::with_capacity(chain.vnfs.len());
     for &vnf_id in &chain.vnfs {
-        let vnf = &model.vnfs()[vnf_id.index()];
         let mut best: Option<(f64, SiteId)> = None;
-        for s in vnf.sites() {
+        for &(s, cap) in model.deployments(vnf_id) {
             let to = Place::site(model.site_node(s), s);
-            let c = edge_cost(model, tracker, &prices, config, at, to, Some(vnf_id));
+            let compute = compute_cost(tracker, config, vnf_id, s, cap);
+            let c = pricer.cost(at, 0.0, to, compute);
             if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
                 best = Some((c, s));
             }

@@ -25,16 +25,20 @@
 //! Loads only change between passes, so a pass prices each link at most
 //! once, the first time a relaxation reads it: the network term sums
 //! `r · price[link]` over a dense per-link vector of Fortz-Thorup costs.
-//! Uncached, a pass relaxes each destination in two passes over its
-//! sources. The first computes every source's latency bound `base +
+//! A pass relaxes each destination in two passes over its sources. The
+//! first computes every source's latency bound `base +
 //! (latency + compute)` from one contiguous row of latencies to the
 //! destination; the network term is never negative, so no source costs
 //! less. The second prices only the sources whose bound is below the best
 //! cost found, or equal to it at a lower position. The answer and its
 //! tie-breaks are the same as pricing every source in ascending site
 //! order. The (VNF, site) loads are a dense vector, and each VNF's
-//! deployments come sorted from the model.
+//! deployments come sorted from the model. A [`SubproblemCache`] passed
+//! in changes only where a transit cost comes from: its memo keeps each
+//! node pair's transit cost, and each link's price, until a load they
+//! read changes.
 
+use crate::batch::SubproblemCache;
 use crate::model::{ChainSpec, NetworkModel, Place};
 use crate::route::{ChainRoutes, RoutePath, RoutingSolution};
 use sb_netsim::queueing::fortz_thorup_cost;
@@ -254,48 +258,27 @@ pub fn path_coefficients(model: &NetworkModel, chain: &ChainSpec, sites: &[SiteI
     coefs
 }
 
-/// The DP edge cost `cost(s, z, s')` of Section 4.4: latency + weighted
-/// network utilization cost + weighted compute utilization cost of the next
-/// VNF at the destination. `prices` are the link prices [`price_links`]
-/// filled against `tracker`.
-pub(crate) fn edge_cost(
+/// `link`'s Fortz-Thorup cost at its current utilization: the factor the
+/// network term weights by `r_{ss'e}`. It is read from `prices` (indexed
+/// by link id), and priced there on first read (`NaN` = not yet priced).
+pub(crate) fn link_price(
     model: &NetworkModel,
     tracker: &LoadTracker,
-    prices: &[f64],
-    config: &DpConfig,
-    from: Place,
-    to: Place,
-    next_vnf: Option<VnfId>,
+    prices: &mut [f64],
+    link: LinkId,
 ) -> f64 {
-    transit_cost(model, config, from, to, |link| prices[link.index()])
-        + compute_cost(model, tracker, config, to, next_vnf)
+    let price = &mut prices[link.index()];
+    if price.is_nan() {
+        *price = fortz_thorup_cost(tracker.link_utilization(model, link));
+    }
+    *price
 }
 
-/// Fills `prices` with every link's Fortz-Thorup cost at its current
-/// utilization, indexed by link id: the factor the network term weights
-/// by `r_{ss'e}`. The eager form, for the baselines and the
-/// [`SubproblemCache`](crate::batch::SubproblemCache); an SB-DP pass
-/// prices only the links it reads ([`Pricer`]).
-pub(crate) fn price_links(model: &NetworkModel, tracker: &LoadTracker, prices: &mut Vec<f64>) {
-    prices.clear();
-    prices.extend(
-        model
-            .topology()
-            .links()
-            .iter()
-            .map(|l| link_price(model, tracker, l.id())),
-    );
-}
-
-/// `link`'s Fortz-Thorup cost at its current utilization.
-fn link_price(model: &NetworkModel, tracker: &LoadTracker, link: LinkId) -> f64 {
-    fortz_thorup_cost(tracker.link_utilization(model, link))
-}
-
-/// The part of [`edge_cost`] that depends on both endpoints: propagation
-/// latency plus weighted network utilization cost `from → to`, infinite
-/// when `to` is unreachable. `price` gives a link's Fortz-Thorup cost; it
-/// is called only when `util_weight > 0`.
+/// The part of the DP edge cost `cost(s, z, s')` of Section 4.4 that
+/// depends on both endpoints: propagation latency plus weighted network
+/// utilization cost `from → to`, infinite when `to` is unreachable.
+/// `price` gives a link's Fortz-Thorup cost; it is called only when
+/// `util_weight > 0`.
 ///
 /// Never below the latency: `r ≥ 0` and every price is `≥ 0`, so the
 /// network term is non-negative. [`cheapest_source`] relies on that bound.
@@ -321,32 +304,11 @@ pub(crate) fn transit_cost(
     cost
 }
 
-/// The part of [`edge_cost`] that depends on the destination alone: the
-/// weighted compute utilization cost of `next_vnf` at `to`'s site,
-/// infinite where the VNF has no capacity, zero without a VNF or a
+/// The part of the edge cost that depends on the destination alone: the
+/// weighted compute utilization cost of `vnf` at `site`, whose capacity
+/// there is `cap`; infinite where the VNF has no capacity, zero without a
 /// utilization weight.
-fn compute_cost(
-    model: &NetworkModel,
-    tracker: &LoadTracker,
-    config: &DpConfig,
-    to: Place,
-    next_vnf: Option<VnfId>,
-) -> f64 {
-    match (next_vnf, to.site) {
-        (Some(vnf), Some(site)) if config.util_weight > 0.0 => {
-            let cap = model.vnfs()[vnf.index()]
-                .site_capacity
-                .get(&site)
-                .copied()
-                .unwrap_or(0.0);
-            vnf_compute_cost(tracker, config, vnf, site, cap)
-        }
-        _ => 0.0,
-    }
-}
-
-/// [`compute_cost`] of `vnf` at `site`, whose capacity there is `cap`.
-fn vnf_compute_cost(
+pub(crate) fn compute_cost(
     tracker: &LoadTracker,
     config: &DpConfig,
     vnf: VnfId,
@@ -385,10 +347,9 @@ pub struct DpScratch {
     /// is the ingress alone.
     frontiers: Vec<Vec<Cell>>,
     /// Per-link Fortz-Thorup prices of the current pass, `NaN` until a
-    /// relaxation first reads the link (uncached solve only).
+    /// relaxation first reads the link.
     prices: Vec<f64>,
-    /// The current destination's latency bound of each frontier source
-    /// (uncached solve only).
+    /// The current destination's latency bound of each frontier source.
     bounds: Vec<f64>,
 }
 
@@ -418,48 +379,71 @@ impl DpScratch {
     }
 }
 
-/// An uncached pass's view of the cost function: link prices are filled
-/// on first read, so a pass prices the links its relaxations cross, once
-/// each, and no other.
-struct Pricer<'a> {
+/// A pass's view of the cost function: a link is priced on first read,
+/// so a pass prices the links its relaxations cross, once each, and no
+/// other. With a `memo`, transit costs and link prices come from the
+/// [`SubproblemCache`], which keeps them until a load they read changes.
+pub(crate) struct Pricer<'a> {
     model: &'a NetworkModel,
     tracker: &'a LoadTracker,
     config: &'a DpConfig,
     prices: &'a mut [f64],
+    memo: Option<&'a mut SubproblemCache>,
 }
 
-impl Pricer<'_> {
+impl<'a> Pricer<'a> {
+    /// A pricer against `tracker` that has priced no link yet, reusing
+    /// the `prices` buffer.
+    pub(crate) fn new(
+        model: &'a NetworkModel,
+        tracker: &'a LoadTracker,
+        config: &'a DpConfig,
+        prices: &'a mut Vec<f64>,
+        memo: Option<&'a mut SubproblemCache>,
+    ) -> Self {
+        prices.clear();
+        if config.util_weight > 0.0 {
+            prices.resize(model.topology().num_links(), f64::NAN);
+        }
+        Self {
+            model,
+            tracker,
+            config,
+            prices,
+            memo,
+        }
+    }
+
     /// `base + (transit + compute)` of reaching `to` from `from`.
-    fn cost(&mut self, from: Place, base: f64, to: Place, compute: f64) -> f64 {
+    pub(crate) fn cost(&mut self, from: Place, base: f64, to: Place, compute: f64) -> f64 {
         let Self {
             model,
             tracker,
             config,
             prices,
+            memo,
         } = self;
-        let transit = transit_cost(model, config, from, to, |link| {
-            let price = &mut prices[link.index()];
-            if price.is_nan() {
-                *price = link_price(model, tracker, link);
-            }
-            *price
-        });
+        let transit = match memo {
+            Some(memo) => memo.transit(model, tracker, config, from, to),
+            None => transit_cost(model, config, from, to, |link| {
+                link_price(model, tracker, prices, link)
+            }),
+        };
         base + (transit + compute)
     }
 }
 
 /// Runs the DP of Eq 8 once for `chain` against the current loads and
 /// returns the least-cost site sequence, or `None` when no VNF of the
-/// chain has any deployment reachable from the ingress. Edge costs go
-/// through `cache` when one is supplied (see [`crate::batch`]); the cache
-/// is exact, so the result is identical either way.
+/// chain has any deployment reachable from the ingress.
 ///
 /// Each destination takes the source of least cost, the lowest site id
-/// on a tie. Uncached, [`cheapest_source`] finds it in two passes over the
-/// frontier and prices only the sources their latency bound admits;
-/// cached, every source is priced in ascending site order.
-/// `tests/sbdp_oracle.rs` holds the uncached pass to that scan over every
-/// (source, destination) pair and to an enumeration of every site
+/// on a tie: [`cheapest_source`] finds it in two passes over the frontier
+/// and prices only the sources their latency bound admits. Transit costs
+/// go through `memo` when one is supplied (see [`crate::batch`]); a kept
+/// cost is bit-identical to a fresh one, so the result is the same either
+/// way. `tests/sbdp_oracle.rs` holds the pass to an unpruned scan over
+/// every (source, destination) pair and to an enumeration of every site
 /// sequence.
 fn best_path(
     model: &NetworkModel,
@@ -467,7 +451,7 @@ fn best_path(
     config: &DpConfig,
     chain: &ChainSpec,
     scratch: &mut DpScratch,
-    mut cache: Option<&mut crate::batch::SubproblemCache>,
+    memo: Option<&mut SubproblemCache>,
 ) -> Option<Vec<SiteId>> {
     scratch.reset(chain);
     let DpScratch {
@@ -475,32 +459,17 @@ fn best_path(
         prices,
         bounds,
     } = scratch;
-    prices.clear();
-    if cache.is_none() && config.util_weight > 0.0 {
-        prices.resize(model.topology().num_links(), f64::NAN);
-    }
-    let mut pricer = Pricer {
-        model,
-        tracker,
-        config,
-        prices,
-    };
+    let mut pricer = Pricer::new(model, tracker, config, prices, memo);
 
     for (z, &vnf_id) in chain.vnfs.iter().enumerate() {
         let (done, rest) = frontiers.split_at_mut(z + 1);
         let (prev, next) = (&done[z], &mut rest[0]);
         for &(site, cap) in model.deployments(vnf_id) {
             let to = Place::site(model.site_node(site), site);
-            let best = match cache.as_deref_mut() {
-                Some(c) => cached_source(c, model, tracker, config, prev, to, Some(vnf_id)),
-                None => {
-                    // The destination's compute term is priced once here,
-                    // not once per source: `edge_cost` is `transit + compute`.
-                    let compute = vnf_compute_cost(tracker, config, vnf_id, site, cap);
-                    cheapest_source(&mut pricer, bounds, prev, to, compute)
-                }
-            };
-            if let Some((cost, parent)) = best {
+            // The destination's compute term is priced once here, not
+            // once per source.
+            let compute = compute_cost(tracker, config, vnf_id, site, cap);
+            if let Some((cost, parent)) = cheapest_source(&mut pricer, bounds, prev, to, compute) {
                 next.push(Cell {
                     at: to,
                     cost,
@@ -516,10 +485,7 @@ fn best_path(
     // Close to the egress, which has no VNF.
     let egress = Place::node(chain.egress);
     let last = &frontiers[chain.vnfs.len()];
-    let best_last = match cache {
-        Some(c) => cached_source(c, model, tracker, config, last, egress, None),
-        None => cheapest_source(&mut pricer, bounds, last, egress, 0.0),
-    };
+    let best_last = cheapest_source(&mut pricer, bounds, last, egress, 0.0);
     if chain.vnfs.is_empty() {
         // Chains without VNFs route directly ingress -> egress.
         return Some(Vec::new());
@@ -592,27 +558,6 @@ fn cheapest_source(
     b.is_finite().then_some((b, at))
 }
 
-/// [`cheapest_source`] through `cache`: every source of `prev` priced,
-/// in position order, the first of equals kept.
-fn cached_source(
-    cache: &mut crate::batch::SubproblemCache,
-    model: &NetworkModel,
-    tracker: &LoadTracker,
-    config: &DpConfig,
-    prev: &[Cell],
-    to: Place,
-    next_vnf: Option<VnfId>,
-) -> Option<(f64, usize)> {
-    let mut best: Option<(f64, usize)> = None;
-    for (i, cell) in prev.iter().enumerate() {
-        let c = cell.cost + cache.edge_cost(model, tracker, config, cell.at, to, next_vnf);
-        if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
-            best = Some((c, i));
-        }
-    }
-    best
-}
-
 /// Routes one chain with SB-DP against `tracker`, mutating the tracker and
 /// returning the extracted paths.
 #[must_use]
@@ -626,10 +571,10 @@ pub fn route_chain(
 }
 
 /// [`route_chain`] with caller-supplied workspaces: `scratch` is reused
-/// across calls (O(1) allocations per chain once grown), and edge costs go
-/// through `cache` when one is supplied. Every load the call places is
-/// reported to the cache, so cached costs stay exact — results are
-/// identical to [`route_chain`].
+/// across calls (O(1) allocations per chain once grown), and transit costs
+/// go through `cache`'s memo when one is supplied. Every load the call
+/// places is reported to the cache, so a kept cost is always the fresh one
+/// — results are identical to [`route_chain`].
 #[must_use]
 pub fn route_chain_with(
     model: &NetworkModel,
@@ -637,7 +582,7 @@ pub fn route_chain_with(
     config: &DpConfig,
     chain: &ChainSpec,
     scratch: &mut DpScratch,
-    mut cache: Option<&mut crate::batch::SubproblemCache>,
+    mut cache: Option<&mut SubproblemCache>,
 ) -> Vec<RoutePath> {
     let mut remaining = 1.0;
     let mut paths: Vec<RoutePath> = Vec::new();
@@ -677,13 +622,24 @@ pub fn route_chain_with(
 /// `config.util_weight == 0`).
 #[must_use]
 pub fn route_chains(model: &NetworkModel, config: &DpConfig) -> RoutingSolution {
+    route_chains_with(model, config, None)
+}
+
+/// Routes all chains in order against one tracker, through one reused
+/// [`DpScratch`] and `cache` when one is supplied.
+pub(crate) fn route_chains_with(
+    model: &NetworkModel,
+    config: &DpConfig,
+    mut cache: Option<&mut SubproblemCache>,
+) -> RoutingSolution {
     let mut tracker = LoadTracker::new(model);
     let mut scratch = DpScratch::new();
     let chains = model
         .chains()
         .iter()
         .map(|c| {
-            let paths = route_chain_with(model, &mut tracker, config, c, &mut scratch, None);
+            let cache = cache.as_deref_mut();
+            let paths = route_chain_with(model, &mut tracker, config, c, &mut scratch, cache);
             ChainRoutes::from_paths(model, c, &paths)
         })
         .collect();
@@ -954,8 +910,11 @@ mod tests {
         let chain = ChainSpec::uniform(ChainId::new(0), n0, n1, vec![first, second], 1.0, 0.5);
         let (tracker, config) = (LoadTracker::new(&m), DpConfig::default());
         let mut prices = Vec::new();
-        price_links(&m, &tracker, &mut prices);
-        let edge = |from, to, vnf| edge_cost(&m, &tracker, &prices, &config, from, to, Some(vnf));
+        let mut pricer = Pricer::new(&m, &tracker, &config, &mut prices, None);
+        let mut edge = |from, to: Place, vnf| {
+            let compute = compute_cost(&tracker, &config, vnf, to.site.expect("a site"), 50.0);
+            pricer.cost(from, 0.0, to, compute)
+        };
         let (ingress, hub, relay) = (Place::node(n0), Place::site(n1, s0), Place::site(n2, s1));
         let via_relay = edge(ingress, relay, first) + edge(relay, hub, second);
         let at_hub = edge(ingress, hub, first) + edge(hub, hub, second);

@@ -1,9 +1,9 @@
-//! Brute-force oracles for SB-DP on random small models.
+//! Brute-force oracles for SB-DP and ONEHOP on random small models.
 //!
-//! SB-DP walks each destination's sources cheapest prefix first, stops at
-//! the first that cannot win and skips those whose latency bound already
-//! loses. The oracles price an edge through the public API in the order
-//! `dp.rs` sums it: the latency, plus `w·Σ r·FT(u_link)`, plus
+//! SB-DP bounds each destination's sources by their latency and prices
+//! only those the bound admits, each link on first read. The oracles
+//! price every link up front through the public API and sum an edge in
+//! the order `dp.rs` does: the latency, plus `w·Σ r·FT(u_link)`, plus
 //! `w·FT(u_vnf)`.
 //!
 //! - The reference DP is Eq 8 as first written: every (source,
@@ -20,14 +20,17 @@
 //!   exact: the whole headroom loop, ties included, must equal the
 //!   brute-force pick's.
 //!
-//! The batched solver (shared scratch + cross-chain subproblem cache) is
-//! also held result-identical to the sequential one.
+//! The batched solver (shared scratch + cross-chain transit memo) is also
+//! held result-identical to the sequential one, and ONEHOP to its greedy
+//! walk with every link priced up front.
 
 use proptest::prelude::*;
 use sb_netsim::queueing::fortz_thorup_cost;
+use sb_te::baselines::one_hop;
 use sb_te::dp::{path_coefficients, route_chain, route_chains, DpConfig, LoadTracker};
 use sb_te::{
-    route_chains_batched, ChainSpec, NetworkModel, RoutePath, RoutingSolution, SubproblemCache,
+    route_chains_batched, ChainRoutes, ChainSpec, NetworkModel, RoutePath, RoutingSolution,
+    SubproblemCache,
 };
 use sb_topology::TopologyBuilder;
 use sb_types::{ChainId, Millis, NodeId, SiteId, VnfId};
@@ -149,12 +152,25 @@ fn sequences(model: &NetworkModel, chain: &ChainSpec) -> Vec<Vec<SiteId>> {
     out
 }
 
-/// SB-DP's edge cost `from → to` against `tracker`, where `next` is the
-/// VNF placed at `to` (none at the egress), summed in `dp.rs`'s order;
-/// infinite when `to` is unreachable or the VNF has no capacity there.
-fn edge_cost(
+/// Every link's Fortz-Thorup cost at its utilization on `tracker`, by
+/// link id: the prices an oracle reads.
+fn eager_prices(model: &NetworkModel, tracker: &LoadTracker) -> Vec<f64> {
+    model
+        .topology()
+        .links()
+        .iter()
+        .map(|l| fortz_thorup_cost(tracker.link_utilization(model, l.id())))
+        .collect()
+}
+
+/// SB-DP's edge cost `from → to` against `tracker` and its
+/// [`eager_prices`], where `next` is the VNF placed at `to` (none at the
+/// egress), summed in `dp.rs`'s order; infinite when `to` is unreachable
+/// or the VNF has no capacity there.
+fn hop_cost(
     model: &NetworkModel,
     tracker: &LoadTracker,
+    prices: &[f64],
     w: f64,
     from: NodeId,
     to: NodeId,
@@ -168,7 +184,7 @@ fn edge_cost(
     if w > 0.0 && from != to {
         let mut net = 0.0;
         for &(link, r) in model.routing().fractions_between(from, to) {
-            net += r * fortz_thorup_cost(tracker.link_utilization(model, link));
+            net += r * prices[link.index()];
         }
         edge += w * net;
     }
@@ -192,6 +208,7 @@ fn sequence_cost(
     chain: &ChainSpec,
     sites: &[SiteId],
 ) -> f64 {
+    let prices = eager_prices(model, tracker);
     let mut total = 0.0;
     let mut from = chain.ingress;
     for z in 0..=sites.len() {
@@ -199,7 +216,7 @@ fn sequence_cost(
             Some(&s) => (model.site_node(s), Some((chain.vnfs[z], s))),
             None => (chain.egress, None),
         };
-        let edge = edge_cost(model, tracker, w, from, to, next);
+        let edge = hop_cost(model, tracker, &prices, w, from, to, next);
         if !edge.is_finite() {
             return f64::INFINITY;
         }
@@ -221,11 +238,12 @@ fn reference_pick(
 ) -> Option<Vec<SiteId>> {
     // (node, prefix cost, site, parent index in the previous frontier)
     type Cell = (NodeId, f64, Option<SiteId>, usize);
+    let prices = eager_prices(model, tracker);
     let mut frontiers: Vec<Vec<Cell>> = vec![vec![(chain.ingress, 0.0, None, 0)]];
     let best = |prev: &[Cell], to: NodeId, next: Option<(VnfId, SiteId)>| {
         let mut best: Option<(f64, usize)> = None;
         for (i, &(from, base, _, _)) in prev.iter().enumerate() {
-            let c = base + edge_cost(model, tracker, w, from, to, next);
+            let c = base + hop_cost(model, tracker, &prices, w, from, to, next);
             if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
                 best = Some((c, i));
             }
@@ -280,8 +298,36 @@ fn brute_force_pick(
         .map(|(_, s)| s)
 }
 
-/// A pick of the site sequence to route next: [`brute_force_pick`] or
-/// [`reference_pick`].
+/// ONEHOP's walk with every link priced up front: from the ingress, each
+/// VNF at the deployment site of least edge cost from the last stop, a
+/// site taking the stage only at a strictly lower finite cost.
+fn greedy_pick(
+    model: &NetworkModel,
+    tracker: &LoadTracker,
+    w: f64,
+    chain: &ChainSpec,
+) -> Option<Vec<SiteId>> {
+    let prices = eager_prices(model, tracker);
+    let mut from = chain.ingress;
+    let mut sites = Vec::new();
+    for &vnf in &chain.vnfs {
+        let mut best: Option<(f64, SiteId)> = None;
+        for site in model.vnfs()[vnf.index()].sites() {
+            let to = model.site_node(site);
+            let c = hop_cost(model, tracker, &prices, w, from, to, Some((vnf, site)));
+            if c.is_finite() && best.is_none_or(|(b, _)| c < b) {
+                best = Some((c, site));
+            }
+        }
+        let (_, site) = best?;
+        sites.push(site);
+        from = model.site_node(site);
+    }
+    Some(sites)
+}
+
+/// A pick of the site sequence to route next: [`brute_force_pick`],
+/// [`reference_pick`] or [`greedy_pick`].
 type Pick = fn(&NetworkModel, &LoadTracker, f64, &ChainSpec) -> Option<Vec<SiteId>>;
 
 /// `route_chain`'s headroom loop with `pick` in place of the DP.
@@ -389,6 +435,26 @@ proptest! {
                 let reference = route_chain_by(reference_pick, &model, &mut ref_tracker, w, chain);
                 assert_paths_equal(&dp, &reference)?;
             }
+        }
+    }
+
+    /// Under both weightings ONEHOP's routes equal the headroom loop
+    /// driven by its greedy walk with every link priced up front.
+    #[test]
+    fn one_hop_equals_the_eagerly_priced_walk(rm in arb_model()) {
+        let model = build(&rm);
+        for cfg in [DpConfig::default(), DpConfig { util_weight: 0.0 }] {
+            let mut tracker = LoadTracker::new(&model);
+            let chains = model
+                .chains()
+                .iter()
+                .map(|chain| {
+                    let w = cfg.util_weight;
+                    let paths = route_chain_by(greedy_pick, &model, &mut tracker, w, chain);
+                    ChainRoutes::from_paths(&model, chain, &paths)
+                })
+                .collect();
+            assert_solutions_equal(&one_hop(&model, &cfg), &RoutingSolution { chains })?;
         }
     }
 }
