@@ -22,6 +22,7 @@
 
 use proptest::prelude::*;
 use sb_artifact::{decode, encode, ArtifactKind, ForwarderArtifact, SiteArtifact};
+use sb_dataplane::artifact::encoded_len;
 use sb_dataplane::{Addr, FibRow, Forwarder, ForwarderMode, Packet, RuleSet, WeightedChoice};
 use sb_types::{
     ChainLabel, EdgeInstanceId, EgressLabel, FlowKey, ForwarderId, InstanceId, LabelPair, SiteId,
@@ -287,6 +288,35 @@ proptest! {
         let pbytes = encode(&patch);
         prop_assert_eq!(&pbytes, &encode(&patch.clone()), "byte determinism (patch)");
         prop_assert_eq!(&patch, &decode(&pbytes).expect("decode patch"));
+
+        // `encoded_len` is exact, which the control plane's `artifact.bytes`
+        // counter relies on without encoding.
+        prop_assert_eq!(encoded_len(&full), bytes.len(), "encoded_len (full)");
+        prop_assert_eq!(encoded_len(&patch), pbytes.len(), "encoded_len (patch)");
+
+        // The same state held in reverse order, every list included,
+        // encodes to the same bytes and `encoded_len` still agrees.
+        let mut second = patch.forwarders[0].clone();
+        second.forwarder = ForwarderId::new(2);
+        second.rows = full.forwarders[0].rows.clone();
+        second.label_unaware = vec![(InstanceId::new(3), pair(2, 1)), (InstanceId::new(9), pair(1, 1))];
+        let canonical = SiteArtifact {
+            forwarders: vec![patch.forwarders[0].clone(), second],
+            ..patch.clone()
+        };
+        let mut unsorted = canonical.clone();
+        unsorted.forwarders.reverse();
+        for f in &mut unsorted.forwarders {
+            let mut rows = f.rows.to_vec();
+            rows.reverse();
+            f.rows = rows.into();
+            f.label_unaware.reverse();
+            f.removed.reverse();
+        }
+        let cbytes = encode(&canonical);
+        prop_assert_eq!(encoded_len(&unsorted), cbytes.len(), "encoded_len (unsorted)");
+        prop_assert_eq!(&encode(&unsorted), &cbytes, "list order reached the bytes");
+        prop_assert_eq!(&canonical, &decode(&cbytes).expect("decode two forwarders"));
     }
 
     /// Standalone forwarder booted from an artifact ≡ in-process forwarder,

@@ -6,7 +6,9 @@
 //! [`EdgeController`] and the latest compiled artifact per site. The verbs
 //! hand it routes with their stage forwarders; it installs the rules,
 //! binds the edges, and compiles what changed. It still exports the
-//! artifacts from the in-process forwarders.
+//! artifacts from the in-process forwarders. A verb stores the compiled
+//! artifact; its bytes are encoded on first read, so a verb whose
+//! artifacts nobody reads never serializes them.
 
 use crate::chain::InstalledRoute;
 use crate::edge::EdgeController;
@@ -17,6 +19,7 @@ use sb_dataplane::{artifact as sba, Addr, ArtifactKind, SiteArtifact, WeightedCh
 use sb_telemetry::{Counter, Histogram, Telemetry};
 use sb_types::{EdgeInstanceId, Error, ForwarderId, LabelPair, Result, RouteId, SiteId, VnfId};
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 /// VNF instances served by one forwarder before the pool grows.
 const INSTANCES_PER_FORWARDER: usize = 2;
@@ -25,18 +28,20 @@ const INSTANCES_PER_FORWARDER: usize = 2;
 pub(crate) struct Install {
     locals: HashMap<SiteId, LocalSwitchboard>,
     edge: EdgeController,
-    /// The latest compiled route artifact per site, with its encoded
-    /// bytes: refreshed by every verb that changes forwarder rules (full
-    /// artifacts on deploys, patch artifacts on every change to an
-    /// installed chain). This is what `sb compile` writes to disk and
-    /// what a standalone forwarder boots from.
-    artifacts: HashMap<SiteId, (SiteArtifact, Vec<u8>)>,
+    /// The latest compiled route artifact per site, with a cell for its
+    /// encoded bytes: refreshed by every verb that changes forwarder rules
+    /// (full artifacts on deploys, patch artifacts on every change to an
+    /// installed chain). Every compile stores an empty cell, which the
+    /// first read of the bytes fills. This is what `sb compile` writes to
+    /// disk and what a standalone forwarder boots from.
+    artifacts: HashMap<SiteId, (SiteArtifact, OnceLock<Vec<u8>>)>,
     /// `artifact.bytes`: total encoded size of every compiled site
-    /// artifact (a pure function of the route state — deterministic).
+    /// artifact (a pure function of the route state — deterministic),
+    /// counted at compile time whether or not the bytes are ever read.
     artifact_bytes: Counter,
-    /// `artifact.compile_ns`: wall-clock export+encode time per site
-    /// artifact. Like `fib.rebuild_ns`, this histogram is wall-clock and
-    /// must be filtered out of any test that compares registry snapshots
+    /// `artifact.compile_ns`: wall-clock export time per site artifact.
+    /// Like `fib.rebuild_ns`, this histogram is wall-clock and must be
+    /// filtered out of any test that compares registry snapshots
     /// byte-for-byte.
     artifact_compile_ns: Histogram,
 }
@@ -224,8 +229,9 @@ impl Install {
     /// site's stored artifact is what its forwarders run. `Full` is a
     /// snapshot of the site; `Patch` is scoped to the label pairs the
     /// operation touched at any site (a site that never had one of them
-    /// lists it as a removal). Records `artifact.bytes` and
-    /// `artifact.compile_ns` per artifact.
+    /// lists it as a removal). Records `artifact.bytes` (the encoded
+    /// size) and `artifact.compile_ns` (the export time) per artifact;
+    /// the bytes themselves are encoded on first read.
     pub(crate) fn compile_artifacts(&mut self, epoch: u64, kind: ArtifactKind) {
         let mut sites: Vec<SiteId> = Vec::new();
         let mut labels: Vec<LabelPair> = Vec::new();
@@ -245,12 +251,11 @@ impl Install {
                 ArtifactKind::Full => local.export_site_artifact(epoch),
                 ArtifactKind::Patch => local.export_patch_artifact(&labels, epoch),
             };
-            let bytes = sba::encode(&artifact);
-            self.artifact_bytes.add(bytes.len() as u64);
             #[allow(clippy::cast_possible_truncation)]
             self.artifact_compile_ns
                 .record(started.elapsed().as_nanos() as u64);
-            self.artifacts.insert(site, (artifact, bytes));
+            self.artifact_bytes.add(sba::encoded_len(&artifact) as u64);
+            self.artifacts.insert(site, (artifact, OnceLock::new()));
         }
     }
 }
@@ -312,10 +317,12 @@ impl ControlPlane {
 
     /// The encoded bytes of [`site_artifact`](Self::site_artifact) — what
     /// `sb compile` writes to an `.sba` file. Byte-deterministic for a
-    /// given route solution.
+    /// given route solution. Encoded on the first read after the verb
+    /// that compiled the artifact; later reads return the same slice.
     #[must_use]
     pub fn site_artifact_bytes(&self, site: SiteId) -> Option<&[u8]> {
-        self.install.artifacts.get(&site).map(|(_, b)| b.as_slice())
+        let (artifact, bytes) = self.install.artifacts.get(&site)?;
+        Some(bytes.get_or_init(|| sba::encode(artifact)))
     }
 
     /// Sites with a compiled artifact, sorted.

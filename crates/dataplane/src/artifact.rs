@@ -6,9 +6,10 @@
 //! exactly what [`CompiledFib`](crate::CompiledFib) holds: the sorted
 //! [`FibRow`]s (rule sets with their Vose alias tables bit-exact, each
 //! with its route's epoch), plus the label-unaware VNF registrations a
-//! forwarder needs to strip/re-affix labels. The control
-//! plane emits one per participant site at 2PC install time; a data-plane
-//! process — in-process or standalone, see the `sb` CLI — consumes it via
+//! forwarder needs to strip/re-affix labels. The control plane compiles
+//! one per participant site at 2PC install time and stores it; its bytes
+//! are encoded on first read. A data-plane process — in-process or
+//! standalone, see the `sb` CLI — consumes it via
 //! `Forwarder::apply_artifact` and hot-swaps it in as the forwarder's
 //! next FIB generation.
 //!
@@ -234,8 +235,10 @@ fn choice_len(wc: &WeightedChoice) -> usize {
     4 + targets.len() * (1 + 8 + 8) + 8 + thresholds.len() * 8 + aliases.len() * 4
 }
 
-/// Encoded size of `artifact`, checksum included.
-fn encoded_len(artifact: &SiteArtifact) -> usize {
+/// Encoded size of `artifact`, checksum included: `encode(artifact).len()`
+/// without encoding.
+#[must_use]
+pub fn encoded_len(artifact: &SiteArtifact) -> usize {
     let forwarder = |f: &ForwarderArtifact| {
         let rows: usize = f
             .rows

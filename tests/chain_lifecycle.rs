@@ -3,8 +3,8 @@
 
 use std::collections::{BTreeSet, HashMap};
 use switchboard::controller::InstanceRecord;
-use switchboard::dataplane::artifact::decode;
-use switchboard::dataplane::{Forwarder, ForwarderArtifact};
+use switchboard::dataplane::artifact::{decode, encode};
+use switchboard::dataplane::{ArtifactKind, Forwarder, ForwarderArtifact};
 use switchboard::prelude::*;
 use switchboard::scenarios;
 
@@ -279,6 +279,56 @@ fn stored_artifacts_replay_to_the_running_state_after_every_verb() {
             assert!(f.export_artifact().rows.is_empty(), "{site}: rules outlived their chains");
         }
     }
+}
+
+/// A verb stores its compiled artifact and the bytes are encoded on first
+/// read: three verbs through one site with no read in between must leave
+/// bytes that encode the last of them, and a second read returns the same
+/// slice.
+#[test]
+fn stored_bytes_encode_the_latest_compile_after_unread_verbs() {
+    let (mut sb, sites) = testbed();
+    let (one, two) = (ChainId::new(1), ChainId::new(2));
+    let (a, b) = (sites[1], sites[2]);
+    sb.deploy_chain_via(request(two), vec![(vec![a, b], 1.0)]).unwrap();
+    sb.deploy_chain_via(request(one), vec![(vec![a, b], 1.0)]).unwrap();
+    sb.update_chain(two, vec![(vec![a, b], 0.25), (vec![b, a], 0.75)])
+        .unwrap();
+
+    let artifact = sb.site_artifact(a).expect("stage site");
+    let bytes = sb.site_artifact_bytes(a).expect("stage site");
+    assert_eq!(bytes, encode(artifact).as_slice(), "stale bytes at {a}");
+    let decoded = decode(bytes).expect("stored bytes decode");
+    let epoch = sb.routes_of(two)[0].epoch;
+    assert!(epoch > 1, "the update moved chain {two} past its deploy epoch");
+    assert_eq!((decoded.epoch, decoded.kind), (epoch, ArtifactKind::Patch));
+    let again = sb.site_artifact_bytes(a).expect("stage site");
+    assert!(std::ptr::eq(bytes, again), "a second read encoded again");
+}
+
+/// An artifact's epoch is its chain's, not its site's: a deploy compiles
+/// at epoch 1 wherever it lands, so a site that served another chain's
+/// update then receives an older epoch than the one it runs. A receiver
+/// cannot judge staleness by comparing epochs.
+#[test]
+fn a_sites_artifact_epochs_follow_their_chains_not_the_site() {
+    let (mut sb, sites) = testbed();
+    let (one, two) = (ChainId::new(1), ChainId::new(2));
+    let (a, b) = (sites[1], sites[2]);
+    sb.deploy_chain_via(request(one), vec![(vec![a, b], 1.0)]).unwrap();
+    sb.update_chain(one, vec![(vec![a, b], 0.25), (vec![b, a], 0.75)])
+        .unwrap();
+    let updated = sb.site_artifact(a).expect("stage site").clone();
+    assert_eq!(updated.kind, ArtifactKind::Patch);
+    assert!(updated.epoch > 1, "the update moved chain {one} past epoch 1");
+
+    sb.deploy_chain_via(request(two), vec![(vec![a, b], 1.0)]).unwrap();
+    let deployed = sb.site_artifact(a).expect("stage site");
+    assert_eq!((deployed.kind, deployed.epoch), (ArtifactKind::Full, 1));
+    assert!(
+        deployed.epoch < updated.epoch,
+        "{a}'s newer artifact carries the older epoch"
+    );
 }
 
 /// Two routes whose first VNF shares a site are equally near every new

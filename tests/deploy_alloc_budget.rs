@@ -27,7 +27,9 @@
 //! each artifact encode once, without index vectors for lists already
 //! sorted, leaves 28 658 B in 341. A publish that names only its topic,
 //! with no payload `Arc` around the instance records and the route topic
-//! built once per control plane, leaves 28 469 B in 336.
+//! built once per control plane, leaves 28 469 B in 336. Storing each
+//! compiled artifact and encoding its bytes on first read leaves
+//! 24 177 B in 334.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
@@ -46,7 +48,7 @@ const HEADROOM: f64 = 64.0;
 /// Deploys run before counting; the rest are counted.
 const WARM_UP: usize = 300;
 const MAX_BUILD_BYTES: usize = 2 * 1024 * 1024;
-const MAX_BYTES_PER_DEPLOY: usize = 32 * 1024;
+const MAX_BYTES_PER_DEPLOY: usize = 26 * 1024;
 const MAX_CALLS_PER_DEPLOY: usize = 387;
 
 fn attachment(site: SiteId) -> String {

@@ -18,7 +18,8 @@
 //! every mailbox, copying the solve's trial load tracker into reused
 //! buffers, and sizing each artifact encode once leaves 22 570 B in 411.
 //! A publish that names only its topic, with no payload built for a
-//! route delta, leaves 22 405 B in 406.
+//! route delta, leaves 22 405 B in 406. Storing each compiled artifact
+//! and encoding its bytes on first read leaves 21 090 B in 401.
 //!
 //! One test in its own binary: the counting global allocator sees every
 //! allocation of the process, so nothing else may run beside it.
