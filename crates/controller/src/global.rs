@@ -40,7 +40,7 @@ use crate::announce::Announce;
 use crate::chain::{ChainHandle, ChainRequest, DeploymentReport, InstalledRoute};
 use crate::install::Install;
 use crate::messages::RouteAnnouncement;
-use crate::reserve::{prepare_items, vetoed_participant, PrepareItem, Reserve};
+use crate::reserve::{prepare_items, PrepareItem, Reserve};
 use crate::solve::{check_route_set, Solve};
 use sb_dataplane::ArtifactKind;
 use sb_faults::SharedFaultPlan;
@@ -547,13 +547,15 @@ impl ControlPlane {
             let Err(e) = self.two_phase_commit(&items, op) else {
                 return Ok(routes);
             };
-            let vetoed = matches!(e, Error::CommitRejected { .. });
-            if !(vetoed && resolvable && excluded.len() < MAX_2PC_RETRIES) {
+            let Error::CommitRejected { vnf, site, .. } = e else {
+                return Err(e);
+            };
+            if !(resolvable && excluded.len() < MAX_2PC_RETRIES) {
                 return Err(e);
             }
             self.tele.retries_2pc.inc();
             // Recompute excluding the rejecting deployment.
-            excluded.push(vetoed_participant(&e).ok_or(e)?);
+            excluded.push((vnf, site));
             // Degrade gracefully: never re-propose a site that has crashed
             // since the last attempt. The vetoed round has aborted, so a
             // refusal here leaves nothing reserved.
@@ -1443,20 +1445,6 @@ mod tests {
             .snapshot()
             .iter()
             .any(|r| r.name == "2pc.prepare" && r.attr("outcome") == Some("site-down")));
-    }
-
-    #[test]
-    fn participant_string_round_trips() {
-        let rejected = |participant: &str| Error::CommitRejected {
-            participant: participant.into(),
-            reason: String::new(),
-        };
-        assert_eq!(
-            vetoed_participant(&rejected("vnf-3@site-7")),
-            Some((VnfId::new(3), SiteId::new(7)))
-        );
-        assert_eq!(vetoed_participant(&rejected("garbage")), None);
-        assert_eq!(vetoed_participant(&Error::unknown("vnf", 3)), None);
     }
 
     #[test]

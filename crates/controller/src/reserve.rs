@@ -178,7 +178,7 @@ impl Reserve {
             penalty: Millis::ZERO,
             prepared: Vec::new(),
         };
-        let failure = self.prepare_round(&mut round, items);
+        let phase1 = self.prepare_round(&mut round, items, report);
         // A chain may use the same VNF at the same site more than once (two
         // stages of the same function): its reservations accumulate under
         // one (chain, route) key at the controller, so abort/commit exactly
@@ -186,8 +186,8 @@ impl Reserve {
         let prepared = &mut round.prepared;
         prepared.sort_unstable_by_key(|&(v, c, r, s)| (v.value(), c.value(), r.value(), s.value()));
         prepared.dedup();
-        let (dt, outcome, res) = match failure {
-            Some((e, failed_span)) => {
+        let (dt, outcome, res) = match phase1 {
+            Err(e) => {
                 for &(vnf, chain, route, site) in &round.prepared {
                     let ctl = self
                         .vnf_ctls
@@ -196,13 +196,9 @@ impl Reserve {
                     ctl.abort(chain, route, site);
                 }
                 self.aborts.inc();
-                // Which phase failed, read back from the trace record so the
-                // report can never contradict the span data.
-                let note = failed_span.and_then(|id| phase_failure_note(&self.tracer, id));
-                report.partial_failures.extend(note);
                 (round.max_rtt + round.penalty, "aborted", Err(e))
             }
-            None => {
+            Ok(()) => {
                 self.commit_round(&mut round, report);
                 self.commits.inc();
                 report.participants_2pc += round.prepared.len();
@@ -215,33 +211,33 @@ impl Reserve {
         (dt, res)
     }
 
-    /// Phase 1: prepares `items` in order until one fails. Returns the
-    /// failure with the span of the phase record it was noted in, if any.
+    /// Phase 1: prepares `items` in order until one fails, noting in
+    /// `report` the participant it failed at.
     fn prepare_round(
         &mut self,
         round: &mut Round<'_>,
         items: &[PrepareItem],
-    ) -> Option<(Error, Option<SpanId>)> {
+        report: &mut DeploymentReport,
+    ) -> Result<()> {
         for it in items {
             let (vnf, site) = (it.vnf, it.site);
             let Some(ctl) = self.vnf_ctls.get_mut(&vnf) else {
-                return Some((Error::unknown("vnf", vnf), None));
+                return Err(Error::unknown("vnf", vnf));
             };
             let rtt = self.delays.between(GSB_SITE, ctl.home_site()) * 2.0;
             if rtt > round.max_rtt {
                 round.max_rtt = rtt;
             }
-            let (vnf_s, site_s) = (vnf.to_string(), site.to_string());
             let (tracer, at, span) = (&self.tracer, round.at, round.span);
-            let prep_span = |end: Millis, outcome: &str| {
-                let attrs = [("vnf", &*vnf_s), ("site", &site_s), ("outcome", outcome)];
-                let (from, to) = (at.as_nanos(), (at + end).as_nanos());
-                tracer.span("2pc.prepare", Some(span), from, to, &attrs)
+            let prep_span = |end: Millis, outcome: &str, notes: Option<&mut Vec<String>>| {
+                let (window, vote) = ((at, at + end), (vnf, site, outcome));
+                phase_span(tracer, span, RpcPhase::Prepare, window, vote, notes);
             };
-            let rejected = |reason: String| Error::CommitRejected {
-                participant: format!("{vnf}@{site}"),
-                reason,
+            let mut failed = |end, outcome, e| {
+                prep_span(end, outcome, Some(&mut report.partial_failures));
+                Err(e)
             };
+            let rejected = |reason: String| Error::CommitRejected { vnf, site, reason };
             // A reservation at a crashed site can never be honoured —
             // the instances there are gone. The controller's failure
             // detector vetoes it outright (no timeout burned), and the
@@ -253,10 +249,10 @@ impl Reserve {
             });
             if down {
                 let reason = format!("{site} is down; reservation refused");
-                return Some((rejected(reason), Some(prep_span(Millis::ZERO, "site-down"))));
+                return failed(Millis::ZERO, "site-down", rejected(reason));
             }
             if let Err(e) = ctl.prepare(it.chain, it.route, site, it.load) {
-                return Some((e, Some(prep_span(rtt, "vetoed"))));
+                return failed(rtt, "vetoed", e);
             }
             // The reservation now exists at the participant. A lost reply
             // leaves the coordinator unsure of the vote: it must either
@@ -265,18 +261,17 @@ impl Reserve {
             round.prepared.push((vnf, it.chain, it.route, site));
             match retry_rpc(round.faults, RpcPhase::Prepare, site) {
                 Ok(extra) => {
-                    prep_span(rtt + extra, "ok");
+                    prep_span(rtt + extra, "ok", None);
                     round.penalty += extra;
                 }
                 Err(full) => {
-                    let span = prep_span(rtt + full, "timeout");
                     round.penalty += full;
                     let reason = format!("prepare timed out after {MAX_RPC_RETRIES} retries");
-                    return Some((rejected(reason), Some(span)));
+                    return failed(rtt + full, "timeout", rejected(reason));
                 }
             }
         }
-        None
+        Ok(())
     }
 
     /// Phase 2: commits every prepared reservation. Commit is idempotent
@@ -286,6 +281,7 @@ impl Reserve {
         // The commit round starts once the slowest prepare ack is in (the
         // phase's virtual-time cost is one RTT per round).
         let t_commit = round.at + round.max_rtt;
+        let tracer = &self.tracer;
         for &(vnf, chain, route, site) in &round.prepared {
             let ctl = self
                 .vnf_ctls
@@ -298,19 +294,11 @@ impl Reserve {
                 Err(full) => (full, false),
             };
             round.penalty += extra;
-            let (from, to) = (t_commit.as_nanos(), (t_commit + round.max_rtt).as_nanos());
-            let outcome = if acked { "acked" } else { "ack-lost" };
-            let attrs = [
-                ("vnf", &*vnf.to_string()),
-                ("site", &site.to_string()),
-                ("outcome", outcome),
-            ];
-            let commit_span = self
-                .tracer
-                .span("2pc.commit", Some(round.span), from, to, &attrs);
+            let window = (t_commit, t_commit + round.max_rtt);
+            let vote = (vnf, site, if acked { "acked" } else { "ack-lost" });
+            let notes = (!acked).then_some(&mut report.partial_failures);
+            phase_span(tracer, round.span, RpcPhase::Commit, window, vote, notes);
             if !acked {
-                let note = phase_failure_note(&self.tracer, commit_span);
-                report.partial_failures.extend(note);
                 report.note(format!(
                     "commit ack from {vnf}@{site} lost after {MAX_RPC_RETRIES} retries; \
                      the reservation is durable at the participant"
@@ -421,32 +409,28 @@ pub(crate) fn backoff(attempt: usize) -> Millis {
     b
 }
 
-/// Builds a report note naming the 2PC phase that failed, sourced from
-/// trace record `id` (its name and attributes) rather than from local
-/// variables — the narrative in [`DeploymentReport::partial_failures`] can
-/// never contradict the span data. `None` if the record was evicted.
-fn phase_failure_note(tracer: &TraceRecorder, id: SpanId) -> Option<String> {
-    let records = tracer.snapshot();
-    let rec = records.iter().rev().find(|r| r.id == id)?;
-    let phase = rec.name.strip_prefix("2pc.")?;
-    Some(format!(
-        "2pc {phase} phase failed at {}@{}: {}",
-        rec.attr("vnf").unwrap_or("?"),
-        rec.attr("site").unwrap_or("?"),
-        rec.attr("outcome").unwrap_or("unknown"),
-    ))
-}
-
-/// The (VNF, site) a [`Error::CommitRejected`] names as its
-/// `"{vnf}@{site}"` participant.
-pub(crate) fn vetoed_participant(e: &Error) -> Option<(VnfId, SiteId)> {
-    let Error::CommitRejected { participant, .. } = e else {
-        return None;
+/// Records participant `vnf`@`site`'s span of 2PC `phase`, a child of
+/// `parent` over `window`, with `outcome`. A failed phase also pushes to
+/// `failures` the note naming it, formatted from the same values: a note in
+/// [`DeploymentReport::partial_failures`] cannot contradict the span data.
+fn phase_span(
+    tracer: &TraceRecorder,
+    parent: SpanId,
+    phase: RpcPhase,
+    (from, to): (SimTime, SimTime),
+    (vnf, site, outcome): (VnfId, SiteId, &str),
+    failures: Option<&mut Vec<String>>,
+) {
+    let name = match phase {
+        RpcPhase::Prepare => "2pc.prepare",
+        RpcPhase::Commit => "2pc.commit",
     };
-    let (vnf_s, site_s) = participant.split_once('@')?;
-    let vnf = vnf_s.strip_prefix("vnf-")?.parse().ok()?;
-    let site = site_s.strip_prefix("site-")?.parse().ok()?;
-    Some((VnfId::new(vnf), SiteId::new(site)))
+    let (vnf_s, site_s) = (vnf.to_string(), site.to_string());
+    let attrs = [("vnf", &*vnf_s), ("site", &*site_s), ("outcome", outcome)];
+    tracer.span(name, Some(parent), from.as_nanos(), to.as_nanos(), &attrs);
+    if let Some(notes) = failures {
+        notes.push(format!("2pc {phase} phase failed at {vnf}@{site}: {outcome}"));
+    }
 }
 
 #[cfg(test)]

@@ -133,10 +133,7 @@ impl VnfController {
             .pools
             .get_mut(&site)
             .ok_or_else(|| Error::unknown("vnf deployment site", site))?;
-        let reject = |reason: String| Error::CommitRejected {
-            participant: format!("{vnf}@{site}"),
-            reason,
-        };
+        let reject = |reason: String| Error::CommitRejected { vnf, site, reason };
         if load > available + 1e-9 {
             return Err(reject(format!(
                 "need {load:.3} load units, only {available:.3} available"

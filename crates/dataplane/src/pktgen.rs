@@ -227,12 +227,19 @@ impl PacketGenerator {
         #[allow(clippy::cast_possible_truncation)]
         let idx = ((u128::from(mixed) * self.flows.len() as u128) >> 64) as usize;
         self.emitted += 1;
-        let labels = self
-            .flow_labels
-            .get(idx)
-            .copied()
-            .unwrap_or(self.labels);
-        Packet::labeled(labels, self.flows[idx], self.size)
+        self.packet(idx)
+    }
+
+    /// The packet of flow `i` of the population, with the flow's label
+    /// pair. Reading it emits nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`num_flows`](Self::num_flows).
+    #[must_use]
+    pub(crate) fn packet(&self, i: usize) -> Packet {
+        let labels = self.flow_labels.get(i).copied().unwrap_or(self.labels);
+        Packet::labeled(labels, self.flows[i], self.size)
     }
 
     /// The underlying flow population.

@@ -92,10 +92,12 @@ impl Default for ScaleoutConfig {
     }
 }
 
-/// The steady-state packet floor of a worker's warmup: its window may not
-/// open until it has driven `4 × flows` packets of its own share, so (with
-/// the generator's uniform flow selection) essentially every flow has been
-/// visited — the paper's "steady-state throughput".
+/// The steady-state packet floor of a worker's warmup: after one packet of
+/// every flow of its own share, its window may not open until it has driven
+/// `4 × flows` uniform draws of that share — the paper's "steady-state
+/// throughput". The draws alone would leave about e⁻⁴ ≈ 1.8 % of the flows
+/// unvisited, so the first pass is what puts every flow in the table
+/// before the window, however long the window then is.
 const fn steady_state_floor(flows: usize) -> u64 {
     4 * flows as u64
 }
@@ -300,7 +302,8 @@ struct Window {
 
 /// One worker's loop.
 ///
-/// The worker refills its staging buffer and forwards it until
+/// The worker forwards one packet of each of its flows, in population
+/// order, then refills its staging buffer and forwards it until
 /// `open(past_floor)` lets its window open, where `past_floor` turns true
 /// once it has driven the [`steady_state_floor`] of its own flows. It then
 /// forwards one buffer after another until `running()` fails, timing the
@@ -322,7 +325,15 @@ fn run_worker(
     };
     let mut out = Vec::with_capacity(batch);
     let mut sampler = Sampler::default();
-    let floor = steady_state_floor(gen.num_flows());
+    let (flows, len) = (gen.num_flows(), stage.len());
+    for first in (0..flows).step_by(len) {
+        let part = &mut stage[..(flows - first).min(len)];
+        for (i, p) in part.iter_mut().enumerate() {
+            *p = gen.packet(first + i);
+        }
+        forward(fwd, part, batch, &mut out, &mut sampler);
+    }
+    let floor = steady_state_floor(flows);
     let mut warm_sent = 0u64;
     while !open(warm_sent >= floor) {
         fill(gen, &mut stage);
@@ -622,6 +633,24 @@ mod tests {
         assert!(r.throughput.value() > 0.1, "{}", r.throughput);
         // All flows of all chains install entries (≤ 3 each).
         assert!(r.flow_entries >= 512, "{}", r.flow_entries);
+    }
+
+    #[test]
+    fn every_flow_is_in_the_table_however_short_the_window() {
+        // Uniform draws alone leave about e^-4 of the flows out of the
+        // table at the floor, and how many of them a window reaches then
+        // depends on its wall-clock length.
+        let flows = 65_536;
+        let r = measure_sharded(
+            &ScaleoutConfig {
+                flows,
+                duration: Duration::from_millis(20),
+                warmup: Duration::ZERO,
+                ..ScaleoutConfig::default()
+            },
+            None,
+        );
+        assert_eq!(r.flow_entries, 3 * flows);
     }
 
     #[test]

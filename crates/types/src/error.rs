@@ -5,6 +5,7 @@
 //! subsystem that raises them so callers can match on classes of failure
 //! (e.g. "any infeasibility" vs. "any unknown-entity lookup").
 
+use crate::ids::{SiteId, VnfId};
 use std::fmt;
 
 /// A specialized `Result` for Switchboard operations.
@@ -47,8 +48,11 @@ pub enum Error {
     /// participant (Section 3, phase 2: a VNF controller may reject a
     /// proposed route due to resource shortage).
     CommitRejected {
-        /// The participant that voted no.
-        participant: String,
+        /// The VNF whose reservation was refused; the coordinator
+        /// recomputes the route without this VNF at `site`.
+        vnf: VnfId,
+        /// The site of the refused reservation.
+        site: SiteId,
         /// The participant's stated reason.
         reason: String,
     },
@@ -144,10 +148,9 @@ impl fmt::Display for Error {
             Error::Infeasible { reason } => write!(f, "infeasible: {reason}"),
             Error::Unbounded => write!(f, "optimization problem is unbounded"),
             Error::InvalidChain { reason } => write!(f, "invalid chain: {reason}"),
-            Error::CommitRejected {
-                participant,
-                reason,
-            } => write!(f, "commit rejected by {participant}: {reason}"),
+            Error::CommitRejected { vnf, site, reason } => {
+                write!(f, "commit rejected by {vnf}@{site}: {reason}")
+            }
             Error::ResourceExhausted { resource } => write!(f, "resource exhausted: {resource}"),
             Error::Forwarding { reason } => write!(f, "forwarding failed: {reason}"),
             Error::Bus { reason } => write!(f, "message bus error: {reason}"),
@@ -161,7 +164,6 @@ impl std::error::Error for Error {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::SiteId;
 
     fn assert_send_sync<T: Send + Sync>() {}
 
@@ -181,7 +183,8 @@ mod tests {
             Error::infeasible("demand exceeds capacity"),
             Error::invalid_chain("empty vnf list"),
             Error::CommitRejected {
-                participant: "vnf-3".into(),
+                vnf: VnfId::new(3),
+                site: SiteId::new(7),
                 reason: "out of capacity".into(),
             },
             Error::ResourceExhausted { resource: "labels" },
@@ -203,6 +206,16 @@ mod tests {
     fn unknown_entity_includes_rendered_id() {
         let e = Error::unknown("site", SiteId::new(4));
         assert_eq!(e.to_string(), "unknown site: site-4");
+    }
+
+    #[test]
+    fn commit_rejected_names_the_vnf_at_its_site() {
+        let e = Error::CommitRejected {
+            vnf: VnfId::new(3),
+            site: SiteId::new(7),
+            reason: "vetoed".into(),
+        };
+        assert_eq!(e.to_string(), "commit rejected by vnf-3@site-7: vetoed");
     }
 
     #[test]
